@@ -16,8 +16,8 @@ single convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import KW_ONLY, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +79,55 @@ def _gaussian_smooth(values: np.ndarray, sigma: float) -> np.ndarray:
     return np.fft.irfft(spectrum * attenuation, n=n)
 
 
-@dataclass
+#: One low-rank factor of a toggle matrix: ``(name, weights, toggles)``.
+Factor = Tuple[str, np.ndarray, np.ndarray]
+
+#: The toggle-matrix groups of an :class:`ActivityRecord`.
+ACTIVITY_GROUPS = ("main", "trojan", "trojan_rising")
+
+
+def dense_activity(factors: Sequence[Factor], shape: Tuple[int, int]) -> np.ndarray:
+    """Sum of ``outer(weights, toggles)`` over ``factors``, in order.
+
+    The one accumulation every dense toggle matrix goes through, so a
+    matrix rebuilt from factors is bit-for-bit the same wherever it is
+    built.  Rows a factor does not weight are skipped: their product
+    is an exact zero, and adding zero leaves every (never negative-zero)
+    entry unchanged.
+    """
+    dense = np.zeros(shape)
+    for _name, weights, toggles in factors:
+        rows = np.flatnonzero(weights)
+        dense[rows] += np.outer(np.asarray(weights)[rows], toggles)
+    return dense
+
+
+class _DenseActivity:
+    """A record's dense toggle matrix: as given, or built on first read.
+
+    A data descriptor, so the dataclass ``__init__`` stores through it
+    (``None`` leaves the matrix to be built from the factors).
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.group = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None  # the dataclass field default
+        dense = record._dense.get(self.group)
+        if dense is None:
+            dense = dense_activity(record.factors.get(self.group, ()), record._shape)
+            record._dense[self.group] = dense
+        return dense
+
+    def __set__(self, record, value) -> None:
+        cache = record.__dict__.setdefault("_dense", {})
+        if value is not None:
+            cache[self.group] = value
+
+
+@dataclass(eq=False, repr=False)
 class ActivityRecord:
     """Per-region switching activity of one simulated trace window.
 
@@ -92,90 +140,81 @@ class ActivityRecord:
         Toggle counts of falling-edge Trojan logic, same shape.  Kept
         separate because these cells switch on the opposite clock phase
         (a half-cycle offset), which the EMF synthesis honors.
-    trojan_rising:
-        Toggle counts of rising-edge (main-clock-synchronous) Trojan
-        logic such as the T4 power virus; rendered in phase with the
-        main circuit.
     config:
         The simulation configuration used.
     scenario:
         Label, e.g. ``"idle"``, ``"baseline"``, ``"T1"``.
     meta:
         Free-form extra metadata.
+    trojan_rising:
+        Toggle counts of rising-edge (main-clock-synchronous) Trojan
+        logic such as the T4 power virus; rendered in phase with the
+        main circuit.
     factors:
         Optional low-rank decomposition of the toggle matrices: maps
         ``"main"`` / ``"trojan"`` / ``"trojan_rising"`` to lists of
         ``(name, weights, toggles)`` outer-product factors with
         ``weights`` of shape ``(n_regions,)`` and ``toggles`` of shape
-        ``(n_cycles,)``, such that the dense matrix is (up to float
-        rounding) the sum of ``outer(weights, toggles)`` over its
-        factors.  The chip simulator builds activity exactly this way
-        (one factor per module), and the measurement engine's EMF
-        synthesis exploits it to skip the dense region matmul; dense
-        consumers keep using ``main``/``trojan`` directly.
+        ``(n_cycles,)``, such that the dense matrix is the sum of
+        ``outer(weights, toggles)`` over its factors.  The chip
+        simulator builds activity exactly this way (one factor per
+        module), and the measurement engine's EMF synthesis renders
+        from the factors directly.
+
+    Notes
+    -----
+    A record is built either from dense matrices (``main`` and
+    ``trojan`` given, ``trojan_rising`` defaulting to zeros) or from
+    ``factors`` alone.  A factor-bearing record builds each dense
+    matrix with :func:`dense_activity` on first access and keeps it;
+    pickling ships only the factors, so the dense matrices (tens of MB
+    per record) are never copied between processes.
     """
 
-    main: np.ndarray
-    trojan: np.ndarray
+    main: Optional[np.ndarray] = _DenseActivity()
+    trojan: Optional[np.ndarray] = _DenseActivity()
+    _: KW_ONLY
     config: SimConfig
     scenario: str = ""
     meta: Optional[Dict[str, object]] = None
-    trojan_rising: Optional[np.ndarray] = None
-    factors: Optional[Dict[str, List[Tuple[str, np.ndarray, np.ndarray]]]] = None
+    trojan_rising: Optional[np.ndarray] = _DenseActivity()
+    factors: Optional[Dict[str, List[Factor]]] = None
 
     def __post_init__(self) -> None:
-        if self.trojan_rising is None:
-            self.trojan_rising = np.zeros_like(self.main)
-        expected = (self.main.shape[0], self.config.n_cycles)
-        if (
-            self.main.shape != expected
-            or self.trojan.shape != expected
-            or self.trojan_rising.shape != expected
-        ):
+        dense = self._dense
+        n_cycles = self.config.n_cycles
+        if self.factors is None:
+            if "main" not in dense or "trojan" not in dense:
+                raise ConfigError("a record needs dense main/trojan or factors")
+            dense.setdefault("trojan_rising", np.zeros_like(dense["main"]))
+            self._shape = (dense["main"].shape[0], n_cycles)
+            shapes = set()
+        else:
+            parts = [
+                part for group in ACTIVITY_GROUPS for part in self.factors.get(group, ())
+            ]
+            if not parts:
+                raise ConfigError("a factor-bearing record needs at least one factor")
+            self._shape = (len(parts[0][1]), n_cycles)
+            shapes = {(np.shape(w), np.shape(t)) for _name, w, t in parts}
+            shapes.discard((self._shape[:1], self._shape[1:]))
+        shapes |= {matrix.shape for matrix in dense.values()} - {self._shape}
+        if shapes:
             raise ConfigError(
-                f"activity shapes {self.main.shape}/{self.trojan.shape} do "
-                f"not match (n_regions, n_cycles)={expected}"
+                f"activity shapes {sorted(shapes, key=str)} do not match "
+                f"(n_regions, n_cycles)={self._shape}"
             )
-
-    # -- compact serialization ----------------------------------------------
-    #
-    # The dense toggle matrices dominate a record's footprint (tens of
-    # MB per record) but are fully determined by the low-rank factors
-    # when those are present.  Pickling therefore ships only the
-    # factors and rebuilds the dense matrices on load, in the same
-    # accumulation order the simulator used — bit-for-bit identical —
-    # which makes sharding record batches across worker processes
-    # cheap.
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         if self.factors is not None:
-            state["main"] = None
-            state["trojan"] = None
-            state["trojan_rising"] = None
-            state["_dense_shape"] = self.main.shape
+            state["_dense"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        shape = state.pop("_dense_shape", None)
-        self.__dict__.update(state)
-        if shape is not None:
-
-            def _dense(parts) -> np.ndarray:
-                dense = np.zeros(shape)
-                for _name, weights, toggles in parts:
-                    dense += np.outer(weights, toggles)
-                return dense
-
-            factors = self.factors or {}
-            self.main = _dense(factors.get("main", ()))
-            self.trojan = _dense(factors.get("trojan", ()))
-            self.trojan_rising = _dense(factors.get("trojan_rising", ()))
 
     @property
     def n_regions(self) -> int:
         """Number of floorplan regions."""
-        return int(self.main.shape[0])
+        return self._shape[0]
 
     def total_toggles(self) -> float:
         """All toggles in the window (main + Trojan)."""

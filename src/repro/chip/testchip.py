@@ -17,9 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..config import SimConfig
-from ..crypto.key_schedule import expand_key
 from ..crypto.lut_core import AesLutCore
-from ..crypto.sbox import bit_hamming
 from ..errors import WorkloadError
 from ..trojans.always_on import (
     ALWAYS_ON_NAMES,
@@ -27,14 +25,14 @@ from ..trojans.always_on import (
     T2AContinuousLeaker,
     TPParametricDrift,
 )
-from ..trojans.base import CycleContext, Trojan
+from ..trojans.base import CycleWindow, Trojan
 from ..trojans.t1_am_carrier import T1AmCarrier, T1_TERMINAL
 from ..trojans.t2_leakage import T2KeyLeakInverters
 from ..trojans.t3_cdma import T3CdmaLeaker
 from ..trojans.t4_dos import T4DosHeater
 from ..uart.uart import Uart
 from .floorplan import Floorplan, default_floorplan
-from .power import ActivityRecord
+from .power import ActivityRecord, dense_activity
 
 #: Scenario labels accepted by :meth:`TestChip.run_trace`.
 TROJAN_NAMES = ("T1", "T2", "T3", "T4")
@@ -48,10 +46,6 @@ _VARIANT_FACTORIES = {
     "TP": TPParametricDrift,
 }
 assert set(_VARIANT_FACTORIES) == set(ALWAYS_ON_NAMES)
-
-
-#: Hamming distance (popcount lookup, shared with the LUT core).
-_hamming = bit_hamming
 
 
 class TestChip:
@@ -78,13 +72,6 @@ class TestChip:
         self.floorplan = floorplan or default_floorplan()
         self.core = AesLutCore(key, config)
         self.uart = Uart(config)
-        # Round-key Hamming distances per block phase (fixed key =>
-        # computed once).  Phase 0 is the load cycle: the key-expand
-        # datapath swings from the last round key back to rk0.
-        round_keys = expand_key(self.key)
-        self._key_hd = [_hamming(round_keys[10], round_keys[0])] + [
-            _hamming(round_keys[p - 1], round_keys[p]) for p in range(1, 11)
-        ]
         self._module_weights = self._build_weight_matrix()
         # The UART datapath spreads evenly over its two modules; built
         # once so every record shares one weights object (which lets
@@ -163,91 +150,79 @@ class TestChip:
         config = self.config
         core_activity = self.core.run(plaintexts, idle=idle)
 
-        n_regions = self.floorplan.n_regions
-        main = np.zeros((n_regions, config.n_cycles))
-        main_factors = []
-        for module, toggles in core_activity.toggles.items():
-            weights = self._module_weights[module]
-            main += np.outer(weights, toggles)
-            main_factors.append((module, weights, np.asarray(toggles, float)))
+        main_factors = [
+            (module, self._module_weights[module], toggles)
+            for module, toggles in core_activity.toggles.items()
+        ]
         if not idle:
             uart_toggles = np.asarray(
                 self.uart.activity(transmitting=True), float
             )
-            main += np.outer(self._uart_weights, uart_toggles)
             main_factors.append(("uart", self._uart_weights, uart_toggles))
 
-        trojan = np.zeros_like(main)
-        trojan_rising = np.zeros_like(main)
         if idle:
             # Clock-gated idle: the Trojan trigger circuits do not tick
             # either (the paper's noise condition is a quiet chip).
             return ActivityRecord(
-                main=main,
-                trojan=trojan,
                 config=config,
                 scenario=scenario if scenario is not None else "idle",
                 meta={"active": (), "idle": True},
                 factors={"main": main_factors},
             )
-        trojans = self.make_trojans(active)
+        history = core_activity.history
+        cycles = np.arange(config.n_cycles)
+        blocks = core_activity.block_of_cycle
+        phases = core_activity.phase_of_cycle
+        window = CycleWindow(
+            cycle=cycles,
+            block=blocks,
+            phase=phases,
+            block_cycles=config.block_cycles,
+            time_s=cycles * config.t_clock,
+            plaintext=history.plaintexts[blocks % len(history)],
+            key_hd=self.core.key_hd[phases],
+            aes_norm=lambda: _normalized_activity(
+                main_factors, self.floorplan.n_regions, config.n_cycles
+            ),
+        )
         trojan_factors = []
         rising_factors = []
-        aes_total = main.sum(axis=0)
-        aes_peak = float(aes_total.max()) or 1.0
-        block_cycles = config.block_cycles
-        for trj in trojans:
+        for trj in self.make_trojans(active):
             trj.reset()
+            toggles = trj.window_toggles(window)
+            if not toggles.any():
+                continue
             # Variants without a dedicated floorplan rect occupy their
             # host module's placement (e.g. T1A sits in T1's rect).
             weights = self._module_weights[trj.site or trj.name]
-            toggles = np.zeros(config.n_cycles)
-            for cycle in range(config.n_cycles):
-                block = cycle // block_cycles
-                phase = cycle % block_cycles
-                if idle or not core_activity.histories:
-                    plaintext = b"\x00" * 16
-                    key_hd = 0
-                else:
-                    history = core_activity.histories[
-                        block % len(core_activity.histories)
-                    ]
-                    plaintext = bytes(history.plaintext)
-                    key_hd = self._key_hd[phase]
-                ctx = CycleContext(
-                    cycle=cycle,
-                    block=block,
-                    phase=phase,
-                    block_cycles=block_cycles,
-                    time_s=cycle * config.t_clock,
-                    plaintext=plaintext,
-                    key_hd=key_hd,
-                    aes_norm=float(aes_total[cycle]) / aes_peak,
-                )
-                toggles[cycle] = trj.toggles(ctx)
             if trj.clock_phase == "rising":
-                trojan_rising += np.outer(weights, toggles)
-                if toggles.any():
-                    rising_factors.append((trj.name, weights, toggles))
+                rising_factors.append((trj.name, weights, toggles))
             else:
-                trojan += np.outer(weights, toggles)
-                if toggles.any():
-                    trojan_factors.append((trj.name, weights, toggles))
+                trojan_factors.append((trj.name, weights, toggles))
 
         label = scenario
         if label is None:
-            label = "idle" if idle else ("+".join(sorted(active)) or "baseline")
+            label = "+".join(sorted(active)) or "baseline"
         factors = {"main": main_factors}
         if trojan_factors:
             factors["trojan"] = trojan_factors
         if rising_factors:
             factors["trojan_rising"] = rising_factors
         return ActivityRecord(
-            main=main,
-            trojan=trojan,
-            trojan_rising=trojan_rising,
             config=config,
             scenario=label,
             meta={"active": tuple(sorted(active)), "idle": idle},
             factors=factors,
         )
+
+
+def _normalized_activity(main_factors, n_regions: int, n_cycles: int) -> np.ndarray:
+    """Main-circuit activity per cycle over its trace maximum (0..1).
+
+    Sums the dense main matrix, accumulated exactly as
+    :attr:`ActivityRecord.main` is, so the supply-droop coupling is
+    bit-stable; only windows whose Trojans read it pay for it.
+    """
+    aes_total = dense_activity(main_factors, (n_regions, n_cycles)).sum(axis=0)
+    aes_peak = float(aes_total.max()) or 1.0
+    return aes_total / aes_peak

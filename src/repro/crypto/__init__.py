@@ -10,7 +10,13 @@ per-module toggle counts (the input of the EM simulation).
 
 from .sbox import SBOX, INV_SBOX, sbox_bytes, inv_sbox_bytes
 from .key_schedule import expand_key
-from .cipher import decrypt_block, encrypt_block, encrypt_block_with_history
+from .cipher import (
+    BlockHistories,
+    decrypt_block,
+    encrypt_block,
+    encrypt_block_with_history,
+    encrypt_blocks_with_history,
+)
 from .lut_core import AesLutCore, CoreActivity, BLOCK_CYCLES
 
 __all__ = [
@@ -22,6 +28,8 @@ __all__ = [
     "encrypt_block",
     "decrypt_block",
     "encrypt_block_with_history",
+    "encrypt_blocks_with_history",
+    "BlockHistories",
     "AesLutCore",
     "CoreActivity",
     "BLOCK_CYCLES",

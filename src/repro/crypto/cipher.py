@@ -1,7 +1,8 @@
 """AES-128 block cipher with full round-state history.
 
 The cycle-accurate activity model needs the intermediate state after
-every round, so :func:`encrypt_block_with_history` records them all.
+every round, so :func:`encrypt_blocks_with_history` records them all
+for a whole batch of blocks at once.
 State layout: a flat 16-byte array in the standard AES column-major
 order (byte ``i`` is row ``i % 4``, column ``i // 4``).
 """
@@ -40,38 +41,22 @@ def _as_state(data: bytes | np.ndarray) -> np.ndarray:
     return array
 
 
-def _sub_bytes(state: np.ndarray) -> np.ndarray:
-    return SBOX[state]
-
-
-def _inv_sub_bytes(state: np.ndarray) -> np.ndarray:
-    return INV_SBOX[state]
-
-
-def _shift_rows(state: np.ndarray) -> np.ndarray:
-    return state[_SHIFT_ROWS]
-
-
-def _inv_shift_rows(state: np.ndarray) -> np.ndarray:
-    return state[_INV_SHIFT_ROWS]
-
-
 def _mix_columns(state: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """(Inv)MixColumns over the last axis of ``(..., 16)`` states."""
     factors = [14, 11, 13, 9] if inverse else [2, 3, 1, 1]
     # factors listed so that factors[(k - row) % 4] gives the standard
     # circulant matrix row [2 3 1 1] (or [14 11 13 9] for the inverse).
-    # All four columns mix at once: the flat column-major state reshapes
-    # to (column, row), and each output row is an XOR of four table
-    # lookups across the whole column axis — exact GF(2^8) arithmetic,
-    # identical bytes to the per-column reference loop.
-    columns = state.reshape(4, 4)
+    # Every column of every block mixes at once: the flat column-major
+    # state reshapes to (..., column, row), and each output row is an
+    # XOR of four table lookups — exact GF(2^8) arithmetic.
+    columns = state.reshape(state.shape[:-1] + (4, 4))
     out = np.empty_like(columns)
     for row in range(4):
-        acc = _MUL[factors[(0 - row) % 4]][columns[:, 0]].copy()
+        acc = _MUL[factors[(0 - row) % 4]][columns[..., 0]]
         for k in range(1, 4):
-            acc ^= _MUL[factors[(k - row) % 4]][columns[:, k]]
-        out[:, row] = acc
-    return out.reshape(16)
+            acc ^= _MUL[factors[(k - row) % 4]][columns[..., k]]
+        out[..., row] = acc
+    return out.reshape(state.shape)
 
 
 @dataclass(frozen=True)
@@ -131,6 +116,101 @@ class EncryptionHistory:
         return [self.initial_state] + [r.state_out for r in self.rounds]
 
 
+@dataclass(frozen=True)
+class BlockHistories:
+    """State evolution of a batch of block encryptions.
+
+    Every array is indexed by block first; the byte axis is last.
+
+    Attributes
+    ----------
+    plaintexts:
+        Input blocks, shape ``(blocks, 16)``.
+    states:
+        State register at each core cycle, shape ``(blocks, 11, 16)``:
+        index 0 is the load cycle (plaintext ^ rk0), 1..10 the round
+        outputs (index 10 is the ciphertext).
+    after_subbytes, after_shiftrows, after_mixcolumns:
+        Round intermediates, shape ``(blocks, 10, 16)`` (round ``r`` at
+        index ``r - 1``; round 10 has no MixColumns).
+    round_keys:
+        The 11 round keys.
+    """
+
+    plaintexts: np.ndarray
+    states: np.ndarray
+    after_subbytes: np.ndarray
+    after_shiftrows: np.ndarray
+    after_mixcolumns: np.ndarray
+    round_keys: List[np.ndarray]
+
+    def __len__(self) -> int:
+        return int(self.plaintexts.shape[0])
+
+    def block(self, index: int) -> EncryptionHistory:
+        """The per-block view of one encryption."""
+        states = self.states[index]
+        rounds = [
+            RoundTrace(
+                round_index=r,
+                state_in=states[r - 1],
+                after_subbytes=self.after_subbytes[index, r - 1],
+                after_shiftrows=self.after_shiftrows[index, r - 1],
+                after_mixcolumns=self.after_mixcolumns[index, r - 1],
+                state_out=states[r],
+            )
+            for r in range(1, 11)
+        ]
+        return EncryptionHistory(
+            plaintext=self.plaintexts[index],
+            ciphertext=states[10],
+            initial_state=states[0],
+            rounds=rounds,
+            round_keys=self.round_keys,
+        )
+
+
+def encrypt_blocks_with_history(
+    plaintexts: np.ndarray,
+    key: bytes,
+    round_keys: List[np.ndarray] | None = None,
+) -> BlockHistories:
+    """Encrypt a ``(blocks, 16)`` uint8 batch, recording every state.
+
+    All blocks advance through the rounds together as integer table
+    lookups, so every byte equals the one-block computation.
+    ``round_keys`` lets callers with a fixed key expand the schedule
+    once; when given it must equal ``expand_key(key)``.
+    """
+    blocks = np.asarray(plaintexts, dtype=np.uint8)
+    if blocks.ndim != 2 or blocks.shape[1] != 16:
+        raise ConfigError(f"AES blocks must have shape (n, 16), got {blocks.shape}")
+    if round_keys is None:
+        round_keys = expand_key(key)
+    n_blocks = blocks.shape[0]
+    states = np.empty((n_blocks, 11, 16), dtype=np.uint8)
+    after_sub = np.empty((n_blocks, 10, 16), dtype=np.uint8)
+    after_shift = np.empty_like(after_sub)
+    after_mix = np.empty_like(after_sub)
+    states[:, 0] = blocks ^ round_keys[0]
+    for r in range(1, 11):
+        after_sub[:, r - 1] = SBOX[states[:, r - 1]]
+        after_shift[:, r - 1] = after_sub[:, r - 1][:, _SHIFT_ROWS]
+        if r < 10:
+            after_mix[:, r - 1] = _mix_columns(after_shift[:, r - 1])
+        else:
+            after_mix[:, r - 1] = after_shift[:, r - 1]
+        states[:, r] = after_mix[:, r - 1] ^ round_keys[r]
+    return BlockHistories(
+        plaintexts=blocks.copy(),
+        states=states,
+        after_subbytes=after_sub,
+        after_shiftrows=after_shift,
+        after_mixcolumns=after_mix,
+        round_keys=round_keys,
+    )
+
+
 def encrypt_block_with_history(
     plaintext: bytes | np.ndarray,
     key: bytes,
@@ -138,43 +218,11 @@ def encrypt_block_with_history(
 ) -> EncryptionHistory:
     """Encrypt one block, recording every intermediate state.
 
-    ``round_keys`` lets callers with a fixed key (the LUT core
-    encrypting a whole trace window) expand the schedule once instead
-    of once per block; when given it must equal ``expand_key(key)``.
+    The one-block case of :func:`encrypt_blocks_with_history`.
     """
-    state = _as_state(plaintext)
-    plaintext_arr = state.copy()
-    if round_keys is None:
-        round_keys = expand_key(key)
-    state = state ^ round_keys[0]
-    initial_state = state.copy()
-    rounds: List[RoundTrace] = []
-    for round_index in range(1, 11):
-        state_in = state.copy()
-        after_sub = _sub_bytes(state)
-        after_shift = _shift_rows(after_sub)
-        if round_index < 10:
-            after_mix = _mix_columns(after_shift)
-        else:
-            after_mix = after_shift.copy()
-        state = after_mix ^ round_keys[round_index]
-        rounds.append(
-            RoundTrace(
-                round_index=round_index,
-                state_in=state_in,
-                after_subbytes=after_sub,
-                after_shiftrows=after_shift,
-                after_mixcolumns=after_mix,
-                state_out=state.copy(),
-            )
-        )
-    return EncryptionHistory(
-        plaintext=plaintext_arr,
-        ciphertext=state.copy(),
-        initial_state=initial_state,
-        rounds=rounds,
-        round_keys=round_keys,
-    )
+    return encrypt_blocks_with_history(
+        _as_state(plaintext)[None], key, round_keys
+    ).block(0)
 
 
 def encrypt_block(plaintext: bytes | np.ndarray, key: bytes) -> bytes:
@@ -188,8 +236,7 @@ def decrypt_block(ciphertext: bytes | np.ndarray, key: bytes) -> bytes:
     round_keys = expand_key(key)
     state = state ^ round_keys[10]
     for round_index in range(10, 0, -1):
-        state = _inv_shift_rows(state)
-        state = _inv_sub_bytes(state)
+        state = INV_SBOX[state[_INV_SHIFT_ROWS]]
         state = state ^ round_keys[round_index - 1]
         if round_index > 1:
             state = _mix_columns(state, inverse=True)

@@ -13,14 +13,14 @@ counts per cycle; those feed the floorplan/EM model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..config import SimConfig
 from ..errors import WorkloadError
 from ..netlist.builder import MAIN_MODULE_TOTALS
-from .cipher import EncryptionHistory, encrypt_block_with_history
+from .cipher import BlockHistories, encrypt_blocks_with_history
 from .key_schedule import expand_key
 from .sbox import bit_hamming
 
@@ -54,10 +54,6 @@ _BASELINE_FRACTIONS: Dict[str, float] = {
 _IDLE_CLOCK_FRACTION = 0.004
 
 
-#: Hamming distance on the per-cycle hot path (popcount lookup).
-_hamming = bit_hamming
-
-
 @dataclass(frozen=True)
 class CoreActivity:
     """Per-module toggle counts per cycle.
@@ -67,10 +63,10 @@ class CoreActivity:
     toggles:
         Mapping from module name to an array of shape ``(n_cycles,)``
         with the expected number of cell output toggles in that cycle.
-    histories:
+    history:
         The encryption histories that generated the activity (one per
-        completed block), useful for Trojan models that key off the
-        processed data.
+        block; ``None`` for an idle window), useful for Trojan models
+        that key off the processed data.
     block_of_cycle:
         For each cycle, the block index being processed.
     phase_of_cycle:
@@ -78,7 +74,7 @@ class CoreActivity:
     """
 
     toggles: Dict[str, np.ndarray]
-    histories: List[EncryptionHistory]
+    history: Optional[BlockHistories]
     block_of_cycle: np.ndarray
     phase_of_cycle: np.ndarray
 
@@ -120,8 +116,16 @@ class AesLutCore:
             )
         self.key = bytes(key)
         self.config = config
-        # Fixed key => one schedule for every encrypted block.
+        # Fixed key => one schedule for every encrypted block, and one
+        # key-expand datapath swing per block phase.  Phase 0 is the
+        # load cycle: the datapath swings from the last round key back
+        # to rk0.
         self._round_keys = expand_key(self.key)
+        self.key_hd = bit_hamming(
+            np.stack(self._round_keys[-1:] + self._round_keys[:-1]),
+            np.stack(self._round_keys),
+        )
+        self.key_hd.setflags(write=False)
 
     # -- public API ----------------------------------------------------------
 
@@ -152,7 +156,7 @@ class AesLutCore:
             toggles["clock_tree"] += clock_cells * _IDLE_CLOCK_FRACTION
             return CoreActivity(
                 toggles=toggles,
-                histories=[],
+                history=None,
                 block_of_cycle=block_of_cycle,
                 phase_of_cycle=phase_of_cycle,
             )
@@ -165,74 +169,61 @@ class AesLutCore:
             toggles[module] += MAIN_MODULE_TOTALS[module] * fraction
 
         n_blocks = int(block_of_cycle[-1]) + 1
-        histories: List[EncryptionHistory] = []
-        previous_final: np.ndarray | None = None
-        for block in range(n_blocks):
-            plaintext = bytes(plaintexts[block % len(plaintexts)])
-            history = encrypt_block_with_history(
-                plaintext, self.key, round_keys=self._round_keys
-            )
-            histories.append(history)
-            self._accumulate_block(
-                toggles, history, block, previous_final, n_cycles
-            )
-            previous_final = history.ciphertext
+        stream = b"".join(
+            bytes(plaintexts[block % len(plaintexts)]) for block in range(n_blocks)
+        )
+        history = encrypt_blocks_with_history(
+            np.frombuffer(stream, dtype=np.uint8).reshape(n_blocks, 16),
+            self.key,
+            round_keys=self._round_keys,
+        )
+        # Data-dependent activity, one value per (block, phase): every
+        # cycle receives exactly one addition, as in a per-cycle loop.
+        for module, hd in self._hamming_activity(history).items():
+            factor = _ACTIVITY_FACTORS[module]
+            activity = hd.reshape(-1)[:n_cycles] / 128.0
+            toggles[module] += MAIN_MODULE_TOTALS[module] * factor * activity
+        toggles["aes_round_ctrl"] += (
+            MAIN_MODULE_TOTALS["aes_round_ctrl"]
+            * _ACTIVITY_FACTORS["aes_round_ctrl"]
+            * 0.5
+        )
 
         return CoreActivity(
             toggles=toggles,
-            histories=histories,
+            history=history,
             block_of_cycle=block_of_cycle,
             phase_of_cycle=phase_of_cycle,
         )
 
     # -- internals -----------------------------------------------------------
 
-    def _accumulate_block(
-        self,
-        toggles: Dict[str, np.ndarray],
-        history: EncryptionHistory,
-        block: int,
-        previous_final: np.ndarray | None,
-        n_cycles: int,
-    ) -> None:
-        """Add one block's data-dependent activity into ``toggles``."""
-        base_cycle = block * BLOCK_CYCLES
-        states = history.cycle_states()
-        round_keys = history.round_keys
+    def _hamming_activity(self, history: BlockHistories) -> Dict[str, np.ndarray]:
+        """Per-module Hamming distances, shape ``(blocks, BLOCK_CYCLES)``.
 
-        for phase in range(BLOCK_CYCLES):
-            cycle = base_cycle + phase
-            if cycle >= n_cycles:
-                return
-            if phase == 0:
-                # Load cycle: state register swings from the previous
-                # ciphertext to plaintext ^ rk0.
-                reference = (
-                    previous_final
-                    if previous_final is not None
-                    else np.zeros(16, dtype=np.uint8)
-                )
-                hd_state = _hamming(reference, states[0])
-                hd_sbox = hd_state  # S-box inputs swing with the state
-                hd_mix = 0
-                hd_key = _hamming(round_keys[10], round_keys[0])
-            else:
-                trace = history.rounds[phase - 1]
-                hd_state = _hamming(states[phase - 1], states[phase])
-                hd_sbox = _hamming(trace.state_in, trace.after_subbytes)
-                hd_mix = _hamming(trace.after_shiftrows, trace.after_mixcolumns)
-                hd_key = _hamming(round_keys[phase - 1], round_keys[phase])
-
-            normalized = {
-                "aes_sbox_bank": hd_sbox / 128.0,
-                "aes_key_expand": hd_key / 128.0,
-                "aes_mixcolumns": hd_mix / 128.0,
-                "aes_addroundkey": hd_state / 128.0,
-                "aes_state_regs": hd_state / 128.0,
-                "aes_round_ctrl": 0.5,
-            }
-            for module, activity in normalized.items():
-                factor = _ACTIVITY_FACTORS[module]
-                toggles[module][cycle] += (
-                    MAIN_MODULE_TOTALS[module] * factor * activity
-                )
+        Load cycle (phase 0): the state register swings from the
+        previous block's ciphertext (zeros before the first block) to
+        plaintext ^ rk0, and the S-box inputs swing with it.  Round
+        cycles: state-register, S-box and MixColumns swings of that
+        round (round 10 has no MixColumns, so its swing is 0).
+        """
+        states = history.states
+        previous = np.zeros_like(states[:, :1])
+        previous[1:, 0] = states[:-1, 10]
+        hd_state = bit_hamming(
+            np.concatenate([previous, states[:, :-1]], axis=1), states
+        )
+        hd_sbox = hd_state.copy()
+        hd_sbox[:, 1:] = bit_hamming(states[:, :-1], history.after_subbytes)
+        hd_mix = np.zeros_like(hd_state)
+        hd_mix[:, 1:] = bit_hamming(
+            history.after_shiftrows, history.after_mixcolumns
+        )
+        hd_key = np.broadcast_to(self.key_hd, hd_state.shape)
+        return {
+            "aes_sbox_bank": hd_sbox,
+            "aes_key_expand": hd_key,
+            "aes_mixcolumns": hd_mix,
+            "aes_addroundkey": hd_state,
+            "aes_state_regs": hd_state,
+        }

@@ -105,11 +105,10 @@ POPCOUNT: np.ndarray = np.unpackbits(
 POPCOUNT.setflags(write=False)
 
 
-def bit_hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Bit-level Hamming distance between two uint8 arrays.
+def bit_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bit-level Hamming distance over the last (byte) axis.
 
     A table lookup per byte (no bit unpacking), exactly equal to
-    ``np.unpackbits(a ^ b).sum()`` — this sits on the activity model's
-    hot path (a few per simulated core cycle).
+    ``np.unpackbits(a ^ b, axis=-1).sum(axis=-1)``.
     """
-    return int(POPCOUNT[np.bitwise_xor(a, b)].sum())
+    return POPCOUNT[np.bitwise_xor(a, b)].sum(axis=-1)

@@ -40,7 +40,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..chip.power import ActivityRecord
+from ..chip.power import ACTIVITY_GROUPS, ActivityRecord
 from ..config import SimConfig
 from ..errors import StoreError
 from .keys import CODE_VERSION, KEY_SCHEMA, canonical, digest
@@ -189,7 +189,10 @@ class ArtifactStore:
     def _write_marker(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         marker = self.root / _MARKER_NAME
-        tmp = self.root / f".{_MARKER_NAME}.tmp-{os.getpid()}"
+        tmp = self.root / (
+            f".{_MARKER_NAME}.tmp-{os.getpid()}-{threading.get_ident()}-"
+            f"{next(_TMP_COUNTER)}"
+        )
         tmp.write_text(json.dumps({"schema": SCHEMA_VERSION}) + "\n")
         os.replace(tmp, marker)
 
@@ -519,10 +522,11 @@ class RecordCodec(Codec):
     """:class:`~repro.chip.power.ActivityRecord` ↔ compact arrays.
 
     Factor-bearing records (everything the chip simulator produces)
-    persist only their low-rank factors; the dense toggle matrices are
-    rebuilt on load in the exact accumulation order the simulator used
-    — the same bit-for-bit contract as the record's compact pickling.
-    Records without factors persist their dense matrices directly.
+    persist only their low-rank factors and decode to a factor-bearing
+    record, which builds its dense toggle matrices only if something
+    reads them — the same bit-for-bit contract as the record's compact
+    pickling.  Records without factors persist their dense matrices
+    directly.
 
     Record ``meta`` survives as JSON; top-level tuple values come back
     as tuples (matching how the chip constructs them).
@@ -530,8 +534,6 @@ class RecordCodec(Codec):
 
     def __init__(self, config: SimConfig):
         self.config = config
-
-    _GROUPS = ("main", "trojan", "trojan_rising")
 
     def encode(self, record: ActivityRecord):
         meta: Dict[str, object] = {
@@ -541,9 +543,9 @@ class RecordCodec(Codec):
         arrays: Dict[str, np.ndarray] = {}
         if record.factors is not None:
             meta["format"] = "factors"
-            meta["shape"] = [int(dim) for dim in record.main.shape]
+            meta["shape"] = [record.n_regions, record.config.n_cycles]
             parts: Dict[str, List[str]] = {}
-            for group in self._GROUPS:
+            for group in ACTIVITY_GROUPS:
                 names = []
                 for position, (name, weights, toggles) in enumerate(
                     record.factors.get(group, ())
@@ -560,9 +562,8 @@ class RecordCodec(Codec):
             meta["parts"] = parts
         else:
             meta["format"] = "dense"
-            arrays["main"] = record.main
-            arrays["trojan"] = record.trojan
-            arrays["trojan_rising"] = record.trojan_rising
+            for group in ACTIVITY_GROUPS:
+                arrays[group] = getattr(record, group)
         return arrays, meta
 
     def decode(self, meta, arrays) -> ActivityRecord:
@@ -580,32 +581,32 @@ class RecordCodec(Codec):
         if meta.get("format") != "factors":
             raise StoreError(f"unknown record format {meta.get('format')!r}")
         shape = tuple(int(dim) for dim in meta["shape"])
+        if shape[1:] != (self.config.n_cycles,):
+            raise StoreError(
+                f"record shape {shape} does not match n_cycles={self.config.n_cycles}"
+            )
         parts = meta.get("parts", {})
         factors: Dict[str, List[Tuple[str, np.ndarray, np.ndarray]]] = {}
-        dense: Dict[str, np.ndarray] = {}
-        for group in self._GROUPS:
+        for group in ACTIVITY_GROUPS:
             names = parts.get(group, [])
-            group_factors = []
-            matrix = np.zeros(shape)
-            for position, name in enumerate(names):
-                weights = arrays[f"{group}.{position}.w"]
-                toggles = arrays[f"{group}.{position}.t"]
-                group_factors.append((str(name), weights, toggles))
-                # Same accumulation order and operation as the chip
-                # simulator / compact unpickling: bit-for-bit dense.
-                matrix += np.outer(weights, toggles)
-            dense[group] = matrix
-            if group_factors:
-                factors[group] = group_factors
-        return ActivityRecord(
-            main=dense["main"],
-            trojan=dense["trojan"],
-            trojan_rising=dense["trojan_rising"],
+            if names:
+                factors[group] = [
+                    (
+                        str(name),
+                        arrays[f"{group}.{position}.w"],
+                        arrays[f"{group}.{position}.t"],
+                    )
+                    for position, name in enumerate(names)
+                ]
+        record = ActivityRecord(
             config=self.config,
             scenario=scenario,
             meta=record_meta,
-            factors=factors or None,
+            factors=factors,
         )
+        if record.n_regions != shape[0]:
+            raise StoreError(f"record shape {shape} does not match its factors")
+        return record
 
     @staticmethod
     def _meta_to_json(meta) -> Optional[Dict[str, object]]:

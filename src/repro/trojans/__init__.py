@@ -29,7 +29,7 @@ from .always_on import (
     T2AContinuousLeaker,
     TPParametricDrift,
 )
-from .base import CycleContext, Trojan, block_pattern
+from .base import CycleContext, CycleWindow, Trojan, block_pattern
 from .catalog import (
     TROJAN_CATALOG,
     VARIANT_CATALOG,
@@ -44,6 +44,7 @@ from .t4_dos import T4DosHeater
 
 __all__ = [
     "CycleContext",
+    "CycleWindow",
     "Trojan",
     "block_pattern",
     "T1AmCarrier",

@@ -34,16 +34,12 @@ present in the codebase.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from ..errors import WorkloadError
-from .base import (
-    EXTENDED_TROJAN_CELLS,
-    CycleContext,
-    Trojan,
-    block_pattern,
-)
-from .t1_am_carrier import T1_CARRIER_HZ
+from .base import EXTENDED_TROJAN_CELLS, CycleWindow, Trojan
+from .t1_am_carrier import am_carrier_payload
+from .t2_leakage import key_wire_payload
 
 #: Standard-cell counts of the variant family (plausible synthesis
 #: results: the trigger/enable logic of the parent designs is gone,
@@ -76,12 +72,12 @@ class AlwaysOnTrojan(Trojan):
     def always_on(self) -> bool:
         return True
 
-    def is_active(self, ctx: CycleContext) -> bool:
-        return True
+    def active_window(self, window: CycleWindow) -> np.ndarray:
+        return np.ones(window.n_cycles, dtype=bool)
 
-    def trigger_toggles(self, ctx: CycleContext) -> float:
+    def trigger_window(self, window: CycleWindow) -> np.ndarray:
         # No trigger/enable logic exists in this family.
-        return 0.0
+        return np.zeros(window.n_cycles)
 
 
 class T1AContinuousCarrier(AlwaysOnTrojan):
@@ -106,12 +102,8 @@ class T1AContinuousCarrier(AlwaysOnTrojan):
             raise WorkloadError("payload_fraction must be in (0, 1]")
         self.payload_fraction = payload_fraction
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        envelope = 0.5 * (
-            1.0 + math.sin(2.0 * math.pi * T1_CARRIER_HZ * ctx.time_s)
-        )
-        burst = block_pattern(ctx.phase, ctx.block_cycles)
-        return self.n_cells * self.payload_fraction * envelope * burst
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        return am_carrier_payload(self.n_cells, self.payload_fraction, window)
 
 
 class T2AContinuousLeaker(AlwaysOnTrojan):
@@ -137,10 +129,8 @@ class T2AContinuousLeaker(AlwaysOnTrojan):
             raise WorkloadError("payload_fraction must be in (0, 1]")
         self.payload_fraction = payload_fraction
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        key_swing = ctx.key_hd / 128.0
-        burst = block_pattern(ctx.phase, ctx.block_cycles)
-        return self.n_cells * self.payload_fraction * key_swing * burst
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        return key_wire_payload(self.n_cells, self.payload_fraction, window)
 
 
 class TPParametricDrift(AlwaysOnTrojan):
@@ -186,9 +176,8 @@ class TPParametricDrift(AlwaysOnTrojan):
         self.drift_floor = drift_floor
         self.drift_cycles = drift_cycles
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        drift = self.drift_floor + (1.0 - self.drift_floor) * min(
-            1.0, ctx.cycle / self.drift_cycles
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        drift = self.drift_floor + (1.0 - self.drift_floor) * np.minimum(
+            1.0, window.cycle / self.drift_cycles
         )
-        burst = block_pattern(ctx.phase, ctx.block_cycles)
-        return self.n_cells * self.payload_fraction * drift * burst
+        return self.n_cells * self.payload_fraction * drift * window.burst()

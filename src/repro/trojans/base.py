@@ -22,7 +22,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Callable, Dict, Optional
+
+import numpy as np
 
 from ..errors import WorkloadError
 from ..netlist.builder import TABLE2_TROJANS
@@ -75,6 +78,51 @@ class CycleContext:
     aes_norm: float
 
 
+@dataclass(frozen=True)
+class CycleWindow:
+    """What a Trojan observes over a window of cycles, as arrays.
+
+    The fields of :class:`CycleContext`, one entry per cycle:
+    ``cycle``, ``block``, ``phase``, ``time_s`` and ``key_hd`` have
+    shape ``(n_cycles,)`` and ``plaintext`` is ``(n_cycles, 16)``
+    uint8.  ``aes_norm`` is a zero-argument callable returning the
+    ``(n_cycles,)`` array, so windows whose Trojans never read the
+    supply droop never pay for it.
+    """
+
+    cycle: np.ndarray
+    block: np.ndarray
+    phase: np.ndarray
+    block_cycles: int
+    time_s: np.ndarray
+    plaintext: np.ndarray
+    key_hd: np.ndarray
+    aes_norm: Callable[[], np.ndarray]
+
+    @classmethod
+    def of(cls, ctx: CycleContext) -> "CycleWindow":
+        """The one-cycle window equal to ``ctx``."""
+        return cls(
+            cycle=np.array([ctx.cycle]),
+            block=np.array([ctx.block]),
+            phase=np.array([ctx.phase]),
+            block_cycles=ctx.block_cycles,
+            time_s=np.array([ctx.time_s], dtype=float),
+            plaintext=np.frombuffer(bytes(ctx.plaintext), dtype=np.uint8)[None],
+            key_hd=np.array([ctx.key_hd]),
+            aes_norm=lambda: np.array([ctx.aes_norm], dtype=float),
+        )
+
+    @property
+    def n_cycles(self) -> int:
+        """Cycles in the window."""
+        return int(self.cycle.size)
+
+    def burst(self) -> np.ndarray:
+        """:func:`block_pattern` of every cycle's block phase."""
+        return _block_pattern_table(self.block_cycles)[self.phase]
+
+
 def block_pattern(phase: int, block_cycles: int) -> float:
     """Round-synchronous burst weight for a cycle within a block.
 
@@ -84,6 +132,15 @@ def block_pattern(phase: int, block_cycles: int) -> float:
     """
     angle = 2.0 * math.pi * SIDEBAND_BLOCK_HARMONIC * phase / block_cycles
     return 0.5 * (1.0 + math.cos(angle))
+
+
+@lru_cache(maxsize=None)
+def _block_pattern_table(block_cycles: int) -> np.ndarray:
+    # Evaluated with libm (math.cos), value for value equal to
+    # block_pattern; a SIMD np.cos may differ in the last ulp.
+    table = np.array([block_pattern(p, block_cycles) for p in range(block_cycles)])
+    table.setflags(write=False)
+    return table
 
 
 class Trojan(ABC):
@@ -99,11 +156,13 @@ class Trojan(ABC):
 
     Notes
     -----
-    Subclasses implement :meth:`is_active` (trigger state) and
-    :meth:`payload_toggles` (cell toggles while active).  The small
-    always-present trigger-circuit activity is modeled by
-    :meth:`trigger_toggles` so an *inactive* Trojan is almost — but not
-    exactly — invisible, as in the paper.
+    Subclasses implement :meth:`active_window` (trigger state) and
+    :meth:`payload_window` (cell toggles while active) over a whole
+    :class:`CycleWindow`.  The small always-present trigger-circuit
+    activity is modeled by :meth:`trigger_window` so an *inactive*
+    Trojan is almost — but not exactly — invisible, as in the paper.
+    The per-cycle methods (:meth:`is_active`, :meth:`toggles`, ...)
+    are the one-cycle case of the window methods.
     """
 
     #: Trojan name; must match a Table II column or a registered
@@ -139,31 +198,50 @@ class Trojan(ABC):
     def reset(self) -> None:
         """Reset internal trigger state (counters, match latches)."""
 
-    # -- per-cycle behaviour ---------------------------------------------------
+    # -- window behaviour ------------------------------------------------------
 
     @abstractmethod
-    def is_active(self, ctx: CycleContext) -> bool:
-        """Whether the payload is switching in this cycle."""
+    def active_window(self, window: CycleWindow) -> np.ndarray:
+        """Whether the payload is switching, per cycle (bool array)."""
 
     @abstractmethod
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        """Payload cell toggles in this cycle (given the Trojan is active)."""
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        """Payload cell toggles per cycle (given the Trojan is active)."""
 
-    def trigger_toggles(self, ctx: CycleContext) -> float:
-        """Trigger-circuit toggles in this cycle (always present).
+    def trigger_window(self, window: CycleWindow) -> np.ndarray:
+        """Trigger-circuit toggles per cycle (always present).
 
         Default: a few cells' worth of counter/comparator activity —
         negligible against the 22k-cell main circuit, which is why an
         inactive Trojan's spectrum matches the Trojan-free one.
         """
-        return 2.0
+        return np.full(window.n_cycles, 2.0)
+
+    def window_toggles(self, window: CycleWindow) -> np.ndarray:
+        """Total Trojan toggles per cycle, shape ``(n_cycles,)``."""
+        total = self.trigger_window(window)
+        active = self.active_window(window)
+        if active.any():
+            total = np.where(active, total + self.payload_window(window), total)
+        return total
+
+    # -- per-cycle views ---------------------------------------------------------
+
+    def is_active(self, ctx: CycleContext) -> bool:
+        """Whether the payload is switching in this cycle."""
+        return bool(self.active_window(CycleWindow.of(ctx))[0])
+
+    def payload_toggles(self, ctx: CycleContext) -> float:
+        """Payload cell toggles in this cycle (given the Trojan is active)."""
+        return float(self.payload_window(CycleWindow.of(ctx))[0])
+
+    def trigger_toggles(self, ctx: CycleContext) -> float:
+        """Trigger-circuit toggles in this cycle (always present)."""
+        return float(self.trigger_window(CycleWindow.of(ctx))[0])
 
     def toggles(self, ctx: CycleContext) -> float:
         """Total Trojan toggles this cycle."""
-        total = self.trigger_toggles(ctx)
-        if self.is_active(ctx):
-            total += self.payload_toggles(ctx)
-        return total
+        return float(self.window_toggles(CycleWindow.of(ctx))[0])
 
     # -- metadata ------------------------------------------------------------
 
@@ -184,5 +262,5 @@ class ExternallyEnabledTrojan(Trojan):
     def always_on(self) -> bool:
         return True
 
-    def is_active(self, ctx: CycleContext) -> bool:
-        return self.enabled
+    def active_window(self, window: CycleWindow) -> np.ndarray:
+        return np.full(window.n_cycles, bool(self.enabled))

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import WorkloadError
-from .base import CycleContext, Trojan, block_pattern
+from .base import CycleWindow, Trojan
 
 #: The 21-bit terminal count from the paper.
 T1_TERMINAL = 0x1FFFFF
@@ -65,55 +67,65 @@ class T1AmCarrier(Trojan):
         self.start_count = start_count
         self.burst_cycles = burst_cycles
         self.payload_fraction = payload_fraction
-        self._counter = start_count
-        self._burst_remaining = 0
-        self._last_cycle: int | None = None
+        self.reset()
 
     def reset(self) -> None:
-        self._counter = self.start_count
-        self._burst_remaining = 0
-        self._last_cycle = None
+        self._steps = 0
+        self._last_cycle: int | None = None
 
     # -- trigger -------------------------------------------------------------
 
-    def _advance_to(self, cycle: int) -> None:
-        """Step the counter/burst state up to ``cycle`` (inclusive)."""
-        if self._last_cycle is None:
-            steps = 1
-        else:
-            steps = cycle - self._last_cycle
-            if steps < 0:
-                raise WorkloadError(
-                    "T1 observed cycles out of order "
-                    f"({self._last_cycle} -> {cycle}); call reset() between "
-                    "traces that restart time"
-                )
-        self._last_cycle = cycle
-        for _ in range(steps):
-            if self._burst_remaining > 0:
-                self._burst_remaining -= 1
-            if self._counter == T1_TERMINAL:
-                self._counter = 0
-                if self.enabled:
-                    # The burst spans exactly burst_cycles cycles,
-                    # starting with the terminal-count cycle itself.
-                    self._burst_remaining = self.burst_cycles
-            else:
-                self._counter += 1
+    def _advance_to(self, cycles: np.ndarray) -> np.ndarray:
+        """Step the counter through ``cycles``; steps since reset at each.
 
-    def is_active(self, ctx: CycleContext) -> bool:
-        self._advance_to(ctx.cycle)
-        return self.enabled and self._burst_remaining > 0
+        The first cycle observed after a reset costs one step; every
+        later cycle costs its distance from the previous one.
+        """
+        last = cycles[0] - 1 if self._last_cycle is None else self._last_cycle
+        previous = np.concatenate([[last], cycles[:-1]])
+        deltas = cycles - previous
+        if (deltas < 0).any():
+            at = int(np.argmax(deltas < 0))
+            raise WorkloadError(
+                "T1 observed cycles out of order "
+                f"({int(previous[at])} -> {int(cycles[at])}); call reset() "
+                "between traces that restart time"
+            )
+        steps = self._steps + np.cumsum(deltas)
+        self._steps = int(steps[-1])
+        self._last_cycle = int(cycles[-1])
+        return steps
+
+    def active_window(self, window: CycleWindow) -> np.ndarray:
+        steps = self._advance_to(window.cycle)
+        if not self.enabled:
+            return np.zeros(steps.shape, dtype=bool)
+        # Step k (1-based) finds the counter at (start + k - 1) mod 2^21;
+        # the terminal count restarts a burst spanning exactly
+        # burst_cycles steps, starting with the terminal step itself.
+        period = T1_TERMINAL + 1
+        first_terminal = (T1_TERMINAL - self.start_count) % period + 1
+        since = (steps - first_terminal) % period
+        return (steps >= first_terminal) & (since < self.burst_cycles)
 
     # -- payload -------------------------------------------------------------
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        envelope = 0.5 * (
-            1.0 + math.sin(2.0 * math.pi * T1_CARRIER_HZ * ctx.time_s)
-        )
-        burst = block_pattern(ctx.phase, ctx.block_cycles)
-        return self.n_cells * self.payload_fraction * envelope * burst
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        return am_carrier_payload(self.n_cells, self.payload_fraction, window)
 
-    def trigger_toggles(self, ctx: CycleContext) -> float:
-        # A 21-bit ripple counter toggles on average ~2 bits per cycle.
-        return 2.0
+
+def am_carrier_payload(
+    n_cells: int, payload_fraction: float, window: CycleWindow
+) -> np.ndarray:
+    """AM-radio payload toggles: the 750 kHz carrier over the bursts.
+
+    The carrier envelope is evaluated with libm (``math.sin``) cycle by
+    cycle: a SIMD ``np.sin`` may differ in the last ulp.
+    """
+    envelope = np.array(
+        [
+            0.5 * (1.0 + math.sin(2.0 * math.pi * T1_CARRIER_HZ * time_s))
+            for time_s in window.time_s.tolist()
+        ]
+    )
+    return n_cells * payload_fraction * envelope * window.burst()

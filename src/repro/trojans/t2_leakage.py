@@ -16,8 +16,10 @@ bursts that switch on and off with the plaintext pattern (Figure 5b).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import WorkloadError
-from .base import CycleContext, Trojan, block_pattern
+from .base import CycleWindow, Trojan
 
 #: Plaintext prefix that arms T2 (two bytes of 0xAA).
 T2_TRIGGER_PREFIX = b"\xaa\xaa"
@@ -47,14 +49,22 @@ class T2KeyLeakInverters(Trojan):
         """Whether a plaintext block satisfies the trigger condition."""
         return plaintext[: len(T2_TRIGGER_PREFIX)] == T2_TRIGGER_PREFIX
 
-    def is_active(self, ctx: CycleContext) -> bool:
-        return self.enabled and self.matches(ctx.plaintext)
+    def active_window(self, window: CycleWindow) -> np.ndarray:
+        prefix = np.frombuffer(T2_TRIGGER_PREFIX, dtype=np.uint8)
+        matched = (window.plaintext[:, : prefix.size] == prefix).all(axis=1)
+        return matched & bool(self.enabled)
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        key_swing = ctx.key_hd / 128.0
-        burst = block_pattern(ctx.phase, ctx.block_cycles)
-        return self.n_cells * self.payload_fraction * key_swing * burst
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        return key_wire_payload(self.n_cells, self.payload_fraction, window)
 
-    def trigger_toggles(self, ctx: CycleContext) -> float:
+    def trigger_window(self, window: CycleWindow) -> np.ndarray:
         # The 16-bit comparator re-evaluates once per block load.
-        return 3.0 if ctx.phase == 0 else 1.0
+        return np.where(window.phase == 0, 3.0, 1.0)
+
+
+def key_wire_payload(
+    n_cells: int, payload_fraction: float, window: CycleWindow
+) -> np.ndarray:
+    """Inverter-chain toggles following the round-key swing."""
+    key_swing = window.key_hd / 128.0
+    return n_cells * payload_fraction * key_swing * window.burst()

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from ..errors import WorkloadError
-from .base import CycleContext, ExternallyEnabledTrojan, block_pattern
+from .base import CycleWindow, ExternallyEnabledTrojan
 
 #: PN sequence length (6-bit m-sequence).
 PN_PERIOD = 63
@@ -43,6 +45,7 @@ def _msequence(taps: Tuple[int, ...] = (0, 1), width: int = 6) -> List[int]:
 
 #: One period of the spreading code.
 PN_SEQUENCE: List[int] = _msequence()
+_PN = np.array(PN_SEQUENCE)
 
 
 class T3CdmaLeaker(ExternallyEnabledTrojan):
@@ -76,27 +79,29 @@ class T3CdmaLeaker(ExternallyEnabledTrojan):
             raise WorkloadError("chip_cycles must be >= 1")
         if not 0.0 < payload_fraction <= 1.0:
             raise WorkloadError("payload_fraction must be in (0, 1]")
-        self.key_bits = [
-            (byte >> bit) & 1 for byte in key for bit in range(8)
-        ]
+        self.key_bits = np.array(
+            [(byte >> bit) & 1 for byte in key for bit in range(8)]
+        )
         self.chip_cycles = chip_cycles
         self.payload_fraction = payload_fraction
 
     def chip_value(self, cycle: int) -> int:
         """The transmitted chip (key_bit XOR pn) for a clock cycle."""
-        chip_index = cycle // self.chip_cycles
-        pn = PN_SEQUENCE[chip_index % PN_PERIOD]
-        key_bit = self.key_bits[
-            (chip_index // PN_PERIOD) % len(self.key_bits)
-        ]
+        return int(self._chip_values(np.array([cycle]))[0])
+
+    def _chip_values(self, cycles: np.ndarray) -> np.ndarray:
+        chip_index = cycles // self.chip_cycles
+        pn = _PN[chip_index % PN_PERIOD]
+        key_bit = self.key_bits[(chip_index // PN_PERIOD) % self.key_bits.size]
         return key_bit ^ pn
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        if not self.chip_value(ctx.cycle):
-            return 0.0
-        burst = block_pattern(ctx.phase, ctx.block_cycles)
-        return self.n_cells * self.payload_fraction * burst
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        return np.where(
+            self._chip_values(window.cycle) != 0,
+            self.n_cells * self.payload_fraction * window.burst(),
+            0.0,
+        )
 
-    def trigger_toggles(self, ctx: CycleContext) -> float:
+    def trigger_window(self, window: CycleWindow) -> np.ndarray:
         # The PN LFSR itself keeps stepping at the chip rate.
-        return 1.0 if ctx.cycle % self.chip_cycles == 0 else 0.5
+        return np.where(window.cycle % self.chip_cycles == 0, 1.0, 0.5)

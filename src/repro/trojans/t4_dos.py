@@ -18,8 +18,10 @@ stays aperiodic (Figure 5d).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import WorkloadError
-from .base import CycleContext, ExternallyEnabledTrojan
+from .base import CycleWindow, ExternallyEnabledTrojan
 
 
 class T4DosHeater(ExternallyEnabledTrojan):
@@ -54,10 +56,10 @@ class T4DosHeater(ExternallyEnabledTrojan):
         self.ro_toggle_rate = ro_toggle_rate
         self.droop_coupling = droop_coupling
 
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        modulation = 1.0 - self.droop_coupling * ctx.aes_norm
+    def payload_window(self, window: CycleWindow) -> np.ndarray:
+        modulation = 1.0 - self.droop_coupling * window.aes_norm()
         return self.n_cells * self.ro_toggle_rate * modulation
 
-    def trigger_toggles(self, ctx: CycleContext) -> float:
+    def trigger_window(self, window: CycleWindow) -> np.ndarray:
         # Just the enable gating; nothing else switches when disabled.
-        return 0.5
+        return np.full(window.n_cycles, 0.5)

@@ -17,6 +17,37 @@ from ..errors import WorkloadError
 _TAPS_32 = 0x80400003
 
 
+def _step(state: int) -> tuple[int, int]:
+    """One Galois step: ``(next_state, output_bit)``."""
+    out = state & 1
+    state >>= 1
+    if out:
+        state ^= _TAPS_32
+    return state, out
+
+
+def _byte_tables() -> tuple[list[int], list[int]]:
+    """Eight steps at once, indexed by the state's low byte.
+
+    The step is linear over GF(2), and within eight steps no tap above
+    bit 1 reaches bit 0, so the output byte depends only on the low
+    byte and eight steps map ``state`` to
+    ``(state >> 8) ^ feedback[state & 0xFF]``.
+    """
+    feedback, output = [], []
+    for low in range(256):
+        state, value = low, 0
+        for bit in range(8):
+            state, out = _step(state)
+            value |= out << bit
+        feedback.append(state)
+        output.append(value)
+    return feedback, output
+
+
+_FEEDBACK, _OUTPUT = _byte_tables()
+
+
 class GaloisLfsr:
     """32-bit Galois LFSR producing a deterministic byte stream."""
 
@@ -27,18 +58,14 @@ class GaloisLfsr:
 
     def step(self) -> int:
         """Advance one bit; returns the output bit."""
-        out = self.state & 1
-        self.state >>= 1
-        if out:
-            self.state ^= _TAPS_32
+        self.state, out = _step(self.state)
         return out
 
     def next_byte(self) -> int:
-        """Next eight output bits as a byte."""
-        value = 0
-        for bit in range(8):
-            value |= self.step() << bit
-        return value
+        """Next eight output bits as a byte (first bit in the LSB)."""
+        low = self.state & 0xFF
+        self.state = (self.state >> 8) ^ _FEEDBACK[low]
+        return _OUTPUT[low]
 
     def next_block(self) -> bytes:
         """Next 16 bytes (one AES block)."""

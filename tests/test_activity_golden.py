@@ -167,6 +167,26 @@ def test_codec_and_pickle_round_trips_match_golden(golden, campaigns, name):
         assert dense_digests(copy) == expected["dense"]
 
 
+@pytest.mark.parametrize("name", ["idle", "baseline", "T1", "T4"])
+def test_fleet_path_never_builds_dense_matrices(golden, campaigns, name):
+    """Simulation, store codec and pickling carry factors only; the
+    dense matrices appear on first access, equal to the golden ones."""
+    seed, index = SEEDS[1], TRACE_INDICES[0]
+    expected = golden["records"][f"{name}/{seed}/{index}"]["dense"]
+    campaign = campaigns[seed]
+    record = campaign.record(scenario_by_name(name), index)
+    codec = RecordCodec(campaign.chip.config)
+    arrays, meta = codec.encode(record)
+    assert not any(key in arrays for key in GROUPS)
+    copies = [record, codec.decode(meta, arrays), pickle.loads(pickle.dumps(record))]
+    for copy in copies:
+        assert copy._dense == {}
+    for copy in copies:
+        assert _sha(copy.main) == expected["main"]
+        assert set(copy._dense) == {"main"}
+    assert dense_digests(copies[1]) == expected
+
+
 def test_lfsr_streams_match_golden(golden):
     assert lfsr_digests() == golden["lfsr"]
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -370,6 +372,31 @@ def test_concurrent_writers_do_not_corrupt(store):
         assert value is not None
         assert np.array_equal(value, np.full(128, float(round_index)))
     assert verifier.corrupt_evictions == 0
+
+
+def test_concurrent_marker_writes_on_fresh_root(tmp_path):
+    """Threads stamping the schema marker of a marker-less root at once
+    must neither collide on a temp file nor leave one behind."""
+    store = ArtifactStore(tmp_path / "fresh")
+    assert not store.root.exists()
+    barrier = threading.Barrier(8, timeout=30)
+
+    def stamp() -> None:
+        barrier.wait()
+        for _ in range(25):
+            store._write_marker()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(stamp) for _ in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert [path.name for path in store.root.iterdir()] == ["store.json"]
+    assert json.loads((store.root / "store.json").read_text())["schema"]
 
 
 def test_concurrent_gc_and_reads(store):
