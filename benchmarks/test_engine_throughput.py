@@ -3,11 +3,10 @@
 Times a 16-sensor x 256-trace campaign through (a) the seed's
 per-trace render sequence (EMF convolution + noise + amplifier, one
 sensor-trace at a time) and (b) one batched engine render, then times
-the ``process`` and ``shared`` backend sessions sharding the full
-16-sensor x 1024-trace workload across two workers with output
-identical to ``serial`` (worker count and host core count are recorded
-with each row; parallel-beats-serial is only asserted on multi-core
-hosts).  Results are written to ``BENCH_engine.json`` at the repo root
+the ``shared`` backend session sharding the full 16-sensor x
+1024-trace workload across two workers with output identical to
+``serial`` (worker count and host core count are recorded with the
+row; parallel-beats-serial is only asserted on multi-core hosts).  Results are written to ``BENCH_engine.json`` at the repo root
 so the performance trajectory is tracked from PR to PR.
 
 Set ``ENGINE_SMOKE=1`` to run a reduced CI variant: every equivalence
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.em.coupling import emf_waveforms
 from repro.em.noise import NoiseModel
-from repro.engine import MeasurementEngine, ProcessBackend, SharedMemoryBackend
+from repro.engine import MeasurementEngine, SharedMemoryBackend
 from repro.rng import stream
 from repro.workloads.scenarios import scenario_by_name
 
@@ -117,11 +116,11 @@ def test_engine_throughput(ctx, benchmark):
     batched_tps = total_traces / batched_seconds
     speedup = batched_tps / legacy_tps
 
-    # Parallel backends: the *full 16-sensor workload* at
-    # N_PROCESS_TRACES traces — the scale the fused dispatch plan
-    # feeds them — sharded over the worker pool, bit-for-bit identical
-    # to the serial backend.  Each backend is a long-lived session: one
-    # warm-up render spins the pool / grows the shared arena, then the
+    # Pool backend: the *full 16-sensor workload* at N_PROCESS_TRACES
+    # traces — the scale the fused dispatch plan feeds it — sharded
+    # over the worker pool, bit-for-bit identical to the serial
+    # backend.  The backend is a long-lived session: one warm-up
+    # render spins the pool / grows the shared arena, then the
     # steady-state pass is timed (that is the regime every later
     # dispatch through the session runs in).
     backend_records = [
@@ -142,23 +141,15 @@ def test_engine_throughput(ctx, benchmark):
         return batch, time.perf_counter() - start
 
     serial_ref, serial_full_seconds = _timed_render(psa.engine)
-    process_engine = MeasurementEngine(
-        ctx.config, amplifier=psa.amplifier, backend=ProcessBackend(workers)
-    )
     shared_engine = MeasurementEngine(
         ctx.config,
         amplifier=psa.amplifier,
         backend=SharedMemoryBackend(workers),
     )
     try:
-        sharded, process_full_seconds = _timed_render(process_engine)
         shared, shared_full_seconds = _timed_render(shared_engine)
     finally:
-        process_engine.close()
         shared_engine.close()
-    process_identical = bool(
-        np.array_equal(serial_ref.samples, sharded.samples)
-    )
     shared_identical = bool(
         np.array_equal(serial_ref.samples, shared.samples)
     )
@@ -180,18 +171,6 @@ def test_engine_throughput(ctx, benchmark):
             "traces_per_sec": round(batched_tps, 1),
         },
         "speedup": round(speedup, 2),
-        "process_backend": {
-            "n_traces": N_PROCESS_TRACES,
-            "n_sensors": N_SENSORS,
-            "workers": workers,
-            "cpu_count": cpu_count,
-            "serial_seconds": round(serial_full_seconds, 3),
-            "process_seconds": round(process_full_seconds, 3),
-            "speedup_vs_serial": round(
-                serial_full_seconds / process_full_seconds, 3
-            ),
-            "identical_to_serial": process_identical,
-        },
         "shared_backend": {
             "n_traces": N_PROCESS_TRACES,
             "n_sensors": N_SENSORS,
@@ -210,7 +189,6 @@ def test_engine_throughput(ctx, benchmark):
     print(json.dumps(report, indent=2))
 
     assert batch.samples.shape == (N_SENSORS, N_TRACES, psa.config.n_samples)
-    assert process_identical
     assert shared_identical
     if not SMOKE:
         assert speedup >= 5.0, f"batched speedup {speedup:.2f}x below 5x"

@@ -5,10 +5,10 @@ Runs the full localization flow for T4 twice:
 * **legacy** — the pre-batching shape: the 16-sensor score map
   measures one (sensor, record) capture at a time (``psa.measure`` +
   one spectrum + one band feature each), the quadrant refinement
-  renders each quadrant coil record by record (``psa.measure_coil``
-  loops), and the adaptive scan scores every (window, record) capture
-  through its own single-capture render
-  (``AdaptiveScanner(batched=False)``);
+  renders each quadrant coil record by record (one-coil, one-capture
+  ``psa.measure_coils_batch`` loops), and the adaptive scan scores
+  every (window, record) capture through its own single-capture
+  render (``_LegacyScanner``);
 * **batched** — ``Localizer.localize`` (one engine pass for the score
   map, one :class:`~repro.em.coupling.CouplingStack` pass for all four
   quadrant coils) plus the batched scanner (one stacked pass per
@@ -77,23 +77,43 @@ def _legacy_score_map(ctx, analyzer, base, active) -> np.ndarray:
     return scores
 
 
+def _legacy_coil_score(ctx, analyzer, coil, base, active, active_offset):
+    """Added amplitude through one coil, one single-capture render per record."""
+
+    def amp(record, index):
+        batch = ctx.psa.measure_coils_batch([coil], [record], [index])
+        return _amp(ctx, analyzer, batch.trace(0, 0))
+
+    base_amps = [amp(record, idx) for idx, record in enumerate(base)]
+    active_amps = [
+        amp(record, active_offset + idx) for idx, record in enumerate(active)
+    ]
+    return float(np.mean(active_amps) - np.mean(base_amps))
+
+
 def _legacy_refine(ctx, analyzer, sensor_index, base, active):
     """The seed's per-(coil, record) quadrant refinement loop."""
-    scores = {}
-    for which in QUADRANTS:
-        coil = quadrant_coil(sensor_index, which)
-        base_amps = [
-            _amp(ctx, analyzer, ctx.psa.measure_coil(coil, record, idx))
-            for idx, record in enumerate(base)
+    return {
+        which: _legacy_coil_score(
+            ctx, analyzer, quadrant_coil(sensor_index, which), base, active, 2000
+        )
+        for which in QUADRANTS
+    }
+
+
+class _LegacyScanner(AdaptiveScanner):
+    """The pre-batching descent: every (window, record) capture through
+    its own single-capture render (same trace indices as the scanner)."""
+
+    def __init__(self, ctx, analyzer):
+        super().__init__(ctx.psa, analyzer=analyzer)
+        self.ctx = ctx
+
+    def _score_windows(self, coils, base, active):
+        return [
+            _legacy_coil_score(self.ctx, self.analyzer, coil, base, active, 3000)
+            for coil in coils
         ]
-        active_amps = [
-            _amp(
-                ctx, analyzer, ctx.psa.measure_coil(coil, record, 2000 + idx)
-            )
-            for idx, record in enumerate(active)
-        ]
-        scores[which] = float(np.mean(active_amps) - np.mean(base_amps))
-    return scores
 
 
 def test_localize_throughput(ctx, benchmark):
@@ -116,9 +136,7 @@ def test_localize_throughput(ctx, benchmark):
     legacy_scores = _legacy_score_map(ctx, analyzer, base, active)
     legacy_hot = int(np.argmax(legacy_scores))
     legacy_quadrants = _legacy_refine(ctx, analyzer, legacy_hot, base, active)
-    legacy_scan = AdaptiveScanner(
-        ctx.psa, analyzer=analyzer, batched=False
-    ).scan(base, active)
+    legacy_scan = _LegacyScanner(ctx, analyzer).scan(base, active)
     legacy_seconds = time.perf_counter() - start
 
     def _batched():

@@ -7,9 +7,8 @@ around the strongest sideband response, narrowing the T4 power virus
 to a ~170 um window — then renders the floorplan and the score map.
 
 Every scan level renders as ONE batched engine pass over a coupling
-stack of its candidate windows (the sequential per-coil path is
-retained behind ``AdaptiveScanner(batched=False)`` and is
-bit-identical).
+stack of its candidate windows; each window's score is bit-identical
+to scoring that window on its own.
 
 Run:
     python examples/adaptive_scan.py

@@ -57,8 +57,8 @@ def main() -> None:
     record = campaign.record(scenario_by_name("T3"), 123)
     baseline = campaign.record(scenario_by_name("baseline"), 123)
     for coil in (sensor, probe):
-        active = psa.measure_coil(coil, record, trace_index=1)
-        quiet = psa.measure_coil(coil, baseline, trace_index=1)
+        batch = psa.measure_coils_batch([coil], [record, baseline], [1, 1])
+        active, quiet = batch.trace(0, 0), batch.trace(0, 1)
         delta = active.rms() / quiet.rms()
         print(
             f"{coil.name:<18s}: RMS x{delta:5.2f} when T3 activates "

@@ -4,7 +4,7 @@ Usage::
 
     psa-em table1            # or: python -m repro.cli table1
     psa-em fig4 --traces 5
-    psa-em mttd --backend process --workers 4
+    psa-em mttd --backend shared --workers 4
     psa-em sweep --grid table1
     psa-em sweep --grid smoke --no-store     # pin a cold run
     psa-em monitor --preset smoke
@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .config import BACKEND_NAMES, PRECISION_NAMES, SimConfig
+from .config import BACKEND_NAMES, SimConfig
 from .engine import close_backend_sessions
 from .errors import AnalysisError, ReproError, unknown_name_error
 from .experiments.context import ExperimentContext
@@ -246,7 +246,7 @@ _COMMANDS: Dict[str, Callable[[ExperimentContext, argparse.Namespace], str]] = {
 
 
 def build_engine_parent() -> argparse.ArgumentParser:
-    """Shared ``--backend/--workers/--precision`` flags.
+    """Shared ``--backend/--workers`` flags.
 
     One parent parser (``add_help=False``) reused by every command
     that renders through the measurement engine — ``sweep``,
@@ -264,16 +264,7 @@ def build_engine_parent() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker count for the process backend (0 = auto)",
-    )
-    parent.add_argument(
-        "--precision",
-        choices=PRECISION_NAMES,
-        default="float64",
-        help=(
-            "engine render precision: float64 (bit-exact reference) or "
-            "float32 (fast path, tolerance-pinned; default float64)"
-        ),
+        help="worker count for the shared backend (0 = auto)",
     )
     return parent
 
@@ -569,7 +560,6 @@ def serve_main(argv: List[str]) -> int:
     config = SimConfig().with_(
         engine_backend=args.backend,
         engine_workers=args.workers,
-        engine_precision=args.precision,
     )
     try:
         if args.detector is not None:
@@ -647,7 +637,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = SimConfig().with_(
         engine_backend=args.backend,
         engine_workers=args.workers,
-        engine_precision=args.precision,
     )
     ctx = ExperimentContext.build(config)
     try:

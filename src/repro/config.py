@@ -23,13 +23,7 @@ from .units import MHZ
 #: Execution backends of the measurement engine.  Canonical here (the
 #: lowest layer that needs the names) so config validation and the
 #: CLI/backends cannot drift apart.
-BACKEND_NAMES = ("serial", "process", "shared")
-
-#: Render output precisions of the measurement engine.  ``float64`` is
-#: the bit-exact reference; ``float32`` is an opt-in fast path (half
-#: the spectrum/sample traffic, single-precision irFFT) pinned to a
-#: tolerance instead of bit-identity.
-PRECISION_NAMES = ("float64", "float32")
+BACKEND_NAMES = ("serial", "shared")
 
 
 @dataclass(frozen=True)
@@ -59,19 +53,12 @@ class SimConfig:
         Root seed for every random stream derived from this config.
     engine_backend:
         Execution backend of the measurement engine: ``"serial"``
-        (in-process reference), ``"process"`` (shard trace batches
-        across a worker pool) or ``"shared"`` (worker pool shipping
-        inputs and rendered shards through zero-copy shared memory).
-        Backends are bit-for-bit interchangeable; this only selects
-        how renders are executed.
+        (in-process) or ``"shared"`` (shard trace batches across a
+        worker pool shipping inputs and rendered shards through
+        zero-copy shared memory).  Backends are bit-for-bit
+        interchangeable; this only selects how renders are executed.
     engine_workers:
-        Worker count for the ``process``/``shared`` backends
-        (0 = auto).
-    engine_precision:
-        Render output precision: ``"float64"`` (bit-exact reference,
-        the default) or ``"float32"`` (opt-in fast path, equivalent to
-        the reference within a pinned tolerance — see
-        ``tests/test_render_plan.py``).
+        Worker count for the ``shared`` backend (0 = auto).
     """
 
     f_clock: float = 33.0 * MHZ
@@ -83,7 +70,6 @@ class SimConfig:
     seed: int = 20240122
     engine_backend: str = "serial"
     engine_workers: int = 0
-    engine_precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.f_clock <= 0:
@@ -121,11 +107,6 @@ class SimConfig:
         if self.engine_workers < 0:
             raise ConfigError(
                 f"engine_workers must be >= 0, got {self.engine_workers}"
-            )
-        if self.engine_precision not in PRECISION_NAMES:
-            raise ConfigError(
-                f"unknown engine precision {self.engine_precision!r}; "
-                f"choose from {PRECISION_NAMES}"
             )
 
     # -- derived quantities -------------------------------------------------

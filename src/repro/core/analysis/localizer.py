@@ -68,22 +68,15 @@ class Localizer:
         The sensor array to measure with.
     analyzer:
         Spectrum analyzer model.
-    batched:
-        Render the quadrant refinement as one engine pass over every
-        (quadrant coil, record) capture (the default).  ``False``
-        keeps the per-quadrant render loop as a reference path; both
-        produce bit-identical quadrant scores.
     """
 
     def __init__(
         self,
         psa: ProgrammableSensorArray,
         analyzer: Optional[SpectrumAnalyzer] = None,
-        batched: bool = True,
     ):
         self.psa = psa
         self.analyzer = analyzer or SpectrumAnalyzer()
-        self.batched = batched
 
     # -- feature helpers ---------------------------------------------------------
 
@@ -243,49 +236,23 @@ class Localizer:
     ) -> Dict[str, float]:
         """Reprogram quadrant coils and score them.
 
-        The batched path renders all four quadrant coils over both
-        populations in **one** engine pass (a coupling stack, one
-        receiver row per quadrant) and extracts every band feature in
-        one vectorized display pass; the per-quadrant render loop is
-        retained as the reference path (``batched=False``).  Both
-        produce bit-identical scores.
+        All four quadrant coils render over both populations in
+        **one** engine pass (a coupling stack, one receiver row per
+        quadrant), and every band feature comes from one vectorized
+        display pass.
 
         Returns
         -------
         dict
             Added sideband amplitude [V] per quadrant label.
         """
-        config = self.psa.config
-        n_base = len(baseline_records)
-        records = list(baseline_records) + list(active_records)
-        indices = list(range(n_base)) + [
-            2000 + i for i in range(len(active_records))
-        ]
-        if self.batched:
-            coils = [quadrant_coil(sensor_index, which) for which in QUADRANTS]
-            batched = added_sideband_scores(
-                self.psa,
-                self.analyzer,
-                coils,
-                baseline_records,
-                active_records,
-                active_offset=2000,
-            )
-            return {
-                which: float(score)
-                for which, score in zip(QUADRANTS, batched)
-            }
-        scores: Dict[str, float] = {}
-        for which in QUADRANTS:
-            coil = quadrant_coil(sensor_index, which)
-            batch = self.psa.measure_coil_batch(
-                coil, records, trace_indices=indices
-            )
-            grid, display = self.analyzer.display_matrix(
-                batch.samples[0], batch.fs
-            )
-            amps = sideband_amplitudes(grid, display, config)
-            scores[which] = float(
-                np.mean(amps[n_base:]) - np.mean(amps[:n_base])
-            )
-        return scores
+        coils = [quadrant_coil(sensor_index, which) for which in QUADRANTS]
+        scores = added_sideband_scores(
+            self.psa,
+            self.analyzer,
+            coils,
+            baseline_records,
+            active_records,
+            active_offset=2000,
+        )
+        return {which: float(score) for which, score in zip(QUADRANTS, scores)}

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ...chip.testchip import TestChip
 from ...dsp.transforms import average_spectra
 from ...errors import AnalysisError
@@ -26,12 +24,7 @@ from .detector import DetectorConfig, RuntimeDetector
 from .identifier import IdentificationResult, TrojanIdentifier
 from .localizer import LocalizationResult, Localizer
 from .mttd import MttdModel, MttdResult, mttd_from_alarm
-from .spectral import (
-    find_prominent_components,
-    sideband_feature_db,
-    sideband_features_db,
-    sideband_frequencies,
-)
+from .spectral import find_prominent_components, sideband_frequencies
 
 #: The sensor the run-time monitor watches by default (covers the
 #: Trojan cluster on the paper's chip).
@@ -111,26 +104,6 @@ class CrossDomainAnalyzer:
 
     # -- feature stream -----------------------------------------------------------
 
-    def _feature(self, trace: Trace) -> float:
-        return sideband_feature_db(
-            self.analyzer.spectrum(trace), self.chip.config
-        )
-
-    def _monitor_batch(
-        self, records: List, trace_indices: List[int]
-    ) -> Tuple[np.ndarray, "object"]:
-        """Render captures of the monitor sensor; features + batch."""
-        batch = self.psa.render(
-            records,
-            trace_indices=trace_indices,
-            sensors=[self.monitor_sensor],
-        )
-        grid, display = self.analyzer.display_matrix(
-            batch.samples[0], batch.fs
-        )
-        features = sideband_features_db(grid, display, self.chip.config)
-        return features, batch
-
     def monitor_stream(
         self, scenario_name: str, n_baseline: int, n_active: int
     ) -> Tuple[List[float], List[Trace], int]:
@@ -140,10 +113,8 @@ class CrossDomainAnalyzer:
         :class:`~repro.runtime.sources.ActivationSchedule` renders
         through a :class:`~repro.runtime.sources.LiveSource` and the
         shared chunk featurizer — the exact machinery behind
-        ``repro monitor`` — which the engine's determinism contract
-        keeps bit-identical to the legacy one-shot render
-        (:meth:`_monitor_batch`, retained as the reference path and
-        pinned by ``tests/test_runtime_stream.py``).  Returns
+        ``repro monitor``.  The engine's determinism contract keeps
+        it bit-identical to one render of every capture.  Returns
         ``(features, active_traces, trigger_index)``.
         """
         # Function-level import: repro.runtime sits above the analysis
@@ -175,28 +146,6 @@ class CrossDomainAnalyzer:
                 if chunk.start + offset >= n_baseline:
                     active_traces.append(chunk.trace(0, offset))
         return features, active_traces, n_baseline
-
-    def monitor_stream_legacy(
-        self, scenario_name: str, n_baseline: int, n_active: int
-    ) -> Tuple[List[float], List[Trace], int]:
-        """The pre-runtime one-shot render (reference path).
-
-        Kept as the equivalence anchor for :meth:`monitor_stream`:
-        both produce bit-identical features and traces.
-        """
-        reference = reference_for(scenario_name)
-        scenario = scenario_by_name(scenario_name)
-        records = [
-            self.campaign.record(reference, i) for i in range(n_baseline)
-        ] + [self.campaign.record(scenario, 500 + i) for i in range(n_active)]
-        indices = list(range(n_baseline)) + [
-            500 + i for i in range(n_active)
-        ]
-        features, batch = self._monitor_batch(records, indices)
-        active_traces = [
-            batch.trace(0, n_baseline + index) for index in range(n_active)
-        ]
-        return list(features), active_traces, n_baseline
 
     # -- the full flow -----------------------------------------------------------------
 

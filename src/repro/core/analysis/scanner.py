@@ -14,9 +14,9 @@ sideband amplitude between Trojan-active and Trojan-inactive captures,
 and descends into the argmax.  A level is rendered as **one batched
 engine pass** over every (window, record) capture — the windows'
 coupling geometries are content-cached per synthesized coil, so
-revisited windows cost nothing to rebuild — and the scores are
-bit-identical to the retained sequential per-(coil, record) reference
-path (``AdaptiveScanner(batched=False)``).
+revisited windows cost nothing to rebuild — and each window's score
+is bit-identical to scoring that window on its own (the engine's
+determinism contract).
 
 The scan is a *coarse* stage: thin-loop responses near window edges
 bias the descent by up to ~2 lattice pitches per level, so the
@@ -32,15 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ...chip.power import ActivityRecord
 from ...errors import AnalysisError
 from ...instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..array import ProgrammableSensorArray
 from ..coil import Coil, synthesize_rect_coil
 from ..grid import N_WIRES, PITCH
-from .spectral import added_sideband_scores, sideband_amplitude
+from .spectral import added_sideband_scores
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,6 @@ class AdaptiveScanner:
     turns:
         Turns per scan coil (1 keeps the response monotonic in
         containment; see :func:`repro.core.sensors.quadrant_coil`).
-    batched:
-        Render each level's candidate windows as one batched engine
-        pass over every (window, record) capture (the default).  The
-        sequential per-(coil, record) path is retained as the
-        reference implementation — both produce bit-identical scores
-        and therefore identical descents.
     """
 
     def __init__(
@@ -129,7 +121,6 @@ class AdaptiveScanner:
         analyzer: Optional[SpectrumAnalyzer] = None,
         min_size: int = 6,
         turns: int = 1,
-        batched: bool = True,
     ):
         if min_size < 2:
             raise AnalysisError("min_size must be >= 2 pitches")
@@ -137,7 +128,6 @@ class AdaptiveScanner:
         self.analyzer = analyzer or SpectrumAnalyzer()
         self.min_size = min_size
         self.turns = turns
-        self.batched = batched
 
     # -- scoring -----------------------------------------------------------------
 
@@ -150,38 +140,6 @@ class AdaptiveScanner:
             turns=self.turns,
         )
 
-    def _score(
-        self,
-        coil: Coil,
-        baseline_records: Sequence[ActivityRecord],
-        active_records: Sequence[ActivityRecord],
-    ) -> float:
-        """Added sideband amplitude [V] through one window.
-
-        The sequential reference path: one single-capture render, one
-        display spectrum and one band feature per (record, population).
-        """
-        config = self.psa.config
-        base = [
-            sideband_amplitude(
-                self.analyzer.spectrum(
-                    self.psa.measure_coil(coil, record, trace_index=idx)
-                ),
-                config,
-            )
-            for idx, record in enumerate(baseline_records)
-        ]
-        active = [
-            sideband_amplitude(
-                self.analyzer.spectrum(
-                    self.psa.measure_coil(coil, record, trace_index=3000 + idx)
-                ),
-                config,
-            )
-            for idx, record in enumerate(active_records)
-        ]
-        return float(np.mean(active) - np.mean(base))
-
     def _score_windows(
         self,
         coils: Sequence[Coil],
@@ -190,17 +148,11 @@ class AdaptiveScanner:
     ) -> List[float]:
         """Added sideband amplitude [V] of every window of one level.
 
-        The batched path renders all (window, record) captures of the
-        level in one engine pass (``measure_coils_batch`` over a
-        coupling stack) and extracts every band feature in one
-        vectorized display-spectrum pass; scores are bit-identical to
-        the sequential :meth:`_score` per window.
+        All (window, record) captures of the level render in one
+        engine pass (``measure_coils_batch`` over a coupling stack)
+        and every band feature comes from one vectorized
+        display-spectrum pass.
         """
-        if not self.batched:
-            return [
-                self._score(coil, baseline_records, active_records)
-                for coil in coils
-            ]
         scores = added_sideband_scores(
             self.psa,
             self.analyzer,

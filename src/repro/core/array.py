@@ -6,9 +6,9 @@ renders amplified, noisy voltage traces for any programmed sensor —
 the 16 standard sensors of Section V-A or ad-hoc refinement coils.
 
 All rendering routes through one :class:`~repro.engine.MeasurementEngine`:
-``measure``/``measure_all``/``measure_coil`` are thin single-capture
-wrappers around the same batched path used by :meth:`render`, so
-per-trace and batched output are identical bit-for-bit.
+``measure``/``measure_all`` are thin single-capture wrappers around
+the same batched path used by :meth:`render`, so per-trace and
+batched output are identical bit-for-bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ..chip.power import ActivityRecord
 from ..chip.testchip import TestChip
 from ..em.amplifier import MeasurementAmplifier
 from ..em.coupling import CouplingMatrix, CouplingStack
-from ..engine import MeasurementEngine, TraceBatch
+from ..engine import MeasurementEngine, RenderPlan, TraceBatch
 from ..errors import MeasurementError
 from ..traces import Trace
 from .coil import Coil
@@ -219,40 +219,6 @@ class ProgrammableSensorArray:
         """Release the engine's backend resources (see engine.close)."""
         self.engine.close()
 
-    def measure_coil_batch(
-        self,
-        coil: Coil,
-        records: Sequence[ActivityRecord],
-        trace_indices: Optional[Sequence[int]] = None,
-    ) -> TraceBatch:
-        """Render a batch of captures from an ad-hoc programmed coil.
-
-        The coil is programmed onto the lattice for the duration of the
-        render (ownership-checked) and released afterwards.
-
-        Parameters
-        ----------
-        coil:
-            The synthesized coil to measure through.
-        records:
-            One activity record per capture, or a single record reused
-            for every capture.
-        trace_indices:
-            RNG stream index per capture (defaults to ``0..n-1``).
-
-        Returns
-        -------
-        TraceBatch
-            ``(1, n_traces, n_samples)`` samples of the programmed coil.
-        """
-        coil.program(self.grid)
-        try:
-            return self.engine.render(
-                self._coupling_for(coil), records, trace_indices=trace_indices
-            )
-        finally:
-            coil.release(self.grid)
-
     def measure_coils_batch(
         self,
         coils: Sequence[Coil],
@@ -271,8 +237,8 @@ class ProgrammableSensorArray:
         Each coil's coupling geometry is built (and content-cached)
         independently, so windows revisited across calls — quadrant
         coils, repeated scan levels — never recompute their flux
-        integrals, and every rendered row is bit-identical to
-        :meth:`measure_coil` of that (coil, record, trace_index).
+        integrals, and every rendered row is bit-identical to the
+        one-coil render of that (coil, record, trace_index).
 
         Parameters
         ----------
@@ -292,20 +258,10 @@ class ProgrammableSensorArray:
             ``(n_coils, n_traces, n_samples)`` samples, coil order
             preserved.
         """
-        coils = list(coils)
-        if not coils:
-            raise MeasurementError("no coils to render")
-        names = [coil.name for coil in coils]
-        if len(set(names)) != len(names):
-            duplicate = next(n for n in names if names.count(n) > 1)
-            raise MeasurementError(
-                f"duplicate coil name {duplicate!r} in batched render"
-            )
-        for coil in coils:
-            coil.program(self.grid)
-            coil.release(self.grid)
-        stack = CouplingStack([self._coupling_for(coil) for coil in coils])
-        return self.engine.render(stack, records, trace_indices=trace_indices)
+        plan = RenderPlan()
+        ticket = self.enqueue_coils(plan, coils, records, trace_indices)
+        plan.execute()
+        return ticket.result()
 
     # -- single-capture wrappers -----------------------------------------------
 
@@ -337,15 +293,6 @@ class ProgrammableSensorArray:
             raise MeasurementError("decoder selection mismatch")
         batch = self.render(
             [record], trace_indices=[trace_index], sensors=[sensor_index]
-        )
-        return batch.trace(0, 0)
-
-    def measure_coil(
-        self, coil: Coil, record: ActivityRecord, trace_index: int = 0
-    ) -> Trace:
-        """Capture one trace from an ad-hoc programmed coil."""
-        batch = self.measure_coil_batch(
-            coil, [record], trace_indices=[trace_index]
         )
         return batch.trace(0, 0)
 

@@ -67,7 +67,7 @@ class MeasurementAmplifier:
         self._lp = butter_lowpass_response(f_lowpass, order=4)
         self._curve_cache: Dict[Tuple[float, int], np.ndarray] = {}
 
-    # -- pickling (the engine's process backend ships amplifiers) ------------
+    # -- pickling (the engine's shared backend ships amplifiers) -------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

@@ -11,9 +11,9 @@ analyzed voltage trace routes through here:
   logical renders (sweep cells, fleet chips, scan levels) and execute
   them as one mega-batched engine pass, demultiplexed bit-identically;
 * :mod:`~repro.engine.backends` / :mod:`~repro.engine.shm` —
-  pluggable execution backends (``serial`` reference, ``process``
-  worker pool, ``shared`` zero-copy shared-memory pool), selectable
-  from :class:`~repro.config.SimConfig` and the CLI;
+  pluggable execution backends (``serial`` in-process, ``shared``
+  zero-copy shared-memory worker pool), selectable from
+  :class:`~repro.config.SimConfig` and the CLI;
 * :mod:`~repro.engine.cache` — administration of the content-keyed
   coupling-geometry cache.
 
@@ -25,7 +25,6 @@ so per-trace and batched outputs are identical bit-for-bit.
 from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     backend_session_stats,
     close_backend_sessions,
@@ -45,7 +44,6 @@ from .shm import SharedMemoryBackend
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
-    "ProcessBackend",
     "SerialBackend",
     "SharedMemoryBackend",
     "backend_session_stats",

@@ -1,50 +1,37 @@
 """Pluggable execution backends for the measurement engine.
 
-A backend only knows how to evaluate a picklable function over a list
-of payloads; the engine decides how to shard a render into payloads.
-``serial`` is the in-process reference implementation; ``process``
-fans shards out over a worker pool.  Because every random draw in the
-render path comes from a stream named by (scenario, receiver, trace
-index), sharding never changes the rendered samples — the backends
-are interchangeable bit-for-bit.
+The engine decides how to shard a render into payloads; a backend
+decides where the shards run.  ``serial`` keeps every render
+in-process; ``shared`` fans shards out over a worker pool that ships
+inputs and results through shared memory
+(:class:`~repro.engine.shm.SharedMemoryBackend`).  Because every
+random draw in the render path comes from a stream named by
+(scenario, receiver, trace index), sharding never changes the
+rendered samples — the backends are interchangeable bit-for-bit.
 
 Backends are **long-lived session objects**: resolving a backend by
 name returns a process-wide session shared by every engine that asked
-for the same spec, so the worker pool (and, for ``shared``, the input
-arena) persists across dispatches instead of being rebuilt per render.
-``close()`` releases the resources; the next dispatch transparently
-restarts them.  :func:`close_backend_sessions` tears every session
-down (the CLI calls it on exit, and an ``atexit`` hook covers
-everything else).
+for the same spec, so the worker pool and the input arena persist
+across dispatches instead of being rebuilt per render.  ``close()``
+releases the resources; the next dispatch transparently restarts
+them.  :func:`close_backend_sessions` tears every session down (the
+CLI calls it on exit, and an ``atexit`` hook covers everything else).
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Protocol,
-    Sequence,
-    Tuple,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from ..config import BACKEND_NAMES
 from ..errors import ConfigError
-
-_P = TypeVar("_P")
-_R = TypeVar("_R")
+from .shm import SharedMemoryBackend
 
 
-@runtime_checkable
 class ExecutionBackend(Protocol):
-    """Anything that can evaluate a function over payload shards."""
+    """Anything that can evaluate sharded renders."""
 
     name: str
 
@@ -53,15 +40,23 @@ class ExecutionBackend(Protocol):
         """How many shards are worth creating for one render."""
         ...
 
-    def map(
-        self, fn: Callable[[_P], _R], payloads: Sequence[_P]
-    ) -> List[_R]:
-        """Evaluate ``fn`` over payloads, preserving order."""
+    def run_jobs(self, fn: Callable, jobs: Sequence[tuple]) -> List[np.ndarray]:
+        """Evaluate sharded renders; one assembled result per job.
+
+        Only called for renders split into two or more shards, i.e.
+        when :attr:`parallelism` exceeds one.  See
+        :meth:`~repro.engine.shm.SharedMemoryBackend.run_jobs` for the
+        job layout.
+        """
+        ...
+
+    def close(self) -> None:
+        """Release pooled resources (a later dispatch restarts them)."""
         ...
 
 
 class SerialBackend:
-    """In-process reference backend (no sharding)."""
+    """In-process backend: renders are never sharded."""
 
     name = "serial"
 
@@ -70,85 +65,8 @@ class SerialBackend:
         """Always one shard: the render stays in-process."""
         return 1
 
-    def map(
-        self, fn: Callable[[_P], _R], payloads: Sequence[_P]
-    ) -> List[_R]:
-        """Evaluate ``fn`` over payloads in order, in-process."""
-        return [fn(payload) for payload in payloads]
-
     def close(self) -> None:
         """Nothing to release (uniform lifecycle hook)."""
-
-
-class ProcessBackend:
-    """Worker-pool backend sharding renders across processes.
-
-    The pool is created lazily on first use and reused for every
-    subsequent render (spawn-based platforms pay worker start-up only
-    once); :meth:`close` tears it down explicitly — a later dispatch
-    transparently restarts it — and Python's executor machinery joins
-    any remaining workers at interpreter exit.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size (default: the machine's CPU count, minimum 2 so the
-        sharding path is exercised even on single-core hosts).
-    start_method:
-        Worker start method (``"fork"`` / ``"spawn"`` / ...).  None
-        prefers ``fork`` (cheap start-up, inherits sys.path) and falls
-        back to the platform default where fork is missing.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is not None and start_method not in methods:
-            raise ConfigError(
-                f"unknown start method {start_method!r}; "
-                f"choose from {tuple(methods)}"
-            )
-        self.max_workers = max_workers or max(os.cpu_count() or 1, 2)
-        self.start_method = start_method
-        self._executor: ProcessPoolExecutor | None = None
-
-    @property
-    def parallelism(self) -> int:
-        """One shard per pool worker."""
-        return self.max_workers
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            method = self.start_method
-            if method is None:
-                methods = multiprocessing.get_all_start_methods()
-                method = "fork" if "fork" in methods else None
-            context = multiprocessing.get_context(method)
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the worker pool down (a later map() restarts it)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def map(
-        self, fn: Callable[[_P], _R], payloads: Sequence[_P]
-    ) -> List[_R]:
-        """Evaluate ``fn`` over payloads on the pool, preserving order."""
-        if len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
-        return list(self._pool().map(fn, payloads))
 
 
 #: Process-wide backend sessions, one per resolved (name, workers)
@@ -166,9 +84,7 @@ def close_backend_sessions() -> None:
     restarts their pool/arena, so this is always safe to call.
     """
     for backend in _SESSIONS.values():
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+        backend.close()
 
 
 def backend_session_stats() -> List[Dict[str, object]]:
@@ -201,18 +117,17 @@ def resolve_backend(
     ----------
     backend:
         A backend instance (returned as-is), a name (``"serial"`` /
-        ``"process"`` / ``"shared"``), or None for the serial
-        reference backend.
+        ``"shared"``), or None for the serial backend.
     workers:
-        Worker count for the pool backends (0 = machine CPU count).
+        Worker count for the ``shared`` pool (0 = machine CPU count).
 
     Returns
     -------
     ExecutionBackend
         The resolved backend.  Named specs resolve to process-wide
         sessions: every engine asking for the same (name, workers)
-        gets the *same* long-lived instance, so pools and shared
-        arenas persist across dispatches and across engines.
+        gets the *same* long-lived instance, so the pool and its
+        arena persist across dispatches and across engines.
 
     Raises
     ------
@@ -232,13 +147,7 @@ def resolve_backend(
     if session is None:
         if backend == "serial":
             session = SerialBackend()
-        elif backend == "process":
-            session = ProcessBackend(max_workers=workers or None)
         else:
-            # In-function import: shm subclasses ProcessBackend from
-            # this module, so a top-level import would be circular.
-            from .shm import SharedMemoryBackend
-
             session = SharedMemoryBackend(max_workers=workers or None)
         _SESSIONS[key] = session
     return session

@@ -36,9 +36,7 @@ therefore bit-for-bit independent of batch composition: a trace comes
 out identical whether rendered alone, inside any batch, fused with
 unrelated renders through a :class:`~repro.engine.plan.RenderPlan`,
 through ``measure``/``measure_all`` compatibility wrappers, or on any
-execution backend / worker count.  The opt-in ``float32`` precision
-relaxes this to a pinned tolerance (draw *order* and stream identities
-are unchanged — only the accumulation/output dtype narrows).
+execution backend / worker count.  Samples are always float64.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import numpy as np
 from scipy import fft as scipy_fft
 
 from ..chip.power import ActivityRecord
-from ..config import PRECISION_NAMES, SimConfig
+from ..config import SimConfig
 from ..em.amplifier import MeasurementAmplifier
 from ..em.coupling import CouplingMatrix, CouplingStack, Receiver, emf_rfft
 from ..em.noise import (
@@ -114,22 +112,6 @@ class ReceiverPlan:
     n_turns: int
 
 
-@dataclass
-class _ShardRecord:
-    """Slim stand-in for a factor-bearing record in backend shards.
-
-    The render path reads only ``config``, ``scenario`` and
-    ``factors`` when a record carries its low-rank decomposition, so
-    process-backend payloads ship this proxy instead of the full
-    record (whose dense toggle matrices would otherwise dominate the
-    inter-process traffic).
-    """
-
-    config: SimConfig
-    scenario: str
-    factors: dict
-
-
 def _render_shard(payload: tuple) -> np.ndarray:
     """Process-pool entry point: render one shard serially."""
     engine, coupling, records, trace_indices, receiver_indices = payload
@@ -149,20 +131,15 @@ class MeasurementEngine:
         Measurement front-end shared by every rendered channel.
     backend:
         Execution backend: an instance, a name (``"serial"`` /
-        ``"process"`` / ``"shared"``), or None to follow
+        ``"shared"``), or None to follow
         ``config.engine_backend``.  Named specs resolve to process-wide
         sessions shared across engines (see
         :func:`repro.engine.backends.resolve_backend`).
     workers:
-        Worker count for the pool backends (0 = follow
+        Worker count for the ``shared`` pool (0 = follow
         ``config.engine_workers``, which defaults to the CPU count).
     chunk_traces:
         Traces per irFFT chunk (memory/throughput trade-off).
-    precision:
-        Render output precision: ``"float64"`` (bit-exact reference)
-        or ``"float32"`` (opt-in fast path; identical RNG streams and
-        draw order, narrowed accumulation/output dtype).  None follows
-        ``config.engine_precision``.
     """
 
     def __init__(
@@ -172,7 +149,6 @@ class MeasurementEngine:
         backend: "str | ExecutionBackend | None" = None,
         workers: int = 0,
         chunk_traces: int = DEFAULT_CHUNK_TRACES,
-        precision: Optional[str] = None,
     ):
         if chunk_traces < 1:
             raise MeasurementError("chunk_traces must be >= 1")
@@ -184,30 +160,9 @@ class MeasurementEngine:
             workers = config.engine_workers
         self.backend = resolve_backend(backend, workers)
         self.chunk_traces = chunk_traces
-        if precision is None:
-            precision = config.engine_precision
-        if precision not in PRECISION_NAMES:
-            raise MeasurementError(
-                f"unknown engine precision {precision!r}; "
-                f"choose from {PRECISION_NAMES}"
-            )
-        self.precision = precision
         self._plan_cache: Dict[tuple, tuple] = {}
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
-
-    @property
-    def out_dtype(self) -> np.dtype:
-        """Sample dtype of rendered batches."""
-        return np.dtype(
-            np.float32 if self.precision == "float32" else np.float64
-        )
-
-    @property
-    def _complex_dtype(self) -> np.dtype:
-        return np.dtype(
-            np.complex64 if self.precision == "float32" else np.complex128
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -219,9 +174,7 @@ class MeasurementEngine:
         process-wide sessions — closing one engine closes the shared
         session, and the next dispatch from *any* engine restarts it.
         """
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
+        self.backend.close()
         self._plan_cache.clear()
 
     def __enter__(self) -> "MeasurementEngine":
@@ -451,25 +404,6 @@ class MeasurementEngine:
         n_shards = min(self.backend.parallelism, n_traces)
         if n_shards <= 1:
             return None
-        # Factor-bearing records travel as slim proxies; proxies are
-        # deduplicated by source identity so workers keep the
-        # one-EMF-per-distinct-record reuse.
-        proxies: Dict[int, _ShardRecord] = {}
-
-        def _compact(record: ActivityRecord) -> "ActivityRecord | _ShardRecord":
-            if record.factors is None:
-                return record
-            proxy = proxies.get(id(record))
-            if proxy is None:
-                proxy = _ShardRecord(
-                    config=record.config,
-                    scenario=record.scenario,
-                    factors=record.factors,
-                )
-                proxies[id(record)] = proxy
-            return proxy
-
-        compact_records = [_compact(record) for record in records]
         bounds = np.linspace(0, n_traces, n_shards + 1).astype(int)
         payloads = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -477,46 +411,12 @@ class MeasurementEngine:
                 (
                     self,
                     coupling,
-                    compact_records[lo:hi],
+                    records[lo:hi],
                     trace_indices[lo:hi],
                     receiver_indices,
                 )
             )
         return payloads, bounds
-
-    def _dispatch(
-        self,
-        coupling: "CouplingMatrix | CouplingStack",
-        records: List[ActivityRecord],
-        trace_indices: List[int],
-        receiver_indices: List[int],
-    ) -> np.ndarray:
-        """Shard the render over the backend and reassemble."""
-        sharded = self._shard_payloads(
-            coupling, records, trace_indices, receiver_indices
-        )
-        if sharded is None:
-            return self._render_serial(
-                coupling, records, trace_indices, receiver_indices
-            )
-        payloads, bounds = sharded
-        # Backends with a zero-copy path (``shared``) assemble the
-        # result themselves in shared memory; everything else returns
-        # pickled shards that are concatenated here.  Both routes are
-        # bit-identical — only the transport differs.
-        map_concat = getattr(self.backend, "map_concat", None)
-        if map_concat is not None:
-            out_shape = (
-                len(receiver_indices),
-                len(trace_indices),
-                self.config.n_samples,
-            )
-            return map_concat(
-                _render_shard, payloads, out_shape, bounds,
-                dtype=self.out_dtype,
-            )
-        shards = self.backend.map(_render_shard, payloads)
-        return np.concatenate(shards, axis=1)
 
     def _render_serial(
         self,
@@ -562,11 +462,9 @@ class MeasurementEngine:
                 emf_cache[key] = rows
             return rows
 
-        out = np.empty((n_receivers, n_traces, n), dtype=self.out_dtype)
+        out = np.empty((n_receivers, n_traces, n))
         chunk = min(self.chunk_traces, n_traces)
-        scratch = np.empty(
-            (n_receivers, chunk, n_bins), dtype=self._complex_dtype
-        )
+        scratch = np.empty((n_receivers, chunk, n_bins), dtype=complex)
         z_buffer = np.empty(n)
         jitter_buffer = np.empty(n_bins, dtype=complex)
         two_pi = 2.0 * math.pi

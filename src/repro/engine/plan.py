@@ -17,9 +17,9 @@ Fusion happens at two levels:
   e.g. the base and active score-map renders of a localization, or
   every repeat of a sweep cell, render as one sharded pass;
 * **wave fusion** — all jobs landing on the same backend session
-  submit in a single pool wave (one ``run_jobs`` call on the shared
-  backend, one flat ``map`` on the process backend), so a fleet tick
-  that renders eight chips pays one scatter/gather instead of eight.
+  submit in a single pool wave (one ``run_jobs`` call), so a fleet
+  tick that renders eight chips pays one scatter/gather instead of
+  eight.
 
 Bit-identity is structural, not incidental: every capture's samples
 depend only on its RNG stream ``render/{scenario}/{receiver}/{index}``
@@ -217,43 +217,22 @@ class RenderPlan:
         from .engine import _render_shard
 
         for backend_key, entries in waves.items():
-            backend = wave_backends[backend_key]
-            run_jobs = getattr(backend, "run_jobs", None)
-            if run_jobs is not None:
-                # Zero-copy path: one arena, one pool wave, one shared
-                # output segment per job.
-                specs = [
+            # One arena, one pool wave, one shared output segment per job.
+            specs = [
+                (
+                    payloads,
                     (
-                        payloads,
-                        (
-                            len(job.receiver_indices),
-                            len(job.trace_indices),
-                            job.engine.config.n_samples,
-                        ),
-                        bounds,
-                        job.engine.out_dtype,
-                    )
-                    for job, payloads, bounds in entries
-                ]
-                results = run_jobs(_render_shard, specs)
-                for (job, _, _), samples in zip(entries, results):
-                    self._demux(job, samples)
-            else:
-                # Generic pool path: one flat map over every job's
-                # shards, then per-job reassembly.
-                flat: list = []
-                counts = []
-                for _, payloads, _ in entries:
-                    flat.extend(payloads)
-                    counts.append(len(payloads))
-                shards = backend.map(_render_shard, flat)
-                cursor = 0
-                for (job, _, _), count in zip(entries, counts):
-                    samples = np.concatenate(
-                        shards[cursor : cursor + count], axis=1
-                    )
-                    cursor += count
-                    self._demux(job, samples)
+                        len(job.receiver_indices),
+                        len(job.trace_indices),
+                        job.engine.config.n_samples,
+                    ),
+                    bounds,
+                )
+                for job, payloads, bounds in entries
+            ]
+            results = wave_backends[backend_key].run_jobs(_render_shard, specs)
+            for (job, _, _), samples in zip(entries, results):
+                self._demux(job, samples)
 
     @staticmethod
     def _demux(job: _Job, samples: np.ndarray) -> None:

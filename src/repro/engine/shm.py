@@ -1,9 +1,7 @@
-"""Zero-copy shared-memory execution backend.
+"""The zero-copy shared-memory pool backend.
 
-The ``process`` backend pickles every shard payload — including each
-record's low-rank activity factors — into the worker, and pickles the
-rendered sample arrays back out.  :class:`SharedMemoryBackend` removes
-both copies:
+:class:`SharedMemoryBackend` fans the shards of a render out over a
+worker pool without pickling any bulk data:
 
 * **inputs** — every factor array reachable from the shard payloads is
   packed once into a single :class:`multiprocessing.shared_memory`
@@ -19,30 +17,36 @@ both copies:
 
 Because the transport never touches the rendered values — workers run
 the exact same serial render path — the backend is **bit-for-bit
-identical** to ``serial`` and ``process`` (the engine's determinism
-contract), and is selectable everywhere a backend spec is accepted:
+identical** to ``serial`` (the engine's determinism contract), and is
+selectable everywhere a backend spec is accepted:
 ``SimConfig(engine_backend="shared")``, the CLI ``--backend shared``,
 or ``MeasurementEngine(..., backend="shared")``.
 
-Lifetime: the backend owns a **persistent input arena** — one segment
-reused (and geometrically grown) across every dispatch instead of
-being created/unlinked per render; workers cache their attachment to
-it, so steady-state dispatches pay zero segment churn on the input
-side.  Output segments live exactly as long as the returned arrays (a
-``weakref.finalize`` closes and unlinks each).  :meth:`close` unlinks
-the arena and shuts the pool down; the next dispatch restarts both.
+Lifetime: the worker pool starts lazily on first use and is reused by
+every later dispatch.  The backend also owns a **persistent input
+arena** — one segment reused (and geometrically grown) across every
+dispatch instead of being created/unlinked per render; workers cache
+their attachment to it, so steady-state dispatches pay zero segment
+churn on the input side.  Output segments live exactly as long as the
+returned arrays (a ``weakref.finalize`` closes and unlinks each).
+:meth:`SharedMemoryBackend.close` unlinks the arena and shuts the pool
+down; the next dispatch restarts both.
 """
 
 from __future__ import annotations
 
+import copy
+import multiprocessing
+import os
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backends import ProcessBackend
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -213,38 +217,35 @@ class _PersistentArena:
             self.shm = None
 
 
-def _pack_payload(payload, arena: _InputArena, seen: Dict[int, bool]):
-    """Replace factor arrays in a shard payload with arena refs.
+def _pack_payload(payload, arena: _InputArena, packed: Dict[int, object]):
+    """Copy of a shard payload with factor arrays swapped for arena refs.
 
     Walks the payload for objects carrying a ``factors`` dict (the
-    engine's record proxies and records) and rewrites each factor's
-    ``(name, weights, toggles)`` arrays into :class:`SharedArrayRef`
-    descriptors, in place.  Proxies deduplicated by identity across
-    shards are rewritten once.
+    engine's activity records) and gives each a shallow copy whose
+    ``(name, weights, toggles)`` arrays are :class:`SharedArrayRef`
+    descriptors.  The caller's records are never touched; a record
+    shared across shards is copied once (``packed`` maps source
+    identity to its copy).
     """
     if isinstance(payload, (tuple, list)):
         return type(payload)(
-            _pack_payload(item, arena, seen) for item in payload
+            _pack_payload(item, arena, packed) for item in payload
         )
     factors = getattr(payload, "factors", None)
-    if isinstance(factors, dict) and not seen.get(id(payload)):
-        seen[id(payload)] = True
-        payload.factors = {
+    if not isinstance(factors, dict):
+        return payload
+    twin = packed.get(id(payload))
+    if twin is None:
+        twin = copy.copy(payload)
+        twin.factors = {
             group: [
-                (
-                    name,
-                    weights
-                    if isinstance(weights, SharedArrayRef)
-                    else arena.add(weights),
-                    toggles
-                    if isinstance(toggles, SharedArrayRef)
-                    else arena.add(toggles),
-                )
+                (name, arena.add(weights), arena.add(toggles))
                 for name, weights, toggles in parts
             ]
             for group, parts in factors.items()
         }
-    return payload
+        packed[id(payload)] = twin
+    return twin
 
 
 def _resolve_payload(payload, shm: shared_memory.SharedMemory, seen):
@@ -258,15 +259,7 @@ def _resolve_payload(payload, shm: shared_memory.SharedMemory, seen):
         seen[id(payload)] = True
         payload.factors = {
             group: [
-                (
-                    name,
-                    _view(shm, weights)
-                    if isinstance(weights, SharedArrayRef)
-                    else weights,
-                    _view(shm, toggles)
-                    if isinstance(toggles, SharedArrayRef)
-                    else toggles,
-                )
+                (name, _view(shm, weights), _view(shm, toggles))
                 for name, weights, toggles in parts
             ]
             for group, parts in factors.items()
@@ -276,16 +269,14 @@ def _resolve_payload(payload, shm: shared_memory.SharedMemory, seen):
 
 def _run_shard(task) -> None:
     """Pool entry point: render one shard into the shared output."""
-    (fn, payload, in_name, out_name, out_shape, out_dtype, lo, hi) = task
+    (fn, payload, in_name, out_name, out_shape, lo, hi) = task
     in_shm = _attach_cached(in_name) if in_name is not None else None
     out_shm = _attach(out_name)
     try:
         if in_shm is not None:
             payload = _resolve_payload(payload, in_shm, {})
         result = fn(payload)
-        out = np.ndarray(
-            out_shape, dtype=np.dtype(out_dtype), buffer=out_shm.buf
-        )
+        out = np.ndarray(out_shape, buffer=out_shm.buf)
         out[:, lo:hi] = result
     finally:
         out_shm.close()
@@ -299,23 +290,23 @@ def _release_segment(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-class SharedMemoryBackend(ProcessBackend):
+class SharedMemoryBackend:
     """Worker-pool backend shipping shards through shared memory.
 
-    Pool management (lazy fork-preferring executor, restart-on-use
-    after :meth:`close`) is inherited from
-    :class:`~repro.engine.backends.ProcessBackend`; the generic
-    :meth:`map` fallback also remains available.  The engine
-    dispatches through :meth:`map_concat` (one logical render) or
-    :meth:`run_jobs` (a fused plan of many renders in one pool wave);
-    both share the persistent input arena.
+    The pool is created lazily on first use (preferring ``fork``) and
+    reused for every later dispatch; :meth:`close` tears it down and
+    unlinks the input arena, and a later dispatch transparently
+    restarts both.  The engine dispatches through :meth:`run_jobs`.
 
     Parameters
     ----------
     max_workers:
-        Pool size (default: the machine's CPU count, minimum 2).
+        Pool size (default: the machine's CPU count, minimum 2 so the
+        sharding path is exercised even on single-core hosts).
     start_method:
-        Worker start method (see :class:`ProcessBackend`).
+        Worker start method (``"fork"`` / ``"spawn"`` / ...).  None
+        prefers ``fork`` (cheap start-up, inherits sys.path) and falls
+        back to the platform default where fork is missing.
     """
 
     name = "shared"
@@ -325,8 +316,23 @@ class SharedMemoryBackend(ProcessBackend):
         max_workers: int | None = None,
         start_method: str | None = None,
     ):
-        super().__init__(max_workers=max_workers, start_method=start_method)
+        if max_workers is not None and max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
+        methods = multiprocessing.get_all_start_methods()
+        if start_method is not None and start_method not in methods:
+            raise ConfigError(
+                f"unknown start method {start_method!r}; "
+                f"choose from {tuple(methods)}"
+            )
+        self.max_workers = max_workers or max(os.cpu_count() or 1, 2)
+        self.start_method = start_method
+        self._executor: ProcessPoolExecutor | None = None
         self._arena = _PersistentArena()
+
+    @property
+    def parallelism(self) -> int:
+        """One shard per pool worker."""
+        return self.max_workers
 
     @property
     def arena_generations(self) -> int:
@@ -338,58 +344,28 @@ class SharedMemoryBackend(ProcessBackend):
         """Current input-arena capacity in bytes."""
         return self._arena.capacity
 
+    def _pool(self) -> ProcessPoolExecutor:
+        if self._executor is None:
+            method = self.start_method
+            if method is None and "fork" in multiprocessing.get_all_start_methods():
+                method = "fork"
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=multiprocessing.get_context(method),
+            )
+        return self._executor
+
     def close(self) -> None:
         """Release the arena and the pool (a later dispatch restarts)."""
         self._arena.close()
-        super().close()
-
-    # -- dispatch paths ------------------------------------------------------
-
-    def map_concat(
-        self,
-        fn: Callable,
-        payloads: Sequence,
-        out_shape: Tuple[int, int, int],
-        splits: Sequence[int],
-        dtype=np.float64,
-    ) -> np.ndarray:
-        """Evaluate shard renders into one shared result array.
-
-        Parameters
-        ----------
-        fn:
-            Shard renderer returning ``(n_receivers, k, n_samples)``.
-        payloads:
-            One shard payload per ``splits`` interval.
-        out_shape:
-            Full result shape ``(n_receivers, n_traces, n_samples)``.
-        splits:
-            Column boundaries: shard ``i`` covers
-            ``splits[i]:splits[i+1]`` along axis 1.
-        dtype:
-            Result dtype.
-
-        Returns
-        -------
-        numpy.ndarray
-            The assembled result, backed by a shared segment whose
-            lifetime is tied to the returned array.
-        """
-        if len(payloads) != len(splits) - 1:
-            raise ValueError(
-                f"{len(payloads)} payloads for {len(splits) - 1} splits"
-            )
-        if len(payloads) == 1:
-            return np.asarray(fn(payloads[0]), dtype=dtype)
-        [result] = self.run_jobs(
-            fn, [(list(payloads), tuple(out_shape), list(splits), dtype)]
-        )
-        return result
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
     def run_jobs(
         self,
         fn: Callable,
-        jobs: Sequence[Tuple[Sequence, Tuple[int, int, int], Sequence[int], object]],
+        jobs: Sequence[Tuple[Sequence, Tuple[int, int, int], Sequence[int]]],
     ) -> List[np.ndarray]:
         """Evaluate many sharded renders as **one** pool wave.
 
@@ -403,8 +379,10 @@ class SharedMemoryBackend(ProcessBackend):
         fn:
             Shard renderer (shared by every job).
         jobs:
-            ``(payloads, out_shape, splits, dtype)`` per logical
-            render, with the same semantics as :meth:`map_concat`.
+            ``(payloads, out_shape, splits)`` per logical render:
+            shard ``i`` of ``payloads`` renders columns
+            ``splits[i]:splits[i+1]`` (axis 1) of the float64
+            ``(n_receivers, n_traces, n_samples)`` result.
 
         Returns
         -------
@@ -413,19 +391,18 @@ class SharedMemoryBackend(ProcessBackend):
             its own shared segment (lifetime tied to the array).
         """
         plan = _InputArena()
-        seen: Dict[int, bool] = {}
+        packed: Dict[int, object] = {}
         packed_jobs = []
-        for payloads, out_shape, splits, dtype in jobs:
+        for payloads, out_shape, splits in jobs:
             if len(payloads) != len(splits) - 1:
                 raise ValueError(
                     f"{len(payloads)} payloads for {len(splits) - 1} splits"
                 )
             packed_jobs.append(
                 (
-                    [_pack_payload(p, plan, seen) for p in payloads],
+                    [_pack_payload(p, plan, packed) for p in payloads],
                     tuple(out_shape),
                     [int(s) for s in splits],
-                    np.dtype(dtype),
                 )
             )
         in_name = self._arena.place(plan) if plan.n_arrays else None
@@ -433,24 +410,15 @@ class SharedMemoryBackend(ProcessBackend):
         out_segments: List[shared_memory.SharedMemory] = []
         tasks = []
         try:
-            for payloads, out_shape, splits, dtype in packed_jobs:
+            for payloads, out_shape, splits in packed_jobs:
+                # float64 samples: 8 bytes each.
                 out_shm = shared_memory.SharedMemory(
-                    create=True,
-                    size=max(int(np.prod(out_shape)) * dtype.itemsize, 1),
+                    create=True, size=max(int(np.prod(out_shape)) * 8, 1)
                 )
                 out_segments.append(out_shm)
                 for payload, lo, hi in zip(payloads, splits[:-1], splits[1:]):
                     tasks.append(
-                        (
-                            fn,
-                            payload,
-                            in_name,
-                            out_shm.name,
-                            out_shape,
-                            dtype.str,
-                            lo,
-                            hi,
-                        )
+                        (fn, payload, in_name, out_shm.name, out_shape, lo, hi)
                     )
             list(self._pool().map(_run_shard, tasks))
         except BaseException:
@@ -458,10 +426,8 @@ class SharedMemoryBackend(ProcessBackend):
                 _release_segment(out_shm)
             raise
         results = []
-        for out_shm, (_, out_shape, _, dtype) in zip(
-            out_segments, packed_jobs
-        ):
-            out = np.ndarray(out_shape, dtype=dtype, buffer=out_shm.buf)
+        for out_shm, (_, out_shape, _) in zip(out_segments, packed_jobs):
+            out = np.ndarray(out_shape, buffer=out_shm.buf)
             weakref.finalize(out, _release_segment, out_shm)
             results.append(out)
         return results

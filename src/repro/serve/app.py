@@ -93,6 +93,18 @@ logger = logging.getLogger(__name__)
 _CHIP_ID = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
+class DuplicateChipError(AnalysisError):
+    """Onboarding a chip id that already has a session."""
+
+    status = 409
+
+
+class ChipLimitError(AnalysisError):
+    """Onboarding past :attr:`ServeConfig.max_chips`."""
+
+    status = 503
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tuning of one monitoring service instance.
@@ -486,9 +498,9 @@ class MonitorService:
                 "from [A-Za-z0-9._-]"
             )
         if chip_id in self.sessions:
-            raise AnalysisError(f"chip {chip_id!r} is already onboarded")
+            raise DuplicateChipError(f"chip {chip_id!r} is already onboarded")
         if len(self.sessions) >= self.config.max_chips:
-            raise AnalysisError(
+            raise ChipLimitError(
                 f"service is at its {self.config.max_chips}-chip bound"
             )
 
@@ -626,9 +638,10 @@ class MonitorService:
                 return json_response(
                     405, {"error": f"method {request.method} not allowed"}
                 )
+        except (DuplicateChipError, ChipLimitError) as exc:
+            return json_response(exc.status, {"error": str(exc)})
         except ReproError as exc:
-            status = 409 if "already onboarded" in str(exc) else 400
-            return json_response(status, {"error": str(exc)})
+            return json_response(400, {"error": str(exc)})
         except Exception as exc:  # a handler bug must not kill the socket
             logger.exception("unhandled error serving %s", request.path)
             return json_response(500, {"error": str(exc)})

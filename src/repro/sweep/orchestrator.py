@@ -7,7 +7,7 @@ engine throughput:
    through :meth:`MeasurementCampaign.collect_stream`, one vectorized
    engine pass per distinct stream span of the cell.  The engine's
    coupling-geometry cache and configured execution backend
-   (serial/process/shared) are reused as-is, and two sweep-wide memos
+   (serial/shared) are reused as-is, and two sweep-wide memos
    exploit the engine's determinism contract: a record cache re-uses
    chip activity across cells that share workload indices, and a
    span-level feature cache re-uses whole featurized spans (a baseline

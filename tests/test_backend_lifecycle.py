@@ -1,6 +1,6 @@
 """Backend session lifecycle: persistent pools, arenas, and caches.
 
-Pool backends are long-lived sessions now — workers survive across
+The pool backend is a long-lived session — workers survive across
 dispatches, ``close()`` is restart-transparent, the shared-memory
 input arena is reused (and grown) in place, and nothing leaks into
 ``/dev/shm`` once results are dropped and the session is closed.
@@ -13,22 +13,31 @@ import os
 import numpy as np
 import pytest
 
+from repro.config import BACKEND_NAMES
 from repro.engine import (
     MeasurementEngine,
-    ProcessBackend,
     SerialBackend,
     SharedMemoryBackend,
     close_backend_sessions,
     kernel_spectrum_stats,
     resolve_backend,
 )
+from repro.errors import ConfigError
 
 SPAWN_AVAILABLE = "spawn" in multiprocessing.get_all_start_methods()
 
 
 def _worker_pid(payload):
     """Module-level so spawned workers can unpickle it."""
-    return os.getpid()
+    return np.full((1, 1, 1), float(os.getpid()))
+
+
+def _pids(backend, n_shards=2):
+    """Worker pids that rendered each shard of one ``run_jobs`` job."""
+    [out] = backend.run_jobs(
+        _worker_pid, [([None] * n_shards, (1, n_shards, 1), range(n_shards + 1))]
+    )
+    return [int(pid) for pid in out.ravel()]
 
 
 def _shm_names():
@@ -39,33 +48,48 @@ def _shm_names():
 
 
 def test_pool_reused_across_dispatches():
-    backend = ProcessBackend(max_workers=1)
+    backend = SharedMemoryBackend(max_workers=1)
     try:
-        first = backend.map(_worker_pid, [None, None])
-        second = backend.map(_worker_pid, [None, None])
+        first = _pids(backend)
+        second = _pids(backend)
         assert set(first) == set(second)
-        assert set(first) != {os.getpid()}
+        assert os.getpid() not in first
     finally:
         backend.close()
 
 
 def test_close_then_transparent_restart():
-    backend = ProcessBackend(max_workers=1)
+    backend = SharedMemoryBackend(max_workers=1)
     try:
-        before = backend.map(_worker_pid, [None, None])
+        before = _pids(backend)
         backend.close()
-        after = backend.map(_worker_pid, [None, None])
+        after = _pids(backend)
         assert set(before) != set(after)
     finally:
         backend.close()
 
 
-def test_single_payload_runs_inline():
-    backend = ProcessBackend(max_workers=2)
+def test_single_payload_runs_inline(config, psa, campaign):
+    """A one-capture render never reaches the pool."""
+    backend = SharedMemoryBackend(max_workers=2)
+    engine = MeasurementEngine(config, amplifier=psa.amplifier, backend=backend)
     try:
-        assert backend.map(_worker_pid, [None]) == [os.getpid()]
+        recs = campaign.records("baseline", 1)
+        batch = engine.render(
+            psa.coupling, recs, trace_indices=[7], receiver_indices=[10]
+        )
+        reference = psa.render(recs, trace_indices=[7], sensors=[10])
+        assert np.array_equal(batch.samples, reference.samples)
+        assert backend._executor is None
+        assert backend.arena_generations == 0
     finally:
-        backend.close()
+        engine.close()
+
+
+def test_process_backend_name_rejected():
+    assert BACKEND_NAMES == ("serial", "shared")
+    with pytest.raises(ConfigError, match=r"\('serial', 'shared'\)"):
+        resolve_backend("process")
 
 
 # -- session registry --------------------------------------------------------
@@ -75,7 +99,7 @@ def test_named_backends_resolve_to_shared_sessions():
     a = resolve_backend("shared", workers=2)
     b = resolve_backend("shared", workers=2)
     assert a is b
-    assert resolve_backend("process", workers=2) is not a
+    assert resolve_backend("serial", workers=2) is not a
     assert resolve_backend("shared", workers=4) is not a
 
 
@@ -86,11 +110,11 @@ def test_resolve_backend_passthrough_and_default():
 
 
 def test_close_backend_sessions_is_restart_transparent():
-    a = resolve_backend("process", workers=2)
+    a = resolve_backend("shared", workers=2)
     close_backend_sessions()
     # Sessions stay registered; the next dispatch restarts the pool.
-    assert resolve_backend("process", workers=2) is a
-    assert a.map(_worker_pid, [None, None])
+    assert resolve_backend("shared", workers=2) is a
+    assert _pids(a)
     close_backend_sessions()
 
 
@@ -101,7 +125,7 @@ def test_close_backend_sessions_is_restart_transparent():
     "start_method",
     ["fork"] + (["spawn"] if SPAWN_AVAILABLE else []),
 )
-@pytest.mark.parametrize("backend_cls", [ProcessBackend, SharedMemoryBackend])
+@pytest.mark.parametrize("backend_cls", [SharedMemoryBackend])
 def test_start_methods_bit_identical(
     config, psa, campaign, backend_cls, start_method
 ):
@@ -121,7 +145,7 @@ def test_start_methods_bit_identical(
 
 def test_invalid_start_method_rejected():
     with pytest.raises(Exception, match="start method"):
-        ProcessBackend(max_workers=2, start_method="teleport")
+        SharedMemoryBackend(max_workers=2, start_method="teleport")
 
 
 # -- shared-memory arena -----------------------------------------------------

@@ -63,3 +63,14 @@ def test_detector_error_text_identical_across_commands(capsys):
         assert code == 2
         texts.add(err)
     assert len(texts) == 1
+
+
+def test_removed_process_backend_exits_2(capsys):
+    """Only ``serial`` and ``shared`` remain; argparse names both."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["monitor", "--backend", "process"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    for name in ("process", "serial", "shared"):
+        assert name in err

@@ -53,7 +53,7 @@ def test_invalid_sensor_rejected(psa, records):
 
 def test_measure_custom_coil(psa, records):
     coil = synthesize_rect_coil("custom_probe", 18, 10, size=8, turns=3)
-    trace = psa.measure_coil(coil, records["baseline"][0])
+    trace = psa.measure_coils_batch([coil], [records["baseline"][0]]).trace(0, 0)
     assert trace.label == "custom_probe"
     assert trace.n_samples == psa.config.n_samples
     # The grid is released afterwards.
@@ -62,8 +62,8 @@ def test_measure_custom_coil(psa, records):
 
 def test_measure_coil_releases_on_repeat(psa, records):
     coil = synthesize_rect_coil("repeat_probe", 2, 2, size=6, turns=2)
-    first = psa.measure_coil(coil, records["baseline"][0], trace_index=0)
-    second = psa.measure_coil(coil, records["baseline"][0], trace_index=0)
+    first = psa.measure_coils_batch([coil], [records["baseline"][0]])
+    second = psa.measure_coils_batch([coil], [records["baseline"][0]])
     assert np.array_equal(first.samples, second.samples)
 
 

@@ -16,8 +16,8 @@ from repro.em.coupling import CouplingMatrix, emf_rfft, emf_waveforms
 from repro.em.noise import white_noise_spectrum
 from repro.engine import (
     MeasurementEngine,
-    ProcessBackend,
     SerialBackend,
+    SharedMemoryBackend,
     TraceBatch,
     coupling_cache_stats,
 )
@@ -61,11 +61,11 @@ def test_measure_matches_batch_row(psa, records):
 
 def test_measure_coil_matches_batch(psa, records):
     coil = quadrant_coil(10, "ne")
-    single = psa.measure_coil(coil, records["T1"][0], trace_index=5)
-    batch = psa.measure_coil_batch(
-        coil, records["T1"], trace_indices=[5, 6]
+    single = psa.measure_coils_batch(
+        [coil], [records["T1"][0]], trace_indices=[5]
     )
-    assert np.array_equal(single.samples, batch.samples[0, 0])
+    batch = psa.measure_coils_batch([coil], records["T1"], trace_indices=[5, 6])
+    assert np.array_equal(single.samples[0, 0], batch.samples[0, 0])
 
 
 def test_campaign_collect_matches_collect_batch(campaign):
@@ -102,10 +102,10 @@ def test_trace_metadata_parity(psa, records):
 # -- backends ----------------------------------------------------------------
 
 
-def test_process_backend_matches_serial(chip, psa, records):
-    """The process backend shards across >= 2 workers bit-for-bit."""
+def test_shared_backend_matches_serial(chip, psa, records):
+    """The shared backend shards across >= 2 workers bit-for-bit."""
     engine = MeasurementEngine(
-        chip.config, amplifier=psa.amplifier, backend=ProcessBackend(2)
+        chip.config, amplifier=psa.amplifier, backend=SharedMemoryBackend(2)
     )
     recs = [records["T1"][0], records["baseline"][0]] * 3
     indices = list(range(6))
@@ -113,12 +113,13 @@ def test_process_backend_matches_serial(chip, psa, records):
     serial = psa.engine.render(psa.coupling, recs, trace_indices=indices)
     assert isinstance(psa.engine.backend, SerialBackend)
     assert np.array_equal(parallel.samples, serial.samples)
+    engine.close()
 
 
 def test_backend_selection_from_config():
-    config = SimConfig(engine_backend="process", engine_workers=3)
+    config = SimConfig(engine_backend="shared", engine_workers=3)
     engine = MeasurementEngine(config)
-    assert isinstance(engine.backend, ProcessBackend)
+    assert isinstance(engine.backend, SharedMemoryBackend)
     assert engine.backend.max_workers == 3
     with pytest.raises(Exception):
         SimConfig(engine_backend="threads")

@@ -80,6 +80,9 @@ def test_pack_resolve_payload_roundtrip():
     packed = payload[0].factors["main"][0]
     assert isinstance(packed[1], SharedArrayRef)
     assert isinstance(packed[2], SharedArrayRef)
+    # The packer works on a copy; the caller's record keeps its arrays.
+    assert payload[0] is not record
+    assert record.factors["main"][0][1] is w
     # Identity-dedup: the record appears twice but was packed once.
     assert payload[1][0] is payload[0]
     assert arena.n_arrays == 2
@@ -123,24 +126,55 @@ def test_shared_render_bit_identical_to_serial(campaign, psa):
         backend.close()
 
 
-def test_map_concat_single_payload_runs_inline():
-    backend = SharedMemoryBackend(2)
-    try:
-        out = backend.map_concat(
-            lambda payload: np.full((1, 2, 3), float(payload)),
-            [7],
-            (1, 2, 3),
-            [0, 2],
-        )
-        assert np.array_equal(out, np.full((1, 2, 3), 7.0))
-    finally:
-        backend.close()
-
-
-def test_map_concat_split_mismatch_rejected():
+def test_run_jobs_split_mismatch_rejected():
     backend = SharedMemoryBackend(2)
     try:
         with pytest.raises(ValueError):
-            backend.map_concat(lambda p: p, [1, 2], (1, 4, 3), [0, 4])
+            backend.run_jobs(lambda p: p, [([1, 2], (1, 4, 3), [0, 4])])
     finally:
         backend.close()
+
+
+def test_shared_render_leaves_caller_records_intact(campaign, psa):
+    """Packing factors into the arena never rewrites the caller's records.
+
+    The packer swaps every factor array of a shard payload for an
+    arena descriptor; it must do so on its own objects, so each
+    caller record keeps the very same ``factors`` dict and arrays,
+    byte for byte, and renders the same samples again afterwards.
+    """
+    records = campaign.records("T1", 4)
+    assert all(record.factors for record in records)
+
+    def parts_of(record):
+        return [part for parts in record.factors.values() for part in parts]
+
+    before = [
+        (
+            record.factors,
+            parts_of(record),
+            [(w.tobytes(), t.tobytes()) for _, w, t in parts_of(record)],
+        )
+        for record in records
+    ]
+    indices = [1, 2, 3, 4]
+    backend = SharedMemoryBackend(2)
+    engine = MeasurementEngine(
+        psa.config, amplifier=psa.amplifier, backend=backend
+    )
+    try:
+        shared = engine.render(
+            psa.coupling, records, trace_indices=indices, receiver_indices=[10]
+        )
+    finally:
+        backend.close()
+    for record, (factors, parts, data) in zip(records, before):
+        assert record.factors is factors
+        now = parts_of(record)
+        assert len(now) == len(parts)
+        assert all(part is old for part, old in zip(now, parts))
+        assert [(w.tobytes(), t.tobytes()) for _, w, t in now] == data
+    serial = psa.engine.render(
+        psa.coupling, records, trace_indices=indices, receiver_indices=[10]
+    )
+    assert np.array_equal(serial.samples, shared.samples)

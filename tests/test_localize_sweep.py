@@ -4,9 +4,9 @@ Covers the three tentpole contracts of the localization rework:
 
 * a :class:`~repro.em.coupling.CouplingStack` render is bit-identical
   to rendering each programmed coil on its own;
-* the batched :class:`~repro.core.analysis.scanner.AdaptiveScanner`
-  and the batched quadrant refinement reproduce the sequential
-  per-(coil, record) loops bit-for-bit;
+* every window score of the batched
+  :class:`~repro.core.analysis.scanner.AdaptiveScanner` and of the
+  batched quadrant refinement equals that coil scored on its own;
 * the ``localize`` grid family evaluates {Trojan × implant position ×
   workload} cells into the shared ``SweepReport``.
 """
@@ -24,6 +24,7 @@ from repro.chip.floorplan import (
 )
 from repro.core.analysis.localizer import QUADRANTS, Localizer
 from repro.core.analysis.scanner import AdaptiveScanner
+from repro.core.analysis.spectral import added_sideband_scores
 from repro.core.coil import synthesize_rect_coil
 from repro.core.sensors import quadrant_coil
 from repro.em.coupling import CouplingStack
@@ -55,8 +56,8 @@ def test_measure_coils_batch_bit_identical_to_single(psa, records):
     assert batch.labels == ("stack_a", "stack_b", "psa_sensor_10_ne")
     for k, coil in enumerate(coils):
         for j, (record, index) in enumerate(zip(recs, (11, 3011))):
-            single = psa.measure_coil(coil, record, trace_index=index)
-            assert np.array_equal(batch.samples[k, j], single.samples)
+            single = psa.measure_coils_batch([coil], [record], [index])
+            assert np.array_equal(batch.samples[k, j], single.samples[0, 0])
 
 
 def test_measure_coils_batch_validates(psa, records):
@@ -67,7 +68,7 @@ def test_measure_coils_batch_validates(psa, records):
         psa.measure_coils_batch([coil, coil], [records["baseline"][0]])
 
 
-def test_stacked_render_identical_on_process_backend(psa, records):
+def test_stacked_render_identical_on_shared_backend(psa, records):
     from repro.engine import MeasurementEngine
     from repro.core.array import ProgrammableSensorArray
 
@@ -77,14 +78,12 @@ def test_stacked_render_identical_on_process_backend(psa, records):
     ]
     recs = [records["T1"][0], records["T1"][1]]
     serial = psa.measure_coils_batch(coils, recs)
-    process_psa = ProgrammableSensorArray(
+    shared_psa = ProgrammableSensorArray(
         psa.chip,
-        engine=MeasurementEngine(
-            psa.config, backend="process", workers=2
-        ),
+        engine=MeasurementEngine(psa.config, backend="shared", workers=2),
     )
-    process = process_psa.measure_coils_batch(coils, recs)
-    assert np.array_equal(serial.samples, process.samples)
+    shared = shared_psa.measure_coils_batch(coils, recs)
+    assert np.array_equal(serial.samples, shared.samples)
 
 
 def test_coupling_stack_validates():
@@ -102,21 +101,39 @@ def test_coupling_stack_rejects_duplicate_receivers(psa):
 # -- batched scanner / refinement equivalence ---------------------------------
 
 
+def _one_coil_score(psa, analyzer, coil, base, active, active_offset):
+    [score] = added_sideband_scores(
+        psa, analyzer, [coil], base, active, active_offset=active_offset
+    )
+    return float(score)
+
+
 def test_batched_scan_bit_identical_to_sequential(psa, records):
+    """Each level's batched scores equal one-coil scoring calls."""
     base, active = records["baseline"], records["T4"]
-    sequential = AdaptiveScanner(psa, batched=False).scan(base, active)
-    batched = AdaptiveScanner(psa).scan(base, active)
-    assert batched.position == sequential.position
-    assert batched.path == sequential.path
-    assert batched.levels == sequential.levels
+    scanner = AdaptiveScanner(psa)
+    result = scanner.scan(base, active)
+    for level in result.levels:
+        for window in level:
+            coil = scanner._window_coil(window.col0, window.row0, window.size)
+            assert window.score == _one_coil_score(
+                psa, scanner.analyzer, coil, base, active, 3000
+            )
+    assert result.path == [
+        max(level, key=lambda window: window.score) for level in result.levels
+    ]
 
 
 def test_batched_refine_bit_identical_to_sequential(psa, records):
+    """Each batched quadrant score equals a one-coil scoring call."""
     base, active = records["baseline"], records["T1"]
-    sequential = Localizer(psa, batched=False)._refine(10, base, active)
-    batched = Localizer(psa)._refine(10, base, active)
-    assert batched == sequential
-    assert set(batched) == set(QUADRANTS)
+    localizer = Localizer(psa)
+    batched = localizer._refine(10, base, active)
+    assert list(batched) == list(QUADRANTS)
+    for which, score in batched.items():
+        assert score == _one_coil_score(
+            psa, localizer.analyzer, quadrant_coil(10, which), base, active, 2000
+        )
 
 
 # -- implant-position floorplans ----------------------------------------------

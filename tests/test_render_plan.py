@@ -3,28 +3,19 @@
 The contract under test: any set of logical renders enqueued on one
 plan — across couplings, coil stacks, engines and backends — executes
 as fused engine passes whose demultiplexed results are bit-identical
-to the standalone ``engine.render`` calls; the opt-in float32
-precision is pinned to a tolerance instead.
+to the standalone ``engine.render`` calls.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import SimConfig
 from repro.core.sensors import quadrant_coil
 from repro.engine import (
     MeasurementEngine,
-    ProcessBackend,
     RenderPlan,
     SharedMemoryBackend,
 )
 from repro.errors import MeasurementError
-
-#: Relative sample tolerance of the float32 fast path against the
-#: float64 reference (single-precision rounding through the spectrum
-#: assembly + irFFT; measured headroom is ~4x).
-FLOAT32_RTOL = 2e-6
-
 
 def _records(campaign, scenario, n, offset=0):
     from repro.workloads.scenarios import scenario_by_name
@@ -111,13 +102,9 @@ def test_multiple_engines_one_plan(config, psa, campaign):
     assert np.array_equal(t_b.result().samples, ref_b.samples)
 
 
-@pytest.mark.parametrize("backend_factory", [
-    lambda: ProcessBackend(2),
-    lambda: SharedMemoryBackend(2),
-])
-def test_fused_plan_on_pool_backends(config, psa, campaign, backend_factory):
+def test_fused_plan_on_shared_backend(config, psa, campaign):
     """One pool wave serves many fused jobs, bit-identical to serial."""
-    backend = backend_factory()
+    backend = SharedMemoryBackend(2)
     engine = MeasurementEngine(
         config, amplifier=psa.amplifier, backend=backend
     )
@@ -197,38 +184,3 @@ def test_add_without_engine_raises(psa, campaign):
 
 def test_empty_plan_executes(config):
     RenderPlan().execute()
-
-
-# -- float32 fast path -------------------------------------------------------
-
-
-def test_float32_pinned_to_tolerance(config, psa, campaign):
-    recs = _records(campaign, "T4", 3)
-    reference = psa.render(recs, trace_indices=[5, 6, 7], sensors=[10, 0])
-    engine32 = MeasurementEngine(
-        config, amplifier=psa.amplifier, precision="float32"
-    )
-    batch32 = engine32.render(
-        psa.coupling, recs, trace_indices=[5, 6, 7], receiver_indices=[10, 0]
-    )
-    assert batch32.samples.dtype == np.float32
-    scale = float(np.max(np.abs(reference.samples)))
-    err = float(np.max(np.abs(batch32.samples - reference.samples)))
-    assert err <= FLOAT32_RTOL * scale
-
-
-def test_float32_from_config(psa, campaign):
-    config32 = SimConfig(engine_precision="float32")
-    engine32 = MeasurementEngine(config32, amplifier=psa.amplifier)
-    batch = engine32.render(
-        psa.coupling,
-        _records(campaign, "baseline", 1),
-        trace_indices=[0],
-        receiver_indices=[10],
-    )
-    assert batch.samples.dtype == np.float32
-
-
-def test_unknown_precision_rejected(config, psa):
-    with pytest.raises(MeasurementError, match="precision"):
-        MeasurementEngine(config, amplifier=psa.amplifier, precision="half")

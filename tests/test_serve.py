@@ -186,8 +186,13 @@ def test_ws_overload_sheds_and_recovers(smoke_archive):
     source = ReplaySource(smoke_archive, batch=4)
     chunks = list(source.chunks())
     n_sent = sum(chunk.n_windows for chunk in chunks)
+    # A 4-window chunk is ~4.3 MB on the wire and is masked and
+    # unmasked byte by byte in Python, so each push takes ~1.3 s.  A
+    # drill delay shorter than that lets the queue drain between pushes
+    # and makes the overload a race; two seconds keeps the first chunk
+    # in flight while the second arrives.
     config = ServeConfig(
-        queue_depth=1, high_water_windows=3, drill_delay_s=0.25
+        queue_depth=1, high_water_windows=3, drill_delay_s=2.0
     )
     with ServiceRunner(MonitorService(config)) as runner:
         client = runner.client()
@@ -311,6 +316,20 @@ def test_http_error_paths(smoke_archive):
         assert status == 409
         assert "already onboarded" in body["error"]
 
+
+
+def test_onboarding_past_max_chips_is_503(smoke_archive):
+    """The chip bound is a capacity refusal (503), not a bad request."""
+    payload = smoke_archive.read_bytes()
+    with ServiceRunner(MonitorService(ServeConfig(max_chips=1))) as runner:
+        client = runner.client()
+        status, _ = client.post("/chips/first/replay?batch=4", payload)
+        assert status == 200
+        status, body = client.post("/chips/second/replay?batch=4", payload)
+        assert status == 503
+        assert "1-chip bound" in body["error"]
+        status, body = client.post("/chips/first/replay?batch=4", payload)
+        assert status == 409
 
 def test_serve_selftest_cli(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
