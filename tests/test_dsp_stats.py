@@ -46,6 +46,48 @@ def test_required_measurements_monotone(d):
     assert required_measurements(d) >= required_measurements(d * 2)
 
 
+#: Effect sizes of the pinned ``required_measurements`` grid.
+_PINNED_EFFECTS = (
+    0.01, 0.04, 0.0673, 0.1, 0.25, 0.33, 0.5, 1.0, 1.7, 2.0, 3.0, 5.0, 10.0
+)
+
+#: Literal counts per ``(alpha, power)`` over ``_PINNED_EFFECTS``.
+#: ``(1e-3, 0.95)`` is the default that the baseline protocol and
+#: ``detection_power`` use.
+_PINNED_COUNTS = {
+    (0.001, 0.95): [224211, 14014, 4951, 2243, 359, 206, 90, 23, 8, 6, 3, 1, 1],
+    (0.001, 0.8): [154595, 9663, 3414, 1546, 248, 142, 62, 16, 6, 4, 2, 1, 1],
+    (0.001, 0.99): [293394, 18338, 6478, 2934, 470, 270, 118, 30, 11, 8, 4, 2, 1],
+    (0.01, 0.95): [157705, 9857, 3482, 1578, 253, 145, 64, 16, 6, 4, 2, 1, 1],
+    (0.01, 0.8): [100361, 6273, 2216, 1004, 161, 93, 41, 11, 4, 3, 2, 1, 1],
+    (0.01, 0.99): [216476, 13530, 4780, 2165, 347, 199, 87, 22, 8, 6, 3, 1, 1],
+    (0.05, 0.95): [108222, 6764, 2390, 1083, 174, 100, 44, 11, 4, 3, 2, 1, 1],
+    (0.05, 0.8): [61826, 3865, 1366, 619, 99, 57, 25, 7, 3, 2, 1, 1, 1],
+    (0.05, 0.99): [157705, 9857, 3482, 1578, 253, 145, 64, 16, 6, 4, 2, 1, 1],
+}
+
+
+@pytest.mark.parametrize("alpha,power", sorted(_PINNED_COUNTS))
+def test_required_measurements_pinned(alpha, power):
+    """Ceil-rounded counts are pinned literally, so a change of the
+    normal quantile implementation cannot shift any reported count."""
+    counts = [
+        required_measurements(d, alpha=alpha, power=power)
+        for d in _PINNED_EFFECTS
+    ]
+    assert counts == _PINNED_COUNTS[(alpha, power)]
+
+
+def test_required_measurements_sentinels_pinned():
+    assert required_measurements(0.0) == 10**9
+    assert required_measurements(-1.0) == 10**9
+    assert required_measurements(-math.inf) == 10**9
+    assert required_measurements(math.inf) == 1
+    assert required_measurements(0.25) == required_measurements(
+        0.25, alpha=1e-3, power=0.95
+    )
+
+
 def test_detection_power_wraps_both():
     rng = np.random.default_rng(1)
     a = rng.normal(3.0, 1.0, 500)
