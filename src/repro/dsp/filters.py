@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import fft as scipy_fft
 
 from ..errors import AnalysisError
 
@@ -53,8 +52,8 @@ def apply_transfer_batch(
     if samples.ndim != 2:
         raise AnalysisError("apply_transfer_batch expects a 2-D trace stack")
     n = samples.shape[1]
-    spec = scipy_fft.rfft(samples, axis=-1)
-    freqs = scipy_fft.rfftfreq(n, d=1.0 / fs)
+    spec = np.fft.rfft(samples, axis=-1)
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     gain = np.asarray(transfer(freqs))
     if gain.shape != freqs.shape:
         raise AnalysisError(
@@ -62,7 +61,7 @@ def apply_transfer_batch(
             f"{gain.shape}, expected {freqs.shape}"
         )
     spec *= gain
-    return scipy_fft.irfft(spec, n=n, axis=-1)
+    return np.fft.irfft(spec, n=n, axis=-1)
 
 
 def butter_lowpass_response(f_cut: float, order: int) -> TransferFn:

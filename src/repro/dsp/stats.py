@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..errors import AnalysisError
 
@@ -82,8 +82,8 @@ def required_measurements(
         return 10**9
     if math.isinf(d):
         return 1
-    z_alpha = scipy_stats.norm.ppf(1.0 - alpha)
-    z_power = scipy_stats.norm.ppf(power)
+    z_alpha = NormalDist().inv_cdf(1.0 - alpha)
+    z_power = NormalDist().inv_cdf(power)
     n = ((z_alpha + z_power) / d) ** 2
     return max(1, int(math.ceil(n)))
 

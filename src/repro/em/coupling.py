@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as scipy_signal
 
 from ..chip.floorplan import DIE_SIZE, POWER_STRIPES, REGION_LOOP_AREA, Floorplan, Rect
 from ..chip.power import ActivityRecord, charge_per_toggle, emf_kernel
@@ -467,9 +466,11 @@ def emf_waveforms(
 
 
 def _convolve_train(train: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve each row with the kernel, keeping the input length."""
-    full = scipy_signal.fftconvolve(train, kernel[None, :], mode="full")
-    return full[:, : train.shape[1]]
+    """Linearly convolve each row with the kernel, keeping the input length."""
+    n = train.shape[1]
+    size = n + kernel.size - 1
+    spec = np.fft.rfft(train, n=size, axis=-1) * np.fft.rfft(kernel, n=size)
+    return np.fft.irfft(spec, n=size, axis=-1)[:, :n]
 
 
 # -- spectral EMF synthesis (the engine's hot path) -------------------------

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import fft as scipy_fft
 
 from ..chip.power import ActivityRecord
 from ..config import SimConfig
@@ -519,7 +518,7 @@ class MeasurementEngine:
                         row += jitter_buffer
                     else:
                         row += emf[row_index]
-            out[:, lo:hi] = scipy_fft.irfft(
-                spec.reshape(-1, n_bins), n=n, axis=-1, overwrite_x=True
+            out[:, lo:hi] = np.fft.irfft(
+                spec.reshape(-1, n_bins), n=n, axis=-1
             ).reshape(n_receivers, hi - lo, n)
         return out

@@ -200,6 +200,13 @@ def websocket_handshake_bytes(request: HttpRequest) -> bytes:
     ).encode("ascii")
 
 
+def _mask(payload: bytes, key: bytes) -> bytes:
+    """XOR ``payload`` with the repeating 4-byte ``key`` (RFC 6455 §5.3)."""
+    data = np.frombuffer(payload, dtype=np.uint8)
+    tiled = np.tile(np.frombuffer(key, dtype=np.uint8), data.size // 4 + 1)
+    return (data ^ tiled[: data.size]).tobytes()
+
+
 def ws_frame(
     payload: bytes, opcode: int = WS_BINARY, mask: bool = False
 ) -> bytes:
@@ -221,8 +228,7 @@ def ws_frame(
     if mask:
         key = os.urandom(4)
         head += key
-        masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-        return bytes(head) + masked
+        return bytes(head) + _mask(payload, key)
     return bytes(head) + payload
 
 
@@ -256,7 +262,7 @@ async def read_ws_frame(
     key = await reader.readexactly(4) if masked else b""
     payload = await reader.readexactly(length) if length else b""
     if masked:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _mask(payload, key)
     return opcode, payload
 
 
@@ -363,7 +369,7 @@ class WsConnection:
         key = self._readexactly(4) if masked else b""
         payload = self._readexactly(length) if length else b""
         if masked:
-            payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+            payload = _mask(payload, key)
         return opcode, payload
 
     def recv_json(self) -> dict:

@@ -10,12 +10,15 @@ archive, bit for bit.  On top of that, overload must shed loudly
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.config import SimConfig
@@ -37,6 +40,7 @@ from repro.serve import (
     pack_chunk,
     unpack_chunk,
 )
+from repro.serve.protocol import WS_BINARY, read_ws_frame, ws_frame
 
 PRESET = build_preset("smoke")
 
@@ -107,6 +111,40 @@ def test_chunk_wire_roundtrip(smoke_archive):
     assert np.array_equal(back.samples, chunk.samples)
     # The framing itself is canonical: repack is byte-exact.
     assert pack_chunk(back) == packed
+
+
+def _read_frame(data):
+    """Decode one wire frame through the server's asyncio reader."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_ws_frame(reader)
+
+    return asyncio.run(read())
+
+
+#: Payload lengths at and around every length-encoding boundary, plus
+#: arbitrary ones up past the 64-bit length form.
+_FRAME_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 3, 125, 126, 127, 65535, 65536, 65541]),
+    st.integers(0, 70_000),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=_FRAME_LENGTHS, seed=st.integers(0, 2**32 - 1))
+def test_masked_ws_frame_roundtrip(length, seed):
+    payload = np.random.default_rng(seed).bytes(length)
+    frame = ws_frame(payload, mask=True)
+    # Masked wire bytes equal a byte-wise XOR against the frame's key.
+    header = 2 if length < 126 else 4 if length < 1 << 16 else 10
+    key = frame[header : header + 4]
+    body = frame[header + 4 :]
+    assert frame[1] & 0x80
+    assert body == bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+    assert _read_frame(frame) == (WS_BINARY, payload)
 
 
 def test_http_replay_bit_identical_to_offline(smoke_archive, tmp_path):
@@ -186,13 +224,8 @@ def test_ws_overload_sheds_and_recovers(smoke_archive):
     source = ReplaySource(smoke_archive, batch=4)
     chunks = list(source.chunks())
     n_sent = sum(chunk.n_windows for chunk in chunks)
-    # A 4-window chunk is ~4.3 MB on the wire and is masked and
-    # unmasked byte by byte in Python, so each push takes ~1.3 s.  A
-    # drill delay shorter than that lets the queue drain between pushes
-    # and makes the overload a race; two seconds keeps the first chunk
-    # in flight while the second arrives.
     config = ServeConfig(
-        queue_depth=1, high_water_windows=3, drill_delay_s=2.0
+        queue_depth=1, high_water_windows=3, drill_delay_s=0.25
     )
     with ServiceRunner(MonitorService(config)) as runner:
         client = runner.client()
