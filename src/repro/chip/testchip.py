@@ -91,6 +91,22 @@ class TestChip:
             weights[module] = self.floorplan.module_weights(module)
         return weights
 
+    def factor_weights(self, name: str) -> np.ndarray:
+        """The shared, read-only region weights of one activity factor.
+
+        A placed module maps to its floorplan weights, ``"uart"`` to
+        the UART datapath's, and an always-on variant to its host
+        site's (T1A sits in T1's rect).  Every record of this chip
+        carries these very objects, so the store rebuilds a record
+        from its toggles alone.
+        """
+        if name == "uart":
+            return self._uart_weights
+        variant = _VARIANT_FACTORIES.get(name)
+        if variant is not None:
+            name = variant.site or name
+        return self._module_weights[name]
+
     def make_trojans(self, active: Iterable[str]) -> List[Trojan]:
         """Instantiate the Trojans present in a measurement scenario.
 
@@ -151,14 +167,14 @@ class TestChip:
         core_activity = self.core.run(plaintexts, idle=idle)
 
         main_factors = [
-            (module, self._module_weights[module], toggles)
+            (module, self.factor_weights(module), toggles)
             for module, toggles in core_activity.toggles.items()
         ]
         if not idle:
             uart_toggles = np.asarray(
                 self.uart.activity(transmitting=True), float
             )
-            main_factors.append(("uart", self._uart_weights, uart_toggles))
+            main_factors.append(("uart", self.factor_weights("uart"), uart_toggles))
 
         if idle:
             # Clock-gated idle: the Trojan trigger circuits do not tick
@@ -192,9 +208,7 @@ class TestChip:
             toggles = trj.window_toggles(window)
             if not toggles.any():
                 continue
-            # Variants without a dedicated floorplan rect occupy their
-            # host module's placement (e.g. T1A sits in T1's rect).
-            weights = self._module_weights[trj.site or trj.name]
+            weights = self.factor_weights(trj.name)
             if trj.clock_phase == "rising":
                 rising_factors.append((trj.name, weights, toggles))
             else:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..chip.power import ActivityRecord
 from ..errors import AnalysisError, WorkloadError
-from ..store import ArtifactStore, RecordCodec, chip_fingerprint
+from ..store import ArtifactStore
 from ..traceio import iter_traces, read_header, save_traces
 from ..traces import Trace
 from ..workloads.campaign import MeasurementCampaign, StreamSegment
@@ -294,11 +294,7 @@ class LiveSource:
         if record_cache is not None:
             self._record_cache = record_cache
         elif store is not None:
-            self._record_cache = store.mapping(
-                "record",
-                {"chip": chip_fingerprint(campaign.chip)},
-                RecordCodec(campaign.chip.config),
-            )
+            self._record_cache = store.records(campaign.chip)
         else:
             self._record_cache = {}
 

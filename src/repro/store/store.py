@@ -36,17 +36,17 @@ import threading
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..chip.power import ACTIVITY_GROUPS, ActivityRecord
-from ..config import SimConfig
+from ..chip.testchip import TestChip
 from ..errors import StoreError
-from .keys import CODE_VERSION, KEY_SCHEMA, canonical, digest
+from .keys import CODE_VERSION, KEY_SCHEMA, canonical, chip_fingerprint, digest
 
 #: On-disk object schema; bump to invalidate every stored entry.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Default LRU size cap [bytes].
 DEFAULT_MAX_BYTES = 2 * 1024**3
@@ -252,12 +252,17 @@ class ArtifactStore:
         return path
 
     def get(
-        self, kind: str, key: str
-    ) -> Optional[Tuple[Dict[str, object], Dict[str, np.ndarray]]]:
+        self,
+        kind: str,
+        key: str,
+        decode: Optional[Callable[..., object]] = None,
+    ):
         """Load one object; ``(meta, arrays)`` or None on miss.
 
-        A corrupted or mismatched entry is evicted and reported as a
-        miss — the store never serves a payload it cannot validate.
+        With ``decode``, returns ``decode(meta, arrays)`` instead.  A
+        corrupted or mismatched entry — including one ``decode``
+        rejects — is evicted and reported as a miss: the store never
+        serves a payload it cannot validate.
         """
         path = self._path(kind, key)
         try:
@@ -280,12 +285,15 @@ class ArtifactStore:
                     for name in archive.files
                     if name != "__meta__"
                 }
+            meta = header.get("meta", {})
+            value = (meta, arrays) if decode is None else decode(meta, arrays)
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
             return None
         except Exception:
-            # Truncated zip, bad header, wrong schema/kind: evict.
+            # Truncated zip, bad header, wrong schema/kind, a payload
+            # the decoder rejects: evict.
             path.unlink(missing_ok=True)
             with self._lock:
                 self.misses += 1
@@ -300,7 +308,7 @@ class ArtifactStore:
             pass  # racing gc/clear; the loaded payload is still valid
         with self._lock:
             self.hits += 1
-        return header.get("meta", {}), arrays
+        return value
 
     def contains(self, kind: str, key: str) -> bool:
         """Whether an entry exists on disk (no validation, no touch)."""
@@ -422,6 +430,15 @@ class ArtifactStore:
         """
         return StoreMapping(self, kind, context, codec)
 
+    def records(self, chip: TestChip) -> "StoreMapping":
+        """The chip's activity-record view, keyed ``(scenario, index)``.
+
+        Records depend on the chip alone (key, config, floorplan), so
+        the context deliberately omits any PSA: every consumer of the
+        same chip shares one record namespace.
+        """
+        return self.mapping("record", {"chip": chip_fingerprint(chip)}, RecordCodec(chip))
+
 
 class Codec:
     """Encode/decode one value type to/from named arrays + JSON meta."""
@@ -483,18 +500,9 @@ class StoreMapping(MutableMapping):
     def __getitem__(self, item):
         if item in self._memory:
             return self._memory[item]
-        loaded = self.store.get(self.kind, self.address(item))
-        if loaded is None:
+        value = self.store.get(self.kind, self.address(item), self.codec.decode)
+        if value is None:
             raise KeyError(item)
-        meta, arrays = loaded
-        try:
-            value = self.codec.decode(meta, arrays)
-        except Exception:
-            # Structurally valid object, semantically unusable: evict.
-            self.store.evict(self.kind, self.address(item))
-            with self.store._lock:
-                self.store.corrupt_evictions += 1
-            raise KeyError(item) from None
         self._memory[item] = value
         return value
 
@@ -519,94 +527,70 @@ class StoreMapping(MutableMapping):
 
 
 class RecordCodec(Codec):
-    """:class:`~repro.chip.power.ActivityRecord` ↔ compact arrays.
+    """:class:`~repro.chip.power.ActivityRecord` ↔ one toggle matrix.
 
-    Factor-bearing records (everything the chip simulator produces)
-    persist only their low-rank factors and decode to a factor-bearing
-    record, which builds its dense toggle matrices only if something
-    reads them — the same bit-for-bit contract as the record's compact
-    pickling.  Records without factors persist their dense matrices
-    directly.
+    A chip record is a list of ``(name, weights, toggles)`` factors
+    whose weights the chip owns (:meth:`TestChip.factor_weights`), so
+    an entry holds only what changes from trace to trace: every
+    factor's toggles, stacked as one ``(n_factors, n_cycles)`` array,
+    plus the factor names per group.  Decoding takes the weights back
+    from the chip — the very objects a fresh simulation carries — and
+    returns a factor-bearing record that builds its dense matrices
+    only if something reads them.
 
     Record ``meta`` survives as JSON; top-level tuple values come back
     as tuples (matching how the chip constructs them).
     """
 
-    def __init__(self, config: SimConfig):
-        self.config = config
+    def __init__(self, chip: TestChip):
+        self.chip = chip
 
     def encode(self, record: ActivityRecord):
-        meta: Dict[str, object] = {
+        if record.factors is None:
+            raise StoreError("only factor-bearing records can be stored")
+        parts: Dict[str, List[str]] = {}
+        rows = []
+        for group in ACTIVITY_GROUPS:
+            for name, weights, toggles in record.factors.get(group, ()):
+                expected = self.chip.factor_weights(name)
+                if weights is not expected and not np.array_equal(weights, expected):
+                    raise StoreError(f"factor {name!r} does not carry the chip's weights")
+                parts.setdefault(group, []).append(name)
+                rows.append(toggles)
+        meta = {
+            "format": "toggles",
+            "parts": parts,
             "scenario": record.scenario,
             "record_meta": self._meta_to_json(record.meta),
         }
-        arrays: Dict[str, np.ndarray] = {}
-        if record.factors is not None:
-            meta["format"] = "factors"
-            meta["shape"] = [record.n_regions, record.config.n_cycles]
-            parts: Dict[str, List[str]] = {}
-            for group in ACTIVITY_GROUPS:
-                names = []
-                for position, (name, weights, toggles) in enumerate(
-                    record.factors.get(group, ())
-                ):
-                    names.append(name)
-                    arrays[f"{group}.{position}.w"] = np.asarray(
-                        weights, dtype=float
-                    )
-                    arrays[f"{group}.{position}.t"] = np.asarray(
-                        toggles, dtype=float
-                    )
-                if names:
-                    parts[group] = names
-            meta["parts"] = parts
-        else:
-            meta["format"] = "dense"
-            for group in ACTIVITY_GROUPS:
-                arrays[group] = getattr(record, group)
-        return arrays, meta
+        return {"toggles": np.asarray(rows, dtype=float)}, meta
 
     def decode(self, meta, arrays) -> ActivityRecord:
-        scenario = str(meta["scenario"])
-        record_meta = self._meta_from_json(meta.get("record_meta"))
-        if meta.get("format") == "dense":
-            return ActivityRecord(
-                main=arrays["main"],
-                trojan=arrays["trojan"],
-                trojan_rising=arrays["trojan_rising"],
-                config=self.config,
-                scenario=scenario,
-                meta=record_meta,
-            )
-        if meta.get("format") != "factors":
+        if meta.get("format") != "toggles":
             raise StoreError(f"unknown record format {meta.get('format')!r}")
-        shape = tuple(int(dim) for dim in meta["shape"])
-        if shape[1:] != (self.config.n_cycles,):
+        parts = meta["parts"]
+        names = [name for group in ACTIVITY_GROUPS for name in parts.get(group, ())]
+        toggles = arrays["toggles"]
+        if toggles.shape != (len(names), self.chip.config.n_cycles):
             raise StoreError(
-                f"record shape {shape} does not match n_cycles={self.config.n_cycles}"
+                f"toggles shape {toggles.shape} does not match "
+                f"{len(names)} factors x {self.chip.config.n_cycles} cycles"
             )
-        parts = meta.get("parts", {})
-        factors: Dict[str, List[Tuple[str, np.ndarray, np.ndarray]]] = {}
-        for group in ACTIVITY_GROUPS:
-            names = parts.get(group, [])
-            if names:
-                factors[group] = [
-                    (
-                        str(name),
-                        arrays[f"{group}.{position}.w"],
-                        arrays[f"{group}.{position}.t"],
-                    )
-                    for position, name in enumerate(names)
-                ]
-        record = ActivityRecord(
-            config=self.config,
-            scenario=scenario,
-            meta=record_meta,
+        rows = iter(toggles)
+        factors = {
+            group: [
+                (str(name), self.chip.factor_weights(name), next(rows))
+                for name in parts[group]
+            ]
+            for group in ACTIVITY_GROUPS
+            if parts.get(group)
+        }
+        return ActivityRecord(
+            config=self.chip.config,
+            scenario=str(meta["scenario"]),
+            meta=self._meta_from_json(meta.get("record_meta")),
             factors=factors,
         )
-        if record.n_regions != shape[0]:
-            raise StoreError(f"record shape {shape} does not match its factors")
-        return record
 
     @staticmethod
     def _meta_to_json(meta) -> Optional[Dict[str, object]]:

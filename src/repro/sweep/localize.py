@@ -51,7 +51,7 @@ from ..core.analysis.scanner import AdaptiveScanner
 from ..core.array import ProgrammableSensorArray
 from ..errors import AnalysisError, unknown_name_error
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
-from ..store import ArtifactStore, RecordCodec, chip_fingerprint
+from ..store import ArtifactStore
 from ..workloads.campaign import MeasurementCampaign
 from ..workloads.scenarios import Scenario, reference_for, scenario_by_name
 from .report import LocalizeCellResult, LocalizeOutcome, SweepReport
@@ -381,11 +381,7 @@ class LocalizationSweep:
         if self.store is None:
             record_cache: MutableMapping = {}
         else:
-            record_cache = self.store.mapping(
-                "record",
-                {"chip": chip_fingerprint(campaign.chip)},
-                RecordCodec(self.config),
-            )
+            record_cache = self.store.records(campaign.chip)
         return _PositionBundle(
             chip=campaign.chip,
             campaign=campaign,

@@ -49,11 +49,9 @@ from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..store import (
     ArrayCodec,
     ArtifactStore,
-    RecordCodec,
     adc_fingerprint,
     analyzer_fingerprint,
     campaign_fingerprint,
-    chip_fingerprint,
 )
 from ..workloads.campaign import MeasurementCampaign, StreamSegment
 from .grid import SweepCell, SweepGrid
@@ -107,14 +105,7 @@ class DetectionSweep:
             self._record_cache = {}
             self._feature_cache = {}
         else:
-            # Records depend on the chip alone (key/config/floorplan),
-            # so their context deliberately omits the PSA: every
-            # consumer of the same chip shares one record namespace.
-            self._record_cache = store.mapping(
-                "record",
-                {"chip": chip_fingerprint(campaign.chip)},
-                RecordCodec(self.config),
-            )
+            self._record_cache = store.records(campaign.chip)
             self._feature_cache = store.mapping(
                 "span-features",
                 {

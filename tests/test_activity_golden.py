@@ -156,7 +156,7 @@ def test_codec_and_pickle_round_trips_match_golden(golden, campaigns, name):
     expected = golden["records"][f"{name}/{seed}/{index}"]
     campaign = campaigns[seed]
     record = campaign.record(scenario_by_name(name), index)
-    codec = RecordCodec(campaign.chip.config)
+    codec = RecordCodec(campaign.chip)
     arrays, meta = codec.encode(record)
     decoded = codec.decode(json.loads(json.dumps(meta)), arrays)
     unpickled = pickle.loads(pickle.dumps(record))
@@ -175,7 +175,7 @@ def test_fleet_path_never_builds_dense_matrices(golden, campaigns, name):
     expected = golden["records"][f"{name}/{seed}/{index}"]["dense"]
     campaign = campaigns[seed]
     record = campaign.record(scenario_by_name(name), index)
-    codec = RecordCodec(campaign.chip.config)
+    codec = RecordCodec(campaign.chip)
     arrays, meta = codec.encode(record)
     assert not any(key in arrays for key in GROUPS)
     copies = [record, codec.decode(meta, arrays), pickle.loads(pickle.dumps(record))]

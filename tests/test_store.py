@@ -25,9 +25,11 @@ import pytest
 
 from repro.chip.floorplan import floorplan_with_trojans_at
 from repro.chip.testchip import TestChip as AesTestChip
+from repro.engine.shm import _InputArena, _pack_payload
 from repro.errors import StoreError
 from repro.instruments.adc import AdcSpec
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+from repro.runtime import ActivationSchedule, LiveSource
 from repro.store import (
     ArrayCodec,
     ArtifactStore,
@@ -113,9 +115,7 @@ def test_frontend_perturbations_miss(campaign):
 
 
 def test_workload_and_trojan_keys_distinct(store, chip):
-    mapping = store.mapping(
-        "record", {"chip": chip_fingerprint(chip)}, RecordCodec(chip.config)
-    )
+    mapping = store.records(chip)
     addresses = {
         mapping.address(item)
         for item in [
@@ -131,13 +131,8 @@ def test_workload_and_trojan_keys_distinct(store, chip):
 
 def test_mapping_hit_after_reopen(store, campaign, chip, tmp_path):
     record = campaign.record(scenario_by_name("T1"), 3)
-    context = {"chip": chip_fingerprint(chip)}
-    store.mapping("record", context, RecordCodec(chip.config))[
-        ("T1", 3)
-    ] = record
-    reopened = ArtifactStore(store.root).mapping(
-        "record", context, RecordCodec(chip.config)
-    )
+    store.records(chip)[("T1", 3)] = record
+    reopened = ArtifactStore(store.root).records(chip)
     loaded = reopened[("T1", 3)]
     assert np.array_equal(loaded.main, record.main)
     assert np.array_equal(loaded.trojan, record.trojan)
@@ -154,14 +149,9 @@ def test_mapping_hit_after_reopen(store, campaign, chip, tmp_path):
 
 def test_mapping_memoizes_identity(store, campaign, chip):
     record = campaign.record(scenario_by_name("baseline"), 11)
-    context = {"chip": chip_fingerprint(chip)}
-    mapping = ArtifactStore(store.root).mapping(
-        "record", context, RecordCodec(chip.config)
-    )
+    mapping = ArtifactStore(store.root).records(chip)
     mapping[("baseline", 11)] = record
-    fresh = ArtifactStore(store.root).mapping(
-        "record", context, RecordCodec(chip.config)
-    )
+    fresh = ArtifactStore(store.root).records(chip)
     assert fresh[("baseline", 11)] is fresh[("baseline", 11)]
 
 
@@ -196,16 +186,31 @@ def _single_object_path(store: ArtifactStore):
     return paths[0]
 
 
-def test_corrupted_entry_evicted_not_served(store):
+def _garbage_bytes(store, mapping):
+    _single_object_path(store).write_bytes(b"not a zip archive at all")
+
+
+def _bogus_format(store, mapping):
+    # A valid object the codec rejects: it is a miss, never a hit.
+    address = mapping.address(("x",))
+    store.put("span-features", address, {"data": np.ones(4)}, {"format": "bogus"})
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_garbage_bytes, _bogus_format], ids=["garbage-bytes", "bogus-format"]
+)
+def test_corrupted_entry_evicted_not_served(store, corrupt):
     mapping = store.mapping("span-features", {"v": 1}, ArrayCodec())
     mapping[("x",)] = np.ones(4)
     path = _single_object_path(store)
-    path.write_bytes(b"not a zip archive at all")
+    corrupt(store, mapping)
     fresh = ArtifactStore(store.root)
     assert fresh.mapping("span-features", {"v": 1}, ArrayCodec()).get(
         ("x",)
     ) is None
     assert not path.exists()
+    assert fresh.hits == 0
+    assert fresh.misses == 1
     assert fresh.corrupt_evictions == 1
 
 
@@ -258,7 +263,7 @@ def test_degenerate_marker_is_recovered(store, blob):
     fresh = ArtifactStore(store.root)  # must not raise
     assert fresh.stats().entries == 0
     assert json.loads((store.root / "store.json").read_text()) == {
-        "schema": 1
+        "schema": 2
     }
 
 
@@ -277,6 +282,98 @@ def test_code_version_is_part_of_every_address(store, monkeypatch):
 def test_reserved_array_name_rejected(store):
     with pytest.raises(StoreError):
         store.put("k", "0" * 64, {"__meta__": np.ones(1)}, {})
+
+
+# -- record format --------------------------------------------------------------
+
+#: Records of one chip: Trojan-quiet, falling- and rising-edge payloads and
+#: an always-on variant hosted in T4's rect.
+RECORD_ITEMS = [(name, index) for name in ("baseline", "T1", "T4", "TP") for index in (0, 1)]
+
+
+def _stored_records(store, campaign, chip):
+    """Persist RECORD_ITEMS, then decode them through a fresh handle."""
+    view = store.records(chip)
+    for name, index in RECORD_ITEMS:
+        view[(name, index)] = campaign.record(scenario_by_name(name), index)
+    fresh = ArtifactStore(store.root).records(chip)
+    return [fresh[item] for item in RECORD_ITEMS]
+
+
+def test_record_entry_holds_only_its_toggles(store, campaign, chip):
+    record = campaign.record(scenario_by_name("T4"), 2)
+    view = store.records(chip)
+    view[("T4", 2)] = record
+    _, arrays = store.get("record", view.address(("T4", 2)))
+    assert list(arrays) == ["toggles"]
+    n_factors = sum(len(parts) for parts in record.factors.values())
+    assert arrays["toggles"].shape == (n_factors, chip.config.n_cycles)
+
+
+def test_decoded_records_share_the_chips_weights(store, campaign, chip):
+    for record in _stored_records(store, campaign, chip):
+        for parts in record.factors.values():
+            for name, weights, _ in parts:
+                assert weights is chip.factor_weights(name)
+
+
+def test_packed_records_ship_each_weights_vector_once(store, campaign, chip):
+    records = _stored_records(store, campaign, chip)
+    parts = [part for record in records for group in record.factors.values() for part in group]
+    n_weights = len({weights.tobytes() for _, weights, _ in parts})
+    assert n_weights < len(parts)
+    arena = _InputArena()
+    _pack_payload(records, arena, {})
+    assert arena.n_arrays == len(parts) + n_weights
+
+
+def test_record_codec_rejects_foreign_weights(chip, campaign):
+    record = campaign.record(scenario_by_name("baseline"), 0)
+    name, weights, toggles = record.factors["main"][0]
+    record.factors["main"][0] = (name, weights[::-1].copy(), toggles)
+    with pytest.raises(StoreError):
+        RecordCodec(chip).encode(record)
+
+
+def _drop_a_cycle(meta, arrays):
+    arrays["toggles"] = arrays["toggles"][:, :-1]
+
+
+def _unknown_factor(meta, arrays):
+    meta["parts"]["main"][0] = "no_such_module"
+
+
+def _missing_parts(meta, arrays):
+    del meta["parts"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_drop_a_cycle, _unknown_factor, _missing_parts],
+    ids=["toggles-shape", "unknown-factor", "missing-parts"],
+)
+def test_undecodable_record_is_resimulated_not_served(store, campaign, tamper):
+    schedule = ActivationSchedule.step("T4", n_baseline=3, n_active=2)
+
+    def render(source):
+        return np.concatenate([chunk.samples for chunk in source.chunks()], axis=1)
+
+    cold = render(LiveSource(campaign, schedule))
+    n_records = LiveSource(campaign, schedule, store=store).warm_records()
+    item = ("T4", schedule.segments[-1].index_offset)
+    address = store.records(campaign.chip).address(item)
+    meta, arrays = store.get("record", address)
+    tamper(meta, arrays)
+    store.put("record", address, arrays, meta)
+
+    fresh = ArtifactStore(store.root)
+    assert np.array_equal(render(LiveSource(campaign, schedule, store=fresh)), cold)
+    assert fresh.hits == n_records - 1
+    assert fresh.misses == 1
+    assert fresh.corrupt_evictions == 1
+    # The re-simulated record replaced the evicted entry.
+    assert fresh.writes == 1
+    assert ArtifactStore(store.root).records(campaign.chip).get(item) is not None
 
 
 # -- LRU / gc -------------------------------------------------------------------
