@@ -7,6 +7,9 @@ cache of activity records / traces.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.chip.testchip import TestChip
@@ -17,6 +20,9 @@ from repro.workloads.scenarios import scenario_by_name
 
 #: Key used by every test chip.
 TEST_KEY = bytes(range(16))
+
+#: Committed detector timelines (see ``test_detector_golden.py``).
+DETECTOR_GOLDEN = Path(__file__).parent / "data" / "detector_golden.json"
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +66,9 @@ def sensor10_traces(psa, records):
         name: psa.measure(recs[0], 10, trace_index=900)
         for name, recs in records.items()
     }
+
+
+@pytest.fixture(scope="session")
+def detector_golden() -> dict:
+    """The committed detector golden (timelines, pins, fixtures)."""
+    return json.loads(DETECTOR_GOLDEN.read_text())

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.analysis.welford import DetectorBank
 from repro.sweep import (
     DETECTOR_NAMES,
     DETECTOR_TROJANS,
@@ -157,7 +156,10 @@ class TestSmokeGrid:
 
 
 class TestWelfordSweepIdentity:
-    def test_sweep_cell_matches_direct_detector_bank(self, campaign):
+    def test_sweep_cell_matches_direct_detector_bank(
+        self, campaign, detector_golden
+    ):
+        pin = detector_golden["pins"]["sweep-cell-T1"]
         tuning = DetectorConfig(warmup=4)
         grid = SweepGrid(
             name="pin",
@@ -175,12 +177,16 @@ class TestWelfordSweepIdentity:
         report = sweep.run(grid)
         cell = report.cells[0]
         assert cell.detector == "welford"
-        # Fold the cell's own features through a directly-constructed
-        # pre-registry DetectorBank: the registry route must be
-        # bit-identical (same alarms at the same windows).
-        direct = DetectorBank(1, tuning).process(cell.features_db)
-        assert direct.first_alarm() == cell.alarm_index
-        assert direct.first_alarms() == [
+        # The registry-routed cell reproduces the committed features
+        # and bank timeline: the same alarms at the same windows.
+        np.testing.assert_allclose(
+            cell.features_db, pin["features"], rtol=1e-12, atol=0
+        )
+        first_alarms = [
+            row.index("1") if "1" in row else None for row in pin["alarms"]
+        ]
+        assert cell.alarm_index == first_alarms[0]
+        assert first_alarms == [
             outcome.first_alarm for outcome in cell.outcomes
         ]
-        assert np.all(direct.armed[:, tuning.warmup :])
+        assert set(pin["armed"][0][tuning.warmup :]) == {"1"}

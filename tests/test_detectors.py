@@ -3,11 +3,10 @@
 The registry tests pin the plugin contract (duplicate names raise,
 lazy specs resolve on first use, unknown names list what exists); the
 plugin tests pin each builtin's temporal semantics on synthetic
-feature streams; and the welford-identity tests pin that the registry
-route is *bit-identical* to constructing a
-:class:`~repro.core.analysis.welford.DetectorBank` directly — the
-refactor moved the paper's detector behind the registry without
-changing a single bit of its output.
+feature streams; and the welford-identity test pins the registry
+route to the committed timeline in ``tests/data/detector_golden.json``
+— the paper's detector sits behind the registry without a single bit
+of its output changing.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.core.analysis.spectral import (
     sideband_excess_db,
     sideband_features_db,
 )
-from repro.core.analysis.welford import DetectorBank
 from repro.detectors import registry as registry_module
 from repro.detectors.persistence import PersistenceConfig, PersistenceDetector
 from repro.detectors.spectral import SpectralConfig, SpectralDetector
@@ -181,22 +179,24 @@ class TestProtocol:
         )
 
 
-# -- welford plugin: bit-identical to the direct bank --------------------------
+# -- welford plugin: bit-identical to the committed golden ----------------------
 
 
 class TestWelfordPlugin:
-    def test_timeline_bit_identical_to_detector_bank(self):
-        rng = np.random.default_rng(42)
-        features = rng.normal(90.0, 1.0, size=(3, 40))
-        features[1, 25:] += 8.0  # a mid-stream level shift
-        tuning = DetectorConfig(warmup=5)
-        direct = DetectorBank(3, tuning).process(features)
-        routed = detectors.make_detector("welford", 3, tuning).process(
-            features
+    def test_timeline_bit_identical_to_detector_bank(self, detector_golden):
+        """The registry route reproduces the committed bank timeline."""
+        from test_detector_golden import (
+            assert_timeline_matches,
+            registry_features,
         )
-        np.testing.assert_array_equal(direct.z, routed.z)
-        np.testing.assert_array_equal(direct.armed, routed.armed)
-        np.testing.assert_array_equal(direct.alarms, routed.alarms)
+
+        pin = detector_golden["pins"]["registry-3stream"]
+        features = registry_features()
+        assert features.tolist() == pin["features"]
+        routed = detectors.make_detector(
+            "welford", 3, DetectorConfig(warmup=5)
+        ).process(features)
+        assert_timeline_matches(routed, pin)
 
     def test_fit_absorbs_into_baseline(self):
         detector = WelfordDetector(1, DetectorConfig(warmup=4))

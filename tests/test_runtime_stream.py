@@ -381,29 +381,24 @@ def test_chunk_features_welford_route_matches_legacy_path(campaign):
     np.testing.assert_array_equal(legacy, routed)
 
 
-def test_monitor_welford_route_bit_identical_to_direct_bank(campaign):
-    """Registry-routed MONITOR stage == pre-registry featurize + fold."""
-    from repro.core.analysis.welford import DetectorBank
-    from repro.instruments.rasc import RASC_ADC
-    from repro.runtime.pipeline import chunk_features
-
+def test_monitor_welford_route_bit_identical_to_direct_bank(
+    campaign, detector_golden
+):
+    """Registry-routed MONITOR stage == the committed bank timeline."""
+    pin = detector_golden["pins"]["monitor-T1"]
     config = campaign.chip.config
     report = _pipeline(config, localize=False).run(
         LiveSource(campaign, _schedule("T1"), chunk=4)
     )
     assert report.detector == "welford"
-    analyzer = SpectrumAnalyzer()
-    blocks = [
-        chunk_features(chunk, analyzer, config, adc=RASC_ADC)
-        for chunk in LiveSource(campaign, _schedule("T1"), chunk=4).chunks()
-    ]
-    features = np.concatenate(blocks, axis=1)
-    timeline = DetectorBank(1, DETECTOR).process(features)
-    np.testing.assert_array_equal(report.features_db, features)
-    assert report.alarms == tuple(
-        np.nonzero(timeline.alarms.any(axis=0))[0].tolist()
+    np.testing.assert_allclose(
+        report.features_db, pin["features"], rtol=1e-12, atol=0
     )
-    assert report.first_alarm == timeline.first_alarm()
+    alarms = pin["alarms"][0]
+    assert report.alarms == tuple(
+        index for index, bit in enumerate(alarms) if bit == "1"
+    )
+    assert report.first_alarm == alarms.index("1")
 
 
 def test_pipeline_config_rejects_unknown_detector():
