@@ -93,6 +93,37 @@ logger = logging.getLogger(__name__)
 _CHIP_ID = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
+def _json_object(payload: bytes, what: str) -> dict:
+    """Decode a client's JSON object (an empty payload is ``{}``).
+
+    Malformed input raises :class:`AnalysisError`, which the HTTP
+    dispatcher answers with a 400 and the WebSocket loop with an
+    ``{"op": "error"}`` frame.
+    """
+    try:
+        value = json.loads(payload.decode("utf-8") or "{}")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise AnalysisError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise AnalysisError(
+            f"{what} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _int_field(fields: dict, key: str, default: Optional[int]) -> Optional[int]:
+    """``fields[key]`` as an int (``default`` when absent, None stays None)."""
+    value = fields.get(key, default)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise AnalysisError(
+            f"{key!r} must be an integer, got {value!r}"
+        ) from None
+
+
 class DuplicateChipError(AnalysisError):
     """Onboarding a chip id that already has a session."""
 
@@ -674,12 +705,10 @@ class MonitorService:
         self._check_onboarding(chip_id)
         if not request.body:
             raise AnalysisError("replay upload needs a .npz archive body")
+        batch = _int_field(request.query, "batch", self.config.chunk_windows)
         loop = asyncio.get_running_loop()
         path = Path(self._uploads.name) / f"{chip_id}.npz"
         path.write_bytes(request.body)
-        batch = int(
-            request.query.get("batch", str(self.config.chunk_windows))
-        )
         try:
             source = await loop.run_in_executor(
                 self.executor, partial(ReplaySource, path, batch)
@@ -708,14 +737,14 @@ class MonitorService:
     # -- live onboarding (server-side rendering) --------------------------
 
     async def _post_live(self, chip_id: str, request: HttpRequest) -> bytes:
-        body = json.loads(request.body.decode("utf-8") or "{}")
+        body = _json_object(request.body, "live onboarding body")
         loop = asyncio.get_running_loop()
         base = self.preset.specs(1, base_seed=self.sim_config.seed)[0]
         spec = replace(
             base,
             chip_id=chip_id,
             trojan=str(body.get("trojan", base.trojan)),
-            seed=int(body.get("seed", base.seed)),
+            seed=_int_field(body, "seed", base.seed),
         )
         self._check_onboarding(chip_id)
         monitor = await loop.run_in_executor(
@@ -821,7 +850,7 @@ class MonitorService:
                 continue
             try:
                 if opcode == WS_TEXT:
-                    message = json.loads(payload.decode("utf-8"))
+                    message = _json_object(payload, "websocket text frame")
                     op = message.get("op")
                     if op == "hello":
                         if session is not None:
@@ -831,15 +860,17 @@ class MonitorService:
                         session = self._new_session(
                             chip_id,
                             kind="ws",
-                            n_streams=int(message.get("n_streams", 1)),
-                            trigger_index=message.get("trigger_index"),
+                            n_streams=_int_field(message, "n_streams", 1),
+                            trigger_index=_int_field(
+                                message, "trigger_index", None
+                            ),
                         )
                         await send_json({"op": "hello", "chip": chip_id})
                     elif op == "end":
                         if session is None:
                             raise AnalysisError("end before hello")
                         report = await session.drain(
-                            message.get("trigger_index")
+                            _int_field(message, "trigger_index", None)
                         )
                         await send_json(
                             {"op": "report", "report": report.to_dict()}

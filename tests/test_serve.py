@@ -40,7 +40,7 @@ from repro.serve import (
     pack_chunk,
     unpack_chunk,
 )
-from repro.serve.protocol import WS_BINARY, read_ws_frame, ws_frame
+from repro.serve.protocol import WS_BINARY, WS_TEXT, read_ws_frame, ws_frame
 
 PRESET = build_preset("smoke")
 
@@ -343,11 +343,50 @@ def test_http_error_paths(smoke_archive):
         assert "not a readable trace archive" in body["error"]
 
         payload = smoke_archive.read_bytes()
+        status, body = client.post("/chips/a/replay?batch=abc", payload)
+        assert status == 400
+        assert "'batch' must be an integer" in body["error"]
+
+        for bad, message in (
+            (b"{not json", "not valid JSON"),
+            (b"[1,2]", "must be a JSON object"),
+            (b'{"seed": "abc"}', "'seed' must be an integer"),
+        ):
+            status, body = client.post("/chips/b/live", bad)
+            assert status == 400, bad
+            assert message in body["error"]
+
         status, _ = client.post("/chips/dup/replay?batch=4", payload)
         assert status == 200
         status, body = client.post("/chips/dup/replay?batch=4", payload)
         assert status == 409
         assert "already onboarded" in body["error"]
+        # The rejected uploads onboarded nothing.
+        status, body = client.get("/chips")
+        assert [chip["chip"] for chip in body["chips"]] == ["dup"]
+
+
+def test_ws_bad_text_frames_get_error_replies(smoke_archive):
+    """Malformed client frames are answered; the socket stays open."""
+    source = ReplaySource(smoke_archive, batch=4)
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        ws = runner.client().websocket("/chips/wsBad/ws")
+        for frame, message in (
+            (b"{bad", "not valid JSON"),
+            (b"[1]", "must be a JSON object"),
+            (b'{"op":"hello","n_streams":"x"}', "'n_streams' must be an integer"),
+        ):
+            ws.send(frame, opcode=WS_TEXT)
+            reply = ws.recv_json()
+            assert reply["op"] == "error", frame
+            assert message in reply["error"]
+        # The same socket still opens a session and streams.
+        ws.send_json({"op": "hello", "n_streams": source.n_streams})
+        assert ws.recv_json() == {"op": "hello", "chip": "wsBad"}
+        chunk = next(iter(source.chunks()))
+        ws.send(pack_chunk(chunk))
+        assert ws.recv_json()["accepted"] is True
+        ws.close()
 
 
 
