@@ -13,8 +13,8 @@ PSA, :class:`~repro.runtime.sources.LiveSource` and
   queue (``queue_depth``); a full queue stalls that monitor's
   producer only — backpressure never blocks the other chips;
 * rendering runs through each chip's configured engine execution
-  backend (serial or the process worker pool), so fleet throughput
-  scales with the engine, not the scheduler.
+  backend (serial or the shared-memory worker pool), so fleet
+  throughput scales with the engine, not the scheduler.
 
 Interleaving is deterministic (round-robin in member order) and —
 because monitors share no mutable state — every member's report is
@@ -474,9 +474,7 @@ class FleetScheduler:
         run transparently restarts them.
         """
         for monitor in self.monitors:
-            campaign = getattr(monitor.source, "campaign", None)
-            if campaign is not None:
-                campaign.close()
+            monitor.source.campaign.close()
 
     def run(self) -> FleetReport:
         """Drive every member to completion; returns the fleet report.
@@ -488,9 +486,9 @@ class FleetScheduler:
 
         Ticks are two-phase.  The **render** phase collects every
         pending member's missing chunks (up to the backpressure bound)
-        and renders them as one fused engine pass — with live sources,
-        the whole fleet's captures of a tick pay one dispatch instead
-        of one per chip.  The **process** phase then advances each
+        and renders them as one fused engine pass, so the whole
+        fleet's captures of a tick pay one dispatch instead of one per
+        chip.  The **process** phase then advances each
         member by exactly one chunk, in member order.  Chunk contents,
         per-member processing order, backpressure accounting and the
         emitted reports are bit-identical to per-member rendering
@@ -500,23 +498,12 @@ class FleetScheduler:
 
         for monitor in self.monitors:
             monitor.pipeline.bind(monitor.source)
-        # Live sources expose their chunk plan for fused rendering;
-        # anything else (e.g. replayed archives) streams chunks
-        # directly — both kinds can share one fleet.  Producers are
+        # Producers walk each live source's chunk plan; they are
         # peekable so the queue-full contract can announce a refused
         # chunk without consuming it.
-        spec_producers: List[Optional[_Peekable]] = []
-        chunk_producers: List[Optional[_Peekable]] = []
-        for monitor in self.monitors:
-            source = monitor.source
-            if hasattr(source, "chunk_specs") and hasattr(
-                source, "enqueue_chunk"
-            ):
-                spec_producers.append(_Peekable(source.chunk_specs()))
-                chunk_producers.append(None)
-            else:
-                spec_producers.append(None)
-                chunk_producers.append(_Peekable(source.chunks()))
+        producers = [
+            _Peekable(monitor.source.chunk_specs()) for monitor in self.monitors
+        ]
         queues: List[deque] = [deque() for _ in self.monitors]
         interleave: List[str] = []
         start = time.perf_counter()
@@ -530,27 +517,14 @@ class FleetScheduler:
                 monitor = self.monitors[index]
                 queue = queues[index]
                 space = self.queue_depth - len(queue)
-                specs = spec_producers[index]
-                chunks = chunk_producers[index]
-                next_start: Optional[int] = None
-                if specs is not None:
-                    while space > 0 and not specs.exhausted:
-                        spec = specs.take()
-                        ticket = monitor.source.enqueue_chunk(plan, spec)
-                        staged.append((index, spec[0], ticket))
-                        space -= 1
-                    if not specs.exhausted:
-                        next_start = specs.peek()[0]
-                elif chunks is not None:
-                    while space > 0 and not chunks.exhausted:
-                        queue.append(chunks.take())
-                        space -= 1
-                        self.max_queue_len = max(
-                            self.max_queue_len, len(queue)
-                        )
-                    if not chunks.exhausted:
-                        next_start = chunks.peek().start
-                if next_start is not None and space == 0:
+                specs = producers[index]
+                while space > 0 and not specs.exhausted:
+                    spec = specs.take()
+                    ticket = monitor.source.enqueue_chunk(plan, spec)
+                    staged.append((index, spec[0], ticket))
+                    space -= 1
+                if space == 0 and not specs.exhausted:
+                    next_start = specs.peek()[0]
                     # Queue-full: the producer has a chunk ready but
                     # the bound refuses it.  Cooperative scheduling
                     # stalls (the chunk waits, nothing is lost) — and
@@ -581,15 +555,11 @@ class FleetScheduler:
             for index in sorted(pending):
                 monitor = self.monitors[index]
                 queue = queues[index]
-                specs = spec_producers[index]
-                chunks = chunk_producers[index]
                 if queue:
                     chunk = queue.popleft()
                     monitor.pipeline.process_chunk(chunk)
                     interleave.append(monitor.chip_id)
-                elif (specs is None or specs.exhausted) and (
-                    chunks is None or chunks.exhausted
-                ):
+                elif producers[index].exhausted:
                     monitor.report = monitor.pipeline.report(
                         trigger_index=monitor.source.trigger_index
                     )

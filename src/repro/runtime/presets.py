@@ -10,14 +10,14 @@ exercises all four archetypes concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import SimConfig
 from ..core.analysis.detector import DetectorConfig
 from ..errors import AnalysisError, unknown_name_error
 from ..store import ArtifactStore
 from .events import EventBus
-from .fleet import ChipMonitor, ChipSpec, FleetScheduler, build_chip_monitor
+from .fleet import ChipSpec, FleetScheduler, build_chip_monitor
 from .pipeline import PipelineConfig
 
 #: The four catalog Trojans, in paper order (fleet cycling order).
@@ -167,7 +167,6 @@ def build_fleet(
     config: Optional[SimConfig] = None,
     bus: Optional[EventBus] = None,
     queue_depth: int = 2,
-    monitor_factory: Callable[..., ChipMonitor] = build_chip_monitor,
     store: Optional[ArtifactStore] = None,
 ) -> FleetScheduler:
     """Assemble a ready-to-run fleet from a preset.
@@ -186,8 +185,6 @@ def build_fleet(
         whole fleet).
     queue_depth:
         Backpressure bound per member.
-    monitor_factory:
-        Override for tests (must match :func:`build_chip_monitor`).
     store:
         Optional :class:`~repro.store.ArtifactStore` shared by every
         member's record memo (warm-starts repeated sessions).
@@ -196,7 +193,7 @@ def build_fleet(
         preset = build_preset(preset)
     tuning = preset.pipeline_config()
     monitors = [
-        monitor_factory(
+        build_chip_monitor(
             spec, config=config, pipeline_config=tuning, bus=bus, store=store
         )
         for spec in preset.specs(n_chips, base_seed=(config or SimConfig()).seed)
