@@ -11,7 +11,8 @@ array**, the paper's deployment — three ways:
   sensor's chunk in one batched engine pass (the per-record EMF
   synthesis is shared across all sensors instead of recomputed per
   single-sensor capture) and the ``EscalationPipeline`` featurizes
-  each chunk in one vectorized pass over a ``DetectorBank``;
+  each chunk in one vectorized pass over a multi-stream ``welford``
+  detector;
 * **fleet** — four concurrent chip monitors through the
   ``FleetScheduler`` (aggregate windows/sec of the service path).
 
@@ -39,8 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.analysis.detector import DetectorConfig, RuntimeDetector
+from repro.core.analysis.detector import DetectorConfig
 from repro.core.analysis.spectral import sideband_feature_db
+from repro.detectors import make_detector
 from repro.instruments.rasc import RascMonitor
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.runtime import (
@@ -88,7 +90,7 @@ def _legacy_monitor_loop(ctx, analyzer, schedule, records, sensors):
             lambda trace: sideband_feature_db(
                 analyzer.spectrum(trace), ctx.config
             ),
-            RuntimeDetector(DetectorConfig(warmup=WARMUP)),
+            make_detector("welford", 1, DetectorConfig(warmup=WARMUP)),
         )
         traces = []
         for segment in schedule.segments:

@@ -8,7 +8,7 @@ Evaluates the 4-Trojan × 4-workload ``bench4x4`` grid twice:
   ``PsaMethod.evaluate`` loops);
 * **sweep** — ``repro.sweep.DetectionSweep``: one batched engine render
   per cell, a shared record cache across cells, vectorized
-  featurization and the rolling-Welford detector bank;
+  featurization and the multi-stream rolling-Welford detector;
 * **warm-start** — the same sweep backed by a content-addressed
   ``ArtifactStore``: one store-cold run populates the artifacts, then
   a fresh sweep replays them from disk.  The warm report must be
@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.analysis.detector import RuntimeDetector
 from repro.core.analysis.spectral import sideband_feature_db
+from repro.detectors import make_detector
 from repro.dsp.stats import detection_power, detection_rate, roc_auc
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.store import ArtifactStore
@@ -65,7 +65,7 @@ def _legacy_evaluate_cell(ctx, analyzer, cell):
     streaming detector, then the population statistics.
     """
     features = []
-    detector = RuntimeDetector(cell.detector)
+    detector = make_detector("welford", 1, cell.detector)
     alarm_index = None
     position = 0
     for segment in cell.segments:
@@ -77,8 +77,8 @@ def _legacy_evaluate_cell(ctx, analyzer, cell):
                 analyzer.spectrum(trace), ctx.config
             )
             features.append(feature)
-            decision = detector.update(feature)
-            if decision.alarm and alarm_index is None:
+            step = detector.update(np.array([feature]))
+            if step.alarm[0] and alarm_index is None:
                 alarm_index = position
             position += 1
     features = np.asarray(features)

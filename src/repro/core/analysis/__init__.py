@@ -9,7 +9,8 @@ The paper's flow, reproduced end to end:
    (:mod:`~repro.core.analysis.spectral`).
 2. **Detection** — a golden-model-free change detector z-scores each
    new trace's sideband feature against a self-learned baseline
-   (:mod:`~repro.core.analysis.detector`), needing fewer than ten
+   (the ``welford`` plugin of :mod:`repro.detectors`, tuned by
+   :mod:`~repro.core.analysis.detector`), needing fewer than ten
    traces (:mod:`~repro.core.analysis.mttd` converts that to MTTD).
 3. **Localization** — the per-sensor score map pins the hot sensor;
    reprogramming the lattice into quadrant coils refines the position
@@ -29,8 +30,7 @@ from .spectral import (
     sideband_feature_db,
     sideband_frequencies,
 )
-from .detector import DetectionDecision, DetectorConfig, RuntimeDetector
-from .welford import BankStep, BankTimeline, DetectorBank, RollingMoments
+from .detector import DetectorConfig
 from .localizer import LocalizationResult, Localizer
 from .identifier import TrojanIdentifier, IdentificationResult
 from .mttd import MttdModel, MttdResult
@@ -43,13 +43,7 @@ __all__ = [
     "find_prominent_components",
     "sideband_feature_db",
     "sideband_frequencies",
-    "DetectionDecision",
     "DetectorConfig",
-    "RuntimeDetector",
-    "BankStep",
-    "BankTimeline",
-    "DetectorBank",
-    "RollingMoments",
     "LocalizationResult",
     "Localizer",
     "TrojanIdentifier",

@@ -1,7 +1,8 @@
-"""Golden-model-free run-time change detection.
+"""Tuning of the golden-model-free run-time change detector.
 
-The detector never sees a reference ("golden") chip: it learns the
-baseline statistics of its *own* sideband feature during a warm-up
+The detector (:class:`~repro.detectors.welford.WelfordDetector`, the
+``welford`` plugin) never sees a reference ("golden") chip: it learns
+the baseline statistics of its *own* sideband feature during a warm-up
 window and then z-scores every new trace against that self-reference.
 A Trojan activating mid-stream shifts the sideband feature by tens of
 dB, so a couple of consecutive super-threshold traces suffice — the
@@ -15,17 +16,12 @@ Debounce semantics
 An alarm requires ``consecutive`` super-threshold traces in a row.  The
 streak is capped at ``consecutive`` and reset to zero the moment an
 alarm fires, so *every* alarm — not just the first — pays the full
-debounce; a single later outlier can never re-alarm on its own.  Fired
-alarms stay visible through the recorded :attr:`RuntimeDetector.decisions`
-timeline.
+debounce; a single later outlier can never re-alarm on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
 
 from ...errors import AnalysisError
 
@@ -71,97 +67,3 @@ class DetectorConfig:
             raise AnalysisError("consecutive must be >= 1")
         if self.baseline_window < self.warmup:
             raise AnalysisError("baseline_window must cover the warmup")
-
-
-@dataclass(frozen=True)
-class DetectionDecision:
-    """Outcome of one trace update.
-
-    Attributes
-    ----------
-    trace_index:
-        Running index of the evaluated trace.
-    feature_db:
-        The sideband feature of this trace.
-    z:
-        z-score against the self-baseline (NaN during warm-up).
-    armed:
-        Whether the detector has finished warming up.
-    alarm:
-        Whether this trace completes an alarm.
-    """
-
-    trace_index: int
-    feature_db: float
-    z: float
-    armed: bool
-    alarm: bool
-
-
-class RuntimeDetector:
-    """Streaming golden-model-free detector.
-
-    A thin single-stream wrapper over
-    :class:`~repro.core.analysis.welford.DetectorBank`: the baseline
-    mean/variance roll forward in O(1) per trace (Welford with exact
-    window eviction) instead of re-materializing the whole window, and
-    the decision arithmetic is shared with the vectorized sweep path,
-    which keeps the two bit-for-bit identical.
-    """
-
-    def __init__(self, config: DetectorConfig | None = None):
-        from .welford import DetectorBank  # circular at import time
-
-        self.config = config or DetectorConfig()
-        self._bank = DetectorBank(1, self.config)
-        self._count = 0
-        self.decisions: List[DetectionDecision] = []
-
-    def reset(self) -> None:
-        """Forget all learned state."""
-        self._bank.reset()
-        self._count = 0
-        self.decisions.clear()
-
-    @property
-    def armed(self) -> bool:
-        """True once the warm-up baseline is populated."""
-        return bool(self._bank.armed[0])
-
-    def update(self, feature_db: float) -> DetectionDecision:
-        """Consume one trace's feature; returns the decision."""
-        if not np.isfinite(feature_db):
-            raise AnalysisError(f"non-finite feature {feature_db!r}")
-        index = self._count
-        self._count += 1
-        step = self._bank.step(np.array([feature_db], dtype=float))
-        decision = DetectionDecision(
-            trace_index=index,
-            feature_db=feature_db,
-            z=float(step.z[0]),
-            armed=bool(step.armed[0]),
-            alarm=bool(step.alarm[0]),
-        )
-        self.decisions.append(decision)
-        return decision
-
-    def process_batch(
-        self, features_db: "np.ndarray | List[float]"
-    ) -> List[DetectionDecision]:
-        """Consume a whole feature vector (e.g. one per batch capture).
-
-        The detector's semantics are inherently sequential (each
-        decision conditions the next baseline), so this is an ordered
-        fold over :meth:`update` — it exists so batch producers like
-        the engine-fed pipeline hand their vectorized features over in
-        one call and get the full decision timeline back.
-        """
-        return [self.update(float(feature)) for feature in features_db]
-
-    def run(self, features_db: "np.ndarray | List[float]") -> int | None:
-        """Stream a feature sequence; returns the first alarm index."""
-        for feature in features_db:
-            decision = self.update(float(feature))
-            if decision.alarm:
-                return decision.trace_index
-        return None

@@ -20,7 +20,7 @@ from ...traces import Trace
 from ...workloads.campaign import MeasurementCampaign
 from ...workloads.scenarios import reference_for, scenario_by_name
 from ..array import ProgrammableSensorArray
-from .detector import DetectorConfig, RuntimeDetector
+from .detector import DetectorConfig
 from .identifier import IdentificationResult, TrojanIdentifier
 from .localizer import LocalizationResult, Localizer
 from .mttd import MttdModel, MttdResult, mttd_from_alarm
@@ -117,9 +117,10 @@ class CrossDomainAnalyzer:
         it bit-identical to one render of every capture.  Returns
         ``(features, active_traces, trigger_index)``.
         """
-        # Function-level import: repro.runtime sits above the analysis
-        # package (it composes detector/identifier/localizer), so the
-        # delegation must not run at module-import time.
+        # Function-level imports: repro.runtime and repro.detectors
+        # sit above the analysis package (they compose its stages), so
+        # the delegation must not run at module-import time.
+        from ...detectors import make_detector
         from ...runtime.pipeline import chunk_features
         from ...runtime.sources import ActivationSchedule, LiveSource
 
@@ -135,11 +136,12 @@ class CrossDomainAnalyzer:
             sensors=[self.monitor_sensor],
             chunk=max(1, n_baseline + n_active),
         )
+        reducer = make_detector("welford", 1)
         features: List[float] = []
         active_traces: List[Trace] = []
         for chunk in source.chunks():
             block = chunk_features(
-                chunk, self.analyzer, self.chip.config, adc=None
+                chunk, self.analyzer, self.chip.config, reducer
             )
             features.extend(float(value) for value in block[0])
             for offset in range(chunk.n_windows):
@@ -176,12 +178,14 @@ class CrossDomainAnalyzer:
                 f"scenario {scenario_name!r} has no Trojan to analyze"
             )
 
+        from ...detectors import make_detector  # sits above analysis
+
         # 1+2: stream features through the golden-model-free detector.
         features, active_traces, trigger = self.monitor_stream(
             scenario_name, n_baseline, n_active
         )
-        detector = RuntimeDetector(self.detector_config)
-        alarm_index = detector.run(features)
+        detector = make_detector("welford", 1, self.detector_config)
+        alarm_index = detector.process(features).first_alarm()
         mttd = mttd_from_alarm(
             alarm_index, trigger, self.chip.config, self.mttd_model
         )

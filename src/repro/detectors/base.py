@@ -10,30 +10,95 @@ A detector is two halves glued by one class:
   reduction share cached features.
 * a **temporal decision** — a stateful fold over the per-window
   features of ``n_streams`` parallel sensor streams:
-  :meth:`Detector.fit` absorbs history without deciding,
-  :meth:`Detector.score` scores without absorbing,
-  :meth:`Detector.update` does one full step (score + absorb +
-  debounce) and :meth:`Detector.process` folds a whole feature matrix.
+  :meth:`Detector.update` does one full step (score, absorb,
+  debounce), :attr:`Detector.armed` says which streams can alarm and
+  :meth:`Detector.process` folds a whole feature matrix.
 
-Step/timeline types are shared with the rolling-Welford core
-(:class:`~repro.core.analysis.welford.BankStep` /
-:class:`~repro.core.analysis.welford.BankTimeline`), so every consumer
-— sweep orchestrator, escalation pipeline, fleet — reads any
-detector's output through one shape.
+Every detector returns the same step and timeline types
+(:class:`BankStep` / :class:`BankTimeline`), so every consumer —
+sweep orchestrator, escalation pipeline, fleet — reads any detector's
+output through one shape.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import SimConfig
-from ..core.analysis.welford import BankStep, BankTimeline
 from ..errors import AnalysisError
 
-__all__ = ["BankStep", "BankTimeline", "Detector"]
+__all__ = ["BankStep", "BankTimeline", "Detector", "debounce"]
+
+
+@dataclass(frozen=True)
+class BankStep:
+    """Per-stream outcome of one :meth:`Detector.update`.
+
+    Attributes
+    ----------
+    z:
+        Score per stream (NaN while a stream is not armed).
+    armed:
+        Whether each stream was armed for this window.
+    alarm:
+        Whether this window completed an alarm on each stream.
+    """
+
+    z: np.ndarray
+    armed: np.ndarray
+    alarm: np.ndarray
+
+
+@dataclass(frozen=True)
+class BankTimeline:
+    """Full decision history of a :meth:`Detector.process` run.
+
+    Attributes
+    ----------
+    z:
+        Score matrix, shape ``(n_streams, n_traces)``.
+    armed:
+        Armed mask, same shape.
+    alarms:
+        Alarm mask, same shape (every alarm, not just the first).
+    """
+
+    z: np.ndarray
+    armed: np.ndarray
+    alarms: np.ndarray
+
+    def first_alarms(self) -> List[Optional[int]]:
+        """First alarming trace index per stream (None = silent)."""
+        out: List[Optional[int]] = []
+        for row in self.alarms:
+            hits = np.nonzero(row)[0]
+            out.append(int(hits[0]) if hits.size else None)
+        return out
+
+    def first_alarm(self) -> Optional[int]:
+        """Earliest alarm across every stream (None = all silent)."""
+        firsts = [index for index in self.first_alarms() if index is not None]
+        return min(firsts) if firsts else None
+
+
+def debounce(
+    streak: np.ndarray, over: np.ndarray, consecutive: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance per-stream debounce streaks; returns ``(streak, fired)``.
+
+    The streak counts super-threshold windows, is capped at
+    ``consecutive`` and resets once an alarm fires, so every alarm
+    needs a full run of ``consecutive`` super-threshold windows (no
+    latched re-alarms).
+    """
+    streak = np.where(over, np.minimum(streak + 1, consecutive), 0)
+    fired = streak >= consecutive
+    streak[fired] = 0
+    return streak, fired
 
 
 class Detector(ABC):
@@ -82,46 +147,22 @@ class Detector(ABC):
 
     # -- temporal decision (stateful) ------------------------------------------
 
-    @abstractmethod
-    def reset(self) -> None:
-        """Forget all learned state on every stream."""
-
     @property
     @abstractmethod
     def armed(self) -> np.ndarray:
         """Per-stream bool mask: ready to raise alarms."""
 
     @abstractmethod
-    def fit(self, values: np.ndarray) -> None:
-        """Absorb one window's features without deciding.
-
-        Reference-free detectors that keep no cross-window model may
-        make this a no-op.
-        """
-
-    @abstractmethod
-    def score(self, values: np.ndarray) -> np.ndarray:
-        """Score one window's features without mutating state.
-
-        NaN for streams that are not armed yet.
-        """
-
-    @abstractmethod
     def update(self, values: np.ndarray) -> BankStep:
         """One full step: score, absorb, debounce; returns the step."""
-
-    def step(self, values: np.ndarray) -> BankStep:
-        """Alias of :meth:`update` (the DetectorBank-era spelling)."""
-        return self.update(values)
 
     def process(self, features: np.ndarray) -> BankTimeline:
         """Fold a whole ``(n_streams, n_traces)`` feature matrix.
 
         Decisions are inherently sequential along the trace axis (each
         conditions the next state), so the fold iterates traces while
-        each :meth:`update` vectorizes across streams — the same
-        contract as :meth:`DetectorBank.process
-        <repro.core.analysis.welford.DetectorBank.process>`.
+        each :meth:`update` vectorizes across streams.  A 1-D input is
+        one stream.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
@@ -159,9 +200,3 @@ class Detector(ABC):
             f"{type(self).__name__}(name={self.name!r}, "
             f"n_streams={self.n_streams})"
         )
-
-
-def first_true(mask: np.ndarray) -> Optional[int]:
-    """Index of the first True (None when all False) — tiny shared util."""
-    hits = np.nonzero(mask)[0]
-    return int(hits[0]) if hits.size else None

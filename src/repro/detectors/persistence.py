@@ -96,11 +96,6 @@ class PersistenceDetector(Detector):
 
     # -- temporal decision -----------------------------------------------------
 
-    def reset(self) -> None:
-        self._history.fill(0.0)
-        self._count = 0
-        self._latched.fill(False)
-
     @property
     def armed(self) -> np.ndarray:
         """Armed once the coarsest trailing scale is fully populated."""
@@ -122,27 +117,6 @@ class PersistenceDetector(Detector):
             ],
             axis=1,
         )
-
-    def fit(self, values: np.ndarray) -> None:
-        """Absorb one window into the trailing history, no decision."""
-        self._push(self._check_values(values))
-
-    def score(self, values: np.ndarray) -> np.ndarray:
-        """Coarsest-scale minimum as if ``values`` were appended [dB].
-
-        NaN while the history (including the hypothetical sample)
-        would still be shorter than the coarsest scale.
-        """
-        values = self._check_values(values)
-        depth = self.config.depth
-        if self._count + 1 < depth:
-            return np.full(self.n_streams, np.nan)
-        if depth == 1:
-            return values.copy()
-        trailing = np.concatenate(
-            [self._history[:, -(depth - 1) :], values[:, None]], axis=1
-        )
-        return trailing.min(axis=1)
 
     def update(self, values: np.ndarray) -> BankStep:
         values = self._check_values(values)

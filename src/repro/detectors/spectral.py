@@ -26,7 +26,7 @@ import numpy as np
 from ..config import SimConfig
 from ..core.analysis.spectral import excess_display_bins, sideband_excess_db
 from ..errors import AnalysisError
-from .base import BankStep, Detector
+from .base import BankStep, Detector, debounce
 
 #: Default alarm threshold on the sideband excess [dB].  Calibrated on
 #: the simulated testbench: the AES block harmonics put real energy at
@@ -49,7 +49,7 @@ class SpectralConfig:
         Alarm threshold on the per-window sideband excess [dB].
     consecutive:
         Super-threshold windows required to complete an alarm (the
-        same debounce discipline as the Welford bank).
+        debounce shared with the ``welford`` detector).
     """
 
     excess_threshold_db: float = DEFAULT_EXCESS_THRESHOLD_DB
@@ -93,35 +93,15 @@ class SpectralDetector(Detector):
 
     # -- temporal decision -----------------------------------------------------
 
-    def reset(self) -> None:
-        self._streak.fill(0)
-
     @property
     def armed(self) -> np.ndarray:
         """Always armed: every window carries its own reference."""
         return np.ones(self.n_streams, dtype=bool)
 
-    def fit(self, values: np.ndarray) -> None:
-        """No cross-window model to train — validates and discards."""
-        self._check_values(values)
-
-    def score(self, values: np.ndarray) -> np.ndarray:
-        """The excess itself [dB]; compare against the threshold."""
-        return self._check_values(values)
-
     def update(self, values: np.ndarray) -> BankStep:
         values = self._check_values(values)
-        config = self.config
-        over = values > config.excess_threshold_db
-        # Same debounce discipline as DetectorBank.step: streak capped
-        # at `consecutive`, reset when an alarm fires.
-        self._streak = np.where(
-            over, np.minimum(self._streak + 1, config.consecutive), 0
+        over = values > self.config.excess_threshold_db
+        self._streak, fired = debounce(
+            self._streak, over, self.config.consecutive
         )
-        fired = self._streak >= config.consecutive
-        self._streak[fired] = 0
-        return BankStep(
-            z=values.copy(),
-            armed=np.ones(self.n_streams, dtype=bool),
-            alarm=fired,
-        )
+        return BankStep(z=values.copy(), armed=self.armed, alarm=fired)

@@ -1,14 +1,17 @@
-"""The rolling-Welford self-baseline detector, as a registry plugin.
+"""The rolling-Welford self-baseline detector (the paper's method).
 
-A thin protocol adapter around the existing
-:class:`~repro.core.analysis.welford.DetectorBank`: the spectral half
-is the absolute sideband level in dBuV
-(:func:`~repro.core.analysis.spectral.sideband_features_db`), the
-temporal half delegates every decision to the bank unchanged.  The
-registry route is therefore bit-identical to constructing a
-``DetectorBank`` directly — the pin
-``tests/test_detectors.py`` and the sweep/monitor identity tests
-enforce.
+The spectral half is the absolute sideband level in dBuV
+(:func:`~repro.core.analysis.spectral.sideband_features_db`).  The
+temporal half keeps a bounded self-baseline per stream and z-scores
+every new window against it: rolling Welford moments give O(1)
+mean/variance updates with exact window eviction, and every per-window
+decision is a handful of vectorized O(n_streams) operations.
+
+Bit-identity contract: every arithmetic step is an elementwise float64
+operation, so a stream produces the same z-scores and alarms whether
+it is folded alone or inside any multi-stream detector — the property
+``tests/test_sweep.py::test_bank_bit_identical_to_sequential_fold``
+checks; ``tests/data/detector_golden.json`` pins the timelines.
 
 This is the paper's detection method, and its structural blind spot is
 the reason the registry exists: a self-baseline learns whatever the
@@ -25,12 +28,84 @@ import numpy as np
 from ..config import SimConfig
 from ..core.analysis.detector import DetectorConfig
 from ..core.analysis.spectral import sideband_display_bins, sideband_features_db
-from ..core.analysis.welford import BankStep, BankTimeline, DetectorBank
-from .base import Detector
+from ..errors import AnalysisError
+from .base import BankStep, Detector, debounce
+
+
+class RollingMoments:
+    """Windowed mean/variance over parallel streams, Welford-style.
+
+    Maintains per-stream count, mean and the centered second moment
+    ``M2`` with O(1) updates; a ring buffer provides exact eviction of
+    the oldest sample once a stream's population reaches ``window``.
+
+    Parameters
+    ----------
+    n_streams:
+        Parallel stream count.
+    window:
+        Maximum population per stream (the rolling baseline size).
+    """
+
+    def __init__(self, n_streams: int, window: int):
+        if window < 2:
+            raise AnalysisError("window must hold at least two samples")
+        self.n_streams = n_streams
+        self.window = window
+        self._buffer = np.zeros((n_streams, window))
+        self._head = np.zeros(n_streams, dtype=np.int64)
+        self.count = np.zeros(n_streams, dtype=np.int64)
+        self.mean = np.zeros(n_streams)
+        self.m2 = np.zeros(n_streams)
+
+    def push(self, values: np.ndarray, mask: np.ndarray) -> None:
+        """Absorb ``values[i]`` into stream ``i`` wherever ``mask[i]``.
+
+        Streams at full window evict their oldest sample first (exact
+        Welford downdate), so the moments always describe the most
+        recent ``<= window`` absorbed samples.
+        """
+        index = np.nonzero(mask)[0]
+        if index.size == 0:
+            return
+        # Evict the oldest sample of full streams.
+        full = index[self.count[index] == self.window]
+        if full.size:
+            old = self._buffer[full, self._head[full]]
+            n = self.count[full].astype(float)
+            evicted_mean = (n * self.mean[full] - old) / (n - 1.0)
+            self.m2[full] -= (old - self.mean[full]) * (old - evicted_mean)
+            self.mean[full] = evicted_mean
+            self._head[full] = (self._head[full] + 1) % self.window
+            self.count[full] -= 1
+        # Welford update with the incoming sample.
+        slot = (self._head[index] + self.count[index]) % self.window
+        incoming = values[index]
+        self._buffer[index, slot] = incoming
+        grown = self.count[index] + 1
+        delta = incoming - self.mean[index]
+        new_mean = self.mean[index] + delta / grown
+        self.m2[index] += delta * (incoming - new_mean)
+        self.mean[index] = new_mean
+        self.count[index] = grown
+
+    def std(self, ddof: int = 1) -> np.ndarray:
+        """Per-stream sample standard deviation (NaN below ddof+1)."""
+        denom = self.count.astype(float) - ddof
+        with np.errstate(invalid="ignore", divide="ignore"):
+            variance = np.where(
+                denom > 0, np.maximum(self.m2, 0.0) / denom, np.nan
+            )
+        return np.sqrt(variance)
 
 
 class WelfordDetector(Detector):
     """Self-baseline z-score detection over sideband levels.
+
+    Warm-up windows always enter the baseline; once a stream is armed,
+    super-threshold windows are scored but never absorbed, so a
+    persistent Trojan cannot drag the self-reference toward itself.
+    Alarms pay the shared ``consecutive``-window debounce.
 
     Parameters
     ----------
@@ -48,8 +123,9 @@ class WelfordDetector(Detector):
 
     def __init__(self, n_streams: int, config: Optional[DetectorConfig] = None):
         super().__init__(n_streams)
-        self._bank = DetectorBank(n_streams, config)
-        self.config = self._bank.config
+        self.config = config or DetectorConfig()
+        self._moments = RollingMoments(n_streams, self.config.baseline_window)
+        self._streak = np.zeros(n_streams, dtype=np.int64)
 
     # -- spectral reduction ----------------------------------------------------
 
@@ -63,35 +139,28 @@ class WelfordDetector(Detector):
 
     # -- temporal decision -----------------------------------------------------
 
-    def reset(self) -> None:
-        self._bank.reset()
-
     @property
     def armed(self) -> np.ndarray:
-        return self._bank.armed
-
-    def fit(self, values: np.ndarray) -> None:
-        self._bank.absorb(values)
-
-    def score(self, values: np.ndarray) -> np.ndarray:
-        """z-score against the current baseline, without absorbing."""
-        values = self._check_values(values)
-        config = self.config
-        moments = self._bank._moments
-        armed = self._bank.armed
-        z = np.full(self.n_streams, np.nan)
-        live = np.nonzero(armed)[0]
-        if live.size:
-            count = moments.count[live].astype(float)
-            variance = np.maximum(moments.m2[live], 0.0) / (count - 1.0)
-            std = np.maximum(np.sqrt(variance), config.min_std_db)
-            z[live] = (values[live] - moments.mean[live]) / std
-        return z
+        """Per-stream warm-up completion mask."""
+        return self._moments.count >= self.config.warmup
 
     def update(self, values: np.ndarray) -> BankStep:
-        return self._bank.step(values)
-
-    def process(self, features: np.ndarray) -> BankTimeline:
-        # Delegate so the registry route runs the bank's own fold —
-        # the same code object as the pre-registry direct path.
-        return self._bank.process(features)
+        values = self._check_values(values)
+        config = self.config
+        armed = self.armed
+        z = np.full(self.n_streams, np.nan)
+        alarm = np.zeros(self.n_streams, dtype=bool)
+        absorb = ~armed  # warm-up always absorbs
+        live = np.nonzero(armed)[0]
+        if live.size:
+            std = np.maximum(self._moments.std()[live], config.min_std_db)
+            scored = (values[live] - self._moments.mean[live]) / std
+            z[live] = scored
+            excess = np.abs(scored) if config.two_sided else scored
+            over = excess > config.z_threshold
+            self._streak[live], alarm[live] = debounce(
+                self._streak[live], over, config.consecutive
+            )
+            absorb[live] = ~over  # outliers never poison the baseline
+        self._moments.push(values, absorb)
+        return BankStep(z=z, armed=armed, alarm=alarm)

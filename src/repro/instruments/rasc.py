@@ -7,7 +7,7 @@ processes the traces, and only processed verdicts leave the board
 raw traces never cross a communication channel).
 
 :class:`RascMonitor` is deliberately decoupled from the analysis
-package: it takes a feature extractor and a streaming detector as
+package: it takes a feature extractor and a 1-stream detector as
 collaborators, adds the ADC front-end and the per-trace latency budget,
 and reports a timeline suitable for MTTD evaluation.
 """
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, List, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import MeasurementError
 from ..traces import Trace
@@ -33,9 +35,13 @@ AUTO_RANGE_HEADROOM = 1.25
 
 
 class StreamingDetector(Protocol):
-    """Anything with a RuntimeDetector-compatible update method."""
+    """A 1-stream :class:`~repro.detectors.base.Detector`.
 
-    def update(self, feature_db: float) -> object: ...
+    ``update`` takes a one-element feature vector and returns a step
+    whose ``alarm`` mask says whether the window completed an alarm.
+    """
+
+    def update(self, values: np.ndarray) -> object: ...
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,8 @@ class RascMonitor:
     feature_fn:
         Maps a quantized trace to the detection feature [dB].
     detector:
-        Streaming detector; its update() result must expose ``alarm``.
+        A 1-stream registry detector, e.g.
+        ``repro.detectors.make_detector("welford", 1)``.
     adc:
         Sampling front-end.
     processing_latency_s:
@@ -149,8 +156,8 @@ class RascMonitor:
             meta=trace.meta,
         )
         feature = self.feature_fn(digitized)
-        decision = self.detector.update(feature)
-        return feature, bool(getattr(decision, "alarm", False))
+        step = self.detector.update(np.array([feature]))
+        return feature, bool(np.any(step.alarm))
 
     def monitor(
         self, traces: Sequence[Trace], stop_on_alarm: bool = True

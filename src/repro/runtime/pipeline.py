@@ -40,11 +40,7 @@ from ..core.analysis.detector import DetectorConfig
 from ..core.analysis.identifier import IdentificationResult, TrojanIdentifier
 from ..core.analysis.localizer import LocalizationResult, Localizer
 from ..core.analysis.mttd import MttdModel, MttdResult, mttd_from_alarm
-from ..core.analysis.spectral import (
-    sideband_display_bins,
-    sideband_features_db,
-    sideband_frequencies,
-)
+from ..core.analysis.spectral import sideband_frequencies
 from ..detectors import Detector, make_detector
 from ..detectors import available as detectors_available
 from ..errors import AnalysisError, unknown_name_error
@@ -69,17 +65,16 @@ def chunk_features(
     chunk: StreamChunk,
     analyzer: SpectrumAnalyzer,
     config: SimConfig,
+    detector: Detector,
     adc: Optional[AdcSpec] = None,
-    detector: Optional[Detector] = None,
 ) -> np.ndarray:
     """Featurize one chunk; ``(n_streams, k)`` detection features [dB].
 
     Optional auto-ranged ADC quantization (the RASC front-end), then
     one batched display-spectrum + feature pass through the detector's
-    spectral reduction (the absolute sideband level when ``detector``
-    is None — the historical ``welford`` path).  Every element is a
-    function of that window's samples alone, so the result is
-    independent of how the stream was chunked.
+    spectral reduction.  Every element is a function of that window's
+    samples alone, so the result is independent of how the stream was
+    chunked.
 
     Only the display bins the detector's feature actually reads are
     resampled (a few percent of the grid); the values are
@@ -91,18 +86,12 @@ def chunk_features(
     if adc is not None:
         samples = quantize_batch(samples, adc, headroom=AUTO_RANGE_HEADROOM)
     n_streams, k, n_samples = samples.shape
-    if detector is None:
-        bins = sideband_display_bins(analyzer.display_grid(), config)
-    else:
-        bins = detector.display_bins(analyzer.display_grid(), config)
     grid, display = analyzer.display_bins(
-        samples.reshape(-1, n_samples), chunk.fs, bins
+        samples.reshape(-1, n_samples),
+        chunk.fs,
+        detector.display_bins(analyzer.display_grid(), config),
     )
-    if detector is None:
-        features = sideband_features_db(grid, display, config)
-    else:
-        features = detector.features(grid, display, config)
-    return features.reshape(n_streams, k)
+    return detector.features(grid, display, config).reshape(n_streams, k)
 
 
 @dataclass(frozen=True)
@@ -383,7 +372,7 @@ class EscalationPipeline:
         self.bus = bus or EventBus()
         self.chip = chip
         self.state = MonitorState.MONITOR
-        self._bank = make_detector(
+        self._detector = make_detector(
             self.pipeline.detector_name, n_streams, self.pipeline.detector
         )
         self._timeline = WindowTimeline(
@@ -501,12 +490,12 @@ class EscalationPipeline:
             chunk,
             self.analyzer,
             self.config,
+            self._detector,
             adc=self.pipeline.adc if self.pipeline.quantize else None,
-            detector=self._bank,
         )
         for offset in range(chunk.n_windows):
             window = chunk.start + offset
-            step = self._bank.step(features[:, offset])
+            step = self._detector.update(features[:, offset])
             fired = bool(step.alarm.any())
             recorded = self._timeline.push(features[:, offset], fired)
             if recorded != window:

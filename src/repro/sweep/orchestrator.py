@@ -25,10 +25,8 @@ engine throughput:
    pre-registry key shape, so existing on-disk stores stay warm.
 3. **Detect** — the cell's registered detector
    (:func:`repro.detectors.make_detector`) folds the whole feature
-   matrix, one stream per sensor.  The ``welford`` plugin delegates to
-   :class:`~repro.core.analysis.welford.DetectorBank` unchanged, so
-   the registry route is bit-identical to the pre-registry direct
-   construction.
+   matrix, one stream per sensor (``tests/data/detector_golden.json``
+   pins the ``welford`` timelines).
 4. **Score** — ROC-AUC, detection rate at the cell's operating
    threshold, effect size / required measurements, and MTTD (with
    pre-trigger alarms classified as false alarms).

@@ -1,12 +1,28 @@
-"""Golden-model-free runtime detector."""
+"""Golden-model-free runtime detector (the ``welford`` plugin, 1 stream)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis.detector import DetectorConfig, RuntimeDetector
+from repro.core.analysis.detector import DetectorConfig
+from repro.detectors.welford import WelfordDetector
 from repro.errors import AnalysisError
+
+
+def _detector(config=None):
+    return WelfordDetector(1, config)
+
+
+def _first_alarm(detector, features):
+    """Fold a 1-stream feature sequence; the first alarm index."""
+    return detector.process(np.asarray(features)).first_alarm()
+
+
+def _update(detector, feature):
+    """One window's step, as per-stream scalars."""
+    step = detector.update(np.array([feature]))
+    return float(step.z[0]), bool(step.armed[0]), bool(step.alarm[0])
 
 
 def _stream(baseline_level, active_level, n_base, n_active, noise=0.1, seed=0):
@@ -20,52 +36,52 @@ def _stream(baseline_level, active_level, n_base, n_active, noise=0.1, seed=0):
 
 
 def test_detects_step_change():
-    detector = RuntimeDetector(DetectorConfig(warmup=6))
+    detector = _detector(DetectorConfig(warmup=6))
     features = _stream(-40.0, -10.0, 10, 5)
-    alarm = detector.run(features)
+    alarm = _first_alarm(detector, features)
     assert alarm is not None
     assert 10 <= alarm <= 12  # within a couple of traces of activation
 
 
 def test_no_alarm_on_stationary_stream():
-    detector = RuntimeDetector(DetectorConfig(warmup=6))
+    detector = _detector(DetectorConfig(warmup=6))
     features = _stream(-40.0, -40.0, 30, 0)
-    assert detector.run(features) is None
+    assert _first_alarm(detector, features) is None
 
 
 def test_two_sided_detects_drops():
-    detector = RuntimeDetector(DetectorConfig(warmup=6, two_sided=True))
+    detector = _detector(DetectorConfig(warmup=6, two_sided=True))
     features = _stream(-10.0, -40.0, 10, 5)
-    assert detector.run(features) is not None
+    assert _first_alarm(detector, features) is not None
 
 
 def test_one_sided_ignores_drops():
-    detector = RuntimeDetector(
+    detector = _detector(
         DetectorConfig(warmup=6, two_sided=False)
     )
     features = _stream(-10.0, -40.0, 10, 5)
-    assert detector.run(features) is None
+    assert _first_alarm(detector, features) is None
 
 
 def test_consecutive_debounce():
     config = DetectorConfig(warmup=4, consecutive=2, z_threshold=5.0)
-    detector = RuntimeDetector(config)
+    detector = _detector(config)
     # One outlier then back to baseline: no alarm.
     stream = [0.0, 0.1, -0.1, 0.05, 100.0, 0.0, 0.0, 0.0]
-    assert detector.run(stream) is None
+    assert _first_alarm(detector, stream) is None
 
 
 def test_streak_resets_after_alarm():
     """Every alarm pays the full debounce — no latched re-alarms."""
     config = DetectorConfig(warmup=4, consecutive=2, z_threshold=5.0)
-    detector = RuntimeDetector(config)
+    detector = _detector(config)
     stream = [0.0, 0.1, -0.1, 0.05]  # warm-up
     stream += [100.0, 100.0]  # debounced alarm at index 5
     stream += [0.02]  # back to baseline
     stream += [100.0]  # single outlier: must NOT re-alarm
     stream += [0.01]
     stream += [100.0, 100.0]  # full debounce run: re-alarms at index 10
-    alarms = [detector.update(float(f)).alarm for f in stream]
+    alarms = [_update(detector, f)[2] for f in stream]
     assert alarms == [
         False, False, False, False,
         False, True,
@@ -79,48 +95,40 @@ def test_streak_resets_after_alarm():
 def test_streak_capped_during_long_activation():
     """A long super-threshold run alarms repeatedly, once per debounce."""
     config = DetectorConfig(warmup=4, consecutive=3, z_threshold=5.0)
-    detector = RuntimeDetector(config)
+    detector = _detector(config)
     for value in (0.0, 0.1, -0.1, 0.05):
-        detector.update(value)
-    alarms = [detector.update(100.0).alarm for _ in range(9)]
+        _update(detector, value)
+    alarms = [_update(detector, 100.0)[2] for _ in range(9)]
     # Alarm exactly every `consecutive` traces: indices 2, 5, 8.
     assert alarms == [False, False, True] * 3
 
 
 def test_alarm_requires_warmup():
-    detector = RuntimeDetector(DetectorConfig(warmup=8))
+    detector = _detector(DetectorConfig(warmup=8))
     for value in np.linspace(0, 1, 7):
-        decision = detector.update(float(value))
-        assert not decision.armed
-        assert not decision.alarm
-    assert not detector.armed
+        _, armed, alarm = _update(detector, value)
+        assert not armed
+        assert not alarm
+    assert not detector.armed[0]
 
 
 def test_outliers_do_not_poison_baseline():
     """A persistent Trojan cannot drag the self-reference upward."""
-    detector = RuntimeDetector(
+    detector = _detector(
         DetectorConfig(warmup=6, consecutive=10**6, z_threshold=5.0)
     )
     rng = np.random.default_rng(1)
     for value in rng.normal(0.0, 0.1, 10):
-        detector.update(float(value))
-    z_values = [detector.update(50.0).z for _ in range(20)]
+        _update(detector, value)
+    z_values = [_update(detector, 50.0)[0] for _ in range(20)]
     # The z-score stays extreme — the baseline did not absorb 50.0.
     assert min(z_values) > 50
 
 
-def test_reset_clears_state():
-    detector = RuntimeDetector(DetectorConfig(warmup=4))
-    detector.run(_stream(0.0, 10.0, 6, 3))
-    detector.reset()
-    assert not detector.armed
-    assert detector.decisions == []
-
-
 def test_nonfinite_feature_rejected():
-    detector = RuntimeDetector()
+    detector = _detector()
     with pytest.raises(AnalysisError):
-        detector.update(float("nan"))
+        detector.update(np.array([np.nan]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,9 +137,9 @@ def test_nonfinite_feature_rejected():
     warmup=st.integers(min_value=3, max_value=12),
 )
 def test_large_steps_always_detected(step, warmup):
-    detector = RuntimeDetector(DetectorConfig(warmup=warmup))
+    detector = _detector(DetectorConfig(warmup=warmup))
     features = _stream(0.0, step, warmup + 4, 6, noise=0.1, seed=42)
-    alarm = detector.run(features)
+    alarm = _first_alarm(detector, features)
     assert alarm is not None
     assert alarm >= warmup + 4
 
@@ -150,15 +158,13 @@ def test_config_validation():
 def test_process_batch_matches_streaming_updates():
     """The batch entry point is an ordered fold over update()."""
     features = _stream(0.0, 30.0, 10, 4, noise=0.2, seed=7)
-    streaming = RuntimeDetector(DetectorConfig(warmup=6))
-    expected = [streaming.update(float(f)) for f in features]
-    batched = RuntimeDetector(DetectorConfig(warmup=6))
-    decisions = batched.process_batch(features)
-    assert len(decisions) == len(expected)
-    for got, want in zip(decisions, expected):
-        assert got.trace_index == want.trace_index
-        assert got.feature_db == want.feature_db
-        assert got.armed == want.armed
-        assert got.alarm == want.alarm
-        assert got.z == want.z or (np.isnan(got.z) and np.isnan(want.z))
-    assert any(decision.alarm for decision in decisions)
+    streaming = _detector(DetectorConfig(warmup=6))
+    expected = [_update(streaming, f) for f in features]
+    timeline = _detector(DetectorConfig(warmup=6)).process(features)
+    assert timeline.z.shape == (1, len(expected))
+    for index, (z, armed, alarm) in enumerate(expected):
+        assert timeline.armed[0, index] == armed
+        assert timeline.alarms[0, index] == alarm
+        got = timeline.z[0, index]
+        assert got == z or (np.isnan(got) and np.isnan(z))
+    assert timeline.alarms.any()

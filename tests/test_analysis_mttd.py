@@ -61,16 +61,17 @@ def test_true_detection_has_no_false_alarm_flag():
 def test_pre_trigger_alarm_stream_end_to_end():
     """A detector stream whose baseline glitches pre-trigger yields a
     classified false alarm instead of a bogus negative MTTD."""
-    from repro.core.analysis.detector import DetectorConfig, RuntimeDetector
+    from repro.core.analysis.detector import DetectorConfig
+    from repro.detectors import make_detector
 
     config = SimConfig()
-    detector = RuntimeDetector(
-        DetectorConfig(warmup=4, consecutive=2, z_threshold=5.0)
+    detector = make_detector(
+        "welford", 1, DetectorConfig(warmup=4, consecutive=2, z_threshold=5.0)
     )
     # Warm-up, then a 2-trace glitch *before* the Trojan activates.
     stream = [0.0, 0.1, -0.1, 0.05, 80.0, 80.0, 0.0, 0.0, 40.0, 40.0]
     trigger_index = 8
-    alarm = detector.run(stream)
+    alarm = detector.process(stream).first_alarm()
     assert alarm is not None and alarm < trigger_index
     result = mttd_from_alarm(alarm, trigger_index, config)
     assert result.false_alarm and not result.detected

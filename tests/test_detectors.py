@@ -121,11 +121,6 @@ class TestProtocol:
         assert SpectralDetector.feature_kind == "sideband-excess-db"
         assert PersistenceDetector.feature_kind == "sideband-excess-db"
 
-    def test_step_is_update_alias(self):
-        detector = SpectralDetector(1)
-        step = detector.step(np.array([50.0]))
-        assert step.z[0] == 50.0
-
     def test_process_validates_shape(self):
         detector = SpectralDetector(2)
         with pytest.raises(AnalysisError, match="feature matrix"):
@@ -198,25 +193,17 @@ class TestWelfordPlugin:
         ).process(features)
         assert_timeline_matches(routed, pin)
 
-    def test_fit_absorbs_into_baseline(self):
+    def test_warmup_absorbs_into_baseline(self):
         detector = WelfordDetector(1, DetectorConfig(warmup=4))
         for value in (10.0, 10.1, 9.9, 10.0):
-            detector.fit(np.array([value]))
+            step = detector.update(np.array([value]))
+            assert not step.armed[0] and np.isnan(step.z[0])
         assert detector.armed.all()
-        z = detector.score(np.array([10.0]))
-        assert np.isfinite(z[0])
-
-    def test_score_does_not_mutate(self):
-        detector = WelfordDetector(1, DetectorConfig(warmup=2))
-        detector.fit(np.array([10.0]))
-        detector.fit(np.array([10.2]))
-        first = detector.score(np.array([12.0]))
-        second = detector.score(np.array([12.0]))
-        np.testing.assert_array_equal(first, second)
+        assert np.isfinite(detector.update(np.array([10.0])).z[0])
 
     def test_score_nan_before_warmup(self):
         detector = WelfordDetector(1, DetectorConfig(warmup=4))
-        assert np.isnan(detector.score(np.array([10.0]))[0])
+        assert np.isnan(detector.update(np.array([10.0])).z[0])
 
 
 # -- spectral plugin -----------------------------------------------------------
@@ -307,16 +294,14 @@ class TestPersistencePlugin:
         assert detector.armed.all()
 
     def test_score_matches_update_statistic(self):
-        config = PersistenceConfig(excess_threshold_db=30.0, scales=(3,))
-        scoring = PersistenceDetector(1, config)
-        stepping = PersistenceDetector(1, config)
-        stream = [35.0, 41.0, 38.0, 36.0, 45.0]
-        for value in stream[:-1]:
-            scoring.fit(np.array([value]))
-            stepping.update(np.array([value]))
-        preview = scoring.score(np.array([stream[-1]]))
-        step = stepping.update(np.array([stream[-1]]))
-        np.testing.assert_allclose(preview, step.z)
+        """The step's score is the coarsest-scale trailing minimum."""
+        config = PersistenceConfig(excess_threshold_db=30.0, scales=(1, 3))
+        stream = np.array([[35.0, 41.0, 38.0, 36.0, 45.0]])
+        timeline = PersistenceDetector(1, config).process(stream)
+        assert np.isnan(timeline.z[0, :2]).all()
+        np.testing.assert_array_equal(
+            timeline.z[0, 2:], [35.0, 36.0, 36.0]
+        )
 
     def test_config_validation(self):
         with pytest.raises(AnalysisError):

@@ -360,9 +360,10 @@ def test_stream_shape_guards(campaign):
 
 
 def test_chunk_features_welford_route_matches_legacy_path(campaign):
-    """``detector=welford`` reproduces the historical direct path."""
+    """``welford`` features == the full-display sideband reduction."""
     from repro.detectors import make_detector
-    from repro.instruments.rasc import RASC_ADC
+    from repro.instruments.adc import quantize_batch
+    from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
     from repro.runtime.pipeline import chunk_features
 
     config = campaign.chip.config
@@ -370,13 +371,17 @@ def test_chunk_features_welford_route_matches_legacy_path(campaign):
     chunk = next(
         iter(LiveSource(campaign, _schedule("T1"), chunk=6).chunks())
     )
-    legacy = chunk_features(chunk, analyzer, config, adc=RASC_ADC)
     routed = chunk_features(
-        chunk,
-        analyzer,
-        config,
-        adc=RASC_ADC,
-        detector=make_detector("welford", 1),
+        chunk, analyzer, config, make_detector("welford", 1), adc=RASC_ADC
+    )
+    samples = quantize_batch(
+        chunk.samples, RASC_ADC, headroom=AUTO_RANGE_HEADROOM
+    )
+    grid, display = analyzer.display_matrix(
+        samples.reshape(-1, samples.shape[-1]), chunk.fs
+    )
+    legacy = sideband_features_db(grid, display, config).reshape(
+        chunk.n_streams, chunk.n_windows
     )
     np.testing.assert_array_equal(legacy, routed)
 

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core.analysis.detector import DetectorConfig, RuntimeDetector
-from repro.core.analysis.welford import DetectorBank, RollingMoments
+from repro.core.analysis.detector import DetectorConfig
+from repro.detectors.welford import RollingMoments, WelfordDetector
 from repro.errors import AnalysisError
 from repro.sweep import (
     DetectionSweep,
@@ -56,38 +59,49 @@ def test_rolling_moments_masked_push():
 # -- bank vs sequential detector -----------------------------------------------
 
 
-def test_bank_bit_identical_to_sequential_fold():
-    """The vectorized Welford bank IS the RuntimeDetector, stream-wise."""
-    rng = np.random.default_rng(11)
-    config = DetectorConfig(warmup=6, baseline_window=12)
-    features = np.vstack(
-        [
-            _step_streams(rng, 1, 14, 8, step=30.0)[0],
-            _step_streams(rng, 1, 14, 8, step=0.0)[0],  # silent stream
-            _step_streams(rng, 1, 14, 8, step=-30.0)[0],  # energy drop
-        ]
+@st.composite
+def _welford_configs(draw):
+    warmup = draw(st.integers(min_value=2, max_value=6))
+    return DetectorConfig(
+        warmup=warmup,
+        # Windows this short evict well inside an 80-trace stream.
+        baseline_window=draw(st.integers(min_value=warmup, max_value=10)),
+        z_threshold=draw(st.sampled_from([1.0, 2.5, 4.5])),
+        consecutive=draw(st.integers(min_value=1, max_value=3)),
+        two_sided=draw(st.booleans()),
     )
-    bank = DetectorBank(features.shape[0], config)
-    timeline = bank.process(features)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    features=hnp.arrays(
+        np.float64,
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=0, max_value=80),
+        ),
+        elements=st.floats(
+            min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+        ),
+    ),
+    config=_welford_configs(),
+)
+def test_bank_bit_identical_to_sequential_fold(features, config):
+    """Every stream of a multi-stream fold IS its own 1-stream fold."""
+    timeline = WelfordDetector(features.shape[0], config).process(features)
     for stream in range(features.shape[0]):
-        detector = RuntimeDetector(config)
-        for index, feature in enumerate(features[stream]):
-            decision = detector.update(float(feature))
-            bank_z = timeline.z[stream, index]
-            assert decision.armed == timeline.armed[stream, index]
-            assert decision.alarm == timeline.alarms[stream, index]
-            if np.isnan(decision.z):
-                assert np.isnan(bank_z)
-            else:
-                assert decision.z == bank_z  # bit-identical
+        alone = WelfordDetector(1, config).process(features[stream : stream + 1])
+        np.testing.assert_array_equal(timeline.z[stream], alone.z[0])
+        np.testing.assert_array_equal(timeline.armed[stream], alone.armed[0])
+        np.testing.assert_array_equal(timeline.alarms[stream], alone.alarms[0])
 
 
 def test_bank_rejects_bad_shapes_and_nonfinite():
-    bank = DetectorBank(2, DetectorConfig(warmup=2))
+    bank = WelfordDetector(2, DetectorConfig(warmup=2))
     with pytest.raises(AnalysisError):
-        bank.step(np.zeros(3))
+        bank.update(np.zeros(3))
     with pytest.raises(AnalysisError):
-        bank.step(np.array([0.0, np.nan]))
+        bank.update(np.array([0.0, np.nan]))
     with pytest.raises(AnalysisError):
         bank.process(np.zeros((3, 4)))
 
@@ -101,7 +115,7 @@ def test_bank_first_alarm_across_streams():
             _step_streams(rng, 1, 8, 6, step=40.0)[0],
         ]
     )
-    timeline = DetectorBank(2, config).process(features)
+    timeline = WelfordDetector(2, config).process(features)
     firsts = timeline.first_alarms()
     assert firsts[0] is None
     assert firsts[1] is not None and firsts[1] >= 8
