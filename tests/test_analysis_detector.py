@@ -10,10 +10,6 @@ from repro.detectors.welford import WelfordDetector
 from repro.errors import AnalysisError
 
 
-def _detector(config=None):
-    return WelfordDetector(1, config)
-
-
 def _first_alarm(detector, features):
     """Fold a 1-stream feature sequence; the first alarm index."""
     return detector.process(np.asarray(features)).first_alarm()
@@ -36,7 +32,7 @@ def _stream(baseline_level, active_level, n_base, n_active, noise=0.1, seed=0):
 
 
 def test_detects_step_change():
-    detector = _detector(DetectorConfig(warmup=6))
+    detector = WelfordDetector(1, DetectorConfig(warmup=6))
     features = _stream(-40.0, -10.0, 10, 5)
     alarm = _first_alarm(detector, features)
     assert alarm is not None
@@ -44,28 +40,26 @@ def test_detects_step_change():
 
 
 def test_no_alarm_on_stationary_stream():
-    detector = _detector(DetectorConfig(warmup=6))
+    detector = WelfordDetector(1, DetectorConfig(warmup=6))
     features = _stream(-40.0, -40.0, 30, 0)
     assert _first_alarm(detector, features) is None
 
 
 def test_two_sided_detects_drops():
-    detector = _detector(DetectorConfig(warmup=6, two_sided=True))
+    detector = WelfordDetector(1, DetectorConfig(warmup=6, two_sided=True))
     features = _stream(-10.0, -40.0, 10, 5)
     assert _first_alarm(detector, features) is not None
 
 
 def test_one_sided_ignores_drops():
-    detector = _detector(
-        DetectorConfig(warmup=6, two_sided=False)
-    )
+    detector = WelfordDetector(1, DetectorConfig(warmup=6, two_sided=False))
     features = _stream(-10.0, -40.0, 10, 5)
     assert _first_alarm(detector, features) is None
 
 
 def test_consecutive_debounce():
     config = DetectorConfig(warmup=4, consecutive=2, z_threshold=5.0)
-    detector = _detector(config)
+    detector = WelfordDetector(1, config)
     # One outlier then back to baseline: no alarm.
     stream = [0.0, 0.1, -0.1, 0.05, 100.0, 0.0, 0.0, 0.0]
     assert _first_alarm(detector, stream) is None
@@ -74,7 +68,7 @@ def test_consecutive_debounce():
 def test_streak_resets_after_alarm():
     """Every alarm pays the full debounce — no latched re-alarms."""
     config = DetectorConfig(warmup=4, consecutive=2, z_threshold=5.0)
-    detector = _detector(config)
+    detector = WelfordDetector(1, config)
     stream = [0.0, 0.1, -0.1, 0.05]  # warm-up
     stream += [100.0, 100.0]  # debounced alarm at index 5
     stream += [0.02]  # back to baseline
@@ -95,7 +89,7 @@ def test_streak_resets_after_alarm():
 def test_streak_capped_during_long_activation():
     """A long super-threshold run alarms repeatedly, once per debounce."""
     config = DetectorConfig(warmup=4, consecutive=3, z_threshold=5.0)
-    detector = _detector(config)
+    detector = WelfordDetector(1, config)
     for value in (0.0, 0.1, -0.1, 0.05):
         _update(detector, value)
     alarms = [_update(detector, 100.0)[2] for _ in range(9)]
@@ -104,7 +98,7 @@ def test_streak_capped_during_long_activation():
 
 
 def test_alarm_requires_warmup():
-    detector = _detector(DetectorConfig(warmup=8))
+    detector = WelfordDetector(1, DetectorConfig(warmup=8))
     for value in np.linspace(0, 1, 7):
         _, armed, alarm = _update(detector, value)
         assert not armed
@@ -114,8 +108,8 @@ def test_alarm_requires_warmup():
 
 def test_outliers_do_not_poison_baseline():
     """A persistent Trojan cannot drag the self-reference upward."""
-    detector = _detector(
-        DetectorConfig(warmup=6, consecutive=10**6, z_threshold=5.0)
+    detector = WelfordDetector(
+        1, DetectorConfig(warmup=6, consecutive=10**6, z_threshold=5.0)
     )
     rng = np.random.default_rng(1)
     for value in rng.normal(0.0, 0.1, 10):
@@ -126,7 +120,7 @@ def test_outliers_do_not_poison_baseline():
 
 
 def test_nonfinite_feature_rejected():
-    detector = _detector()
+    detector = WelfordDetector(1)
     with pytest.raises(AnalysisError):
         detector.update(np.array([np.nan]))
 
@@ -137,7 +131,7 @@ def test_nonfinite_feature_rejected():
     warmup=st.integers(min_value=3, max_value=12),
 )
 def test_large_steps_always_detected(step, warmup):
-    detector = _detector(DetectorConfig(warmup=warmup))
+    detector = WelfordDetector(1, DetectorConfig(warmup=warmup))
     features = _stream(0.0, step, warmup + 4, 6, noise=0.1, seed=42)
     alarm = _first_alarm(detector, features)
     assert alarm is not None
@@ -158,9 +152,9 @@ def test_config_validation():
 def test_process_batch_matches_streaming_updates():
     """The batch entry point is an ordered fold over update()."""
     features = _stream(0.0, 30.0, 10, 4, noise=0.2, seed=7)
-    streaming = _detector(DetectorConfig(warmup=6))
+    streaming = WelfordDetector(1, DetectorConfig(warmup=6))
     expected = [_update(streaming, f) for f in features]
-    timeline = _detector(DetectorConfig(warmup=6)).process(features)
+    timeline = WelfordDetector(1, DetectorConfig(warmup=6)).process(features)
     assert timeline.z.shape == (1, len(expected))
     for index, (z, armed, alarm) in enumerate(expected):
         assert timeline.armed[0, index] == armed
