@@ -4,9 +4,9 @@ Monitors the same scripted always-on session — **every sensor of the
 array**, the paper's deployment — three ways:
 
 * **legacy** — the seed example's shape scaled to the array: for each
-  sensor, one single-capture render, one spectrum, one feature and
-  one detector update per window (``RascMonitor`` per sensor over
-  ``psa.measure`` output);
+  sensor, one single-capture render, one auto-ranged ADC pass, one
+  spectrum, one feature and one detector update per window (the
+  per-trace RASC monitor over ``psa.measure`` output);
 * **streaming** — ``repro.runtime``: a ``LiveSource`` renders every
   sensor's chunk in one batched engine pass (the per-record EMF
   synthesis is shared across all sensors instead of recomputed per
@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,8 @@ import numpy as np
 from repro.core.analysis.detector import DetectorConfig
 from repro.core.analysis.spectral import sideband_feature_db
 from repro.detectors import make_detector
-from repro.instruments.rasc import RascMonitor
+from repro.instruments.adc import quantize_batch
+from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.runtime import (
     ActivationSchedule,
@@ -81,24 +83,34 @@ def _legacy_monitor_loop(ctx, analyzer, schedule, records, sensors):
     """The seed example's shape: everything one trace at a time.
 
     One per-trace monitor per sensor (the paper's RASC board watching
-    each stream), each paying its own single-capture render and
-    spectrum per window.
+    each stream), each paying its own single-capture render, ADC pass
+    and spectrum per window.  Returns ``(features, alarms)`` per
+    sensor: the feature timeline and the alarming window indices.
     """
-    reports = []
+    monitors = []
     for sensor in sensors:
-        monitor = RascMonitor(
-            lambda trace: sideband_feature_db(
-                analyzer.spectrum(trace), ctx.config
-            ),
-            make_detector("welford", 1, DetectorConfig(warmup=WARMUP)),
+        detector = make_detector(
+            "welford", 1, DetectorConfig(warmup=WARMUP)
         )
-        traces = []
+        features, alarms = [], []
         for segment in schedule.segments:
             for index in segment.indices:
                 record = records[(segment.scenario, index)]
-                traces.append(ctx.psa.measure(record, sensor, index))
-        reports.append(monitor.monitor(traces, stop_on_alarm=False))
-    return reports
+                trace = ctx.psa.measure(record, sensor, index)
+                samples = quantize_batch(
+                    trace.samples[None, :],
+                    RASC_ADC,
+                    headroom=AUTO_RANGE_HEADROOM,
+                )[0]
+                feature = sideband_feature_db(
+                    analyzer.spectrum(replace(trace, samples=samples)),
+                    ctx.config,
+                )
+                if detector.update(np.array([feature])).alarm.any():
+                    alarms.append(len(features))
+                features.append(feature)
+        monitors.append((features, alarms))
+    return monitors
 
 
 def test_runtime_throughput(ctx, benchmark):
@@ -141,16 +153,14 @@ def test_runtime_throughput(ctx, benchmark):
     streaming_seconds = time.perf_counter() - start
 
     # Equivalence: the streamed pipeline is the same monitor bank.
-    for position, legacy_report in enumerate(legacy):
+    for position, (legacy_features, _) in enumerate(legacy):
         assert np.array_equal(
             report.features_db[position],
-            np.asarray(legacy_report.features_db),
+            np.asarray(legacy_features),
         ), f"sensor {sensors[position]} features diverge"
-        assert (
-            report.features_db.shape[1] == len(legacy_report.features_db)
-        )
+        assert report.features_db.shape[1] == len(legacy_features)
     legacy_alarm_union = sorted(
-        {index for rep in legacy for index in rep.alarms}
+        {index for _, alarms in legacy for index in alarms}
     )
     assert list(report.alarms) == legacy_alarm_union
     assert report.detected

@@ -4,8 +4,8 @@ Evaluates the 4-Trojan × 4-workload ``bench4x4`` grid twice:
 
 * **legacy** — the pre-sweep experiment style: every cell re-simulates
   its own activity records and measures, featurizes and scores one
-  trace at a time (the shape of the seed's ``run_mttd`` /
-  ``PsaMethod.evaluate`` loops);
+  trace at a time (the shape of the seed's ``run_mttd`` and per-method
+  Table I loops);
 * **sweep** — ``repro.sweep.DetectionSweep``: one batched engine render
   per cell, a shared record cache across cells, vectorized
   featurization and the multi-stream rolling-Welford detector;

@@ -1,28 +1,19 @@
-"""The proposed PSA, evaluated under the same Table I protocol.
+"""The proposed PSA's Table I column.
 
-All trace rendering goes through the PSA's measurement engine (one
-batched render per population) — the per-sensor render loop this file
-once duplicated with :mod:`repro.core.array` lives in
-:class:`repro.engine.MeasurementEngine` now.
+The column's detection outcomes come from the sweep orchestrator
+(:func:`repro.experiments.table1.run_psa_sweep` over the ``table1``
+grid), which featurizes through the run-time MONITOR stage's
+featurizer; this class carries the column identity and the
+monitored sensor's SNR.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..chip.testchip import TestChip
-from ..core.analysis.spectral import sideband_features_db
 from ..core.array import ProgrammableSensorArray
 from ..dsp.metrics import snr_rms_db
-from ..errors import AnalysisError
-from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..workloads.campaign import MeasurementCampaign
-from ..workloads.scenarios import reference_for, scenario_by_name
-from .protocol import (
-    EVALUATED_TROJANS,
-    MethodReport,
-    outcome_from_populations,
-)
+from ..workloads.scenarios import scenario_by_name
 
 #: Sensor used for the comparison (covers the Trojan cluster).
 MONITOR_SENSOR = 10
@@ -44,7 +35,6 @@ class PsaMethod:
         self.chip = chip
         self.campaign = campaign
         self.psa = psa or campaign.psa
-        self.analyzer = SpectrumAnalyzer()
 
     def _monitor_batch(
         self, scenario_name: str, n_traces: int, index_offset: int
@@ -56,15 +46,6 @@ class PsaMethod:
             records, trace_indices=indices, sensors=[MONITOR_SENSOR]
         )
 
-    def _features(
-        self, scenario_name: str, n_traces: int, index_offset: int
-    ) -> np.ndarray:
-        batch = self._monitor_batch(scenario_name, n_traces, index_offset)
-        grid, display = self.analyzer.display_matrix(
-            batch.samples[0], batch.fs
-        )
-        return sideband_features_db(grid, display, self.chip.config)
-
     def snr_db(self, n_traces: int = 3) -> float:
         """He-style SNR of the monitored PSA sensor."""
         signal = self._monitor_batch("baseline", n_traces, 0)
@@ -72,22 +53,3 @@ class PsaMethod:
         return snr_rms_db(
             signal.samples[0].ravel(), noise.samples[0].ravel()
         )
-
-    def evaluate(self, n_traces: int = 10) -> MethodReport:
-        """Run the full per-Trojan evaluation."""
-        if n_traces < 4:
-            raise AnalysisError("need at least 4 traces per population")
-        report = MethodReport(
-            name=self.name,
-            localization=self.localization,
-            runtime=self.runtime,
-        )
-        report.snr_db = self.snr_db()
-        for trojan in EVALUATED_TROJANS:
-            reference = reference_for(trojan).name
-            inactive = self._features(reference, n_traces, 0)
-            active = self._features(trojan, n_traces, 700)
-            report.outcomes[trojan] = outcome_from_populations(
-                trojan, inactive, active
-            )
-        return report

@@ -536,6 +536,11 @@ def _serve_selftest(service, config: SimConfig) -> str:
                     "selftest stream produced no detection; report: "
                     f"{json.dumps(report)}"
                 )
+            leftovers = sorted(p.name for p in service.upload_dir.iterdir())
+            if leftovers:
+                raise AnalysisError(
+                    f"selftest replay upload left files behind: {leftovers}"
+                )
             status, metrics = client.get("/metrics")
     if status != 200 or metrics.get("alarms_total", 0) < 1:
         raise AnalysisError(f"selftest metrics are not sane: {metrics}")

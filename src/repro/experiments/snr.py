@@ -10,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..baselines.common import ReceiverBench
+from ..baselines.psa_method import PsaMethod
 from ..calibration import PAPER_SNR_DB
-from ..dsp.metrics import snr_rms_db
 from ..em.probes import icr_hh100_probe, langer_lf1_probe, single_coil_receiver
-from ..workloads.scenarios import scenario_by_name
 from .context import ExperimentContext, default_context
 from .reporting import format_table
 
@@ -38,33 +35,16 @@ def run_snr(
 ) -> SnrResult:
     """Measure He-style SNR for the PSA and the three comparators."""
     ctx = ctx or default_context()
-    signal_scn = scenario_by_name("baseline")
-    idle_scn = scenario_by_name("idle")
-    sig_records = [ctx.campaign.record(signal_scn, i) for i in range(n_traces)]
-    idle_records = [ctx.campaign.record(idle_scn, i) for i in range(n_traces)]
-
-    measured: Dict[str, float] = {}
-    sig = np.concatenate(
-        [ctx.psa.measure(r, 10, i).samples for i, r in enumerate(sig_records)]
-    )
-    idle = np.concatenate(
-        [ctx.psa.measure(r, 10, i).samples for i, r in enumerate(idle_records)]
-    )
-    measured["psa"] = snr_rms_db(sig, idle)
-
+    measured: Dict[str, float] = {
+        "psa": PsaMethod(ctx.chip, ctx.campaign, ctx.psa).snr_db(n_traces)
+    }
     for name, receiver in [
         ("single_coil", single_coil_receiver()),
         ("langer_lf1", langer_lf1_probe()),
         ("icr_hh100", icr_hh100_probe()),
     ]:
         bench = ReceiverBench(ctx.chip, receiver)
-        sig = np.concatenate(
-            [bench.measure(r, i).samples for i, r in enumerate(sig_records)]
-        )
-        idle = np.concatenate(
-            [bench.measure(r, i).samples for i, r in enumerate(idle_records)]
-        )
-        measured[name] = snr_rms_db(sig, idle)
+        measured[name] = bench.snr_db(ctx.campaign, n_traces)
     return SnrResult(measured_db=measured, paper_db=dict(PAPER_SNR_DB))
 
 

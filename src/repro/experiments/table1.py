@@ -7,9 +7,8 @@ backscattering method, the on-chip single coil and the proposed PSA.
 
 The PSA row is a thin preset over :mod:`repro.sweep`: its per-Trojan
 populations are the named ``table1`` grid evaluated through the
-batched-engine orchestrator (identical to the legacy
-``PsaMethod.evaluate`` protocol); the bench-instrument baselines keep
-their own evaluation paths.
+batched-engine orchestrator under the shared Table I protocol; the
+bench-instrument baselines keep their own evaluation paths.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ def run_psa_sweep(
     """The PSA's Table I row, evaluated through the sweep orchestrator.
 
     One ``table1`` grid cell per Trojan renders as a batched engine
-    pass; the per-cell populations yield the same effect sizes,
-    required-measurement counts and detection rates as the legacy
-    per-method evaluation loop.
+    pass; each cell's populations give the Trojan's effect size,
+    required-measurement count and detection rate.
     """
     if n_traces < 4:
         raise AnalysisError("need at least 4 traces per population")

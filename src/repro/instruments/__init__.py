@@ -7,16 +7,17 @@
   capture with ADC quantization;
 * :func:`chirp` — the 70 mV frequency-sweeping source of the
   Section VI-C current-response experiment;
-* :class:`RascMonitor` — the RASC-style on-board run-time monitor that
-  replaces the bench instruments in deployment and carries the MTTD
-  accounting.
+* :data:`~repro.instruments.rasc.RASC_ADC` — the converter of the
+  RASC-style on-board monitor that replaces the bench instruments in
+  deployment (the monitor itself is
+  :class:`repro.runtime.EscalationPipeline` with
+  ``PipelineConfig(quantize=True)``).
 """
 
 from .adc import AdcSpec, quantize
 from .oscilloscope import Oscilloscope
 from .spectrum_analyzer import SpectrumAnalyzer, ZeroSpanResult
 from .signal_gen import chirp
-from .rasc import RascMonitor, RascReport
 
 __all__ = [
     "AdcSpec",
@@ -25,6 +26,4 @@ __all__ = [
     "SpectrumAnalyzer",
     "ZeroSpanResult",
     "chirp",
-    "RascMonitor",
-    "RascReport",
 ]

@@ -47,7 +47,6 @@ from .pipeline import (
     PipelineConfig,
     chunk_features,
 )
-from .timeline import WindowTimeline
 from .presets import MONITOR_PRESETS, MonitorPreset, build_fleet, build_preset
 from .sources import (
     ActivationSchedule,
@@ -86,7 +85,6 @@ __all__ = [
     "TrojanIdentified",
     "TrojanLocalized",
     "WindowProcessed",
-    "WindowTimeline",
     "build_chip_monitor",
     "build_fleet",
     "build_preset",

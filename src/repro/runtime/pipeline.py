@@ -31,7 +31,7 @@ one-shot offline render.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from .events import (
     WindowProcessed,
 )
 from .sources import StreamChunk, TraceStream
-from .timeline import WindowTimeline
 
 
 def chunk_features(
@@ -70,11 +69,15 @@ def chunk_features(
 ) -> np.ndarray:
     """Featurize one chunk; ``(n_streams, k)`` detection features [dB].
 
-    Optional auto-ranged ADC quantization (the RASC front-end), then
-    one batched display-spectrum + feature pass through the detector's
-    spectral reduction.  Every element is a function of that window's
-    samples alone, so the result is independent of how the stream was
-    chunked.
+    The package's one MONITOR-stage featurizer: the pipeline, the
+    sweep orchestrator (which passes a rendered
+    :class:`~repro.engine.TraceBatch`, the same ``samples``/``fs``
+    layout) and :class:`~repro.core.analysis.pipeline.CrossDomainAnalyzer`
+    all call it.  Optional auto-ranged ADC quantization (the RASC
+    front-end), then one batched display-spectrum + feature pass
+    through the detector's spectral reduction.  Every element is a
+    function of that window's samples alone, so the result is
+    independent of how the stream was chunked.
 
     Only the display bins the detector's feature actually reads are
     resampled (a few percent of the grid); the values are
@@ -306,11 +309,9 @@ class MonitorReport(ReportBase):
     def state_at(self, window: int, warmup: int) -> str:
         """Human-readable monitor state of one window of the timeline.
 
-        The same labeling ladder as
-        :meth:`repro.instruments.rasc.RascReport.state_at`, with the
-        report's own trigger index — display drivers (the example, ad
-        hoc dashboards) should use this instead of re-deriving the
-        warm-up/trigger/alarm precedence.
+        Labels against the report's own trigger index — display
+        drivers (the example, ad hoc dashboards) should use this
+        instead of re-deriving the warm-up/trigger/alarm precedence.
         """
         if window < warmup:
             return "warm-up"
@@ -375,9 +376,11 @@ class EscalationPipeline:
         self._detector = make_detector(
             self.pipeline.detector_name, n_streams, self.pipeline.detector
         )
-        self._timeline = WindowTimeline(
-            self.pipeline.mttd.trace_period(config), n_streams
-        )
+        self.trace_period_s = self.pipeline.mttd.trace_period(config)
+        # The session timeline: one feature column per folded window
+        # and every alarming window index.
+        self._features: List[np.ndarray] = []
+        self._alarms: List[int] = []
         self._sensors: Tuple[int, ...] = tuple(range(n_streams))
         self._identification: Optional[IdentificationResult] = None
         self._localization: Optional[LocalizationResult] = None
@@ -392,7 +395,7 @@ class EscalationPipeline:
         this pipeline (backpressure, shedding) so a mixed transcript
         stays on one clock.
         """
-        return self._timeline.time_of(window)
+        return (window + 1) * self.trace_period_s
 
     def _emit(self, event) -> None:
         """Emit onto the bus, counting this pipeline's own events.
@@ -414,7 +417,7 @@ class EscalationPipeline:
             StateChanged(
                 chip=self.chip,
                 window=window,
-                time_s=self._timeline.time_of(window),
+                time_s=self.time_of(window),
                 previous=previous.value,
                 current=new_state.value,
             )
@@ -422,7 +425,7 @@ class EscalationPipeline:
 
     def _escalate(self, chunk: StreamChunk, offset: int, window: int) -> None:
         """Run IDENTIFY (and LOCALIZE) for the alarming window."""
-        time_s = self._timeline.time_of(window)
+        time_s = self.time_of(window)
         if self.pipeline.identify:
             self._transition(MonitorState.IDENTIFY, window)
             # Identify from the alarming stream's raw window (the
@@ -486,6 +489,11 @@ class EscalationPipeline:
                 f"chunk has {chunk.n_streams} streams, pipeline monitors "
                 f"{self.n_streams}"
             )
+        if chunk.start != len(self._features):
+            raise AnalysisError(
+                f"stream discontinuity: expected window "
+                f"{len(self._features)}, chunk says {chunk.start}"
+            )
         features = chunk_features(
             chunk,
             self.analyzer,
@@ -497,13 +505,8 @@ class EscalationPipeline:
             window = chunk.start + offset
             step = self._detector.update(features[:, offset])
             fired = bool(step.alarm.any())
-            recorded = self._timeline.push(features[:, offset], fired)
-            if recorded != window:
-                raise AnalysisError(
-                    f"stream discontinuity: expected window {recorded}, "
-                    f"chunk says {window}"
-                )
-            time_s = self._timeline.time_of(window)
+            self._features.append(features[:, offset])
+            time_s = self.time_of(window)
             self._emit(
                 WindowProcessed(
                     chip=self.chip,
@@ -519,6 +522,7 @@ class EscalationPipeline:
             )
             if not fired:
                 continue
+            self._alarms.append(window)
             # The alarming stream with the strongest evidence leads
             # the escalation (a fleet-of-sensors monitor can trip on
             # several streams in the same window).
@@ -574,22 +578,26 @@ class EscalationPipeline:
 
     def report(self, trigger_index: Optional[int] = None) -> MonitorReport:
         """Snapshot the session so far as a :class:`MonitorReport`."""
-        first_alarm = self._timeline.first_alarm
+        first_alarm = self._alarms[0] if self._alarms else None
         mttd = None
         if trigger_index is not None:
             mttd = mttd_from_alarm(
                 first_alarm, trigger_index, self.config, self.pipeline.mttd
             )
-        features = self._timeline.features_matrix()
+        n_windows = len(self._features)
+        if n_windows:
+            features = np.stack(self._features, axis=1)
+        else:
+            features = np.empty((self.n_streams, 0))
         features.flags.writeable = False
         return MonitorReport(
             chip=self.chip,
             sensors=self._sensors,
-            n_windows=self._timeline.n_windows,
-            trace_period_s=self._timeline.trace_period_s,
+            n_windows=n_windows,
+            trace_period_s=self.trace_period_s,
             features_db=features,
-            window_times_s=self._timeline.window_times_s,
-            alarms=self._timeline.alarms,
+            window_times_s=tuple(self.time_of(w) for w in range(n_windows)),
+            alarms=tuple(self._alarms),
             first_alarm=first_alarm,
             trigger_index=trigger_index,
             mttd=mttd,

@@ -471,6 +471,11 @@ class MonitorService:
 
     # -- bookkeeping ------------------------------------------------------
 
+    @property
+    def upload_dir(self) -> Path:
+        """Where replay uploads are staged while they stream."""
+        return Path(self._uploads.name)
+
     def uptime(self) -> float:
         """Seconds since the service object was created."""
         return time.monotonic() - self._started
@@ -707,31 +712,36 @@ class MonitorService:
             raise AnalysisError("replay upload needs a .npz archive body")
         batch = _int_field(request.query, "batch", self.config.chunk_windows)
         loop = asyncio.get_running_loop()
-        path = Path(self._uploads.name) / f"{chip_id}.npz"
+        path = self.upload_dir / f"{chip_id}.npz"
         path.write_bytes(request.body)
+        # The upload lives only as long as its replay: drained or
+        # rejected, the archive leaves the upload directory.
         try:
-            source = await loop.run_in_executor(
-                self.executor, partial(ReplaySource, path, batch)
+            try:
+                source = await loop.run_in_executor(
+                    self.executor, partial(ReplaySource, path, batch)
+                )
+            except (ValueError, OSError, KeyError) as exc:
+                raise AnalysisError(
+                    f"replay upload is not a readable trace archive: {exc}"
+                ) from exc
+            session = self._new_session(
+                chip_id,
+                kind="replay",
+                n_streams=source.n_streams,
+                trigger_index=source.trigger_index,
             )
-        except (ValueError, OSError, KeyError) as exc:
-            raise AnalysisError(
-                f"replay upload is not a readable trace archive: {exc}"
-            ) from exc
-        session = self._new_session(
-            chip_id,
-            kind="replay",
-            n_streams=source.n_streams,
-            trigger_index=source.trigger_index,
-        )
-        iterator = source.chunks()
-        while True:
-            chunk = await loop.run_in_executor(
-                self.executor, partial(next, iterator, None)
-            )
-            if chunk is None:
-                break
-            await session.put(chunk)
-        report = await session.drain(source.trigger_index)
+            iterator = source.chunks()
+            while True:
+                chunk = await loop.run_in_executor(
+                    self.executor, partial(next, iterator, None)
+                )
+                if chunk is None:
+                    break
+                await session.put(chunk)
+            report = await session.drain(source.trigger_index)
+        finally:
+            path.unlink(missing_ok=True)
         return json_response(200, report.to_dict())
 
     # -- live onboarding (server-side rendering) --------------------------

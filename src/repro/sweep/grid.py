@@ -219,7 +219,7 @@ class SweepGrid:
 def table1_grid(n_traces: int = 10) -> SweepGrid:
     """Table I's PSA column: per-Trojan populations on the monitor sensor.
 
-    Matches the legacy ``PsaMethod.evaluate`` protocol exactly —
+    The shared Table I protocol (see :mod:`repro.baselines.protocol`) —
     ``n_traces`` per population, inactive epoch at offset 0, active at
     700, no ADC in the loop — so the sweep reproduces the paper row
     (<10 measurements, every Trojan detected) through the batched

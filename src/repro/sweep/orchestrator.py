@@ -15,11 +15,13 @@ engine throughput:
    an :class:`~repro.store.ArtifactStore` attached, both memos persist
    on disk keyed by content, so repeated sweeps across processes
    warm-start bit-identically.
-2. **Featurize** — (optional) auto-ranged RASC ADC quantization, then
-   one batched display-spectrum + feature pass over every capture of
-   the cell, using the cell's detector's spectral reduction (the
-   sideband level in dBuV for ``welford``, the reference-free sideband
-   excess for ``spectral``/``persistence``).  Feature-cache keys carry
+2. **Featurize** — the run-time MONITOR stage's own featurizer,
+   :func:`repro.runtime.pipeline.chunk_features`, over every capture
+   of the span: (optional) auto-ranged RASC ADC quantization, then one
+   batched display-spectrum + feature pass through the cell's
+   detector's spectral reduction (the sideband level in dBuV for
+   ``welford``, the reference-free sideband excess for
+   ``spectral``/``persistence``).  Feature-cache keys carry
    the reduction's ``feature_kind``, so methods sharing a reduction
    share cached spans; the historical ``welford`` kind keeps its
    pre-registry key shape, so existing on-disk stores stay warm.
@@ -41,9 +43,10 @@ import numpy as np
 from ..core.analysis.mttd import MttdModel, mttd_from_alarm
 from ..detectors import Detector, make_detector
 from ..dsp.stats import detection_power, detection_rate, roc_auc
-from ..instruments.adc import AdcSpec, quantize_batch
+from ..instruments.adc import AdcSpec
 from ..instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
+from ..runtime.pipeline import chunk_features
 from ..store import (
     ArrayCodec,
     ArtifactStore,
@@ -252,19 +255,19 @@ class DetectionSweep:
     def _featurize(
         self, batch, quantize: bool, reducer: Detector
     ) -> np.ndarray:
-        """One rendered span to its read-only feature block [dB]."""
-        samples = batch.samples
-        if quantize:
-            samples = quantize_batch(
-                samples, self.adc, headroom=AUTO_RANGE_HEADROOM
-            )
-        n_sensors, n_traces, n_samples = samples.shape
-        grid_freqs, display = self.analyzer.display_matrix(
-            samples.reshape(-1, n_samples), batch.fs
+        """One rendered span to its read-only feature block [dB].
+
+        A :class:`~repro.engine.TraceBatch` has a stream chunk's
+        ``(n_sensors, n_traces, n_samples)`` layout, so the span goes
+        through the MONITOR stage's featurizer as one chunk.
+        """
+        features = chunk_features(
+            batch,
+            self.analyzer,
+            self.config,
+            reducer,
+            adc=self.adc if quantize else None,
         )
-        features = reducer.features(
-            grid_freqs, display, self.config
-        ).reshape(n_sensors, n_traces)
         features.flags.writeable = False  # shared across cells
         return features
 

@@ -14,10 +14,11 @@ from repro.baselines.protocol import (
     TrojanOutcome,
     outcome_from_populations,
 )
-from repro.baselines.psa_method import PsaMethod
 from repro.dsp.transforms import amplitude_spectrum
 from repro.em.probes import langer_lf1_probe
 from repro.errors import AnalysisError
+from repro.experiments.context import ExperimentContext
+from repro.experiments.table1 import run_psa_sweep
 
 
 def test_outcome_from_populations():
@@ -81,10 +82,10 @@ def test_backscatter_features_react_to_t4(chip, campaign, records):
     assert np.linalg.norm(active - base) > 0.1 * np.linalg.norm(base)
 
 
-def test_psa_method_strong_effect_sizes(chip, campaign, psa):
+def test_psa_method_strong_effect_sizes(config, chip, campaign, psa):
     """The PSA separates every Trojan with single-digit trace needs."""
-    method = PsaMethod(chip, campaign, psa)
-    report = method.evaluate(n_traces=4)
+    ctx = ExperimentContext(config=config, chip=chip, psa=psa, campaign=campaign)
+    report = run_psa_sweep(ctx, n_traces=4)
     assert report.localization and report.runtime
     for trojan, outcome in report.outcomes.items():
         assert outcome.n_required < 10, trojan

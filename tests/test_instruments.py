@@ -6,7 +6,6 @@ import pytest
 from repro.errors import MeasurementError
 from repro.instruments.adc import AdcSpec, quantize
 from repro.instruments.oscilloscope import Oscilloscope
-from repro.instruments.rasc import RascMonitor
 from repro.instruments.signal_gen import chirp
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.traces import Trace
@@ -113,72 +112,3 @@ def test_zero_span_as_trace():
     as_trace = result.as_trace()
     assert as_trace.meta["f_center"] == pytest.approx(48e6)
     assert "48MHz" in as_trace.label
-
-
-def test_rasc_monitor_alarm_timeline():
-    class StepDetector:
-        def __init__(self):
-            self.count = 0
-
-        def update(self, feature):
-            self.count += 1
-
-            class Decision:
-                alarm = self.count >= 5
-
-            return Decision()
-
-    traces = [_tone_trace(48e6) for _ in range(8)]
-    monitor = RascMonitor(
-        feature_fn=lambda t: t.rms(),
-        detector=StepDetector(),
-        processing_latency_s=1e-3,
-    )
-    report = monitor.monitor(traces)
-    assert report.alarm_index == 4
-    assert report.alarm_time_s == pytest.approx(
-        5 * (traces[0].duration + 1e-3)
-    )
-    assert len(report.features_db) == 5
-    # Per-window bookkeeping (shared with the runtime subsystem).
-    assert report.window_indices == (0, 1, 2, 3, 4)
-    assert report.alarms == (4,)
-    assert report.window_times_s == pytest.approx(
-        tuple((i + 1) * report.trace_period_s for i in range(5))
-    )
-    # The report owns trigger arithmetic (no hand-rolled bookkeeping).
-    assert report.traces_to_detect(trigger_index=3) == 2
-    assert report.traces_to_detect(trigger_index=5) is None
-    assert report.state_at(0, warmup=2, trigger_index=3) == "warm-up"
-    assert report.state_at(2, warmup=2, trigger_index=3) == "armed, quiet"
-    assert report.state_at(3, warmup=2, trigger_index=3) == "TROJAN ACTIVE"
-    assert report.state_at(4, warmup=2, trigger_index=3) == "ALARM"
-
-
-def test_rasc_monitor_watch_past_first_alarm():
-    class EveryThird:
-        def __init__(self):
-            self.count = 0
-
-        def update(self, feature):
-            self.count += 1
-            alarm = self.count % 3 == 0
-
-            class Decision:
-                pass
-
-            Decision.alarm = alarm
-            return Decision()
-
-    traces = [_tone_trace(48e6) for _ in range(7)]
-    monitor = RascMonitor(lambda t: t.rms(), EveryThird())
-    report = monitor.monitor(traces, stop_on_alarm=False)
-    assert len(report.features_db) == 7
-    assert report.alarms == (2, 5)
-    assert report.alarm_index == 2
-
-
-def test_rasc_monitor_requires_traces():
-    monitor = RascMonitor(lambda t: 0.0, detector=None)
-    with pytest.raises(MeasurementError):
-        monitor.monitor([])

@@ -9,6 +9,7 @@ one-shot offline render.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.core.analysis.detector import DetectorConfig
 from repro.core.analysis.localizer import Localizer
 from repro.core.analysis.pipeline import CrossDomainAnalyzer
 from repro.core.analysis.spectral import sideband_features_db
+from repro.detectors import available as detectors_available
 from repro.errors import AnalysisError, WorkloadError
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.runtime import (
@@ -32,7 +34,6 @@ from repro.runtime import (
     TrojanIdentified,
     TrojanLocalized,
     WindowProcessed,
-    WindowTimeline,
     record_stream,
     read_events,
 )
@@ -321,25 +322,44 @@ def test_event_dict_round_trip():
 # -- timeline -----------------------------------------------------------------
 
 
-def test_window_timeline_bookkeeping():
-    timeline = WindowTimeline(1e-3, n_streams=2)
-    assert timeline.first_alarm is None
-    timeline.push([1.0, 2.0], False)
-    timeline.push([3.0, 4.0], True)
-    timeline.push([5.0, 6.0], True)
-    assert timeline.n_windows == 3
-    assert timeline.alarms == (1, 2)
-    assert timeline.first_alarm == 1
-    assert timeline.window_indices == (0, 1, 2)
-    assert timeline.window_times_s == pytest.approx((1e-3, 2e-3, 3e-3))
-    assert np.array_equal(
-        timeline.features_matrix(), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+def test_window_timeline_bookkeeping(campaign):
+    """The pipeline's session timeline: verdict times, alarms, guards."""
+    from repro.detectors import make_detector
+
+    config = campaign.chip.config
+    chunks = list(LiveSource(campaign, _schedule("T4"), chunk=4).chunks())
+    pipeline = _pipeline(config, localize=False)
+    assert pipeline.report().n_windows == 0
+    assert pipeline.report().features_db.shape == (1, 0)
+    for chunk in chunks:
+        pipeline.process_chunk(chunk)
+    report = pipeline.report()
+    period = report.trace_period_s
+    assert period == pipeline.pipeline.mttd.trace_period(config)
+    assert report.n_windows == N_BASELINE + N_ACTIVE
+    assert report.window_times_s == tuple(
+        (w + 1) * period for w in range(report.n_windows)
     )
-    assert timeline.stream_features(1) == [2.0, 4.0, 6.0]
-    with pytest.raises(AnalysisError):
-        timeline.push([1.0], False)
-    with pytest.raises(AnalysisError):
-        WindowTimeline(0.0)
+    # Alarms are the detector's own verdicts over the recorded features.
+    timeline = make_detector("welford", 1, DETECTOR).process(
+        report.features_db
+    )
+    expected = tuple(int(w) for w in np.flatnonzero(timeline.alarms[0]))
+    assert expected and report.alarms == expected
+    assert report.first_alarm == expected[0]
+
+    fresh = _pipeline(config, localize=False)
+    two_streams = replace(
+        chunks[0],
+        samples=np.concatenate([chunks[0].samples] * 2),
+        labels=chunks[0].labels * 2,
+    )
+    with pytest.raises(AnalysisError, match="2 streams"):
+        fresh.process_chunk(two_streams)
+    fresh.process_chunk(chunks[0])
+    with pytest.raises(AnalysisError, match="stream discontinuity"):
+        fresh.process_chunk(chunks[2])  # skips chunk 1's windows
+    assert fresh.report().n_windows == chunks[0].n_windows
 
 
 # -- guards -------------------------------------------------------------------
@@ -359,8 +379,18 @@ def test_stream_shape_guards(campaign):
 # -- detector plugins in the MONITOR stage ------------------------------------
 
 
-def test_chunk_features_welford_route_matches_legacy_path(campaign):
-    """``welford`` features == the full-display sideband reduction."""
+@pytest.fixture(scope="module")
+def t1_chunk(campaign):
+    """One 6-window T1 chunk shared by the featurizer checks."""
+    return next(iter(LiveSource(campaign, _schedule("T1"), chunk=6).chunks()))
+
+
+@pytest.mark.parametrize("adc", [True, False], ids=["adc", "raw"])
+@pytest.mark.parametrize("name", detectors_available())
+def test_chunk_features_matches_full_display_reduction(
+    campaign, t1_chunk, name, adc
+):
+    """Partial-display featurizing == reducing the full display."""
     from repro.detectors import make_detector
     from repro.instruments.adc import quantize_batch
     from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
@@ -368,22 +398,22 @@ def test_chunk_features_welford_route_matches_legacy_path(campaign):
 
     config = campaign.chip.config
     analyzer = SpectrumAnalyzer()
-    chunk = next(
-        iter(LiveSource(campaign, _schedule("T1"), chunk=6).chunks())
-    )
+    detector = make_detector(name, 1)
     routed = chunk_features(
-        chunk, analyzer, config, make_detector("welford", 1), adc=RASC_ADC
+        t1_chunk, analyzer, config, detector, adc=RASC_ADC if adc else None
     )
-    samples = quantize_batch(
-        chunk.samples, RASC_ADC, headroom=AUTO_RANGE_HEADROOM
-    )
+    samples = t1_chunk.samples
+    if adc:
+        samples = quantize_batch(
+            samples, RASC_ADC, headroom=AUTO_RANGE_HEADROOM
+        )
     grid, display = analyzer.display_matrix(
-        samples.reshape(-1, samples.shape[-1]), chunk.fs
+        samples.reshape(-1, samples.shape[-1]), t1_chunk.fs
     )
-    legacy = sideband_features_db(grid, display, config).reshape(
-        chunk.n_streams, chunk.n_windows
+    full = detector.features(grid, display, config).reshape(
+        t1_chunk.n_streams, t1_chunk.n_windows
     )
-    np.testing.assert_array_equal(legacy, routed)
+    np.testing.assert_array_equal(full, routed)
 
 
 def test_monitor_welford_route_bit_identical_to_direct_bank(

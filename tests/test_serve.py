@@ -366,6 +366,20 @@ def test_http_error_paths(smoke_archive):
         assert [chip["chip"] for chip in body["chips"]] == ["dup"]
 
 
+def test_replay_uploads_leave_no_files(smoke_archive):
+    """Drained or rejected, a replay upload is removed from disk."""
+    service = MonitorService(ServeConfig())
+    with ServiceRunner(service) as runner:
+        client = runner.client()
+        status, _ = client.post(
+            "/chips/kept/replay?batch=4", smoke_archive.read_bytes()
+        )
+        assert status == 200
+        status, _ = client.post("/chips/junk/replay", b"not an npz")
+        assert status == 400
+        assert list(service.upload_dir.iterdir()) == []
+
+
 def test_ws_bad_text_frames_get_error_replies(smoke_archive):
     """Malformed client frames are answered; the socket stays open."""
     source = ReplaySource(smoke_archive, batch=4)
