@@ -11,15 +11,15 @@ into the PSA coils, external probes and the single-coil baseline:
   "self-cancellation" that penalizes whole-chip single coils — while a
   sensor matched to the Trojan/stripe scale straddles one pole and
   keeps a strong net flux.
-* **Receivers** — arbitrary stacks of rectangular turns; flux is
-  integrated patch-wise from the dipole fields.
+* **Receivers** — arbitrary stacks of rectangular turns; flux is the
+  vector-potential line integral around each turn.
 * **Electrical chain** — T-gate/MOSFET on-resistance vs supply and
   temperature, coil impedance, Johnson + ambient noise, and the 50 dB
   band-shaping amplifier.
 """
 
-from .dipole import bz_unit_dipole, flux_through_patches
-from .loops import rect_patches, turns_flux_factor
+from .dipole import bz_unit_dipole
+from .loops import turns_flux_factor
 from .coupling import (
     CouplingMatrix,
     Receiver,
@@ -40,8 +40,6 @@ from .probes import icr_hh100_probe, langer_lf1_probe, single_coil_receiver
 
 __all__ = [
     "bz_unit_dipole",
-    "flux_through_patches",
-    "rect_patches",
     "turns_flux_factor",
     "CouplingMatrix",
     "Receiver",

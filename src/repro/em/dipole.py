@@ -62,42 +62,13 @@ def bz_unit_dipole(
     return _PREFACTOR * (3.0 * dz * dz - r2) / r5
 
 
-def flux_through_patches(
-    dipole_xy: np.ndarray,
-    dipole_z: float,
-    patch_xy: np.ndarray,
-    patch_z: float,
-    patch_area: float,
-) -> np.ndarray:
-    """Net flux per unit moment through a patch-discretized surface.
-
-    Parameters
-    ----------
-    dipole_xy, dipole_z:
-        Dipole positions/height as in :func:`bz_unit_dipole`.
-    patch_xy:
-        Patch centers, shape ``(P, 2)``.
-    patch_z:
-        Surface height [m].
-    patch_area:
-        Area of each patch [m^2].
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(D,)`` array: flux per unit dipole moment [Wb/(A*m^2)].
-    """
-    bz = bz_unit_dipole(dipole_xy, dipole_z, patch_xy, patch_z)
-    return bz.sum(axis=1) * patch_area
-
-
 def analytic_centered_flux(
     loop_radius: float, height: float
 ) -> float:
     """Closed-form flux through a circle centered above a unit dipole.
 
     ``Phi = mu0 * a^2 / (2 * (a^2 + z^2)^(3/2))`` — used by tests to
-    validate the patch integration.
+    validate the line integral.
     """
     if loop_radius <= 0 or height <= 0:
         raise ConfigError("radius and height must be positive")

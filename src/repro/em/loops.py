@@ -22,27 +22,8 @@ import numpy as np
 from ..chip.floorplan import Rect
 from ..errors import ConfigError
 from ..units import MU0
-from .dipole import flux_through_patches
 
 _PREFACTOR = MU0 / (4.0 * np.pi)
-
-
-def rect_patches(rect: Rect, n_side: int) -> Tuple[np.ndarray, float]:
-    """Discretize a rectangle into ``n_side x n_side`` equal patches.
-
-    Retained for surface-integral cross-checks; returns
-    ``(centers (P, 2), patch_area)``.
-    """
-    if n_side < 1:
-        raise ConfigError(f"n_side must be >= 1, got {n_side}")
-    xs = np.linspace(rect.x0, rect.x1, n_side + 1)
-    ys = np.linspace(rect.y0, rect.y1, n_side + 1)
-    cx = 0.5 * (xs[:-1] + xs[1:])
-    cy = 0.5 * (ys[:-1] + ys[1:])
-    gx, gy = np.meshgrid(cx, cy)
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    patch_area = (rect.width / n_side) * (rect.height / n_side)
-    return centers, patch_area
 
 
 def rect_perimeter(
@@ -136,14 +117,3 @@ def turns_flux_factor(
         )
     return total
 
-
-def surface_flux_factor(
-    rect: Rect,
-    loop_z: float,
-    dipole_xy: np.ndarray,
-    dipole_z: float,
-    n_side: int = 64,
-) -> np.ndarray:
-    """Patch-integrated flux (cross-check for the line integral)."""
-    patches, area = rect_patches(rect, n_side)
-    return flux_through_patches(dipole_xy, dipole_z, patches, loop_z, area)

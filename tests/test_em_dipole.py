@@ -3,21 +3,38 @@
 import numpy as np
 import pytest
 
-from repro.em.dipole import (
-    analytic_centered_flux,
-    bz_unit_dipole,
-    flux_through_patches,
-)
-from repro.em.loops import (
-    loop_flux_factor,
-    rect_patches,
-    rect_perimeter,
-    surface_flux_factor,
-    turns_flux_factor,
-)
+from repro.em.dipole import analytic_centered_flux, bz_unit_dipole
+from repro.em.loops import loop_flux_factor, rect_perimeter, turns_flux_factor
 from repro.chip.floorplan import Rect
 from repro.errors import ConfigError
 from repro.units import MU0, UM
+
+
+# -- surface-integral cross-check helpers -------------------------------------
+# Patch integration of the dipole Bz: the independent reference the
+# vector-potential line integral (the production coupling path) is
+# checked against.
+
+
+def rect_patches(rect, n_side):
+    """``n_side x n_side`` equal patches: ``(centers (P, 2), area)``."""
+    xs = np.linspace(rect.x0, rect.x1, n_side + 1)
+    ys = np.linspace(rect.y0, rect.y1, n_side + 1)
+    gx, gy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    return centers, (rect.width / n_side) * (rect.height / n_side)
+
+
+def flux_through_patches(dipole_xy, dipole_z, patch_xy, patch_z, patch_area):
+    """Net flux per unit moment through patches, shape ``(D,)``."""
+    bz = bz_unit_dipole(dipole_xy, dipole_z, patch_xy, patch_z)
+    return bz.sum(axis=1) * patch_area
+
+
+def surface_flux_factor(rect, loop_z, dipole_xy, dipole_z, n_side=64):
+    """Patch-integrated flux through one rectangular turn."""
+    patches, area = rect_patches(rect, n_side)
+    return flux_through_patches(dipole_xy, dipole_z, patches, loop_z, area)
 
 
 def test_on_axis_field_positive_and_decaying():
