@@ -58,12 +58,7 @@ class ReceiverBench:
         self.engine = engine or MeasurementEngine(
             chip.config, amplifier=self.amplifier
         )
-        self.coupling = CouplingMatrix(
-            chip.floorplan,
-            [receiver],
-            points_per_side=48,
-            scale=COUPLING_SCALE,
-        )
+        self.coupling = CouplingMatrix(chip.floorplan, [receiver], scale=COUPLING_SCALE)
 
     def measure(self, record: ActivityRecord, trace_index: int = 0) -> Trace:
         """Capture one amplified trace from the receiver.

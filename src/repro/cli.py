@@ -62,10 +62,19 @@ def _store_summary(store: Optional[ArtifactStore]) -> str:
     )
 
 
+def _traces(args: argparse.Namespace) -> Dict[str, int]:
+    """``n_traces`` only when ``--traces`` is given.
+
+    An absent flag keeps each experiment's own default (Table 1 needs
+    at least 4 traces per population; Figure 4 averages 5).
+    """
+    return {} if args.traces is None else {"n_traces": args.traces}
+
+
 def _cmd_table1(ctx: ExperimentContext, args: argparse.Namespace) -> str:
     from .experiments.table1 import format_table1, run_table1
 
-    return format_table1(run_table1(ctx, n_traces=args.traces))
+    return format_table1(run_table1(ctx, **_traces(args)))
 
 
 def _cmd_table2(ctx: ExperimentContext, args: argparse.Namespace) -> str:
@@ -77,13 +86,13 @@ def _cmd_table2(ctx: ExperimentContext, args: argparse.Namespace) -> str:
 def _cmd_fig3(ctx: ExperimentContext, args: argparse.Namespace) -> str:
     from .experiments.fig3 import format_fig3, run_fig3
 
-    return format_fig3(run_fig3(ctx, n_traces=args.traces))
+    return format_fig3(run_fig3(ctx, **_traces(args)))
 
 
 def _cmd_fig4(ctx: ExperimentContext, args: argparse.Namespace) -> str:
     from .experiments.fig4 import format_fig4, run_fig4
 
-    return format_fig4(run_fig4(ctx, n_traces=args.traces))
+    return format_fig4(run_fig4(ctx, **_traces(args)))
 
 
 def _cmd_fig5(ctx: ExperimentContext, args: argparse.Namespace) -> str:
@@ -343,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--traces",
         type=int,
-        default=3,
-        help="traces per population where applicable (default 3)",
+        default=None,
+        help="traces per population where applicable (default: each experiment's own)",
     )
     parser.add_argument(
         "--grid",

@@ -90,23 +90,6 @@ class Localizer:
         )
         return amps.mean(axis=1)
 
-    def _sensor_amplitudes(
-        self, records: Sequence[ActivityRecord], trace_offset: int = 0
-    ) -> np.ndarray:
-        """Mean sideband RMS amplitude [V] per sensor of the array.
-
-        One engine render covers every (sensor, record) capture; the
-        display spectra and band features are extracted in vectorized
-        passes over the whole batch.
-        """
-        if not records:
-            raise AnalysisError("no activity records supplied")
-        batch = self.psa.render(
-            records,
-            trace_indices=[trace_offset + i for i in range(len(records))],
-        )
-        return self._mean_amplitudes(batch)
-
     def enqueue_score_map(
         self,
         plan,

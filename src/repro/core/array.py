@@ -39,8 +39,6 @@ class ProgrammableSensorArray:
     turns:
         Turns per standard sensor coil (5 = the deepest spiral the
         symmetric 11-pitch sensor supports; see repro.core.sensors).
-    points_per_side:
-        Line-integral resolution of the flux computation.
     amplifier:
         Measurement front-end (defaults to the THS4504 model).
     coupling_scale:
@@ -59,7 +57,6 @@ class ProgrammableSensorArray:
         self,
         chip: TestChip,
         turns: int = 5,
-        points_per_side: int = 48,
         amplifier: Optional[MeasurementAmplifier] = None,
         coupling_scale: float = COUPLING_SCALE,
         engine: Optional[MeasurementEngine] = None,
@@ -77,7 +74,6 @@ class ProgrammableSensorArray:
         self.decoder = PsaDecoder()
         self.amplifier = amplifier or MeasurementAmplifier()
         self.coupling_scale = coupling_scale
-        self.points_per_side = points_per_side
         self.engine = engine or MeasurementEngine(
             chip.config, amplifier=self.amplifier
         )
@@ -88,12 +84,7 @@ class ProgrammableSensorArray:
             coil.to_receiver(self.config.vdd, self.config.temperature_c)
             for coil in self.sensor_coils
         ]
-        self._coupling = CouplingMatrix(
-            chip.floorplan,
-            receivers,
-            points_per_side=points_per_side,
-            scale=coupling_scale,
-        )
+        self._coupling = CouplingMatrix(chip.floorplan, receivers, scale=coupling_scale)
         self._custom_couplings: Dict[str, CouplingMatrix] = {}
 
     # -- introspection ---------------------------------------------------------
@@ -305,7 +296,6 @@ class ProgrammableSensorArray:
             cached = CouplingMatrix(
                 self.chip.floorplan,
                 [coil.to_receiver(self.config.vdd, self.config.temperature_c)],
-                points_per_side=self.points_per_side,
                 scale=self.coupling_scale,
             )
             self._custom_couplings[key] = cached

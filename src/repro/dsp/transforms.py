@@ -432,12 +432,6 @@ def spectrum_dbuv(samples: np.ndarray, fs: float) -> np.ndarray:
     return amplitude_spectrum(samples, fs).db()
 
 
-def coherent_gain(window: np.ndarray) -> float:
-    """Coherent gain of a window (mean of its samples)."""
-    window = np.asarray(window, dtype=float)
-    return float(window.mean())
-
-
 def pick_peaks(
     spectrum: Spectrum,
     n_peaks: int,

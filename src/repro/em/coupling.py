@@ -10,10 +10,10 @@ Two throughput mechanisms live here because this is where the physics
 is computed:
 
 * a **content-keyed geometry cache** — the flux-integral matrices
-  depend only on (die grid, receiver turn geometry, resolution,
-  calibration scales), so identical tuples are computed once per
-  process no matter how many ``CouplingMatrix`` instances are built
-  (administered through :mod:`repro.engine.cache`);
+  depend only on (die grid, receiver turn geometry, calibration
+  scales), so identical tuples are computed once per process no
+  matter how many ``CouplingMatrix`` instances are built (administered
+  through :mod:`repro.engine.cache`);
 * a **spectral EMF path** (:func:`emf_rfft`) — the per-cycle charge
   train is an impulse train on the fast-time grid, so its DFT is the
   cycle-rate DFT of the charge amplitudes tiled across the trace bins;
@@ -57,7 +57,6 @@ def coupling_geometry_key(
     floorplan: Floorplan,
     receivers: Sequence["Receiver"],
     loop_area: float,
-    points_per_side: int,
     scale: float,
     bond_scale: float,
     return_fraction: float,
@@ -66,10 +65,10 @@ def coupling_geometry_key(
 
     Covers everything the flux matrices depend on: the region grid and
     power-stripe layout, each receiver's turn rectangles and height,
-    the integration resolution and the calibration scales.  Module
-    *placements* are deliberately excluded — the geometry matrices do
-    not depend on what logic sits in a region, so chips that differ
-    only in floorplan contents share one computation.
+    and the calibration scales.  Module *placements* are deliberately
+    excluded — the geometry matrices do not depend on what logic sits
+    in a region, so chips that differ only in floorplan contents share
+    one computation.
     """
     h = hashlib.blake2b(digest_size=16)
 
@@ -81,7 +80,6 @@ def coupling_geometry_key(
     h.update(int(floorplan.n_regions_side).to_bytes(4, "little"))
     h.update(np.ascontiguousarray(POWER_STRIPES, dtype=float).tobytes())
     _floats(loop_area, scale, bond_scale, return_fraction)
-    h.update(int(points_per_side).to_bytes(4, "little"))
     for receiver in receivers:
         _floats(receiver.z)
         for turn in receiver.turns:
@@ -155,8 +153,6 @@ class CouplingMatrix:
     loop_area:
         Effective supply-loop area per region [m^2] (dipole moment per
         ampere).
-    points_per_side:
-        Line-integral resolution of the flux computation.
     scale:
         Dimensionless absolute-coupling calibration applied uniformly
         to the region-dipole matrix (see :mod:`repro.calibration`);
@@ -174,7 +170,6 @@ class CouplingMatrix:
         floorplan: Floorplan,
         receivers: Sequence[Receiver],
         loop_area: float = REGION_LOOP_AREA,
-        points_per_side: int = 48,
         scale: float = 1.0,
         bond_scale: float | None = None,
         return_fraction: float | None = None,
@@ -188,7 +183,6 @@ class CouplingMatrix:
         self.floorplan = floorplan
         self.receivers = list(receivers)
         self.loop_area = loop_area
-        self.points_per_side = points_per_side
         self.scale = scale
         self.bond_scale = (
             BOND_COUPLING_SCALE if bond_scale is None else bond_scale
@@ -203,7 +197,6 @@ class CouplingMatrix:
             floorplan,
             self.receivers,
             self.loop_area,
-            self.points_per_side,
             self.scale,
             self.bond_scale,
             self.return_fraction,
@@ -243,21 +236,13 @@ class CouplingMatrix:
             flux_pos = np.zeros(sources.shape[0])
             for offset in source_offsets:
                 flux_pos += turns_flux_factor(
-                    receiver.turns,
-                    receiver.z,
-                    sources + offset,
-                    0.0,
-                    self.points_per_side,
+                    receiver.turns, receiver.z, sources + offset, 0.0
                 )
             flux_pos /= len(source_offsets)
             flux_neg = np.zeros(returns.shape[0])
             for offset in return_offsets:
                 flux_neg += turns_flux_factor(
-                    receiver.turns,
-                    receiver.z,
-                    returns + offset,
-                    0.0,
-                    self.points_per_side,
+                    receiver.turns, receiver.z, returns + offset, 0.0
                 )
             flux_neg /= len(return_offsets)
             rows.append(
@@ -274,13 +259,7 @@ class CouplingMatrix:
         center = np.array([[DIE_SIZE / 2.0, DIE_SIZE / 2.0]])
         row = np.zeros(len(self.receivers))
         for index, receiver in enumerate(self.receivers):
-            factor = turns_flux_factor(
-                receiver.turns,
-                receiver.z,
-                center,
-                BOND_LOOP_Z,
-                self.points_per_side,
-            )
+            factor = turns_flux_factor(receiver.turns, receiver.z, center, BOND_LOOP_Z)
             row[index] = factor[0] * BOND_LOOP_AREA * self.bond_scale
         row.setflags(write=False)
         return row

@@ -11,11 +11,20 @@ Bz core under the loop is near-singular and defeats any reasonable
 patch grid.  The line integral also reproduces the key physics exactly:
 flux from a dipole deep inside a large loop falls off like 1/a (the
 self-cancellation that penalizes whole-chip coils).
+
+Along a straight side only ``u``, the coordinate along the wire,
+varies; the side's perpendicular offset ``d`` from the dipole is
+fixed.  Each side therefore contributes the exact closed form
+
+    d * \\int_lo^hi du / (u^2 + c^2)^{3/2} = d * [F(hi) - F(lo)],
+    F(u) = u / (c^2 sqrt(u^2 + c^2)),   c^2 = d^2 + dz^2,
+
+so a turn's flux is four such terms, with no discretisation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -26,34 +35,12 @@ from ..units import MU0
 _PREFACTOR = MU0 / (4.0 * np.pi)
 
 
-def rect_perimeter(
-    rect: Rect, points_per_side: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Counter-clockwise perimeter discretization of a rectangle.
-
-    Returns ``(midpoints (P, 2), dl (P, 2))`` — segment midpoints and
-    the corresponding oriented segment vectors.
-    """
-    if points_per_side < 2:
-        raise ConfigError("need at least 2 points per side")
-    corners = np.array(
-        [
-            [rect.x0, rect.y0],
-            [rect.x1, rect.y0],
-            [rect.x1, rect.y1],
-            [rect.x0, rect.y1],
-        ]
-    )
-    midpoints = []
-    deltas = []
-    for index in range(4):
-        start = corners[index]
-        stop = corners[(index + 1) % 4]
-        ts = np.linspace(0.0, 1.0, points_per_side + 1)
-        points = start[None, :] + ts[:, None] * (stop - start)[None, :]
-        midpoints.append(0.5 * (points[:-1] + points[1:]))
-        deltas.append(points[1:] - points[:-1])
-    return np.vstack(midpoints), np.vstack(deltas)
+def _side_integral(
+    offset: np.ndarray, lo: np.ndarray, hi: np.ndarray, dz: float
+) -> np.ndarray:
+    """``offset * int_lo^hi du / (u^2 + offset^2 + dz^2)^{3/2}``."""
+    c2 = offset * offset + dz * dz
+    return offset * (hi / np.sqrt(hi * hi + c2) - lo / np.sqrt(lo * lo + c2)) / c2
 
 
 def loop_flux_factor(
@@ -61,7 +48,6 @@ def loop_flux_factor(
     loop_z: float,
     dipole_xy: np.ndarray,
     dipole_z: float,
-    points_per_side: int = 64,
 ) -> np.ndarray:
     """Flux per unit dipole moment through one rectangular turn.
 
@@ -75,8 +61,6 @@ def loop_flux_factor(
         Dipole positions, shape ``(D, 2)``.
     dipole_z:
         Common dipole height [m].
-    points_per_side:
-        Line-integral resolution.
 
     Returns
     -------
@@ -87,12 +71,17 @@ def loop_flux_factor(
     dz = loop_z - dipole_z
     if abs(dz) < 1e-12:
         raise ConfigError("dipole and loop planes coincide")
-    midpoints, deltas = rect_perimeter(rect, points_per_side)
-    dx = midpoints[None, :, 0] - dipole_xy[:, None, 0]
-    dy = midpoints[None, :, 1] - dipole_xy[:, None, 1]
-    r3 = (dx * dx + dy * dy + dz * dz) ** 1.5
-    integrand = (-dy * deltas[None, :, 0] + dx * deltas[None, :, 1]) / r3
-    return _PREFACTOR * integrand.sum(axis=1)
+    x0 = rect.x0 - dipole_xy[:, 0]
+    x1 = rect.x1 - dipole_xy[:, 0]
+    y0 = rect.y0 - dipole_xy[:, 1]
+    y1 = rect.y1 - dipole_xy[:, 1]
+    # Counter-clockwise: the bottom and left sides run against +u.
+    return _PREFACTOR * (
+        _side_integral(x1, y0, y1, dz)
+        - _side_integral(x0, y0, y1, dz)
+        + _side_integral(y1, x0, x1, dz)
+        - _side_integral(y0, x0, x1, dz)
+    )
 
 
 def turns_flux_factor(
@@ -100,7 +89,6 @@ def turns_flux_factor(
     turns_z: float,
     dipole_xy: np.ndarray,
     dipole_z: float,
-    points_per_side: int = 64,
 ) -> np.ndarray:
     """Flux linkage per unit dipole moment for a multi-turn coil.
 
@@ -112,8 +100,5 @@ def turns_flux_factor(
     dipole_xy = np.atleast_2d(np.asarray(dipole_xy, dtype=float))
     total = np.zeros(dipole_xy.shape[0])
     for turn in turns:
-        total += loop_flux_factor(
-            turn, turns_z, dipole_xy, dipole_z, points_per_side
-        )
+        total += loop_flux_factor(turn, turns_z, dipole_xy, dipole_z)
     return total
-

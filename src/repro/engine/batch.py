@@ -78,15 +78,6 @@ class TraceBatch:
         """Fast-time samples per trace."""
         return int(self.samples.shape[2])
 
-    # -- lookup --------------------------------------------------------------
-
-    def receiver_index(self, label: str) -> int:
-        """Axis position of the named receiver."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise MeasurementError(f"batch holds no receiver {label!r}") from None
-
     # -- conversion ----------------------------------------------------------
 
     def trace(self, receiver: int, index: int) -> Trace:

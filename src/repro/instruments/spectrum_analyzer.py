@@ -24,7 +24,6 @@ from ..dsp.transforms import (
     resample_spectra_at,
     resample_spectrum,
 )
-from ..engine import TraceBatch
 from ..errors import MeasurementError
 from ..traces import Trace
 
@@ -147,21 +146,6 @@ class SpectrumAnalyzer:
         """Batched display spectra as :class:`Spectrum` objects."""
         grid, amps = self.display_matrix(samples, fs)
         return [Spectrum(freqs=grid, amps=row) for row in amps]
-
-    def batch_spectra(self, batch: TraceBatch) -> List[List[Spectrum]]:
-        """Display spectra of a whole :class:`TraceBatch`.
-
-        Returns ``spectra[receiver][trace]``, computed in one
-        vectorized pass over every capture in the batch.
-        """
-        flat = self.display_spectra(
-            batch.samples.reshape(-1, batch.n_samples), batch.fs
-        )
-        per_receiver = batch.n_traces
-        return [
-            flat[index * per_receiver : (index + 1) * per_receiver]
-            for index in range(batch.n_receivers)
-        ]
 
     def average_spectrum(self, traces: Sequence[Trace]) -> Spectrum:
         """Trace-averaged display spectrum (the paper averages five)."""

@@ -139,10 +139,6 @@ class Netlist:
             leakage_na=sum(i.cell.leakage_na for i in instances),
         )
 
-    def total_area_um2(self) -> float:
-        """Total placed area of all instances [um^2]."""
-        return sum(instance.cell.area_um2 for instance in self._instances)
-
     def mean_switch_cap_ff(self, module: str) -> float:
         """Average switched capacitance per cell in a module [fF]."""
         instances = self.module_instances(module)

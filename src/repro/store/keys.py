@@ -170,7 +170,6 @@ def psa_fingerprint(psa) -> Dict[str, object]:
     """
     return {
         "n_sensors": psa.n_sensors,
-        "points_per_side": psa.points_per_side,
         "coupling_scale": psa.coupling_scale,
         "receivers": [
             _receiver_fingerprint(receiver)

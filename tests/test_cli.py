@@ -1,5 +1,8 @@
 """CLI parser wiring (execution is covered by the experiments tests)."""
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.cli import _COMMANDS, build_parser
@@ -20,6 +23,23 @@ def test_parser_all_keyword():
 def test_parser_traces_option():
     args = build_parser().parse_args(["fig4", "--traces", "7"])
     assert args.traces == 7
+
+
+@pytest.mark.parametrize("name", ["table1", "fig3", "fig4"])
+@pytest.mark.parametrize("argv", [[], ["--traces", "7"]])
+def test_traces_default_is_each_experiments_own(monkeypatch, name, argv):
+    """Without ``--traces`` a command runs at its experiment's default
+    (``repro table1`` used to pass 3 and abort: Table 1 needs 4)."""
+    module = importlib.import_module(f"repro.experiments.{name}")
+    run = getattr(module, f"run_{name}")
+    default = inspect.signature(run).parameters["n_traces"].default
+    seen = []
+    monkeypatch.setattr(
+        module, f"run_{name}", lambda ctx, n_traces=default: seen.append(n_traces)
+    )
+    monkeypatch.setattr(module, f"format_{name}", lambda result: "")
+    _COMMANDS[name](None, build_parser().parse_args([name, *argv]))
+    assert seen == [7 if argv else default]
 
 
 def test_parser_sweep_grid_option():

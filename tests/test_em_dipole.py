@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.em.dipole import analytic_centered_flux, bz_unit_dipole
-from repro.em.loops import loop_flux_factor, rect_perimeter, turns_flux_factor
+from repro.em.loops import loop_flux_factor, turns_flux_factor
 from repro.chip.floorplan import Rect
 from repro.errors import ConfigError
 from repro.units import MU0, UM
@@ -68,7 +68,7 @@ def test_line_integral_matches_surface_integral():
     rect = Rect(-200 * UM, -200 * UM, 200 * UM, 200 * UM)
     dipole = np.array([[35 * UM, -20 * UM]])
     z = 60 * UM  # high enough for the patch integral to converge
-    line = loop_flux_factor(rect, z, dipole, 0.0, points_per_side=256)[0]
+    line = loop_flux_factor(rect, z, dipole, 0.0)[0]
     surface = surface_flux_factor(rect, z, dipole, 0.0, n_side=256)[0]
     assert line == pytest.approx(surface, rel=0.01)
 
@@ -78,7 +78,7 @@ def test_line_integral_matches_analytic_centered_disk():
     z = 5 * UM
     side = 400 * UM
     rect = Rect(-side / 2, -side / 2, side / 2, side / 2)
-    flux = loop_flux_factor(rect, z, np.array([[0.0, 0.0]]), 0.0, 256)[0]
+    flux = loop_flux_factor(rect, z, np.array([[0.0, 0.0]]), 0.0)[0]
     radius = side / np.sqrt(np.pi)  # equal-area circle
     expected = analytic_centered_flux(radius, z)
     assert flux == pytest.approx(expected, rel=0.1)
@@ -92,14 +92,14 @@ def test_flux_decays_with_loop_size():
     fluxes = []
     for side in (100 * UM, 300 * UM, 900 * UM):
         rect = Rect(-side / 2, -side / 2, side / 2, side / 2)
-        fluxes.append(loop_flux_factor(rect, z, dipole, 0.0, 128)[0])
+        fluxes.append(loop_flux_factor(rect, z, dipole, 0.0)[0])
     assert fluxes[0] > fluxes[1] > fluxes[2] > 0.0
 
 
 def test_dipole_outside_loop_links_negative_flux():
     rect = Rect(0.0, 0.0, 100 * UM, 100 * UM)
     outside = np.array([[150 * UM, 50 * UM]])
-    flux = loop_flux_factor(rect, 5 * UM, outside, 0.0, 128)[0]
+    flux = loop_flux_factor(rect, 5 * UM, outside, 0.0)[0]
     assert flux < 0.0
 
 
@@ -115,14 +115,35 @@ def test_turns_sum_linearly():
     assert combined == pytest.approx(separate, rel=1e-12)
 
 
-def test_rect_perimeter_closes():
-    rect = Rect(0.0, 0.0, 2.0, 1.0)
-    midpoints, deltas = rect_perimeter(rect, 16)
-    assert midpoints.shape == deltas.shape == (64, 2)
-    # A closed path's segment vectors sum to zero.
-    assert np.allclose(deltas.sum(axis=0), 0.0, atol=1e-12)
-    # Total length equals the perimeter.
-    assert np.linalg.norm(deltas, axis=1).sum() == pytest.approx(6.0)
+def test_centered_square_flux_is_exact():
+    """A square of half-side a over a dipole at height z links
+    mu0/(4 pi) * 8a^2 / ((a^2 + z^2) sqrt(2a^2 + z^2))."""
+    a, z = 50 * UM, 7 * UM
+    rect = Rect(-a, -a, a, a)
+    flux = loop_flux_factor(rect, z, np.array([[0.0, 0.0]]), 0.0)[0]
+    expected = MU0 / (4 * np.pi) * 8 * a * a / ((a * a + z * z) * np.sqrt(2 * a * a + z * z))
+    assert flux == pytest.approx(expected, rel=1e-12)
+
+
+def test_off_centre_flux_matches_dense_line_sum():
+    """The closed form equals a dense midpoint sum of the line integral."""
+    rect = Rect(-30 * UM, -10 * UM, 70 * UM, 50 * UM)
+    dipole = np.array([[12 * UM, 3 * UM]])
+    z = 5 * UM
+    corners = np.array(
+        [[rect.x0, rect.y0], [rect.x1, rect.y0], [rect.x1, rect.y1], [rect.x0, rect.y1]]
+    )
+    ts = np.linspace(0.0, 1.0, 20001)[:, None]
+    total = 0.0
+    for start, stop in zip(corners, np.roll(corners, -1, axis=0)):
+        points = start + ts * (stop - start)
+        mid = 0.5 * (points[:-1] + points[1:]) - dipole[0]
+        dl = points[1:] - points[:-1]
+        r3 = (mid[:, 0] ** 2 + mid[:, 1] ** 2 + z * z) ** 1.5
+        total += ((-mid[:, 1] * dl[:, 0] + mid[:, 0] * dl[:, 1]) / r3).sum()
+    expected = MU0 / (4 * np.pi) * total
+    flux = loop_flux_factor(rect, z, dipole, 0.0)[0]
+    assert flux == pytest.approx(expected, rel=1e-8)
 
 
 def test_rect_patches_tile_area():

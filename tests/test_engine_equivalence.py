@@ -155,8 +155,7 @@ def test_coupling_cache_misses_on_different_geometry(chip, psa):
     CouplingMatrix(
         chip.floorplan,
         psa.coupling.receivers,
-        points_per_side=24,
-        scale=psa.coupling_scale,
+        scale=2.0 * psa.coupling_scale,
     )
     assert coupling_cache_stats()["misses"] == before + 1
 

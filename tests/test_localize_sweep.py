@@ -282,9 +282,7 @@ def test_sweep_rejects_mismatched_campaign(chip):
         chip.config,
         floorplan=floorplan_with_trojans_at(6),
     )
-    campaign = MeasurementCampaign(
-        relocated, ProgrammableSensorArray(relocated, points_per_side=8)
-    )
+    campaign = MeasurementCampaign(relocated, ProgrammableSensorArray(relocated))
     with pytest.raises(AnalysisError):
         LocalizationSweep(chip.config, campaign=campaign)
 
