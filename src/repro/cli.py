@@ -505,15 +505,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "boot the service, stream one recorded session through "
-            "the replay endpoint, assert an alarm and sane /metrics, "
-            "then exit (the CI serve-smoke job)"
+            "the replay endpoint, assert an alarm, sane /metrics and a "
+            "400 for a truncated copy, then exit (the CI serve-smoke job)"
         ),
     )
     return parser
 
 
 def _serve_selftest(service, config: SimConfig) -> str:
-    """Boot, upload one recorded stream, check the outcome.
+    """Boot, upload one recorded stream and a truncated copy, check both.
 
     The headless CI path: everything in-process, no fixed port, the
     same client the tests use.
@@ -531,11 +531,10 @@ def _serve_selftest(service, config: SimConfig) -> str:
     with tempfile.TemporaryDirectory(prefix="repro-selftest-") as tmp:
         path = Path(tmp) / "stream.npz"
         record_stream(monitor.source, path)
+        payload = path.read_bytes()
         with ServiceRunner(service) as runner:
             client = runner.client(timeout=300)
-            status, report = client.post(
-                "/chips/selftest/replay", path.read_bytes()
-            )
+            status, report = client.post("/chips/selftest/replay", payload)
             if status != 200:
                 raise AnalysisError(
                     f"selftest replay upload failed: {status} {report}"
@@ -545,10 +544,18 @@ def _serve_selftest(service, config: SimConfig) -> str:
                     "selftest stream produced no detection; report: "
                     f"{json.dumps(report)}"
                 )
-            leftovers = sorted(p.name for p in service.upload_dir.iterdir())
-            if leftovers:
+            status, body = client.post(
+                "/chips/selftest-truncated/replay", payload[: len(payload) // 2]
+            )
+            if status != 400:
                 raise AnalysisError(
-                    f"selftest replay upload left files behind: {leftovers}"
+                    f"selftest truncated upload answered {status}, not 400: {body}"
+                )
+            status, chips = client.get("/chips")
+            onboarded = [chip["chip"] for chip in chips["chips"]]
+            if onboarded != ["selftest"]:
+                raise AnalysisError(
+                    f"selftest truncated upload onboarded a chip: {onboarded}"
                 )
             status, metrics = client.get("/metrics")
     if status != 200 or metrics.get("alarms_total", 0) < 1:

@@ -10,10 +10,11 @@ Two production sources sit behind one :class:`TraceStream` protocol:
   stream ``render/{scenario}/{receiver}/{trace_index}``, a streamed
   run is **bit-identical** to the equivalent one-shot offline render
   at any chunk size.
-* :class:`ReplaySource` iterates a ``.npz`` trace archive through the
-  chunked :func:`repro.traceio.iter_traces` reader, never holding more
-  than one chunk of samples — recorded sessions re-run through the
-  same pipeline.
+* :class:`ReplaySource` iterates a ``.npz`` trace archive (a file, or
+  its bytes in memory) through the chunked
+  :func:`repro.traceio.iter_traces` reader, never holding more than one
+  chunk of samples — recorded sessions re-run through the same
+  pipeline.
 
 Both yield :class:`StreamChunk` blocks: a ``(n_streams, k,
 n_samples)`` sample stack plus per-window bookkeeping, the unit of
@@ -447,7 +448,7 @@ class ReplaySource:
     ----------
     path:
         Archive written by :func:`repro.traceio.save_traces` (e.g. via
-        :func:`record_stream`).
+        :func:`record_stream`); with ``data``, only the source's name.
     batch:
         Maximum windows per pulled chunk.
     n_streams:
@@ -457,6 +458,9 @@ class ReplaySource:
         An explicit count is validated against that pattern, so a
         mismatched replay fails loudly instead of interleaving
         different sensors into one detector stream.
+    data:
+        The archive's bytes, already in memory (``repro serve`` replays
+        an upload's request body); nothing is read from ``path`` then.
     """
 
     def __init__(
@@ -464,12 +468,14 @@ class ReplaySource:
         path: "str | Path",
         batch: int = DEFAULT_CHUNK_WINDOWS,
         n_streams: Optional[int] = None,
+        data: Optional[bytes] = None,
     ):
         if batch < 1:
             raise AnalysisError(f"batch must be >= 1, got {batch}")
         self.path = Path(path)
         self.batch = batch
-        header = read_header(self.path)
+        self.data = data
+        header = read_header(self.path, data=data)
         entries = header["traces"]
         labels = [str(entry["label"]) for entry in entries]
         if n_streams is None:
@@ -521,7 +527,9 @@ class ReplaySource:
     def chunks(self) -> Iterator[StreamChunk]:
         """Stream the archive back as whole-window chunks."""
         position = 0
-        for group in iter_traces(self.path, batch=self.batch * self._n_streams):
+        for group in iter_traces(
+            self.path, batch=self.batch * self._n_streams, data=self.data
+        ):
             k = len(group) // self._n_streams
             first = group[0]
             stack = np.stack([trace.samples for trace in group])

@@ -46,7 +46,6 @@ import asyncio
 import json
 import logging
 import re
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,7 +88,7 @@ from .shedding import ChunkShedder, OverloadGuard
 
 logger = logging.getLogger(__name__)
 
-#: Chip ids are path segments and upload file names.
+#: Chip ids are URL path segments and name their sessions' sources.
 _CHIP_ID = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
@@ -309,6 +308,12 @@ class ChipSession:
             chunk.n_windows, self.service.uptime()
         )
 
+    def _note_dequeued(self, chunk) -> None:
+        self.queued_windows -= chunk.n_windows
+        self.service.guard.note_dequeued(
+            chunk.n_windows, self.service.uptime()
+        )
+
     async def drain(
         self, trigger_index: Optional[int] = None
     ) -> MonitorReport:
@@ -375,10 +380,7 @@ class ChipSession:
                         "chip %s: chunk rejected: %s", self.chip_id, exc
                     )
                 finally:
-                    self.queued_windows -= payload.n_windows
-                    self.service.guard.note_dequeued(
-                        payload.n_windows, self.service.uptime()
-                    )
+                    self._note_dequeued(payload)
             finally:
                 if flushed is not None:
                     flushed.set()
@@ -406,12 +408,20 @@ class ChipSession:
         )
 
     async def close(self) -> None:
-        """Cancel the consumer task (service shutdown)."""
+        """Cancel the consumer task and release the chunks still queued.
+
+        Service shutdown, or a replay whose archive failed mid-stream.
+        A chunk already in the analysis pool runs to its end there.
+        """
         self.consumer.cancel()
         try:
             await self.consumer
         except asyncio.CancelledError:
             pass
+        while not self.queue.empty():
+            kind, payload, _ = self.queue.get_nowait()
+            if kind == _CHUNK:
+                self._note_dequeued(payload)
 
 
 class MonitorService:
@@ -461,7 +471,6 @@ class MonitorService:
         self._alarms: Dict[str, int] = {}
         self._first_alarms: Dict[str, int] = {}
         self.bus.subscribe(self._on_event)
-        self._uploads = tempfile.TemporaryDirectory(prefix="repro-serve-")
         self._producers: List[asyncio.Task] = []
         self._conn_tasks: set = set()
         self._started = time.monotonic()
@@ -470,11 +479,6 @@ class MonitorService:
         self.port: Optional[int] = None
 
     # -- bookkeeping ------------------------------------------------------
-
-    @property
-    def upload_dir(self) -> Path:
-        """Where replay uploads are staged while they stream."""
-        return Path(self._uploads.name)
 
     def uptime(self) -> float:
         """Seconds since the service object was created."""
@@ -525,8 +529,9 @@ class MonitorService:
     def _check_onboarding(self, chip_id: str) -> None:
         """Reject bad/duplicate chip ids before any expensive work.
 
-        Also the path-safety gate: the id becomes an upload file name,
-        so it must stay a single plain path segment.
+        Also the path-safety gate: the id is a URL path segment and
+        names the chip's replay source, so it must stay a single plain
+        segment.
         """
         if not _CHIP_ID.match(chip_id):
             raise AnalysisError(
@@ -545,6 +550,12 @@ class MonitorService:
         session = ChipSession(self, chip_id, **kwargs)
         self.sessions[chip_id] = session
         return session
+
+    async def _drop_session(self, chip_id: str) -> None:
+        """Forget a failed session, so that its id can onboard again."""
+        await self.sessions.pop(chip_id).close()
+        self._alarms.pop(chip_id, None)
+        self._first_alarms.pop(chip_id, None)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -576,7 +587,6 @@ class MonitorService:
         self.executor.shutdown(wait=True)
         if self._sink is not None:
             self._sink.close()
-        self._uploads.cleanup()
 
     async def serve_forever(self, on_ready=None) -> None:
         """Run until ``POST /shutdown`` (or cancellation).
@@ -712,25 +722,21 @@ class MonitorService:
             raise AnalysisError("replay upload needs a .npz archive body")
         batch = _int_field(request.query, "batch", self.config.chunk_windows)
         loop = asyncio.get_running_loop()
-        path = self.upload_dir / f"{chip_id}.npz"
-        path.write_bytes(request.body)
-        # The upload lives only as long as its replay: drained or
-        # rejected, the archive leaves the upload directory.
+        # The archive is decoded from the request body in memory; the
+        # path only names the source.
+        source = await loop.run_in_executor(
+            self.executor,
+            partial(
+                ReplaySource, Path(f"{chip_id}.npz"), batch, data=request.body
+            ),
+        )
+        session = self._new_session(
+            chip_id,
+            kind="replay",
+            n_streams=source.n_streams,
+            trigger_index=source.trigger_index,
+        )
         try:
-            try:
-                source = await loop.run_in_executor(
-                    self.executor, partial(ReplaySource, path, batch)
-                )
-            except (ValueError, OSError, KeyError) as exc:
-                raise AnalysisError(
-                    f"replay upload is not a readable trace archive: {exc}"
-                ) from exc
-            session = self._new_session(
-                chip_id,
-                kind="replay",
-                n_streams=source.n_streams,
-                trigger_index=source.trigger_index,
-            )
             iterator = source.chunks()
             while True:
                 chunk = await loop.run_in_executor(
@@ -740,8 +746,11 @@ class MonitorService:
                     break
                 await session.put(chunk)
             report = await session.drain(source.trigger_index)
-        finally:
-            path.unlink(missing_ok=True)
+        except ReproError:
+            # Damage past the header surfaces mid-stream: the failed
+            # upload must not hold its chip id.
+            await self._drop_session(chip_id)
+            raise
         return json_response(200, report.to_dict())
 
     # -- live onboarding (server-side rendering) --------------------------

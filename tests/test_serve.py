@@ -11,9 +11,15 @@ archive, bit for bit.  On top of that, overload must shed loudly
 from __future__ import annotations
 
 import asyncio
+import builtins
+import io
+import itertools
 import json
+import os
 import time
+import zipfile
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -366,18 +372,157 @@ def test_http_error_paths(smoke_archive):
         assert [chip["chip"] for chip in body["chips"]] == ["dup"]
 
 
-def test_replay_uploads_leave_no_files(smoke_archive):
-    """Drained or rejected, a replay upload is removed from disk."""
-    service = MonitorService(ServeConfig())
-    with ServiceRunner(service) as runner:
+def test_replay_uploads_write_nothing_to_disk(smoke_archive, monkeypatch):
+    """A replay upload is decoded from its request body, not a file."""
+    payload = smoke_archive.read_bytes()
+    writes = []
+    real_open, real_os_open = io.open, os.open
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            writes.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def guarded_os_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+            writes.append(str(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
         client = runner.client()
-        status, _ = client.post(
-            "/chips/kept/replay?batch=4", smoke_archive.read_bytes()
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", guarded_open)
+            patch.setattr(io, "open", guarded_open)
+            patch.setattr(os, "open", guarded_os_open)
+            status, _ = client.post("/chips/kept/replay?batch=4", payload)
+            assert status == 200
+            status, _ = client.post("/chips/junk/replay", b"not an npz")
+            assert status == 400
+    assert writes == []
+
+
+def _archive_with(smoke_archive, mutate):
+    """The smoke archive's bytes rebuilt member by member.
+
+    ``mutate(name, raw)`` returns a member's new bytes, or None to
+    leave the member out; the archive stays stored, with fresh CRCs.
+    """
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(smoke_archive) as source, zipfile.ZipFile(
+        buffer, "w"
+    ) as target:
+        for name in source.namelist():
+            raw = mutate(name, source.read(name))
+            if raw is not None:
+                target.writestr(name, raw)
+    return buffer.getvalue()
+
+
+def test_failed_replay_leaves_no_session(smoke_archive):
+    """Decode failures past onboarding are 400s that free the chip id."""
+    payload = smoke_archive.read_bytes()
+    # A flipped sample byte fails its member's CRC mid-stream.
+    middle = len(payload) // 2
+    flipped = payload[:middle] + bytes([payload[middle] ^ 0x10]) + payload[middle + 1 :]
+    header_only = _archive_with(
+        smoke_archive,
+        lambda name, raw: raw if name == "__header__.npy" else None,
+    )
+    with zipfile.ZipFile(smoke_archive) as archive:
+        last = max(archive.namelist())
+    missing_last = _archive_with(
+        smoke_archive, lambda name, raw: None if name == last else raw
+    )
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+        for body, message in (
+            (flipped, "Bad CRC-32"),
+            (header_only, "no item named"),
+            (missing_last, "no item named"),
+        ):
+            status, reply = client.post("/chips/retry/replay?batch=4", body)
+            assert status == 400, reply
+            assert "not a readable trace archive" in reply["error"]
+            assert message in reply["error"]
+            status, body = client.get("/chips")
+            assert body["chips"] == []
+        status, metrics = client.get("/metrics")
+        assert metrics["queued_windows"] == 0
+        assert metrics["overload_active"] is False
+        # The id is free again: a good archive onboards under it.
+        status, report = client.post("/chips/retry/replay?batch=4", payload)
         assert status == 200
-        status, _ = client.post("/chips/junk/replay", b"not an npz")
-        assert status == 400
-        assert list(service.upload_dir.iterdir()) == []
+        assert report["detected"] is True
+
+
+def test_compressed_archive_replays_like_stored(smoke_archive, tmp_path):
+    """Archives written compressed (before stored archives) still replay."""
+    legacy = tmp_path / "legacy.npz"
+    with np.load(smoke_archive) as stored:
+        np.savez_compressed(legacy, **{name: stored[name] for name in stored.files})
+    with zipfile.ZipFile(legacy) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_DEFLATED
+        }
+    for old, new in zip(
+        ReplaySource(legacy, batch=4).chunks(),
+        ReplaySource(smoke_archive, batch=4).chunks(),
+        strict=True,
+    ):
+        assert old.samples.dtype == new.samples.dtype
+        assert np.array_equal(old.samples, new.samples)
+        assert (old.start, old.fs, old.labels) == (new.start, new.fs, new.labels)
+        assert (old.scenarios, old.trace_indices) == (new.scenarios, new.trace_indices)
+    legacy_report, legacy_events = offline_reference(legacy, "chip")
+    stored_report, stored_events = offline_reference(smoke_archive, "chip")
+    assert legacy_report.to_json() == stored_report.to_json()
+    assert legacy_events == stored_events
+
+
+def _flipped(payload, flips):
+    body = bytearray(payload)
+    for position, bit in flips:
+        body[position] ^= 1 << bit
+    return bytes(body)
+
+
+def _damaged_uploads(payload):
+    """Truncations, bit flips and arbitrary bytes around one archive."""
+    n = len(payload)
+    # Flips land anywhere, or in the tail that holds the zip's central
+    # directory (elsewhere they mostly hit sample data and its CRC).
+    position = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 16384), n - 1))
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda cut: payload[:cut]),
+        st.lists(st.tuples(position, st.integers(0, 7)), min_size=1, max_size=4).map(
+            partial(_flipped, payload)
+        ),
+        st.binary(max_size=512),
+        st.binary(max_size=512).map(lambda tail: b"PK\x03\x04" + tail),
+    )
+
+
+def test_replay_decode_fuzz_never_500(smoke_archive):
+    """Damaged uploads answer 400 and leave nothing onboarded."""
+    payload = smoke_archive.read_bytes()
+    ids = itertools.count()
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+
+        @settings(max_examples=60, deadline=None)
+        @given(body=_damaged_uploads(payload))
+        def check(body):
+            chip = f"fuzz{next(ids)}"
+            status, reply = client.post(f"/chips/{chip}/replay?batch=8", body)
+            assert status in (200, 400), reply
+            _, listing = client.get("/chips")
+            listed = {gauge["chip"] for gauge in listing["chips"]}
+            assert (chip in listed) == (status == 200)
+
+        check()
+        status, health = client.get("/healthz")
+        assert status == 200
+        assert health["ok"] is True
 
 
 def test_ws_bad_text_frames_get_error_replies(smoke_archive):

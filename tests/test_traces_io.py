@@ -1,10 +1,20 @@
 """Trace container and archive I/O."""
 
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.errors import MeasurementError, TraceIOError
-from repro.traceio import iter_traces, load_traces, save_traces, trace_count
+from repro.traceio import (
+    iter_traces,
+    load_traces,
+    read_header,
+    save_traces,
+    trace_count,
+)
 from repro.traces import Trace
 
 
@@ -132,3 +142,105 @@ def test_real_psa_traces_roundtrip(tmp_path, psa, records):
     loaded = load_traces(path)
     assert loaded[0].label == "psa_sensor_0"
     assert np.array_equal(loaded[3].samples, traces[3].samples)
+
+
+def test_archives_are_written_stored(tmp_path):
+    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(3)])
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_STORED
+        }
+
+
+def _assert_same_traces(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert np.array_equal(a.samples, b.samples)
+        assert (a.fs, a.label, a.scenario, a.meta) == (b.fs, b.label, b.scenario, b.meta)
+
+
+def test_archive_bytes_read_like_the_file(tmp_path):
+    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(5)])
+    data = path.read_bytes()
+    name = tmp_path / "absent.npz"  # names the bytes; never opened
+    assert read_header(name, data=data) == read_header(path)
+    from_bytes = [t for chunk in iter_traces(name, batch=2, data=data) for t in chunk]
+    _assert_same_traces(from_bytes, load_traces(path))
+
+
+def test_compressed_archive_still_reads(tmp_path):
+    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(4)])
+    legacy = tmp_path / "legacy.npz"
+    with np.load(path) as stored:
+        np.savez_compressed(legacy, **{name: stored[name] for name in stored.files})
+    _assert_same_traces(load_traces(legacy), load_traces(path))
+
+
+def _rebuilt(data, mutate):
+    """``data`` rebuilt with ``mutate(name, raw)`` per member (None drops it)."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as source, zipfile.ZipFile(
+        buffer, "w"
+    ) as target:
+        for name in source.namelist():
+            raw = mutate(name, source.read(name))
+            if raw is not None:
+                target.writestr(name, raw)
+    return buffer.getvalue()
+
+
+def _with_header(value):
+    """Replace the header member with ``value`` as JSON (fresh CRC)."""
+    member = io.BytesIO()
+    np.save(member, np.frombuffer(json.dumps(value).encode("utf-8"), dtype=np.uint8))
+    return lambda name, raw: member.getvalue() if name == "__header__.npy" else raw
+
+
+_DAMAGE = {
+    "half": lambda data: data[: len(data) // 2],
+    "tail cut": lambda data: data[:-10],
+    "zip magic then junk": lambda data: b"PK\x03\x04" + bytes(range(64)),
+    "sample bit flip": lambda data: (
+        data[: len(data) // 2] + bytes([data[len(data) // 2] ^ 1]) + data[len(data) // 2 + 1 :]
+    ),
+    # np.load would read this member as 255 samples and never check
+    # its CRC; reading the member whole catches it.
+    "shortened npy shape": lambda data: data.replace(b"(256,)", b"(255,)", 1),
+    "missing member": lambda data: _rebuilt(
+        data, lambda name, raw: None if name == "trace_00001.npy" else raw
+    ),
+    "member longer than its shape": lambda data: _rebuilt(
+        data, lambda name, raw: raw + bytes(8) if name == "trace_00002.npy" else raw
+    ),
+    "header not an object": lambda data: _rebuilt(data, _with_header([1, 2])),
+    "no traces": lambda data: _rebuilt(data, _with_header({"version": 1, "traces": []})),
+    "entry without fields": lambda data: _rebuilt(
+        data, _with_header({"version": 1, "traces": [{"key": "trace_00000"}]})
+    ),
+    "mistyped entry": lambda data: _rebuilt(
+        data,
+        _with_header(
+            {
+                "version": 1,
+                "traces": [
+                    {"key": "trace_00000", "fs": [1], "label": "", "scenario": "", "meta": {}}
+                ],
+            }
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_damaged_archive_raises_trace_io_error(tmp_path, damage):
+    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(4)])
+    body = _DAMAGE[damage](path.read_bytes())
+    with pytest.raises(TraceIOError):
+        # The header read passes for damage past the header; the full
+        # read must still fail.
+        read_header("upload.npz", data=body)
+        list(iter_traces("upload.npz", data=body))
+    damaged = tmp_path / "damaged.npz"
+    damaged.write_bytes(body)
+    with pytest.raises(TraceIOError):
+        load_traces(damaged)
