@@ -207,15 +207,21 @@ class Floorplan:
             return self._weights_cache[module]
         if module not in self.placements:
             raise FloorplanError(f"floorplan has no module {module!r}")
+        # One array pass per rect over the whole region grid, the same
+        # per-region arithmetic as ``region_rect(r).overlap_area(rect)``;
+        # rects add in placement order, so every float sum is unchanged.
+        row, col = np.divmod(np.arange(self.n_regions), self.n_regions_side)
+        x0 = col * self._region_size
+        y0 = row * self._region_size
+        x1 = x0 + self._region_size
+        y1 = y0 + self._region_size
         weights = np.zeros(self.n_regions)
         total = 0.0
         for rect in self.placements[module]:
             total += rect.area
-            # Only regions overlapping the rect's bounding box matter.
-            for region in range(self.n_regions):
-                overlap = self.region_rect(region).overlap_area(rect)
-                if overlap > 0.0:
-                    weights[region] += overlap
+            dx = np.minimum(x1, rect.x1) - np.maximum(x0, rect.x0)
+            dy = np.minimum(y1, rect.y1) - np.maximum(y0, rect.y0)
+            weights += np.where((dx > 0.0) & (dy > 0.0), dx * dy, 0.0)
         if total <= 0.0:
             raise FloorplanError(f"module {module!r} has zero area")
         weights /= total
@@ -241,9 +247,11 @@ class Floorplan:
     def dipole_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Source/return positions per region: two (n_regions, 2) arrays."""
         centers = self.region_centers()
-        returns = np.array(
-            [self.return_point(x, y) for x, y in centers]
+        # :meth:`return_point` for every region at once.
+        nearest = np.argmin(
+            np.abs(POWER_STRIPES[None, :] - centers[:, :1]), axis=1
         )
+        returns = np.column_stack([POWER_STRIPES[nearest], centers[:, 1]])
         return centers, returns
 
 

@@ -505,8 +505,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "boot the service, stream one recorded session through "
-            "the replay endpoint, assert an alarm, sane /metrics and a "
-            "400 for a truncated copy, then exit (the CI serve-smoke job)"
+            "the replay endpoint, assert an alarm, sane /metrics (a "
+            "windows/s the upload's wall time bears out) and a 400 for "
+            "a truncated copy, then exit (the CI serve-smoke job)"
         ),
     )
     return parser
@@ -519,6 +520,7 @@ def _serve_selftest(service, config: SimConfig) -> str:
     same client the tests use.
     """
     import tempfile
+    import time
 
     from .runtime import build_chip_monitor, build_preset, record_stream
     from .serve import ServiceRunner
@@ -534,7 +536,9 @@ def _serve_selftest(service, config: SimConfig) -> str:
         payload = path.read_bytes()
         with ServiceRunner(service) as runner:
             client = runner.client(timeout=300)
+            started = time.monotonic()
             status, report = client.post("/chips/selftest/replay", payload)
+            upload_s = time.monotonic() - started
             if status != 200:
                 raise AnalysisError(
                     f"selftest replay upload failed: {status} {report}"
@@ -564,6 +568,17 @@ def _serve_selftest(service, config: SimConfig) -> str:
         raise AnalysisError(
             f"selftest lost windows: processed {metrics['windows_total']} "
             f"of {report['n_windows']}"
+        )
+    # The meter's busy span is the upload's analysis: it lies inside
+    # the upload, and it is most of it.  A rate past 10x windows over
+    # the upload's wall time means the span missed the analysis (a
+    # first chunk's own time uncounted reads ~100x).
+    floor = report["n_windows"] / upload_s
+    if not floor <= metrics["windows_per_sec"] <= 10.0 * floor:
+        raise AnalysisError(
+            f"selftest rate {metrics['windows_per_sec']:.1f} win/s is not "
+            f"within 1-10x of {report['n_windows']} windows over the "
+            f"upload's {upload_s:.3f} s"
         )
     return (
         f"serve selftest: OK — {report['n_windows']} windows, "

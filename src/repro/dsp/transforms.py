@@ -97,16 +97,24 @@ def amplitude_spectra(
     n = samples.shape[1]
     spec = np.fft.rfft(samples, axis=-1)
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    # Peak amplitude of each component, then to RMS.  The DC and Nyquist
-    # bins are not doubled.
+    return freqs, _rms_amplitudes(spec, n, np.arange(spec.shape[1]))
+
+
+def _rms_amplitudes(
+    spec: np.ndarray, n: int, columns: np.ndarray
+) -> np.ndarray:
+    """RMS amplitudes of rfft columns ``columns`` of ``n``-sample traces.
+
+    ``spec[:, k]`` is native bin ``columns[k]``.  Peak amplitude of
+    each component, then to RMS; the DC and Nyquist bins are not
+    doubled.  Scaling a column by 1.0 is exact, so any subset of
+    columns gets bit for bit the values of the full spectrum.
+    """
     amps = np.abs(spec)
     amps /= n
-    if n % 2 == 0:
-        amps[:, 1:-1] *= 2.0
-    else:
-        amps[:, 1:] *= 2.0
-    amps[:, 1:] /= np.sqrt(2.0)
-    return freqs, amps
+    amps *= np.where((columns > 0) & (2 * columns != n), 2.0, 1.0)
+    amps /= np.where(columns > 0, np.sqrt(2.0), 1.0)
+    return amps
 
 
 def average_spectra(spectra: Sequence[Spectrum]) -> Spectrum:
@@ -251,55 +259,81 @@ class _ResamplePlan:
             power[:, self.run_buckets] = run_max
         return power
 
+    def _run_at(self, b: int) -> "slice | None":
+        """Native columns of display point ``b``'s peak-hold run."""
+        if self.run_buckets is None:
+            return None
+        run = int(np.searchsorted(self.run_buckets, b))
+        if run >= len(self.run_starts) or self.run_buckets[run] != b:
+            return None
+        offset = self.in_band.start
+        stop = (
+            self.run_starts[run + 1]
+            if run + 1 < len(self.run_starts)
+            else self.in_band.stop - offset
+        )
+        return slice(offset + self.run_starts[run], offset + stop)
+
+    def columns_at(self, bins: np.ndarray) -> np.ndarray:
+        """Sorted native columns :meth:`apply_at` reads for ``bins``.
+
+        Column 0 or the last column for a point outside the band,
+        else its two interpolation knots, plus its peak-hold run.
+        """
+        lo, hi = self.inside.start, self.inside.stop
+        parts = []
+        for b in bins:
+            if b < lo:
+                parts.append([0])
+            elif b >= hi:
+                parts.append([len(self.freqs) - 1])
+            else:
+                idx = self.idx[b - lo]
+                parts.append([idx, idx + 1])
+            run = self._run_at(b)
+            if run is not None:
+                parts.append(np.arange(run.start, run.stop))
+        return np.unique(np.concatenate(parts).astype(int))
+
     def apply_at(
-        self, native_power: np.ndarray, bins: np.ndarray
+        self, power: np.ndarray, bins: np.ndarray, columns: np.ndarray
     ) -> np.ndarray:
         """Resample only the display columns ``bins`` (sorted indices).
 
-        Every display point's value is a function of its own knots and
-        its own peak-hold run, so evaluating a subset reproduces
-        :meth:`apply`'s columns **bit for bit** at a fraction of the
-        work — the fast path for feature extraction that reads a few
-        sideband bins out of a 2000-point display.
+        ``power`` holds just the native columns ``columns`` (from
+        :meth:`columns_at`), in order.  Every display point's value is
+        a function of its own knots and its own peak-hold run, so
+        evaluating a subset reproduces :meth:`apply`'s columns **bit
+        for bit** at a fraction of the work — the fast path for
+        feature extraction that reads a few sideband bins out of a
+        2000-point display.
         """
-        n_rows = native_power.shape[0]
-        power = np.empty((n_rows, len(bins)))
+        out = np.empty((power.shape[0], len(bins)))
         lo, hi = self.inside.start, self.inside.stop
         for col, b in enumerate(bins):
             if b < lo:
-                power[:, col] = native_power[:, 0]
+                out[:, col] = power[:, 0]
             elif b >= hi:
-                power[:, col] = native_power[:, -1]
+                out[:, col] = power[:, -1]
             else:
                 j = b - lo
-                idx = self.idx[j]
-                y_lo = native_power[:, idx]
-                column = native_power[:, idx + 1] - y_lo
+                # Knots idx and idx + 1 are adjacent in ``columns``.
+                k = int(np.searchsorted(columns, self.idx[j]))
+                y_lo = power[:, k]
+                column = power[:, k + 1] - y_lo
                 column /= self.dx[j]
                 column *= self.offsets[j]
                 column += y_lo
-                power[:, col] = column
-        if self.run_buckets is not None:
-            band = native_power[:, self.in_band]
-            n_runs = len(self.run_starts)
-            band_stop = band.shape[1]
-            positions = np.searchsorted(self.run_buckets, bins)
-            for col, b in enumerate(bins):
-                run = positions[col]
-                if run >= n_runs or self.run_buckets[run] != b:
-                    continue
-                start = self.run_starts[run]
-                stop = (
-                    self.run_starts[run + 1]
-                    if run + 1 < n_runs
-                    else band_stop
-                )
+                out[:, col] = column
+            run = self._run_at(b)
+            if run is not None:
+                k = int(np.searchsorted(columns, run.start))
                 np.maximum(
-                    power[:, col],
-                    band[:, start:stop].max(axis=1),
-                    out=power[:, col],
+                    out[:, col],
+                    power[:, k:k + run.stop - run.start].max(axis=1),
+                    out=out[:, col],
                 )
-        return power
+        return out
 
 
 #: Cached resample geometries keyed by display band + axis content
@@ -359,51 +393,39 @@ def resample_spectra(
     Returns ``(grid, out)`` with ``out`` of shape
     ``(n_spectra, n_points)``.
     """
-    if f_hi <= f_lo:
-        raise AnalysisError(f"empty band [{f_lo}, {f_hi}]")
-    if n_points < 2:
-        raise AnalysisError("display grid needs at least two points")
-    if f_hi > freqs[-1] * (1 + 1e-9):
-        raise AnalysisError(
-            f"band edge {f_hi/1e6:.1f} MHz beyond Nyquist "
-            f"{freqs[-1]/1e6:.1f} MHz"
-        )
     amps = np.asarray(amps, dtype=float)
     if amps.ndim != 2:
         raise AnalysisError("resample_spectra expects a 2-D amplitude stack")
-    plan = _resample_plan(np.asarray(freqs, dtype=float), f_lo, f_hi, n_points)
+    plan = _display_plan(freqs, f_lo, f_hi, n_points)
     power = plan.apply(amps**2)
     np.sqrt(power, out=power)
     return plan.grid, power
 
 
-def resample_spectra_at(
-    freqs: np.ndarray,
-    amps: np.ndarray,
+def display_spectra_at(
+    samples: np.ndarray,
+    fs: float,
     bins: np.ndarray,
     f_lo: float = 0.0,
     f_hi: float = 120e6,
     n_points: int = 2000,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """:func:`resample_spectra` restricted to display columns ``bins``.
+    """Display columns ``bins`` of a trace stack's resampled spectra.
 
-    Returns ``(grid[bins], out[:, bins])`` with values bit-identical
-    to the full resample's columns (see :meth:`_ResamplePlan.apply_at`)
-    while touching only those display points — the fast path when a
-    caller reads a handful of feature bins out of the display.
+    Returns ``(grid[bins], out)`` with ``out`` bit-identical to
+    ``resample_spectra(*amplitude_spectra(samples, fs), ...)[1][:,
+    bins]``, but only the native columns those display points read
+    (see :meth:`_ResamplePlan.columns_at`) are scaled and squared —
+    the fast path when a caller reads a handful of feature bins out of
+    the display.
     """
-    if f_hi <= f_lo:
-        raise AnalysisError(f"empty band [{f_lo}, {f_hi}]")
-    if n_points < 2:
-        raise AnalysisError("display grid needs at least two points")
-    if f_hi > freqs[-1] * (1 + 1e-9):
-        raise AnalysisError(
-            f"band edge {f_hi/1e6:.1f} MHz beyond Nyquist "
-            f"{freqs[-1]/1e6:.1f} MHz"
-        )
-    amps = np.asarray(amps, dtype=float)
-    if amps.ndim != 2:
-        raise AnalysisError("resample_spectra expects a 2-D amplitude stack")
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise AnalysisError("display_spectra_at expects a 2-D trace stack")
+    if samples.shape[1] < 2:
+        raise AnalysisError("traces too short for a spectrum")
+    n = samples.shape[1]
+    plan = _display_plan(np.fft.rfftfreq(n, d=1.0 / fs), f_lo, f_hi, n_points)
     bins = np.asarray(bins, dtype=int)
     if bins.ndim != 1 or bins.size == 0:
         raise AnalysisError("bins must be a non-empty 1-D index array")
@@ -411,10 +433,28 @@ def resample_spectra_at(
         raise AnalysisError(
             f"display bins outside 0..{n_points - 1}"
         )
-    plan = _resample_plan(np.asarray(freqs, dtype=float), f_lo, f_hi, n_points)
-    power = plan.apply_at(amps**2, bins)
+    columns = plan.columns_at(bins)
+    spec = np.fft.rfft(samples, axis=-1)
+    amps = _rms_amplitudes(spec[:, columns], n, columns)
+    power = plan.apply_at(amps**2, bins, columns)
     np.sqrt(power, out=power)
     return plan.grid[bins], power
+
+
+def _display_plan(
+    freqs: np.ndarray, f_lo: float, f_hi: float, n_points: int
+) -> _ResamplePlan:
+    """The checked, cached resample plan of one native axis and band."""
+    if f_hi <= f_lo:
+        raise AnalysisError(f"empty band [{f_lo}, {f_hi}]")
+    if n_points < 2:
+        raise AnalysisError("display grid needs at least two points")
+    if f_hi > freqs[-1] * (1 + 1e-9):
+        raise AnalysisError(
+            f"band edge {f_hi/1e6:.1f} MHz beyond Nyquist "
+            f"{freqs[-1]/1e6:.1f} MHz"
+        )
+    return _resample_plan(np.asarray(freqs, dtype=float), f_lo, f_hi, n_points)
 
 
 def band_slice(spectrum: Spectrum, f_lo: float, f_hi: float) -> Spectrum:

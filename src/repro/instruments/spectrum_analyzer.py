@@ -20,8 +20,8 @@ from ..dsp.transforms import (
     amplitude_spectra,
     amplitude_spectrum,
     average_spectra,
+    display_spectra_at,
     resample_spectra,
-    resample_spectra_at,
     resample_spectrum,
 )
 from ..errors import MeasurementError
@@ -137,9 +137,8 @@ class SpectrumAnalyzer:
         corresponding columns of the full display — the fast path when
         a caller only reads a handful of feature bins per trace.
         """
-        freqs, native = amplitude_spectra(samples, fs)
-        return resample_spectra_at(
-            freqs, native, bins, self.f_lo, self.f_hi, self.n_points
+        return display_spectra_at(
+            samples, fs, bins, self.f_lo, self.f_hi, self.n_points
         )
 
     def display_spectra(self, samples: np.ndarray, fs: float) -> List[Spectrum]:

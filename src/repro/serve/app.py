@@ -369,11 +369,12 @@ class ChipSession:
                 if self.service.config.drill_delay_s > 0:
                     await asyncio.sleep(self.service.config.drill_delay_s)
                 try:
+                    start = time.monotonic()
                     await loop.run_in_executor(
                         self.service.executor, partial(self._process, payload)
                     )
                     self.windows += payload.n_windows
-                    self.service.meter.record(payload.n_windows)
+                    self.service.meter.record(payload.n_windows, start)
                 except ReproError as exc:
                     self.error = str(exc)
                     logger.warning(

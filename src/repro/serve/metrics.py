@@ -8,8 +8,9 @@ renders through the same severity vocabulary (an alarming chip is
 CRITICAL, shed work is a WARNING).
 
 Throughput is measured by :class:`ThroughputMeter` over the *busy*
-span (first to last processed window), so an idle service does not
-dilute its rate, plus a sliding recent-rate window for dashboards.
+span (first chunk's start to last chunk's completion), so an idle
+service does not dilute its rate, plus a sliding recent-rate window for
+dashboards.
 """
 
 from __future__ import annotations
@@ -43,14 +44,23 @@ class ThroughputMeter:
         self._recent: deque = deque()
         self._lock = Lock()
 
-    def record(self, n: int, now: Optional[float] = None) -> None:
-        """Count ``n`` completed windows."""
+    def record(
+        self, n: int, start: float, now: Optional[float] = None
+    ) -> None:
+        """Count ``n`` windows of a chunk whose processing began at ``start``.
+
+        ``start`` and ``now`` (the completion, default the current
+        time) read :func:`time.monotonic`; the busy span runs from the
+        earliest chunk start to the latest completion, so a session of
+        one chunk is rated by that chunk's own processing time.
+        """
         stamp = time.monotonic() if now is None else now
         with self._lock:
             self.total += int(n)
-            if self._first is None:
-                self._first = stamp
-            self._last = stamp
+            if self._first is None or start < self._first:
+                self._first = start
+            if self._last is None or stamp > self._last:
+                self._last = stamp
             self._recent.append((stamp, int(n)))
             cutoff = stamp - self.recent_s
             while self._recent and self._recent[0][0] < cutoff:
@@ -63,9 +73,8 @@ class ThroughputMeter:
                 return 0.0
             span = self._last - self._first
             if span <= 0:
-                # Sub-resolution burst: everything landed in one
-                # clock tick; report it against the recent window
-                # floor rather than claiming infinite throughput.
+                # Sub-resolution chunk: it started and finished in one
+                # clock tick; claim no more than one per millisecond.
                 span = 1e-3
             return self.total / span
 

@@ -83,12 +83,16 @@ def canonical(obj):
     raise StoreError(f"cannot canonicalize key material of type {type(obj)}")
 
 
+def canonical_json(material) -> bytes:
+    """The exact bytes :func:`digest` hashes: sorted-key compact JSON."""
+    return json.dumps(
+        canonical(material), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
 def digest(material) -> str:
     """SHA-256 hex digest of canonicalized key material."""
-    payload = json.dumps(
-        canonical(material), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(material)).hexdigest()
 
 
 # -- fingerprints of the simulation inputs ----------------------------------

@@ -29,6 +29,7 @@ Design points
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -43,7 +44,7 @@ import numpy as np
 from ..chip.power import ACTIVITY_GROUPS, ActivityRecord
 from ..chip.testchip import TestChip
 from ..errors import StoreError
-from .keys import CODE_VERSION, KEY_SCHEMA, canonical, chip_fingerprint, digest
+from .keys import CODE_VERSION, KEY_SCHEMA, canonical_json, chip_fingerprint
 
 #: On-disk object schema; bump to invalidate every stored entry.
 SCHEMA_VERSION = 2
@@ -477,25 +478,33 @@ class StoreMapping(MutableMapping):
         self.store = store
         self.kind = kind
         self.codec = codec
-        self._context = canonical(context)
         self._memory: Dict[object, object] = {}
+        # The address material ``{"code", "context", "item", "kind",
+        # "schema"}`` serializes in that sorted-key order, and all but
+        # the item is fixed per view: hash the JSON up to the item once
+        # and finish a copy of that hash per lookup.
+        self._head = hashlib.sha256(
+            b'{"code":' + canonical_json(CODE_VERSION)
+            + b',"context":' + canonical_json(context)
+            + b',"item":'
+        )
+        self._tail = (
+            b',"kind":' + canonical_json(kind)
+            + b',"schema":' + canonical_json(KEY_SCHEMA) + b"}"
+        )
 
     def address(self, item) -> str:
         """Content address of one item key.
 
-        The library version is part of the material: artifacts
-        computed by one release never warm-start another (see
+        Equals ``digest({"schema": KEY_SCHEMA, "code": CODE_VERSION,
+        "kind": kind, "context": context, "item": item})``.  The library
+        version is part of the material: artifacts computed by one
+        release never warm-start another (see
         :data:`repro.store.keys.CODE_VERSION`).
         """
-        return digest(
-            {
-                "schema": KEY_SCHEMA,
-                "code": CODE_VERSION,
-                "kind": self.kind,
-                "context": self._context,
-                "item": canonical(item),
-            }
-        )
+        sha = self._head.copy()
+        sha.update(canonical_json(item) + self._tail)
+        return sha.hexdigest()
 
     def __getitem__(self, item):
         if item in self._memory:

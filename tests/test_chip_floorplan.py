@@ -11,7 +11,35 @@ from repro.chip.floorplan import (
     default_floorplan,
     sensor_rect,
 )
+from repro.chip.testchip import TestChip as AesTestChip
+from repro.config import SimConfig
 from repro.errors import FloorplanError
+
+
+def _reference_module_weights(floorplan: Floorplan, module: str) -> np.ndarray:
+    """The per-region loop ``Floorplan.module_weights`` must reproduce."""
+    weights = np.zeros(floorplan.n_regions)
+    total = 0.0
+    for rect in floorplan.placements[module]:
+        total += rect.area
+        for region in range(floorplan.n_regions):
+            overlap = floorplan.region_rect(region).overlap_area(rect)
+            if overlap > 0.0:
+                weights[region] += overlap
+    return weights / total
+
+
+def _reference_dipole_pairs(floorplan: Floorplan):
+    """The per-region loop ``Floorplan.dipole_pairs`` must reproduce."""
+    centers = floorplan.region_centers()
+    returns = np.array([floorplan.return_point(x, y) for x, y in centers])
+    return centers, returns
+
+
+def _assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def test_rect_basics():
@@ -143,3 +171,85 @@ def test_trojan_returns_stay_in_sensor10_core():
 def test_floorplan_rejects_out_of_die_modules():
     with pytest.raises(FloorplanError):
         Floorplan({"bad": [Rect(0, 0, 2e-3, 1e-4)]})
+
+
+def test_module_weights_match_per_region_reference():
+    floorplan = default_floorplan()
+    assert len(floorplan.placements["io_ring"]) == 4  # a multi-rect module
+    for module in floorplan.placements:
+        _assert_same_bytes(
+            floorplan.module_weights(module),
+            _reference_module_weights(floorplan, module),
+        )
+
+
+def _random_rect(rng, size: float, n_side: int) -> Rect:
+    """A random rect: region-snapped edges, sub-region size, or free."""
+    kind = rng.integers(3)
+    if kind == 0:
+        # Every edge exactly on a region boundary (dx == 0 neighbours).
+        c0, c1 = np.sort(rng.choice(n_side + 1, size=2, replace=False))
+        r0, r1 = np.sort(rng.choice(n_side + 1, size=2, replace=False))
+        return Rect(c0 * size, r0 * size, c1 * size, r1 * size)
+    if kind == 1:
+        # Under one region wide and tall, anywhere on the die.
+        w, h = rng.uniform(0.05, 0.95, size=2) * size
+        x0 = rng.uniform(0.0, n_side * size - w)
+        y0 = rng.uniform(0.0, n_side * size - h)
+        return Rect(x0, y0, x0 + w, y0 + h)
+    x0, x1 = np.sort(rng.uniform(0.0, n_side * size, size=2))
+    y0, y1 = np.sort(rng.uniform(0.0, n_side * size, size=2))
+    return Rect(x0, y0, x1, y1)
+
+
+@pytest.mark.parametrize("n_side", [2, 7, 35])
+def test_module_weights_match_reference_on_random_placements(n_side):
+    rng = np.random.default_rng(n_side)
+    size = DIE_SIZE / n_side
+    placements = {
+        f"m{i}": [
+            _random_rect(rng, size, n_side)
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        for i in range(24)
+    }
+    floorplan = Floorplan(placements, n_regions_side=n_side)
+    for module in placements:
+        _assert_same_bytes(
+            floorplan.module_weights(module),
+            _reference_module_weights(floorplan, module),
+        )
+
+
+def test_snapped_rect_weights_skip_touching_regions():
+    """Regions that only share an edge with a rect get exactly zero."""
+    size = DIE_SIZE / 35
+    floorplan = Floorplan({"cell": [Rect(3 * size, 5 * size, 4 * size, 6 * size)]})
+    weights = floorplan.module_weights("cell")
+    assert np.count_nonzero(weights) == 1
+    assert weights[5 * floorplan.n_regions_side + 3] == 1.0
+
+
+def test_dipole_pairs_match_per_region_reference():
+    for floorplan in (default_floorplan(), Floorplan({}, n_regions_side=7)):
+        for actual, expected in zip(
+            floorplan.dipole_pairs(), _reference_dipole_pairs(floorplan)
+        ):
+            _assert_same_bytes(actual, expected)
+
+
+def test_chip_build_makes_no_per_region_rects(monkeypatch):
+    """Building a chip must not walk the region grid one Rect at a time."""
+    made = []
+    post_init = Rect.__post_init__
+
+    def counting_post_init(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Rect, "__post_init__", counting_post_init)
+    floorplan = default_floorplan()
+    chip = AesTestChip(bytes(range(16)), SimConfig(), floorplan=floorplan)
+    floorplan.dipole_pairs()
+    assert chip.factor_weights("T1").shape == (floorplan.n_regions,)
+    assert 0 < len(made) < 100

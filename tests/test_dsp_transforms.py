@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SimConfig
+from repro.detectors import available, make_detector
 from repro.dsp.transforms import (
+    amplitude_spectra,
     amplitude_spectrum,
     average_spectra,
     band_slice,
@@ -13,6 +16,7 @@ from repro.dsp.transforms import (
     resample_spectrum,
 )
 from repro.errors import AnalysisError
+from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 
 FS = 528e6
 
@@ -121,3 +125,49 @@ def test_spectrum_db_reference():
     freq = 78 * FS / n  # exactly on a bin
     spec = amplitude_spectrum(_tone(freq, np.sqrt(2.0) * 1e-6, n=n), FS)
     assert spec.db()[spec.bin_of(freq)] == pytest.approx(0.0, abs=0.1)
+
+
+def _noisy_stack(n, rows=5):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((rows, n)) * 1e-3 + _tone(30e6, 1e-2, n=n)
+
+
+@pytest.mark.parametrize("n", [511, 512, 8447, 8448])
+def test_amplitude_spectra_match_slice_scaling(n):
+    """One shared column scaling == the DC/Nyquist slice formulation."""
+    samples = _noisy_stack(n)
+    _, amps = amplitude_spectra(samples, FS)
+    expected = np.abs(np.fft.rfft(samples, axis=-1))
+    expected /= n
+    if n % 2 == 0:
+        expected[:, 1:-1] *= 2.0
+    else:
+        expected[:, 1:] *= 2.0
+    expected[:, 1:] /= np.sqrt(2.0)
+    assert amps.tobytes() == expected.tobytes()
+
+
+def _assert_display_columns(analyzer, samples, bins):
+    bins = np.asarray(bins)
+    grid, full = analyzer.display_matrix(samples, FS)
+    sub_grid, sub = analyzer.display_bins(samples, FS, bins)
+    assert sub_grid.tobytes() == grid[bins].tobytes()
+    assert sub.tobytes() == np.ascontiguousarray(full[:, bins]).tobytes()
+
+
+@pytest.mark.parametrize("n", [511, 512, 8447, 8448, 32767, 32768])
+def test_display_bins_are_display_matrix_columns(n):
+    """Scaling only the native columns the display reads is bit-exact."""
+    config = SimConfig()
+    samples = _noisy_stack(n)
+    analyzer = SpectrumAnalyzer()
+    for name in available():
+        detector = make_detector(name, 1)
+        bins = detector.display_bins(analyzer.display_grid(), config)
+        _assert_display_columns(analyzer, samples, bins)
+    # A band from below DC up to the last native bin puts display
+    # points below and above the native axis (column 0 / column -1).
+    nyquist = np.fft.rfftfreq(n, d=1.0 / FS)[-1]
+    edge = SpectrumAnalyzer(f_lo=-20e6, f_hi=nyquist, n_points=64)
+    for bins in ([0, 1, 2], [61, 62, 63], [0, 17, 40, 63], range(64)):
+        _assert_display_columns(edge, samples, list(bins))

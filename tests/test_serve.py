@@ -43,6 +43,7 @@ from repro.serve import (
     MonitorService,
     ServeConfig,
     ServiceRunner,
+    ThroughputMeter,
     pack_chunk,
     unpack_chunk,
 )
@@ -187,6 +188,19 @@ def test_http_replay_bit_identical_to_offline(smoke_archive, tmp_path):
     assert gauge["done"] is True
     assert gauge["alarms"] >= 1
     assert gauge["mttd_ms"] == round(report["mttd"]["mttd_s"] * 1e3, 3)
+
+
+def test_throughput_meter_counts_first_chunk_time():
+    """A one-chunk session is rated by that chunk's processing time."""
+    meter = ThroughputMeter()
+    assert meter.rate() == 0.0
+    meter.record(10, start=100.0, now=100.25)
+    assert meter.rate() == pytest.approx(40.0)
+    # Busy span: earliest start to latest completion, in any order.
+    meter.record(30, start=100.5, now=101.0)
+    meter.record(10, start=99.75, now=100.0)
+    assert meter.total == 50
+    assert meter.rate() == pytest.approx(50 / 1.25)
 
 
 def test_ws_stream_bit_identical_to_offline(smoke_archive, tmp_path):

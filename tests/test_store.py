@@ -40,6 +40,7 @@ from repro.store import (
     chip_fingerprint,
     digest,
 )
+from repro.store.keys import CODE_VERSION, KEY_SCHEMA
 from repro.workloads.scenarios import scenario_by_name
 
 
@@ -58,6 +59,51 @@ def test_same_chip_same_address(chip):
 def test_identical_rebuild_same_address(chip, config):
     twin = AesTestChip(bytes(range(16)), config)
     assert digest(chip_fingerprint(twin)) == digest(chip_fingerprint(chip))
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        ("baseline", 11),
+        ("baseline", 4, 0, (0, 1, 2), True),
+        2.5,
+        -0.0,
+        np.int64(7),
+        np.float32(0.1),
+        b"\x00\xffkey",
+        None,
+        {"z": [1, (2.0, np.float64(3.5))], "a": {"nested": b"\x01"}},
+    ],
+)
+def test_mapping_address_is_digest_of_material(store, chip, item):
+    """The per-view hash prefix gives exactly the full-material digest."""
+    mapping = store.records(chip)
+    assert mapping.address(item) == digest(
+        {
+            "schema": KEY_SCHEMA,
+            "code": CODE_VERSION,
+            "kind": "record",
+            "context": {"chip": chip_fingerprint(chip)},
+            "item": item,
+        }
+    )
+
+
+def test_mapping_address_is_pinned(store, config, monkeypatch):
+    """Addresses never move, so an existing store keeps hitting."""
+    import repro.store.store as store_module
+
+    monkeypatch.setattr(store_module, "CODE_VERSION", "0.0.0-fixed")
+    records = store.records(AesTestChip(bytes(range(16)), config))
+    assert records.address(("T1", 3)) == (
+        "3dde4d5dcef3b311d1568a5b402b4adb23b1b825f4af9e82feef832e18e775bb"
+    )
+    spans = store.mapping(
+        "span-features", {"v": 1.5, "b": b"\x00\xff"}, ArrayCodec()
+    )
+    assert spans.address(("baseline", 4, 0, (0, 1, 2), True)) == (
+        "3e6e1f87925b9d4f109041e429d81ce661414344728f89990cccbaf214ca8877"
+    )
 
 
 @pytest.mark.parametrize(
