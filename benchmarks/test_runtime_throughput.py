@@ -191,7 +191,7 @@ def test_runtime_throughput(ctx, benchmark):
         ]
         for monitor in monitors:
             monitor.source.warm_records()
-        return FleetScheduler(monitors, queue_depth=2).run()
+        return FleetScheduler(monitors).run()
 
     def _best_fleet(n_chips):
         reports = [_fleet_run(n_chips) for _ in range(FLEET_ROUNDS)]

@@ -210,7 +210,6 @@ def _cmd_monitor(ctx: ExperimentContext, args: argparse.Namespace) -> str:
             n_chips=args.fleet,
             config=ctx.config,
             bus=bus,
-            queue_depth=args.queue_depth,
             store=store,
         )
         report = scheduler.run()
@@ -387,15 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "chips monitored concurrently by the monitor command "
             "(default 1; fleets cycle the T1..T4 catalog)"
-        ),
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=2,
-        help=(
-            "monitor backpressure bound: rendered-but-unprocessed "
-            "chunks per chip (default 2)"
         ),
     )
     parser.add_argument(

@@ -19,6 +19,10 @@ import numpy as np
 
 from ..errors import AnalysisError
 
+#: ``n_required`` of an effect no sample size can be trusted to detect
+#: (reports print it as ">10,000").
+UNRESOLVED = 10**9
+
 
 @dataclass(frozen=True)
 class DetectionPower:
@@ -79,7 +83,7 @@ def required_measurements(
         raise AnalysisError(f"power must be in (0,1), got {power}")
     d = float(effect_size)
     if d <= 0.0:
-        return 10**9
+        return UNRESOLVED
     if math.isinf(d):
         return 1
     z_alpha = NormalDist().inv_cdf(1.0 - alpha)
@@ -94,11 +98,25 @@ def detection_power(
     alpha: float = 1e-3,
     power: float = 0.95,
 ) -> DetectionPower:
-    """Full power analysis from two measured populations."""
+    """Full power analysis from two measured populations.
+
+    A measured d inside twice its own large-sample standard error,
+    ``SE(d) = sqrt((n1 + n2) / (n1 n2) + d^2 / (2 (n1 + n2)))``, is
+    indistinguishable from no effect on these populations, so its
+    sample count would be noise: it reports :data:`UNRESOLVED`.
+    """
     d = cohens_d(active, inactive)
+    n1, n2 = np.size(active), np.size(inactive)
+    standard_error = math.sqrt(
+        (n1 + n2) / (n1 * n2) + d * d / (2 * (n1 + n2))
+    )
+    if abs(d) < 2.0 * standard_error:
+        n_required = UNRESOLVED
+    else:
+        n_required = required_measurements(d, alpha=alpha, power=power)
     return DetectionPower(
         effect_size=d,
-        n_required=required_measurements(d, alpha=alpha, power=power),
+        n_required=n_required,
         alpha=alpha,
         power=power,
     )

@@ -13,7 +13,8 @@ the batched measurement engine:
 * :mod:`~repro.runtime.events` — the event vocabulary, bus and JSONL
   audit sink.
 * :mod:`~repro.runtime.fleet` — N concurrent chip monitors behind one
-  cooperative, backpressured :class:`FleetScheduler`.
+  cooperative round-robin :class:`FleetScheduler` that renders each
+  chunk on its member's turn.
 * :mod:`~repro.runtime.presets` — named session scripts for the CLI
   (``repro monitor --preset ... [--fleet N]``).
 """

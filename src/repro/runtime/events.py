@@ -164,11 +164,10 @@ class StateChanged(MonitorEvent):
 class Backpressure(MonitorEvent):
     """A producer found a chip's bounded chunk queue full.
 
-    The shared queue-full contract of the in-process
-    :class:`~repro.runtime.fleet.FleetScheduler` and the serve
-    service's shedding layer: hitting the bound is always announced
-    as a typed event — never a silent stall — so operators can see
-    *which* chips the system is throttling.
+    The queue-full contract of the serve service's shedding layer:
+    dropping a chunk at the bound is always announced as a typed event
+    — never a silent loss — so operators can see *which* chips the
+    system is throttling.
 
     Attributes
     ----------
@@ -177,10 +176,9 @@ class Backpressure(MonitorEvent):
     queue_len:
         Queue occupancy when the producer was refused.
     action:
-        What the producer did: ``"stall"`` (cooperative scheduler —
-        the chunk waits and is delivered later, nothing is lost) or
-        ``"shed"`` (serve under overload — the chunk is dropped and a
-        :class:`Shed` event follows).
+        What the producer did: ``"shed"`` (the chunk is dropped and a
+        :class:`Shed` event follows).  Flow-controlled producers wait
+        at the bound instead and emit nothing.
     """
 
     queue_depth: int

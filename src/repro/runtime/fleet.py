@@ -7,11 +7,10 @@ PSA, :class:`~repro.runtime.sources.LiveSource` and
 :class:`~repro.runtime.pipeline.EscalationPipeline` — and the
 :class:`FleetScheduler` interleaves them cooperatively:
 
-* every scheduler tick advances each live monitor by at most one
-  *render* (producer side) and one *process* (consumer side);
-* rendered-but-unprocessed chunks wait in a **bounded** per-monitor
-  queue (``queue_depth``); a full queue stalls that monitor's
-  producer only — backpressure never blocks the other chips;
+* every scheduler tick advances each live monitor by one chunk,
+  rendered just before that monitor processes it and dropped right
+  after — the fleet holds one rendered chunk at a time, whatever its
+  size, so peak memory does not grow with the fleet;
 * rendering runs through each chip's configured engine execution
   backend (serial or the shared-memory worker pool), so fleet
   throughput scales with the engine, not the scheduler.
@@ -25,7 +24,6 @@ bit-identical to running that monitor alone, which
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +40,7 @@ from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..report import ReportBase, Severity
 from ..store import ArtifactStore
 from ..workloads.campaign import MeasurementCampaign
-from .events import Backpressure, EventBus
+from .events import EventBus
 from .pipeline import EscalationPipeline, MonitorReport, PipelineConfig
 from .sources import (
     DEFAULT_CHUNK_WINDOWS,
@@ -223,29 +221,27 @@ class FleetReport(ReportBase):
     """Aggregated outcome of one fleet run.
 
     Renders through the shared :class:`~repro.report.ReportBase`
-    surface; JSON and table forms are byte-identical to the
-    pre-``repro.report`` formatter (plus the ``backpressure_events``
-    counter of the typed queue-full contract).
+    surface.
 
     Attributes
     ----------
     chips:
         Per-member results, in member order.
-    queue_depth:
-        Configured backpressure bound (chunks per member queue).
     max_queue_len:
-        Deepest any member queue actually got.
+        Rendered chunks held at once (1: each chunk is rendered just
+        before it is processed).
     wall_seconds:
         Scheduler wall-clock time for the whole fleet.
     interleave:
         Chip ids in chunk-processing order (the concurrency trace).
     backpressure_events:
-        Typed :class:`~repro.runtime.events.Backpressure` events the
-        scheduler emitted (producers throttled at the queue bound).
+        Producers throttled at a queue bound (0: the fleet queues
+        nothing; bounded queues and their typed
+        :class:`~repro.runtime.events.Backpressure` events live in
+        :mod:`repro.serve`).
     """
 
     chips: Tuple[ChipResult, ...]
-    queue_depth: int
     max_queue_len: int
     wall_seconds: float
     interleave: Tuple[str, ...]
@@ -321,7 +317,6 @@ class FleetReport(ReportBase):
         """JSON-serializable summary (per-chip rows + aggregates)."""
         return {
             "n_chips": self.n_chips,
-            "queue_depth": self.queue_depth,
             "max_queue_len": self.max_queue_len,
             "backpressure_events": self.backpressure_events,
             "wall_seconds": round(self.wall_seconds, 3),
@@ -361,8 +356,7 @@ class FleetReport(ReportBase):
         """Human-readable fleet summary table."""
         header = (
             f"fleet: {self.n_chips} chips | {self.total_windows} windows in "
-            f"{self.wall_seconds:.2f} s ({self.windows_per_sec:.1f} win/s) | "
-            f"queue depth {self.queue_depth} (max seen {self.max_queue_len})"
+            f"{self.wall_seconds:.2f} s ({self.windows_per_sec:.1f} win/s)"
         )
         lines = [
             header,
@@ -393,47 +387,6 @@ class FleetReport(ReportBase):
         return "\n".join(lines)
 
 
-_EXHAUSTED = object()
-
-
-class _Peekable:
-    """Iterator with one-item lookahead.
-
-    The scheduler's queue-full contract needs to know whether a
-    producer *has* a next chunk without consuming it — a refused
-    producer must deliver the same chunk on a later tick.
-    """
-
-    def __init__(self, iterable):
-        self._iterator = iter(iterable)
-        self._buffer = _EXHAUSTED
-        self._buffered = False
-
-    def peek(self):
-        """The next item (raises StopIteration when exhausted)."""
-        if not self._buffered:
-            self._buffer = next(self._iterator, _EXHAUSTED)
-            self._buffered = True
-        if self._buffer is _EXHAUSTED:
-            raise StopIteration
-        return self._buffer
-
-    def take(self):
-        """Consume and return the next item."""
-        item = self.peek()
-        self._buffered = False
-        return item
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the producer has nothing left."""
-        try:
-            self.peek()
-        except StopIteration:
-            return True
-        return False
-
-
 class FleetScheduler:
     """Cooperative round-robin scheduler over independent monitors.
 
@@ -441,30 +394,16 @@ class FleetScheduler:
     ----------
     monitors:
         Assembled fleet members.
-    queue_depth:
-        Backpressure bound: rendered-but-unprocessed chunks allowed
-        per member.  A member whose pipeline falls behind stalls its
-        own renderer once the queue is full; other members keep
-        flowing.  Hitting the bound is never silent: the scheduler
-        emits a typed :class:`~repro.runtime.events.Backpressure`
-        event (``action="stall"``) on the member's bus — the same
-        contract the serve service's shedding layer announces drops
-        with, so one event vocabulary covers both deployments.
     """
 
-    def __init__(self, monitors: Sequence[ChipMonitor], queue_depth: int = 2):
+    def __init__(self, monitors: Sequence[ChipMonitor]):
         if not monitors:
             raise AnalysisError("fleet needs at least one monitor")
-        if queue_depth < 1:
-            raise AnalysisError("queue_depth must be >= 1")
         ids = [monitor.chip_id for monitor in monitors]
         if len(set(ids)) != len(ids):
             duplicate = next(i for i in ids if ids.count(i) > 1)
             raise AnalysisError(f"duplicate chip id {duplicate!r} in fleet")
         self.monitors = list(monitors)
-        self.queue_depth = queue_depth
-        self.max_queue_len = 0
-        self.backpressure_events = 0
 
     def close(self) -> None:
         """Release every member's backend resources (pools, arenas).
@@ -479,91 +418,37 @@ class FleetScheduler:
     def run(self) -> FleetReport:
         """Drive every member to completion; returns the fleet report.
 
-        Each tick visits members in order and advances each by at most
-        one rendered chunk and one processed chunk, so all members
-        make progress together — a genuinely concurrent monitoring
-        service, deterministically scheduled.
-
-        Ticks are two-phase.  The **render** phase collects every
-        pending member's missing chunks (up to the backpressure bound)
-        and renders them as one fused engine pass, so the whole
-        fleet's captures of a tick pay one dispatch instead of one per
-        chip.  The **process** phase then advances each
-        member by exactly one chunk, in member order.  Chunk contents,
-        per-member processing order, backpressure accounting and the
-        emitted reports are bit-identical to per-member rendering
-        (the engine's determinism contract).
+        Each tick visits the pending members in order and advances each
+        by one chunk: render it (one engine pass, sharded across the
+        pool on the shared backend), process it, drop it.  A member
+        whose stream is exhausted gets its report and leaves.  No chunk
+        is rendered ahead of its member's turn, so early chips never
+        wait behind later chips' renders and the fleet holds one
+        rendered chunk at a time.  Each member pulls the same
+        :meth:`~repro.runtime.sources.LiveSource.chunks` stream a
+        standalone monitor does, so its report is bit-identical to
+        running it alone.
         """
-        from ..engine import RenderPlan
-
+        streams = []
         for monitor in self.monitors:
             monitor.pipeline.bind(monitor.source)
-        # Producers walk each live source's chunk plan; they are
-        # peekable so the queue-full contract can announce a refused
-        # chunk without consuming it.
-        producers = [
-            _Peekable(monitor.source.chunk_specs()) for monitor in self.monitors
-        ]
-        queues: List[deque] = [deque() for _ in self.monitors]
+            streams.append(monitor.source.chunks())
         interleave: List[str] = []
         start = time.perf_counter()
-        pending = set(range(len(self.monitors)))
+        pending = list(range(len(self.monitors)))
         while pending:
-            # Render phase: stage every member's queue refill on one
-            # fused plan, execute once, append in member order.
-            plan = RenderPlan()
-            staged: List[tuple] = []
-            for index in sorted(pending):
+            for index in list(pending):
                 monitor = self.monitors[index]
-                queue = queues[index]
-                space = self.queue_depth - len(queue)
-                specs = producers[index]
-                while space > 0 and not specs.exhausted:
-                    spec = specs.take()
-                    ticket = monitor.source.enqueue_chunk(plan, spec)
-                    staged.append((index, spec[0], ticket))
-                    space -= 1
-                if space == 0 and not specs.exhausted:
-                    next_start = specs.peek()[0]
-                    # Queue-full: the producer has a chunk ready but
-                    # the bound refuses it.  Cooperative scheduling
-                    # stalls (the chunk waits, nothing is lost) — and
-                    # says so with a typed event instead of silently
-                    # parking the producer.
-                    self.backpressure_events += 1
-                    monitor.pipeline.bus.emit(
-                        Backpressure(
-                            chip=monitor.chip_id,
-                            window=next_start,
-                            time_s=monitor.pipeline.time_of(next_start),
-                            queue_depth=self.queue_depth,
-                            queue_len=self.queue_depth,
-                            action="stall",
-                        )
-                    )
-            if len(plan):
-                plan.execute()
-            for index, position, ticket in staged:
-                source = self.monitors[index].source
-                queues[index].append(
-                    source.chunk_from(ticket.result(), position)
-                )
-                self.max_queue_len = max(
-                    self.max_queue_len, len(queues[index])
-                )
-            # Process phase: exactly one chunk per member per tick.
-            for index in sorted(pending):
-                monitor = self.monitors[index]
-                queue = queues[index]
-                if queue:
-                    chunk = queue.popleft()
-                    monitor.pipeline.process_chunk(chunk)
-                    interleave.append(monitor.chip_id)
-                elif producers[index].exhausted:
+                chunk = next(streams[index], None)
+                if chunk is None:
                     monitor.report = monitor.pipeline.report(
                         trigger_index=monitor.source.trigger_index
                     )
-                    pending.discard(index)
+                    pending.remove(index)
+                    continue
+                monitor.pipeline.process_chunk(chunk)
+                del chunk  # before the next member renders
+                interleave.append(monitor.chip_id)
         wall = time.perf_counter() - start
         results = []
         for monitor in self.monitors:
@@ -589,9 +474,7 @@ class FleetScheduler:
             )
         return FleetReport(
             chips=tuple(results),
-            queue_depth=self.queue_depth,
-            max_queue_len=self.max_queue_len,
+            max_queue_len=1,
             wall_seconds=wall,
             interleave=tuple(interleave),
-            backpressure_events=self.backpressure_events,
         )

@@ -166,7 +166,6 @@ def build_fleet(
     n_chips: int = 1,
     config: Optional[SimConfig] = None,
     bus: Optional[EventBus] = None,
-    queue_depth: int = 2,
     store: Optional[ArtifactStore] = None,
 ) -> FleetScheduler:
     """Assemble a ready-to-run fleet from a preset.
@@ -183,8 +182,6 @@ def build_fleet(
     bus:
         Event bus shared by every member (e.g. one JSONL sink for the
         whole fleet).
-    queue_depth:
-        Backpressure bound per member.
     store:
         Optional :class:`~repro.store.ArtifactStore` shared by every
         member's record memo (warm-starts repeated sessions).
@@ -198,4 +195,4 @@ def build_fleet(
         )
         for spec in preset.specs(n_chips, base_seed=(config or SimConfig()).seed)
     ]
-    return FleetScheduler(monitors, queue_depth=queue_depth)
+    return FleetScheduler(monitors)

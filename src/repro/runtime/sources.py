@@ -345,38 +345,6 @@ class LiveSource:
         """The simulation config behind the rendered windows."""
         return self.campaign.chip.config
 
-    def chunk_specs(self) -> Iterator[Tuple[int, StreamSegment]]:
-        """The schedule's chunk plan: ``(start window, sub-segment)``.
-
-        Chunks never span a schedule segment boundary, so every window
-        keeps its scripted (scenario, trace_index) identity regardless
-        of who renders the chunk or how many fuse into one pass.
-        """
-        position = 0
-        for segment in self.schedule.segments:
-            for lo in range(0, segment.n_traces, self.chunk):
-                k = min(self.chunk, segment.n_traces - lo)
-                yield position, StreamSegment(
-                    segment.scenario, k, segment.index_offset + lo
-                )
-                position += k
-
-    def enqueue_chunk(self, plan, spec: Tuple[int, StreamSegment]):
-        """Enqueue one chunk spec's render on a fused dispatch plan.
-
-        Returns the plan ticket; after ``plan.execute()``, turn it
-        into the chunk with :meth:`chunk_from`.  The fleet scheduler
-        uses this to render every pending chip's chunk of a tick as
-        one engine pass.
-        """
-        _, sub = spec
-        return self.campaign.enqueue_stream(
-            plan,
-            [sub],
-            sensors=list(self.sensors),
-            record_cache=self._record_cache,
-        )
-
     @staticmethod
     def chunk_from(batch, position: int) -> StreamChunk:
         """Wrap one rendered chunk batch as its stream chunk."""
@@ -390,14 +358,30 @@ class LiveSource:
         )
 
     def chunks(self) -> Iterator[StreamChunk]:
-        """Render the schedule chunk by chunk, in window order."""
-        for position, sub in self.chunk_specs():
-            batch = self.campaign.collect_stream(
-                [sub],
-                sensors=list(self.sensors),
-                record_cache=self._record_cache,
-            )
-            yield self.chunk_from(batch, position)
+        """Render the schedule chunk by chunk, in window order.
+
+        Chunks never span a schedule segment boundary, so every window
+        keeps its scripted (scenario, trace_index) identity at any
+        chunk size.  Each chunk is rendered when it is pulled, and the
+        suspended generator keeps no reference to it, so a consumer
+        that drops a chunk before pulling the next holds one at a time.
+        """
+        position = 0
+        for segment in self.schedule.segments:
+            for lo in range(0, segment.n_traces, self.chunk):
+                k = min(self.chunk, segment.n_traces - lo)
+                sub = StreamSegment(
+                    segment.scenario, k, segment.index_offset + lo
+                )
+                yield self.chunk_from(
+                    self.campaign.collect_stream(
+                        [sub],
+                        sensors=list(self.sensors),
+                        record_cache=self._record_cache,
+                    ),
+                    position,
+                )
+                position += k
 
     def localization_records(
         self,

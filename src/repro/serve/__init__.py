@@ -5,9 +5,8 @@ streams arrive over HTTP (replay uploads) or WebSocket (pushed
 chunks), each chip runs its own
 :class:`~repro.runtime.pipeline.EscalationPipeline` behind a bounded
 queue drained by a shared analysis pool, and overload is handled by
-the typed backpressure/shed contract shared with the in-process
-:class:`~repro.runtime.fleet.FleetScheduler`.  See :mod:`.app` for
-the endpoint table.
+a typed backpressure/shed contract (see :mod:`.shedding`).  See
+:mod:`.app` for the endpoint table.
 """
 
 from .app import ChipSession, MonitorService, ServeConfig, ServiceRunner

@@ -15,8 +15,8 @@ One long-running process watches many chip streams concurrently:
   it (or past the service-wide high-water mark) with the typed
   :class:`~repro.runtime.events.Backpressure` /
   :class:`~repro.runtime.events.Shed` /
-  :class:`~repro.runtime.events.Overload` contract shared with the
-  in-process :class:`~repro.runtime.fleet.FleetScheduler`;
+  :class:`~repro.runtime.events.Overload` contract of
+  :mod:`.shedding`;
 * ``GET /metrics`` and ``GET /chips/<id>/report`` render through the
   shared :mod:`repro.report` surface — the service adds transport,
   not another formatter.

@@ -1,9 +1,10 @@
 """Backpressure and load shedding for the monitoring service.
 
 The serve front-end accepts work faster than analysis can drain it
-only up to two bounds, both announced with the same typed event
-vocabulary the in-process :class:`~repro.runtime.fleet.FleetScheduler`
-uses (one queue-full contract across both deployments):
+only up to two bounds, both announced with typed events on the chip's
+bus, next to the pipeline's own (the in-process
+:class:`~repro.runtime.fleet.FleetScheduler` renders on demand and
+queues nothing, so this is the only queue-full contract):
 
 * **Per-chip**: each chip's chunk queue is bounded.  A flow-controlled
   producer (HTTP replay upload) simply waits; a fire-and-forget

@@ -68,8 +68,15 @@ class GaloisLfsr:
         return _OUTPUT[low]
 
     def next_block(self) -> bytes:
-        """Next 16 bytes (one AES block)."""
-        return bytes(self.next_byte() for _ in range(16))
+        """Next 16 bytes (one AES block): :meth:`next_byte` 16 times."""
+        state = self.state
+        block = bytearray(16)
+        for position in range(16):
+            low = state & 0xFF
+            state = (state >> 8) ^ _FEEDBACK[low]
+            block[position] = _OUTPUT[low]
+        self.state = state
+        return bytes(block)
 
 
 class PlaintextGenerator:

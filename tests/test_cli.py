@@ -70,7 +70,6 @@ def test_parser_monitor_options():
     assert args.experiment == "monitor"
     assert args.preset == "paper"
     assert args.fleet == 1
-    assert args.queue_depth == 2
     assert args.events is None
     assert args.monitor_json is None
     args = build_parser().parse_args(
@@ -80,8 +79,6 @@ def test_parser_monitor_options():
             "smoke",
             "--fleet",
             "4",
-            "--queue-depth",
-            "3",
             "--events",
             "events.jsonl",
             "--monitor-json",
@@ -90,7 +87,9 @@ def test_parser_monitor_options():
     )
     assert args.preset == "smoke"
     assert args.fleet == 4
-    assert args.queue_depth == 3
+    # The fleet renders on demand; it has no queue to bound.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["monitor", "--queue-depth", "3"])
     assert args.events == "events.jsonl"
     assert args.monitor_json == "fleet.json"
     assert args.detector is None

@@ -62,4 +62,4 @@ def test_numpy_is_the_only_runtime_dependency():
     assert project is not None
     deps = re.search(r"^dependencies = (\[.*?\])", project.group(1), re.M | re.S)
     assert deps is not None
-    assert ast.literal_eval(deps.group(1)) == ["numpy>=1.24"]
+    assert ast.literal_eval(deps.group(1)) == ["numpy>=2.0"]

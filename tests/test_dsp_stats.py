@@ -97,6 +97,27 @@ def test_detection_power_wraps_both():
     assert power.n_required <= 5
 
 
+def test_detection_power_unresolved_inside_sampling_error():
+    """8 quiet vs 6 active windows resolve |d| >= 7/6 only.
+
+    There ``|d| = 2 SE(d)`` with ``SE(d)^2 = 14/48 + d^2/28``; a smaller
+    effect reports the unresolved sentinel, a larger one its count.
+    """
+    inactive = np.array([-1.0, 1.0] * 4)
+    spread = np.array([-1.0, 1.0] * 3)
+    pooled = math.sqrt(14 / 12)  # (7 * 8/7 + 5 * 6/5) / 12
+    below = detection_power(spread + 1.15 * pooled, inactive)
+    assert below.effect_size == pytest.approx(1.15)
+    assert below.n_required == 10**9
+    assert required_measurements(1.15) < 100
+    above = detection_power(spread + 1.2 * pooled, inactive)
+    assert above.effect_size == pytest.approx(1.2)
+    assert above.n_required == required_measurements(above.effect_size)
+    assert above.n_required < 100
+    # An unbounded separation is always resolved.
+    assert detection_power(np.ones(6), np.zeros(8)).n_required == 1
+
+
 def test_welch_t_sign():
     assert welch_t(np.array([5.0, 6.0, 7.0]), np.array([1.0, 2.0, 3.0])) > 0
     assert welch_t(np.array([1.0, 2.0, 3.0]), np.array([5.0, 6.0, 7.0])) < 0

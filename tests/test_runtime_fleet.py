@@ -1,8 +1,9 @@
-"""The fleet scheduler: concurrent monitors, backpressure, CLI."""
+"""The fleet scheduler: concurrent monitors, on-demand rendering, CLI."""
 
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.errors import AnalysisError
 from repro.runtime import (
     EventBus,
     FleetScheduler,
+    LiveSource,
     build_chip_monitor,
     build_fleet,
     build_preset,
@@ -22,7 +24,7 @@ from repro.runtime.presets import MONITOR_PRESETS
 @pytest.fixture(scope="module")
 def fleet_report():
     """One 4-chip smoke fleet run shared by the assertions below."""
-    scheduler = build_fleet("smoke", n_chips=4, queue_depth=2)
+    scheduler = build_fleet("smoke", n_chips=4)
     return scheduler.run()
 
 
@@ -36,9 +38,10 @@ def test_fleet_runs_four_chips_concurrently(fleet_report):
     chip_ids = [c.chip_id for c in report.chips]
     assert list(report.interleave[:4]) == chip_ids
     assert set(report.interleave) == set(chip_ids)
-    # Backpressure: prefetch fills each member's queue exactly to the
-    # bound (3 chunks per member > depth 2) and never exceeds it.
-    assert report.max_queue_len == report.queue_depth
+    # Each chunk is rendered on its member's turn and processed at
+    # once: one rendered chunk held, no producer ever throttled.
+    assert report.max_queue_len == 1
+    assert report.backpressure_events == 0
 
 
 def test_fleet_detects_identifies_localizes(fleet_report):
@@ -81,48 +84,59 @@ def test_shared_bus_keeps_per_session_event_counts():
     for chip in report.chips:
         counts = chip.report.event_counts
         assert counts["WindowProcessed"] == chip.report.n_windows
-        # Scheduler-emitted backpressure is not a pipeline decision.
-        assert "Backpressure" not in counts
     total = sum(
         sum(c.report.event_counts.values()) for c in report.chips
     )
-    # The bus additionally carries the scheduler's own typed
-    # backpressure events; everything else is pipeline-emitted.
-    assert total + report.backpressure_events == bus.n_emitted
-    assert bus.counts.get("Backpressure", 0) == report.backpressure_events
+    # Every event on the bus is a pipeline decision of some member.
+    assert total == bus.n_emitted
 
 
-def test_queue_full_emits_typed_backpressure_not_silent_stall():
-    """The queue-full contract: a refused producer is announced.
+def test_fleet_never_queues_or_stalls():
+    """Round-robin, one chunk per member per tick, nothing queued.
 
-    The smoke preset scripts 3 chunks per member against a depth-2
-    queue, so the first render tick refuses every member's third
-    chunk — one typed ``Backpressure(action="stall")`` event each,
-    on the shared bus, with the refused chunk's start window.
+    The smoke preset scripts 3 chunks per member (the 6-window baseline
+    splits 4+2, chunks never span a segment, then the active span), so
+    the interleave is three full rounds in member order, with no typed
+    ``Backpressure`` event on the bus.
     """
-    from repro.runtime import Backpressure
-
     bus = EventBus()
-    seen = []
-    bus.subscribe(
-        lambda event: seen.append(event)
-        if isinstance(event, Backpressure)
-        else None
-    )
-    report = build_fleet("smoke", n_chips=2, bus=bus, queue_depth=2).run()
-    assert report.backpressure_events == len(seen) == 2
-    assert {event.chip for event in seen} == {"chip0", "chip1"}
-    for event in seen:
-        assert event.action == "stall"
-        assert event.queue_depth == event.queue_len == 2
-        # The refused chunk is the third of three: the 6-window
-        # baseline splits 4+2 (chunks never span a segment), so the
-        # active-segment chunk at window 6 is the one stalled.
-        assert event.window == 6
-    # Stalling loses nothing: every member still processes its full
-    # stream and detects its Trojan.
+    report = build_fleet("smoke", n_chips=2, bus=bus).run()
+    assert report.interleave == ("chip0", "chip1") * 3
+    assert report.max_queue_len == 1
+    assert report.backpressure_events == 0
+    assert "Backpressure" not in bus.counts
     assert report.all_detected
-    assert report.to_dict()["backpressure_events"] == 2
+    assert report.to_dict()["backpressure_events"] == 0
+
+
+def test_fleet_holds_one_rendered_chunk_at_a_time(monkeypatch):
+    """Peak memory of one chunk, not of every member's next chunks.
+
+    Every chunk the members' sources make is tracked by weakref, with
+    its sample array.  When a chunk is made, every earlier one must be
+    gone already: the scheduler drops a member's chunk before the next
+    member renders.  A depth-2 render-ahead queue holds 8 chunks of a
+    4-chip fleet after its first tick.
+    """
+    made = []
+    alive = []
+    chunk_from = LiveSource.chunk_from
+
+    def tracked(batch, position):
+        chunk = chunk_from(batch, position)
+        made.append((weakref.ref(chunk), weakref.ref(chunk.samples)))
+        alive.append(
+            sum(
+                chunk_ref() is not None or samples_ref() is not None
+                for chunk_ref, samples_ref in made
+            )
+        )
+        return chunk
+
+    monkeypatch.setattr(LiveSource, "chunk_from", staticmethod(tracked))
+    report = build_fleet("smoke", n_chips=4).run()
+    assert len(made) == len(report.interleave) == 12
+    assert max(alive) == 1
 
 
 def test_fleet_report_serializes(fleet_report):
@@ -138,11 +152,9 @@ def test_fleet_report_serializes(fleet_report):
 
 def test_fleet_guards():
     with pytest.raises(AnalysisError):
-        FleetScheduler([], queue_depth=2)
+        FleetScheduler([])
     preset = build_preset("smoke")
     monitor = build_chip_monitor(preset.specs(1)[0])
-    with pytest.raises(AnalysisError):
-        FleetScheduler([monitor], queue_depth=0)
     with pytest.raises(AnalysisError):
         FleetScheduler([monitor, monitor])  # duplicate chip id
     with pytest.raises(AnalysisError):

@@ -23,6 +23,16 @@ def test_lfsr_deterministic_and_nontrivial():
     assert len(set(blocks_a)) == 4  # no short cycles
 
 
+@pytest.mark.parametrize("seed", [1, 0x1234, 0xACE1_2024, 0xFFFF_FFFF])
+def test_lfsr_block_is_sixteen_bytes(seed):
+    """``next_block`` is ``next_byte`` 16 times, state included."""
+    block_lfsr, byte_lfsr = GaloisLfsr(seed), GaloisLfsr(seed)
+    for _ in range(48):
+        expected = bytes(byte_lfsr.next_byte() for _ in range(16))
+        assert block_lfsr.next_block() == expected
+        assert block_lfsr.state == byte_lfsr.state
+
+
 def test_lfsr_bit_balance():
     lfsr = GaloisLfsr()
     bits = [lfsr.step() for _ in range(4096)]
