@@ -121,7 +121,7 @@ def test_engine_throughput(ctx, benchmark):
     # over the worker pool, bit-for-bit identical to the serial
     # backend.  The backend is a long-lived session: one warm-up
     # render spins the pool / grows the shared arena, then the
-    # steady-state pass is timed (that is the regime every later
+    # steady-state passes are timed (that is the regime every later
     # dispatch through the session runs in).
     backend_records = [
         unique[i % N_UNIQUE_RECORDS] for i in range(N_PROCESS_TRACES)
@@ -131,23 +131,31 @@ def test_engine_throughput(ctx, benchmark):
     cpu_count = os.cpu_count() or 1
 
     def _timed_render(engine):
-        engine.render(
-            psa.coupling, backend_records, trace_indices=backend_indices
-        )
         start = time.perf_counter()
         batch = engine.render(
             psa.coupling, backend_records, trace_indices=backend_indices
         )
         return batch, time.perf_counter() - start
 
-    serial_ref, serial_full_seconds = _timed_render(psa.engine)
+    # A load spike on a shared host can slow either side's single
+    # render; alternating the two and comparing best-of-3 keeps the
+    # shared-beats-serial check about the backends, not the host.
     shared_engine = MeasurementEngine(
         ctx.config,
         amplifier=psa.amplifier,
         backend=SharedMemoryBackend(workers),
     )
+    serial_full_seconds = shared_full_seconds = float("inf")
     try:
-        shared, shared_full_seconds = _timed_render(shared_engine)
+        # Warm-up: spins the pool and grows the shared arena.
+        shared_engine.render(
+            psa.coupling, backend_records, trace_indices=backend_indices
+        )
+        for _ in range(3):
+            serial_ref, seconds = _timed_render(psa.engine)
+            serial_full_seconds = min(serial_full_seconds, seconds)
+            shared, seconds = _timed_render(shared_engine)
+            shared_full_seconds = min(shared_full_seconds, seconds)
     finally:
         shared_engine.close()
     shared_identical = bool(

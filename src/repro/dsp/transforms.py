@@ -10,7 +10,7 @@ instrument's uniform display grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -402,6 +402,13 @@ def resample_spectra(
     return plan.grid, power
 
 
+#: Trace rows quantized and transformed per block in
+#: :func:`display_spectra_at`: 32 rows of an 8448-sample window are a
+#: ~2.2 MB float block and its ~2.2 MB spectrum, where one 256-row
+#: chunk at once would be 17 MB each.
+DISPLAY_BLOCK_ROWS = 32
+
+
 def display_spectra_at(
     samples: np.ndarray,
     fs: float,
@@ -409,6 +416,7 @@ def display_spectra_at(
     f_lo: float = 0.0,
     f_hi: float = 120e6,
     n_points: int = 2000,
+    prepare: "Callable[[np.ndarray], np.ndarray] | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Display columns ``bins`` of a trace stack's resampled spectra.
 
@@ -418,6 +426,13 @@ def display_spectra_at(
     (see :meth:`_ResamplePlan.columns_at`) are scaled and squared —
     the fast path when a caller reads a handful of feature bins out of
     the display.
+
+    The rows go through in blocks of :data:`DISPLAY_BLOCK_ROWS`: each
+    block is passed through ``prepare`` (a row-wise transform such as
+    ADC quantization, which must not write into its input),
+    transformed, and its columns gathered, so the working set is one
+    block rather than full-stack copies.  Every row's values depend on
+    that row alone, so blocking does not change a bit.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
@@ -434,8 +449,15 @@ def display_spectra_at(
             f"display bins outside 0..{n_points - 1}"
         )
     columns = plan.columns_at(bins)
-    spec = np.fft.rfft(samples, axis=-1)
-    amps = _rms_amplitudes(spec[:, columns], n, columns)
+    spec = np.empty((samples.shape[0], columns.size), dtype=complex)
+    for lo in range(0, samples.shape[0], DISPLAY_BLOCK_ROWS):
+        block = samples[lo:lo + DISPLAY_BLOCK_ROWS]
+        if prepare is not None:
+            block = prepare(block)
+        spec[lo:lo + DISPLAY_BLOCK_ROWS] = np.fft.rfft(block, axis=-1)[
+            :, columns
+        ]
+    amps = _rms_amplitudes(spec, n, columns)
     power = plan.apply_at(amps**2, bins, columns)
     np.sqrt(power, out=power)
     return plan.grid[bins], power

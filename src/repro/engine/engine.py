@@ -64,12 +64,13 @@ from ..rng import stream
 from .backends import ExecutionBackend, SerialBackend, resolve_backend
 from .batch import TraceBatch
 
-#: Traces converted from spectrum to time per irFFT call: amortizes the
-#: call overhead while bounding the complex scratch to ``chunk_traces``
-#: traces of every receiver (16 receivers x 16 traces x 4225 bins, ~17
-#: MB at the PSA's 8448-sample window).  The irFFT writes straight into
-#: the output, so the scratch is the only per-chunk buffer.
-DEFAULT_CHUNK_TRACES = 16
+#: Traces converted from spectrum to time per irFFT call.  Two traces of
+#: 16 receivers are 32 rows per call, enough to amortize the call
+#: overhead (a one-row irFFT costs ~1.4x more per capture), and the
+#: complex scratch stays at 16 x 2 x 4225 bins, ~2.2 MB at the PSA's
+#: 8448-sample window, small enough for L2.  The irFFT writes straight
+#: into the output, so the scratch is the only per-chunk buffer.
+DEFAULT_CHUNK_TRACES = 2
 
 #: Entries kept in the per-engine capture-plan cache before it resets.
 #: Receiver populations are small (an array plus programmed scan
@@ -451,17 +452,21 @@ class MeasurementEngine:
         gain = self.amplifier.gain_curve(fs, n)
 
         # EMF spectra once per distinct record, reused across captures,
-        # with divider and gain curve folded in per receiver.
+        # with divider and gain curve folded in per receiver, and
+        # dropped after the record's last capture.
         emf_scale = np.array([plan.divider for plan in plans])[:, None] * gain
         emf_cache: Dict[int, np.ndarray] = {}
+        last_use = {id(record): p for p, record in enumerate(records)}
 
-        def emf_rows(record: ActivityRecord) -> np.ndarray:
+        def emf_rows(record: ActivityRecord, position: int) -> np.ndarray:
             key = id(record)
             rows = emf_cache.get(key)
             if rows is None:
                 rows = emf_rfft(coupling, record)[receiver_indices]
                 rows *= emf_scale
                 emf_cache[key] = rows
+            if last_use[key] == position:
+                del emf_cache[key]
             return rows
 
         out = np.empty((n_receivers, n_traces, n))
@@ -485,7 +490,7 @@ class MeasurementEngine:
                 record = records[position]
                 scenario = record.scenario
                 trace_index = trace_indices[position]
-                emf = emf_rows(record)
+                emf = emf_rows(record, position)
                 for row_index, (name, gain_jitter, scales, tones) in (
                     enumerate(row_plans)
                 ):

@@ -10,7 +10,7 @@ at a desired single frequency".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -129,16 +129,23 @@ class SpectrumAnalyzer:
         return np.linspace(self.f_lo, self.f_hi, self.n_points)
 
     def display_bins(
-        self, samples: np.ndarray, fs: float, bins: np.ndarray
+        self,
+        samples: np.ndarray,
+        fs: float,
+        bins: np.ndarray,
+        prepare: "Callable[[np.ndarray], np.ndarray] | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """:meth:`display_matrix` restricted to display columns ``bins``.
 
         Returns ``(grid[bins], amps[:, bins])`` bit-identical to the
         corresponding columns of the full display — the fast path when
         a caller only reads a handful of feature bins per trace.
+        ``prepare`` is a row-wise transform (e.g. ADC quantization)
+        applied block by block before the spectra, see
+        :func:`~repro.dsp.transforms.display_spectra_at`.
         """
         return display_spectra_at(
-            samples, fs, bins, self.f_lo, self.f_hi, self.n_points
+            samples, fs, bins, self.f_lo, self.f_hi, self.n_points, prepare
         )
 
     def display_spectra(self, samples: np.ndarray, fs: float) -> List[Spectrum]:

@@ -31,6 +31,7 @@ one-shot offline render.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,14 +86,17 @@ def chunk_features(
     :func:`~repro.core.analysis.spectral.sideband_display_bins` /
     :func:`~repro.core.analysis.spectral.excess_display_bins`.
     """
-    samples = chunk.samples
+    prepare = None
     if adc is not None:
-        samples = quantize_batch(samples, adc, headroom=AUTO_RANGE_HEADROOM)
-    n_streams, k, n_samples = samples.shape
+        prepare = partial(
+            quantize_batch, spec=adc, headroom=AUTO_RANGE_HEADROOM
+        )
+    n_streams, k, n_samples = chunk.samples.shape
     grid, display = analyzer.display_bins(
-        samples.reshape(-1, n_samples),
+        chunk.samples.reshape(-1, n_samples),
         chunk.fs,
         detector.display_bins(analyzer.display_grid(), config),
+        prepare=prepare,
     )
     return detector.features(grid, display, config).reshape(n_streams, k)
 
@@ -574,6 +578,7 @@ class EscalationPipeline:
         self.bind(source)
         for chunk in source.chunks():
             self.process_chunk(chunk)
+            del chunk  # before the next chunk renders
         return self.report(trigger_index=source.trigger_index)
 
     def report(self, trigger_index: Optional[int] = None) -> MonitorReport:

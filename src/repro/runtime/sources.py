@@ -31,7 +31,7 @@ import numpy as np
 
 from ..chip.power import ActivityRecord
 from ..errors import AnalysisError, WorkloadError
-from ..store import ArtifactStore
+from ..store import ArtifactStore, StoreMapping
 from ..traceio import iter_traces, read_header, save_traces
 from ..traces import Trace
 from ..workloads.campaign import MeasurementCampaign, StreamSegment
@@ -265,7 +265,9 @@ class LiveSource:
         exists independently of the monitor — in deployment the
         workload simply runs — so pre-populating the cache (see
         :meth:`warm_records`) isolates the monitor's own
-        capture-plus-processing cost.
+        capture-plus-processing cost.  Entries the memo holds when a
+        chunk renders stay in it; records the source adds for a chunk
+        leave it once that chunk is consumed (see :meth:`chunks`).
     store:
         Optional :class:`~repro.store.ArtifactStore`.  When given (and
         no explicit ``record_cache`` was passed), the record memo
@@ -325,6 +327,22 @@ class LiveSource:
                 self._record(scenario, index)
         return len(self._record_cache)
 
+    def _resident(self, key: Tuple[str, int]) -> bool:
+        """Whether the memo holds ``key`` in memory (reads no disk)."""
+        memo = self._record_cache
+        if isinstance(memo, StoreMapping):
+            return memo.resident(key)
+        return key in memo
+
+    def _release(self, keys: Sequence[Tuple[str, int]]) -> None:
+        """Drop records from the memo's memory; a store keeps its copy."""
+        memo = self._record_cache
+        for key in keys:
+            if isinstance(memo, StoreMapping):
+                memo.release(key)
+            else:
+                memo.pop(key, None)
+
     @property
     def n_streams(self) -> int:
         """One stream per monitored sensor."""
@@ -365,6 +383,13 @@ class LiveSource:
         chunk size.  Each chunk is rendered when it is pulled, and the
         suspended generator keeps no reference to it, so a consumer
         that drops a chunk before pulling the next holds one at a time.
+
+        When the next chunk is pulled, the activity records this source
+        simulated or loaded for the previous one leave the memo's
+        memory (a store keeps them on disk), so a session holds no
+        more records than one chunk needs.  Entries the memo held
+        before the chunk, such as those :meth:`warm_records` loaded,
+        stay.
         """
         position = 0
         for segment in self.schedule.segments:
@@ -373,6 +398,11 @@ class LiveSource:
                 sub = StreamSegment(
                     segment.scenario, k, segment.index_offset + lo
                 )
+                fresh = [
+                    (segment.scenario, index)
+                    for index in sub.indices
+                    if not self._resident((segment.scenario, index))
+                ]
                 yield self.chunk_from(
                     self.campaign.collect_stream(
                         [sub],
@@ -381,6 +411,7 @@ class LiveSource:
                     ),
                     position,
                 )
+                self._release(fresh)
                 position += k
 
     def localization_records(

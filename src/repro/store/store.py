@@ -465,7 +465,9 @@ class StoreMapping(MutableMapping):
 
     ``__iter__``/``__len__`` cover the memory layer only (the store
     has no per-context index); consumers use ``get``/``[]=``, which is
-    all the library's memo contracts require.
+    all the library's memo contracts require.  A long-running consumer
+    bounds the memory layer with :meth:`release`, which keeps the disk
+    entry; ``del`` evicts it.
     """
 
     def __init__(
@@ -524,6 +526,18 @@ class StoreMapping(MutableMapping):
         self._memory.pop(item, None)
         if not self.store.evict(self.kind, self.address(item)):
             raise KeyError(item)
+
+    def resident(self, item) -> bool:
+        """Whether ``item`` is in the memory layer (reads nothing)."""
+        return item in self._memory
+
+    def release(self, item) -> None:
+        """Drop ``item`` from the memory layer; its disk entry stays.
+
+        The next lookup decodes it from disk again, a store hit.
+        ``del`` is the eviction: it removes the disk entry too.
+        """
+        self._memory.pop(item, None)
 
     def __iter__(self) -> Iterator:
         return iter(self._memory)

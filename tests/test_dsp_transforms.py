@@ -1,5 +1,7 @@
 """Spectrum computation."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.detectors import available, make_detector
+from repro.dsp import transforms
 from repro.dsp.transforms import (
     amplitude_spectra,
     amplitude_spectrum,
@@ -16,6 +19,8 @@ from repro.dsp.transforms import (
     resample_spectrum,
 )
 from repro.errors import AnalysisError
+from repro.instruments.adc import quantize_batch
+from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 
 FS = 528e6
@@ -171,3 +176,38 @@ def test_display_bins_are_display_matrix_columns(n):
     edge = SpectrumAnalyzer(f_lo=-20e6, f_hi=nyquist, n_points=64)
     for bins in ([0, 1, 2], [61, 62, 63], [0, 17, 40, 63], range(64)):
         _assert_display_columns(edge, samples, list(bins))
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 256])
+@pytest.mark.parametrize("quantize", [False, True])
+def test_blocked_display_bins_match_unblocked(rows, quantize, monkeypatch):
+    """Blocks of 32 rows, quantized one by one, change no bit.
+
+    The reference quantizes the whole stack and takes its full
+    display; the blocked pass must equal it, and the same pass with
+    the whole stack as one block, for every detector's bins.
+    """
+    config = SimConfig()
+    samples = _noisy_stack(8448, rows=rows)
+    original = samples.copy()
+    prepare = None
+    prepared = samples
+    if quantize:
+        prepare = partial(
+            quantize_batch, spec=RASC_ADC, headroom=AUTO_RANGE_HEADROOM
+        )
+        prepared = prepare(samples)
+    analyzer = SpectrumAnalyzer()
+    _, full = analyzer.display_matrix(prepared, FS)
+    for name in available():
+        bins = make_detector(name, 1).display_bins(
+            analyzer.display_grid(), config
+        )
+        _, blocked = analyzer.display_bins(samples, FS, bins, prepare)
+        with monkeypatch.context() as patch:
+            patch.setattr(transforms, "DISPLAY_BLOCK_ROWS", rows + 1)
+            _, whole = analyzer.display_bins(samples, FS, bins, prepare)
+        expected = np.ascontiguousarray(full[:, bins]).tobytes()
+        assert blocked.tobytes() == expected, name
+        assert whole.tobytes() == expected, name
+    assert samples.tobytes() == original.tobytes()
