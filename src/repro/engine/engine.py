@@ -64,13 +64,15 @@ from ..rng import stream
 from .backends import ExecutionBackend, SerialBackend, resolve_backend
 from .batch import TraceBatch
 
-#: Traces converted from spectrum to time per irFFT call.  Two traces of
-#: 16 receivers are 32 rows per call, enough to amortize the call
-#: overhead (a one-row irFFT costs ~1.4x more per capture), and the
-#: complex scratch stays at 16 x 2 x 4225 bins, ~2.2 MB at the PSA's
-#: 8448-sample window, small enough for L2.  The irFFT writes straight
-#: into the output, so the scratch is the only per-chunk buffer.
-DEFAULT_CHUNK_TRACES = 2
+#: Spectrum rows converted to time per irFFT call, across receivers:
+#: the default batch is ``max(1, IRFFT_ROWS // n_receivers)`` traces,
+#: so a 16-receiver PSA render converts 2 traces per call and a
+#: one-sensor render 32.  32 rows amortize the call overhead (a one-row
+#: irFFT costs ~1.4x more per capture) while the complex scratch stays
+#: at 32 x 4225 bins, ~2.2 MB at the PSA's 8448-sample window, small
+#: enough for L2.  The irFFT writes straight into the output, so the
+#: scratch is the only per-chunk buffer.
+IRFFT_ROWS = 32
 
 #: Entries kept in the per-engine capture-plan cache before it resets.
 #: Receiver populations are small (an array plus programmed scan
@@ -142,7 +144,8 @@ class MeasurementEngine:
         Worker count for the ``shared`` pool (0 = follow
         ``config.engine_workers``, which defaults to the CPU count).
     chunk_traces:
-        Traces per irFFT chunk (memory/throughput trade-off).
+        Traces per irFFT chunk (memory/throughput trade-off); None
+        sizes each render's batch to :data:`IRFFT_ROWS` rows.
     """
 
     def __init__(
@@ -151,9 +154,9 @@ class MeasurementEngine:
         amplifier: Optional[MeasurementAmplifier] = None,
         backend: "str | ExecutionBackend | None" = None,
         workers: int = 0,
-        chunk_traces: int = DEFAULT_CHUNK_TRACES,
+        chunk_traces: Optional[int] = None,
     ):
-        if chunk_traces < 1:
+        if chunk_traces is not None and chunk_traces < 1:
             raise MeasurementError("chunk_traces must be >= 1")
         self.config = config
         self.amplifier = amplifier or MeasurementAmplifier()
@@ -470,7 +473,8 @@ class MeasurementEngine:
             return rows
 
         out = np.empty((n_receivers, n_traces, n))
-        chunk = min(self.chunk_traces, n_traces)
+        chunk = self.chunk_traces or max(1, IRFFT_ROWS // n_receivers)
+        chunk = min(chunk, n_traces)
         scratch = np.empty((n_receivers, chunk, n_bins), dtype=complex)
         z_buffer = np.empty(n)
         jitter_buffer = np.empty(n_bins, dtype=complex)

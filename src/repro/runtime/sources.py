@@ -31,7 +31,7 @@ import numpy as np
 
 from ..chip.power import ActivityRecord
 from ..errors import AnalysisError, WorkloadError
-from ..store import ArtifactStore, StoreMapping
+from ..store import ArtifactStore
 from ..traceio import iter_traces, read_header, save_traces
 from ..traces import Trace
 from ..workloads.campaign import MeasurementCampaign, StreamSegment
@@ -327,21 +327,12 @@ class LiveSource:
                 self._record(scenario, index)
         return len(self._record_cache)
 
-    def _resident(self, key: Tuple[str, int]) -> bool:
-        """Whether the memo holds ``key`` in memory (reads no disk)."""
+    def _release(self, held) -> None:
+        """Drop memo entries not in ``held``; a store keeps its copy."""
         memo = self._record_cache
-        if isinstance(memo, StoreMapping):
-            return memo.resident(key)
-        return key in memo
-
-    def _release(self, keys: Sequence[Tuple[str, int]]) -> None:
-        """Drop records from the memo's memory; a store keeps its copy."""
-        memo = self._record_cache
-        for key in keys:
-            if isinstance(memo, StoreMapping):
-                memo.release(key)
-            else:
-                memo.pop(key, None)
+        release = getattr(memo, "release", memo.pop)
+        for key in [key for key in memo if key not in held]:
+            release(key)
 
     @property
     def n_streams(self) -> int:
@@ -398,11 +389,7 @@ class LiveSource:
                 sub = StreamSegment(
                     segment.scenario, k, segment.index_offset + lo
                 )
-                fresh = [
-                    (segment.scenario, index)
-                    for index in sub.indices
-                    if not self._resident((segment.scenario, index))
-                ]
+                held = set(self._record_cache)
                 yield self.chunk_from(
                     self.campaign.collect_stream(
                         [sub],
@@ -411,7 +398,7 @@ class LiveSource:
                     ),
                     position,
                 )
-                self._release(fresh)
+                self._release(held)
                 position += k
 
     def localization_records(

@@ -527,10 +527,6 @@ class StoreMapping(MutableMapping):
         if not self.store.evict(self.kind, self.address(item)):
             raise KeyError(item)
 
-    def resident(self, item) -> bool:
-        """Whether ``item`` is in the memory layer (reads nothing)."""
-        return item in self._memory
-
     def release(self, item) -> None:
         """Drop ``item`` from the memory layer; its disk entry stays.
 

@@ -142,6 +142,11 @@ def test_chunking_does_not_change_output(chip, psa, records):
     reference = psa.engine.render(psa.coupling, recs, trace_indices=indices)
     for samples in outputs:
         assert samples.tobytes() == reference.samples.tobytes()
+    # One receiver: the default batch grows to IRFFT_ROWS traces.
+    one = psa.engine.render(
+        psa.coupling, recs, trace_indices=indices, receiver_indices=[9]
+    )
+    assert one.samples.tobytes() == reference.samples[9:10].tobytes()
 
 
 # -- coupling-geometry cache -------------------------------------------------

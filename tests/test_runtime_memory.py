@@ -136,11 +136,11 @@ def test_released_store_record_rereads_as_a_hit(tmp_path, campaign):
     )
     assert store.writes == 5
     item = (schedule.reference, schedule.segments[0].index_offset)
-    assert not memo.resident(item)
+    assert item not in list(memo)  # __iter__ covers memory only
     hits, misses = store.hits, store.misses
     assert memo[item] is not None
     assert (store.hits, store.misses) == (hits + 1, misses)
-    assert memo.resident(item)
+    assert item in list(memo)
 
 
 def test_soak_session_peak_stays_within_two_chunks():
