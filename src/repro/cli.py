@@ -497,17 +497,42 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "boot the service, stream one recorded session through "
             "the replay endpoint, assert an alarm, sane /metrics (a "
             "windows/s the upload's wall time bears out) and a 400 for "
-            "a truncated copy, then exit (the CI serve-smoke job)"
+            "a truncated copy and for a copy with one member retyped "
+            "to big-endian, then exit (the CI serve-smoke job)"
         ),
     )
     return parser
 
 
-def _serve_selftest(service, config: SimConfig) -> str:
-    """Boot, upload one recorded stream and a truncated copy, check both.
+def _retyped(payload: bytes) -> bytes:
+    """``payload`` with its first trace's npy dtype set to big-endian.
 
-    The headless CI path: everything in-process, no fixed port, the
-    same client the tests use.
+    numpy itself would read the member (as other numbers); the strict
+    trace reader must refuse it.  The archive is rebuilt, so every CRC
+    still holds.
+    """
+    import io
+    import zipfile
+
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(payload)) as source, zipfile.ZipFile(
+        buffer, "w"
+    ) as target:
+        for name in source.namelist():
+            raw = source.read(name)
+            if name == "trace_00000.npy":
+                raw = raw.replace(b"'descr': '<f8'", b"'descr': '>f8'", 1)
+            target.writestr(name, raw)
+    return buffer.getvalue()
+
+
+def _serve_selftest(service, config: SimConfig) -> str:
+    """Boot, upload one recorded stream and two damaged copies, check all.
+
+    The damaged copies are the stream cut in half and the stream with
+    one member's npy dtype changed; both must answer 400 and onboard
+    nothing.  The headless CI path: everything in-process, no fixed
+    port, the same client the tests use.
     """
     import tempfile
     import time
@@ -538,19 +563,22 @@ def _serve_selftest(service, config: SimConfig) -> str:
                     "selftest stream produced no detection; report: "
                     f"{json.dumps(report)}"
                 )
-            status, body = client.post(
-                "/chips/selftest-truncated/replay", payload[: len(payload) // 2]
-            )
-            if status != 400:
-                raise AnalysisError(
-                    f"selftest truncated upload answered {status}, not 400: {body}"
-                )
-            status, chips = client.get("/chips")
-            onboarded = [chip["chip"] for chip in chips["chips"]]
-            if onboarded != ["selftest"]:
-                raise AnalysisError(
-                    f"selftest truncated upload onboarded a chip: {onboarded}"
-                )
+            for kind, damaged in (
+                ("truncated", payload[: len(payload) // 2]),
+                ("retyped", _retyped(payload)),
+            ):
+                status, body = client.post(f"/chips/selftest-{kind}/replay", damaged)
+                if status != 400 or "not a readable trace archive" not in str(body):
+                    raise AnalysisError(
+                        f"selftest {kind} upload answered {status}, not a 400 "
+                        f"refusing the archive: {body}"
+                    )
+                status, chips = client.get("/chips")
+                onboarded = [chip["chip"] for chip in chips["chips"]]
+                if onboarded != ["selftest"]:
+                    raise AnalysisError(
+                        f"selftest {kind} upload onboarded a chip: {onboarded}"
+                    )
             status, metrics = client.get("/metrics")
     if status != 200 or metrics.get("alarms_total", 0) < 1:
         raise AnalysisError(f"selftest metrics are not sane: {metrics}")

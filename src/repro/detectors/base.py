@@ -191,7 +191,7 @@ class Detector(ABC):
                 f"expected {self.n_streams} features, got shape "
                 f"{values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if np.count_nonzero(np.isfinite(values)) != values.size:
             raise AnalysisError("non-finite feature in detector input")
         return values
 

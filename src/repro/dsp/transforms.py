@@ -183,7 +183,7 @@ class _ResamplePlan:
 
     __slots__ = (
         "freqs", "grid", "below", "above", "inside", "idx", "x_lo",
-        "dx", "offsets", "in_band", "run_starts", "run_buckets",
+        "dx", "offsets", "in_band", "run_starts", "run_buckets", "subsets",
     )
 
     def __init__(
@@ -233,6 +233,8 @@ class _ResamplePlan:
         else:
             self.run_starts = None
             self.run_buckets = None
+        #: :class:`_DisplayColumns` of the bin sets read so far.
+        self.subsets: "dict[bytes, _DisplayColumns]" = {}
 
     def apply(self, native_power: np.ndarray) -> np.ndarray:
         """Resample a power stack onto the display grid (peak-held).
@@ -274,65 +276,100 @@ class _ResamplePlan:
         )
         return slice(offset + self.run_starts[run], offset + stop)
 
-    def columns_at(self, bins: np.ndarray) -> np.ndarray:
-        """Sorted native columns :meth:`apply_at` reads for ``bins``.
+    def at(self, bins: np.ndarray) -> "_DisplayColumns":
+        """The geometry of display columns ``bins``, built once.
 
-        Column 0 or the last column for a point outside the band,
-        else its two interpolation knots, plus its peak-hold run.
+        Kept on the plan itself, so it lives and dies with the plan's
+        cache entry.
         """
-        lo, hi = self.inside.start, self.inside.stop
+        key = bins.tobytes()
+        subset = self.subsets.get(key)
+        if subset is None:
+            if len(self.subsets) >= _RESAMPLE_PLAN_LIMIT:
+                self.subsets.clear()
+            subset = self.subsets[key] = _DisplayColumns(self, bins)
+        return subset
+
+
+class _DisplayColumns:
+    """Resample geometry of a subset ``bins`` (strictly increasing)
+    of one plan's display.
+
+    Every display point's value is a function of its own interpolation
+    knots and its own peak-hold run, so evaluating a subset reproduces
+    :meth:`_ResamplePlan.apply`'s columns **bit for bit** at a fraction
+    of the work — the fast path for feature extraction that reads a
+    few sideband bins out of a 2000-point display.  :attr:`columns`
+    lists the native columns those points read; :meth:`apply` takes
+    the power of just those columns, in order, and evaluates all the
+    points with whole-array operations in the reference's operation
+    order.
+    """
+
+    __slots__ = (
+        "columns", "edge_out", "edge_src", "inner_out", "knot",
+        "dx", "offsets", "run_out", "run_bounds",
+    )
+
+    def __init__(self, plan: _ResamplePlan, bins: np.ndarray):
+        lo, hi = plan.inside.start, plan.inside.stop
+        last = len(plan.freqs) - 1
         parts = []
+        runs = []
         for b in bins:
             if b < lo:
                 parts.append([0])
             elif b >= hi:
-                parts.append([len(self.freqs) - 1])
+                parts.append([last])
             else:
-                idx = self.idx[b - lo]
+                idx = plan.idx[b - lo]
                 parts.append([idx, idx + 1])
-            run = self._run_at(b)
+            run = plan._run_at(b)
+            runs.append(run)
             if run is not None:
                 parts.append(np.arange(run.start, run.stop))
-        return np.unique(np.concatenate(parts).astype(int))
-
-    def apply_at(
-        self, power: np.ndarray, bins: np.ndarray, columns: np.ndarray
-    ) -> np.ndarray:
-        """Resample only the display columns ``bins`` (sorted indices).
-
-        ``power`` holds just the native columns ``columns`` (from
-        :meth:`columns_at`), in order.  Every display point's value is
-        a function of its own knots and its own peak-hold run, so
-        evaluating a subset reproduces :meth:`apply`'s columns **bit
-        for bit** at a fraction of the work — the fast path for
-        feature extraction that reads a few sideband bins out of a
-        2000-point display.
-        """
-        out = np.empty((power.shape[0], len(bins)))
-        lo, hi = self.inside.start, self.inside.stop
-        for col, b in enumerate(bins):
-            if b < lo:
-                out[:, col] = power[:, 0]
-            elif b >= hi:
-                out[:, col] = power[:, -1]
-            else:
-                j = b - lo
-                # Knots idx and idx + 1 are adjacent in ``columns``.
-                k = int(np.searchsorted(columns, self.idx[j]))
-                y_lo = power[:, k]
-                column = power[:, k + 1] - y_lo
-                column /= self.dx[j]
-                column *= self.offsets[j]
-                column += y_lo
-                out[:, col] = column
-            run = self._run_at(b)
+        self.columns = np.unique(np.concatenate(parts).astype(int))
+        # Out-of-band points copy column 0 or the last column; the
+        # others interpolate between knots idx and idx + 1, adjacent
+        # in ``columns``.
+        edge = (bins < lo) | (bins >= hi)
+        self.edge_out = np.flatnonzero(edge)
+        self.edge_src = np.where(bins[edge] < lo, 0, len(self.columns) - 1)
+        self.inner_out = np.flatnonzero(~edge)
+        inner = bins[~edge] - lo
+        self.knot = np.searchsorted(self.columns, plan.idx[inner])
+        self.dx = plan.dx[inner]
+        self.offsets = plan.offsets[inner]
+        # Peak-hold runs as (start, stop) pairs of ``columns``
+        # positions, interleaved for one ``np.maximum.reduceat`` whose
+        # even results are the runs' maxima.
+        self.run_out = np.array(
+            [col for col, run in enumerate(runs) if run is not None], dtype=int
+        )
+        bounds = []
+        for run in runs:
             if run is not None:
-                k = int(np.searchsorted(columns, run.start))
-                np.maximum(
-                    out[:, col],
-                    power[:, k:k + run.stop - run.start].max(axis=1),
-                    out=out[:, col],
-                )
+                start = int(np.searchsorted(self.columns, run.start))
+                bounds += [start, start + run.stop - run.start]
+        if bounds and bounds[-1] == len(self.columns):
+            bounds.pop()  # reduceat runs the last index to the end
+        self.run_bounds = np.array(bounds, dtype=int)
+
+    def apply(self, power: np.ndarray) -> np.ndarray:
+        """Display points ``bins`` from the power of :attr:`columns`."""
+        out = np.empty((power.shape[0], len(self.edge_out) + len(self.inner_out)))
+        y_lo = power[:, self.knot]
+        interp = power[:, self.knot + 1]
+        np.subtract(interp, y_lo, out=interp)
+        np.divide(interp, self.dx, out=interp)
+        np.multiply(interp, self.offsets, out=interp)
+        np.add(interp, y_lo, out=interp)
+        out[:, self.inner_out] = interp
+        out[:, self.edge_out] = power[:, self.edge_src]
+        if self.run_out.size:
+            run_max = np.maximum.reduceat(power, self.run_bounds, axis=1)[:, ::2]
+            np.maximum(out[:, self.run_out], run_max, out=run_max)
+            out[:, self.run_out] = run_max
         return out
 
 
@@ -353,10 +390,20 @@ def resample_plan_stats() -> "dict[str, int]":
     }
 
 
+def _remember(key: tuple, plan: _ResamplePlan) -> _ResamplePlan:
+    """Cache a freshly built plan (a miss) under ``key``."""
+    global _RESAMPLE_PLAN_MISSES
+    _RESAMPLE_PLAN_MISSES += 1
+    if len(_RESAMPLE_PLANS) >= _RESAMPLE_PLAN_LIMIT:
+        _RESAMPLE_PLANS.clear()
+    _RESAMPLE_PLANS[key] = plan
+    return plan
+
+
 def _resample_plan(
     freqs: np.ndarray, f_lo: float, f_hi: float, n_points: int
 ) -> _ResamplePlan:
-    global _RESAMPLE_PLAN_HITS, _RESAMPLE_PLAN_MISSES
+    global _RESAMPLE_PLAN_HITS
     key = (
         n_points,
         float(f_lo),
@@ -369,12 +416,26 @@ def _resample_plan(
     if plan is not None and np.array_equal(plan.freqs, freqs):
         _RESAMPLE_PLAN_HITS += 1
         return plan
-    _RESAMPLE_PLAN_MISSES += 1
-    plan = _ResamplePlan(freqs, f_lo, f_hi, n_points)
-    if len(_RESAMPLE_PLANS) >= _RESAMPLE_PLAN_LIMIT:
-        _RESAMPLE_PLANS.clear()
-    _RESAMPLE_PLANS[key] = plan
-    return plan
+    return _remember(key, _ResamplePlan(freqs, f_lo, f_hi, n_points))
+
+
+def _rfft_display_plan(
+    n: int, fs: float, f_lo: float, f_hi: float, n_points: int
+) -> _ResamplePlan:
+    """The checked plan of ``n``-sample traces' rFFT axis at ``fs``.
+
+    ``(n, fs)`` fixes the axis exactly, so a hit neither rebuilds the
+    axis nor compares it.
+    """
+    global _RESAMPLE_PLAN_HITS
+    key = ("rfft", n, float(fs), float(f_lo), float(f_hi), n_points)
+    plan = _RESAMPLE_PLANS.get(key)
+    if plan is not None:
+        _RESAMPLE_PLAN_HITS += 1
+        return plan
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    _check_band(freqs, f_lo, f_hi, n_points)
+    return _remember(key, _ResamplePlan(freqs, f_lo, f_hi, n_points))
 
 
 def resample_spectra(
@@ -423,9 +484,12 @@ def display_spectra_at(
     Returns ``(grid[bins], out)`` with ``out`` bit-identical to
     ``resample_spectra(*amplitude_spectra(samples, fs), ...)[1][:,
     bins]``, but only the native columns those display points read
-    (see :meth:`_ResamplePlan.columns_at`) are scaled and squared —
-    the fast path when a caller reads a handful of feature bins out of
-    the display.
+    (see :class:`_DisplayColumns`) are scaled and squared — the fast
+    path when a caller reads a handful of feature bins out of the
+    display.  ``bins`` must be strictly increasing, as every
+    detector's are.  The plan of the trace length's axis, and the
+    columns and gather indices of ``bins`` on it, are cached across
+    calls.
 
     The rows go through in blocks of :data:`DISPLAY_BLOCK_ROWS`: each
     block is passed through ``prepare`` (a row-wise transform such as
@@ -440,7 +504,7 @@ def display_spectra_at(
     if samples.shape[1] < 2:
         raise AnalysisError("traces too short for a spectrum")
     n = samples.shape[1]
-    plan = _display_plan(np.fft.rfftfreq(n, d=1.0 / fs), f_lo, f_hi, n_points)
+    plan = _rfft_display_plan(n, fs, f_lo, f_hi, n_points)
     bins = np.asarray(bins, dtype=int)
     if bins.ndim != 1 or bins.size == 0:
         raise AnalysisError("bins must be a non-empty 1-D index array")
@@ -448,7 +512,10 @@ def display_spectra_at(
         raise AnalysisError(
             f"display bins outside 0..{n_points - 1}"
         )
-    columns = plan.columns_at(bins)
+    if np.count_nonzero(np.diff(bins) <= 0):
+        raise AnalysisError("display bins must be strictly increasing")
+    subset = plan.at(bins)
+    columns = subset.columns
     spec = np.empty((samples.shape[0], columns.size), dtype=complex)
     for lo in range(0, samples.shape[0], DISPLAY_BLOCK_ROWS):
         block = samples[lo:lo + DISPLAY_BLOCK_ROWS]
@@ -458,15 +525,15 @@ def display_spectra_at(
             :, columns
         ]
     amps = _rms_amplitudes(spec, n, columns)
-    power = plan.apply_at(amps**2, bins, columns)
+    power = subset.apply(amps**2)
     np.sqrt(power, out=power)
     return plan.grid[bins], power
 
 
-def _display_plan(
+def _check_band(
     freqs: np.ndarray, f_lo: float, f_hi: float, n_points: int
-) -> _ResamplePlan:
-    """The checked, cached resample plan of one native axis and band."""
+) -> None:
+    """Refuse a display band the native axis ``freqs`` cannot fill."""
     if f_hi <= f_lo:
         raise AnalysisError(f"empty band [{f_lo}, {f_hi}]")
     if n_points < 2:
@@ -476,6 +543,13 @@ def _display_plan(
             f"band edge {f_hi/1e6:.1f} MHz beyond Nyquist "
             f"{freqs[-1]/1e6:.1f} MHz"
         )
+
+
+def _display_plan(
+    freqs: np.ndarray, f_lo: float, f_hi: float, n_points: int
+) -> _ResamplePlan:
+    """The checked, cached resample plan of one native axis and band."""
+    _check_band(freqs, f_lo, f_hi, n_points)
     return _resample_plan(np.asarray(freqs, dtype=float), f_lo, f_hi, n_points)
 
 

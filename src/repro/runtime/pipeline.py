@@ -30,6 +30,7 @@ one-shot offline render.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple
@@ -505,10 +506,12 @@ class EscalationPipeline:
             self._detector,
             adc=self.pipeline.adc if self.pipeline.quantize else None,
         )
+        # Each window's features as Python floats, converted once.
+        features_db = features.T.tolist()
         for offset in range(chunk.n_windows):
             window = chunk.start + offset
             step = self._detector.update(features[:, offset])
-            fired = bool(step.alarm.any())
+            fired = bool(np.count_nonzero(step.alarm))
             self._features.append(features[:, offset])
             time_s = self.time_of(window)
             self._emit(
@@ -517,9 +520,9 @@ class EscalationPipeline:
                     window=window,
                     time_s=time_s,
                     scenario=chunk.scenarios[offset],
-                    features_db=tuple(float(f) for f in features[:, offset]),
+                    features_db=tuple(features_db[offset]),
                     z=tuple(
-                        float(z) if np.isfinite(z) else None for z in step.z
+                        z if math.isfinite(z) else None for z in step.z.tolist()
                     ),
                     alarm=fired,
                 )

@@ -11,10 +11,9 @@ Two production sources sit behind one :class:`TraceStream` protocol:
   run is **bit-identical** to the equivalent one-shot offline render
   at any chunk size.
 * :class:`ReplaySource` iterates a ``.npz`` trace archive (a file, or
-  its bytes in memory) through the chunked
-  :func:`repro.traceio.iter_traces` reader, never holding more than one
-  chunk of samples — recorded sessions re-run through the same
-  pipeline.
+  its bytes in memory) through :class:`repro.traceio.TraceArchive`,
+  never holding more than one chunk of samples — recorded sessions
+  re-run through the same pipeline.
 
 Both yield :class:`StreamChunk` blocks: a ``(n_streams, k,
 n_samples)`` sample stack plus per-window bookkeeping, the unit of
@@ -30,9 +29,9 @@ from typing import Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_
 import numpy as np
 
 from ..chip.power import ActivityRecord
-from ..errors import AnalysisError, WorkloadError
+from ..errors import AnalysisError, TraceIOError, WorkloadError
 from ..store import ArtifactStore
-from ..traceio import iter_traces, read_header, save_traces
+from ..traceio import TraceArchive, save_traces
 from ..traces import Trace
 from ..workloads.campaign import MeasurementCampaign, StreamSegment
 from ..workloads.scenarios import SCENARIOS, reference_for, scenario_by_name
@@ -432,12 +431,14 @@ class LiveSource:
 class ReplaySource:
     """Streamed replay of a recorded ``.npz`` trace archive.
 
-    The archive is read through the chunked
-    :func:`repro.traceio.iter_traces` reader — at most one chunk of
-    samples is in memory at a time, so arbitrarily long recordings
-    replay with bounded footprint.  Traces are stored window-major:
-    with ``n_streams`` monitored streams, window ``w`` occupies traces
-    ``w*n_streams .. (w+1)*n_streams - 1``.
+    The archive is opened once (:class:`repro.traceio.TraceArchive`)
+    and read member by member — at most one chunk of samples is in
+    memory at a time, so arbitrarily long recordings replay with
+    bounded footprint.  Each chunk's C-contiguous ``(n_streams, k,
+    n_samples)`` array is filled straight from the members.
+    Traces are stored window-major: with ``n_streams`` monitored
+    streams, window ``w`` occupies traces ``w*n_streams ..
+    (w+1)*n_streams - 1``.
 
     The activation window is recovered from the recorded scenario
     labels (first window whose scenario carries an armed payload), so
@@ -476,10 +477,9 @@ class ReplaySource:
             raise AnalysisError(f"batch must be >= 1, got {batch}")
         self.path = Path(path)
         self.batch = batch
-        self.data = data
-        header = read_header(self.path, data=data)
-        entries = header["traces"]
-        labels = [str(entry["label"]) for entry in entries]
+        self._archive = TraceArchive(self.path, data=data)
+        entries = self._archive.entries
+        labels = [entry["label"] for entry in entries]
         if n_streams is None:
             # Window-major layout: the first window's labels run until
             # the leading label repeats (or the archive ends).
@@ -503,10 +503,18 @@ class ReplaySource:
                 )
         self._n_streams = n_streams
         self._n_windows = len(entries) // n_streams
-        self._scenarios = tuple(
-            str(entries[w * n_streams]["scenario"])
-            for w in range(self._n_windows)
-        )
+        self._labels = tuple(labels[:n_streams])
+        firsts = entries[::n_streams]
+        self._scenarios = tuple(entry["scenario"] for entry in firsts)
+        try:
+            self._trace_indices = tuple(
+                int(entry["meta"].get("trace_index", window))
+                for window, entry in enumerate(firsts)
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TraceIOError(
+                f"{self.path} has a malformed trace_index: {exc}"
+            ) from exc
 
     @property
     def n_streams(self) -> int:
@@ -528,29 +536,40 @@ class ReplaySource:
 
     def chunks(self) -> Iterator[StreamChunk]:
         """Stream the archive back as whole-window chunks."""
-        position = 0
-        for group in iter_traces(
-            self.path, batch=self.batch * self._n_streams, data=self.data
-        ):
-            k = len(group) // self._n_streams
-            first = group[0]
-            stack = np.stack([trace.samples for trace in group])
-            samples = (
-                stack.reshape(k, self._n_streams, -1).transpose(1, 0, 2)
-            )
-            windows = [group[w * self._n_streams] for w in range(k)]
+        entries = self._archive.entries
+        members = self._archive.samples()
+        for start in range(0, self._n_windows, self.batch):
+            stop = min(start + self.batch, self._n_windows)
             yield StreamChunk(
-                samples=samples,
-                fs=first.fs,
-                start=position,
-                scenarios=tuple(trace.scenario for trace in windows),
-                trace_indices=tuple(
-                    int(trace.meta.get("trace_index", position + w))
-                    for w, trace in enumerate(windows)
-                ),
-                labels=tuple(trace.label for trace in group[: self._n_streams]),
+                samples=self._fill(members, start, stop),
+                fs=float(entries[start * self._n_streams]["fs"]),
+                start=start,
+                scenarios=self._scenarios[start:stop],
+                trace_indices=self._trace_indices[start:stop],
+                labels=self._labels,
             )
-            position += k
+
+    def _fill(
+        self, members: Iterator[np.ndarray], start: int, stop: int
+    ) -> np.ndarray:
+        """Windows ``start..stop`` as one C-contiguous sample stack."""
+        samples = None
+        for window in range(start, stop):
+            for stream in range(self._n_streams):
+                array = next(members)
+                if samples is None:
+                    samples = np.empty(
+                        (self._n_streams, stop - start, array.size)
+                    )
+                elif array.size != samples.shape[2]:
+                    raise TraceIOError(
+                        f"{self.path} trace "
+                        f"{window * self._n_streams + stream} holds "
+                        f"{array.size} samples where its chunk's first "
+                        f"holds {samples.shape[2]}"
+                    )
+                samples[stream, window - start] = array
+        return samples
 
     def localization_records(self, n_records: int) -> None:
         """A replay cannot re-measure; localization is unavailable."""

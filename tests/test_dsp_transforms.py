@@ -176,6 +176,10 @@ def test_display_bins_are_display_matrix_columns(n):
     edge = SpectrumAnalyzer(f_lo=-20e6, f_hi=nyquist, n_points=64)
     for bins in ([0, 1, 2], [61, 62, 63], [0, 17, 40, 63], range(64)):
         _assert_display_columns(edge, samples, list(bins))
+    # Unsorted or repeated bins are refused, not misread.
+    for bins in ([40, 17], [63, 63], [5, 5, 6]):
+        with pytest.raises(AnalysisError, match="strictly increasing"):
+            edge.display_bins(samples, FS, np.array(bins))
 
 
 @pytest.mark.parametrize("rows", [1, 31, 32, 33, 256])
@@ -211,3 +215,64 @@ def test_blocked_display_bins_match_unblocked(rows, quantize, monkeypatch):
         assert blocked.tobytes() == expected, name
         assert whole.tobytes() == expected, name
     assert samples.tobytes() == original.tobytes()
+
+
+def test_display_bins_survive_plan_cache_cycling():
+    """Cached plans and column geometries never go stale.
+
+    The plan cache is cleared when it fills, and a later plan may live
+    at an evicted plan's address; the geometry of a bin set lives on
+    its plan, so cycling through more axes than the cache holds and
+    back must still give the full display's columns bit for bit.
+    """
+    config = SimConfig()
+    analyzer = SpectrumAnalyzer()
+    grid = analyzer.display_grid()
+    bin_sets = [
+        make_detector(name, 1).display_bins(grid, config) for name in available()
+    ]
+    samples = _noisy_stack(8448)
+    for bins in bin_sets:
+        _assert_display_columns(analyzer, samples, bins)
+    for n in range(8448 + 1, 8448 + transforms._RESAMPLE_PLAN_LIMIT + 3):
+        for bins in bin_sets:
+            analyzer.display_bins(_noisy_stack(n, rows=2), FS, bins)
+    assert transforms.resample_plan_stats()["size"] <= transforms._RESAMPLE_PLAN_LIMIT
+    for bins in bin_sets:
+        _assert_display_columns(analyzer, samples, bins)
+
+
+def _clip_quantize(samples, spec, headroom):
+    """The reference auto-ranged quantizer: ``np.clip`` on every row."""
+    peak = np.max(np.abs(samples), axis=-1, keepdims=True)
+    full_scale = np.where(peak > 0.0, headroom * peak, spec.full_scale)
+    lsb = 2.0 * full_scale / (1 << spec.n_bits)
+    clipped = np.clip(samples, -full_scale, full_scale - lsb)
+    return np.round(clipped / lsb) * lsb
+
+
+@pytest.mark.parametrize("headroom", [AUTO_RANGE_HEADROOM, 1.0, 0.5])
+@pytest.mark.parametrize("edge", ["none", "zero", "nan", "+inf", "-inf", "half nan"])
+def test_quantize_batch_matches_clip_reference_on_edge_rows(headroom, edge):
+    """All-zero, NaN and +-inf rows quantize exactly like the reference.
+
+    With a headroom of 1 or more nothing clips a finite row; below 1
+    every row clips.  The input is never written.
+    """
+    rows = _noisy_stack(512, rows=4)
+    rows[1, 5] = -0.0
+    edit = {
+        "none": lambda: None,
+        "zero": lambda: rows.__setitem__(2, 0.0),
+        "nan": lambda: rows.__setitem__((2, 7), np.nan),
+        "+inf": lambda: rows.__setitem__((2, 9), np.inf),
+        "-inf": lambda: rows.__setitem__((2, 11), -np.inf),
+        "half nan": lambda: rows.__setitem__((2, slice(None, None, 2)), np.nan),
+    }
+    edit[edge]()
+    original = rows.copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        got = quantize_batch(rows, RASC_ADC, headroom=headroom)
+        expected = _clip_quantize(rows, RASC_ADC, headroom)
+    assert got.tobytes() == expected.tobytes()
+    assert rows.tobytes() == original.tobytes()

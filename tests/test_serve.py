@@ -18,6 +18,7 @@ import json
 import os
 import time
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -38,7 +39,7 @@ from repro.runtime.events import (
 from repro.runtime.fleet import build_chip_monitor
 from repro.runtime.pipeline import EscalationPipeline
 from repro.runtime.presets import build_preset
-from repro.runtime.sources import ReplaySource, record_stream
+from repro.runtime.sources import DEFAULT_MONITOR_SENSOR, ReplaySource, record_stream
 from repro.serve import (
     MonitorService,
     ServeConfig,
@@ -48,6 +49,7 @@ from repro.serve import (
     unpack_chunk,
 )
 from repro.serve.protocol import WS_BINARY, WS_TEXT, read_ws_frame, ws_frame
+from repro.traceio import load_traces
 
 PRESET = build_preset("smoke")
 
@@ -432,7 +434,18 @@ def _archive_with(smoke_archive, mutate):
     return buffer.getvalue()
 
 
-def test_failed_replay_leaves_no_session(smoke_archive):
+def _infinite_trace_index(name, raw):
+    """:func:`_archive_with` mutator: the first trace_index is Infinity."""
+    if name != "__header__.npy":
+        return raw
+    header = json.loads(np.load(io.BytesIO(raw)).tobytes())
+    header["traces"][0]["meta"]["trace_index"] = float("inf")
+    member = io.BytesIO()
+    np.save(member, np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8))
+    return member.getvalue()
+
+
+def test_failed_replay_leaves_no_session(smoke_archive, strict_damage):
     """Decode failures past onboarding are 400s that free the chip id."""
     payload = smoke_archive.read_bytes()
     # A flipped sample byte fails its member's CRC mid-stream.
@@ -453,6 +466,7 @@ def test_failed_replay_leaves_no_session(smoke_archive):
             (flipped, "Bad CRC-32"),
             (header_only, "no item named"),
             (missing_last, "no item named"),
+            *((damage(payload), "") for damage in strict_damage.values()),
         ):
             status, reply = client.post("/chips/retry/replay?batch=4", body)
             assert status == 400, reply
@@ -460,6 +474,16 @@ def test_failed_replay_leaves_no_session(smoke_archive):
             assert message in reply["error"]
             status, body = client.get("/chips")
             assert body["chips"] == []
+        # A header that json reads but ReplaySource cannot (json
+        # parses Infinity, which int() overflows on) is refused too.
+        status, reply = client.post(
+            "/chips/retry/replay?batch=4",
+            _archive_with(smoke_archive, _infinite_trace_index),
+        )
+        assert status == 400, reply
+        assert "malformed trace_index" in reply["error"]
+        status, body = client.get("/chips")
+        assert body["chips"] == []
         status, metrics = client.get("/metrics")
         assert metrics["queued_windows"] == 0
         assert metrics["overload_active"] is False
@@ -467,6 +491,64 @@ def test_failed_replay_leaves_no_session(smoke_archive):
         status, report = client.post("/chips/retry/replay?batch=4", payload)
         assert status == 200
         assert report["detected"] is True
+
+
+def test_multi_stream_replay_fills_contiguous_chunks(tmp_path):
+    """A 4-stream archive replays without a stack copy, served bit for bit."""
+    spec = replace(
+        PRESET.specs(1)[0], sensors=(8, 9, 10, 11), n_baseline=10, n_active=6
+    )
+    monitor = build_chip_monitor(spec, pipeline_config=PRESET.pipeline_config())
+    path = record_stream(monitor.source, tmp_path / "four.npz")
+    source = ReplaySource(path, batch=16)
+    assert (source.n_streams, source.n_windows) == (4, 16)
+    (chunk,) = source.chunks()
+    assert chunk.samples.flags.c_contiguous
+    flat = chunk.samples.reshape(-1, chunk.samples.shape[-1])
+    assert np.shares_memory(flat, chunk.samples)
+    traces = load_traces(path)
+    for window in range(16):
+        for stream in range(4):
+            assert np.array_equal(
+                chunk.samples[stream, window], traces[4 * window + stream].samples
+            )
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        status, report = runner.client().post(
+            "/chips/four/replay?batch=4", path.read_bytes()
+        )
+    assert status == 200
+    reference, _ = offline_reference(path, "four")
+    assert report == json.loads(reference.to_json())
+
+
+def test_concurrent_replay_decodes(tmp_path):
+    """Eight threads decoding recorded soak archives at once all succeed.
+
+    A smoke check: the header-parser race it guards against never
+    reproduced on demand, so it passing proves little on its own.
+    """
+    preset = build_preset("soak")
+    bodies = []
+    for spec in preset.specs(2):
+        spec = replace(spec, sensors=(DEFAULT_MONITOR_SENSOR,))
+        monitor = build_chip_monitor(spec, pipeline_config=preset.pipeline_config())
+        path = record_stream(monitor.source, tmp_path / f"{spec.trojan}.npz")
+        bodies.append(path.read_bytes())
+    expected = [
+        [chunk.samples for chunk in ReplaySource("x.npz", data=body).chunks()]
+        for body in bodies
+    ]
+
+    def decode(worker):
+        for body, reference in itertools.islice(
+            itertools.cycle(zip(bodies, expected)), worker, worker + 6
+        ):
+            chunks = ReplaySource(f"w{worker}.npz", data=body).chunks()
+            for chunk, samples in zip(chunks, reference, strict=True):
+                assert chunk.samples.tobytes() == samples.tobytes()
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(decode, range(8)))
 
 
 def test_compressed_archive_replays_like_stored(smoke_archive, tmp_path):

@@ -1,5 +1,6 @@
 """Trace container and archive I/O."""
 
+import ast
 import io
 import json
 import zipfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError, TraceIOError
+from repro.runtime.sources import ReplaySource
 from repro.traceio import (
     iter_traces,
     load_traces,
@@ -174,6 +176,8 @@ def test_compressed_archive_still_reads(tmp_path):
     with np.load(path) as stored:
         np.savez_compressed(legacy, **{name: stored[name] for name in stored.files})
     _assert_same_traces(load_traces(legacy), load_traces(path))
+    from_bytes = [t for chunk in iter_traces("x.npz", data=legacy.read_bytes()) for t in chunk]
+    _assert_same_traces(from_bytes, load_traces(path))
 
 
 def _rebuilt(data, mutate):
@@ -244,3 +248,68 @@ def test_damaged_archive_raises_trace_io_error(tmp_path, damage):
     damaged.write_bytes(body)
     with pytest.raises(TraceIOError):
         load_traces(damaged)
+
+
+def test_foreign_members_are_valid_npy(foreign_npy_members):
+    """Each refused layout is one numpy reads: only the reader is strict."""
+    for member in foreign_npy_members.values():
+        assert np.load(io.BytesIO(member)).size == 256
+
+
+def test_strict_layout_rejected(tmp_path, strict_damage):
+    """Anything but the layout save_traces writes raises TraceIOError."""
+    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(4)])
+    for case, damage in strict_damage.items():
+        body = damage(path.read_bytes())
+        read_header("upload.npz", data=body)  # the damage is past the header
+        with pytest.raises(TraceIOError, match="not a readable trace archive"):
+            list(iter_traces("upload.npz", data=body))
+        with pytest.raises(TraceIOError, match="not a readable trace archive"):
+            list(ReplaySource("upload.npz", batch=2, data=body).chunks())
+        damaged = tmp_path / f"{case}.npz"
+        damaged.write_bytes(body)
+        with pytest.raises(TraceIOError, match="not a readable trace archive"):
+            load_traces(damaged)
+        with pytest.raises(TraceIOError, match="not a readable trace archive"):
+            list(ReplaySource(damaged, batch=2).chunks())
+
+
+@pytest.mark.parametrize("index", [float("inf"), float("nan"), "x", [1], None])
+def test_replay_refuses_malformed_trace_index(tmp_path, index):
+    """A trace_index int() cannot take is a TraceIOError at open time."""
+    traces = [_trace(seed=i) for i in range(2)]
+    traces[1].meta["trace_index"] = index
+    data = save_traces(tmp_path / "a.npz", traces).read_bytes()
+    with pytest.raises(TraceIOError, match="malformed trace_index"):
+        ReplaySource("upload.npz", data=data)
+
+
+def test_decode_uses_neither_numpy_nor_ast_header_parsers(tmp_path, monkeypatch):
+    """numpy's npy header readers (and ast.literal_eval) are never called.
+
+    Their parser state is what concurrent decodes once raced on.
+    """
+    traces = [_trace(label=f"s{i % 2}", seed=i) for i in range(6)]
+    path = save_traces(tmp_path / "a.npz", traces)
+    data = path.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy/ast header parser called")
+
+    import numpy.lib._format_impl as format_impl
+
+    for module in (np.lib.format, format_impl):
+        monkeypatch.setattr(module, "read_array_header_1_0", refuse)
+        monkeypatch.setattr(module, "read_array_header_2_0", refuse)
+    monkeypatch.setattr(ast, "literal_eval", refuse)
+    _assert_same_traces(load_traces(path), traces)
+    streamed = [t for chunk in iter_traces("upload.npz", batch=4, data=data) for t in chunk]
+    _assert_same_traces(streamed, traces)
+    (chunk,) = ReplaySource("upload.npz", batch=3, data=data).chunks()
+    assert np.array_equal(chunk.samples[1, 2], traces[5].samples)
+
+
+def test_decoded_samples_are_writable(tmp_path):
+    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(2)])
+    for trace in load_traces(path) + next(iter_traces("x.npz", data=path.read_bytes())):
+        trace.samples[0] = 1.0
