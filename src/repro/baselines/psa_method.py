@@ -10,13 +10,11 @@ monitored sensor's SNR.
 from __future__ import annotations
 
 from ..chip.testchip import TestChip
+from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR as MONITOR_SENSOR
 from ..core.array import ProgrammableSensorArray
 from ..dsp.metrics import snr_rms_db
 from ..workloads.campaign import MeasurementCampaign
 from ..workloads.scenarios import scenario_by_name
-
-#: Sensor used for the comparison (covers the Trojan cluster).
-MONITOR_SENSOR = 10
 
 
 class PsaMethod:

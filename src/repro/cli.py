@@ -498,7 +498,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "the replay endpoint, assert an alarm, sane /metrics (a "
             "windows/s the upload's wall time bears out) and a 400 for "
             "a truncated copy and for a copy with one member retyped "
-            "to big-endian, then exit (the CI serve-smoke job)"
+            "to big-endian, and that a WebSocket closed before 'end' "
+            "frees its chip, then exit (the CI serve-smoke job)"
         ),
     )
     return parser
@@ -526,13 +527,45 @@ def _retyped(payload: bytes) -> bytes:
     return buffer.getvalue()
 
 
+def _selftest_dropped_socket(client, path: Path) -> None:
+    """Push one chunk as ``selftest-ws``, disconnect before ``end``.
+
+    The socket's session must be dropped: the service back to only
+    ``selftest`` and no window left queued.
+    """
+    import time
+
+    from .runtime import ReplaySource
+    from .serve import pack_chunk
+
+    source = ReplaySource(path)
+    ws = client.websocket("/chips/selftest-ws/ws")
+    ws.send_json({"op": "hello", "n_streams": source.n_streams})
+    ws.recv_json()
+    ws.send(pack_chunk(next(source.chunks())))
+    ws.recv_json()
+    ws.close()
+    for _ in range(200):  # the server notices the close within ~10 s
+        _, metrics = client.get("/metrics")
+        onboarded = [chip["chip"] for chip in metrics["chips"]]
+        if onboarded == ["selftest"] and metrics["queued_windows"] == 0:
+            return
+        time.sleep(0.05)
+    raise AnalysisError(
+        f"selftest-ws session outlived its socket: chips {onboarded}, "
+        f"{metrics['queued_windows']} windows queued"
+    )
+
+
 def _serve_selftest(service, config: SimConfig) -> str:
     """Boot, upload one recorded stream and two damaged copies, check all.
 
     The damaged copies are the stream cut in half and the stream with
     one member's npy dtype changed; both must answer 400 and onboard
-    nothing.  The headless CI path: everything in-process, no fixed
-    port, the same client the tests use.
+    nothing.  Then a WebSocket pushes one chunk and disconnects before
+    ``end``; its chip must be dropped.  The headless CI path:
+    everything in-process, no fixed port, the same client the tests
+    use.
     """
     import tempfile
     import time
@@ -580,6 +613,7 @@ def _serve_selftest(service, config: SimConfig) -> str:
                         f"selftest {kind} upload onboarded a chip: {onboarded}"
                     )
             status, metrics = client.get("/metrics")
+            _selftest_dropped_socket(client, path)
     if status != 200 or metrics.get("alarms_total", 0) < 1:
         raise AnalysisError(f"selftest metrics are not sane: {metrics}")
     if metrics["windows_total"] != report["n_windows"]:

@@ -393,6 +393,11 @@ class EscalationPipeline:
         self._source: Optional[TraceStream] = None
         self._event_counts: dict = {}
 
+    @property
+    def alarms(self) -> Tuple[int, ...]:
+        """Every alarming window so far, in order (read-only)."""
+        return tuple(self._alarms)
+
     def time_of(self, window: int) -> float:
         """Session time of one window's verdict [s].
 

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from ..config import SimConfig
 from ..core.analysis.detector import DetectorConfig
+from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR
 from ..errors import AnalysisError, unknown_name_error
 from ..store import ArtifactStore
 from .events import EventBus
@@ -91,11 +92,9 @@ class MonitorPreset:
         40+ dB of legitimate block-harmonic excess — so those presets
         monitor that sensor only.
         """
-        from ..sweep.grid import MONITOR_SENSOR
-
         if n_chips < 1:
             raise AnalysisError("need at least one chip")
-        sensors = None if self.detector_name == "welford" else (MONITOR_SENSOR,)
+        sensors = None if self.detector_name == "welford" else (DEFAULT_MONITOR_SENSOR,)
         seed = SimConfig().seed if base_seed is None else base_seed
         specs = []
         for index in range(n_chips):

@@ -29,16 +29,13 @@ from typing import Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_
 import numpy as np
 
 from ..chip.power import ActivityRecord
+from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR
 from ..errors import AnalysisError, TraceIOError, WorkloadError
 from ..store import ArtifactStore
 from ..traceio import TraceArchive, save_traces
 from ..traces import Trace
 from ..workloads.campaign import MeasurementCampaign, StreamSegment
 from ..workloads.scenarios import SCENARIOS, reference_for, scenario_by_name
-
-#: The sensor the run-time monitor watches by default (covers the
-#: Trojan cluster on the paper's chip).
-DEFAULT_MONITOR_SENSOR = 10
 
 #: Default windows per pulled chunk (matches the engine's irFFT
 #: chunking sweet spot).

@@ -5,24 +5,29 @@ One long-running process watches many chip streams concurrently:
 * an **asyncio front-end** (stdlib TCP + the :mod:`.protocol` HTTP/
   WebSocket codec) accepts replay-archive uploads, live onboarding
   requests and chunk-streaming sockets;
-* each onboarded chip gets a :class:`ChipSession` — its own
+* each onboarded chip, whatever its ingress, gets one
+  :class:`ChipSession` — its own
   :class:`~repro.runtime.pipeline.EscalationPipeline` behind a
   **bounded** chunk queue, drained by a shared analysis thread pool
   (feature extraction releases the GIL in NumPy's FFT, so sessions
   genuinely overlap);
-* ingress is **flow-controlled or shed, never unbounded**: HTTP
-  uploads wait at the queue bound, WebSocket pushes are dropped past
-  it (or past the service-wide high-water mark) with the typed
+* the session owns its chip's ingress policy, **flow-controlled or
+  shed, never unbounded**: replay uploads and live renders
+  (:meth:`ChipSession.feed`) wait at the queue bound, WebSocket
+  pushes (:meth:`ChipSession.offer`) are dropped past it (or past the
+  service-wide high-water mark of :mod:`.shedding`) with the typed
   :class:`~repro.runtime.events.Backpressure` /
   :class:`~repro.runtime.events.Shed` /
-  :class:`~repro.runtime.events.Overload` contract of
-  :mod:`.shedding`;
+  :class:`~repro.runtime.events.Overload` contract;
+* a replay or live session whose stream fails (a damaged archive, a
+  rejected chunk), or a WebSocket session whose socket closes before
+  ``end``, is dropped, so its chip id can onboard again;
 * ``GET /metrics`` and ``GET /chips/<id>/report`` render through the
   shared :mod:`repro.report` surface — the service adds transport,
   not another formatter.
 
-Determinism: a chip session applies no policy of its own between
-chunks, so a clean (unshed) streamed session is **bit-identical** —
+Determinism: a chip session never alters the chunks it admits, so a
+clean (unshed) streamed session is **bit-identical** —
 same report, same event transcript — to running the offline
 pipeline over the same archive, which ``tests/test_serve.py`` pins.
 
@@ -49,21 +54,24 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..config import SimConfig
 from ..engine.backends import backend_session_stats
 from ..errors import AnalysisError, ReproError
 from ..runtime import (
-    Alarm,
+    Backpressure,
     EscalationPipeline,
     EventBus,
     JsonlSink,
     MonitorReport,
     ReplaySource,
+    Shed,
+    StreamChunk,
     build_chip_monitor,
     build_preset,
 )
@@ -84,7 +92,7 @@ from .protocol import (
     websocket_handshake_bytes,
     ws_frame,
 )
-from .shedding import ChunkShedder, OverloadGuard
+from .shedding import OverloadGuard
 
 logger = logging.getLogger(__name__)
 
@@ -150,20 +158,20 @@ class ServeConfig:
     detector:
         Detection method override (None keeps the preset's).
     queue_depth:
-        Bounded chunk queue per chip session.
+        Bounded chunk queue per chip session: replay uploads and live
+        renders wait at it, WebSocket pushes are shed past it.
     high_water_windows:
         Service-wide queued-window bound; past it, pushed work is
         shed until the backlog drains below half the mark.
     analysis_workers:
         Threads in the shared analysis pool.
     max_chips:
-        Onboarding bound (503 past it).
+        Onboarding bound (503 past it).  A session that ends
+        unfinished (a failed upload, a socket closed before ``end``)
+        frees its id and its slot.
     chunk_windows:
         Windows per chunk when the service itself chunks a stream
         (replay uploads).
-    drill_delay_s:
-        Artificial per-chunk analysis delay — the overload drill
-        knob used by tests and capacity rehearsals; 0 in production.
     events_path:
         JSONL audit log of every event the service emits (None
         disables the sink).
@@ -178,7 +186,6 @@ class ServeConfig:
     analysis_workers: int = 4
     max_chips: int = 1024
     chunk_windows: int = 16
-    drill_delay_s: float = 0.0
     events_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -210,19 +217,17 @@ class _LockedBus(EventBus):
             super().emit(event)
 
 
-_EOS = "eos"
-_CHUNK = "chunk"
-
-
 class ChipSession:
     """One chip's server-side monitoring session.
 
     An :class:`~repro.runtime.pipeline.EscalationPipeline` behind a
-    bounded ``asyncio.Queue``, drained by one consumer task that
-    hands chunks to the service's analysis pool.  All queue-side
-    state (counters, shed bookkeeping) lives on the event loop
-    thread; pipeline state is touched only under :attr:`_plock` from
-    pool threads.
+    bounded ``asyncio.Queue``, drained by one consumer task that hands
+    chunks to the service's analysis pool.  The session owns the chip's
+    ingress policy: :meth:`feed` waits at the queue bound, :meth:`offer`
+    sheds past it, :meth:`drain` finalizes.  Queue-side state lives on
+    the event loop thread; pipeline state is touched only under
+    :attr:`_plock` from pool threads, and a live chip's pool work also
+    holds the service's render lock (it renders through the engine).
     """
 
     def __init__(
@@ -233,14 +238,11 @@ class ChipSession:
         n_streams: int,
         trigger_index: Optional[int] = None,
         pipeline: Optional[EscalationPipeline] = None,
-        render_locked: bool = False,
     ):
         self.service = service
         self.chip_id = chip_id
         self.kind = kind
-        self.n_streams = n_streams
         self.trigger_index = trigger_index
-        self.render_locked = render_locked
         self.pipeline = pipeline or EscalationPipeline(
             service.sim_config,
             n_streams=n_streams,
@@ -249,9 +251,7 @@ class ChipSession:
             bus=service.bus,
             chip=chip_id,
         )
-        self.queue: asyncio.Queue = asyncio.Queue(
-            maxsize=service.config.queue_depth
-        )
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=service.config.queue_depth)
         self.windows = 0
         self.queued_windows = 0
         self.sheds = 0
@@ -260,6 +260,7 @@ class ChipSession:
         self.report: Optional[MonitorReport] = None
         self.error: Optional[str] = None
         self._plock = threading.Lock()
+        self._render = service.render_lock if kind == "live" else nullcontext()
         self.consumer = asyncio.create_task(self._consume())
 
     # -- ingress (event loop thread) --------------------------------------
@@ -270,121 +271,124 @@ class ChipSession:
             return chunk
         return replace(chunk, start=chunk.start - self.dropped_windows)
 
-    def offer(self, chunk) -> Tuple[bool, Optional[str]]:
-        """Fire-and-forget ingress (WebSocket push): admit or shed."""
-        reason = self.service.shedder.should_shed(
-            self.queue.qsize(), self.service.config.queue_depth
-        )
-        if reason is not None:
-            self.sheds += 1
-            self.dropped_windows += chunk.n_windows
-            self.service.shedder.announce(
-                self.chip_id,
-                chunk.start,
-                chunk.n_windows,
-                reason,
-                self.queue.qsize(),
-                self.service.config.queue_depth,
-                self.service.uptime(),
-            )
-            return False, reason
-        self._admit(chunk)
-        return True, None
-
-    async def put(self, chunk) -> None:
-        """Flow-controlled ingress (HTTP upload): wait at the bound."""
-        adjusted = self._rebased(chunk)
-        await self.queue.put((_CHUNK, adjusted, None))
-        self._note_admitted(adjusted)
-
-    def _admit(self, chunk) -> None:
-        adjusted = self._rebased(chunk)
-        self.queue.put_nowait((_CHUNK, adjusted, None))
-        self._note_admitted(adjusted)
-
-    def _note_admitted(self, chunk) -> None:
+    def _enqueued(self, chunk) -> None:
         self.queued_windows += chunk.n_windows
-        self.service.guard.note_enqueued(
-            chunk.n_windows, self.service.uptime()
-        )
+        self.service.guard.note_enqueued(chunk.n_windows, self.service.uptime())
 
-    def _note_dequeued(self, chunk) -> None:
-        self.queued_windows -= chunk.n_windows
-        self.service.guard.note_dequeued(
-            chunk.n_windows, self.service.uptime()
-        )
+    def offer(self, chunk) -> Tuple[bool, Optional[str]]:
+        """Fire-and-forget ingress (WebSocket push): admit or shed.
 
-    async def drain(
-        self, trigger_index: Optional[int] = None
-    ) -> MonitorReport:
-        """Finalize: process everything queued, snapshot the report."""
+        A chunk is shed while the service is overloaded or this
+        chip's queue is full; the shed is announced with the typed
+        ``Backpressure(action="shed")`` + ``Shed`` pair.
+        """
+        depth = self.service.config.queue_depth
+        queue_len = self.queue.qsize()
+        if self.service.guard.active:
+            reason = "overload"
+        elif queue_len >= depth:
+            reason = "queue-full"
+        else:
+            chunk = self._rebased(chunk)
+            self.queue.put_nowait(chunk)
+            self._enqueued(chunk)
+            return True, None
+        self.sheds += 1
+        self.dropped_windows += chunk.n_windows
+        time_s = self.service.uptime()
+        self.service.bus.emit(
+            Backpressure(
+                chip=self.chip_id,
+                window=chunk.start,
+                time_s=time_s,
+                queue_depth=depth,
+                queue_len=queue_len,
+                action="shed",
+            )
+        )
+        self.service.bus.emit(
+            Shed(
+                chip=self.chip_id,
+                window=chunk.start,
+                time_s=time_s,
+                n_windows=chunk.n_windows,
+                reason=reason,
+            )
+        )
+        return False, reason
+
+    async def feed(self, chunks: Iterable[StreamChunk]) -> MonitorReport:
+        """Flow-controlled ingress (replay upload, live render).
+
+        Pulls each chunk in the analysis pool, waits at the queue
+        bound, then drains.  A stream that fails (an archive damaged
+        past its header, a rejected chunk) drops the session, so the
+        chip id is free again.
+        """
+        loop = asyncio.get_running_loop()
+        iterator = iter(chunks)
+        try:
+            while True:
+                chunk = await loop.run_in_executor(self.service.executor, self._pull, iterator)
+                if chunk is None:
+                    return await self.drain()
+                chunk = self._rebased(chunk)
+                await self.queue.put(chunk)
+                self._enqueued(chunk)
+        except ReproError:
+            await self.service._drop_session(self.chip_id)
+            raise
+
+    async def drain(self, trigger_index: Optional[int] = None) -> MonitorReport:
+        """Finalize: wait out everything queued, snapshot the report."""
         if trigger_index is not None:
             self.trigger_index = trigger_index
-        flushed = asyncio.Event()
-        await self.queue.put((_EOS, self.trigger_index, flushed))
-        await flushed.wait()
+        await self.queue.join()
+        loop = asyncio.get_running_loop()
+        self.report = await loop.run_in_executor(self.service.executor, self.snapshot_report)
+        self.done.set()
         if self.error is not None:
-            raise AnalysisError(
-                f"chip {self.chip_id} session failed: {self.error}"
-            )
+            raise AnalysisError(f"chip {self.chip_id} session failed: {self.error}")
         return self.report
 
     # -- analysis (consumer task + pool threads) --------------------------
 
+    def _pull(self, iterator):
+        """The stream's next chunk, None at its end (pool thread)."""
+        with self._render:
+            return next(iterator, None)
+
     def _process(self, chunk) -> None:
         """Run one chunk through the pipeline (pool thread)."""
-        if self.render_locked:
-            with self.service.render_lock:
-                with self._plock:
-                    self.pipeline.process_chunk(chunk)
-        else:
-            with self._plock:
-                self.pipeline.process_chunk(chunk)
+        with self._render, self._plock:
+            self.pipeline.process_chunk(chunk)
 
-    def snapshot_report(
-        self, trigger_index: Optional[int] = None
-    ) -> MonitorReport:
+    def snapshot_report(self) -> MonitorReport:
         """The session report so far (safe against in-flight chunks)."""
         with self._plock:
-            return self.pipeline.report(
-                trigger_index=(
-                    self.trigger_index
-                    if trigger_index is None
-                    else trigger_index
-                )
-            )
+            return self.pipeline.report(trigger_index=self.trigger_index)
+
+    def _dequeued(self, chunk) -> None:
+        self.queued_windows -= chunk.n_windows
+        self.service.guard.note_dequeued(chunk.n_windows, self.service.uptime())
 
     async def _consume(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            kind, payload, flushed = await self.queue.get()
+            chunk = await self.queue.get()
+            start = time.monotonic()
             try:
-                if kind == _EOS:
-                    self.report = await loop.run_in_executor(
-                        self.service.executor,
-                        partial(self.snapshot_report, payload),
-                    )
-                    self.done.set()
-                    continue
-                if self.service.config.drill_delay_s > 0:
-                    await asyncio.sleep(self.service.config.drill_delay_s)
-                try:
-                    start = time.monotonic()
-                    await loop.run_in_executor(
-                        self.service.executor, partial(self._process, payload)
-                    )
-                    self.windows += payload.n_windows
-                    self.service.meter.record(payload.n_windows, start)
-                except ReproError as exc:
-                    self.error = str(exc)
-                    logger.warning(
-                        "chip %s: chunk rejected: %s", self.chip_id, exc
-                    )
-                finally:
-                    self._note_dequeued(payload)
+                await loop.run_in_executor(self.service.executor, self._process, chunk)
+                self.windows += chunk.n_windows
+                self.service.meter.record(chunk.n_windows, start)
+            except Exception as exc:  # a bad chunk fails its session, not the consumer
+                self.error = str(exc)
+                bug = not isinstance(exc, ReproError)
+                logger.warning("chip %s: chunk rejected: %s", self.chip_id, exc, exc_info=bug)
             finally:
-                if flushed is not None:
-                    flushed.set()
+                self._dequeued(chunk)
+                # A parked consumer must not pin its last chunk.
+                del chunk
                 self.queue.task_done()
 
     def gauge(self) -> ChipGauge:
@@ -393,6 +397,7 @@ class ChipSession:
         mttd_ms = None
         if report is not None and report.mttd and report.mttd.mttd_s:
             mttd_ms = round(1e3 * report.mttd.mttd_s, 3)
+        alarms = self.pipeline.alarms
         return ChipGauge(
             chip=self.chip_id,
             kind=self.kind,
@@ -402,8 +407,8 @@ class ChipSession:
             queued_windows=self.queued_windows,
             sheds=self.sheds,
             dropped_windows=self.dropped_windows,
-            alarms=self.service.alarm_count(self.chip_id),
-            first_alarm=self.service.first_alarm(self.chip_id),
+            alarms=len(alarms),
+            first_alarm=alarms[0] if alarms else None,
             mttd_ms=mttd_ms,
             done=self.done.is_set(),
         )
@@ -411,8 +416,9 @@ class ChipSession:
     async def close(self) -> None:
         """Cancel the consumer task and release the chunks still queued.
 
-        Service shutdown, or a replay whose archive failed mid-stream.
-        A chunk already in the analysis pool runs to its end there.
+        Service shutdown, a replay whose archive failed mid-stream, or
+        a WebSocket that ended before ``end``.  A chunk already in the
+        analysis pool runs to its end there.
         """
         self.consumer.cancel()
         try:
@@ -420,9 +426,7 @@ class ChipSession:
         except asyncio.CancelledError:
             pass
         while not self.queue.empty():
-            kind, payload, _ = self.queue.get_nowait()
-            if kind == _CHUNK:
-                self._note_dequeued(payload)
+            self._dequeued(self.queue.get_nowait())
 
 
 class MonitorService:
@@ -462,17 +466,13 @@ class MonitorService:
             self.bus.subscribe(self._sink)
         self.meter = ThroughputMeter()
         self.guard = OverloadGuard(self.bus, self.config.high_water_windows)
-        self.shedder = ChunkShedder(self.bus, self.guard)
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.analysis_workers,
             thread_name_prefix="serve-analysis",
         )
         self.render_lock = threading.Lock()
         self.sessions: Dict[str, ChipSession] = {}
-        self._alarms: Dict[str, int] = {}
-        self._first_alarms: Dict[str, int] = {}
-        self.bus.subscribe(self._on_event)
-        self._producers: List[asyncio.Task] = []
+        self._producers: set = set()
         self._conn_tasks: set = set()
         self._started = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -484,19 +484,6 @@ class MonitorService:
     def uptime(self) -> float:
         """Seconds since the service object was created."""
         return time.monotonic() - self._started
-
-    def _on_event(self, event) -> None:
-        if isinstance(event, Alarm):
-            self._alarms[event.chip] = self._alarms.get(event.chip, 0) + 1
-            self._first_alarms.setdefault(event.chip, event.window)
-
-    def alarm_count(self, chip_id: str) -> int:
-        """Alarm events one chip has emitted."""
-        return self._alarms.get(chip_id, 0)
-
-    def first_alarm(self, chip_id: str) -> Optional[int]:
-        """One chip's first alarming window (None = silent)."""
-        return self._first_alarms.get(chip_id)
 
     def metrics(self) -> MetricsSnapshot:
         """The ``/metrics`` snapshot, assembled on the loop thread."""
@@ -514,7 +501,7 @@ class MonitorService:
             windows_per_sec=self.meter.rate(),
             recent_windows_per_sec=self.meter.recent_rate(),
             alarms_total=self.bus.counts.get("Alarm", 0),
-            sheds_total=self.shedder.sheds,
+            sheds_total=self.bus.counts.get("Shed", 0),
             backpressure_total=self.bus.counts.get("Backpressure", 0),
             overload_active=self.guard.active,
             queued_windows=self.guard.queued_windows,
@@ -553,10 +540,8 @@ class MonitorService:
         return session
 
     async def _drop_session(self, chip_id: str) -> None:
-        """Forget a failed session, so that its id can onboard again."""
+        """Forget a failed or abandoned session, so that its id can onboard again."""
         await self.sessions.pop(chip_id).close()
-        self._alarms.pop(chip_id, None)
-        self._first_alarms.pop(chip_id, None)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -612,18 +597,14 @@ class MonitorService:
             while True:
                 try:
                     request = await read_request(reader)
-                except ProtocolError as exc:
-                    writer.write(
-                        json_response(
-                            400, {"error": str(exc)}, keep_alive=False
-                        )
-                    )
+                    if request is not None and request.wants_websocket:
+                        await self._handle_ws(request, reader, writer)
+                        break
+                except ProtocolError as exc:  # malformed request or handshake
+                    writer.write(json_response(400, {"error": str(exc)}, keep_alive=False))
                     await writer.drain()
                     break
                 if request is None:
-                    break
-                if request.wants_websocket:
-                    await self._handle_ws(request, reader, writer)
                     break
                 response = await self._dispatch(request)
                 writer.write(response)
@@ -685,10 +666,8 @@ class MonitorService:
                 return json_response(
                     405, {"error": f"method {request.method} not allowed"}
                 )
-        except (DuplicateChipError, ChipLimitError) as exc:
-            return json_response(exc.status, {"error": str(exc)})
         except ReproError as exc:
-            return json_response(400, {"error": str(exc)})
+            return json_response(getattr(exc, "status", 400), {"error": str(exc)})
         except Exception as exc:  # a handler bug must not kill the socket
             logger.exception("unhandled error serving %s", request.path)
             return json_response(500, {"error": str(exc)})
@@ -704,13 +683,10 @@ class MonitorService:
             )
         if leaf != "report":
             return json_response(404, {"error": f"no route for {leaf!r}"})
-        if session.done.is_set() and session.report is not None:
-            report = session.report
-        else:
+        report = session.report
+        if not session.done.is_set():
             loop = asyncio.get_running_loop()
-            report = await loop.run_in_executor(
-                self.executor, session.snapshot_report
-            )
+            report = await loop.run_in_executor(self.executor, session.snapshot_report)
         return json_response(200, report.to_dict())
 
     # -- replay upload (flow-controlled HTTP ingress) ---------------------
@@ -737,21 +713,7 @@ class MonitorService:
             n_streams=source.n_streams,
             trigger_index=source.trigger_index,
         )
-        try:
-            iterator = source.chunks()
-            while True:
-                chunk = await loop.run_in_executor(
-                    self.executor, partial(next, iterator, None)
-                )
-                if chunk is None:
-                    break
-                await session.put(chunk)
-            report = await session.drain(source.trigger_index)
-        except ReproError:
-            # Damage past the header surfaces mid-stream: the failed
-            # upload must not hold its chip id.
-            await self._drop_session(chip_id)
-            raise
+        report = await session.feed(source.chunks())
         return json_response(200, report.to_dict())
 
     # -- live onboarding (server-side rendering) --------------------------
@@ -767,22 +729,22 @@ class MonitorService:
             seed=_int_field(body, "seed", base.seed),
         )
         self._check_onboarding(chip_id)
-        monitor = await loop.run_in_executor(
-            self.executor,
-            partial(
-                build_chip_monitor,
-                spec,
-                config=self.sim_config,
-                pipeline_config=self.tuning,
-                bus=self.bus,
-                store=self.store,
-            ),
-        )
-        warm = 0
-        if self.store is not None:
-            warm = await loop.run_in_executor(
-                self.executor, self._render_call, monitor.source.warm_records
-            )
+
+        def build():
+            # Live chips share the engine and the store: their set-up
+            # and warm-up hold the render lock, like their renders.
+            with self.render_lock:
+                monitor = build_chip_monitor(
+                    spec,
+                    config=self.sim_config,
+                    pipeline_config=self.tuning,
+                    bus=self.bus,
+                    store=self.store,
+                )
+                warm = 0 if self.store is None else monitor.source.warm_records()
+            return monitor, warm
+
+        monitor, warm = await loop.run_in_executor(self.executor, build)
         monitor.pipeline.bind(monitor.source)
         session = self._new_session(
             chip_id,
@@ -790,11 +752,10 @@ class MonitorService:
             n_streams=monitor.source.n_streams,
             trigger_index=monitor.source.trigger_index,
             pipeline=monitor.pipeline,
-            render_locked=True,
         )
-        self._producers.append(
-            asyncio.create_task(self._produce_live(session, monitor))
-        )
+        feeder = asyncio.create_task(session.feed(monitor.source.chunks()))
+        self._producers.add(feeder)
+        feeder.add_done_callback(self._feeder_done)
         return json_response(
             200,
             {
@@ -807,23 +768,10 @@ class MonitorService:
             },
         )
 
-    def _render_call(self, fn):
-        """Run an engine-rendering callable under the render lock."""
-        with self.render_lock:
-            return fn()
-
-    async def _produce_live(self, session: ChipSession, monitor) -> None:
-        loop = asyncio.get_running_loop()
-        iterator = monitor.source.chunks()
-        while True:
-            chunk = await loop.run_in_executor(
-                self.executor,
-                partial(self._render_call, partial(next, iterator, None)),
-            )
-            if chunk is None:
-                break
-            await session.put(chunk)
-        await session.drain(monitor.source.trigger_index)
+    def _feeder_done(self, feeder: asyncio.Task) -> None:
+        self._producers.discard(feeder)
+        if not feeder.cancelled() and feeder.exception() is not None:
+            logger.warning("live feed failed: %s", feeder.exception())
 
     # -- websocket streaming (push ingress with shedding) -----------------
 
@@ -852,75 +800,80 @@ class MonitorService:
             await writer.drain()
 
         session: Optional[ChipSession] = None
-        while True:
-            try:
-                frame = await read_ws_frame(reader)
-            except (ProtocolError, asyncio.IncompleteReadError):
-                break
-            if frame is None:
-                break
-            opcode, payload = frame
-            if opcode == WS_CLOSE:
-                writer.write(ws_frame(b"", opcode=WS_CLOSE))
-                await writer.drain()
-                break
-            if opcode == WS_PING:
-                writer.write(ws_frame(payload, opcode=WS_PONG))
-                await writer.drain()
-                continue
-            try:
-                if opcode == WS_TEXT:
-                    message = _json_object(payload, "websocket text frame")
-                    op = message.get("op")
-                    if op == "hello":
-                        if session is not None:
-                            raise AnalysisError(
-                                "session already established on this socket"
+        try:
+            while True:
+                try:
+                    frame = await read_ws_frame(reader)
+                except (ProtocolError, asyncio.IncompleteReadError):
+                    break
+                if frame is None:
+                    break
+                opcode, payload = frame
+                if opcode == WS_CLOSE:
+                    writer.write(ws_frame(b"", opcode=WS_CLOSE))
+                    await writer.drain()
+                    break
+                if opcode == WS_PING:
+                    writer.write(ws_frame(payload, opcode=WS_PONG))
+                    await writer.drain()
+                    continue
+                try:
+                    if opcode == WS_TEXT:
+                        message = _json_object(payload, "websocket text frame")
+                        op = message.get("op")
+                        if op == "hello":
+                            if session is not None:
+                                raise AnalysisError(
+                                    "session already established on this socket"
+                                )
+                            session = self._new_session(
+                                chip_id,
+                                kind="ws",
+                                n_streams=_int_field(message, "n_streams", 1),
+                                trigger_index=_int_field(
+                                    message, "trigger_index", None
+                                ),
                             )
-                        session = self._new_session(
-                            chip_id,
-                            kind="ws",
-                            n_streams=_int_field(message, "n_streams", 1),
-                            trigger_index=_int_field(
-                                message, "trigger_index", None
-                            ),
-                        )
-                        await send_json({"op": "hello", "chip": chip_id})
-                    elif op == "end":
+                            await send_json({"op": "hello", "chip": chip_id})
+                        elif op == "end":
+                            if session is None:
+                                raise AnalysisError("end before hello")
+                            report = await session.drain(
+                                _int_field(message, "trigger_index", None)
+                            )
+                            await send_json(
+                                {"op": "report", "report": report.to_dict()}
+                            )
+                        elif op == "metrics":
+                            await send_json(
+                                {
+                                    "op": "metrics",
+                                    "metrics": self.metrics().to_dict(),
+                                }
+                            )
+                        else:
+                            raise AnalysisError(f"unknown ws op {op!r}")
+                    elif opcode == WS_BINARY:
                         if session is None:
-                            raise AnalysisError("end before hello")
-                        report = await session.drain(
-                            _int_field(message, "trigger_index", None)
-                        )
-                        await send_json(
-                            {"op": "report", "report": report.to_dict()}
-                        )
-                    elif op == "metrics":
+                            raise AnalysisError("chunk before hello")
+                        chunk = unpack_chunk(payload)
+                        accepted, reason = session.offer(chunk)
                         await send_json(
                             {
-                                "op": "metrics",
-                                "metrics": self.metrics().to_dict(),
+                                "op": "ack",
+                                "window_start": chunk.start,
+                                "n_windows": chunk.n_windows,
+                                "accepted": accepted,
+                                "shed_reason": reason,
+                                "queued_windows": session.queued_windows,
                             }
                         )
-                    else:
-                        raise AnalysisError(f"unknown ws op {op!r}")
-                elif opcode == WS_BINARY:
-                    if session is None:
-                        raise AnalysisError("chunk before hello")
-                    chunk = unpack_chunk(payload)
-                    accepted, reason = session.offer(chunk)
-                    await send_json(
-                        {
-                            "op": "ack",
-                            "window_start": chunk.start,
-                            "n_windows": chunk.n_windows,
-                            "accepted": accepted,
-                            "shed_reason": reason,
-                            "queued_windows": session.queued_windows,
-                        }
-                    )
-            except ReproError as exc:
-                await send_json({"op": "error", "error": str(exc)})
+                except ReproError as exc:
+                    await send_json({"op": "error", "error": str(exc)})
+        finally:
+            # A socket that ends before ``end`` frees its chip id.
+            if session is not None and not session.done.is_set():
+                await self._drop_session(chip_id)
 
 
 class ServiceRunner:

@@ -115,23 +115,26 @@ async def read_request(
     request line); raises :class:`ProtocolError` on malformed bytes
     or a body above ``max_body``.
     """
-    line = await reader.readline()
-    if not line:
-        return None
     try:
+        line = await reader.readline()
+        if not line:
+            return None
         method, target, _version = line.decode("ascii").split(None, 2)
-    except ValueError:
-        raise ProtocolError(f"malformed request line {line!r}")
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    parts = urlsplit(target)
-    query = dict(parse_qsl(parts.query))
-    length = int(headers.get("content-length", "0") or "0")
+        headers: Dict[str, str] = {}
+        while True:
+            raw = await reader.readline()
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = raw.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        parts = urlsplit(target)
+        query = dict(parse_qsl(parts.query))
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"Content-Length {length!r} is not a byte count")
+        length = int(length)
+    except ValueError as exc:  # also a line past the reader's limit
+        raise ProtocolError(f"malformed request: {exc}") from None
     if length > max_body:
         raise ProtocolError(
             f"request body of {length} bytes exceeds the "
@@ -301,29 +304,29 @@ def pack_chunk(chunk: StreamChunk) -> bytes:
 
 
 def unpack_chunk(data: bytes) -> StreamChunk:
-    """Rebuild a :class:`StreamChunk` from its wire form."""
+    """Rebuild a :class:`StreamChunk` from its wire form.
+
+    Bytes that do not decode to a chunk raise :class:`ProtocolError`.
+    """
     if data[:4] != CHUNK_MAGIC:
         raise ProtocolError("not a packed stream chunk (bad magic)")
-    (header_len,) = struct.unpack(">I", data[4:8])
-    header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    shape = tuple(int(n) for n in header["shape"])
-    samples = np.frombuffer(
-        data, dtype=np.dtype(header["dtype"]), offset=8 + header_len
-    ).reshape(shape)
-    expected = int(np.prod(shape))
-    if samples.size != expected:
-        raise ProtocolError(
-            f"chunk payload holds {samples.size} samples, header "
-            f"promises {expected}"
+    try:
+        (header_len,) = struct.unpack(">I", data[4:8])
+        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
+        shape = tuple(int(n) for n in header["shape"])
+        samples = np.frombuffer(
+            data, dtype=np.dtype(header["dtype"]), offset=8 + header_len
+        ).reshape(shape)
+        return StreamChunk(
+            samples=samples.copy(),
+            fs=float(header["fs"]),
+            start=int(header["start"]),
+            scenarios=tuple(header["scenarios"]),
+            trace_indices=tuple(int(i) for i in header["trace_indices"]),
+            labels=tuple(header["labels"]),
         )
-    return StreamChunk(
-        samples=samples.copy(),
-        fs=float(header["fs"]),
-        start=int(header["start"]),
-        scenarios=tuple(header["scenarios"]),
-        trace_indices=tuple(int(i) for i in header["trace_indices"]),
-        labels=tuple(header["labels"]),
-    )
+    except (ArithmeticError, LookupError, TypeError, ValueError, struct.error) as exc:
+        raise ProtocolError(f"malformed stream chunk: {exc!r}") from None
 
 
 # -- Blocking client (tests, benchmark, --selftest) ------------------------

@@ -1,19 +1,21 @@
-"""Backpressure and load shedding for the monitoring service.
+"""Service-wide overload accounting for the monitoring service.
 
 The serve front-end accepts work faster than analysis can drain it
-only up to two bounds, both announced with typed events on the chip's
-bus, next to the pipeline's own (the in-process
+only up to two bounds, both announced with typed events on the
+service's bus, next to the pipeline's own (the in-process
 :class:`~repro.runtime.fleet.FleetScheduler` renders on demand and
 queues nothing, so this is the only queue-full contract):
 
-* **Per-chip**: each chip's chunk queue is bounded.  A flow-controlled
-  producer (HTTP replay upload) simply waits; a fire-and-forget
-  producer (WebSocket push) has its chunk *shed* — dropped with a
+* **Per-chip**: each chip's chunk queue is bounded, and its
+  :class:`~repro.serve.app.ChipSession` is the one owner of that
+  chip's ingress policy.  A flow-controlled producer (HTTP replay
+  upload, live render) simply waits; a fire-and-forget producer
+  (WebSocket push) has its chunk *shed* — dropped with a
   :class:`~repro.runtime.events.Backpressure` (``action="shed"``)
   plus a :class:`~repro.runtime.events.Shed` event.
-* **Service-wide**: the :class:`OverloadGuard` tracks total queued
-  windows across every chip.  Past the high-water mark it flips to
-  overload (a :class:`~repro.runtime.events.Overload` event,
+* **Service-wide**: the :class:`OverloadGuard` here tracks total
+  queued windows across every chip.  Past the high-water mark it
+  flips to overload (a :class:`~repro.runtime.events.Overload` event,
   ``active=True``), new push work is shed regardless of per-chip
   space, and recovery below the low-water mark is announced with
   ``active=False`` — so a transcript shows exactly when and why the
@@ -22,6 +24,9 @@ queues nothing, so this is the only queue-full contract):
 Shedding keeps the *pipeline* consistent: the chip session rebases
 subsequent chunk start indices by the dropped window count, so the
 detector sees a gapless stream (it just never saw the shed windows).
+A session that ends unfinished — a failed replay upload or live
+render, or a WebSocket that closes before ``end`` — releases its
+queued windows and frees its chip id.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from threading import Lock
 from typing import Optional
 
-from ..runtime.events import Backpressure, EventBus, Overload, Shed
+from ..runtime.events import EventBus, Overload
 
 #: Chip tag stamped on service-wide (not per-chip) events.
 SERVICE_CHIP = "serve"
@@ -95,62 +100,3 @@ class OverloadGuard:
                 self.active = False
                 self.transitions += 1
                 self._emit(False, time_s)
-
-
-class ChunkShedder:
-    """The shed decision + its event contract, per offered chunk.
-
-    One instance per service; chip sessions call :meth:`should_shed`
-    with their own queue occupancy and, when the answer is "drop",
-    :meth:`announce` emits the typed ``Backpressure(action="shed")``
-    + ``Shed`` pair and counts the loss.
-    """
-
-    def __init__(self, bus: EventBus, guard: OverloadGuard):
-        self.bus = bus
-        self.guard = guard
-        self.sheds = 0
-        self.shed_windows = 0
-        self._lock = Lock()
-
-    def should_shed(self, queue_len: int, queue_depth: int) -> Optional[str]:
-        """Why an offered chunk must be dropped (None = admit it)."""
-        if self.guard.active:
-            return "overload"
-        if queue_len >= queue_depth:
-            return "queue-full"
-        return None
-
-    def announce(
-        self,
-        chip: str,
-        window: int,
-        n_windows: int,
-        reason: str,
-        queue_len: int,
-        queue_depth: int,
-        time_s: float,
-    ) -> None:
-        """Emit the typed shed pair and count the dropped windows."""
-        with self._lock:
-            self.sheds += 1
-            self.shed_windows += int(n_windows)
-        self.bus.emit(
-            Backpressure(
-                chip=chip,
-                window=window,
-                time_s=time_s,
-                queue_depth=queue_depth,
-                queue_len=queue_len,
-                action="shed",
-            )
-        )
-        self.bus.emit(
-            Shed(
-                chip=chip,
-                window=window,
-                time_s=time_s,
-                n_windows=n_windows,
-                reason=reason,
-            )
-        )

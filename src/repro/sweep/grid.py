@@ -14,14 +14,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.analysis.detector import DetectorConfig
+from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR as MONITOR_SENSOR
 from ..detectors import available as detectors_available
 from ..errors import AnalysisError, unknown_name_error
 from ..workloads.campaign import StreamSegment
 from ..workloads.scenarios import reference_for, scenario_by_name
-
-#: The sensor the run-time monitor watches by default (covers the
-#: Trojan cluster on the paper's chip).
-MONITOR_SENSOR = 10
 
 #: The four catalog Trojans, in paper order.
 ALL_TROJANS: Tuple[str, ...] = ("T1", "T2", "T3", "T4")

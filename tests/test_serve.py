@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import asyncio
 import builtins
+import gc
 import io
 import itertools
 import json
 import os
+import re
+import socket
+import struct
 import time
+import weakref
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -45,10 +50,17 @@ from repro.serve import (
     ServeConfig,
     ServiceRunner,
     ThroughputMeter,
+    WsConnection,
     pack_chunk,
     unpack_chunk,
 )
-from repro.serve.protocol import WS_BINARY, WS_TEXT, read_ws_frame, ws_frame
+from repro.serve.protocol import (
+    CHUNK_MAGIC,
+    WS_BINARY,
+    WS_TEXT,
+    read_ws_frame,
+    ws_frame,
+)
 from repro.traceio import load_traces
 
 PRESET = build_preset("smoke")
@@ -242,13 +254,19 @@ def test_ws_stream_bit_identical_to_offline(smoke_archive, tmp_path):
     assert chip_events(log, "wsA") == ref_events
 
 
-def test_ws_overload_sheds_and_recovers(smoke_archive):
+def test_ws_overload_sheds_and_recovers(smoke_archive, monkeypatch):
     source = ReplaySource(smoke_archive, batch=4)
     chunks = list(source.chunks())
     n_sent = sum(chunk.n_windows for chunk in chunks)
-    config = ServeConfig(
-        queue_depth=1, high_water_windows=3, drill_delay_s=0.25
-    )
+    process_chunk = EscalationPipeline.process_chunk
+
+    def slow_process_chunk(pipeline, chunk):
+        time.sleep(0.25)
+        process_chunk(pipeline, chunk)
+
+    # The overload drill: analysis slower than the client pushes.
+    monkeypatch.setattr(EscalationPipeline, "process_chunk", slow_process_chunk)
+    config = ServeConfig(queue_depth=1, high_water_windows=3)
     with ServiceRunner(MonitorService(config)) as runner:
         client = runner.client()
         ws = client.websocket("/chips/load/ws")
@@ -644,6 +662,281 @@ def test_ws_bad_text_frames_get_error_replies(smoke_archive):
         ws.close()
 
 
+def _ws_hello(client, chip, n_streams=1):
+    ws = client.websocket(f"/chips/{chip}/ws")
+    ws.send_json({"op": "hello", "n_streams": n_streams})
+    return ws, ws.recv_json()
+
+
+def _read_to_eof(sock):
+    """Everything the server sends until it closes the socket.
+
+    A reset counts as a close; a timeout fails the caller.
+    """
+    raw = b""
+    try:
+        while block := sock.recv(65536):
+            raw += block
+    except ConnectionResetError:
+        pass
+    return raw
+
+
+def _ws_end_by_eof(ws):
+    ws._file.close()
+    ws._sock.close()
+
+
+def _ws_end_by_framing_error(ws):
+    # A fragment (FIN bit clear) is a framing error the server refuses.
+    ws._sock.sendall(b"\x02\x80" + bytes(4))
+    _read_to_eof(ws._sock)
+    _ws_end_by_eof(ws)
+
+
+@pytest.mark.parametrize(
+    "end_socket",
+    [WsConnection.close, _ws_end_by_eof, _ws_end_by_framing_error],
+    ids=["close-frame", "eof", "framing-error"],
+)
+def test_ws_dropped_socket_frees_its_chip(smoke_archive, end_socket):
+    """A socket that ends after hello but before end drops its session."""
+    chunk = next(ReplaySource(smoke_archive, batch=4).chunks())
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+        ws, reply = _ws_hello(client, "gone", chunk.n_streams)
+        assert reply == {"op": "hello", "chip": "gone"}
+        ws.send(pack_chunk(chunk))
+        assert ws.recv_json()["accepted"] is True
+        end_socket(ws)
+
+        def freed():
+            _, metrics = client.get("/metrics")
+            return metrics["chips"] == [] and metrics["queued_windows"] == 0
+
+        wait_until(freed, timeout=30.0)
+        status, listing = client.get("/chips")
+        assert (status, listing) == (200, {"chips": []})
+        ws, reply = _ws_hello(client, "gone")
+        assert reply == {"op": "hello", "chip": "gone"}
+        ws.close()
+
+
+def test_drained_sessions_pin_no_chunk(smoke_archive, monkeypatch):
+    """Finished uploads keep none of the chunks they were decoded into."""
+    payload = smoke_archive.read_bytes()
+    yielded = []
+    chunks = ReplaySource.chunks
+
+    def tracked_chunks(source):
+        for chunk in chunks(source):
+            yielded.append(weakref.ref(chunk))
+            yield chunk
+
+    monkeypatch.setattr(ReplaySource, "chunks", tracked_chunks)
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+        for index in range(3):
+            status, _ = client.post(f"/chips/pin{index}/replay?batch=4", payload)
+            assert status == 200
+        gc.collect()
+        alive = sum(ref() is not None for ref in yielded)
+    assert len(yielded) == 3 * 3
+    assert alive == 0
+
+
+#: Request targets for the framing fuzz: every route except
+#: ``/shutdown`` and live onboarding (a valid body starts a render).
+_FUZZ_TARGETS = st.sampled_from(
+    [
+        "/healthz",
+        "/metrics",
+        "/chips",
+        "/chips/fuzzhttp/report",
+        "/chips/fuzzhttp/replay",
+        "/chips/fuzzhttp/replay?batch=-1",
+        "/chips/fuzzhttp/replay?batch=0",
+        "/chips/fuzz$bad/replay",
+        "/chips/fuzzhttp/ws",
+        "/chips/fuzzhttp",
+        "http://[::1/",
+        "*",
+    ]
+)
+
+_FUZZ_HEADERS = st.sampled_from(
+    ["Host", "Connection", "Upgrade", "Sec-WebSocket-Key", "Content-Type", "X-Junk"]
+)
+
+
+def _http_bytes(line, headers, length, body, cut):
+    lines = [line, *headers]
+    if length is not None:
+        lines.append(f"Content-Length: {length}".encode("utf-8"))
+    raw = b"\r\n".join(lines) + b"\r\n\r\n" + body
+    return raw if cut is None else raw[:cut]
+
+
+_HTTP_REQUESTS = st.builds(
+    _http_bytes,
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["GET", "POST", "PUT", "get", ""]),
+            _FUZZ_TARGETS,
+            st.sampled_from(["HTTP/1.1", "HTTP/1.0", ""]),
+        ).map(lambda parts: " ".join(parts).encode("utf-8")),
+        st.binary(max_size=80),
+    ),
+    st.lists(
+        st.one_of(
+            st.tuples(_FUZZ_HEADERS, st.text(max_size=24)).map(
+                lambda pair: f"{pair[0]}: {pair[1]}".encode("utf-8")
+            ),
+            st.binary(max_size=48),
+        ),
+        max_size=4,
+    ),
+    st.one_of(
+        st.none(),
+        st.integers(-5, 1 << 40).map(str),
+        st.integers(0, 400).map(str),
+        st.text(max_size=6),
+    ),
+    st.binary(max_size=300),
+    st.one_of(st.none(), st.integers(0, 400)),
+)
+
+
+def _statuses(raw):
+    """The status of every HTTP response in ``raw``, in order."""
+    statuses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        match = re.match(rb"HTTP/1\.1 (\d{3}) ", head)
+        assert match, raw[:200]
+        statuses.append(int(match.group(1)))
+        if statuses[-1] == 101:  # websocket frames follow
+            break
+        length = re.search(rb"Content-Length: (\d+)", head)
+        raw = rest[int(length.group(1)) :]
+    return statuses
+
+
+def _send_and_close(port, raw, timeout=10.0):
+    """Send ``raw``, half-close, and return what the server answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the server may close first
+            pass
+        return _read_to_eof(sock)
+
+
+def _assert_nothing_leaked(client, prefix):
+    status, health = client.get("/healthz")
+    assert (status, health["ok"]) == (200, True)
+    _, listing = client.get("/chips")
+    assert [g["chip"] for g in listing["chips"] if g["chip"].startswith(prefix)] == []
+    _, metrics = client.get("/metrics")
+    assert metrics["queued_windows"] == 0
+
+
+def test_http_framing_fuzz_never_500():
+    """Arbitrary or truncated requests get a status below 500, or a close."""
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+
+        @settings(max_examples=80, deadline=None)
+        @given(raw=_HTTP_REQUESTS)
+        def check(raw):
+            statuses = _statuses(_send_and_close(runner.port, raw))
+            assert all(status < 500 for status in statuses), (raw, statuses)
+
+        check()
+        # A header line past the stream reader's 64 KiB limit is a 400.
+        long_header = b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n"
+        assert _statuses(_send_and_close(runner.port, long_header)) == [400]
+        _assert_nothing_leaked(runner.client(), "fuzz")
+
+
+def _json_values():
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(1 << 70), 1 << 70),
+        st.floats(),
+        st.text(max_size=6),
+        st.lists(st.integers(-2, 40), max_size=4),
+    )
+
+
+def _mutated_chunk(packed):
+    """``packed`` with one header field set to an arbitrary JSON value."""
+    (size,) = struct.unpack(">I", packed[4:8])
+    header = json.loads(packed[8 : 8 + size])
+    samples = packed[8 + size :]
+
+    def mutate(key, value):
+        blob = json.dumps({**header, key: value}).encode("utf-8")
+        return CHUNK_MAGIC + struct.pack(">I", len(blob)) + blob + samples
+
+    return st.builds(mutate, st.sampled_from(sorted(header)), _json_values())
+
+
+@st.composite
+def _ws_frame_bytes(draw, payloads):
+    """One client frame with arbitrary flags, opcode, length and mask."""
+    payload = draw(payloads)
+    key = draw(st.one_of(st.none(), st.binary(min_size=4, max_size=4)))
+    declared = draw(
+        st.one_of(st.just(len(payload)), st.integers(0, 300), st.integers(0, 2**64 - 1))
+    )
+    code = 127 if declared >= 1 << 16 else 126 if declared >= 126 else declared
+    head = bytes([draw(st.integers(0, 255)), (0x80 if key else 0) | code])
+    if code == 126:
+        head += struct.pack(">H", declared)
+    elif code == 127:
+        head += struct.pack(">Q", declared)
+    if key:
+        head += key
+        tiled = np.resize(np.frombuffer(key, np.uint8), len(payload))
+        payload = (np.frombuffer(payload, np.uint8) ^ tiled).tobytes()
+    frame = head + payload
+    return frame[: draw(st.integers(0, len(frame)))] if draw(st.booleans()) else frame
+
+
+def test_ws_framing_fuzz_frees_session(smoke_archive):
+    """Bad frames after a valid hello end in a reply or a close, never a leak."""
+    # One window of one stream keeps the packed chunk small.
+    chunk = next(ReplaySource(smoke_archive, batch=1).chunks())
+    chunk = replace(chunk, samples=chunk.samples[:1], labels=chunk.labels[:1])
+    packed = pack_chunk(chunk)
+    payloads = st.one_of(
+        st.binary(max_size=200),
+        st.just(packed),
+        st.binary(max_size=200).map(lambda tail: CHUNK_MAGIC + tail),
+        _mutated_chunk(packed),
+    )
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client(timeout=10.0)
+
+        @settings(max_examples=60, deadline=None)
+        @given(frames=st.lists(_ws_frame_bytes(payloads), min_size=1, max_size=3))
+        def check(frames):
+            # The id is reused: a hello succeeds only if the last
+            # example's session was dropped with its socket.
+            ws, reply = _ws_hello(client, "fuzzws", chunk.n_streams)
+            assert reply == {"op": "hello", "chip": "fuzzws"}
+            try:
+                ws._sock.sendall(b"".join(frames))
+                ws._sock.shutdown(socket.SHUT_WR)
+            except OSError:  # the server may close first
+                pass
+            _read_to_eof(ws._sock)
+            _ws_end_by_eof(ws)
+
+        check()
+        _assert_nothing_leaked(client, "fuzz")
 
 def test_onboarding_past_max_chips_is_503(smoke_archive):
     """The chip bound is a capacity refusal (503), not a bad request."""
