@@ -102,29 +102,18 @@ def dense_activity(factors: Sequence[Factor], shape: Tuple[int, int]) -> np.ndar
     return dense
 
 
-class _DenseActivity:
-    """A record's dense toggle matrix: as given, or built on first read.
+def _dense_view(group: str) -> property:
+    """Read-only dense toggle matrix of ``group``, built on first read."""
 
-    A data descriptor, so the dataclass ``__init__`` stores through it
-    (``None`` leaves the matrix to be built from the factors).
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.group = name
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return None  # the dataclass field default
-        dense = record._dense.get(self.group)
+    def read(record: "ActivityRecord") -> np.ndarray:
+        dense = record._dense.get(group)
         if dense is None:
-            dense = dense_activity(record.factors.get(self.group, ()), record._shape)
-            record._dense[self.group] = dense
+            dense = dense_activity(record.factors.get(group, ()), record._shape)
+            dense.setflags(write=False)
+            record._dense[group] = dense
         return dense
 
-    def __set__(self, record, value) -> None:
-        cache = record.__dict__.setdefault("_dense", {})
-        if value is not None:
-            cache[self.group] = value
+    return property(read)
 
 
 @dataclass(eq=False, repr=False)
@@ -133,72 +122,54 @@ class ActivityRecord:
 
     Attributes
     ----------
-    main:
-        Toggle counts of clock-edge-aligned logic (main circuit),
-        shape ``(n_regions, n_cycles)``.
-    trojan:
-        Toggle counts of falling-edge Trojan logic, same shape.  Kept
-        separate because these cells switch on the opposite clock phase
-        (a half-cycle offset), which the EMF synthesis honors.
     config:
         The simulation configuration used.
+    factors:
+        Low-rank decomposition of the toggle matrices: maps ``"main"``
+        / ``"trojan"`` / ``"trojan_rising"`` to lists of ``(name,
+        weights, toggles)`` outer-product factors with ``weights`` of
+        shape ``(n_regions,)`` and ``toggles`` of shape
+        ``(n_cycles,)``.  The chip simulator builds activity exactly
+        this way (one factor per module), and the measurement engine's
+        EMF synthesis renders from the factors directly.  At least one
+        factor is required.
     scenario:
         Label, e.g. ``"idle"``, ``"baseline"``, ``"T1"``.
     meta:
         Free-form extra metadata.
-    trojan_rising:
-        Toggle counts of rising-edge (main-clock-synchronous) Trojan
-        logic such as the T4 power virus; rendered in phase with the
-        main circuit.
-    factors:
-        Optional low-rank decomposition of the toggle matrices: maps
-        ``"main"`` / ``"trojan"`` / ``"trojan_rising"`` to lists of
-        ``(name, weights, toggles)`` outer-product factors with
-        ``weights`` of shape ``(n_regions,)`` and ``toggles`` of shape
-        ``(n_cycles,)``, such that the dense matrix is the sum of
-        ``outer(weights, toggles)`` over its factors.  The chip
-        simulator builds activity exactly this way (one factor per
-        module), and the measurement engine's EMF synthesis renders
-        from the factors directly.
 
     Notes
     -----
-    A record is built either from dense matrices (``main`` and
-    ``trojan`` given, ``trojan_rising`` defaulting to zeros) or from
-    ``factors`` alone.  A factor-bearing record builds each dense
-    matrix with :func:`dense_activity` on first access and keeps it;
-    pickling ships only the factors, so the dense matrices (tens of MB
-    per record) are never copied between processes.
+    The dense toggle matrices, shape ``(n_regions, n_cycles)``, are
+    read-only views built with :func:`dense_activity` on first access
+    and kept: :attr:`main` (clock-edge-aligned logic), :attr:`trojan`
+    (falling-edge Trojan logic, rendered half a cycle later) and
+    :attr:`trojan_rising` (rising-edge Trojan logic such as the T4
+    power virus, rendered in phase with the main circuit).  Pickling
+    ships only the factors, so the dense matrices (tens of MB per
+    record) are never copied between processes.
     """
 
-    main: Optional[np.ndarray] = _DenseActivity()
-    trojan: Optional[np.ndarray] = _DenseActivity()
     _: KW_ONLY
     config: SimConfig
+    factors: Optional[Dict[str, List[Factor]]] = None
     scenario: str = ""
     meta: Optional[Dict[str, object]] = None
-    trojan_rising: Optional[np.ndarray] = _DenseActivity()
-    factors: Optional[Dict[str, List[Factor]]] = None
+
+    main = _dense_view("main")
+    trojan = _dense_view("trojan")
+    trojan_rising = _dense_view("trojan_rising")
 
     def __post_init__(self) -> None:
-        dense = self._dense
-        n_cycles = self.config.n_cycles
-        if self.factors is None:
-            if "main" not in dense or "trojan" not in dense:
-                raise ConfigError("a record needs dense main/trojan or factors")
-            dense.setdefault("trojan_rising", np.zeros_like(dense["main"]))
-            self._shape = (dense["main"].shape[0], n_cycles)
-            shapes = set()
-        else:
-            parts = [
-                part for group in ACTIVITY_GROUPS for part in self.factors.get(group, ())
-            ]
-            if not parts:
-                raise ConfigError("a factor-bearing record needs at least one factor")
-            self._shape = (len(parts[0][1]), n_cycles)
-            shapes = {(np.shape(w), np.shape(t)) for _name, w, t in parts}
-            shapes.discard((self._shape[:1], self._shape[1:]))
-        shapes |= {matrix.shape for matrix in dense.values()} - {self._shape}
+        parts = [
+            part for group in ACTIVITY_GROUPS for part in (self.factors or {}).get(group, ())
+        ]
+        if not parts:
+            raise ConfigError("an activity record needs at least one factor")
+        self._shape = (len(parts[0][1]), self.config.n_cycles)
+        self._dense: Dict[str, np.ndarray] = {}
+        shapes = {(np.shape(w), np.shape(t)) for _name, w, t in parts}
+        shapes.discard((self._shape[:1], self._shape[1:]))
         if shapes:
             raise ConfigError(
                 f"activity shapes {sorted(shapes, key=str)} do not match "
@@ -206,10 +177,7 @@ class ActivityRecord:
             )
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if self.factors is not None:
-            state["_dense"] = {}
-        return state
+        return {**self.__dict__, "_dense": {}}
 
     @property
     def n_regions(self) -> int:

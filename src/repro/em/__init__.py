@@ -26,7 +26,6 @@ from .coupling import (
     charge_amplitudes,
     coupling_cache_stats,
     emf_rfft,
-    emf_waveforms,
 )
 from .noise import NoiseModel, ambient_rms, johnson_rms
 from .devices import (
@@ -46,7 +45,6 @@ __all__ = [
     "charge_amplitudes",
     "coupling_cache_stats",
     "emf_rfft",
-    "emf_waveforms",
     "NoiseModel",
     "ambient_rms",
     "johnson_rms",

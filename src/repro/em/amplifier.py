@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from ..dsp.filters import (
-    apply_transfer_batch,
-    butter_highpass_response,
-    butter_lowpass_response,
-)
+from ..dsp.filters import butter_highpass_response, butter_lowpass_response
 from ..errors import ConfigError
 from ..units import from_db
 
@@ -113,50 +109,3 @@ class MeasurementAmplifier:
     def input_noise_rms(self, fs: float) -> float:
         """Input-referred noise RMS over the Nyquist band."""
         return self.input_noise_density * np.sqrt(fs / 2.0)
-
-    # -- signal path ---------------------------------------------------------
-
-    def amplify(
-        self,
-        samples: np.ndarray,
-        fs: float,
-        rng: np.random.Generator | None = None,
-        source_impedance: float = 0.0,
-    ) -> np.ndarray:
-        """Run a trace through the divider, noise injection and filter."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1:
-            raise ConfigError("amplify expects a 1-D trace")
-        return self.amplify_batch(
-            samples[None, :],
-            fs,
-            rngs=None if rng is None else (rng,),
-            source_impedance=source_impedance,
-        )[0]
-
-    def amplify_batch(
-        self,
-        samples: np.ndarray,
-        fs: float,
-        rngs: Optional[Sequence[np.random.Generator]] = None,
-        source_impedance: float = 0.0,
-    ) -> np.ndarray:
-        """Amplify a stack of traces, shape ``(n_traces, n_samples)``.
-
-        The per-trace input-noise draws stay independent (one generator
-        per row), but the divider scaling and the band-shaping filter
-        run as single vectorized passes over the whole stack.
-        """
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2:
-            raise ConfigError("amplify_batch expects a 2-D trace stack")
-        if rngs is not None and len(rngs) != samples.shape[0]:
-            raise ConfigError(
-                f"got {len(rngs)} generators for {samples.shape[0]} traces"
-            )
-        scaled = samples * self.source_divider(source_impedance)
-        if rngs is not None:
-            noise_rms = self.input_noise_rms(fs)
-            for row, rng in zip(scaled, rngs):
-                row += rng.normal(0.0, noise_rms, row.size)
-        return apply_transfer_batch(scaled, fs, self.transfer)

@@ -1,10 +1,11 @@
 """Coupling matrices and EMF synthesis.
 
 ``CouplingMatrix`` maps per-region currents to flux linkage in every
-receiver (PSA coils, probes, single coil); :func:`emf_waveforms` turns
-an :class:`~repro.chip.power.ActivityRecord` into induced-voltage
-waveforms by convolving the per-cycle charge train with the
-differentiated current kernel.
+receiver (PSA coils, probes, single coil); :func:`emf_rfft` turns an
+:class:`~repro.chip.power.ActivityRecord` into the induced-voltage
+spectrum of every receiver: the per-cycle charge train convolved
+(circularly, on the trace's FFT grid) with the differentiated current
+kernel.  It is the one EMF synthesis the program has.
 
 Two throughput mechanisms live here because this is where the physics
 is computed:
@@ -327,18 +328,6 @@ class CouplingStack:
         return len(self.receivers)
 
 
-def _charge_train(
-    amplitudes: np.ndarray, config: SimConfig, sample_offset: int
-) -> np.ndarray:
-    """Spread per-cycle charges onto the fast-time grid as impulses."""
-    n_receivers, n_cycles = amplitudes.shape
-    train = np.zeros((n_receivers, config.n_samples))
-    positions = np.arange(n_cycles) * config.oversample + sample_offset
-    positions = positions[positions < config.n_samples]
-    train[:, positions] = amplitudes[:, : positions.size]
-    return train
-
-
 def _project(coupling: CouplingMatrix, name: str, weights: np.ndarray) -> np.ndarray:
     """``matrix @ weights`` with per-factor memoization.
 
@@ -365,14 +354,11 @@ def charge_amplitudes(
     Both are ``(n_receivers, n_cycles)`` matrices combining the
     region-dipole coupling with the global package-loop term; the
     falling matrix is ``None`` when the record carries no falling-phase
-    (Trojan payload) activity at all.
+    (Trojan payload) factor at all.
 
-    When the record exposes its low-rank :attr:`ActivityRecord.factors`
-    (activity as a sum of per-module ``weights x toggles`` outer
-    products, which is how :class:`~repro.chip.testchip.TestChip`
-    builds it), the dense region matmul collapses to one cheap
-    projection per module — the dominant cost of EMF synthesis
-    disappears.  Dense records fall back to the full matmul.
+    The record's activity is a sum of per-module ``weights x toggles``
+    outer products (:attr:`ActivityRecord.factors`), so the region
+    matmul collapses to one cached projection per module.
     """
     config = record.config
     from ..chip.power import MEAN_SWITCH_CAP
@@ -380,76 +366,26 @@ def charge_amplitudes(
     cap = MEAN_SWITCH_CAP if switch_cap is None else switch_cap
     q_per_toggle = charge_per_toggle(config.vdd, cap)
 
+    def _assemble(parts) -> Optional[np.ndarray]:
+        if not parts:
+            return None
+        total = np.zeros((coupling.n_receivers, config.n_cycles))
+        bond_cycles = np.zeros(config.n_cycles)
+        for name, weights, toggles in parts:
+            row = _project(coupling, name, weights)
+            charge = toggles * q_per_toggle
+            total += np.outer(row, charge)
+            bond_cycles += float(weights.sum()) * charge
+        total += np.outer(coupling.bond_row, bond_cycles)
+        return total
+
     factors = record.factors
-    if factors is not None:
-
-        def _assemble(parts) -> Optional[np.ndarray]:
-            if not parts:
-                return None
-            total = np.zeros((coupling.n_receivers, config.n_cycles))
-            bond_cycles = np.zeros(config.n_cycles)
-            for name, weights, toggles in parts:
-                row = _project(coupling, name, weights)
-                charge = toggles * q_per_toggle
-                total += np.outer(row, charge)
-                bond_cycles += float(weights.sum()) * charge
-            total += np.outer(coupling.bond_row, bond_cycles)
-            return total
-
-        rising_parts = list(factors.get("main", ())) + list(
-            factors.get("trojan_rising", ())
-        )
-        rising_q = _assemble(rising_parts)
-        if rising_q is None:
-            rising_q = np.zeros((coupling.n_receivers, config.n_cycles))
-        return rising_q, _assemble(list(factors.get("trojan", ())))
-
-    rising = record.main + record.trojan_rising
-    rising_q = coupling.matrix @ (rising * q_per_toggle)
-    rising_q += np.outer(coupling.bond_row, rising.sum(axis=0) * q_per_toggle)
-    if not record.trojan.any():
-        return rising_q, None
-    falling_q = coupling.matrix @ (record.trojan * q_per_toggle)
-    falling_q += np.outer(
-        coupling.bond_row, record.trojan.sum(axis=0) * q_per_toggle
+    rising_q = _assemble(
+        list(factors.get("main", ())) + list(factors.get("trojan_rising", ()))
     )
-    return rising_q, falling_q
-
-
-def emf_waveforms(
-    coupling: CouplingMatrix,
-    record: ActivityRecord,
-    switch_cap: float | None = None,
-) -> np.ndarray:
-    """Induced EMF at every receiver, shape ``(n_receivers, n_samples)``.
-
-    The main-circuit logic (and rising-phase Trojans such as T4's
-    synchronous power virus) switches at the clock rising edge;
-    falling-phase Trojan payloads render half a cycle later — this
-    phase structure survives into the sideband spectrum.
-
-    This is the time-domain reference path (linear convolution, tail
-    truncated); the engine's batched renderer uses the spectral twin
-    :func:`emf_rfft` instead.
-    """
-    config = record.config
-    main_q, trojan_q = charge_amplitudes(coupling, record, switch_cap)
-    kernel = emf_kernel(config)
-    half_cycle = config.oversample // 2
-    emf = _convolve_train(_charge_train(main_q, config, 0), kernel)
-    if trojan_q is not None:
-        emf += _convolve_train(
-            _charge_train(trojan_q, config, half_cycle), kernel
-        )
-    return emf
-
-
-def _convolve_train(train: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Linearly convolve each row with the kernel, keeping the input length."""
-    n = train.shape[1]
-    size = n + kernel.size - 1
-    spec = np.fft.rfft(train, n=size, axis=-1) * np.fft.rfft(kernel, n=size)
-    return np.fft.irfft(spec, n=size, axis=-1)[:, :n]
+    if rising_q is None:
+        rising_q = np.zeros((coupling.n_receivers, config.n_cycles))
+    return rising_q, _assemble(list(factors.get("trojan", ())))
 
 
 # -- spectral EMF synthesis (the engine's hot path) -------------------------
@@ -544,12 +480,14 @@ def emf_rfft(
 ) -> np.ndarray:
     """EMF spectrum per receiver, shape ``(n_receivers, n_bins)`` complex.
 
-    The spectral twin of :func:`emf_waveforms`: the kernel convolution
-    is evaluated as a bin-wise product on the trace FFT grid (i.e.
-    circularly — the <= one-cycle kernel tail wraps onto the trace
-    head instead of being truncated), and the charge train's rFFT comes
-    from the closed-form tiling of its cycle-rate DFT instead of a
-    long-trace FFT.  ``irfft`` of the result is the engine's rendered
+    The kernel convolution is evaluated as a bin-wise product on the
+    trace FFT grid (i.e. circularly — the <= one-cycle kernel tail
+    wraps onto the trace head), and the charge train's rFFT comes from
+    the closed-form tiling of its cycle-rate DFT instead of a
+    long-trace FFT.  Main-circuit (and rising-phase Trojan) charge
+    lands on the clock rising edge; falling-phase Trojan payloads land
+    half a cycle later, a phase structure that survives into the
+    sideband spectrum.  ``irfft`` of the result is the engine's rendered
     EMF waveform.
 
     A :class:`CouplingStack` is synthesized part by part and row-

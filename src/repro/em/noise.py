@@ -45,7 +45,10 @@ def ambient_rms(loop_area: float) -> float:
 
 
 class NoiseModel:
-    """Generates the additive noise at a receiver's terminals.
+    """The additive noise budget at a receiver's terminals.
+
+    The measurement engine draws one realization per capture from the
+    white part (:meth:`white_rms`) and the ambient tones (:meth:`tones`).
 
     Parameters
     ----------
@@ -66,32 +69,6 @@ class NoiseModel:
         self.resistance = resistance
         self.temperature_c = temperature_c
         self.ambient_area = ambient_area
-
-    def sample(
-        self, n_samples: int, fs: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One noise realization of ``n_samples`` at rate ``fs``."""
-        if n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        bandwidth = fs / 2.0
-        thermal = johnson_rms(self.resistance, self.temperature_c, bandwidth)
-        noise = rng.normal(0.0, thermal, n_samples) if thermal > 0 else np.zeros(
-            n_samples
-        )
-        amb_rms = ambient_rms(self.ambient_area)
-        if amb_rms > 0.0:
-            t = np.arange(n_samples) / fs
-            tone_fraction = sum(fraction for _f, fraction in AMBIENT_TONES)
-            broadband = amb_rms * math.sqrt(max(1.0 - tone_fraction, 0.0))
-            noise = noise + rng.normal(0.0, broadband, n_samples)
-            for freq, fraction in AMBIENT_TONES:
-                if freq < fs / 2:
-                    phase = rng.uniform(0.0, 2.0 * math.pi)
-                    amplitude = amb_rms * fraction * math.sqrt(2.0)
-                    noise = noise + amplitude * np.sin(
-                        2.0 * math.pi * freq * t + phase
-                    )
-        return noise
 
     def total_rms(self, fs: float) -> float:
         """Predicted RMS of one realization (thermal + ambient)."""
@@ -145,7 +122,7 @@ def white_noise_scales(
     the full rFFT grid) into the scales, so filtered noise can be
     synthesized directly.  ``nyquist`` is meaningless for odd trace
     lengths.  Precomputable once per receiver; apply with
-    :func:`fill_white_noise_spectrum`.
+    :func:`fill_white_noise_rfft`.
     """
     if n_samples < 2:
         raise ConfigError("n_samples must be >= 2")
@@ -162,7 +139,7 @@ def white_noise_scales(
     )
 
 
-def fill_white_noise_spectrum(
+def fill_white_noise_rfft(
     out: np.ndarray,
     z: np.ndarray,
     dc_scale: float,
@@ -194,28 +171,6 @@ def fill_white_noise_spectrum(
         np.multiply(z[1 : 1 + body], body_scale, out=out.real[1:])
         np.multiply(z[1 + body :], body_scale, out=out.imag[1:])
     return out
-
-
-def white_noise_spectrum(
-    rng: np.random.Generator,
-    n_samples: int,
-    rms: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw the rFFT of an ``n_samples``-long white Gaussian trace.
-
-    Synthesizing directly in the frequency domain is an exact
-    reformulation — see :func:`fill_white_noise_spectrum` — and it
-    saves one forward FFT per trace in the render pipeline.  Consumes
-    exactly ``n_samples`` standard-normal draws from ``rng``.
-    """
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
-    if out is None:
-        out = np.empty(n_samples // 2 + 1, dtype=complex)
-    return fill_white_noise_spectrum(
-        out, rng.standard_normal(n_samples), *white_noise_scales(n_samples, rms)
-    )
 
 
 def tone_bin(n_samples: int, fs: float, freq: float) -> "int | None":

@@ -13,8 +13,8 @@ in the frequency domain and inverse-transformed once per trace:
 2. **Noise** — the white components of the chain (coil Johnson +
    broadband ambient, referred through the amplifier's input divider,
    plus the amplifier's own input noise) fold into a single Gaussian
-   drawn directly in the frequency domain (the formulation of
-   :func:`repro.em.noise.white_noise_spectrum`, with the gain curve
+   drawn directly in the frequency domain
+   (:func:`repro.em.noise.fill_white_noise_rfft`, with the gain curve
    folded into the per-bin scales); the narrowband ambient tones are
    single spectral lines with per-capture random phase.
 3. **Band shaping** — the amplifier's cached gain curve multiplies the
@@ -54,7 +54,7 @@ from ..em.coupling import CouplingMatrix, CouplingStack, Receiver, emf_rfft
 from ..em.noise import (
     NoiseModel,
     add_tone_spectrum,
-    fill_white_noise_spectrum,
+    fill_white_noise_rfft,
     tone_bin,
     tone_line,
     white_noise_scales,
@@ -509,7 +509,7 @@ class MeasurementEngine:
                             1.0 + gain_jitter * rng.standard_normal()
                         )
                     z = rng.standard_normal(n, out=z_buffer)
-                    fill_white_noise_spectrum(row, z, *scales)
+                    fill_white_noise_rfft(row, z, *scales)
                     for bin_index, payload in tones:
                         phase = rng.uniform(0.0, two_pi)
                         if bin_index is not None:

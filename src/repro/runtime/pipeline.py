@@ -128,11 +128,6 @@ class PipelineConfig:
         localizer and a stream that can re-measure).
     localize_records:
         Activity records per population for the LOCALIZE stage.
-    escalate_once:
-        Only the first alarm escalates; later alarms are logged as
-        events but keep the machine in MONITOR.  (The deployed flow:
-        once a Trojan is identified and localized, the verdict stands
-        and monitoring continues.)
     mttd:
         Per-window timing model for latency accounting.
     """
@@ -146,7 +141,6 @@ class PipelineConfig:
     identify: bool = True
     localize: bool = True
     localize_records: int = 2
-    escalate_once: bool = True
     mttd: MttdModel = field(default_factory=MttdModel)
 
     def __post_init__(self) -> None:
@@ -541,12 +535,12 @@ class EscalationPipeline:
             scored = np.where(step.alarm, np.abs(step.z), -np.inf)
             stream = int(np.argmax(scored))
             self._alarm_stream = stream
-            # An alarm escalates only when some stage can actually run
-            # (a MONITOR-only tuning must not burn the session's one
+            # Only the first alarm escalates; later ones are logged and
+            # keep the machine in MONITOR (the verdict stands).  It
+            # escalates only when some stage can actually run (a
+            # MONITOR-only tuning must not burn the session's one
             # escalation on a no-op or log phantom transitions).
-            escalating = (
-                self._escalations == 0 or not self.pipeline.escalate_once
-            ) and (
+            escalating = self._escalations == 0 and (
                 self.pipeline.identify
                 or (self.pipeline.localize and self.localizer is not None)
             )

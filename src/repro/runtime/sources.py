@@ -22,6 +22,7 @@ work the escalation pipeline consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
@@ -76,11 +77,17 @@ class StreamChunk:
                 "StreamChunk samples must be (n_streams, k, n_samples), "
                 f"got shape {self.samples.shape}"
             )
-        n_streams, k, _ = self.samples.shape
+        n_streams, k, n_samples = self.samples.shape
         if len(self.scenarios) != k or len(self.trace_indices) != k:
             raise AnalysisError("one scenario/index per window required")
         if len(self.labels) != n_streams:
             raise AnalysisError("one label per stream required")
+        if n_samples == 0:
+            raise AnalysisError("StreamChunk windows must hold samples")
+        if not 0.0 < self.fs < math.inf:
+            raise AnalysisError(
+                f"StreamChunk fs must be finite and positive, got {self.fs!r}"
+            )
 
     @property
     def n_streams(self) -> int:

@@ -75,6 +75,7 @@ from ..runtime import (
     build_chip_monitor,
     build_preset,
 )
+from ..runtime.sources import DEFAULT_CHUNK_WINDOWS
 from ..store import ArtifactStore
 from .metrics import ChipGauge, MetricsSnapshot, ThroughputMeter
 from .protocol import (
@@ -169,9 +170,6 @@ class ServeConfig:
         Onboarding bound (503 past it).  A session that ends
         unfinished (a failed upload, a socket closed before ``end``)
         frees its id and its slot.
-    chunk_windows:
-        Windows per chunk when the service itself chunks a stream
-        (replay uploads).
     events_path:
         JSONL audit log of every event the service emits (None
         disables the sink).
@@ -185,7 +183,6 @@ class ServeConfig:
     high_water_windows: int = 256
     analysis_workers: int = 4
     max_chips: int = 1024
-    chunk_windows: int = 16
     events_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -697,7 +694,7 @@ class MonitorService:
         self._check_onboarding(chip_id)
         if not request.body:
             raise AnalysisError("replay upload needs a .npz archive body")
-        batch = _int_field(request.query, "batch", self.config.chunk_windows)
+        batch = _int_field(request.query, "batch", DEFAULT_CHUNK_WINDOWS)
         loop = asyncio.get_running_loop()
         # The archive is decoded from the request body in memory; the
         # path only names the source.

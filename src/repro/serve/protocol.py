@@ -23,6 +23,7 @@ toolchain runs".  This module owns everything byte-shaped:
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import hashlib
 import json
@@ -52,6 +53,9 @@ WS_BINARY = 0x2
 WS_CLOSE = 0x8
 WS_PING = 0x9
 WS_PONG = 0xA
+#: The opcodes a client frame may carry (no continuation: fragmented
+#: messages are refused; 0x3-0x7 and 0xB-0xF are reserved).
+_WS_OPCODES = frozenset({WS_TEXT, WS_BINARY, WS_CLOSE, WS_PING, WS_PONG})
 
 #: Status phrases for the responses the service actually sends.
 STATUS_PHRASES: Dict[int, str] = {
@@ -238,20 +242,31 @@ def ws_frame(
 async def read_ws_frame(
     reader, max_size: int = MAX_BODY_BYTES
 ) -> Optional[Tuple[int, bytes]]:
-    """Read one WebSocket frame; ``(opcode, payload)`` or None on EOF.
+    """Read one client WebSocket frame; ``(opcode, payload)`` or None on EOF.
 
-    Handles unmasking (client frames arrive masked).  Fragmented
-    messages are rejected — the service's chunk protocol is one
-    message per frame by construction.
+    Strict per RFC 6455 section 5: a client frame must be masked, set
+    no RSV bit and carry a text, binary or control opcode; anything
+    else raises :class:`ProtocolError`.  Fragmented messages are
+    refused too — the service's chunk protocol is one message per
+    frame by construction.  Only a clean EOF before a frame's first
+    byte is None; a frame cut short raises
+    :class:`asyncio.IncompleteReadError`.
     """
-    head = await reader.read(2)
-    if len(head) < 2:
+    try:
+        head = await reader.readexactly(2)
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise
         return None
-    fin = bool(head[0] & 0x80)
     opcode = head[0] & 0x0F
-    if not fin:
+    if head[0] & 0x70:
+        raise ProtocolError("websocket RSV bits set without an extension")
+    if opcode not in _WS_OPCODES:
+        raise ProtocolError(f"unsupported websocket opcode {opcode:#x}")
+    if not head[0] & 0x80:
         raise ProtocolError("fragmented websocket frames are not supported")
-    masked = bool(head[1] & 0x80)
+    if not head[1] & 0x80:
+        raise ProtocolError("client websocket frames must be masked")
     length = head[1] & 0x7F
     if length == 126:
         (length,) = struct.unpack(">H", await reader.readexactly(2))
@@ -262,11 +277,9 @@ async def read_ws_frame(
             f"websocket frame of {length} bytes exceeds the "
             f"{max_size}-byte bound"
         )
-    key = await reader.readexactly(4) if masked else b""
+    key = await reader.readexactly(4)
     payload = await reader.readexactly(length) if length else b""
-    if masked:
-        payload = _mask(payload, key)
-    return opcode, payload
+    return opcode, _mask(payload, key)
 
 
 # -- StreamChunk wire form -------------------------------------------------
@@ -306,7 +319,9 @@ def pack_chunk(chunk: StreamChunk) -> bytes:
 def unpack_chunk(data: bytes) -> StreamChunk:
     """Rebuild a :class:`StreamChunk` from its wire form.
 
-    Bytes that do not decode to a chunk raise :class:`ProtocolError`.
+    Bytes that do not decode to a chunk raise :class:`ProtocolError`;
+    a decoded chunk the analysis cannot use (``fs`` not finite and
+    positive, windows without samples) raises :class:`AnalysisError`.
     """
     if data[:4] != CHUNK_MAGIC:
         raise ProtocolError("not a packed stream chunk (bad magic)")

@@ -554,8 +554,8 @@ class RecordCodec(Codec):
     factor's toggles, stacked as one ``(n_factors, n_cycles)`` array,
     plus the factor names per group.  Decoding takes the weights back
     from the chip — the very objects a fresh simulation carries — and
-    returns a factor-bearing record that builds its dense matrices
-    only if something reads them.
+    returns a record that builds its dense matrices only if something
+    reads them.
 
     Record ``meta`` survives as JSON; top-level tuple values come back
     as tuples (matching how the chip constructs them).
@@ -565,8 +565,6 @@ class RecordCodec(Codec):
         self.chip = chip
 
     def encode(self, record: ActivityRecord):
-        if record.factors is None:
-            raise StoreError("only factor-bearing records can be stored")
         parts: Dict[str, List[str]] = {}
         rows = []
         for group in ACTIVITY_GROUPS:

@@ -38,17 +38,22 @@ def test_backend_scaling_metrics_are_monitored():
     baseline = {
         "shared_backend": {"speedup_vs_serial": 0.44, "workers": 2},
         "fleet_scaling": {"scaling_efficiency": 0.9, "chips": [1, 4]},
+        "irfft_floor": {"seconds": 0.06},
+        "floor_ratio": 0.18,
     }
     regressed = {
         "shared_backend": {"speedup_vs_serial": 0.2, "workers": 2},
         "fleet_scaling": {"scaling_efficiency": 0.5, "chips": [1, 4]},
+        "irfft_floor": {"seconds": 0.06},
+        "floor_ratio": 0.11,
     }
     assert check_bench.compare_reports(baseline, baseline, 0.25) == []
     problems = check_bench.compare_reports(baseline, regressed, 0.25)
-    assert len(problems) == 2
+    assert len(problems) == 3
     joined = "\n".join(problems)
     assert "shared_backend.speedup_vs_serial" in joined
     assert "fleet_scaling.scaling_efficiency" in joined
+    assert "floor_ratio" in joined
 
 
 def test_compare_passes_within_tolerance():

@@ -57,24 +57,47 @@ def test_emf_kernel_is_derivative():
 
 def test_activity_record_validation():
     config = SimConfig()
-    good = np.zeros((10, config.n_cycles))
-    record = ActivityRecord(main=good, trojan=good.copy(), config=config)
+    weights = np.ones(10)
+    toggles = np.zeros(config.n_cycles)
+    record = ActivityRecord(config=config, factors={"main": [("m", weights, toggles)]})
     assert record.n_regions == 10
+    # A record is factor-only: no factors, or none in any group, is refused.
+    for factors in (None, {}, {"main": []}):
+        with pytest.raises(ConfigError):
+            ActivityRecord(config=config, factors=factors)
+    with pytest.raises(ConfigError):
+        ActivityRecord(config=config, factors={"main": [("m", weights, np.zeros(5))]})
     with pytest.raises(ConfigError):
         ActivityRecord(
-            main=np.zeros((10, 5)), trojan=np.zeros((10, 5)), config=config
+            config=config,
+            factors={
+                "main": [("m", weights, toggles)],
+                "trojan": [("t", np.ones(4), toggles)],
+            },
         )
+    with pytest.raises(TypeError):
+        ActivityRecord(main=np.zeros((10, config.n_cycles)), config=config)
 
 
 def test_record_totals():
     config = SimConfig()
-    main = np.full((4, config.n_cycles), 2.0)
-    trojan = np.full((4, config.n_cycles), 1.0)
-    record = ActivityRecord(main=main, trojan=trojan, config=config)
-    assert record.total_toggles() == pytest.approx(
-        3.0 * 4 * config.n_cycles
+    weights = np.ones(4)
+    record = ActivityRecord(
+        config=config,
+        factors={
+            "main": [("m", weights, np.full(config.n_cycles, 2.0))],
+            "trojan": [("t", weights, np.full(config.n_cycles, 1.0))],
+        },
     )
+    assert record.total_toggles() == pytest.approx(3.0 * 4 * config.n_cycles)
     assert np.allclose(record.combined(), 3.0)
+    assert not record.trojan_rising.any()
+    # The dense views are read-only and built once.
+    assert record.main is record.main
+    with pytest.raises(ValueError):
+        record.main[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        record.main = np.zeros((4, config.n_cycles))
 
 
 def test_mean_current_plausible(chip):

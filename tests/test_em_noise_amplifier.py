@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.em.amplifier import MeasurementAmplifier
-from repro.em.noise import NoiseModel, ambient_rms, johnson_rms
+from repro.em.noise import (
+    NoiseModel,
+    ambient_rms,
+    fill_white_noise_rfft,
+    johnson_rms,
+    white_noise_scales,
+)
 from repro.errors import ConfigError
 from repro.rng import stream
 
@@ -22,9 +28,16 @@ def test_johnson_scales_with_sqrt_r():
 
 
 def test_noise_model_rms_matches_prediction():
+    """A draw at the model's white RMS, laid out as the engine lays it
+    out, has the predicted RMS."""
     model = NoiseModel(resistance=1e3, temperature_c=25.0, ambient_area=0.0)
-    fs = 528e6
-    samples = model.sample(200_000, fs, stream(1, "test"))
+    fs, n = 528e6, 200_000
+    spectrum = fill_white_noise_rfft(
+        np.empty(n // 2 + 1, dtype=complex),
+        stream(1, "test").standard_normal(n),
+        *white_noise_scales(n, model.white_rms(fs)),
+    )
+    samples = np.fft.irfft(spectrum, n=n)
     assert np.sqrt(np.mean(samples**2)) == pytest.approx(
         model.total_rms(fs), rel=0.02
     )
@@ -67,16 +80,18 @@ def test_amplifier_divider():
 
 
 def test_amplify_applies_gain_and_noise():
+    """The engine's band shaping: the cached gain curve passes a
+    mid-band tone at ~50 dB; the input noise is the density over the
+    Nyquist band."""
     amp = MeasurementAmplifier()
-    fs = 528e6
-    t = np.arange(8192) / fs
+    fs, n = 528e6, 8192
+    t = np.arange(n) / fs
     tone = 1e-3 * np.sin(2 * np.pi * 60e6 * t)
-    clean = amp.amplify(tone, fs, rng=None)
-    noisy = amp.amplify(tone, fs, rng=stream(1, "amp"))
-    assert np.sqrt(np.mean(clean**2)) == pytest.approx(
+    shaped = np.fft.irfft(np.fft.rfft(tone) * amp.gain_curve(fs, n), n=n)
+    assert np.sqrt(np.mean(shaped**2)) == pytest.approx(
         1e-3 / np.sqrt(2) * 316.2, rel=0.05
     )
-    assert not np.allclose(clean, noisy)
+    assert amp.input_noise_rms(fs) == pytest.approx(5e-9 * np.sqrt(fs / 2))
 
 
 def test_amplifier_validation():

@@ -9,11 +9,12 @@ wrappers, or on any execution backend.
 import numpy as np
 import pytest
 
+from repro.chip.power import MEAN_SWITCH_CAP, charge_per_toggle, emf_kernel
 from repro.config import SimConfig
 from repro.core.array import ProgrammableSensorArray
 from repro.core.sensors import quadrant_coil
-from repro.em.coupling import CouplingMatrix, emf_rfft, emf_waveforms
-from repro.em.noise import white_noise_spectrum
+from repro.em.coupling import CouplingMatrix, emf_rfft
+from repro.em.noise import fill_white_noise_rfft, white_noise_scales
 from repro.engine import (
     MeasurementEngine,
     SerialBackend,
@@ -177,28 +178,54 @@ def test_coupling_cache_misses_on_different_geometry(chip, psa):
 # -- spectral building blocks ------------------------------------------------
 
 
+def _reference_emf(coupling, record):
+    """Time-domain EMF from the dense toggle matrices: the full region
+    matmul, one impulse train per clock phase (falling half a cycle
+    late) and a linear convolution with the EMF kernel, truncated to
+    the trace.  Shares no code with :func:`emf_rfft`."""
+    config = record.config
+    q = charge_per_toggle(config.vdd, MEAN_SWITCH_CAP)
+    kernel = emf_kernel(config)
+    n = config.n_samples
+    emf = np.zeros((coupling.n_receivers, n))
+    phases = ((record.main + record.trojan_rising, 0), (record.trojan, config.oversample // 2))
+    for toggles, offset in phases:
+        charge = coupling.matrix @ (toggles * q)
+        charge += np.outer(coupling.bond_row, toggles.sum(axis=0) * q)
+        positions = np.arange(config.n_cycles) * config.oversample + offset
+        train = np.zeros_like(emf)
+        train[:, positions[positions < n]] = charge[:, : np.count_nonzero(positions < n)]
+        emf += np.array([np.convolve(row, kernel)[:n] for row in train])
+    return emf
+
+
 def test_emf_rfft_matches_time_domain(psa, records):
     """The spectral EMF equals the linear-convolution reference away
-    from the (deliberate) one-kernel circular wrap at the trace head."""
-    record = records["T4"][0]
-    config = record.config
-    spectral = np.fft.irfft(
-        emf_rfft(psa.coupling, record), n=config.n_samples, axis=-1
-    )
-    reference = emf_waveforms(psa.coupling, record)
-    scale = np.abs(reference).max()
-    wrap = 2 * config.oversample
-    assert (
-        np.abs(spectral[:, wrap:] - reference[:, wrap:]).max() < 1e-9 * scale
-    )
+    from the (deliberate) one-kernel circular wrap at the trace head,
+    for rising-phase (T4) and falling-phase (T1) Trojan activity."""
+    for scenario in ("T1", "T4"):
+        record = records[scenario][0]
+        config = record.config
+        spectral = np.fft.irfft(
+            emf_rfft(psa.coupling, record), n=config.n_samples, axis=-1
+        )
+        reference = _reference_emf(psa.coupling, record)
+        scale = np.abs(reference).max()
+        wrap = 2 * config.oversample
+        assert (
+            np.abs(spectral[:, wrap:] - reference[:, wrap:]).max() < 1e-9 * scale
+        )
 
 
 def test_white_noise_spectrum_is_white_gaussian():
+    """The engine's frequency-domain noise draw is white Gaussian time noise."""
     n, rms = 4096, 2.5e-3
     rng = stream(1234, "whiteness")
+    scales = white_noise_scales(n, rms)
+    spec = np.empty(n // 2 + 1, dtype=complex)
     realizations = np.empty((64, n))
     for index in range(64):
-        spec = white_noise_spectrum(rng, n, rms)
+        fill_white_noise_rfft(spec, rng.standard_normal(n), *scales)
         realizations[index] = np.fft.irfft(spec, n=n)
     measured = realizations.std()
     assert measured == pytest.approx(rms, rel=0.02)

@@ -31,6 +31,7 @@ from repro.runtime import (
     PipelineConfig,
     ReplaySource,
     StateChanged,
+    StreamChunk,
     TrojanIdentified,
     TrojanLocalized,
     WindowProcessed,
@@ -374,6 +375,25 @@ def test_stream_shape_guards(campaign):
         LiveSource(campaign, _schedule(), sensors=())
     with pytest.raises(AnalysisError):
         LiveSource(campaign, _schedule(), chunk=0)
+
+
+def test_stream_chunk_rejects_unusable_windows():
+    """A hand-built chunk without a usable sample rate or without
+    samples is refused with a typed error, before any analysis."""
+    good = dict(
+        samples=np.zeros((1, 2, 3)),
+        fs=1e9,
+        start=0,
+        scenarios=("idle", "idle"),
+        trace_indices=(0, 1),
+        labels=("s",),
+    )
+    assert StreamChunk(**good).n_windows == 2
+    for fs in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(AnalysisError, match="fs"):
+            StreamChunk(**{**good, "fs": fs})
+    with pytest.raises(AnalysisError, match="samples"):
+        StreamChunk(**{**good, "samples": np.zeros((1, 2, 0))})
 
 
 # -- detector plugins in the MONITOR stage ------------------------------------

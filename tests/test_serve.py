@@ -722,6 +722,45 @@ def test_ws_dropped_socket_frees_its_chip(smoke_archive, end_socket):
         ws.close()
 
 
+def _repacked(packed, samples=None, **fields):
+    """``packed`` with header ``fields`` replaced (and, optionally, its samples)."""
+    (size,) = struct.unpack(">I", packed[4:8])
+    header = {**json.loads(packed[8 : 8 + size]), **fields}
+    blob = json.dumps(header).encode("utf-8")
+    body = packed[8 + size :] if samples is None else samples
+    return CHUNK_MAGIC + struct.pack(">I", len(blob)) + blob + body
+
+
+def test_ws_unusable_chunk_answers_error(smoke_archive):
+    """A pushed chunk without a usable fs or samples is refused with a
+    typed error; the session goes on and takes the next good chunk."""
+    chunk = next(ReplaySource(smoke_archive, batch=4).chunks())
+    packed = pack_chunk(chunk)
+    empty_shape = [chunk.n_streams, chunk.n_windows, 0]
+    bad = [
+        _repacked(packed, fs=0.0),
+        _repacked(packed, fs=-528e6),
+        _repacked(packed, fs=float("nan")),
+        _repacked(packed, samples=b"", shape=empty_shape),
+    ]
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+        ws, reply = _ws_hello(client, "badchunk", chunk.n_streams)
+        assert reply == {"op": "hello", "chip": "badchunk"}
+        for payload in bad:
+            ws.send(payload)
+            answer = ws.recv_json()
+            assert answer["op"] == "error"
+            assert "StreamChunk" in answer["error"]
+        ws.send(packed)
+        assert ws.recv_json()["accepted"] is True
+        ws.send_json({"op": "end"})
+        reply = ws.recv_json()
+        assert reply["op"] == "report"
+        assert reply["report"]["n_windows"] == chunk.n_windows
+        ws.close()
+
+
 def test_drained_sessions_pin_no_chunk(smoke_archive, monkeypatch):
     """Finished uploads keep none of the chunks they were decoded into."""
     payload = smoke_archive.read_bytes()
@@ -874,11 +913,9 @@ def _mutated_chunk(packed):
     """``packed`` with one header field set to an arbitrary JSON value."""
     (size,) = struct.unpack(">I", packed[4:8])
     header = json.loads(packed[8 : 8 + size])
-    samples = packed[8 + size :]
 
     def mutate(key, value):
-        blob = json.dumps({**header, key: value}).encode("utf-8")
-        return CHUNK_MAGIC + struct.pack(">I", len(blob)) + blob + samples
+        return _repacked(packed, **{key: value})
 
     return st.builds(mutate, st.sampled_from(sorted(header)), _json_values())
 
@@ -936,6 +973,29 @@ def test_ws_framing_fuzz_frees_session(smoke_archive):
             _ws_end_by_eof(ws)
 
         check()
+        # RFC 6455 section 5: a server fails the connection on an
+        # unmasked client frame, a reserved opcode or a set RSV bit.
+        text = b'{"op": "metrics"}'
+        for frame in (
+            ws_frame(text, opcode=WS_TEXT, mask=False),
+            ws_frame(text, opcode=0x3, mask=True),
+            ws_frame(text, opcode=0xB, mask=True),
+            bytes([ws_frame(text, opcode=WS_TEXT, mask=True)[0] | 0x40])
+            + ws_frame(text, opcode=WS_TEXT, mask=True)[1:],
+        ):
+            ws, reply = _ws_hello(client, "fuzzws", chunk.n_streams)
+            assert reply == {"op": "hello", "chip": "fuzzws"}
+            ws._sock.sendall(frame)
+            assert _read_to_eof(ws._sock) == b""
+            _ws_end_by_eof(ws)
+        # A header split across TCP segments is still one frame.
+        ws, reply = _ws_hello(client, "fuzzws", chunk.n_streams)
+        frame = ws_frame(text, opcode=WS_TEXT, mask=True)
+        ws._sock.sendall(frame[:1])
+        time.sleep(0.2)
+        ws._sock.sendall(frame[1:])
+        assert ws.recv_json()["op"] == "metrics"
+        ws.close()
         _assert_nothing_leaked(client, "fuzz")
 
 def test_onboarding_past_max_chips_is_503(smoke_archive):

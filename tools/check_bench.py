@@ -3,13 +3,13 @@
 
 Compares the monitored throughput metrics (``speedup``,
 ``windows_per_sec``, ``cells_per_sec``, ``traces_per_sec``,
-``speedup_vs_cold``, ``speedup_vs_serial``, ``scaling_efficiency``)
-of freshly produced benchmark reports against the committed baselines
-in ``benchmarks/baselines/``.  All monitored metrics are
-higher-is-better; a current value more than ``tolerance`` (default
-25%) below its baseline fails the gate, as does a monitored baseline
-metric missing from the current report (a silently dropped benchmark
-must not pass).
+``speedup_vs_cold``, ``speedup_vs_serial``, ``scaling_efficiency``,
+``floor_ratio``) of freshly produced benchmark reports against the
+committed baselines in ``benchmarks/baselines/``.  All monitored
+metrics are higher-is-better; a current value more than
+``tolerance`` (default 25%) below its baseline fails the gate, as
+does a monitored baseline metric missing from the current report (a
+silently dropped benchmark must not pass).
 
 Metrics present only in the *current* report (new rows) are ignored —
 they become gated once a baseline commits them.  Non-monitored keys
@@ -41,6 +41,9 @@ MONITORED = (
     "speedup_vs_cold",
     "speedup_vs_serial",
     "scaling_efficiency",
+    # A work floor's time over the measured stage's, same run: the
+    # engine render against its irFFT alone (1.0 = at the floor).
+    "floor_ratio",
 )
 
 #: Default allowed relative drop below baseline.
