@@ -1,20 +1,28 @@
-"""Engine throughput: the batched render against its own irFFT floor.
+"""Engine throughput: the render against its own floors, and its thread split.
 
-Times one batched engine render of a 16-sensor x 256-trace campaign
-and, in the same run, the render's irreducible irFFT step alone:
-``np.fft.irfft`` over the same 16 x 256 spectra in the engine's
-``IRFFT_ROWS``-row blocks.  ``floor_ratio = floor / render`` is a
-same-host ratio, so it tracks the engine's code rather than the
-machine: anything that slows the render outside the irFFT lowers it.
-Then times the ``shared`` backend session sharding the full
-16-sensor x 1024-trace workload across two workers with output
-identical to ``serial`` (worker count and host core count are
-recorded with the row; parallel-beats-serial is only asserted on
-multi-core hosts).  Results are written to ``BENCH_engine.json`` at
-the repo root so the performance trajectory is tracked from PR to PR.
+Times one engine render of a 16-sensor x 256-trace campaign, split
+across the process's cores (the default) and on one thread, and, in
+the same run, two floors of that render timed alone:
 
-Set ``ENGINE_SMOKE=1`` to run a reduced CI variant: every equivalence
-check still runs, the parallel-beats-serial check is not enforced.
+* the **irFFT floor** — ``np.fft.irfft`` over the same 16 x 256
+  spectra in the engine's ``IRFFT_ROWS``-row blocks;
+  ``floor_ratio = irFFT floor / render``;
+* the **contract floor** — the work the determinism contract fixes,
+  one named stream and ``n_samples`` normal draws per capture plus the
+  irFFT floor, on one thread;
+  ``contract_floor_ratio = contract floor / one-thread render``.
+
+Both are same-host ratios, so they track the engine's code rather than
+the machine: anything that slows the render outside its floor lowers
+them.  Then the ``thread_split`` row renders the full 16-sensor x
+1024-trace workload on one thread and on the default thread count,
+alternating, best of 3; the two must be bit-identical, and on a
+multi-core host the split must win.  Results are written to
+``BENCH_engine.json`` at the repo root so the performance trajectory
+is tracked from PR to PR.
+
+Set ``ENGINE_SMOKE=1`` to run a reduced CI variant: every identity
+check still runs, the split-beats-one-thread check is not enforced.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import MeasurementEngine, SharedMemoryBackend
-from repro.engine.engine import IRFFT_ROWS
+from repro import parallel
+from repro.engine.engine import IRFFT_ROWS, render_stream_name
+from repro.rng import stream
 from repro.workloads.scenarios import scenario_by_name
 
 SMOKE = os.environ.get("ENGINE_SMOKE", "") not in ("", "0")
@@ -38,8 +47,8 @@ N_TRACES = 48 if SMOKE else 256
 #: Distinct activity records cycled through the campaign (record
 #: synthesis is not part of the rendering path being measured).
 N_UNIQUE_RECORDS = 8 if SMOKE else 32
-#: Trace count of the worker-backend scaling checks (full array).
-N_PROCESS_TRACES = 64 if SMOKE else 1024
+#: Trace count of the thread-split row (full array).
+N_SPLIT_TRACES = 64 if SMOKE else 1024
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -47,7 +56,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 def _irfft_floor(n_samples):
     """A callable running the render's irFFTs alone: N_SENSORS x
     N_TRACES spectra converted in blocks of ``IRFFT_ROWS`` rows, into
-    one output array, exactly as the serial engine blocks them."""
+    one output array, exactly as a one-thread render blocks them."""
     chunk = max(1, IRFFT_ROWS // N_SENSORS)
     rng = np.random.default_rng(0)
     shape = (N_SENSORS, chunk, n_samples // 2 + 1)
@@ -62,6 +71,49 @@ def _irfft_floor(n_samples):
     return run
 
 
+def _contract_floor(config, labels, irfft_floor):
+    """A callable running the draws the determinism contract fixes —
+    one stream and ``n_samples`` normals per capture — then the irFFT
+    floor."""
+    z = np.empty(config.n_samples)
+
+    def run():
+        for trace in range(N_TRACES):
+            for label in labels:
+                rng = stream(config.seed, render_stream_name("baseline", label, trace))
+                rng.standard_normal(config.n_samples, out=z)
+        irfft_floor()
+
+    return run
+
+
+def _one_thread(fn):
+    """``fn`` run with renders confined to the calling thread."""
+
+    def run():
+        threads = parallel.THREADS
+        parallel.THREADS = 1
+        try:
+            return fn()
+        finally:
+            parallel.THREADS = threads
+
+    return run
+
+
+def _best_of_3(*fns):
+    """Best wall time of each callable over 3 alternating rounds, and
+    each one's last result."""
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
+    for _ in range(3):
+        for k, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[k] = fn()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best, results
+
+
 def test_engine_throughput(ctx, benchmark):
     psa = ctx.psa
     campaign = ctx.campaign
@@ -69,77 +121,39 @@ def test_engine_throughput(ctx, benchmark):
     unique = [campaign.record(scenario, i) for i in range(N_UNIQUE_RECORDS)]
     records = [unique[i % N_UNIQUE_RECORDS] for i in range(N_TRACES)]
     indices = list(range(N_TRACES))
-    floor = _irfft_floor(psa.config.n_samples)
+    irfft_floor = _irfft_floor(psa.config.n_samples)
+    labels = [receiver.name for receiver in psa.coupling.receivers]
+    contract_floor = _contract_floor(psa.config, labels, irfft_floor)
 
-    # Warm both (kernel spectra, gain curves, allocator arenas).
-    batch = benchmark.pedantic(
-        lambda: psa.render(records, trace_indices=indices),
-        rounds=1,
-        iterations=1,
-    )
-    floor()
+    def render():
+        return psa.render(records, trace_indices=indices)
+
+    # Warm every path (kernel spectra, gain curves, allocator arenas,
+    # the thread pool).
+    batch = benchmark.pedantic(render, rounds=1, iterations=1)
+    _one_thread(render)()
+    contract_floor()
 
     # A load spike on a shared host can slow a single measurement;
-    # alternating the two and taking the best of three keeps the
-    # ratio about the code, not the host.
-    batched_seconds = floor_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        psa.render(records, trace_indices=indices)
-        batched_seconds = min(batched_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        floor()
-        floor_seconds = min(floor_seconds, time.perf_counter() - start)
-
-    total_traces = N_SENSORS * N_TRACES
-    batched_tps = total_traces / batched_seconds
-    floor_ratio = floor_seconds / batched_seconds
-
-    # Pool backend: the *full 16-sensor workload* at N_PROCESS_TRACES
-    # traces — the scale the fused dispatch plan feeds it — sharded
-    # over the worker pool, bit-for-bit identical to the serial
-    # backend.  The backend is a long-lived session: one warm-up
-    # render spins the pool / grows the shared arena, then the
-    # steady-state passes are timed (that is the regime every later
-    # dispatch through the session runs in).
-    backend_records = [
-        unique[i % N_UNIQUE_RECORDS] for i in range(N_PROCESS_TRACES)
-    ]
-    backend_indices = list(range(N_PROCESS_TRACES))
-    workers = 2
-    cpu_count = os.cpu_count() or 1
-
-    def _timed_render(engine):
-        start = time.perf_counter()
-        batch = engine.render(
-            psa.coupling, backend_records, trace_indices=backend_indices
-        )
-        return batch, time.perf_counter() - start
-
-    # A load spike on a shared host can slow either side's single
-    # render; alternating the two and comparing best-of-3 keeps the
-    # shared-beats-serial check about the backends, not the host.
-    shared_engine = MeasurementEngine(
-        ctx.config,
-        amplifier=psa.amplifier,
-        backend=SharedMemoryBackend(workers),
+    # alternating and taking the best of three keeps the ratios about
+    # the code, not the host.
+    (batched_s, one_thread_s, floor_s, contract_s), _ = _best_of_3(
+        render, _one_thread(render), irfft_floor, contract_floor
     )
-    serial_full_seconds = shared_full_seconds = float("inf")
-    try:
-        # Warm-up: spins the pool and grows the shared arena.
-        shared_engine.render(
-            psa.coupling, backend_records, trace_indices=backend_indices
-        )
-        for _ in range(3):
-            serial_ref, seconds = _timed_render(psa.engine)
-            serial_full_seconds = min(serial_full_seconds, seconds)
-            shared, seconds = _timed_render(shared_engine)
-            shared_full_seconds = min(shared_full_seconds, seconds)
-    finally:
-        shared_engine.close()
-    shared_identical = bool(
-        np.array_equal(serial_ref.samples, shared.samples)
-    )
+    floor_ratio = floor_s / batched_s
+    contract_floor_ratio = contract_s / one_thread_s
+
+    # The thread split at the scale the fused dispatch plan feeds it:
+    # the full 16-sensor workload, N_SPLIT_TRACES traces.
+    split_records = [unique[i % N_UNIQUE_RECORDS] for i in range(N_SPLIT_TRACES)]
+    split_indices = list(range(N_SPLIT_TRACES))
+
+    def render_split():
+        return psa.render(split_records, trace_indices=split_indices).samples
+
+    (one_s, split_s), (one, split) = _best_of_3(_one_thread(render_split), render_split)
+    split_identical = one.tobytes() == split.tobytes()
+    del one, split
 
     report = {
         "workload": {
@@ -150,22 +164,22 @@ def test_engine_throughput(ctx, benchmark):
         },
         "smoke": SMOKE,
         "batched_engine": {
-            "seconds": round(batched_seconds, 3),
-            "traces_per_sec": round(batched_tps, 1),
+            "seconds": round(batched_s, 3),
+            "one_thread_seconds": round(one_thread_s, 3),
+            "threads": parallel.THREADS,
         },
-        "irfft_floor": {"seconds": round(floor_seconds, 3)},
+        "irfft_floor": {"seconds": round(floor_s, 3)},
         "floor_ratio": round(floor_ratio, 3),
-        "shared_backend": {
-            "n_traces": N_PROCESS_TRACES,
+        "contract_floor": {"seconds": round(contract_s, 3)},
+        "contract_floor_ratio": round(contract_floor_ratio, 3),
+        "thread_split": {
+            "n_traces": N_SPLIT_TRACES,
             "n_sensors": N_SENSORS,
-            "workers": workers,
-            "cpu_count": cpu_count,
-            "serial_seconds": round(serial_full_seconds, 3),
-            "shared_seconds": round(shared_full_seconds, 3),
-            "speedup_vs_serial": round(
-                serial_full_seconds / shared_full_seconds, 3
-            ),
-            "identical_to_serial": shared_identical,
+            "threads": parallel.THREADS,
+            "one_thread_seconds": round(one_s, 3),
+            "split_seconds": round(split_s, 3),
+            "speedup_vs_serial": round(one_s / split_s, 3),
+            "identical_to_one_thread": split_identical,
         },
     }
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -173,17 +187,16 @@ def test_engine_throughput(ctx, benchmark):
     print(json.dumps(report, indent=2))
 
     assert batch.samples.shape == (N_SENSORS, N_TRACES, psa.config.n_samples)
-    assert shared_identical
-    # The render runs every irFFT the floor runs, and more.
+    assert split_identical
+    # The render runs every irFFT and draw the floors run, and more.
     assert floor_ratio < 1.0, f"irFFT floor ratio {floor_ratio:.3f} not below 1"
-    if not SMOKE:
-        # The zero-copy backend only has spare cores to win with on a
-        # multi-core host; single-core boxes record the ratio (the CI
-        # gate tracks it against a baseline from the same host class)
-        # but cannot require parallel > serial.
-        if cpu_count >= 2:
-            assert shared_full_seconds < serial_full_seconds, (
-                f"shared backend ({shared_full_seconds:.2f}s) lost to "
-                f"serial ({serial_full_seconds:.2f}s) on a "
-                f"{cpu_count}-core host"
-            )
+    assert contract_floor_ratio < 1.0, (
+        f"contract floor ratio {contract_floor_ratio:.3f} not below 1"
+    )
+    if not SMOKE and parallel.THREADS >= 2:
+        # Only a multi-core affinity mask has spare cores to win with;
+        # with one core the split is the one-thread path itself.
+        assert split_s < one_s, (
+            f"{parallel.THREADS}-thread render ({split_s:.2f}s) lost to "
+            f"one thread ({one_s:.2f}s)"
+        )

@@ -40,8 +40,8 @@ class ReceiverBench:
         Front-end (the external probes use the same bench amplifier as
         the PSA's channels, per the shared PCB of Section VI-A).
     engine:
-        Measurement engine override (defaults to a fresh engine with
-        the chip config's backend selection).
+        Measurement engine override (defaults to a fresh engine on the
+        chip config).
     """
 
     def __init__(

@@ -4,7 +4,7 @@ Usage::
 
     psa-em table1            # or: python -m repro.cli table1
     psa-em fig4 --traces 5
-    psa-em mttd --backend shared --workers 4
+    psa-em mttd
     psa-em sweep --grid table1
     psa-em sweep --grid smoke --no-store     # pin a cold run
     psa-em monitor --preset smoke
@@ -30,8 +30,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .config import BACKEND_NAMES, SimConfig
-from .engine import close_backend_sessions
+from .config import SimConfig
 from .errors import AnalysisError, ReproError, unknown_name_error
 from .experiments.context import ExperimentContext
 from .runtime.presets import MONITOR_PRESETS
@@ -253,30 +252,6 @@ _COMMANDS: Dict[str, Callable[[ExperimentContext, argparse.Namespace], str]] = {
 }
 
 
-def build_engine_parent() -> argparse.ArgumentParser:
-    """Shared ``--backend/--workers`` flags.
-
-    One parent parser (``add_help=False``) reused by every command
-    that renders through the measurement engine — ``sweep``,
-    ``monitor`` and ``serve`` accept identical engine flags with
-    identical help text.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="serial",
-        help="measurement-engine execution backend (default serial)",
-    )
-    parent.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker count for the shared backend (0 = auto)",
-    )
-    return parent
-
-
 def build_store_parent() -> argparse.ArgumentParser:
     """Shared ``--store-dir/--no-store`` flags (warm-start control)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -337,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Trojan-detection paper from simulation."
         ),
         parents=[
-            build_engine_parent(),
             build_store_parent(),
             build_detector_parent(),
             build_events_parent(),
@@ -442,7 +416,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "reports."
         ),
         parents=[
-            build_engine_parent(),
             build_store_parent(),
             build_detector_parent(),
             build_events_parent(),
@@ -645,10 +618,7 @@ def serve_main(argv: List[str]) -> int:
     import asyncio
 
     args = build_serve_parser().parse_args(argv)
-    config = SimConfig().with_(
-        engine_backend=args.backend,
-        engine_workers=args.workers,
-    )
+    config = SimConfig()
     try:
         if args.detector is not None:
             _check_detector(args.detector)
@@ -689,8 +659,6 @@ def serve_main(argv: List[str]) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        close_backend_sessions()
     return 0
 
 
@@ -722,11 +690,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "serve":
         return serve_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    config = SimConfig().with_(
-        engine_backend=args.backend,
-        engine_workers=args.workers,
-    )
-    ctx = ExperimentContext.build(config)
+    ctx = ExperimentContext.build(SimConfig())
     try:
         names = (
             sorted(_COMMANDS) if args.experiment == "all" else [args.experiment]
@@ -741,10 +705,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # Tear down worker pools / shared arenas before returning so
-        # the process exits without leaning on the atexit hook.
         ctx.close()
-        close_backend_sessions()
     return 0
 
 

@@ -20,12 +20,6 @@ import numpy as np
 from .errors import ConfigError
 from .units import MHZ
 
-#: Execution backends of the measurement engine.  Canonical here (the
-#: lowest layer that needs the names) so config validation and the
-#: CLI/backends cannot drift apart.
-BACKEND_NAMES = ("serial", "shared")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Immutable description of one simulation setup.
@@ -51,14 +45,6 @@ class SimConfig:
         Ambient temperature [Celsius].
     seed:
         Root seed for every random stream derived from this config.
-    engine_backend:
-        Execution backend of the measurement engine: ``"serial"``
-        (in-process) or ``"shared"`` (shard trace batches across a
-        worker pool shipping inputs and rendered shards through
-        zero-copy shared memory).  Backends are bit-for-bit
-        interchangeable; this only selects how renders are executed.
-    engine_workers:
-        Worker count for the ``shared`` backend (0 = auto).
     """
 
     f_clock: float = 33.0 * MHZ
@@ -68,8 +54,6 @@ class SimConfig:
     vdd: float = 1.2
     temperature_c: float = 25.0
     seed: int = 20240122
-    engine_backend: str = "serial"
-    engine_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.f_clock <= 0:
@@ -98,15 +82,6 @@ class SimConfig:
         if not -55.0 <= self.temperature_c <= 150.0:
             raise ConfigError(
                 f"temperature {self.temperature_c} C outside -55..150 C"
-            )
-        if self.engine_backend not in BACKEND_NAMES:
-            raise ConfigError(
-                f"unknown engine backend {self.engine_backend!r}; "
-                f"choose from {BACKEND_NAMES}"
-            )
-        if self.engine_workers < 0:
-            raise ConfigError(
-                f"engine_workers must be >= 0, got {self.engine_workers}"
             )
 
     # -- derived quantities -------------------------------------------------

@@ -44,8 +44,8 @@ class ProgrammableSensorArray:
     coupling_scale:
         Absolute coupling calibration (see :mod:`repro.calibration`).
     engine:
-        Measurement engine override (defaults to a fresh engine using
-        the chip config's backend selection).
+        Measurement engine override (defaults to a fresh engine on the
+        chip config).
     n_sensors:
         Standard sensors to program (default: all 16).  Smaller arrays
         take the first ``n_sensors`` standard coil positions — useful
@@ -207,7 +207,7 @@ class ProgrammableSensorArray:
         )
 
     def close(self) -> None:
-        """Release the engine's backend resources (see engine.close)."""
+        """Drop the engine's capture-plan memo (see engine.close)."""
         self.engine.close()
 
     def measure_coils_batch(

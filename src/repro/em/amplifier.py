@@ -63,21 +63,6 @@ class MeasurementAmplifier:
         self._lp = butter_lowpass_response(f_lowpass, order=4)
         self._curve_cache: Dict[Tuple[float, int], np.ndarray] = {}
 
-    # -- pickling (the engine's shared backend ships amplifiers) -------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # The response closures are derived state and not picklable.
-        for derived in ("_hp", "_lp", "_curve_cache"):
-            state.pop(derived, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._hp = butter_highpass_response(self.f_highpass, order=2)
-        self._lp = butter_lowpass_response(self.f_lowpass, order=4)
-        self._curve_cache = {}
-
     # -- transfer ------------------------------------------------------------
 
     def transfer(self, freqs: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ is computed:
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -395,6 +396,9 @@ def charge_amplitudes(
 _KERNEL_SPECTRUM_CACHE: Dict[Tuple[float, int, int], np.ndarray] = {}
 _KERNEL_SPECTRUM_HITS = 0
 _KERNEL_SPECTRUM_MISSES = 0
+#: Guards the cache and its counters: a split render looks the kernel
+#: up from several threads at once.
+_KERNEL_SPECTRUM_LOCK = threading.Lock()
 
 
 def kernel_spectrum(config: SimConfig) -> np.ndarray:
@@ -406,8 +410,11 @@ def kernel_spectrum(config: SimConfig) -> np.ndarray:
     """
     global _KERNEL_SPECTRUM_HITS, _KERNEL_SPECTRUM_MISSES
     key = (config.f_clock, config.oversample, config.n_samples)
-    spectrum = _KERNEL_SPECTRUM_CACHE.get(key)
-    if spectrum is None:
+    with _KERNEL_SPECTRUM_LOCK:
+        spectrum = _KERNEL_SPECTRUM_CACHE.get(key)
+        if spectrum is not None:
+            _KERNEL_SPECTRUM_HITS += 1
+            return spectrum
         _KERNEL_SPECTRUM_MISSES += 1
         kernel = emf_kernel(config)
         padded = np.zeros(config.n_samples)
@@ -415,9 +422,7 @@ def kernel_spectrum(config: SimConfig) -> np.ndarray:
         spectrum = np.fft.rfft(padded)
         spectrum.setflags(write=False)
         _KERNEL_SPECTRUM_CACHE[key] = spectrum
-    else:
-        _KERNEL_SPECTRUM_HITS += 1
-    return spectrum
+        return spectrum
 
 
 def kernel_spectrum_stats() -> Dict[str, int]:

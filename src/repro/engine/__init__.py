@@ -10,10 +10,6 @@ analyzed voltage trace routes through here:
 * :class:`RenderPlan` — the fused dispatch layer: enqueue many
   logical renders (sweep cells, fleet chips, scan levels) and execute
   them as one mega-batched engine pass, demultiplexed bit-identically;
-* :mod:`~repro.engine.backends` / :mod:`~repro.engine.shm` —
-  pluggable execution backends (``serial`` in-process, ``shared``
-  zero-copy shared-memory worker pool), selectable from
-  :class:`~repro.config.SimConfig` and the CLI;
 * :mod:`~repro.engine.cache` — administration of the content-keyed
   coupling-geometry cache.
 
@@ -22,14 +18,6 @@ baselines' ``ReceiverBench``) are thin wrappers over one engine render,
 so per-trace and batched outputs are identical bit-for-bit.
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    SerialBackend,
-    backend_session_stats,
-    close_backend_sessions,
-    resolve_backend,
-)
 from .batch import TraceBatch
 from .cache import (
     clear_coupling_cache,
@@ -39,16 +27,8 @@ from .cache import (
 )
 from .engine import MeasurementEngine, ReceiverPlan, render_stream_name
 from .plan import RenderPlan, RenderTicket
-from .shm import SharedMemoryBackend
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "SerialBackend",
-    "SharedMemoryBackend",
-    "backend_session_stats",
-    "close_backend_sessions",
-    "resolve_backend",
     "TraceBatch",
     "clear_coupling_cache",
     "coupling_cache_stats",

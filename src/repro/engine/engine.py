@@ -35,14 +35,26 @@ white spectrum, then one phase per ambient tone).  Rendering is
 therefore bit-for-bit independent of batch composition: a trace comes
 out identical whether rendered alone, inside any batch, fused with
 unrelated renders through a :class:`~repro.engine.plan.RenderPlan`,
-through ``measure``/``measure_all`` compatibility wrappers, or on any
-execution backend / worker count.  Samples are always float64.
+through ``measure``/``measure_all`` compatibility wrappers, or split
+across any number of threads.  Samples are always float64.
+
+Execution
+---------
+A render pass cuts its captures into contiguous trace pieces, one
+irFFT block each, and one thread per core of the process's affinity
+mask takes them in turn (:mod:`repro.parallel`).  Each piece renders
+into its own slice of the one preallocated output, from buffers the
+calling thread allocated for each thread, and the per-call irFFT
+budget :data:`IRFFT_ROWS` is shared out between the threads.  The
+normal draws and the irFFTs release the GIL, so the threads run in
+parallel; by the contract above, the bytes are the same for any split.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,18 +72,19 @@ from ..em.noise import (
     white_noise_scales,
 )
 from ..errors import MeasurementError
+from ..parallel import Pieces, run, workers
 from ..rng import stream
-from .backends import ExecutionBackend, SerialBackend, resolve_backend
 from .batch import TraceBatch
 
-#: Spectrum rows converted to time per irFFT call, across receivers:
-#: the default batch is ``max(1, IRFFT_ROWS // n_receivers)`` traces,
-#: so a 16-receiver PSA render converts 2 traces per call and a
-#: one-sensor render 32.  32 rows amortize the call overhead (a one-row
-#: irFFT costs ~1.4x more per capture) while the complex scratch stays
-#: at 32 x 4225 bins, ~2.2 MB at the PSA's 8448-sample window, small
-#: enough for L2.  The irFFT writes straight into the output, so the
-#: scratch is the only per-chunk buffer.
+#: Spectrum rows converted to time per irFFT call, across receivers
+#: and summed over the threads of a split render: each of ``k``
+#: threads converts ``max(1, IRFFT_ROWS // (k * n_receivers))`` traces
+#: per call, so a 16-receiver PSA render on one thread converts 2
+#: traces per call, and on two threads 1 per thread.  32 rows amortize
+#: the call overhead (a one-row irFFT costs ~1.4x more per capture)
+#: while the complex scratches stay at 32 x 4225 bins in all, ~2.2 MB
+#: at the PSA's 8448-sample window.  The irFFT writes straight into the
+#: output, so the scratches are the only per-chunk buffers.
 IRFFT_ROWS = 32
 
 #: Entries kept in the per-engine capture-plan cache before it resets.
@@ -117,14 +130,6 @@ class ReceiverPlan:
     n_turns: int
 
 
-def _render_shard(payload: tuple) -> np.ndarray:
-    """Process-pool entry point: render one shard serially."""
-    engine, coupling, records, trace_indices, receiver_indices = payload
-    return engine._render_serial(
-        coupling, records, trace_indices, receiver_indices
-    )
-
-
 class MeasurementEngine:
     """Vectorized renderer from activity records to trace batches.
 
@@ -134,37 +139,22 @@ class MeasurementEngine:
         Simulation configuration (seed, sampling grid, temperature).
     amplifier:
         Measurement front-end shared by every rendered channel.
-    backend:
-        Execution backend: an instance, a name (``"serial"`` /
-        ``"shared"``), or None to follow
-        ``config.engine_backend``.  Named specs resolve to process-wide
-        sessions shared across engines (see
-        :func:`repro.engine.backends.resolve_backend`).
-    workers:
-        Worker count for the ``shared`` pool (0 = follow
-        ``config.engine_workers``, which defaults to the CPU count).
     chunk_traces:
         Traces per irFFT chunk (memory/throughput trade-off); None
-        sizes each render's batch to :data:`IRFFT_ROWS` rows.
+        sizes the chunks to :data:`IRFFT_ROWS` rows across the
+        threads.
     """
 
     def __init__(
         self,
         config: SimConfig,
         amplifier: Optional[MeasurementAmplifier] = None,
-        backend: "str | ExecutionBackend | None" = None,
-        workers: int = 0,
         chunk_traces: Optional[int] = None,
     ):
         if chunk_traces is not None and chunk_traces < 1:
             raise MeasurementError("chunk_traces must be >= 1")
         self.config = config
         self.amplifier = amplifier or MeasurementAmplifier()
-        if backend is None:
-            backend = config.engine_backend
-        if not workers:
-            workers = config.engine_workers
-        self.backend = resolve_backend(backend, workers)
         self.chunk_traces = chunk_traces
         self._plan_cache: Dict[tuple, tuple] = {}
         self._plan_cache_hits = 0
@@ -173,14 +163,10 @@ class MeasurementEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (pool, shared arena) and memos.
+        """Drop the capture-plan memo (the next render rebuilds it).
 
-        Safe to call repeatedly; the next render transparently
-        restarts whatever it needs.  Note that named backends are
-        process-wide sessions — closing one engine closes the shared
-        session, and the next dispatch from *any* engine restarts it.
+        Safe to call repeatedly.
         """
-        self.backend.close()
         self._plan_cache.clear()
 
     def __enter__(self) -> "MeasurementEngine":
@@ -188,17 +174,6 @@ class MeasurementEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- pickling (workers render their shards serially) ---------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["backend"] = SerialBackend()
-        # Workers rebuild their own plan memo (cheap, content-keyed).
-        state["_plan_cache"] = {}
-        state["_plan_cache_hits"] = 0
-        state["_plan_cache_misses"] = 0
-        return state
 
     # -- planning ------------------------------------------------------------
 
@@ -392,52 +367,22 @@ class MeasurementEngine:
             ),
         )
 
-    def _shard_payloads(
-        self,
-        coupling: "CouplingMatrix | CouplingStack",
-        records: List[ActivityRecord],
-        trace_indices: List[int],
-        receiver_indices: List[int],
-    ) -> "Tuple[List[tuple], np.ndarray] | None":
-        """Split one render into backend shard payloads.
-
-        Returns ``(payloads, bounds)`` — shard ``i`` renders trace
-        columns ``bounds[i]:bounds[i+1]`` — or None when the render
-        should stay in-process (serial backend, or fewer traces than
-        would fill two shards).
-        """
-        n_traces = len(trace_indices)
-        n_shards = min(self.backend.parallelism, n_traces)
-        if n_shards <= 1:
-            return None
-        bounds = np.linspace(0, n_traces, n_shards + 1).astype(int)
-        payloads = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            payloads.append(
-                (
-                    self,
-                    coupling,
-                    records[lo:hi],
-                    trace_indices[lo:hi],
-                    receiver_indices,
-                )
-            )
-        return payloads, bounds
-
-    def _render_serial(
+    def _render_pass(
         self,
         coupling: "CouplingMatrix | CouplingStack",
         records: List[ActivityRecord],
         trace_indices: List[int],
         receiver_indices: List[int],
     ) -> np.ndarray:
-        """Reference implementation: one process, chunked irFFTs.
+        """One job's samples, its trace pieces rendered on every core.
 
         The amplifier's gain curve is folded into every pre-computed
         scale (EMF rows, per-bin white-noise scales, tone lines), so
         each capture assembles its final filtered spectrum directly and
         the only remaining full-spectrum passes are the per-bin writes
-        and one batched irFFT per chunk.
+        and one batched irFFT per chunk.  Plans, the output and every
+        thread's buffers are made here, in the calling thread; the
+        threads only fill them.
         """
         config = self.config
         n = config.n_samples
@@ -449,86 +394,104 @@ class MeasurementEngine:
             self._capture_plan(coupling.receivers[i])
             for i in receiver_indices
         ]
-        plans = [capture[0] for capture in captures]
-        noise_scales = [capture[1] for capture in captures]
-        tone_plans = [capture[2] for capture in captures]
         gain = self.amplifier.gain_curve(fs, n)
-
-        # EMF spectra once per distinct record, reused across captures,
-        # with divider and gain curve folded in per receiver, and
-        # dropped after the record's last capture.
-        emf_scale = np.array([plan.divider for plan in plans])[:, None] * gain
-        emf_cache: Dict[int, np.ndarray] = {}
-        last_use = {id(record): p for p, record in enumerate(records)}
-
-        def emf_rows(record: ActivityRecord, position: int) -> np.ndarray:
-            key = id(record)
-            rows = emf_cache.get(key)
-            if rows is None:
-                rows = emf_rfft(coupling, record)[receiver_indices]
-                rows *= emf_scale
-                emf_cache[key] = rows
-            if last_use[key] == position:
-                del emf_cache[key]
-            return rows
-
-        out = np.empty((n_receivers, n_traces, n))
-        chunk = self.chunk_traces or max(1, IRFFT_ROWS // n_receivers)
-        chunk = min(chunk, n_traces)
-        scratch = np.empty((n_receivers, chunk, n_bins), dtype=complex)
-        z_buffer = np.empty(n)
-        jitter_buffer = np.empty(n_bins, dtype=complex)
-        two_pi = 2.0 * math.pi
-        seed = config.seed
+        # EMF rows get each receiver's divider and the gain curve.
+        emf_scale = (
+            np.array([plan.divider for plan, _, _ in captures])[:, None] * gain
+        )
+        every_receiver = receiver_indices == list(range(coupling.n_receivers))
         # One (name, jitter, scales, tones) row per receiver, zipped
         # once — the capture loop below runs per (trace, receiver).
         row_plans = [
-            (plan.name, plan.gain_jitter, noise_scales[i], tone_plans[i])
-            for i, plan in enumerate(plans)
+            (plan.name, plan.gain_jitter, scales, tones)
+            for plan, scales, tones in captures
         ]
-        for lo in range(0, n_traces, chunk):
-            hi = min(lo + chunk, n_traces)
-            spec = scratch[:, : hi - lo]
-            for offset in range(hi - lo):
-                position = lo + offset
-                record = records[position]
-                scenario = record.scenario
-                trace_index = trace_indices[position]
-                emf = emf_rows(record, position)
-                for row_index, (name, gain_jitter, scales, tones) in (
-                    enumerate(row_plans)
-                ):
-                    row = spec[row_index, offset]
-                    rng = stream(
-                        seed,
-                        render_stream_name(scenario, name, trace_index),
-                    )
-                    jitter = 1.0
-                    if gain_jitter > 0.0:
-                        jitter = (
-                            1.0 + gain_jitter * rng.standard_normal()
+        two_pi = 2.0 * math.pi
+        seed = config.seed
+
+        out = np.empty((n_receivers, n_traces, n))
+        n_workers = workers(n_traces)
+        chunk = self.chunk_traces or max(1, IRFFT_ROWS // (n_workers * n_receivers))
+        chunk = min(chunk, n_traces)
+        pieces = Pieces(n_traces, chunk)
+        last_use = {id(record): p for p, record in enumerate(records)}
+
+        def render_pieces(scratch, z_buffer, jitter_buffer):
+            # EMF spectra once per distinct record this thread renders,
+            # reused across its captures; dropped after the record's
+            # last capture, or once the pieces this thread takes have
+            # passed it (another thread rendered that capture).
+            emf_cache: Dict[int, np.ndarray] = {}
+
+            def emf_rows(record: ActivityRecord, position: int) -> np.ndarray:
+                key = id(record)
+                rows = emf_cache.get(key)
+                if rows is None:
+                    rows = emf_rfft(coupling, record)
+                    if not every_receiver:
+                        rows = rows[receiver_indices]
+                    rows *= emf_scale
+                    emf_cache[key] = rows
+                if last_use[key] == position:
+                    del emf_cache[key]
+                return rows
+
+            for lo, hi in pieces:
+                for key in [key for key in emf_cache if last_use[key] < lo]:
+                    del emf_cache[key]
+                spec = scratch[:, : hi - lo]
+                for offset in range(hi - lo):
+                    position = lo + offset
+                    record = records[position]
+                    scenario = record.scenario
+                    trace_index = trace_indices[position]
+                    emf = emf_rows(record, position)
+                    for row_index, (name, gain_jitter, scales, tones) in (
+                        enumerate(row_plans)
+                    ):
+                        row = spec[row_index, offset]
+                        rng = stream(
+                            seed,
+                            render_stream_name(scenario, name, trace_index),
                         )
-                    z = rng.standard_normal(n, out=z_buffer)
-                    fill_white_noise_rfft(row, z, *scales)
-                    for bin_index, payload in tones:
-                        phase = rng.uniform(0.0, two_pi)
-                        if bin_index is not None:
-                            row[bin_index] += tone_line(payload, n, phase)
-                        else:
-                            freq, amplitude = payload
-                            tone = np.zeros(n_bins, dtype=complex)
-                            add_tone_spectrum(
-                                tone, n, fs, freq, amplitude, phase
+                        jitter = 1.0
+                        if gain_jitter > 0.0:
+                            jitter = (
+                                1.0 + gain_jitter * rng.standard_normal()
                             )
-                            row += gain * tone
-                    if jitter != 1.0:
-                        # jitter * emf without the temporary (IEEE
-                        # multiplication commutes, so the bits match).
-                        np.multiply(
-                            emf[row_index], jitter, out=jitter_buffer
-                        )
-                        row += jitter_buffer
-                    else:
-                        row += emf[row_index]
-            np.fft.irfft(spec, n=n, axis=-1, out=out[:, lo:hi])
+                        z = rng.standard_normal(n, out=z_buffer)
+                        fill_white_noise_rfft(row, z, *scales)
+                        for bin_index, payload in tones:
+                            phase = rng.uniform(0.0, two_pi)
+                            if bin_index is not None:
+                                row[bin_index] += tone_line(payload, n, phase)
+                            else:
+                                freq, amplitude = payload
+                                tone = np.zeros(n_bins, dtype=complex)
+                                add_tone_spectrum(
+                                    tone, n, fs, freq, amplitude, phase
+                                )
+                                row += gain * tone
+                        if jitter != 1.0:
+                            # jitter * emf without the temporary (IEEE
+                            # multiplication commutes, so the bits match).
+                            np.multiply(
+                                emf[row_index], jitter, out=jitter_buffer
+                            )
+                            row += jitter_buffer
+                        else:
+                            row += emf[row_index]
+                np.fft.irfft(spec, n=n, axis=-1, out=out[:, lo:hi])
+
+        run(
+            [
+                partial(
+                    render_pieces,
+                    np.empty((n_receivers, chunk, n_bins), dtype=complex),
+                    np.empty(n),
+                    np.empty(n_bins, dtype=complex),
+                )
+                for _ in range(n_workers)
+            ]
+        )
         return out

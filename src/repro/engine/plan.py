@@ -1,25 +1,19 @@
 """Fused dispatch plans: many logical renders, one engine pass.
 
 Every layer of the reproduction issues renders — sweep cells, fleet
-chips, quadtree scan levels — and each render on its own is too small
-to amortize a worker pool or a shared-memory arena.  A
-:class:`RenderPlan` inverts the flow: callers *enqueue* any number of
-logical renders (each tagged with its origin and tied to its own
-engine), then :meth:`RenderPlan.execute` fuses them into the fewest
-possible engine passes and demultiplexes the results back, with each
-:class:`RenderTicket` resolving to exactly the :class:`TraceBatch`
-its standalone ``engine.render`` call would have produced.
+chips, quadtree scan levels — and each render on its own is often too
+small to fill every core.  A :class:`RenderPlan` inverts the flow:
+callers *enqueue* any number of logical renders (each tagged with its
+origin and tied to its own engine), then :meth:`RenderPlan.execute`
+fuses them into the fewest possible engine passes and demultiplexes
+the results back, with each :class:`RenderTicket` resolving to exactly
+the :class:`TraceBatch` its standalone ``engine.render`` call would
+have produced.
 
-Fusion happens at two levels:
-
-* **request fusion** — requests sharing (engine, coupling object,
-  receiver subset) concatenate their capture lists into one *job*, so
-  e.g. the base and active score-map renders of a localization, or
-  every repeat of a sweep cell, render as one sharded pass;
-* **wave fusion** — all jobs landing on the same backend session
-  submit in a single pool wave (one ``run_jobs`` call), so a fleet
-  tick that renders eight chips pays one scatter/gather instead of
-  eight.
+Requests sharing (engine, coupling object, receiver subset)
+concatenate their capture lists into one *job*, so e.g. the base and
+active score-map renders of a localization, or every repeat of a sweep
+cell, render as one pass, split into trace pieces across the cores.
 
 Bit-identity is structural, not incidental: every capture's samples
 depend only on its RNG stream ``render/{scenario}/{receiver}/{index}``
@@ -161,18 +155,14 @@ class RenderPlan:
 
         After this returns, every ticket's :meth:`RenderTicket.result`
         resolves.  Requests fuse into jobs by (engine, coupling,
-        receiver subset); jobs fuse into one pool wave per backend
-        session; results demux back in enqueue order.
+        receiver subset); each job renders as one engine pass; results
+        demux back in enqueue order.
         """
         if self._executed:
             raise MeasurementError(
                 "render plan already executed; build a new plan"
             )
         self._executed = True
-        if not self._requests:
-            return
-
-        # -- request fusion --------------------------------------------------
         jobs: Dict[tuple, _Job] = {}
         for request in self._requests:
             key = (
@@ -189,50 +179,12 @@ class RenderPlan:
                 )
                 jobs[key] = job
             job.add(request)
-
-        # -- wave fusion: group jobs by backend session ----------------------
-        waves: Dict[int, List[Tuple[_Job, list, np.ndarray]]] = {}
-        wave_backends: Dict[int, object] = {}
         for job in jobs.values():
-            engine = job.engine
-            sharded = engine._shard_payloads(
+            samples = job.engine._render_pass(
                 job.coupling, job.records, job.trace_indices,
                 job.receiver_indices,
             )
-            if sharded is None:
-                # Serial/small renders stay in-process, untouched.
-                samples = engine._render_serial(
-                    job.coupling, job.records, job.trace_indices,
-                    job.receiver_indices,
-                )
-                self._demux(job, samples)
-                continue
-            payloads, bounds = sharded
-            backend_key = id(engine.backend)
-            wave_backends[backend_key] = engine.backend
-            waves.setdefault(backend_key, []).append(
-                (job, payloads, bounds)
-            )
-
-        from .engine import _render_shard
-
-        for backend_key, entries in waves.items():
-            # One arena, one pool wave, one shared output segment per job.
-            specs = [
-                (
-                    payloads,
-                    (
-                        len(job.receiver_indices),
-                        len(job.trace_indices),
-                        job.engine.config.n_samples,
-                    ),
-                    bounds,
-                )
-                for job, payloads, bounds in entries
-            ]
-            results = wave_backends[backend_key].run_jobs(_render_shard, specs)
-            for (job, _, _), samples in zip(entries, results):
-                self._demux(job, samples)
+            self._demux(job, samples)
 
     @staticmethod
     def _demux(job: _Job, samples: np.ndarray) -> None:

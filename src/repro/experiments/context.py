@@ -41,7 +41,7 @@ class ExperimentContext:
         )
 
     def close(self) -> None:
-        """Release the engine's backend resources (pool, shared arena)."""
+        """Drop the engine's capture-plan memo."""
         self.psa.close()
 
 

@@ -11,9 +11,9 @@ PSA, :class:`~repro.runtime.sources.LiveSource` and
   rendered just before that monitor processes it and dropped right
   after — the fleet holds one rendered chunk at a time, whatever its
   size, so peak memory does not grow with the fleet;
-* rendering runs through each chip's configured engine execution
-  backend (serial or the shared-memory worker pool), so fleet
-  throughput scales with the engine, not the scheduler.
+* each chip's render is split across the process's cores by its
+  engine, so fleet throughput scales with the engine, not the
+  scheduler.
 
 Interleaving is deterministic (round-robin in member order) and —
 because monitors share no mutable state — every member's report is
@@ -130,8 +130,8 @@ def build_chip_monitor(
         The member recipe.
     config:
         Base simulation config; the member runs on
-        ``config.with_(seed=spec.seed)`` (backend selection and grid
-        settings are inherited).
+        ``config.with_(seed=spec.seed)`` (grid settings are
+        inherited).
     analyzer:
         Shared spectrum analyzer model.
     pipeline_config:
@@ -406,12 +406,7 @@ class FleetScheduler:
         self.monitors = list(monitors)
 
     def close(self) -> None:
-        """Release every member's backend resources (pools, arenas).
-
-        Named backends are process-wide sessions shared by the whole
-        fleet, so this is effectively one pool/arena teardown; a later
-        run transparently restarts them.
-        """
+        """Drop every member engine's capture-plan memo."""
         for monitor in self.monitors:
             monitor.source.campaign.close()
 
@@ -419,8 +414,8 @@ class FleetScheduler:
         """Drive every member to completion; returns the fleet report.
 
         Each tick visits the pending members in order and advances each
-        by one chunk: render it (one engine pass, sharded across the
-        pool on the shared backend), process it, drop it.  A member
+        by one chunk: render it (one engine pass, split across the
+        cores), process it, drop it.  A member
         whose stream is exhausted gets its report and leaves.  No chunk
         is rendered ahead of its member's turn, so early chips never
         wait behind later chips' renders and the fleet holds one

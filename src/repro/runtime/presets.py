@@ -176,8 +176,8 @@ def build_fleet(
     n_chips:
         Fleet size (1 = single-chip session).
     config:
-        Base simulation config (backend/workers flow through to every
-        member's engine).
+        Base simulation config of every member (each runs on its own
+        seed).
     bus:
         Event bus shared by every member (e.g. one JSONL sink for the
         whole fleet).

@@ -19,6 +19,9 @@ One long-running process watches many chip streams concurrently:
   :class:`~repro.runtime.events.Backpressure` /
   :class:`~repro.runtime.events.Shed` /
   :class:`~repro.runtime.events.Overload` contract;
+* a finished session keeps only its report and final gauge: its
+  pipeline and consumer task go, and it no longer counts against
+  :attr:`ServeConfig.max_chips`;
 * a replay or live session whose stream fails (a damaged archive, a
   rejected chunk), or a WebSocket session whose socket closes before
   ``end``, is dropped, so its chip id can onboard again;
@@ -60,8 +63,8 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
+from .. import parallel
 from ..config import SimConfig
-from ..engine.backends import backend_session_stats
 from ..errors import AnalysisError, ReproError
 from ..runtime import (
     Backpressure,
@@ -167,9 +170,10 @@ class ServeConfig:
     analysis_workers:
         Threads in the shared analysis pool.
     max_chips:
-        Onboarding bound (503 past it).  A session that ends
-        unfinished (a failed upload, a socket closed before ``end``)
-        frees its id and its slot.
+        Bound on unfinished sessions (503 past it).  A finished
+        session frees its slot and keeps its id and report; one that
+        ends unfinished (a failed upload, a socket closed before
+        ``end``) frees its id and its slot.
     events_path:
         JSONL audit log of every event the service emits (None
         disables the sink).
@@ -221,7 +225,8 @@ class ChipSession:
     bounded ``asyncio.Queue``, drained by one consumer task that hands
     chunks to the service's analysis pool.  The session owns the chip's
     ingress policy: :meth:`feed` waits at the queue bound, :meth:`offer`
-    sheds past it, :meth:`drain` finalizes.  Queue-side state lives on
+    sheds past it, :meth:`drain` finalizes and retires the session to
+    its report and final gauge.  Queue-side state lives on
     the event loop thread; pipeline state is touched only under
     :attr:`_plock` from pool threads, and a live chip's pool work also
     holds the service's render lock (it renders through the engine).
@@ -255,6 +260,7 @@ class ChipSession:
         self.dropped_windows = 0
         self.done = asyncio.Event()
         self.report: Optional[MonitorReport] = None
+        self.final_gauge: Optional[ChipGauge] = None
         self.error: Optional[str] = None
         self._plock = threading.Lock()
         self._render = service.render_lock if kind == "live" else nullcontext()
@@ -279,6 +285,8 @@ class ChipSession:
         chip's queue is full; the shed is announced with the typed
         ``Backpressure(action="shed")`` + ``Shed`` pair.
         """
+        if self.done.is_set():
+            raise AnalysisError(f"chip {self.chip_id} session has ended")
         depth = self.service.config.queue_depth
         queue_len = self.queue.qsize()
         if self.service.guard.active:
@@ -337,13 +345,26 @@ class ChipSession:
             raise
 
     async def drain(self, trigger_index: Optional[int] = None) -> MonitorReport:
-        """Finalize: wait out everything queued, snapshot the report."""
-        if trigger_index is not None:
-            self.trigger_index = trigger_index
-        await self.queue.join()
-        loop = asyncio.get_running_loop()
-        self.report = await loop.run_in_executor(self.service.executor, self.snapshot_report)
-        self.done.set()
+        """Finalize: wait out everything queued, snapshot the report.
+
+        The session then retires: it keeps its report and final gauge,
+        drops its pipeline and consumer task, and frees its slot under
+        the chip bound (its id stays taken, so the report stays
+        readable).
+        """
+        if not self.done.is_set():
+            if trigger_index is not None:
+                self.trigger_index = trigger_index
+            await self.queue.join()
+            loop = asyncio.get_running_loop()
+            self.report = await loop.run_in_executor(
+                self.service.executor, self.snapshot_report
+            )
+            self.done.set()
+            self.service.active_chips -= 1
+            self.final_gauge = self.gauge()
+            await self.close()
+            self.pipeline = None
         if self.error is not None:
             raise AnalysisError(f"chip {self.chip_id} session failed: {self.error}")
         return self.report
@@ -361,8 +382,13 @@ class ChipSession:
             self.pipeline.process_chunk(chunk)
 
     def snapshot_report(self) -> MonitorReport:
-        """The session report so far (safe against in-flight chunks)."""
+        """The session report so far (safe against in-flight chunks).
+
+        A read queued before the session retired gets the final report.
+        """
         with self._plock:
+            if self.pipeline is None:
+                return self.report
             return self.pipeline.report(trigger_index=self.trigger_index)
 
     def _dequeued(self, chunk) -> None:
@@ -390,6 +416,8 @@ class ChipSession:
 
     def gauge(self) -> ChipGauge:
         """This session's ``/metrics`` row."""
+        if self.final_gauge is not None:
+            return self.final_gauge
         report = self.report
         mttd_ms = None
         if report is not None and report.mttd and report.mttd.mttd_s:
@@ -413,15 +441,18 @@ class ChipSession:
     async def close(self) -> None:
         """Cancel the consumer task and release the chunks still queued.
 
-        Service shutdown, a replay whose archive failed mid-stream, or
-        a WebSocket that ended before ``end``.  A chunk already in the
-        analysis pool runs to its end there.
+        Service shutdown, a finished session, a replay whose archive
+        failed mid-stream, or a WebSocket that ended before ``end``.  A
+        chunk already in the analysis pool runs to its end there.
         """
+        if self.consumer is None:
+            return
         self.consumer.cancel()
         try:
             await self.consumer
         except asyncio.CancelledError:
             pass
+        self.consumer = None
         while not self.queue.empty():
             self._dequeued(self.queue.get_nowait())
 
@@ -468,7 +499,10 @@ class MonitorService:
             thread_name_prefix="serve-analysis",
         )
         self.render_lock = threading.Lock()
+        #: Every onboarded chip, finished ones included, in order.
         self.sessions: Dict[str, ChipSession] = {}
+        #: Sessions not yet finished: the ones under the chip bound.
+        self.active_chips = 0
         self._producers: set = set()
         self._conn_tasks: set = set()
         self._started = time.monotonic()
@@ -507,7 +541,7 @@ class MonitorService:
             chips=tuple(
                 session.gauge() for session in self.sessions.values()
             ),
-            engine_sessions=tuple(backend_session_stats()),
+            render_threads=parallel.THREADS,
             store=store,
         )
 
@@ -525,7 +559,7 @@ class MonitorService:
             )
         if chip_id in self.sessions:
             raise DuplicateChipError(f"chip {chip_id!r} is already onboarded")
-        if len(self.sessions) >= self.config.max_chips:
+        if self.active_chips >= self.config.max_chips:
             raise ChipLimitError(
                 f"service is at its {self.config.max_chips}-chip bound"
             )
@@ -534,11 +568,15 @@ class MonitorService:
         self._check_onboarding(chip_id)
         session = ChipSession(self, chip_id, **kwargs)
         self.sessions[chip_id] = session
+        self.active_chips += 1
         return session
 
     async def _drop_session(self, chip_id: str) -> None:
         """Forget a failed or abandoned session, so that its id can onboard again."""
-        await self.sessions.pop(chip_id).close()
+        session = self.sessions.pop(chip_id)
+        if not session.done.is_set():
+            self.active_chips -= 1
+        await session.close()
 
     # -- lifecycle --------------------------------------------------------
 

@@ -10,11 +10,11 @@ address.
 
 Floats are encoded via :meth:`float.hex` so the key material is exact
 (no repr rounding, no locale surprises) and stable across platforms
-and interpreter runs.  Execution-only engine parameters
-(``engine_backend``/``engine_workers``, worker counts, chunk sizes)
-are deliberately **excluded**: the engine's determinism contract pins
-rendered output bit-for-bit across backends and shardings, so a store
-entry is valid no matter how it was executed.
+and interpreter runs.  Execution-only engine parameters (thread
+counts, chunk sizes) are deliberately **excluded**: the engine's
+determinism contract pins rendered output bit-for-bit across thread
+splits and chunkings, so a store entry is valid no matter how it was
+executed.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ def digest(material) -> str:
 def config_fingerprint(config: SimConfig) -> Dict[str, object]:
     """Key material of a :class:`~repro.config.SimConfig`.
 
-    Covers every field that changes rendered values; the execution
-    backend selection is excluded by the engine's determinism
-    contract (backends are bit-for-bit interchangeable).
+    Covers every field that changes rendered values.
     """
     return {
         "f_clock": config.f_clock,

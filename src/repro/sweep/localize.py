@@ -409,8 +409,7 @@ class LocalizationSweep:
 
         The score-map renders of every (cell, repeat) prefetch as one
         fused engine pass across the whole grid (cells sharing an
-        implant position fuse into one job; positions fuse at the
-        backend wave); the data-dependent stages (quadrant refinement,
+        implant position fuse into one job); the data-dependent stages (quadrant refinement,
         adaptive scan) then run per cell exactly as standalone.
         Results are bit-identical to the unfused path.
 
@@ -432,7 +431,7 @@ class LocalizationSweep:
         )
 
     def close(self) -> None:
-        """Release every position bundle's backend resources."""
+        """Drop every position bundle's capture-plan memo."""
         for bundle in self._bundles.values():
             bundle.campaign.close()
 

@@ -6,8 +6,7 @@ engine throughput:
 1. **Render** — the cell's baseline+active monitoring stream goes
    through :meth:`MeasurementCampaign.collect_stream`, one vectorized
    engine pass per distinct stream span of the cell.  The engine's
-   coupling-geometry cache and configured execution backend
-   (serial/shared) are reused as-is, and two sweep-wide memos
+   coupling-geometry cache is reused as-is, and two sweep-wide memos
    exploit the engine's determinism contract: a record cache re-uses
    chip activity across cells that share workload indices, and a
    span-level feature cache re-uses whole featurized spans (a baseline
@@ -66,8 +65,7 @@ class DetectionSweep:
     ----------
     campaign:
         The measurement campaign to render streams through; its PSA's
-        engine (and therefore the configured backend/worker pool) does
-        all the rendering.
+        engine does all the rendering.
     analyzer:
         Spectrum analyzer model (paper display settings by default).
     mttd_model:
@@ -137,7 +135,7 @@ class DetectionSweep:
         )
 
     def close(self) -> None:
-        """Release the campaign engine's backend resources."""
+        """Drop the campaign engine's capture-plan memo."""
         self.campaign.close()
 
     def _prefetch(self, cells) -> None:

@@ -225,7 +225,7 @@ class MeasurementCampaign:
         )
 
     def close(self) -> None:
-        """Release the PSA engine's backend resources."""
+        """Drop the PSA engine's capture-plan memo."""
         self.psa.close()
 
     def _collect(

@@ -146,3 +146,18 @@ def test_main_exit_codes_and_tolerance_flag(tmp_path, capsys):
     assert check_bench.main(argv + ["--tolerance", "0.5"]) == 0
     with pytest.raises(SystemExit):
         check_bench.main(argv + ["--tolerance", "1.5"])
+
+
+def test_engine_baseline_gates_same_run_ratios_only():
+    """The committed engine floors are ratios of two timings from one
+    run, never an absolute throughput of the host."""
+    baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+    baseline = json.loads((baselines / "BENCH_engine.json").read_text())
+    assert check_bench.collect_metrics(baseline) == {
+        "floor_ratio": 0.18,
+        "contract_floor_ratio": 0.52,
+        "thread_split.speedup_vs_serial": 1.0,
+    }
+    slowed = {**baseline, "contract_floor_ratio": 0.3}
+    (problem,) = check_bench.compare_reports(baseline, slowed, 0.25)
+    assert problem.startswith("contract_floor_ratio")

@@ -66,11 +66,15 @@ def test_detector_error_text_identical_across_commands(capsys):
 
 
 def test_removed_process_backend_exits_2(capsys):
-    """Only ``serial`` and ``shared`` remain; argparse names both."""
+    """No engine backend flag remains: renders split across the cores."""
     with pytest.raises(SystemExit) as excinfo:
         main(["monitor", "--backend", "process"])
     assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice" in err
-    for name in ("process", "serial", "shared"):
-        assert name in err
+    assert "unrecognized arguments: --backend process" in capsys.readouterr().err
+
+
+def test_removed_workers_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["monitor", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

@@ -2,23 +2,20 @@
 
 The engine's determinism contract: a capture is identified by
 (scenario, receiver, trace index) and renders bit-for-bit identically
-whether produced alone, inside any batch, through the compatibility
-wrappers, or on any execution backend.
+whether produced alone, inside any batch or through the compatibility
+wrappers (thread splits: ``test_engine_threads.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.chip.power import MEAN_SWITCH_CAP, charge_per_toggle, emf_kernel
-from repro.config import SimConfig
 from repro.core.array import ProgrammableSensorArray
 from repro.core.sensors import quadrant_coil
 from repro.em.coupling import CouplingMatrix, emf_rfft
 from repro.em.noise import fill_white_noise_rfft, white_noise_scales
 from repro.engine import (
     MeasurementEngine,
-    SerialBackend,
-    SharedMemoryBackend,
     TraceBatch,
     coupling_cache_stats,
 )
@@ -100,30 +97,7 @@ def test_trace_metadata_parity(psa, records):
     assert trace.meta["r_series"] > 100.0
 
 
-# -- backends ----------------------------------------------------------------
-
-
-def test_shared_backend_matches_serial(chip, psa, records):
-    """The shared backend shards across >= 2 workers bit-for-bit."""
-    engine = MeasurementEngine(
-        chip.config, amplifier=psa.amplifier, backend=SharedMemoryBackend(2)
-    )
-    recs = [records["T1"][0], records["baseline"][0]] * 3
-    indices = list(range(6))
-    parallel = engine.render(psa.coupling, recs, trace_indices=indices)
-    serial = psa.engine.render(psa.coupling, recs, trace_indices=indices)
-    assert isinstance(psa.engine.backend, SerialBackend)
-    assert np.array_equal(parallel.samples, serial.samples)
-    engine.close()
-
-
-def test_backend_selection_from_config():
-    config = SimConfig(engine_backend="shared", engine_workers=3)
-    engine = MeasurementEngine(config)
-    assert isinstance(engine.backend, SharedMemoryBackend)
-    assert engine.backend.max_workers == 3
-    with pytest.raises(Exception):
-        SimConfig(engine_backend="threads")
+# -- chunking ----------------------------------------------------------------
 
 
 def test_chunking_does_not_change_output(chip, psa, records):

@@ -68,22 +68,19 @@ def test_measure_coils_batch_validates(psa, records):
         psa.measure_coils_batch([coil, coil], [records["baseline"][0]])
 
 
-def test_stacked_render_identical_on_shared_backend(psa, records):
-    from repro.engine import MeasurementEngine
-    from repro.core.array import ProgrammableSensorArray
+def test_stacked_render_identical_across_thread_counts(psa, records, monkeypatch):
+    from repro import parallel
 
     coils = [
         synthesize_rect_coil("stack_pb_a", 0, 0, 12, 1),
         synthesize_rect_coil("stack_pb_b", 8, 8, 12, 1),
     ]
     recs = [records["T1"][0], records["T1"][1]]
-    serial = psa.measure_coils_batch(coils, recs)
-    shared_psa = ProgrammableSensorArray(
-        psa.chip,
-        engine=MeasurementEngine(psa.config, backend="shared", workers=2),
-    )
-    shared = shared_psa.measure_coils_batch(coils, recs)
-    assert np.array_equal(serial.samples, shared.samples)
+    monkeypatch.setattr(parallel, "THREADS", 1)
+    one = psa.measure_coils_batch(coils, recs)
+    monkeypatch.setattr(parallel, "THREADS", 2)
+    split = psa.measure_coils_batch(coils, recs)
+    assert np.array_equal(one.samples, split.samples)
 
 
 def test_coupling_stack_validates():

@@ -1,7 +1,7 @@
 """The fused dispatch layer: RenderPlan/RenderTicket semantics.
 
 The contract under test: any set of logical renders enqueued on one
-plan — across couplings, coil stacks, engines and backends — executes
+plan — across couplings, coil stacks, engines and thread splits — executes
 as fused engine passes whose demultiplexed results are bit-identical
 to the standalone ``engine.render`` calls.
 """
@@ -10,11 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.sensors import quadrant_coil
-from repro.engine import (
-    MeasurementEngine,
-    RenderPlan,
-    SharedMemoryBackend,
-)
+from repro import parallel
+from repro.engine import MeasurementEngine, RenderPlan
 from repro.errors import MeasurementError
 
 def _records(campaign, scenario, n, offset=0):
@@ -102,31 +99,27 @@ def test_multiple_engines_one_plan(config, psa, campaign):
     assert np.array_equal(t_b.result().samples, ref_b.samples)
 
 
-def test_fused_plan_on_shared_backend(config, psa, campaign):
-    """One pool wave serves many fused jobs, bit-identical to serial."""
-    backend = SharedMemoryBackend(2)
-    engine = MeasurementEngine(
-        config, amplifier=psa.amplifier, backend=backend
+def test_fused_plan_split_across_threads(config, psa, campaign, monkeypatch):
+    """A fused job split across threads demuxes to the one-thread bits."""
+    recs = _records(campaign, "T3", 4)
+    monkeypatch.setattr(parallel, "THREADS", 1)
+    ref = psa.render(recs, trace_indices=[3, 5, 7, 9], sensors=[10, 5])
+    monkeypatch.setattr(parallel, "THREADS", 3)
+    engine = MeasurementEngine(config, amplifier=psa.amplifier)
+    plan = RenderPlan(engine=engine)
+    t1 = plan.add(
+        psa.coupling, recs[:2], trace_indices=[3, 5],
+        receiver_indices=[10, 5],
     )
-    try:
-        recs = _records(campaign, "T3", 4)
-        ref = psa.render(recs, trace_indices=[3, 5, 7, 9], sensors=[10, 5])
-        plan = RenderPlan(engine=engine)
-        t1 = plan.add(
-            psa.coupling, recs[:2], trace_indices=[3, 5],
-            receiver_indices=[10, 5],
-        )
-        t2 = plan.add(
-            psa.coupling, recs[2:], trace_indices=[7, 9],
-            receiver_indices=[10, 5],
-        )
-        plan.execute()
-        fused = np.concatenate(
-            [t1.result().samples, t2.result().samples], axis=1
-        )
-        assert np.array_equal(fused, ref.samples)
-    finally:
-        engine.close()
+    t2 = plan.add(
+        psa.coupling, recs[2:], trace_indices=[7, 9],
+        receiver_indices=[10, 5],
+    )
+    plan.execute()
+    fused = np.concatenate(
+        [t1.result().samples, t2.result().samples], axis=1
+    )
+    assert np.array_equal(fused, ref.samples)
 
 
 def test_campaign_enqueue_stream_matches_collect_stream(psa, campaign):

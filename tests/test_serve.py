@@ -1003,13 +1003,77 @@ def test_onboarding_past_max_chips_is_503(smoke_archive):
     payload = smoke_archive.read_bytes()
     with ServiceRunner(MonitorService(ServeConfig(max_chips=1))) as runner:
         client = runner.client()
-        status, _ = client.post("/chips/first/replay?batch=4", payload)
-        assert status == 200
+        # A socket before ``end`` holds the only slot.
+        ws, reply = _ws_hello(client, "first")
+        assert reply == {"op": "hello", "chip": "first"}
         status, body = client.post("/chips/second/replay?batch=4", payload)
         assert status == 503
         assert "1-chip bound" in body["error"]
         status, body = client.post("/chips/first/replay?batch=4", payload)
         assert status == 409
+        ws.send_json({"op": "end"})
+        assert ws.recv_json()["op"] == "report"
+        status, _ = client.post("/chips/second/replay?batch=4", payload)
+        assert status == 200
+        ws.close()
+
+
+def test_finished_sessions_free_their_slot(smoke_archive, monkeypatch):
+    """Finished uploads keep their reports but not their slots, pipelines
+    or consumer tasks."""
+    payload = smoke_archive.read_bytes()
+    pipelines = []
+    init = EscalationPipeline.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        pipelines.append(weakref.ref(self))
+
+    monkeypatch.setattr(EscalationPipeline, "__init__", tracked_init)
+    service = MonitorService(ServeConfig(max_chips=1))
+    with ServiceRunner(service) as runner:
+        client = runner.client()
+        reports = {}
+        for chip in ("done0", "done1", "done2"):
+            status, reports[chip] = client.post(f"/chips/{chip}/replay?batch=4", payload)
+            assert status == 200
+        for chip, report in reports.items():
+            assert client.get(f"/chips/{chip}/report") == (200, report)
+        status, listing = client.get("/chips")
+        assert [(g["chip"], g["done"]) for g in listing["chips"]] == [
+            (chip, True) for chip in reports
+        ]
+        assert all(g["alarms"] >= 1 for g in listing["chips"])
+        sessions = list(service.sessions.values())
+        assert service.active_chips == 0
+        assert all(s.pipeline is None and s.consumer is None for s in sessions)
+        gc.collect()
+        assert len(pipelines) == 3
+        assert all(ref() is None for ref in pipelines)
+        status, body = client.post("/chips/done1/replay?batch=4", payload)
+        assert status == 409
+
+
+def test_ended_ws_session_refuses_chunks(smoke_archive):
+    chunk = next(ReplaySource(smoke_archive, batch=4).chunks())
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+        ws, _ = _ws_hello(client, "ended", chunk.n_streams)
+        ws.send(pack_chunk(chunk))
+        assert ws.recv_json()["accepted"] is True
+        ws.send_json({"op": "end"})
+        first = ws.recv_json()
+        assert first["op"] == "report"
+        ws.send(pack_chunk(chunk))
+        reply = ws.recv_json()
+        assert reply["op"] == "error" and "has ended" in reply["error"]
+        ws.send_json({"op": "end"})
+        assert ws.recv_json() == first
+        ws.close()
+        _, metrics = client.get("/metrics")
+        assert metrics["render_threads"] >= 1
+        (gauge,) = metrics["chips"]
+        assert gauge["done"] is True and gauge["windows"] == chunk.n_windows
 
 def test_serve_selftest_cli(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -25,7 +25,6 @@ import pytest
 
 from repro.chip.floorplan import floorplan_with_trojans_at
 from repro.chip.testchip import TestChip as AesTestChip
-from repro.engine.shm import _InputArena, _pack_payload
 from repro.errors import StoreError
 from repro.instruments.adc import AdcSpec
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
@@ -361,16 +360,6 @@ def test_decoded_records_share_the_chips_weights(store, campaign, chip):
         for parts in record.factors.values():
             for name, weights, _ in parts:
                 assert weights is chip.factor_weights(name)
-
-
-def test_packed_records_ship_each_weights_vector_once(store, campaign, chip):
-    records = _stored_records(store, campaign, chip)
-    parts = [part for record in records for group in record.factors.values() for part in group]
-    n_weights = len({weights.tobytes() for _, weights, _ in parts})
-    assert n_weights < len(parts)
-    arena = _InputArena()
-    _pack_payload(records, arena, {})
-    assert arena.n_arrays == len(parts) + n_weights
 
 
 def test_record_codec_rejects_foreign_weights(chip, campaign):
