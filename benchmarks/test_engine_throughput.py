@@ -6,15 +6,15 @@ the same run, two floors of that render timed alone:
 
 * the **irFFT floor** — ``np.fft.irfft`` over the same 16 x 256
   spectra in the engine's ``IRFFT_ROWS``-row blocks;
-  ``floor_ratio = irFFT floor / render``;
+  ``floor_ratio = irFFT floor / one-thread render``;
 * the **contract floor** — the work the determinism contract fixes,
   one named stream and ``n_samples`` normal draws per capture plus the
   irFFT floor, on one thread;
   ``contract_floor_ratio = contract floor / one-thread render``.
 
-Both are same-host ratios, so they track the engine's code rather than
-the machine: anything that slows the render outside its floor lowers
-them.  Then the ``thread_split`` row renders the full 16-sensor x
+Both are same-host ratios over the one-thread render, so they track
+the engine's code rather than the machine or its core count: anything
+that slows the render outside its floor lowers them.  Then the ``thread_split`` row renders the full 16-sensor x
 1024-trace workload on one thread and on the default thread count,
 alternating, best of 3; the two must be bit-identical, and on a
 multi-core host the split must win.  Results are written to
@@ -140,7 +140,7 @@ def test_engine_throughput(ctx, benchmark):
     (batched_s, one_thread_s, floor_s, contract_s), _ = _best_of_3(
         render, _one_thread(render), irfft_floor, contract_floor
     )
-    floor_ratio = floor_s / batched_s
+    floor_ratio = floor_s / one_thread_s
     contract_floor_ratio = contract_s / one_thread_s
 
     # The thread split at the scale the fused dispatch plan feeds it:

@@ -387,9 +387,11 @@ class ChipSession:
         A read queued before the session retired gets the final report.
         """
         with self._plock:
-            if self.pipeline is None:
+            # One read: ``drain`` clears the field on the event loop.
+            pipeline = self.pipeline
+            if pipeline is None:
                 return self.report
-            return self.pipeline.report(trigger_index=self.trigger_index)
+            return pipeline.report(trigger_index=self.trigger_index)
 
     def _dequeued(self, chunk) -> None:
         self.queued_windows -= chunk.n_windows
