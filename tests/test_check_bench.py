@@ -154,7 +154,7 @@ def test_engine_baseline_gates_same_run_ratios_only():
     baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
     baseline = json.loads((baselines / "BENCH_engine.json").read_text())
     assert check_bench.collect_metrics(baseline) == {
-        "floor_ratio": 0.18,
+        "floor_ratio": 0.2,
         "contract_floor_ratio": 0.52,
         "thread_split.speedup_vs_serial": 1.0,
     }
