@@ -54,7 +54,7 @@ N_UNIQUE_RECORDS = 8 if SMOKE else 32
 N_SPLIT_TRACES = 64 if SMOKE else 1024
 #: Alternating rounds behind the floor ratios.  On a shared 2-vCPU
 #: host the smoke ``floor_ratio`` of an unchanged tree spread
-#: 0.16-0.25 over best-of-3 runs and 0.21-0.23 over best-of-9 runs.
+#: 0.16-0.25 over best-of-3 runs and 0.22-0.24 over best-of-9 runs.
 RATIO_ROUNDS = 9
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
