@@ -179,7 +179,6 @@ def test_runtime_throughput(ctx, benchmark):
                 n_baseline=N_BASELINE,
                 n_active=N_ACTIVE,
                 chunk=CHUNK,
-                detector=DetectorConfig(warmup=WARMUP),
             )
             for i in range(n_chips)
         ]

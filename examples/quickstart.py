@@ -1,52 +1,43 @@
 #!/usr/bin/env python
-"""Quickstart: detect, localize and identify a hardware Trojan.
+"""Quickstart: detect, identify and localize hardware Trojans at run time.
 
-Builds the paper's AES-128 test chip with its on-chip Programmable
-Sensor Array, activates the T1 AM-carrier Trojan mid-stream, and runs
-the full cross-domain analysis — golden-model free.
+Builds four of the paper's AES-128 test chips, each with its on-chip
+Programmable Sensor Array and one of the four catalog Trojans (T1-T4),
+and monitors them as deployed: 8 quiet windows, then the Trojan
+enabled, every sensor watched through the RASC ADC.  The first alarm
+escalates to zero-span identification and quadrant localization —
+golden-model free.
+
+The same session is ``repro monitor --preset paper --fleet 4``.
 
 Run:
     python examples/quickstart.py
 """
 
-from repro import (
-    CrossDomainAnalyzer,
-    ProgrammableSensorArray,
-    SimConfig,
-    TestChip,
-)
+from repro.runtime import build_fleet
+
+#: Where each Trojan sits inside sensor 10's footprint.
+TRUE_QUADRANT = {"T1": "nw", "T2": "ne", "T3": "sw", "T4": "se"}
 
 
 def main() -> None:
-    config = SimConfig()  # 33 MHz clock, 16 us capture windows
-    chip = TestChip(key=bytes(range(16)), config=config)
-    psa = ProgrammableSensorArray(chip)
-
-    print("chip: AES-128-LUT + UART + 4 Trojans (28,806 cells)")
-    print(f"PSA: 16 programmable sensors, {psa.sensor_coils[0].n_turns}-turn"
-          " coils, lattice 36x36")
+    report = build_fleet("paper", n_chips=4).run()
+    print("chips: AES-128-LUT + UART + 4 Trojans (28,806 cells) each")
+    print("PSA: 16 programmable sensors per chip, lattice 36x36")
     print()
-
-    analyzer = CrossDomainAnalyzer(chip, psa)
-    report = analyzer.run("T1", n_baseline=7, n_active=5)
-
-    mttd = report.mttd
-    print(f"scenario           : {report.scenario} (AM radio carrier)")
-    print(f"detected           : {mttd.detected}")
-    print(f"traces to detect   : {mttd.traces_to_detect} (paper: <10)")
-    print(f"MTTD               : {mttd.mttd_s * 1e3:.2f} ms (paper: <10 ms)")
-    components = ", ".join(
-        f"{freq / 1e6:.1f} MHz (+{delta:.1f} dB)"
-        for freq, delta in report.prominent_components
-    )
-    print(f"prominent components: {components} (paper: 48 and 84 MHz)")
-    loc = report.localization
-    print(
-        f"localized          : sensor {loc.sensor_index}, "
-        f"quadrant {loc.quadrant}, position "
-        f"({loc.position[0] * 1e6:.0f}, {loc.position[1] * 1e6:.0f}) um"
-    )
-    print(f"identified as      : {report.identification.label}")
+    print("trojan | traces to detect | MTTD [ms] | identified | localized")
+    for chip in report.chips:
+        session = chip.report
+        loc = session.localization
+        print(
+            f"{chip.trojan:6s} | {session.mttd.traces_to_detect:16d} | "
+            f"{session.mttd.mttd_s * 1e3:9.2f} | "
+            f"{session.identification.label:10s} | "
+            f"sensor {loc.sensor_index} {loc.quadrant} "
+            f"(truth: sensor 10 {TRUE_QUADRANT[chip.trojan]})"
+        )
+    print()
+    print("paper: <10 traces and <10 ms to detect")
 
 
 if __name__ == "__main__":

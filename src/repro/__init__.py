@@ -7,18 +7,13 @@ Trojans, the physical EM substrate, the programmable sensor array, the
 comparison baselines, and the cross-domain detection / localization /
 identification pipeline.
 
-Quickstart::
+Quickstart — a run-time monitoring session on four chips, one per
+catalog Trojan::
 
-    from repro import (
-        SimConfig, TestChip, ProgrammableSensorArray, CrossDomainAnalyzer,
-    )
+    from repro.runtime import build_fleet
 
-    config = SimConfig()
-    chip = TestChip(key=bytes(range(16)), config=config)
-    psa = ProgrammableSensorArray(chip)
-    report = CrossDomainAnalyzer(chip, psa).run("T1")
-    print(report.mttd, report.localization.sensor_index,
-          report.identification.label)
+    report = build_fleet("paper", n_chips=4).run()
+    print(report.format())
 """
 
 from ._version import __version__
@@ -30,7 +25,6 @@ from .chip.floorplan import Floorplan, Rect, default_floorplan
 from .core.array import ProgrammableSensorArray
 from .core.grid import PsaGrid
 from .core.coil import Coil, synthesize_rect_coil
-from .core.analysis.pipeline import CrossDomainAnalyzer, CrossDomainReport
 from .engine import MeasurementEngine, TraceBatch
 from .instruments.spectrum_analyzer import SpectrumAnalyzer
 from .store import ArtifactStore
@@ -51,8 +45,6 @@ __all__ = [
     "PsaGrid",
     "Coil",
     "synthesize_rect_coil",
-    "CrossDomainAnalyzer",
-    "CrossDomainReport",
     "MeasurementEngine",
     "TraceBatch",
     "ArtifactStore",

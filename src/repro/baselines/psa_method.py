@@ -10,7 +10,7 @@ monitored sensor's SNR.
 from __future__ import annotations
 
 from ..chip.testchip import TestChip
-from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR as MONITOR_SENSOR
+from ..core.analysis.detector import DEFAULT_MONITOR_SENSOR
 from ..core.array import ProgrammableSensorArray
 from ..dsp.metrics import snr_rms_db
 from ..workloads.campaign import MeasurementCampaign
@@ -41,7 +41,7 @@ class PsaMethod:
         indices = [index_offset + i for i in range(n_traces)]
         records = [self.campaign.record(scenario, index) for index in indices]
         return self.psa.render(
-            records, trace_indices=indices, sensors=[MONITOR_SENSOR]
+            records, trace_indices=indices, sensors=[DEFAULT_MONITOR_SENSOR]
         )
 
     def snr_db(self, n_traces: int = 3) -> float:

@@ -1,4 +1,4 @@
-"""Test-chip substrate: floorplan, placement, power model, assembly.
+"""Test-chip substrate: floorplan, placement, activity, assembly.
 
 Reproduces the physical organization of the paper's 1 mm x 1 mm AES-128
 test chip (Figure 2): module placement on a region grid, power-stripe
@@ -18,8 +18,7 @@ from .floorplan import (
     default_floorplan,
     sensor_rect,
 )
-from .power import ActivityRecord, PowerModel, current_kernel, emf_kernel
-from .pins import IO_PINS, PinAssignment, channel_for_sensor
+from .power import ActivityRecord, current_kernel, emf_kernel
 from .testchip import TestChip
 
 __all__ = [
@@ -33,11 +32,7 @@ __all__ = [
     "default_floorplan",
     "sensor_rect",
     "ActivityRecord",
-    "PowerModel",
     "current_kernel",
     "emf_kernel",
-    "IO_PINS",
-    "PinAssignment",
-    "channel_for_sensor",
     "TestChip",
 ]

@@ -197,34 +197,3 @@ class ActivityRecord:
     def trojan_total(self) -> np.ndarray:
         """All Trojan activity, both clock phases."""
         return self.trojan + self.trojan_rising
-
-
-class PowerModel:
-    """Converts activity into charge-per-cycle matrices.
-
-    Parameters
-    ----------
-    config:
-        Simulation configuration.
-    switch_cap:
-        Mean switched capacitance per toggle [F].
-    """
-
-    def __init__(self, config: SimConfig, switch_cap: float = MEAN_SWITCH_CAP):
-        self.config = config
-        self.switch_cap = switch_cap
-
-    def charge_matrix(self, toggles: np.ndarray) -> np.ndarray:
-        """Charge drawn per region per cycle [C], same shape as input."""
-        return np.asarray(toggles, dtype=float) * charge_per_toggle(
-            self.config.vdd, self.switch_cap
-        )
-
-    def mean_current(self, record: ActivityRecord) -> float:
-        """Window-average supply current [A]."""
-        total_charge = self.charge_matrix(record.combined()).sum()
-        return float(total_charge / record.config.duration)
-
-    def leakage_current(self, total_leakage_na: float) -> float:
-        """Static leakage [A] given a netlist's summed leakage in nA."""
-        return total_leakage_na * 1e-9

@@ -1,12 +1,14 @@
-"""Run-time cross-domain analysis (Section VI-D).
+"""Run-time cross-domain analysis (Section VI-D): the stages.
 
-The paper's flow, reproduced end to end:
+The paper's flow, stage by stage:
 
-1. **Frequency domain** — per-sensor spectra (5-trace average) are
-   screened for prominent components that appear only when a Trojan is
-   active; with the paper's clocking these are the 48 MHz / 84 MHz
-   sidebands of the 1st/3rd clock harmonics
-   (:mod:`~repro.core.analysis.spectral`).
+1. **Frequency domain** — per-sensor spectra are screened for
+   prominent components that appear only when a Trojan is active; with
+   the paper's clocking these are the 48 MHz / 84 MHz sidebands of the
+   1st/3rd clock harmonics (:mod:`~repro.core.analysis.spectral`).
+   The run-time detector reads exactly those sidebands;
+   :func:`~repro.core.analysis.spectral.find_prominent_components`
+   screens averaged spectra for them (the Figure 4 experiment).
 2. **Detection** — a golden-model-free change detector z-scores each
    new trace's sideband feature against a self-learned baseline
    (the ``welford`` plugin of :mod:`repro.detectors`, tuned by
@@ -19,8 +21,9 @@ The paper's flow, reproduced end to end:
    classified by modulation signature, without full supervision
    (:mod:`~repro.core.analysis.identifier`).
 
-:class:`~repro.core.analysis.pipeline.CrossDomainAnalyzer` drives all
-four stages from raw chip activity.
+:class:`repro.runtime.EscalationPipeline` drives stages 2-4 at run
+time, over a live or recorded window stream (``repro monitor``, the
+fleet and ``repro serve``).
 """
 
 from .spectral import (
@@ -35,7 +38,6 @@ from .localizer import LocalizationResult, Localizer
 from .identifier import TrojanIdentifier, IdentificationResult
 from .mttd import MttdModel, MttdResult
 from .scanner import AdaptiveScanner, ScanResult, ScanWindow
-from .pipeline import CrossDomainAnalyzer, CrossDomainReport
 
 __all__ = [
     "IMAGE_OFFSET_HARMONICS",
@@ -53,6 +55,4 @@ __all__ = [
     "AdaptiveScanner",
     "ScanResult",
     "ScanWindow",
-    "CrossDomainAnalyzer",
-    "CrossDomainReport",
 ]

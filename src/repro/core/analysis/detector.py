@@ -25,6 +25,10 @@ from dataclasses import dataclass
 
 from ...errors import AnalysisError
 
+#: The sensor the run-time monitor watches by default (covers the
+#: Trojan cluster on the paper's chip).
+DEFAULT_MONITOR_SENSOR = 10
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -35,10 +39,11 @@ class DetectorConfig:
     warmup:
         Traces used to seed the self-baseline before arming.
     z_threshold:
-        Alarm threshold on the z-score.  With the two-trace debounce,
-        4.5 keeps the per-decision false-alarm probability in the 1e-5
-        range even for heavy-tailed baselines while preserving margin
-        for the smallest Trojan (T3, 329 cells).
+        Alarm threshold on the z-score, with margin for the smallest
+        Trojan (T3, 329 cells).  The false-alarm rate this threshold
+        gives with the two-trace debounce is not committed yet: it
+        depends on how many windows the baseline holds, and no
+        measured curve pins it.
     consecutive:
         Super-threshold traces required for an alarm (debounce).
     baseline_window:

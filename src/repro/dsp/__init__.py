@@ -18,11 +18,8 @@ from .transforms import (
 )
 from .filters import (
     analytic_bandpass,
-    apply_transfer,
-    apply_transfer_batch,
     butter_highpass_response,
     butter_lowpass_response,
-    envelope_lowpass,
 )
 from .metrics import db_amplitude, db_to_amplitude, rms, snr_rms_db
 from .features import EnvelopeFeatures, envelope_features
@@ -33,8 +30,6 @@ from .stats import (
     detection_rate,
     required_measurements,
     roc_auc,
-    welch_t,
-    z_score,
 )
 from .pca import PCA
 from .kmeans import KMeans, KMeansResult
@@ -49,11 +44,8 @@ __all__ = [
     "resample_spectrum",
     "spectrum_dbuv",
     "analytic_bandpass",
-    "apply_transfer",
-    "apply_transfer_batch",
     "butter_highpass_response",
     "butter_lowpass_response",
-    "envelope_lowpass",
     "db_amplitude",
     "db_to_amplitude",
     "rms",
@@ -66,8 +58,6 @@ __all__ = [
     "detection_rate",
     "required_measurements",
     "roc_auc",
-    "welch_t",
-    "z_score",
     "PCA",
     "KMeans",
     "KMeansResult",

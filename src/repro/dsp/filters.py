@@ -20,50 +20,6 @@ from ..errors import AnalysisError
 TransferFn = Callable[[np.ndarray], np.ndarray]
 
 
-def apply_transfer(samples: np.ndarray, fs: float, transfer: TransferFn) -> np.ndarray:
-    """Filter a real trace through an analytic transfer function.
-
-    Parameters
-    ----------
-    samples:
-        Real time-domain trace.
-    fs:
-        Sampling rate [Hz].
-    transfer:
-        Callable evaluated on the one-sided rFFT frequency grid.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1:
-        raise AnalysisError("apply_transfer expects a 1-D trace")
-    return apply_transfer_batch(samples[None, :], fs, transfer)[0]
-
-
-def apply_transfer_batch(
-    samples: np.ndarray, fs: float, transfer: TransferFn
-) -> np.ndarray:
-    """Filter a stack of real traces, shape ``(n_traces, n_samples)``.
-
-    The transfer function is evaluated once and every trace is
-    filtered in a single batched rFFT/irFFT pair — per-row results are
-    identical whether traces are filtered one at a time or together
-    (pocketfft processes rows independently).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise AnalysisError("apply_transfer_batch expects a 2-D trace stack")
-    n = samples.shape[1]
-    spec = np.fft.rfft(samples, axis=-1)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    gain = np.asarray(transfer(freqs))
-    if gain.shape != freqs.shape:
-        raise AnalysisError(
-            "transfer function returned wrong shape "
-            f"{gain.shape}, expected {freqs.shape}"
-        )
-    spec *= gain
-    return np.fft.irfft(spec, n=n, axis=-1)
-
-
 def butter_lowpass_response(f_cut: float, order: int) -> TransferFn:
     """Butterworth-magnitude low-pass |H(f)| = 1/sqrt(1+(f/fc)^(2n))."""
     if f_cut <= 0:
@@ -133,8 +89,3 @@ def analytic_bandpass(
     # Shift to baseband so the phase is meaningful.
     t = np.arange(n) / fs
     return analytic * np.exp(-2j * np.pi * f_center * t)
-
-
-def envelope_lowpass(envelope: np.ndarray, fs: float, f_cut: float) -> np.ndarray:
-    """Smooth a real envelope with a 2nd-order Butterworth-magnitude LP."""
-    return apply_transfer(envelope, fs, butter_lowpass_response(f_cut, order=2))

@@ -122,36 +122,6 @@ def detection_power(
     )
 
 
-def welch_t(a: np.ndarray, b: np.ndarray) -> float:
-    """Welch's t statistic between two samples."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise AnalysisError("need at least two samples per population")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    denom = math.sqrt(va / a.size + vb / b.size)
-    diff = float(a.mean() - b.mean())
-    if denom == 0.0:
-        # Signed infinity: zero-variance populations still separate in
-        # a definite direction (matching the finite-denominator sign).
-        return math.copysign(math.inf, diff) if diff != 0.0 else 0.0
-    return diff / denom
-
-
-def z_score(value: float, baseline: np.ndarray) -> float:
-    """z-score of ``value`` against a baseline sample."""
-    baseline = np.asarray(baseline, dtype=float)
-    if baseline.size < 2:
-        raise AnalysisError("baseline needs at least two samples")
-    std = baseline.std(ddof=1)
-    diff = float(value - baseline.mean())
-    if std == 0.0:
-        # Signed infinity: a value *below* a zero-variance baseline
-        # must not read as an infinitely large increase.
-        return math.copysign(math.inf, diff) if diff != 0.0 else 0.0
-    return diff / std
-
-
 def roc_auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
     """Area under the ROC curve via the Mann-Whitney U statistic."""
     pos = np.asarray(scores_pos, dtype=float)

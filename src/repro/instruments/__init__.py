@@ -3,8 +3,7 @@
 * :class:`SpectrumAnalyzer` — sweep mode (DC-120 MHz, 2000 display
   points, trace averaging) and zero-span mode (time-domain envelope at
   a tuned frequency), as used in Section VI;
-* :class:`Oscilloscope` / :func:`quantize` — clock-edge triggered
-  capture with ADC quantization;
+* :class:`AdcSpec` / :func:`quantize` — ADC quantization;
 * :func:`chirp` — the 70 mV frequency-sweeping source of the
   Section VI-C current-response experiment;
 * :data:`~repro.instruments.rasc.RASC_ADC` — the converter of the
@@ -15,14 +14,12 @@
 """
 
 from .adc import AdcSpec, quantize
-from .oscilloscope import Oscilloscope
 from .spectrum_analyzer import SpectrumAnalyzer, ZeroSpanResult
 from .signal_gen import chirp
 
 __all__ = [
     "AdcSpec",
     "quantize",
-    "Oscilloscope",
     "SpectrumAnalyzer",
     "ZeroSpanResult",
     "chirp",

@@ -1,9 +1,8 @@
 """Event-driven gate-level logic simulation substrate.
 
-A compact digital simulator used for the structural pieces of the test
+A compact digital simulator used for the structural piece of the test
 chip that the paper describes at the gate level: the fully combinational
-PSA_sel 4-to-16 decoder that drives the T-gate control lines, and the
-Trojan trigger circuits (21-bit counter comparator, plaintext matcher).
+PSA_sel 4-to-16 decoder that drives the T-gate control lines.
 
 The simulator is deliberately small: four-state-free (0/1 only, with an
 explicit unknown at reset), inertial-delay gates, and a binary-heap
@@ -13,12 +12,7 @@ event queue.
 from .signals import Wire, LOW, HIGH, UNKNOWN
 from .gates import GATE_EVALUATORS, Gate
 from .simulator import LogicSimulator
-from .components import (
-    build_and_tree,
-    build_counter,
-    build_decoder_4to16,
-    build_equality_comparator,
-)
+from .components import build_decoder_4to16
 
 __all__ = [
     "Wire",
@@ -28,8 +22,5 @@ __all__ = [
     "Gate",
     "GATE_EVALUATORS",
     "LogicSimulator",
-    "build_and_tree",
-    "build_counter",
     "build_decoder_4to16",
-    "build_equality_comparator",
 ]

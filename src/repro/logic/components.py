@@ -1,20 +1,14 @@
-"""Reusable gate-level building blocks.
+"""Gate-level building blocks.
 
-These are the structural circuits the paper mentions:
-
-* the fully combinational 4-to-16 decoder that expands ``PSA_sel[3:0]``
-  into T-gate control signals (Section V-A, "decoded into gate signals
-  for T-gates with the fully combinational decoder"),
-* the 21-bit counter + comparator that triggers T1 when it reaches
-  ``21'h1FFFFF``,
-* the plaintext equality comparator that triggers T2 on ``0xAAAA``.
+The fully combinational 4-to-16 decoder that expands ``PSA_sel[3:0]``
+into T-gate control signals (Section V-A, "decoded into gate signals
+for T-gates with the fully combinational decoder").
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..errors import LogicSimulationError
 from .signals import Wire
 from .simulator import LogicSimulator
 
@@ -42,121 +36,3 @@ def build_decoder_4to16(
         sim.gate("AND", literals, out)
         outputs.append(out)
     return sel, outputs
-
-
-def build_equality_comparator(
-    sim: LogicSimulator,
-    a_prefix: str,
-    width: int,
-    constant: int,
-    out_name: str,
-) -> tuple[List[Wire], Wire]:
-    """Build a comparator asserting when bus ``a == constant``.
-
-    Per-bit XNOR against the constant's bits, AND-reduced.  This is the
-    T2 trigger structure (plaintext prefix == 0xAAAA).
-    """
-    if constant < 0 or constant >= (1 << width):
-        raise LogicSimulationError(
-            f"constant {constant:#x} does not fit in {width} bits"
-        )
-    bus = sim.bus(a_prefix, width)
-    bit_matches = []
-    for bit, wire in enumerate(bus):
-        match = sim.wire(f"{a_prefix}_match[{bit}]")
-        if (constant >> bit) & 1:
-            sim.gate("BUF", [wire], match)
-        else:
-            sim.gate("NOT", [wire], match)
-        bit_matches.append(match)
-    out = build_and_tree(sim, bit_matches, out_name)
-    return bus, out
-
-
-def build_and_tree(
-    sim: LogicSimulator, inputs: List[Wire], out_name: str
-) -> Wire:
-    """AND-reduce ``inputs`` with a balanced tree of 2-input ANDs."""
-    if not inputs:
-        raise LogicSimulationError("cannot AND-reduce an empty wire list")
-    level = list(inputs)
-    stage = 0
-    while len(level) > 1:
-        next_level = []
-        for pair_idx in range(0, len(level) - 1, 2):
-            out = sim.wire(f"{out_name}_t{stage}_{pair_idx//2}")
-            sim.gate("AND", [level[pair_idx], level[pair_idx + 1]], out)
-            next_level.append(out)
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-        stage += 1
-    final = sim.wire(out_name)
-    sim.gate("BUF", [level[0]], final)
-    return final
-
-
-class build_counter:
-    """Cycle-stepped binary counter with a terminal-count comparator.
-
-    The sequential element (the register) is modeled behaviorally —
-    ``step()`` advances one clock cycle — while the terminal-count
-    detection is a real gate-level comparator evaluated in ``sim``.
-    This mirrors T1's trigger: a 21-bit counter that fires at
-    ``21'h1FFFFF``.
-
-    Parameters
-    ----------
-    sim:
-        Logic simulator instance that hosts the comparator gates.
-    width:
-        Counter width in bits.
-    terminal:
-        Value at which ``tc`` (terminal count) asserts.
-    name:
-        Prefix for the comparator wires.
-    """
-
-    def __init__(
-        self,
-        sim: LogicSimulator,
-        width: int,
-        terminal: int,
-        name: str = "ctr",
-    ):
-        if width < 1:
-            raise LogicSimulationError("counter width must be >= 1")
-        if terminal < 0 or terminal >= (1 << width):
-            raise LogicSimulationError(
-                f"terminal {terminal:#x} does not fit in {width} bits"
-            )
-        self._sim = sim
-        self.width = width
-        self.terminal = terminal
-        self.value = 0
-        self._bus, self.tc_wire = build_equality_comparator(
-            sim, f"{name}_q", width, terminal, f"{name}_tc"
-        )
-        self._apply()
-
-    def _apply(self) -> None:
-        assignments = {
-            wire.name: (self.value >> bit) & 1
-            for bit, wire in enumerate(self._bus)
-        }
-        self._sim.set_inputs(assignments)
-        self._sim.run()
-
-    def step(self, cycles: int = 1) -> bool:
-        """Advance ``cycles`` clock cycles; return final tc value."""
-        if cycles < 0:
-            raise LogicSimulationError("cannot step a negative cycle count")
-        mask = (1 << self.width) - 1
-        self.value = (self.value + cycles) & mask
-        self._apply()
-        return bool(self.tc_wire.value)
-
-    @property
-    def terminal_count(self) -> bool:
-        """Whether the comparator currently asserts."""
-        return bool(self.tc_wire.value)

@@ -24,7 +24,7 @@ bit-identical to running that monitor alone, which
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,13 +32,13 @@ import numpy as np
 from ..chip.floorplan import DEFAULT_TROJAN_SENSOR, floorplan_with_trojans_at
 from ..chip.testchip import TestChip
 from ..config import SimConfig
-from ..core.analysis.detector import DetectorConfig
 from ..core.analysis.localizer import Localizer
 from ..core.array import ProgrammableSensorArray
-from ..errors import AnalysisError
+from ..errors import AnalysisError, unknown_name_error
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..report import ReportBase, Severity
 from ..store import ArtifactStore
+from ..trojans.catalog import TROJAN_CATALOG
 from ..workloads.campaign import MeasurementCampaign
 from .events import EventBus
 from .pipeline import EscalationPipeline, MonitorReport, PipelineConfig
@@ -76,8 +76,6 @@ class ChipSpec:
         monitors the whole array — the paper's always-on deployment.
     chunk:
         Windows per rendered chunk.
-    detector:
-        Detector tuning of this member's pipeline.
     """
 
     chip_id: str
@@ -89,9 +87,6 @@ class ChipSpec:
     active_offset: int = 500
     sensors: Optional[Tuple[int, ...]] = None
     chunk: int = DEFAULT_CHUNK_WINDOWS
-    detector: DetectorConfig = field(
-        default_factory=lambda: DetectorConfig(warmup=6)
-    )
 
 
 @dataclass
@@ -135,7 +130,7 @@ def build_chip_monitor(
     analyzer:
         Shared spectrum analyzer model.
     pipeline_config:
-        Stage tuning (the spec's detector is folded in).
+        Stage tuning, detector tuning included.
     bus:
         Event bus shared by the fleet (each member stamps its own
         ``chip`` id); None gives each member a private bus.
@@ -144,6 +139,10 @@ def build_chip_monitor(
         member's record memo (each member keys its own namespace by
         its chip fingerprint — distinct seeds never collide).
     """
+    if spec.trojan not in TROJAN_CATALOG:
+        raise unknown_name_error(
+            "implanted Trojan", spec.trojan, list(TROJAN_CATALOG)
+        )
     base = config or SimConfig()
     member_config = base.with_(seed=spec.seed)
     floorplan = floorplan_with_trojans_at(spec.host_sensor)
@@ -163,13 +162,10 @@ def build_chip_monitor(
     source = LiveSource(
         campaign, schedule, sensors=sensors, chunk=spec.chunk, store=store
     )
-    tuning = replace(
-        pipeline_config or PipelineConfig(), detector=spec.detector
-    )
     pipeline = EscalationPipeline(
         member_config,
         n_streams=len(sensors),
-        pipeline=tuning,
+        pipeline=pipeline_config,
         analyzer=analyzer,
         localizer=Localizer(psa, analyzer),
         bus=bus,

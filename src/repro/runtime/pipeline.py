@@ -71,11 +71,10 @@ def chunk_features(
 ) -> np.ndarray:
     """Featurize one chunk; ``(n_streams, k)`` detection features [dB].
 
-    The package's one MONITOR-stage featurizer: the pipeline, the
+    The package's one MONITOR-stage featurizer: the pipeline and the
     sweep orchestrator (which passes a rendered
     :class:`~repro.engine.TraceBatch`, the same ``samples``/``fs``
-    layout) and :class:`~repro.core.analysis.pipeline.CrossDomainAnalyzer`
-    all call it.  Optional auto-ranged ADC quantization (the RASC
+    layout) both call it.  Optional auto-ranged ADC quantization (the RASC
     front-end), then one batched display-spectrum + feature pass
     through the detector's spectral reduction.  Every element is a
     function of that window's samples alone, so the result is

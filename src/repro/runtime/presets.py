@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..config import SimConfig
-from ..core.analysis.detector import DetectorConfig
-from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR
+from ..core.analysis.detector import DEFAULT_MONITOR_SENSOR, DetectorConfig
 from ..errors import AnalysisError, unknown_name_error
 from ..store import ArtifactStore
 from .events import EventBus
@@ -112,7 +111,6 @@ class MonitorPreset:
                     n_active=self.n_active,
                     sensors=sensors,
                     chunk=self.chunk,
-                    detector=self.detector(),
                 )
             )
         return tuple(specs)

@@ -30,7 +30,7 @@ from typing import Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_
 import numpy as np
 
 from ..chip.power import ActivityRecord
-from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR
+from ..core.analysis.detector import DEFAULT_MONITOR_SENSOR
 from ..errors import AnalysisError, TraceIOError, WorkloadError
 from ..store import ArtifactStore
 from ..traceio import TraceArchive, save_traces

@@ -28,7 +28,6 @@ from .grid import (
     DETECTOR_NAMES,
     DETECTOR_TROJANS,
     GRIDS,
-    MONITOR_SENSOR,
     SweepCell,
     SweepGrid,
     benchmark_grid,
@@ -66,7 +65,6 @@ __all__ = [
     "DETECTOR_NAMES",
     "DETECTOR_TROJANS",
     "GRIDS",
-    "MONITOR_SENSOR",
     "SweepCell",
     "SweepGrid",
     "benchmark_grid",

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..core.analysis.detector import DetectorConfig
-from ..core.analysis.pipeline import DEFAULT_MONITOR_SENSOR as MONITOR_SENSOR
+from ..core.analysis.detector import DEFAULT_MONITOR_SENSOR, DetectorConfig
 from ..detectors import available as detectors_available
 from ..errors import AnalysisError, unknown_name_error
 from ..workloads.campaign import StreamSegment
@@ -62,7 +61,7 @@ class SweepCell:
 
     trojan: str
     reference: str = "auto"
-    sensors: Tuple[int, ...] = (MONITOR_SENSOR,)
+    sensors: Tuple[int, ...] = (DEFAULT_MONITOR_SENSOR,)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     detector_name: str = "welford"
     n_baseline: int = 8
@@ -164,7 +163,7 @@ class SweepGrid:
         name: str,
         trojans: Sequence[str],
         references: Sequence[Tuple[str, int]] = (("auto", 0),),
-        sensor_subsets: Sequence[Tuple[int, ...]] = ((MONITOR_SENSOR,),),
+        sensor_subsets: Sequence[Tuple[int, ...]] = ((DEFAULT_MONITOR_SENSOR,),),
         detectors: Sequence[DetectorConfig] = (DetectorConfig(),),
         detector_names: Sequence[str] = ("welford",),
         keep_features: bool = True,

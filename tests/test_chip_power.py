@@ -5,7 +5,6 @@ import pytest
 
 from repro.chip.power import (
     ActivityRecord,
-    PowerModel,
     charge_per_toggle,
     current_kernel,
     emf_kernel,
@@ -98,15 +97,3 @@ def test_record_totals():
         record.main[0, 0] = 1.0
     with pytest.raises(AttributeError):
         record.main = np.zeros((4, config.n_cycles))
-
-
-def test_mean_current_plausible(chip):
-    """The AES core at 33 MHz should draw on the order of a milliamp."""
-    record = chip.run_trace([bytes(range(16))], active=set())
-    current = PowerModel(chip.config).mean_current(record)
-    assert 0.1e-3 < current < 10e-3
-
-
-def test_leakage_conversion():
-    model = PowerModel(SimConfig())
-    assert model.leakage_current(1000.0) == pytest.approx(1e-6)

@@ -5,10 +5,8 @@ import pytest
 
 from repro.dsp.filters import (
     analytic_bandpass,
-    apply_transfer,
     butter_highpass_response,
     butter_lowpass_response,
-    envelope_lowpass,
 )
 from repro.errors import AnalysisError
 
@@ -32,22 +30,6 @@ def test_highpass_halfpower_at_cutoff():
     assert hp(np.array([30e6]))[0] == pytest.approx(1 / np.sqrt(2))
     assert hp(np.array([0.0]))[0] == 0.0
     assert hp(np.array([300e6]))[0] == pytest.approx(1.0, abs=0.01)
-
-
-def test_apply_transfer_scales_tone():
-    trace = _tone(40e6, amp=1.0)
-    lp = butter_lowpass_response(40e6, order=4)
-    filtered = apply_transfer(trace, FS, lp)
-    out_rms = np.sqrt(np.mean(filtered**2))
-    in_rms = np.sqrt(np.mean(trace**2))
-    assert out_rms / in_rms == pytest.approx(1 / np.sqrt(2), rel=0.01)
-
-
-def test_apply_transfer_preserves_length_and_realness():
-    trace = np.random.default_rng(0).normal(size=1000)
-    out = apply_transfer(trace, FS, butter_lowpass_response(80e6, 2))
-    assert out.shape == trace.shape
-    assert np.isrealobj(out)
 
 
 def test_analytic_bandpass_recovers_am_envelope():
@@ -76,10 +58,3 @@ def test_analytic_bandpass_validates_band():
         analytic_bandpass(trace, FS, 300e6, 8e6)
     with pytest.raises(AnalysisError):
         analytic_bandpass(trace, FS, 1e6, 8e6)
-
-
-def test_envelope_lowpass_smooths():
-    rng = np.random.default_rng(1)
-    rough = np.abs(rng.normal(1.0, 0.5, 4096))
-    smooth = envelope_lowpass(rough, FS, 5e6)
-    assert np.std(np.diff(smooth)) < np.std(np.diff(rough))

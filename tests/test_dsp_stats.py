@@ -13,8 +13,6 @@ from repro.dsp.stats import (
     detection_rate,
     required_measurements,
     roc_auc,
-    welch_t,
-    z_score,
 )
 from repro.errors import AnalysisError
 
@@ -118,32 +116,6 @@ def test_detection_power_unresolved_inside_sampling_error():
     assert detection_power(np.ones(6), np.zeros(8)).n_required == 1
 
 
-def test_welch_t_sign():
-    assert welch_t(np.array([5.0, 6.0, 7.0]), np.array([1.0, 2.0, 3.0])) > 0
-    assert welch_t(np.array([1.0, 2.0, 3.0]), np.array([5.0, 6.0, 7.0])) < 0
-
-
-def test_welch_t_zero_variance_keeps_sign():
-    ones, twos = np.ones(4), np.full(4, 2.0)
-    assert welch_t(twos, ones) == math.inf
-    assert welch_t(ones, twos) == -math.inf
-    assert welch_t(ones, ones) == 0.0
-
-
-def test_z_score_basic():
-    baseline = np.array([10.0, 10.5, 9.5, 10.2, 9.8])
-    assert z_score(10.0, baseline) == pytest.approx(0.0, abs=0.2)
-    assert z_score(20.0, baseline) > 10
-
-
-def test_z_score_zero_variance_keeps_sign():
-    """A value below a zero-variance baseline is -inf, not +inf."""
-    baseline = np.full(6, 3.0)
-    assert z_score(5.0, baseline) == math.inf
-    assert z_score(1.0, baseline) == -math.inf
-    assert z_score(3.0, baseline) == 0.0
-
-
 def test_roc_auc_perfect_and_chance():
     assert roc_auc(np.array([2.0, 3.0]), np.array([0.0, 1.0])) == 1.0
     same = np.array([1.0, 1.0])
@@ -160,5 +132,3 @@ def test_detection_rate_extremes():
 def test_small_samples_rejected():
     with pytest.raises(AnalysisError):
         cohens_d(np.array([1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(AnalysisError):
-        z_score(1.0, np.array([1.0]))

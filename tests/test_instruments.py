@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.instruments.adc import AdcSpec, quantize
-from repro.instruments.oscilloscope import Oscilloscope
 from repro.instruments.signal_gen import chirp
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.traces import Trace
@@ -40,24 +39,6 @@ def test_adc_validation():
         AdcSpec(n_bits=2)
     with pytest.raises(MeasurementError):
         AdcSpec(full_scale=-1.0)
-
-
-def test_oscilloscope_capture_and_trigger():
-    trace = _tone_trace(33e6)
-    scope = Oscilloscope(record_length=1024)
-    captured = scope.capture(trace, trigger_sample=16)
-    assert captured.n_samples == 1024
-    assert captured.meta["quantized_bits"] == 10
-    with pytest.raises(MeasurementError):
-        scope.capture(trace, trigger_sample=10**7)
-
-
-def test_oscilloscope_autorange():
-    trace = _tone_trace(33e6, amp=0.001)
-    scope = Oscilloscope().auto_range(trace)
-    captured = scope.capture(trace)
-    # Auto-ranged capture resolves the small signal.
-    assert np.corrcoef(captured.samples, trace.samples)[0, 1] > 0.99
 
 
 def test_chirp_sweeps_band():

@@ -8,8 +8,8 @@ the matching baseline records):
   ``(col0, row0, size)`` and score, plus the descent path;
 * the localizer's hot sensor, score map, refine quadrant scores and
   chosen quadrant;
-* the ``CrossDomainAnalyzer.monitor_stream("T4", 6, 4)`` features and
-  trigger index.
+* the sensor-10 feature timeline and trigger index of a run-time
+  session (6 quiet windows, then 4 with T4 active, no ADC).
 
 Discrete values compare exactly.  Floats compare at ``rtol=1e-12``
 rather than by digest: rendered samples pass through NumPy's
@@ -30,8 +30,13 @@ import numpy as np
 import pytest
 
 from repro.core.analysis.localizer import Localizer
-from repro.core.analysis.pipeline import CrossDomainAnalyzer
 from repro.core.analysis.scanner import AdaptiveScanner
+from repro.runtime import (
+    ActivationSchedule,
+    EscalationPipeline,
+    LiveSource,
+    PipelineConfig,
+)
 from repro.workloads.scenarios import scenario_by_name
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "localize_golden.json"
@@ -61,19 +66,28 @@ def localize_outcome(psa, base, active) -> dict:
     }
 
 
-def monitor_outcome(chip, psa) -> dict:
-    features, _, trigger = CrossDomainAnalyzer(chip, psa).monitor_stream(
-        *MONITOR
+def monitor_outcome(campaign) -> dict:
+    """Feature timeline of a monitor-only session on sensor 10."""
+    trojan, n_baseline, n_active = MONITOR
+    schedule = ActivationSchedule.step(
+        trojan, n_baseline=n_baseline, n_active=n_active
     )
-    return {"features": [float(value) for value in features], "trigger": trigger}
+    tuning = PipelineConfig(quantize=False, identify=False, localize=False)
+    report = EscalationPipeline(campaign.chip.config, pipeline=tuning).run(
+        LiveSource(campaign, schedule, sensors=(10,))
+    )
+    return {
+        "features": report.features_db[0].tolist(),
+        "trigger": report.trigger_index,
+    }
 
 
-def compute_golden(chip, psa, records) -> dict:
+def compute_golden(campaign, records) -> dict:
     golden = {
-        name: localize_outcome(psa, records["baseline"], records[name])
+        name: localize_outcome(campaign.psa, records["baseline"], records[name])
         for name in TROJANS
     }
-    golden["monitor"] = monitor_outcome(chip, psa)
+    golden["monitor"] = monitor_outcome(campaign)
     return golden
 
 
@@ -146,8 +160,8 @@ def test_golden_localizes_to_the_implant(golden, name, sensor, quadrant):
     assert golden[name]["quadrant"] == quadrant
 
 
-def test_monitor_stream_matches_golden(golden, chip, psa):
-    assert_monitor_matches(monitor_outcome(chip, psa), golden["monitor"])
+def test_monitor_stream_matches_golden(golden, campaign):
+    assert_monitor_matches(monitor_outcome(campaign), golden["monitor"])
 
 
 def test_comparison_can_fail(golden, outcomes):
@@ -184,6 +198,6 @@ if __name__ == "__main__":
         name: [campaign.record(scenario_by_name(name), 500 + i) for i in range(2)]
         for name in ("baseline",) + TROJANS
     }
-    golden = compute_golden(chip, psa, records)
+    golden = compute_golden(campaign, records)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogicSimulationError
-from repro.logic.components import (
-    build_and_tree,
-    build_counter,
-    build_decoder_4to16,
-    build_equality_comparator,
-)
+from repro.logic.components import build_decoder_4to16
 from repro.logic.signals import HIGH, UNKNOWN, Wire, bus_value, drive_bus
 from repro.logic.simulator import LogicSimulator
 
@@ -107,48 +102,3 @@ def test_decoder_is_one_hot(code):
     values = [wire.value for wire in outputs]
     assert values[code] == 1
     assert sum(values) == 1
-
-
-@settings(max_examples=16, deadline=None)
-@given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
-def test_equality_comparator(value, constant):
-    sim = LogicSimulator()
-    bus, out = build_equality_comparator(sim, "a", 8, constant, "eq")
-    sim.settle({w.name: (value >> i) & 1 for i, w in enumerate(bus)})
-    assert out.value == (1 if value == constant else 0)
-
-
-def test_and_tree_reduces():
-    sim = LogicSimulator()
-    wires = sim.bus("x", 5)
-    out = build_and_tree(sim, wires, "all")
-    drive = {w.name: 1 for w in wires}
-    sim.settle(drive)
-    assert out.value == 1
-    drive[wires[3].name] = 0
-    sim.settle(drive)
-    assert out.value == 0
-
-
-def test_counter_terminal_count():
-    sim = LogicSimulator()
-    counter = build_counter(sim, width=4, terminal=0b1111)
-    assert counter.terminal_count is False
-    counter.step(14)
-    assert counter.terminal_count is False
-    counter.step(1)
-    assert counter.terminal_count is True
-    counter.step(1)  # wraps
-    assert counter.value == 0
-    assert counter.terminal_count is False
-
-
-def test_counter_t1_style_21bit():
-    """The T1 trigger comparator fires exactly at 21'h1FFFFF."""
-    sim = LogicSimulator()
-    counter = build_counter(sim, width=21, terminal=0x1FFFFF)
-    counter.value = 0x1FFFFE
-    counter._apply()
-    assert counter.terminal_count is False
-    counter.step(1)
-    assert counter.terminal_count is True

@@ -16,8 +16,6 @@ import pytest
 
 from repro.core.analysis.detector import DetectorConfig
 from repro.core.analysis.localizer import Localizer
-from repro.core.analysis.pipeline import CrossDomainAnalyzer
-from repro.core.analysis.spectral import sideband_features_db
 from repro.detectors import available as detectors_available
 from repro.errors import AnalysisError, WorkloadError
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
@@ -40,7 +38,6 @@ from repro.runtime import (
 )
 from repro.runtime.events import Alarm, event_from_dict
 from repro.workloads.campaign import StreamSegment
-from repro.workloads.scenarios import reference_for, scenario_by_name
 
 #: The scripted session every equivalence test uses.
 N_BASELINE = 6
@@ -170,27 +167,6 @@ def test_escalation_outcome(campaign, psa):
     assert report.localization.quadrant == "se"
     assert report.escalations == 1
     assert report.final_state == MonitorState.MONITOR.value
-
-
-def test_monitor_stream_delegation_bit_identical(campaign, psa):
-    """CrossDomainAnalyzer.monitor_stream == one render of every capture."""
-    analyzer = CrossDomainAnalyzer(campaign.chip, psa)
-    features, traces, trigger = analyzer.monitor_stream("T4", 6, 4)
-    records = [campaign.record(reference_for("T4"), i) for i in range(6)] + [
-        campaign.record(scenario_by_name("T4"), 500 + i) for i in range(4)
-    ]
-    indices = list(range(6)) + [500 + i for i in range(4)]
-    batch = psa.render(records, trace_indices=indices, sensors=[10])
-    grid, display = analyzer.analyzer.display_matrix(batch.samples[0], batch.fs)
-    expected = sideband_features_db(grid, display, campaign.chip.config)
-    assert features == [float(value) for value in expected]
-    assert trigger == 6
-    assert len(traces) == 4
-    for offset, trace in enumerate(traces):
-        legacy = batch.trace(0, 6 + offset)
-        assert np.array_equal(trace.samples, legacy.samples)
-        assert trace.label == legacy.label
-        assert trace.scenario == legacy.scenario
 
 
 # -- replay source ------------------------------------------------------------

@@ -391,6 +391,7 @@ def test_http_error_paths(smoke_archive):
             (b"{not json", "not valid JSON"),
             (b"[1,2]", "must be a JSON object"),
             (b'{"seed": "abc"}', "'seed' must be an integer"),
+            (b'{"trojan": "baseline"}', "unknown implanted Trojan"),
         ):
             status, body = client.post("/chips/b/live", bad)
             assert status == 400, bad
