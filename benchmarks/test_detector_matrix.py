@@ -8,7 +8,7 @@ equals the committed expectation
 pins the ``detectors-smoke`` slice; this run covers the 21-cell full
 grid, so it lives with the benchmarks rather than the unit suite.
 
-Timing lands in ``BENCH_detector_grid.json`` at the repo root.
+Timing lands in ``BENCH_detector_grid.json`` (see ``bench_report.py``).
 
 Set ``DETECTOR_SMOKE=1`` to run the smoke slice instead (CI).
 """
@@ -20,11 +20,9 @@ import os
 import time
 from pathlib import Path
 
+from bench_report import write_report
 from repro.sweep import DetectionSweep, detectors_grid, detectors_smoke_grid
 
-BENCH_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_detector_grid.json"
-)
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 SMOKE = os.environ.get("DETECTOR_SMOKE", "") not in ("", "0")
@@ -63,4 +61,4 @@ def test_detector_grid_reproduces_committed_matrix(ctx):
         "cells_per_sec": grid.n_cells / elapsed,
         "matrix": matrix,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_report("BENCH_detector_grid.json", payload)

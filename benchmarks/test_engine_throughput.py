@@ -20,9 +20,8 @@ floors alternate, each timed as its best of ``RATIO_ROUNDS`` rounds.
 Then the ``thread_split`` row renders the full 16-sensor x 1024-trace
 workload on one thread and on the default thread count, alternating,
 best of 3; the two must be bit-identical, and on a multi-core host
-the split must win.  Results are written to
-``BENCH_engine.json`` at the repo root so the performance trajectory
-is tracked from PR to PR.
+the split must win.  Results are written to ``BENCH_engine.json``
+(see ``bench_report.py``).
 
 Set ``ENGINE_SMOKE=1`` to run a reduced CI variant: every identity
 check still runs, the split-beats-one-thread check is not enforced.
@@ -33,10 +32,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
+from bench_report import write_report
 from repro import parallel
 from repro.engine.engine import IRFFT_ROWS, render_stream_name
 from repro.rng import stream
@@ -57,7 +56,6 @@ N_SPLIT_TRACES = 64 if SMOKE else 1024
 #: 0.16-0.25 over best-of-3 runs and 0.22-0.24 over best-of-9 runs.
 RATIO_ROUNDS = 9
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
 def _irfft_floor(n_samples):
@@ -189,7 +187,7 @@ def test_engine_throughput(ctx, benchmark):
             "identical_to_one_thread": split_identical,
         },
     }
-    BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report("BENCH_engine.json", report)
     print()
     print(json.dumps(report, indent=2))
 

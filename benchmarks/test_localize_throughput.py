@@ -19,8 +19,7 @@ scores and every scan-window score (so sensor choice, refined
 quadrant and descent are identical); the batched flow must be >=
 1.5x faster (typically ~2.5x on an idle machine; the floor leaves
 headroom for loaded CI hosts).  Results land in
-``BENCH_localize.json`` at the repo root so the performance
-trajectory is tracked from PR to PR.
+``BENCH_localize.json`` (see ``bench_report.py``).
 
 Set ``LOCALIZE_SMOKE=1`` to skip the speedup floor (CI smoke):
 equivalence is still asserted.
@@ -31,10 +30,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
+from bench_report import write_report
 from repro.core.analysis.localizer import QUADRANTS, Localizer
 from repro.core.analysis.scanner import AdaptiveScanner
 from repro.core.analysis.spectral import sideband_amplitude
@@ -42,7 +41,6 @@ from repro.core.sensors import quadrant_coil
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.workloads.scenarios import reference_for, scenario_by_name
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_localize.json"
 
 SMOKE = os.environ.get("LOCALIZE_SMOKE", "") not in ("", "0")
 #: Batched-over-legacy throughput floor on the full flow (typically
@@ -190,7 +188,7 @@ def test_localize_throughput(ctx, benchmark):
             1,
         ),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_report("BENCH_localize.json", payload)
     print()
     print(json.dumps(payload, indent=2))
 

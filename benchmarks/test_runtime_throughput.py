@@ -1,18 +1,16 @@
-"""Run-time monitoring throughput: streaming pipeline vs legacy loop.
+"""Run-time monitoring throughput: the column render vs the full render.
 
-Monitors the same scripted always-on session — **every sensor of the
-array**, the paper's deployment — three ways:
+Monitors the same scripted session — **every sensor of the array**,
+the paper's deployment — three ways:
 
-* **legacy** — the seed example's shape scaled to the array: for each
-  sensor, one single-capture render, one auto-ranged ADC pass, one
-  spectrum, one feature and one detector update per window (the
-  per-trace RASC monitor over ``psa.measure`` output);
-* **streaming** — ``repro.runtime``: a ``LiveSource`` renders every
-  sensor's chunk in one batched engine pass (the per-record EMF
-  synthesis is shared across all sensors instead of recomputed per
-  single-sensor capture) and the ``EscalationPipeline`` featurizes
-  each chunk in one vectorized pass over a multi-stream ``welford``
-  detector;
+* **full render** — the monitor as it would run on samples: a
+  ``LiveSource`` not bound to the pipeline renders every window in
+  full (EMF, noise, irFFT), and the ``EscalationPipeline`` passes each
+  chunk through the RASC ADC and the batched display spectra;
+* **streaming** — ``repro.runtime`` as deployed: the pipeline binds
+  its ``LiveSource``, which then renders each window's spectrum at
+  the rFFT columns the multi-stream ``welford`` detector reads, with
+  no irFFT, ADC or forward transform;
 * **fleet** — four concurrent chip monitors through the
   ``FleetScheduler`` (aggregate windows/sec of the service path).
 
@@ -22,13 +20,17 @@ chip's activity is physical reality, and MTTD counts capture plus
 on-board processing — so windows/sec here measures the monitor, not
 the test bench's activity simulator.
 
-Legacy and streaming must agree bit-for-bit on features and alarms;
-the streaming pipeline must beat the legacy loop on windows/sec (>=
-2x on the full stream).  Results land in ``BENCH_runtime.json`` at the
-repo root so the performance trajectory is tracked from PR to PR.
+The streaming features must equal the full render's featurized
+without the ADC up to rounding, and stay within 0.1 dB of the ADC
+path with the same alarms.  ``speedup`` is the streaming rate over
+the full-render rate of the same session in the same run, so the gate
+does not move with the host; on the full stream it must reach
+``MIN_SPEEDUP``.  Results land in ``BENCH_runtime.json`` (see
+``bench_report.py``).
 
-Set ``RUNTIME_SMOKE=1`` for a short CI variant: equivalence and the
-beat-the-legacy-loop check still run, the 2x floor is not enforced.
+Set ``RUNTIME_SMOKE=1`` for a short CI variant: the equivalence checks
+still run and streaming must still beat the full render; the
+``MIN_SPEEDUP`` floor is not enforced.
 """
 
 from __future__ import annotations
@@ -36,16 +38,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
+from bench_report import write_report
 from repro.core.analysis.detector import DetectorConfig
-from repro.core.analysis.spectral import sideband_feature_db
 from repro.detectors import make_detector
-from repro.instruments.adc import quantize_batch
-from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.runtime import (
     ActivationSchedule,
@@ -56,19 +54,21 @@ from repro.runtime import (
     PipelineConfig,
     build_chip_monitor,
 )
+from repro.runtime.pipeline import chunk_features
 from repro.workloads.scenarios import scenario_by_name
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
-
 SMOKE = os.environ.get("RUNTIME_SMOKE", "") not in ("", "0")
-#: Streaming-over-legacy throughput floor on the full stream.
-MIN_SPEEDUP = 2.0
+#: Streaming-over-full-render throughput floor on the full stream.
+MIN_SPEEDUP = 1.3
 
 N_BASELINE = 8 if SMOKE else 24
 N_ACTIVE = 4 if SMOKE else 8
 CHUNK = 4 if SMOKE else 16
 WARMUP = 6
 FLEET_CHIPS = 4
+#: Alternating full-render/streaming session pairs; the fastest of
+#: each path is reported.
+SESSION_ROUNDS = 5
 #: Fleet timing trials; the fastest is reported (box-noise resistant).
 FLEET_ROUNDS = 1 if SMOKE else 5
 
@@ -79,38 +79,16 @@ MONITOR_TUNING = PipelineConfig(
 )
 
 
-def _legacy_monitor_loop(ctx, analyzer, schedule, records, sensors):
-    """The seed example's shape: everything one trace at a time.
+def _full_render_session(pipeline, source):
+    """The session through full renders: chunks of samples, ADC on.
 
-    One per-trace monitor per sensor (the paper's RASC board watching
-    each stream), each paying its own single-capture render, ADC pass
-    and spectrum per window.  Returns ``(features, alarms)`` per
-    sensor: the feature timeline and the alarming window indices.
+    ``source`` is never bound, so it yields samples and the pipeline
+    featurizes them through the ADC and the forward transform.
     """
-    monitors = []
-    for sensor in sensors:
-        detector = make_detector(
-            "welford", 1, DetectorConfig(warmup=WARMUP)
-        )
-        features, alarms = [], []
-        for segment in schedule.segments:
-            for index in segment.indices:
-                record = records[(segment.scenario, index)]
-                trace = ctx.psa.measure(record, sensor, index)
-                samples = quantize_batch(
-                    trace.samples[None, :],
-                    RASC_ADC,
-                    headroom=AUTO_RANGE_HEADROOM,
-                )[0]
-                feature = sideband_feature_db(
-                    analyzer.spectrum(replace(trace, samples=samples)),
-                    ctx.config,
-                )
-                if detector.update(np.array([feature])).alarm.any():
-                    alarms.append(len(features))
-                features.append(feature)
-        monitors.append((features, alarms))
-    return monitors
+    for chunk in source.chunks():
+        pipeline.process_chunk(chunk)
+        del chunk
+    return pipeline.report(trigger_index=source.trigger_index)
 
 
 def test_runtime_throughput(ctx, benchmark):
@@ -127,42 +105,61 @@ def test_runtime_throughput(ctx, benchmark):
     warm = ctx.campaign.record(scenario_by_name("baseline"), 0)
     ctx.psa.render([warm], trace_indices=[0], sensors=[10])
     records: dict = {}
-    source = LiveSource(
-        ctx.campaign,
-        schedule,
-        sensors=sensors,
-        chunk=CHUNK,
-        record_cache=records,
+    source, full_source = (
+        LiveSource(
+            ctx.campaign,
+            schedule,
+            sensors=sensors,
+            chunk=CHUNK,
+            record_cache=records,
+        )
+        for _ in range(2)
     )
     source.warm_records()
 
-    start = time.perf_counter()
-    legacy = _legacy_monitor_loop(ctx, analyzer, schedule, records, sensors)
-    legacy_seconds = time.perf_counter() - start
+    def new_pipeline():
+        return EscalationPipeline(
+            ctx.config,
+            n_streams=len(sensors),
+            pipeline=MONITOR_TUNING,
+            analyzer=analyzer,
+        )
 
-    pipeline = EscalationPipeline(
-        ctx.config,
-        n_streams=len(sensors),
-        pipeline=MONITOR_TUNING,
-        analyzer=analyzer,
-    )
-    start = time.perf_counter()
-    report = benchmark.pedantic(
-        lambda: pipeline.run(source), rounds=1, iterations=1
-    )
-    streaming_seconds = time.perf_counter() - start
+    # Alternate the two paths, best of SESSION_ROUNDS each: host speed
+    # drifts over seconds, and the ratio is taken within one run.
+    full_times, streaming_times = [], []
 
-    # Equivalence: the streamed pipeline is the same monitor bank.
-    for position, (legacy_features, _) in enumerate(legacy):
-        assert np.array_equal(
-            report.features_db[position],
-            np.asarray(legacy_features),
-        ), f"sensor {sensors[position]} features diverge"
-        assert report.features_db.shape[1] == len(legacy_features)
-    legacy_alarm_union = sorted(
-        {index for _, alarms in legacy for index in alarms}
+    def alternate():
+        start = time.perf_counter()
+        full = _full_render_session(new_pipeline(), full_source)
+        full_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        streamed = new_pipeline().run(source)
+        streaming_times.append(time.perf_counter() - start)
+        return full, streamed
+
+    full_report, report = benchmark.pedantic(
+        alternate, rounds=SESSION_ROUNDS, iterations=1
     )
-    assert list(report.alarms) == legacy_alarm_union
+    full_seconds = min(full_times)
+    streaming_seconds = min(streaming_times)
+
+    # Equivalence: the column render is the full render's spectrum, so
+    # the features are the full render's without the ADC up to
+    # rounding, and the ADC moves them too little to move an alarm.
+    detector = make_detector("welford", len(sensors), MONITOR_TUNING.detector)
+    raw = np.concatenate(
+        [
+            chunk_features(chunk, analyzer, ctx.config, detector)
+            for chunk in full_source.chunks()
+        ],
+        axis=1,
+    )
+    np.testing.assert_allclose(report.features_db, raw, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        report.features_db, full_report.features_db, rtol=0, atol=0.1
+    )
+    assert report.alarms == full_report.alarms
     assert report.detected
 
     # Fleet: the same session on N chips, interleaved (records
@@ -208,9 +205,9 @@ def test_runtime_throughput(ctx, benchmark):
         fleet_report.windows_per_sec / single_report.windows_per_sec
     )
 
-    legacy_wps = n_windows / legacy_seconds
+    full_wps = n_windows / full_seconds
     streaming_wps = n_windows / streaming_seconds
-    speedup = streaming_wps / legacy_wps
+    speedup = streaming_wps / full_wps
     payload = {
         "stream": {
             "n_baseline": N_BASELINE,
@@ -222,9 +219,10 @@ def test_runtime_throughput(ctx, benchmark):
             "records_presimulated": True,
         },
         "smoke": SMOKE,
-        "legacy_per_trace": {
-            "seconds": round(legacy_seconds, 3),
-            "windows_per_sec": round(legacy_wps, 2),
+        "rounds": SESSION_ROUNDS,
+        "full_render": {
+            "seconds": round(full_seconds, 3),
+            "windows_per_sec": round(full_wps, 2),
         },
         "streaming_pipeline": {
             "seconds": round(streaming_seconds, 3),
@@ -251,14 +249,14 @@ def test_runtime_throughput(ctx, benchmark):
         },
         "speedup": round(speedup, 2),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_report("BENCH_runtime.json", payload)
     print()
     print(json.dumps(payload, indent=2))
 
-    # The streaming pipeline must beat the legacy per-trace loop.
+    # Streaming must beat the full render of the same session.
     assert speedup > 1.0, (
         f"streaming pipeline ({streaming_wps:.1f} win/s) slower than the "
-        f"legacy loop ({legacy_wps:.1f} win/s)"
+        f"full render ({full_wps:.1f} win/s)"
     )
     if not SMOKE:
         assert speedup >= MIN_SPEEDUP, (

@@ -15,15 +15,16 @@ Checks:
 * nothing is shed on the flow-controlled path and the overload guard
   never trips (a healthy soak degrades nothing);
 * the service-side aggregate windows/sec meets the in-process
-  ``BENCH_runtime.json`` fleet row — fronting the pipeline with a
-  network service must not cost the fleet its throughput;
+  ``BENCH_runtime.json`` fleet row (this run's, else the committed
+  one) — fronting the pipeline with a network service must not cost
+  the fleet its throughput;
 * memory stays bounded while serving: the peak-RSS mark is reset
   just before the soak, and its peak (``VmHWM``) over the RSS at the
   reset stays under ``MAX_RSS_GROWTH_MB`` (bounded queues, not
   fleet-sized buffering).  The lifetime peak would hide the soak
   behind whatever the test session touched before it.
 
-Results land in ``BENCH_serve.json`` at the repo root.  Set
+Results land in ``BENCH_serve.json`` (see ``bench_report.py``).  Set
 ``SERVE_SMOKE=1`` for the CI variant (fewer chips, no absolute
 throughput floor — the committed baseline in
 ``benchmarks/baselines/BENCH_serve.json`` gates regressions instead).
@@ -36,8 +37,7 @@ import os
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
-
+from bench_report import read_report, write_report
 from repro.runtime.presets import build_preset
 from repro.runtime.sources import (
     DEFAULT_MONITOR_SENSOR,
@@ -46,9 +46,6 @@ from repro.runtime.sources import (
 )
 from repro.runtime.fleet import build_chip_monitor
 from repro.serve import MonitorService, ServeConfig, ServiceRunner
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-RUNTIME_BENCH = BENCH_PATH.parent / "BENCH_runtime.json"
 
 SMOKE = os.environ.get("SERVE_SMOKE", "") not in ("", "0")
 #: Concurrent replayed chip streams (the acceptance floor is 64).
@@ -165,7 +162,7 @@ def test_serve_throughput(tmp_path):
             "bound_mb": MAX_RSS_GROWTH_MB,
         },
     }
-    BENCH_PATH.write_text(json.dumps(result, indent=2) + "\n")
+    write_report("BENCH_serve.json", result)
     print()
     print(json.dumps(result, indent=2))
 
@@ -174,7 +171,7 @@ def test_serve_throughput(tmp_path):
         f"(bound {MAX_RSS_GROWTH_MB} MB) — buffering is not bounded"
     )
     if not SMOKE:
-        fleet_row = json.loads(RUNTIME_BENCH.read_text())
+        fleet_row = read_report("BENCH_runtime.json")
         floor = fleet_row["fleet"]["windows_per_sec"]
         assert service_wps >= floor, (
             f"serve fleet rate {service_wps:.1f} win/s below the "

@@ -16,8 +16,8 @@ Evaluates the 4-Trojan × 4-workload ``bench4x4`` grid twice:
   own row — warm and cold numbers are never mixed.
 
 Both render paths must agree bit-for-bit on features and alarms; the
-sweep must be >= 3x faster.  Results land in ``BENCH_sweep.json`` at
-the repo root so the performance trajectory is tracked from PR to PR.
+sweep must be >= 3x faster.  Results land in ``BENCH_sweep.json``
+(see ``bench_report.py``).
 
 Set ``SWEEP_SMOKE=1`` to run a 2-cell smoke variant (CI): equivalence
 is still asserted, the speedup floor is not.
@@ -29,10 +29,10 @@ import json
 import os
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
+from bench_report import write_report
 from repro.core.analysis.spectral import sideband_feature_db
 from repro.detectors import make_detector
 from repro.dsp.stats import detection_power, detection_rate, roc_auc
@@ -41,7 +41,6 @@ from repro.store import ArtifactStore
 from repro.sweep import DetectionSweep, SweepGrid, benchmark_grid
 from repro.workloads.scenarios import scenario_by_name
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 SMOKE = os.environ.get("SWEEP_SMOKE", "") not in ("", "0")
 #: Sweep-over-legacy throughput floor on the full grid.
@@ -188,7 +187,7 @@ def test_sweep_throughput(ctx, benchmark):
         "all_detected": report.all_detected,
         "all_within_budget": report.all_within_budget,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_report("BENCH_sweep.json", payload)
     print()
     print(json.dumps(payload, indent=2))
 

@@ -4,7 +4,8 @@
 Builds four of the paper's AES-128 test chips, each with its on-chip
 Programmable Sensor Array and one of the four catalog Trojans (T1-T4),
 and monitors them as deployed: 8 quiet windows, then the Trojan
-enabled, every sensor watched through the RASC ADC.  The first alarm
+enabled, every sensor watched at the sideband bins its detector
+reads (each window rendered as those rFFT columns).  The first alarm
 escalates to zero-span identification and quadrant localization —
 golden-model free.
 

@@ -114,6 +114,7 @@ class ProgrammableSensorArray:
         records: Sequence[ActivityRecord],
         trace_indices: Optional[Sequence[int]] = None,
         sensors: Optional[Sequence[int]] = None,
+        columns: Optional[Sequence[int]] = None,
     ) -> TraceBatch:
         """Render a batch of captures from the standard sensors.
 
@@ -126,6 +127,9 @@ class ProgrammableSensorArray:
             RNG stream index per capture (defaults to ``0..n-1``).
         sensors:
             Sensor indices to render (default: every programmed sensor).
+        columns:
+            rFFT columns to render in place of the samples (see
+            :meth:`~repro.engine.MeasurementEngine.render`).
         """
         if sensors is not None:
             for index in sensors:
@@ -138,6 +142,7 @@ class ProgrammableSensorArray:
             records,
             trace_indices=trace_indices,
             receiver_indices=sensors,
+            columns=columns,
         )
 
     def enqueue(

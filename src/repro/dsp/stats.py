@@ -140,12 +140,17 @@ def detection_rate(
     """Fraction of active-trace scores exceeding a z-score threshold.
 
     Each active score is z-scored against the baseline population; this
-    mirrors how the run-time detector flags traces.
+    mirrors how the run-time detector flags traces.  The baseline needs
+    at least two scores for a spread.
     """
     baseline = np.asarray(scores_baseline, dtype=float)
     active = np.asarray(scores_active, dtype=float)
     if active.size == 0:
         raise AnalysisError("no active scores supplied")
+    if baseline.size < 2:
+        raise AnalysisError(
+            f"a baseline of {baseline.size} score(s) has no spread; need >= 2"
+        )
     mean = baseline.mean()
     std = baseline.std(ddof=1)
     if std == 0.0:

@@ -331,6 +331,7 @@ class _DisplayColumns:
             if run is not None:
                 parts.append(np.arange(run.start, run.stop))
         self.columns = np.unique(np.concatenate(parts).astype(int))
+        self.columns.setflags(write=False)
         # Out-of-band points copy column 0 or the last column; the
         # others interpolate between knots idx and idx + 1, adjacent
         # in ``columns``.
@@ -474,6 +475,84 @@ def resample_spectra(
 DISPLAY_BLOCK_ROWS = 32
 
 
+@dataclass(frozen=True)
+class RfftColumns:
+    """rFFT values of real windows at a subset of their native columns.
+
+    What a column render hands the featurizer in place of samples: the
+    values :func:`display_spectra_at` would gather from each window's
+    full rFFT, without the windows.
+
+    Attributes
+    ----------
+    values:
+        Complex rFFT values, shape ``(..., len(columns))``.
+    columns:
+        The native rFFT bins held, strictly increasing.
+    n_samples:
+        Length of the windows the rFFT is over.
+    """
+
+    values: np.ndarray
+    columns: np.ndarray
+    n_samples: int
+
+    def __post_init__(self) -> None:
+        if self.values.ndim < 1 or self.values.shape[-1] != len(self.columns):
+            raise AnalysisError(
+                f"rFFT values of shape {self.values.shape} do not hold "
+                f"{len(self.columns)} columns"
+            )
+
+
+def _display_subset(
+    n: int, fs: float, bins, f_lo: float, f_hi: float, n_points: int
+) -> "tuple[_ResamplePlan, np.ndarray, _DisplayColumns]":
+    """The checked plan of ``n``-sample windows and display ``bins`` on it."""
+    plan = _rfft_display_plan(n, fs, f_lo, f_hi, n_points)
+    bins = np.asarray(bins, dtype=int)
+    if bins.ndim != 1 or bins.size == 0:
+        raise AnalysisError("bins must be a non-empty 1-D index array")
+    if bins.min() < 0 or bins.max() >= n_points:
+        raise AnalysisError(
+            f"display bins outside 0..{n_points - 1}"
+        )
+    if np.count_nonzero(np.diff(bins) <= 0):
+        raise AnalysisError("display bins must be strictly increasing")
+    return plan, bins, plan.at(bins)
+
+
+def native_columns(
+    n: int,
+    fs: float,
+    bins: np.ndarray,
+    f_lo: float = 0.0,
+    f_hi: float = 120e6,
+    n_points: int = 2000,
+) -> np.ndarray:
+    """The native rFFT columns display points ``bins`` read (read-only).
+
+    Display points of ``n``-sample windows at ``fs``: exactly the
+    columns :func:`display_from_columns` needs to reproduce
+    :func:`display_spectra_at`.
+    """
+    return _display_subset(n, fs, bins, f_lo, f_hi, n_points)[2].columns
+
+
+def _display_points(
+    spec: np.ndarray,
+    n: int,
+    plan: _ResamplePlan,
+    bins: np.ndarray,
+    subset: _DisplayColumns,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Display points ``bins`` from rFFT columns ``subset.columns``."""
+    amps = _rms_amplitudes(spec, n, subset.columns)
+    power = subset.apply(amps**2)
+    np.sqrt(power, out=power)
+    return plan.grid[bins], power
+
+
 def display_spectra_at(
     samples: np.ndarray,
     fs: float,
@@ -509,17 +588,7 @@ def display_spectra_at(
     if samples.shape[1] < 2:
         raise AnalysisError("traces too short for a spectrum")
     n = samples.shape[1]
-    plan = _rfft_display_plan(n, fs, f_lo, f_hi, n_points)
-    bins = np.asarray(bins, dtype=int)
-    if bins.ndim != 1 or bins.size == 0:
-        raise AnalysisError("bins must be a non-empty 1-D index array")
-    if bins.min() < 0 or bins.max() >= n_points:
-        raise AnalysisError(
-            f"display bins outside 0..{n_points - 1}"
-        )
-    if np.count_nonzero(np.diff(bins) <= 0):
-        raise AnalysisError("display bins must be strictly increasing")
-    subset = plan.at(bins)
+    plan, bins, subset = _display_subset(n, fs, bins, f_lo, f_hi, n_points)
     columns = subset.columns
     n_rows = samples.shape[0]
     spec = np.empty((n_rows, columns.size), dtype=complex)
@@ -541,10 +610,35 @@ def display_spectra_at(
             for _ in range(n_workers)
         ]
     )
-    amps = _rms_amplitudes(spec, n, columns)
-    power = subset.apply(amps**2)
-    np.sqrt(power, out=power)
-    return plan.grid[bins], power
+    return _display_points(spec, n, plan, bins, subset)
+
+
+def display_from_columns(
+    spectra: RfftColumns,
+    fs: float,
+    bins: np.ndarray,
+    f_lo: float = 0.0,
+    f_hi: float = 120e6,
+    n_points: int = 2000,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """:func:`display_spectra_at` from the windows' rFFT columns.
+
+    ``spectra`` must hold exactly :func:`native_columns` of ``bins``;
+    its leading axes flatten into rows.  The columns then go through
+    the same RMS scaling and display geometry as a transformed trace
+    stack's, so the result equals :func:`display_spectra_at` of the
+    windows up to the rounding of the rFFT the windows would have gone
+    through.
+    """
+    n = spectra.n_samples
+    plan, bins, subset = _display_subset(n, fs, bins, f_lo, f_hi, n_points)
+    if not np.array_equal(spectra.columns, subset.columns):
+        raise AnalysisError(
+            "the rFFT columns at hand are not the columns the display "
+            "bins read"
+        )
+    spec = spectra.values.reshape(-1, subset.columns.size)
+    return _display_points(spec, n, plan, bins, subset)
 
 
 def _check_band(

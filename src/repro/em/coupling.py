@@ -349,6 +349,7 @@ def charge_amplitudes(
     coupling: CouplingMatrix,
     record: ActivityRecord,
     switch_cap: float | None = None,
+    basis: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Per-receiver per-cycle charge amplitudes ``(rising, falling)``.
 
@@ -359,7 +360,11 @@ def charge_amplitudes(
 
     The record's activity is a sum of per-module ``weights x toggles``
     outer products (:attr:`ActivityRecord.factors`), so the region
-    matmul collapses to one cached projection per module.
+    matmul collapses to one cached projection per module.  ``basis``,
+    an ``(n_cycles, m)`` matrix, maps each module's charge train onto
+    ``m`` coefficients first (the cycle DFT at a few bins, say): the
+    amplitudes are linear in the trains, so the result is
+    ``amplitudes @ basis`` without the ``n_cycles``-wide matrices.
     """
     config = record.config
     from ..chip.power import MEAN_SWITCH_CAP
@@ -370,6 +375,19 @@ def charge_amplitudes(
     def _assemble(parts) -> Optional[np.ndarray]:
         if not parts:
             return None
+        if basis is not None:
+            # All modules at once: (receivers x modules) @ (modules x m).
+            coefficients = np.stack(
+                [toggles * q_per_toggle for _, _, toggles in parts]
+            ) @ basis
+            rows = np.stack(
+                [_project(coupling, name, weights) for name, weights, _ in parts],
+                axis=1,
+            )
+            sums = np.array([float(weights.sum()) for _, weights, _ in parts])
+            return rows @ coefficients + np.outer(
+                coupling.bond_row, sums @ coefficients
+            )
         total = np.zeros((coupling.n_receivers, config.n_cycles))
         bond_cycles = np.zeros(config.n_cycles)
         for name, weights, toggles in parts:
@@ -385,7 +403,10 @@ def charge_amplitudes(
         list(factors.get("main", ())) + list(factors.get("trojan_rising", ()))
     )
     if rising_q is None:
-        rising_q = np.zeros((coupling.n_receivers, config.n_cycles))
+        width = config.n_cycles if basis is None else basis.shape[1]
+        rising_q = np.zeros(
+            (coupling.n_receivers, width), dtype=float if basis is None else complex
+        )
     return rising_q, _assemble(list(factors.get("trojan", ())))
 
 
@@ -478,10 +499,33 @@ def _tiled_cycle_spectrum(
     return tiled
 
 
+#: Cached cycle-DFT bases ``exp(-2*pi*i*c*k/n_cycles)`` per (cycle
+#: count, trace-bin columns): the column sets a render asks for are few.
+_CYCLE_DFT_CACHE: Dict[Tuple[int, bytes], np.ndarray] = {}
+_CYCLE_DFT_LIMIT = 16
+
+
+def _cycle_dft(n_cycles: int, columns: np.ndarray) -> np.ndarray:
+    """``(n_cycles, len(columns))`` DFT basis at bins ``columns % n_cycles``."""
+    key = (n_cycles, columns.tobytes())
+    basis = _CYCLE_DFT_CACHE.get(key)
+    if basis is None:
+        # The integer phase index reduced mod n_cycles first keeps
+        # every angle in [0, 2*pi).
+        index = np.outer(np.arange(n_cycles), columns % n_cycles) % n_cycles
+        basis = np.exp(-2j * np.pi * index / n_cycles)
+        basis.setflags(write=False)
+        if len(_CYCLE_DFT_CACHE) >= _CYCLE_DFT_LIMIT:
+            _CYCLE_DFT_CACHE.clear()
+        _CYCLE_DFT_CACHE[key] = basis
+    return basis
+
+
 def emf_rfft(
     coupling: "CouplingMatrix | CouplingStack",
     record: ActivityRecord,
     switch_cap: float | None = None,
+    columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """EMF spectrum per receiver, shape ``(n_receivers, n_bins)`` complex.
 
@@ -495,20 +539,40 @@ def emf_rfft(
     sideband spectrum.  ``irfft`` of the result is the engine's rendered
     EMF waveform.
 
+    ``columns`` (strictly increasing rFFT bins) synthesizes only those
+    bins, shape ``(n_receivers, len(columns))``: each module's charge
+    train goes through the cycle DFT at ``columns % n_cycles`` alone
+    (:func:`charge_amplitudes` with a DFT basis), times the phase ramp
+    and the kernel at ``columns``, with no full-width row built.  It
+    equals the full synthesis at those bins up to rounding.
+
     A :class:`CouplingStack` is synthesized part by part and row-
     stacked, so each row is bit-identical to the standalone render of
     its part (see :class:`CouplingStack`).
     """
     if isinstance(coupling, CouplingStack):
         return np.vstack(
-            [emf_rfft(part, record, switch_cap) for part in coupling.parts]
+            [
+                emf_rfft(part, record, switch_cap, columns)
+                for part in coupling.parts
+            ]
         )
     config = record.config
+    kernel = kernel_spectrum(config)
+    if columns is not None:
+        rising, falling = charge_amplitudes(
+            coupling, record, switch_cap, _cycle_dft(config.n_cycles, columns)
+        )
+        if falling is not None:
+            falling *= _phase_ramp(config.n_samples, config.oversample // 2)[columns]
+            rising += falling
+        rising *= kernel[columns]
+        return rising
     rising_q, falling_q = charge_amplitudes(coupling, record, switch_cap)
     spectrum = _tiled_cycle_spectrum(rising_q, config, 0)
     if falling_q is not None:
         spectrum += _tiled_cycle_spectrum(
             falling_q, config, config.oversample // 2
         )
-    spectrum *= kernel_spectrum(config)
+    spectrum *= kernel
     return spectrum

@@ -173,6 +173,57 @@ def fill_white_noise_rfft(
     return out
 
 
+def white_noise_columns(
+    n_samples: int,
+    columns: np.ndarray,
+    dc_scale: float,
+    nyquist_scale: float,
+    body_scale: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """:func:`fill_white_noise_rfft`'s layout at rFFT ``columns`` only.
+
+    Returns the layout ``(real_index, imag_index, real_scale,
+    imag_scale)``: column ``columns[k]`` of the full fill is
+    ``z[real_index[k]] * real_scale[k]`` plus ``i * z[imag_index[k]] *
+    imag_scale[k]``, the same products of the same normals (the DC and
+    Nyquist columns get an imaginary part of zero).  Apply with
+    :func:`fill_white_noise_columns`.
+    """
+    columns = np.asarray(columns)
+    n_bins = n_samples // 2 + 1
+    even = n_samples % 2 == 0
+    body = n_bins - 2 if even else n_bins - 1
+    first = 2 if even else 1  # z index of the first interior real part
+    nyquist = (columns == n_bins - 1) if even else np.zeros(columns.shape, bool)
+    interior = (columns > 0) & ~nyquist
+    body_index = np.clip(columns - 1, 0, body - 1)
+    real_index = np.where(interior, first + body_index, np.where(nyquist, 1, 0))
+    imag_index = np.where(interior, first + body + body_index, 0)
+    real_scale = np.where(
+        interior,
+        body_scale[body_index],
+        np.where(nyquist, nyquist_scale, dc_scale),
+    )
+    imag_scale = np.where(interior, real_scale, 0.0)
+    return real_index, imag_index, real_scale, imag_scale
+
+
+def fill_white_noise_columns(
+    out: np.ndarray,
+    z: np.ndarray,
+    layout: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
+) -> np.ndarray:
+    """Write the white-noise rFFT of normals ``z`` at a column subset.
+
+    ``layout`` comes from :func:`white_noise_columns`; ``out`` holds
+    one complex value per column.
+    """
+    real_index, imag_index, real_scale, imag_scale = layout
+    np.multiply(z[real_index], real_scale, out=out.real)
+    np.multiply(z[imag_index], imag_scale, out=out.imag)
+    return out
+
+
 def tone_bin(n_samples: int, fs: float, freq: float) -> "int | None":
     """Interior rFFT bin of a tone, or None when it sits off-grid."""
     bin_float = freq * n_samples / fs

@@ -5,16 +5,18 @@ one ``(n_receivers, n_traces, n_samples)`` array plus the metadata
 needed to reconstruct individual :class:`~repro.traces.Trace` objects
 on demand.  Downstream vectorized consumers (batched spectra, feature
 extraction) operate on the array directly; legacy consumers convert
-lazily via :meth:`TraceBatch.trace`.
+lazily via :meth:`TraceBatch.trace`.  A column render holds the
+captures' spectra at a few rFFT columns instead of samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..dsp.transforms import RfftColumns
 from ..errors import MeasurementError
 from ..traces import Trace
 
@@ -26,7 +28,8 @@ class TraceBatch:
     Attributes
     ----------
     samples:
-        Voltage samples [V], shape ``(n_receivers, n_traces, n_samples)``.
+        Voltage samples [V], shape ``(n_receivers, n_traces, n_samples)``;
+        None for a column render.
     fs:
         Sampling rate [Hz].
     labels:
@@ -38,22 +41,29 @@ class TraceBatch:
     receiver_meta:
         Static per-receiver metadata merged into every constructed
         :class:`~repro.traces.Trace` (series resistance, turn count).
+    spectra:
+        A column render's output in place of ``samples``: complex
+        spectra of shape ``(n_receivers, n_traces, n_columns)``.
     """
 
-    samples: np.ndarray
+    samples: Optional[np.ndarray]
     fs: float
     labels: Tuple[str, ...]
     scenarios: Tuple[str, ...]
     trace_indices: Tuple[int, ...]
     receiver_meta: Tuple[Dict[str, object], ...]
+    spectra: Optional[RfftColumns] = None
 
     def __post_init__(self) -> None:
-        if self.samples.ndim != 3:
+        if (self.samples is None) == (self.spectra is None):
+            raise MeasurementError("a TraceBatch holds samples or spectra")
+        data = self.samples if self.spectra is None else self.spectra.values
+        if data.ndim != 3:
             raise MeasurementError(
                 "TraceBatch samples must be (n_receivers, n_traces, "
-                f"n_samples), got shape {self.samples.shape}"
+                f"n_samples), got shape {data.shape}"
             )
-        n_receivers, n_traces, _ = self.samples.shape
+        n_receivers, n_traces, _ = data.shape
         if len(self.labels) != n_receivers:
             raise MeasurementError("one label per receiver required")
         if len(self.receiver_meta) != n_receivers:
@@ -66,22 +76,26 @@ class TraceBatch:
     @property
     def n_receivers(self) -> int:
         """Receivers along the first axis."""
-        return int(self.samples.shape[0])
+        return len(self.labels)
 
     @property
     def n_traces(self) -> int:
         """Captures along the second axis."""
-        return int(self.samples.shape[1])
+        return len(self.trace_indices)
 
     @property
     def n_samples(self) -> int:
         """Fast-time samples per trace."""
+        if self.spectra is not None:
+            return self.spectra.n_samples
         return int(self.samples.shape[2])
 
     # -- conversion ----------------------------------------------------------
 
     def trace(self, receiver: int, index: int) -> Trace:
         """One capture as a legacy :class:`~repro.traces.Trace`."""
+        if self.samples is None:
+            raise MeasurementError("a column render holds no samples")
         if not 0 <= receiver < self.n_receivers:
             raise MeasurementError(
                 f"receiver {receiver} outside 0..{self.n_receivers - 1}"

@@ -38,6 +38,14 @@ unrelated renders through a :class:`~repro.engine.plan.RenderPlan`,
 through ``measure``/``measure_all`` compatibility wrappers, or split
 across any number of threads.  Samples are always float64.
 
+A *column render* (``columns=`` on :meth:`MeasurementEngine.render`
+and :meth:`~repro.engine.plan.RenderPlan.add`) runs the same capture
+loop, draws every stream in full and in the same order, and writes
+only the requested rFFT columns of each spectrum, with no irFFT.  Its
+values are the full render's spectrum at those columns up to the
+rounding of the irFFT → rFFT round trip, and are byte-identical at
+any thread count; the full render is untouched by it.
+
 Execution
 ---------
 A render pass cuts its captures into contiguous trace pieces, one
@@ -62,13 +70,16 @@ import numpy as np
 from ..chip.power import ActivityRecord
 from ..config import SimConfig
 from ..em.amplifier import MeasurementAmplifier
+from ..dsp.transforms import RfftColumns
 from ..em.coupling import CouplingMatrix, CouplingStack, Receiver, emf_rfft
 from ..em.noise import (
     NoiseModel,
     add_tone_spectrum,
+    fill_white_noise_columns,
     fill_white_noise_rfft,
     tone_bin,
     tone_line,
+    white_noise_columns,
     white_noise_scales,
 )
 from ..errors import MeasurementError
@@ -261,6 +272,7 @@ class MeasurementEngine:
         records: Sequence[ActivityRecord],
         trace_indices: Optional[Sequence[int]] = None,
         receiver_indices: Optional[Sequence[int]] = None,
+        columns: Optional[Sequence[int]] = None,
     ) -> TraceBatch:
         """Render a batch of captures into a :class:`TraceBatch`.
 
@@ -284,11 +296,18 @@ class MeasurementEngine:
             RNG stream index per capture (defaults to ``0..n-1``).
         receiver_indices:
             Subset of ``coupling.receivers`` to render (default: all).
+        columns:
+            Strictly increasing rFFT columns to render instead of the
+            samples: each capture draws its whole stream as the full
+            render does, but only these columns of its spectrum are
+            written, and it is never inverse-transformed.
 
         Returns
         -------
         TraceBatch
-            ``(n_receivers, n_traces, n_samples)`` voltage samples plus
+            ``(n_receivers, n_traces, n_samples)`` voltage samples, or
+            with ``columns`` the captures' complex spectra at those
+            columns (:attr:`TraceBatch.spectra`), plus
             per-receiver/per-capture metadata.
         """
         from .plan import RenderPlan
@@ -300,6 +319,7 @@ class MeasurementEngine:
             trace_indices=trace_indices,
             receiver_indices=receiver_indices,
             engine=self,
+            columns=columns,
         )
         plan.execute()
         return ticket.result()
@@ -310,7 +330,8 @@ class MeasurementEngine:
         records: Sequence[ActivityRecord],
         trace_indices: Optional[Sequence[int]],
         receiver_indices: Optional[Sequence[int]],
-    ) -> Tuple[List[ActivityRecord], List[int], List[int]]:
+        columns: Optional[Sequence[int]] = None,
+    ) -> Tuple[List[ActivityRecord], List[int], List[int], Optional[np.ndarray]]:
         """Validate and expand one render request's arguments."""
         records = list(records)
         if not records:
@@ -340,7 +361,22 @@ class MeasurementEngine:
                 raise MeasurementError(
                     f"receiver index {index} outside the coupling matrix"
                 )
-        return records, trace_indices, receiver_indices
+        if columns is not None:
+            columns = np.array(columns, dtype=np.intp)
+            n_bins = self.config.n_samples // 2 + 1
+            if (
+                columns.ndim != 1
+                or columns.size == 0
+                or columns[0] < 0
+                or columns[-1] >= n_bins
+                or np.count_nonzero(np.diff(columns) <= 0)
+            ):
+                raise MeasurementError(
+                    "columns must be strictly increasing rFFT bins in "
+                    f"0..{n_bins - 1}"
+                )
+            columns.setflags(write=False)
+        return records, trace_indices, receiver_indices, columns
 
     def _finalize(
         self,
@@ -349,14 +385,20 @@ class MeasurementEngine:
         records: List[ActivityRecord],
         trace_indices: List[int],
         receiver_indices: List[int],
+        columns: Optional[np.ndarray] = None,
     ) -> TraceBatch:
-        """Wrap rendered samples with their capture metadata."""
+        """Wrap a pass's output with its capture metadata."""
         plans = [
             self._capture_plan(coupling.receivers[i])[0]
             for i in receiver_indices
         ]
+        spectra = None
+        if columns is not None:
+            spectra = RfftColumns(samples, columns, self.config.n_samples)
+            samples = None
         return TraceBatch(
             samples=samples,
+            spectra=spectra,
             fs=self.config.fs,
             labels=tuple(plan.name for plan in plans),
             scenarios=tuple(record.scenario for record in records),
@@ -373,16 +415,19 @@ class MeasurementEngine:
         records: List[ActivityRecord],
         trace_indices: List[int],
         receiver_indices: List[int],
+        columns: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """One job's samples, its trace pieces rendered on every core.
+        """One job's output, its trace pieces rendered on every core.
 
         The amplifier's gain curve is folded into every pre-computed
         scale (EMF rows, per-bin white-noise scales, tone lines), so
         each capture assembles its final filtered spectrum directly and
         the only remaining full-spectrum passes are the per-bin writes
-        and one batched irFFT per chunk.  Plans, the output and every
-        thread's buffers are made here, in the calling thread; the
-        threads only fill them.
+        and one batched irFFT per chunk.  With ``columns`` the same
+        loop writes only those columns of each spectrum, straight into
+        the complex output, and skips the irFFT.  Plans, the output and
+        every thread's buffers are made here, in the calling thread;
+        the threads only fill them.
         """
         config = self.config
         n = config.n_samples
@@ -395,21 +440,51 @@ class MeasurementEngine:
             for i in receiver_indices
         ]
         gain = self.amplifier.gain_curve(fs, n)
+        # The spectrum bins this pass writes: all, or the columns.
+        take = slice(None) if columns is None else columns
         # EMF rows get each receiver's divider and the gain curve.
         emf_scale = (
-            np.array([plan.divider for plan, _, _ in captures])[:, None] * gain
+            np.array([plan.divider for plan, _, _ in captures])[:, None]
+            * gain[take]
         )
         every_receiver = receiver_indices == list(range(coupling.n_receivers))
-        # One (name, jitter, scales, tones) row per receiver, zipped
+        # One (name, jitter, noise fill, tones) row per receiver, built
         # once — the capture loop below runs per (trace, receiver).
-        row_plans = [
-            (plan.name, plan.gain_jitter, scales, tones)
-            for plan, scales, tones in captures
-        ]
+        if columns is not None:
+            column_at = {int(column): k for k, column in enumerate(columns)}
+        row_plans = []
+        for plan, scales, tones in captures:
+            if columns is None:
+                dc, nyquist, body = scales
+                fill = partial(
+                    fill_white_noise_rfft,
+                    dc_scale=dc,
+                    nyquist_scale=nyquist,
+                    body_scale=body,
+                )
+            else:
+                fill = partial(
+                    fill_white_noise_columns,
+                    layout=white_noise_columns(n, columns, *scales),
+                )
+                # A tone line off the columns still draws its phase;
+                # position -1 writes it nowhere.
+                tones = tuple(
+                    (
+                        None if bin_index is None else column_at.get(bin_index, -1),
+                        payload,
+                    )
+                    for bin_index, payload in tones
+                )
+            row_plans.append((plan.name, plan.gain_jitter, fill, tones))
         two_pi = 2.0 * math.pi
         seed = config.seed
 
-        out = np.empty((n_receivers, n_traces, n))
+        width = n_bins if columns is None else len(columns)
+        if columns is None:
+            out = np.empty((n_receivers, n_traces, n))
+        else:
+            out = np.empty((n_receivers, n_traces, width), dtype=complex)
         n_workers = workers(n_traces)
         chunk = self.chunk_traces or max(1, IRFFT_ROWS // (n_workers * n_receivers))
         chunk = min(chunk, n_traces)
@@ -427,7 +502,7 @@ class MeasurementEngine:
                 key = id(record)
                 rows = emf_cache.get(key)
                 if rows is None:
-                    rows = emf_rfft(coupling, record)
+                    rows = emf_rfft(coupling, record, columns=columns)
                     if not every_receiver:
                         rows = rows[receiver_indices]
                     rows *= emf_scale
@@ -439,14 +514,14 @@ class MeasurementEngine:
             for lo, hi in pieces:
                 for key in [key for key in emf_cache if last_use[key] < lo]:
                     del emf_cache[key]
-                spec = scratch[:, : hi - lo]
+                spec = out[:, lo:hi] if scratch is None else scratch[:, : hi - lo]
                 for offset in range(hi - lo):
                     position = lo + offset
                     record = records[position]
                     scenario = record.scenario
                     trace_index = trace_indices[position]
                     emf = emf_rows(record, position)
-                    for row_index, (name, gain_jitter, scales, tones) in (
+                    for row_index, (name, gain_jitter, fill_noise, tones) in (
                         enumerate(row_plans)
                     ):
                         row = spec[row_index, offset]
@@ -460,18 +535,25 @@ class MeasurementEngine:
                                 1.0 + gain_jitter * rng.standard_normal()
                             )
                         z = rng.standard_normal(n, out=z_buffer)
-                        fill_white_noise_rfft(row, z, *scales)
-                        for bin_index, payload in tones:
-                            phase = rng.uniform(0.0, two_pi)
-                            if bin_index is not None:
-                                row[bin_index] += tone_line(payload, n, phase)
-                            else:
+                        fill_noise(row, z)
+                        # One call draws every tone phase: the same
+                        # values as one call per tone, with one lock and
+                        # GIL round trip instead of several.
+                        phases = (
+                            rng.uniform(0.0, two_pi, len(tones)).tolist()
+                            if tones
+                            else ()
+                        )
+                        for (bin_index, payload), phase in zip(tones, phases):
+                            if bin_index is None:
                                 freq, amplitude = payload
                                 tone = np.zeros(n_bins, dtype=complex)
                                 add_tone_spectrum(
                                     tone, n, fs, freq, amplitude, phase
                                 )
-                                row += gain * tone
+                                row += (gain * tone)[take]
+                            elif bin_index >= 0:
+                                row[bin_index] += tone_line(payload, n, phase)
                         if jitter != 1.0:
                             # jitter * emf without the temporary (IEEE
                             # multiplication commutes, so the bits match).
@@ -481,15 +563,18 @@ class MeasurementEngine:
                             row += jitter_buffer
                         else:
                             row += emf[row_index]
-                np.fft.irfft(spec, n=n, axis=-1, out=out[:, lo:hi])
+                if scratch is not None:
+                    np.fft.irfft(spec, n=n, axis=-1, out=out[:, lo:hi])
 
         run(
             [
                 partial(
                     render_pieces,
-                    np.empty((n_receivers, chunk, n_bins), dtype=complex),
+                    None
+                    if columns is not None
+                    else np.empty((n_receivers, chunk, n_bins), dtype=complex),
                     np.empty(n),
-                    np.empty(n_bins, dtype=complex),
+                    np.empty(width, dtype=complex),
                 )
                 for _ in range(n_workers)
             ]

@@ -10,10 +10,11 @@ the results back, with each :class:`RenderTicket` resolving to exactly
 the :class:`TraceBatch` its standalone ``engine.render`` call would
 have produced.
 
-Requests sharing (engine, coupling object, receiver subset)
-concatenate their capture lists into one *job*, so e.g. the base and
-active score-map renders of a localization, or every repeat of a sweep
-cell, render as one pass, split into trace pieces across the cores.
+Requests sharing (engine, coupling object, receiver subset, rFFT
+columns) concatenate their capture lists into one *job*, so e.g. the
+base and active score-map renders of a localization, or every repeat
+of a sweep cell, render as one pass, split into trace pieces across
+the cores.
 
 Bit-identity is structural, not incidental: every capture's samples
 depend only on its RNG stream ``render/{scenario}/{receiver}/{index}``
@@ -42,20 +43,22 @@ class _Request:
     records: list
     trace_indices: List[int]
     receiver_indices: List[int]
+    columns: Optional[np.ndarray]
     tag: Optional[str]
     batch: Optional[TraceBatch] = None
 
 
 @dataclass
 class _Job:
-    """Requests fused into one engine pass (same engine/coupling/receivers)."""
+    """Requests fused into one engine pass (same engine/coupling/receivers/columns)."""
 
     engine: object
     coupling: object
     receiver_indices: List[int]
+    columns: Optional[np.ndarray]
     records: list = field(default_factory=list)
     trace_indices: List[int] = field(default_factory=list)
-    #: ``(request, lo, hi)`` — request's capture columns inside the job.
+    #: ``(request, lo, hi)`` — request's capture positions inside the job.
     spans: List[Tuple[_Request, int, int]] = field(default_factory=list)
 
     def add(self, request: _Request) -> None:
@@ -123,6 +126,7 @@ class RenderPlan:
         receiver_indices: Optional[Sequence[int]] = None,
         engine=None,
         tag: Optional[str] = None,
+        columns: Optional[Sequence[int]] = None,
     ) -> RenderTicket:
         """Enqueue one logical render; returns its ticket.
 
@@ -136,8 +140,8 @@ class RenderPlan:
         engine = engine or self._default_engine
         if engine is None:
             raise MeasurementError("no engine for enqueued render")
-        records, trace_indices, receiver_indices = engine._normalize(
-            coupling, records, trace_indices, receiver_indices
+        records, trace_indices, receiver_indices, columns = engine._normalize(
+            coupling, records, trace_indices, receiver_indices, columns
         )
         request = _Request(
             engine=engine,
@@ -145,6 +149,7 @@ class RenderPlan:
             records=records,
             trace_indices=trace_indices,
             receiver_indices=receiver_indices,
+            columns=columns,
             tag=tag,
         )
         self._requests.append(request)
@@ -155,8 +160,8 @@ class RenderPlan:
 
         After this returns, every ticket's :meth:`RenderTicket.result`
         resolves.  Requests fuse into jobs by (engine, coupling,
-        receiver subset); each job renders as one engine pass; results
-        demux back in enqueue order.
+        receiver subset, columns); each job renders as one engine pass;
+        results demux back in enqueue order.
         """
         if self._executed:
             raise MeasurementError(
@@ -169,6 +174,7 @@ class RenderPlan:
                 id(request.engine),
                 id(request.coupling),
                 tuple(request.receiver_indices),
+                None if request.columns is None else request.columns.tobytes(),
             )
             job = jobs.get(key)
             if job is None:
@@ -176,25 +182,27 @@ class RenderPlan:
                     engine=request.engine,
                     coupling=request.coupling,
                     receiver_indices=request.receiver_indices,
+                    columns=request.columns,
                 )
                 jobs[key] = job
             job.add(request)
         for job in jobs.values():
-            samples = job.engine._render_pass(
+            output = job.engine._render_pass(
                 job.coupling, job.records, job.trace_indices,
-                job.receiver_indices,
+                job.receiver_indices, job.columns,
             )
-            self._demux(job, samples)
+            self._demux(job, output)
 
     @staticmethod
-    def _demux(job: _Job, samples: np.ndarray) -> None:
+    def _demux(job: _Job, output: np.ndarray) -> None:
         """Slice one job's output back into its requests' batches."""
         for request, lo, hi in job.spans:
-            view = samples[:, lo:hi] if len(job.spans) > 1 else samples
+            view = output[:, lo:hi] if len(job.spans) > 1 else output
             request.batch = request.engine._finalize(
                 view,
                 job.coupling,
                 request.records,
                 request.trace_indices,
                 request.receiver_indices,
+                request.columns,
             )

@@ -9,7 +9,9 @@ raw traces never cross a communication channel).
 The monitor itself is the run-time subsystem's MONITOR stage
 (:class:`repro.runtime.EscalationPipeline` with
 ``PipelineConfig(quantize=True)``); this module holds the converter it
-digitizes every window with.
+digitizes time-domain windows with (replay, serve uploads and sweep
+cells).  A live session's MONITOR chunks are rendered rFFT columns and
+skip it.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ import numpy as np
 
 from ..dsp.filters import analytic_bandpass
 from ..dsp.transforms import (
+    RfftColumns,
     Spectrum,
     amplitude_spectra,
     amplitude_spectrum,
     average_spectra,
+    display_from_columns,
     display_spectra_at,
+    native_columns,
     resample_spectra,
     resample_spectrum,
 )
@@ -146,6 +149,29 @@ class SpectrumAnalyzer:
         """
         return display_spectra_at(
             samples, fs, bins, self.f_lo, self.f_hi, self.n_points, prepare
+        )
+
+    def native_columns(
+        self, n_samples: int, fs: float, bins: np.ndarray
+    ) -> np.ndarray:
+        """The rFFT columns of ``n_samples``-sample windows that display
+        columns ``bins`` read (see :meth:`display_from_columns`)."""
+        return native_columns(
+            n_samples, fs, bins, self.f_lo, self.f_hi, self.n_points
+        )
+
+    def display_from_columns(
+        self, spectra: RfftColumns, fs: float, bins: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`display_bins` from the windows' rFFT columns.
+
+        ``spectra`` holds the :meth:`native_columns` of ``bins``; the
+        result equals :meth:`display_bins` of the windows themselves up
+        to floating-point rounding, see
+        :func:`~repro.dsp.transforms.display_from_columns`.
+        """
+        return display_from_columns(
+            spectra, fs, bins, self.f_lo, self.f_hi, self.n_points
         )
 
     def display_spectra(self, samples: np.ndarray, fs: float) -> List[Spectrum]:

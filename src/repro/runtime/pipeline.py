@@ -4,15 +4,19 @@ The paper's run-time flow as an explicit state machine over a
 :class:`~repro.runtime.sources.TraceStream`:
 
 * **MONITOR** — every window of every monitored stream is featurized
-  in one vectorized pass (optional RASC ADC front-end, batched display
-  spectra, the detector's spectral reduction) and folded through the
-  configured :mod:`repro.detectors` method — the rolling-Welford
-  self-baseline by default, or a reference-free method selected via
-  ``PipelineConfig.detector_name`` / ``repro monitor --detector``.
+  in one vectorized pass (batched display spectra at the bins the
+  detector reads, the detector's spectral reduction) and folded
+  through the configured :mod:`repro.detectors` method — the
+  rolling-Welford self-baseline by default, or a reference-free method
+  selected via ``PipelineConfig.detector_name`` / ``repro monitor
+  --detector``.  A live source renders only the rFFT columns those
+  bins read (:meth:`EscalationPipeline.bind`); time-domain windows
+  (replay, serve, sweep) go through the optional RASC ADC front-end
+  first.
 * **IDENTIFY** — on the first debounced alarm the pipeline switches to
   the time domain: the alarming window's zero-span envelope goes
   through the :class:`~repro.core.analysis.identifier.TrojanIdentifier`
-  rule template.
+  rule template.  A live source renders that one window in full.
 * **LOCALIZE** — if the stream can take new measurements (live
   sources), the batched :class:`~repro.core.analysis.localizer.Localizer`
   runs the score map + quadrant refinement and the machine returns to
@@ -23,9 +27,12 @@ a session is fully auditable from its JSONL log alone.
 
 Determinism: escalation never touches detector state, and every
 per-window feature is an elementwise function of that window's
-samples, so the full decision timeline is bit-identical at any chunk
-size — the property ``tests/test_runtime_stream.py`` pins against the
-one-shot offline render.
+samples (or of its rendered columns), so the full decision timeline
+is bit-identical at any chunk size — the property
+``tests/test_runtime_stream.py`` pins against the one-shot offline
+render.  Live MONITOR features equal the full render's featurized
+without the ADC up to floating-point rounding; the IDENTIFY window
+and LOCALIZE are bit-identical to the full render's.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from .events import (
     TrojanLocalized,
     WindowProcessed,
 )
-from .sources import StreamChunk, TraceStream
+from .sources import LiveSource, StreamChunk, TraceStream
 
 
 def chunk_features(
@@ -74,11 +81,14 @@ def chunk_features(
     The package's one MONITOR-stage featurizer: the pipeline and the
     sweep orchestrator (which passes a rendered
     :class:`~repro.engine.TraceBatch`, the same ``samples``/``fs``
-    layout) both call it.  Optional auto-ranged ADC quantization (the RASC
-    front-end), then one batched display-spectrum + feature pass
-    through the detector's spectral reduction.  Every element is a
-    function of that window's samples alone, so the result is
-    independent of how the stream was chunked.
+    layout) both call it.  Time-domain windows go through the optional
+    auto-ranged ADC quantization (the RASC front-end) and one batched
+    display-spectrum pass; a chunk of rendered rFFT columns (a live
+    MONITOR chunk) has no time domain to quantize, ignores ``adc`` and
+    goes straight to the same display tail.  Either way the display
+    feeds the detector's spectral reduction.  Every element is a
+    function of that window alone, so the result is independent of
+    how the stream was chunked.
 
     Only the display bins the detector's feature actually reads are
     resampled (a few percent of the grid); the values are
@@ -86,18 +96,20 @@ def chunk_features(
     :func:`~repro.core.analysis.spectral.sideband_display_bins` /
     :func:`~repro.core.analysis.spectral.excess_display_bins`.
     """
-    prepare = None
-    if adc is not None:
-        prepare = partial(
-            quantize_batch, spec=adc, headroom=AUTO_RANGE_HEADROOM
+    bins = detector.display_bins(analyzer.display_grid(), config)
+    if chunk.spectra is not None:
+        n_streams, k, _ = chunk.spectra.values.shape
+        grid, display = analyzer.display_from_columns(chunk.spectra, chunk.fs, bins)
+    else:
+        prepare = None
+        if adc is not None:
+            prepare = partial(
+                quantize_batch, spec=adc, headroom=AUTO_RANGE_HEADROOM
+            )
+        n_streams, k, n_samples = chunk.samples.shape
+        grid, display = analyzer.display_bins(
+            chunk.samples.reshape(-1, n_samples), chunk.fs, bins, prepare=prepare
         )
-    n_streams, k, n_samples = chunk.samples.shape
-    grid, display = analyzer.display_bins(
-        chunk.samples.reshape(-1, n_samples),
-        chunk.fs,
-        detector.display_bins(analyzer.display_grid(), config),
-        prepare=prepare,
-    )
     return detector.features(grid, display, config).reshape(n_streams, k)
 
 
@@ -116,8 +128,10 @@ class PipelineConfig:
         Registered detection method driving the MONITOR stage (see
         :mod:`repro.detectors`).
     quantize:
-        Pass windows through the RASC monitor's auto-ranged ADC before
-        feature extraction (the deployed-monitor condition).
+        Pass time-domain windows (replay, serve uploads, sweep cells)
+        through the RASC monitor's auto-ranged ADC before feature
+        extraction.  A live source's MONITOR chunks are rendered rFFT
+        columns and never pass through the ADC.
     adc:
         The converter used when ``quantize`` is on.
     identify:
@@ -432,9 +446,16 @@ class EscalationPipeline:
         if self.pipeline.identify:
             self._transition(MonitorState.IDENTIFY, window)
             # Identify from the alarming stream's raw window (the
-            # zero-span stage runs on the analyzer, not the ADC path).
+            # zero-span stage runs on the analyzer, not the ADC path);
+            # a live chunk of rFFT columns asks its source for it.
             stream = int(self._alarm_stream)
-            result = self.identifier.classify(chunk.trace(stream, offset))
+            if chunk.samples is None:
+                trace = self._source.capture(
+                    stream, chunk.scenarios[offset], chunk.trace_indices[offset]
+                )
+            else:
+                trace = chunk.trace(stream, offset)
+            result = self.identifier.classify(trace)
             self._identification = result
             self._emit(
                 TrojanIdentified(
@@ -562,7 +583,9 @@ class EscalationPipeline:
 
         Called by :meth:`run`; schedulers that drive the pipeline
         chunk-by-chunk (the fleet) bind explicitly before the first
-        :meth:`process_chunk`.
+        :meth:`process_chunk`.  A :class:`~repro.runtime.sources.LiveSource`
+        is handed the native rFFT columns the detector's display bins
+        read, so its chunks carry those columns instead of samples.
         """
         if source.n_streams != self.n_streams:
             raise AnalysisError(
@@ -573,6 +596,14 @@ class EscalationPipeline:
         self._sensors = tuple(
             getattr(source, "sensors", range(self.n_streams))
         )
+        if isinstance(source, LiveSource):
+            source.columns = self.analyzer.native_columns(
+                source.config.n_samples,
+                source.config.fs,
+                self._detector.display_bins(
+                    self.analyzer.display_grid(), self.config
+                ),
+            )
 
     def run(self, source: TraceStream) -> MonitorReport:
         """Monitor a stream end to end; returns the session report."""

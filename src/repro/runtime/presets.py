@@ -68,7 +68,13 @@ class MonitorPreset:
         return DetectorConfig(warmup=self.warmup)
 
     def pipeline_config(self) -> PipelineConfig:
-        """Stage tuning of the preset (RASC ADC always in the loop)."""
+        """Stage tuning of the preset.
+
+        ``quantize`` stays on: the RASC ADC digitizes the time-domain
+        windows the pipeline is fed (replay, serve uploads), while a
+        live session featurizes rendered rFFT columns, which no ADC
+        touches.
+        """
         return PipelineConfig(
             detector=self.detector(),
             detector_name=self.detector_name,
@@ -134,7 +140,7 @@ MONITOR_PRESETS: Dict[str, MonitorPreset] = {
             name="paper",
             description=(
                 "Section VI-D monitoring stream (8 quiet + 6 active "
-                "windows, warm-up 6, RASC ADC in the loop)"
+                "windows, warm-up 6)"
             ),
         ),
         MonitorPreset(

@@ -9,15 +9,18 @@ Two production sources sit behind one :class:`TraceStream` protocol:
   vectorized engine render.  Because every capture draws from the RNG
   stream ``render/{scenario}/{receiver}/{trace_index}``, a streamed
   run is **bit-identical** to the equivalent one-shot offline render
-  at any chunk size.
+  at any chunk size.  Bound to an escalation pipeline, the source
+  renders only the rFFT columns the pipeline's detector reads (see
+  :attr:`LiveSource.columns`).
 * :class:`ReplaySource` iterates a ``.npz`` trace archive (a file, or
   its bytes in memory) through :class:`repro.traceio.TraceArchive`,
   never holding more than one chunk of samples — recorded sessions
   re-run through the same pipeline.
 
 Both yield :class:`StreamChunk` blocks: a ``(n_streams, k,
-n_samples)`` sample stack plus per-window bookkeeping, the unit of
-work the escalation pipeline consumes.
+n_samples)`` sample stack (or a live chunk's spectra at the monitored
+columns) plus per-window bookkeeping, the unit of work the escalation
+pipeline consumes.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from ..chip.power import ActivityRecord
 from ..core.analysis.detector import DEFAULT_MONITOR_SENSOR
+from ..dsp.transforms import RfftColumns
 from ..errors import AnalysisError, TraceIOError, WorkloadError
 from ..store import ArtifactStore
 from ..traceio import TraceArchive, save_traces
@@ -51,7 +55,8 @@ class StreamChunk:
     ----------
     samples:
         Voltage samples [V], shape ``(n_streams, k, n_samples)`` —
-        one row of ``k`` consecutive windows per monitored stream.
+        one row of ``k`` consecutive windows per monitored stream;
+        None when the chunk carries ``spectra`` instead.
     fs:
         Sampling rate [Hz].
     start:
@@ -62,22 +67,30 @@ class StreamChunk:
         Capture (RNG/workload) index per window.
     labels:
         Receiver label per stream row.
+    spectra:
+        A column render of the windows in place of ``samples``: their
+        complex rFFT values at a few native columns, shape
+        ``(n_streams, k, n_columns)``.
     """
 
-    samples: np.ndarray
+    samples: Optional[np.ndarray]
     fs: float
     start: int
     scenarios: Tuple[str, ...]
     trace_indices: Tuple[int, ...]
     labels: Tuple[str, ...]
+    spectra: Optional[RfftColumns] = None
 
     def __post_init__(self) -> None:
-        if self.samples.ndim != 3:
+        if (self.samples is None) == (self.spectra is None):
+            raise AnalysisError("a StreamChunk holds samples or spectra")
+        data = self.samples if self.spectra is None else self.spectra.values
+        if data.ndim != 3:
             raise AnalysisError(
                 "StreamChunk samples must be (n_streams, k, n_samples), "
-                f"got shape {self.samples.shape}"
+                f"got shape {data.shape}"
             )
-        n_streams, k, n_samples = self.samples.shape
+        n_streams, k, n_samples = data.shape
         if len(self.scenarios) != k or len(self.trace_indices) != k:
             raise AnalysisError("one scenario/index per window required")
         if len(self.labels) != n_streams:
@@ -92,15 +105,20 @@ class StreamChunk:
     @property
     def n_streams(self) -> int:
         """Monitored streams in the block."""
-        return int(self.samples.shape[0])
+        return len(self.labels)
 
     @property
     def n_windows(self) -> int:
         """Windows in the block."""
-        return int(self.samples.shape[1])
+        return len(self.trace_indices)
 
     def trace(self, stream: int, offset: int) -> Trace:
         """One window of one stream as a :class:`~repro.traces.Trace`."""
+        if self.samples is None:
+            raise AnalysisError(
+                "a chunk of rFFT columns holds no samples; ask its "
+                "source for the window"
+            )
         if not 0 <= stream < self.n_streams:
             raise AnalysisError(
                 f"stream {stream} outside 0..{self.n_streams - 1}"
@@ -251,6 +269,14 @@ class LiveSource:
     bit-identical to the one-shot offline render of the same schedule
     — at chunk size 1, 7, 64 or anything else.
 
+    Once :attr:`columns` is set (an escalation pipeline's ``bind``
+    sets it to the native rFFT columns its detector reads), chunks
+    carry each window's spectrum at those columns instead of its
+    samples: every capture still draws its whole RNG stream, so the
+    columns are those of the full render up to the rounding of the
+    rFFT it would have gone through.  :meth:`capture` renders one
+    window in full when a stage needs its samples.
+
     Parameters
     ----------
     campaign:
@@ -297,6 +323,8 @@ class LiveSource:
         self.schedule = schedule
         self.sensors = tuple(int(s) for s in sensors)
         self.chunk = chunk
+        #: Native rFFT columns to render per window (None: samples).
+        self.columns: Optional[np.ndarray] = None
         if record_cache is not None:
             self._record_cache = record_cache
         elif store is not None:
@@ -367,6 +395,7 @@ class LiveSource:
             scenarios=batch.scenarios,
             trace_indices=batch.trace_indices,
             labels=batch.labels,
+            spectra=batch.spectra,
         )
 
     def chunks(self) -> Iterator[StreamChunk]:
@@ -398,11 +427,26 @@ class LiveSource:
                         [sub],
                         sensors=list(self.sensors),
                         record_cache=self._record_cache,
+                        columns=self.columns,
                     ),
                     position,
                 )
                 self._release(held)
                 position += k
+
+    def capture(self, stream: int, scenario: str, trace_index: int) -> Trace:
+        """One window of one monitored stream, rendered in full.
+
+        Its samples are bit-identical to the window a samples chunk
+        holds: the capture draws from the same RNG stream, whatever
+        else renders with it.
+        """
+        batch = self.campaign.collect_stream(
+            [StreamSegment(scenario, 1, trace_index)],
+            sensors=[self.sensors[stream]],
+            record_cache=self._record_cache,
+        )
+        return batch.trace(0, 0)
 
     def localization_records(
         self,
@@ -587,7 +631,8 @@ def record_stream(source: TraceStream, path: "str | Path") -> Path:
     saved through :func:`repro.traceio.save_traces`, producing exactly
     the layout :class:`ReplaySource` expects — the round-trip
     ``record_stream`` → ``ReplaySource`` reproduces the live session's
-    windows bit-for-bit.
+    windows bit-for-bit.  The source must yield samples: a
+    :class:`LiveSource` not bound to a pipeline.
     """
     traces: List[Trace] = []
     for chunk in source.chunks():

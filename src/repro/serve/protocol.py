@@ -294,8 +294,11 @@ def pack_chunk(chunk: StreamChunk) -> bytes:
     Layout: 4-byte magic, 4-byte big-endian header length, JSON
     header (shape/dtype/bookkeeping), raw C-order samples.  The round
     trip through :func:`unpack_chunk` is byte-exact, so a streamed
-    session stays bit-identical to the recorded one.
+    session stays bit-identical to the recorded one.  Only a chunk of
+    samples goes on the wire, not a live chunk of rFFT columns.
     """
+    if chunk.samples is None:
+        raise AnalysisError("only a chunk of samples can be packed")
     samples = np.ascontiguousarray(chunk.samples)
     header = json.dumps(
         {

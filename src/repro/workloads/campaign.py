@@ -159,6 +159,7 @@ class MeasurementCampaign:
         record_cache: Optional[
             MutableMapping[Tuple[str, int], ActivityRecord]
         ] = None,
+        columns: Optional[Sequence[int]] = None,
     ) -> TraceBatch:
         """Capture a multi-segment stream as one batched engine render.
 
@@ -179,10 +180,13 @@ class MeasurementCampaign:
             memo.  Records are deterministic in that key, so a cache
             shared across calls (e.g. across sweep cells re-using the
             same baseline span) skips re-simulating chip activity.
+        columns:
+            rFFT columns to render in place of the samples (see
+            :meth:`~repro.engine.MeasurementEngine.render`).
         """
         if not segments:
             raise WorkloadError("need at least one stream segment")
-        return self._collect(segments, sensors, record_cache)[1]
+        return self._collect(segments, sensors, record_cache, columns)[1]
 
     def enqueue_stream(
         self,
@@ -235,6 +239,7 @@ class MeasurementCampaign:
         record_cache: Optional[
             MutableMapping[Tuple[str, int], ActivityRecord]
         ],
+        columns: Optional[Sequence[int]] = None,
     ):
         records: List[ActivityRecord] = []
         indices: List[int] = []
@@ -251,7 +256,9 @@ class MeasurementCampaign:
                         record_cache[key] = record
                 records.append(record)
                 indices.append(index)
-        batch = self.psa.render(records, trace_indices=indices, sensors=sensors)
+        batch = self.psa.render(
+            records, trace_indices=indices, sensors=sensors, columns=columns
+        )
         return records, batch
 
     def collect(

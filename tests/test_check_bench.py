@@ -161,3 +161,14 @@ def test_engine_baseline_gates_same_run_ratios_only():
     slowed = {**baseline, "contract_floor_ratio": 0.3}
     (problem,) = check_bench.compare_reports(baseline, slowed, 0.25)
     assert problem.startswith("contract_floor_ratio")
+
+
+def test_runtime_speedup_gate_fails_a_monitor_at_the_full_render():
+    """The runtime ``speedup`` is the live monitor's rate over the full
+    render's, same run: a monitor no faster than the full render (1.0)
+    must fail the committed floor."""
+    baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+    baseline = json.loads((baselines / "BENCH_runtime.json").read_text())
+    assert "legacy_per_trace" not in baseline
+    (problem,) = check_bench.compare_reports(baseline, {**baseline, "speedup": 1.0}, 0.25)
+    assert problem.startswith("speedup")

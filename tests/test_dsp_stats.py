@@ -1,6 +1,7 @@
 """Detection statistics and power analysis."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,3 +133,13 @@ def test_detection_rate_extremes():
 def test_small_samples_rejected():
     with pytest.raises(AnalysisError):
         cohens_d(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("baseline", [[], [50.0]])
+def test_detection_rate_refuses_a_baseline_without_spread(baseline):
+    """One baseline score has no sample spread: a typed error, not a
+    silent 0.0 with a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match="baseline"):
+            detection_rate([1.0], baseline, z_threshold=4.0)

@@ -276,3 +276,22 @@ def test_quantize_batch_matches_clip_reference_on_edge_rows(headroom, edge):
         expected = _clip_quantize(rows, RASC_ADC, headroom)
     assert got.tobytes() == expected.tobytes()
     assert rows.tobytes() == original.tobytes()
+
+
+def test_display_from_columns_is_the_display_of_those_columns():
+    """Given a stack's own rFFT at the native columns, the column path
+    reproduces display_spectra_at bit for bit; other columns are refused."""
+    from repro.dsp.transforms import RfftColumns, display_from_columns, native_columns
+
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((2, 3, 1024))
+    bins = np.array([3, 180, 181, 700, 1999])
+    columns = native_columns(1024, 528e6, bins)
+    spectra = RfftColumns(np.fft.rfft(samples, axis=-1)[..., columns], columns, 1024)
+    grid, display = display_from_columns(spectra, 528e6, bins)
+    want_grid, want = transforms.display_spectra_at(samples.reshape(6, 1024), 528e6, bins)
+    assert grid.tobytes() == want_grid.tobytes()
+    assert display.tobytes() == want.tobytes()
+    shifted = RfftColumns(spectra.values, columns + 1, 1024)
+    with pytest.raises(AnalysisError, match="columns"):
+        display_from_columns(shifted, 528e6, bins)

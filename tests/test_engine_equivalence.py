@@ -12,13 +12,14 @@ import pytest
 from repro.chip.power import MEAN_SWITCH_CAP, charge_per_toggle, emf_kernel
 from repro.core.array import ProgrammableSensorArray
 from repro.core.sensors import quadrant_coil
-from repro.em.coupling import CouplingMatrix, emf_rfft
+from repro.em.coupling import CouplingMatrix, CouplingStack, emf_rfft
 from repro.em.noise import fill_white_noise_rfft, white_noise_scales
 from repro.engine import (
     MeasurementEngine,
     TraceBatch,
     coupling_cache_stats,
 )
+from repro.errors import MeasurementError
 from repro.rng import stream
 
 ALL_SCENARIOS = ("idle", "baseline", "T1", "T2", "T3", "T4")
@@ -219,3 +220,75 @@ def test_batch_concatenate_roundtrip(psa, records):
     assert joined.trace_indices == (0, 1, 2, 3)
     assert np.array_equal(joined.samples[:, :2], a.samples)
     assert np.array_equal(joined.samples[:, 2:], b.samples)
+
+
+# -- column renders ------------------------------------------------------------
+
+#: rFFT columns with the DC and Nyquist bins, an ambient-tone line
+#: (30 MHz is bin 480 of an 8448-sample window at 528 MHz) and the
+#: 48 MHz sideband region.
+COLUMNS = np.array([0, 3, 480, 767, 768, 769, 4224])
+
+
+def _full_columns(batch, columns):
+    return np.fft.rfft(batch.samples, axis=-1)[..., columns]
+
+
+def test_column_render_is_the_full_spectrum_at_its_columns(psa, records):
+    """A column render holds the rFFT of the full render at its
+    columns, up to the rounding of the irFFT -> rFFT round trip, for
+    falling-phase (T1) and rising-phase (T4) Trojan activity."""
+    recs = records["T1"] + records["T4"]
+    full = psa.render(recs, trace_indices=[3, 4, 5, 6])
+    tapped = psa.render(recs, trace_indices=[3, 4, 5, 6], columns=COLUMNS)
+    assert tapped.samples is None
+    assert np.array_equal(tapped.spectra.columns, COLUMNS)
+    assert tapped.spectra.n_samples == full.n_samples
+    assert (tapped.n_receivers, tapped.n_traces) == (full.n_receivers, full.n_traces)
+    reference = _full_columns(full, COLUMNS)
+    scale = np.abs(reference).max()
+    assert np.abs(tapped.spectra.values - reference).max() < 1e-12 * scale
+    with pytest.raises(MeasurementError):
+        tapped.trace(0, 0)
+
+
+def test_column_render_of_stacks_and_jittered_probes(chip, psa, records):
+    """Coupling stacks and gain-jittered probes render columns too."""
+    from repro.baselines.common import ReceiverBench
+    from repro.em.probes import langer_lf1_probe
+
+    bench = ReceiverBench(chip, langer_lf1_probe())
+    coils = [quadrant_coil(10, "nw"), quadrant_coil(10, "se")]
+    for engine, coupling in (
+        (bench.engine, bench.coupling),
+        (psa.engine, CouplingStack([psa._coupling_for(coil) for coil in coils])),
+    ):
+        full = engine.render(coupling, records["T2"] * 2, trace_indices=[0, 1, 2, 3])
+        tapped = engine.render(
+            coupling, records["T2"] * 2, trace_indices=[0, 1, 2, 3], columns=COLUMNS
+        )
+        reference = _full_columns(full, COLUMNS)
+        scale = np.abs(reference).max()
+        assert np.abs(tapped.spectra.values - reference).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("columns", [[], [5, 5], [9, 4], [-1], [4225]])
+def test_column_render_rejects_bad_columns(psa, records, columns):
+    with pytest.raises(MeasurementError, match="columns"):
+        psa.render(records["T1"], columns=columns)
+
+
+def test_white_noise_columns_lay_out_the_full_fill():
+    """The column layout takes the full fill's products, bit for bit."""
+    from repro.em.noise import fill_white_noise_columns, white_noise_columns
+
+    for n in (4096, 4097):
+        n_bins = n // 2 + 1
+        scales = white_noise_scales(n, 1.5e-3, bin_gain=np.linspace(0.5, 2.0, n_bins))
+        z = stream(99, "columns").standard_normal(n)
+        full = fill_white_noise_rfft(np.empty(n_bins, dtype=complex), z, *scales)
+        columns = np.array([0, 1, 2, 700, n_bins - 2, n_bins - 1])
+        out = np.empty(columns.size, dtype=complex)
+        fill_white_noise_columns(out, z, white_noise_columns(n, columns, *scales))
+        assert out.real.tobytes() == full.real[columns].tobytes()
+        assert np.array_equal(out.imag, full.imag[columns])

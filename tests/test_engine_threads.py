@@ -174,6 +174,25 @@ def test_render_bytes_identical_across_thread_counts(
     )
 
 
+@pytest.mark.parametrize("n_traces", [1, 2, 5, 7])
+def test_column_render_bytes_identical_across_thread_counts(
+    monkeypatch, psa, records, n_traces
+):
+    """A column render splits like the full render: same bytes."""
+    pool = records["T2"] + records["T1"] + records["baseline"]
+    recs = [pool[(3 * k) % len(pool)] for k in range(n_traces)]
+    indices = [11 + 2 * k for k in range(n_traces)]
+    columns = np.array([0, 480, 767, 768, 769, 1530, 4224])
+
+    def spectra(*args, **kwargs):
+        return psa.render(*args, columns=columns, **kwargs).spectra.values
+
+    _same_at_every_count(monkeypatch, spectra, recs, trace_indices=indices)
+    _same_at_every_count(
+        monkeypatch, spectra, recs, trace_indices=indices, sensors=[10, 3]
+    )
+
+
 def test_one_record_reused_for_every_index(monkeypatch, psa, records):
     samples = _same_at_every_count(
         monkeypatch, _samples(psa.render), [records["T3"][0]], trace_indices=range(6)

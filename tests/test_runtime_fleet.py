@@ -113,9 +113,9 @@ def test_fleet_holds_one_rendered_chunk_at_a_time(monkeypatch):
     """Peak memory of one chunk, not of every member's next chunks.
 
     Every chunk the members' sources make is tracked by weakref, with
-    its sample array.  When a chunk is made, every earlier one must be
-    gone already: the scheduler drops a member's chunk before the next
-    member renders.  A depth-2 render-ahead queue holds 8 chunks of a
+    the array it carries.  When a chunk is made, every earlier one must
+    be gone already: the scheduler drops a member's chunk before the
+    next member renders.  A depth-2 render-ahead queue holds 8 chunks of a
     4-chip fleet after its first tick.
     """
     made = []
@@ -124,7 +124,8 @@ def test_fleet_holds_one_rendered_chunk_at_a_time(monkeypatch):
 
     def tracked(batch, position):
         chunk = chunk_from(batch, position)
-        made.append((weakref.ref(chunk), weakref.ref(chunk.samples)))
+        data = chunk.samples if chunk.spectra is None else chunk.spectra.values
+        made.append((weakref.ref(chunk), weakref.ref(data)))
         alive.append(
             sum(
                 chunk_ref() is not None or samples_ref() is not None

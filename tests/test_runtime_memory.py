@@ -64,7 +64,8 @@ def test_standalone_run_holds_one_rendered_chunk_at_a_time(monkeypatch):
 
     def tracked(batch, position):
         chunk = chunk_from(batch, position)
-        made.append((weakref.ref(chunk), weakref.ref(chunk.samples)))
+        data = chunk.samples if chunk.spectra is None else chunk.spectra.values
+        made.append((weakref.ref(chunk), weakref.ref(data)))
         alive.append(
             sum(
                 chunk_ref() is not None or samples_ref() is not None

@@ -51,12 +51,15 @@ def _schedule(trojan="T1"):
     )
 
 
-def _pipeline(config, localizer=None, bus=None, localize=True):
+def _pipeline(config, localizer=None, bus=None, localize=True, quantize=True):
     return EscalationPipeline(
         config,
         n_streams=1,
         pipeline=PipelineConfig(
-            detector=DETECTOR, localize=localize, localize_records=2
+            detector=DETECTOR,
+            localize=localize,
+            localize_records=2,
+            quantize=quantize,
         ),
         localizer=localizer,
         bus=bus,
@@ -173,7 +176,13 @@ def test_escalation_outcome(campaign, psa):
 
 
 def test_replay_round_trip_bit_identical(campaign, tmp_path):
-    """record_stream -> ReplaySource reproduces the live session."""
+    """record_stream -> ReplaySource reproduces the live session.
+
+    The recorded windows are the live render's bit for bit.  A live
+    monitor featurizes rendered rFFT columns without the ADC, so the
+    replay matches its features up to rounding when it skips the ADC
+    too, and its alarms and identification either way.
+    """
     config = campaign.chip.config
     schedule = _schedule("T1")
     live = LiveSource(campaign, schedule, chunk=4)
@@ -192,15 +201,22 @@ def test_replay_round_trip_bit_identical(campaign, tmp_path):
     live_report = _pipeline(config).run(
         LiveSource(campaign, schedule, chunk=4)
     )
-    replay_report = _pipeline(config).run(ReplaySource(path, batch=3))
-    assert np.array_equal(
-        replay_report.features_db, live_report.features_db
+    raw_report = _pipeline(config, quantize=False).run(
+        ReplaySource(path, batch=3)
     )
-    assert replay_report.alarms == live_report.alarms
-    assert replay_report.mttd == live_report.mttd
-    # A replay cannot re-measure: escalation stops at IDENTIFY.
-    assert replay_report.identification is not None
-    assert replay_report.localization is None
+    np.testing.assert_allclose(
+        raw_report.features_db, live_report.features_db, rtol=0, atol=1e-9
+    )
+    replay_report = _pipeline(config).run(ReplaySource(path, batch=3))
+    np.testing.assert_allclose(
+        replay_report.features_db, live_report.features_db, rtol=0, atol=0.1
+    )
+    for report in (raw_report, replay_report):
+        assert report.alarms == live_report.alarms
+        assert report.mttd == live_report.mttd
+        assert report.identification == live_report.identification
+        # A replay cannot re-measure: escalation stops at IDENTIFY.
+        assert report.localization is None
 
 
 def test_replay_validates_stream_count(campaign, tmp_path):
@@ -415,7 +431,17 @@ def test_chunk_features_matches_full_display_reduction(
 def test_monitor_welford_route_bit_identical_to_direct_bank(
     campaign, detector_golden
 ):
-    """Registry-routed MONITOR stage == the committed bank timeline."""
+    """Registry-routed MONITOR stage == the committed bank timeline.
+
+    The live monitor renders the detector's rFFT columns, so its
+    features are the full render's featurized without the ADC, up to
+    rounding; through the ADC they move by well under 0.1 dB and the
+    bank's alarms do not move.
+    """
+    from repro.detectors import make_detector
+    from repro.instruments.rasc import RASC_ADC
+    from repro.runtime.pipeline import chunk_features
+
     pin = detector_golden["pins"]["monitor-T1"]
     config = campaign.chip.config
     report = _pipeline(config, localize=False).run(
@@ -430,6 +456,22 @@ def test_monitor_welford_route_bit_identical_to_direct_bank(
         index for index, bit in enumerate(alarms) if bit == "1"
     )
     assert report.first_alarm == alarms.index("1")
+
+    detector = make_detector("welford", 1, DETECTOR)
+    chunks = list(LiveSource(campaign, _schedule("T1"), chunk=4).chunks())
+    for adc, tolerance in ((None, 1e-9), (RASC_ADC, 0.1)):
+        full = np.concatenate(
+            [
+                chunk_features(chunk, SpectrumAnalyzer(), config, detector, adc)
+                for chunk in chunks
+            ],
+            axis=1,
+        )
+        np.testing.assert_allclose(
+            report.features_db, full, rtol=0, atol=tolerance
+        )
+        bank = make_detector("welford", 1, DETECTOR).process(full)
+        assert report.alarms == tuple(int(w) for w in np.flatnonzero(bank.alarms[0]))
 
 
 def test_pipeline_config_rejects_unknown_detector():
@@ -472,3 +514,110 @@ def test_monitor_always_on_blind_spot_and_coverage(campaign):
     assert reports["spectral"].mttd.detected
     # Persistence needs its coarsest trailing scale (8 windows) filled.
     assert reports["persistence"].first_alarm == 7
+
+
+# -- live MONITOR renders the detector's columns ------------------------------
+
+
+def _full_render_features(monitor, adc):
+    """A session's features from the full render of an unbound source."""
+    from repro.runtime.pipeline import chunk_features
+
+    pipeline = monitor.pipeline
+    source = LiveSource(
+        monitor.source.campaign,
+        monitor.source.schedule,
+        sensors=monitor.source.sensors,
+        chunk=monitor.source.chunk,
+    )
+    return np.concatenate(
+        [
+            chunk_features(
+                chunk, pipeline.analyzer, pipeline.config, pipeline._detector, adc
+            )
+            for chunk in source.chunks()
+        ],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("preset_name", ["smoke", "paper", "soak"])
+def test_live_monitor_features_are_the_full_render_without_the_adc(preset_name):
+    """Live MONITOR features == the full render featurized without the
+    ADC, up to rounding; through the ADC they move < 0.1 dB and every
+    stream's alarm mask stays the same."""
+    from repro.detectors import make_detector
+    from repro.runtime import build_chip_monitor, build_preset
+
+    preset = build_preset(preset_name)
+    tuning = replace(preset.pipeline_config(), identify=False, localize=False)
+    monitor = build_chip_monitor(preset.specs(1)[0], pipeline_config=tuning)
+    report = monitor.pipeline.run(monitor.source)
+    assert monitor.source.columns is not None
+
+    raw = _full_render_features(monitor, adc=None)
+    np.testing.assert_allclose(report.features_db, raw, rtol=0, atol=1e-9)
+    quantized = _full_render_features(monitor, adc=tuning.adc)
+    np.testing.assert_allclose(report.features_db, quantized, rtol=0, atol=0.1)
+
+    def alarm_masks(features):
+        return make_detector(
+            tuning.detector_name, features.shape[0], tuning.detector
+        ).process(features).alarms
+
+    assert np.array_equal(alarm_masks(report.features_db), alarm_masks(quantized))
+    assert report.first_alarm is not None
+
+
+def test_live_identify_window_is_the_full_render(campaign):
+    """IDENTIFY re-renders the alarming window: the same samples, and
+    so the same identification, as the full render's window."""
+    from repro.core.analysis.identifier import TrojanIdentifier
+
+    config = campaign.chip.config
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    pipeline = _pipeline(config, bus=bus, localize=False)
+    source = LiveSource(campaign, _schedule("T4"), chunk=4)
+    report = pipeline.run(source)
+    alarm = report.first_alarm
+    window = next(
+        chunk.trace(0, alarm - chunk.start)
+        for chunk in LiveSource(campaign, _schedule("T4"), chunk=4).chunks()
+        if chunk.start <= alarm < chunk.start + chunk.n_windows
+    )
+    schedule = _schedule("T4")
+    rendered = source.capture(0, schedule.scenario_at(alarm), window.meta["trace_index"])
+    assert rendered.samples.tobytes() == window.samples.tobytes()
+    expected = TrojanIdentifier(
+        pipeline.analyzer, f_probe=pipeline.identifier.f_probe
+    ).classify(window)
+    assert report.identification == expected
+    (event,) = [e for e in seen if isinstance(e, TrojanIdentified)]
+    assert event.autocorr_peak == expected.features.autocorr_peak
+    assert event.dominant_freq_hz == expected.features.dominant_freq
+
+
+def test_only_a_bound_live_source_renders_columns(campaign, tmp_path):
+    """An unbound source's chunks carry samples, which record_stream
+    and pack_chunk need; a bound one's carry the detector's columns."""
+    from repro.serve import pack_chunk, unpack_chunk
+
+    schedule = _schedule("T1")
+    free = LiveSource(campaign, schedule, chunk=4)
+    chunk = next(free.chunks())
+    assert chunk.spectra is None
+    assert np.array_equal(unpack_chunk(pack_chunk(chunk)).samples, chunk.samples)
+    record_stream(free, tmp_path / "free.npz")
+
+    bound = LiveSource(campaign, schedule, chunk=4)
+    _pipeline(campaign.chip.config).bind(bound)
+    chunk = next(bound.chunks())
+    assert chunk.samples is None
+    assert np.array_equal(chunk.spectra.columns, bound.columns)
+    assert chunk.spectra.values.shape == (1, 4, bound.columns.size)
+    with pytest.raises(AnalysisError, match="samples"):
+        pack_chunk(chunk)
+    with pytest.raises(AnalysisError, match="samples"):
+        record_stream(bound, tmp_path / "bound.npz")
