@@ -23,8 +23,7 @@ from ..em.coupling import CouplingMatrix, Receiver
 from ..engine import MeasurementEngine, TraceBatch
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..traces import Trace
-from ..workloads.campaign import MeasurementCampaign
-from ..workloads.scenarios import scenario_by_name
+from ..workloads.campaign import MeasurementCampaign, StreamSegment
 
 
 class ReceiverBench:
@@ -88,10 +87,10 @@ class ReceiverBench:
         index_offset: int = 0,
     ) -> TraceBatch:
         """Capture ``n_traces`` of one scenario as one batched render."""
-        scenario = scenario_by_name(scenario_name)
-        indices = [index_offset + i for i in range(n_traces)]
-        records = [campaign.record(scenario, index) for index in indices]
-        return self.measure_batch(records, indices)
+        segment = StreamSegment(scenario_name, n_traces, index_offset)
+        return self.measure_batch(
+            campaign.stream_records([segment]), segment.indices
+        )
 
     def collect(
         self, campaign: MeasurementCampaign, scenario_name: str, n_traces: int,

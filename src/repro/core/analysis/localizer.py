@@ -24,7 +24,7 @@ from ...errors import AnalysisError
 from ...instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..array import ProgrammableSensorArray
 from ..sensors import quadrant_coil
-from .spectral import added_sideband_scores, sideband_amplitudes
+from .spectral import added_sideband_scores, batch_sideband_amplitudes
 
 #: Quadrant labels used by the refinement step.
 QUADRANTS = ("sw", "se", "nw", "ne")
@@ -78,17 +78,7 @@ class Localizer:
         self.psa = psa
         self.analyzer = analyzer or SpectrumAnalyzer()
 
-    # -- feature helpers ---------------------------------------------------------
-
-    def _mean_amplitudes(self, batch) -> np.ndarray:
-        """Featurize one rendered batch to per-sensor mean amplitudes."""
-        grid, display = self.analyzer.display_matrix(
-            batch.samples.reshape(-1, batch.n_samples), batch.fs
-        )
-        amps = sideband_amplitudes(grid, display, self.psa.config).reshape(
-            self.psa.n_sensors, -1
-        )
-        return amps.mean(axis=1)
+    # -- score map ---------------------------------------------------------------
 
     def enqueue_score_map(
         self,
@@ -120,10 +110,13 @@ class Localizer:
 
     def finish_score_map(self, tickets) -> np.ndarray:
         """Score map from an executed :meth:`enqueue_score_map` handle."""
-        base, active = tickets
-        return self._mean_amplitudes(active.result()) - self._mean_amplitudes(
-            base.result()
+        base, active = (
+            batch_sideband_amplitudes(
+                ticket.result(), self.analyzer, self.psa.config
+            ).mean(axis=1)
+            for ticket in tickets
         )
+        return active - base
 
     def score_map(
         self,

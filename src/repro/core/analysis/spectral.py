@@ -325,53 +325,31 @@ def added_sideband_scores(
     numpy.ndarray
         One added-amplitude score [V] per coil, in ``coils`` order.
     """
-    from ...engine import RenderPlan
-
-    plan = RenderPlan()
-    ticket = enqueue_added_sideband_scores(
-        plan, psa, coils, baseline_records, active_records, active_offset
-    )
-    plan.execute()
-    return finish_added_sideband_scores(
-        ticket, psa.config, analyzer, len(coils), len(baseline_records)
-    )
-
-
-def enqueue_added_sideband_scores(
-    plan,
-    psa,
-    coils,
-    baseline_records: Sequence,
-    active_records: Sequence,
-    active_offset: int,
-):
-    """Enqueue the render phase of :func:`added_sideband_scores`.
-
-    Returns the plan ticket; after ``plan.execute()``, feed it to
-    :func:`finish_added_sideband_scores`.  Splitting the phases lets
-    many scoring passes (all quadrants of a localization, every window
-    of a scan level, every repeat of a sweep cell) join one fused
-    engine pass.
-    """
     n_base = len(baseline_records)
     records = list(baseline_records) + list(active_records)
     indices = list(range(n_base)) + [
         active_offset + idx for idx in range(len(active_records))
     ]
-    return psa.enqueue_coils(plan, coils, records, trace_indices=indices)
+    batch = psa.measure_coils_batch(coils, records, trace_indices=indices)
+    amps = batch_sideband_amplitudes(batch, analyzer, psa.config)
+    return np.array(
+        [float(np.mean(row[n_base:]) - np.mean(row[:n_base])) for row in amps]
+    )
 
 
-def finish_added_sideband_scores(
-    ticket, config, analyzer, n_coils: int, n_base: int
-) -> np.ndarray:
-    """Score an executed :func:`enqueue_added_sideband_scores` ticket."""
-    batch = ticket.result()
+def batch_sideband_amplitudes(batch, analyzer, config: SimConfig) -> np.ndarray:
+    """Sideband amplitude [V] of every capture of a rendered batch.
+
+    One vectorized display pass (``analyzer.display_matrix``) over the
+    batch's samples, then :func:`sideband_amplitudes`; the result is
+    ``(n_receivers, n_traces)``, row ``i`` the captures of receiver
+    ``i``.  The localization stages reduce it as they need.
+    """
     grid, display = analyzer.display_matrix(
         batch.samples.reshape(-1, batch.n_samples), batch.fs
     )
-    amps = sideband_amplitudes(grid, display, config).reshape(n_coils, -1)
-    return np.array(
-        [float(np.mean(row[n_base:]) - np.mean(row[:n_base])) for row in amps]
+    return sideband_amplitudes(grid, display, config).reshape(
+        batch.n_receivers, -1
     )
 
 

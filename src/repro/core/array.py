@@ -6,9 +6,10 @@ renders amplified, noisy voltage traces for any programmed sensor —
 the 16 standard sensors of Section V-A or ad-hoc refinement coils.
 
 All rendering routes through one :class:`~repro.engine.MeasurementEngine`:
-``measure``/``measure_all`` are thin single-capture wrappers around
-the same batched path used by :meth:`render`, so per-trace and
-batched output are identical bit-for-bit.
+each render entry is its ``enqueue*`` twin on a fresh
+:class:`~repro.engine.RenderPlan` plus one execute, and ``measure`` is
+a one-capture :meth:`render` behind the decoder check, so per-trace,
+batched and fused output are identical bit-for-bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from ..chip.power import ActivityRecord
 from ..chip.testchip import TestChip
 from ..em.amplifier import MeasurementAmplifier
 from ..em.coupling import CouplingMatrix, CouplingStack
-from ..engine import MeasurementEngine, RenderPlan, TraceBatch
+from ..engine import MeasurementEngine, TraceBatch
+from ..engine.plan import execute_one
 from ..errors import MeasurementError
 from ..traces import Trace
 from .coil import Coil
@@ -118,6 +120,8 @@ class ProgrammableSensorArray:
     ) -> TraceBatch:
         """Render a batch of captures from the standard sensors.
 
+        :meth:`enqueue` on a fresh plan plus one execute.
+
         Parameters
         ----------
         records:
@@ -131,18 +135,8 @@ class ProgrammableSensorArray:
             rFFT columns to render in place of the samples (see
             :meth:`~repro.engine.MeasurementEngine.render`).
         """
-        if sensors is not None:
-            for index in sensors:
-                if not 0 <= index < self.n_sensors:
-                    raise MeasurementError(
-                        f"sensor index {index} outside 0..{self.n_sensors - 1}"
-                    )
-        return self.engine.render(
-            self._coupling,
-            records,
-            trace_indices=trace_indices,
-            receiver_indices=sensors,
-            columns=columns,
+        return execute_one(
+            self.enqueue, records, trace_indices, sensors, columns=columns
         )
 
     def enqueue(
@@ -152,10 +146,11 @@ class ProgrammableSensorArray:
         trace_indices: Optional[Sequence[int]] = None,
         sensors: Optional[Sequence[int]] = None,
         tag: Optional[str] = None,
+        columns: Optional[Sequence[int]] = None,
     ):
         """Enqueue a standard-sensor render on a fused dispatch plan.
 
-        Same arguments and validation as :meth:`render`, but the
+        Same arguments as :meth:`render`, which it validates, but the
         render joins ``plan`` (a :class:`~repro.engine.RenderPlan`)
         instead of executing immediately; the returned ticket resolves
         to the identical :class:`TraceBatch` after ``plan.execute()``.
@@ -173,6 +168,7 @@ class ProgrammableSensorArray:
             receiver_indices=sensors,
             engine=self.engine,
             tag=tag,
+            columns=columns,
         )
 
     def enqueue_coils(
@@ -254,23 +250,9 @@ class ProgrammableSensorArray:
             ``(n_coils, n_traces, n_samples)`` samples, coil order
             preserved.
         """
-        plan = RenderPlan()
-        ticket = self.enqueue_coils(plan, coils, records, trace_indices)
-        plan.execute()
-        return ticket.result()
+        return execute_one(self.enqueue_coils, coils, records, trace_indices)
 
-    # -- single-capture wrappers -----------------------------------------------
-
-    def measure_all(
-        self, record: ActivityRecord, trace_index: int = 0
-    ) -> List[Trace]:
-        """Capture one trace from every standard sensor.
-
-        Noise realizations are independent per sensor and per
-        ``trace_index`` but fully reproducible for a given config seed.
-        """
-        batch = self.render([record], trace_indices=[trace_index])
-        return [batch.trace(index, 0) for index in range(self.n_sensors)]
+    # -- single capture ------------------------------------------------------------
 
     def measure(
         self, record: ActivityRecord, sensor_index: int, trace_index: int = 0

@@ -13,9 +13,10 @@ analyzed voltage trace routes through here:
 * :mod:`~repro.engine.cache` — administration of the content-keyed
   coupling-geometry cache.
 
-The legacy per-trace APIs (``ProgrammableSensorArray.measure*``, the
-baselines' ``ReceiverBench``) are thin wrappers over one engine render,
-so per-trace and batched outputs are identical bit-for-bit.
+Every standalone render (``MeasurementEngine.render``,
+``ProgrammableSensorArray.render``/``measure``, the baselines'
+``ReceiverBench``) is one request on a fresh plan, so per-trace,
+batched and fused outputs are identical bit-for-bit.
 """
 
 from .batch import TraceBatch

@@ -35,8 +35,8 @@ white spectrum, then one phase per ambient tone).  Rendering is
 therefore bit-for-bit independent of batch composition: a trace comes
 out identical whether rendered alone, inside any batch, fused with
 unrelated renders through a :class:`~repro.engine.plan.RenderPlan`,
-through ``measure``/``measure_all`` compatibility wrappers, or split
-across any number of threads.  Samples are always float64.
+or split across any number of threads or irFFT chunks.  Samples are
+always float64.
 
 A *column render* (``columns=`` on :meth:`MeasurementEngine.render`
 and :meth:`~repro.engine.plan.RenderPlan.add`) runs the same capture
@@ -86,6 +86,7 @@ from ..errors import MeasurementError
 from ..parallel import Pieces, run, workers
 from ..rng import stream
 from .batch import TraceBatch
+from .plan import RenderPlan, execute_one
 
 #: Spectrum rows converted to time per irFFT call, across receivers
 #: and summed over the threads of a split render: each of ``k``
@@ -150,23 +151,15 @@ class MeasurementEngine:
         Simulation configuration (seed, sampling grid, temperature).
     amplifier:
         Measurement front-end shared by every rendered channel.
-    chunk_traces:
-        Traces per irFFT chunk (memory/throughput trade-off); None
-        sizes the chunks to :data:`IRFFT_ROWS` rows across the
-        threads.
     """
 
     def __init__(
         self,
         config: SimConfig,
         amplifier: Optional[MeasurementAmplifier] = None,
-        chunk_traces: Optional[int] = None,
     ):
-        if chunk_traces is not None and chunk_traces < 1:
-            raise MeasurementError("chunk_traces must be >= 1")
         self.config = config
         self.amplifier = amplifier or MeasurementAmplifier()
-        self.chunk_traces = chunk_traces
         self._plan_cache: Dict[tuple, tuple] = {}
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
@@ -276,10 +269,10 @@ class MeasurementEngine:
     ) -> TraceBatch:
         """Render a batch of captures into a :class:`TraceBatch`.
 
-        A convenience wrapper over a single-request
-        :class:`~repro.engine.plan.RenderPlan`, so standalone renders
-        and fused mega-batches go through the exact same dispatch
-        layer (and are bit-identical by construction).
+        :meth:`RenderPlan.add <repro.engine.plan.RenderPlan.add>` on a
+        fresh plan plus one execute, so standalone renders and fused
+        mega-batches go through the exact same dispatch layer (and are
+        bit-identical by construction).
 
         Parameters
         ----------
@@ -310,10 +303,8 @@ class MeasurementEngine:
             columns (:attr:`TraceBatch.spectra`), plus
             per-receiver/per-capture metadata.
         """
-        from .plan import RenderPlan
-
-        plan = RenderPlan()
-        ticket = plan.add(
+        return execute_one(
+            RenderPlan.add,
             coupling,
             records,
             trace_indices=trace_indices,
@@ -321,8 +312,6 @@ class MeasurementEngine:
             engine=self,
             columns=columns,
         )
-        plan.execute()
-        return ticket.result()
 
     def _normalize(
         self,
@@ -486,8 +475,7 @@ class MeasurementEngine:
         else:
             out = np.empty((n_receivers, n_traces, width), dtype=complex)
         n_workers = workers(n_traces)
-        chunk = self.chunk_traces or max(1, IRFFT_ROWS // (n_workers * n_receivers))
-        chunk = min(chunk, n_traces)
+        chunk = min(max(1, IRFFT_ROWS // (n_workers * n_receivers)), n_traces)
         pieces = Pieces(n_traces, chunk)
         last_use = {id(record): p for p, record in enumerate(records)}
 

@@ -206,3 +206,15 @@ class RenderPlan:
                 request.receiver_indices,
                 request.columns,
             )
+
+
+def execute_one(enqueue, *args, **kwargs) -> TraceBatch:
+    """Run one ``enqueue*`` twin alone: a fresh plan, one execute.
+
+    ``enqueue(plan, *args, **kwargs)`` must return one ticket; its
+    batch is returned, so a standalone render is its enqueue twin.
+    """
+    plan = RenderPlan()
+    ticket = enqueue(plan, *args, **kwargs)
+    plan.execute()
+    return ticket.result()

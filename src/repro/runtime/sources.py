@@ -332,15 +332,6 @@ class LiveSource:
         else:
             self._record_cache = {}
 
-    def _record(self, scenario, index: int) -> ActivityRecord:
-        """One activity record through the memo (disk-backed or not)."""
-        key = (scenario.name, index)
-        record = self._record_cache.get(key)
-        if record is None:
-            record = self.campaign.record(scenario, index)
-            self._record_cache[key] = record
-        return record
-
     def warm_records(self) -> int:
         """Pre-simulate every scheduled activity record into the cache.
 
@@ -352,10 +343,7 @@ class LiveSource:
         records already persisted load from disk instead of
         re-simulating.
         """
-        for segment in self.schedule.segments:
-            scenario = scenario_by_name(segment.scenario)
-            for index in segment.indices:
-                self._record(scenario, index)
+        self.campaign.stream_records(self.schedule.segments, self._record_cache)
         return len(self._record_cache)
 
     def _release(self, held) -> None:
@@ -464,16 +452,12 @@ class LiveSource:
         trojan = self.schedule.trojan
         if trojan is None:
             return None
-        reference = scenario_by_name(self.schedule.reference)
-        active = scenario_by_name(trojan)
-        base_records = [
-            self._record(reference, baseline_epoch + i)
-            for i in range(n_records)
-        ]
-        active_records = [
-            self._record(active, active_epoch + i) for i in range(n_records)
-        ]
-        return base_records, active_records
+        base = StreamSegment(self.schedule.reference, n_records, baseline_epoch)
+        active = StreamSegment(trojan, n_records, active_epoch)
+        return (
+            self.campaign.stream_records([base], self._record_cache),
+            self.campaign.stream_records([active], self._record_cache),
+        )
 
 
 class ReplaySource:

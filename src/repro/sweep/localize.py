@@ -52,8 +52,8 @@ from ..core.array import ProgrammableSensorArray
 from ..errors import AnalysisError, unknown_name_error
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..store import ArtifactStore
-from ..workloads.campaign import MeasurementCampaign
-from ..workloads.scenarios import Scenario, reference_for, scenario_by_name
+from ..workloads.campaign import MeasurementCampaign, StreamSegment
+from ..workloads.scenarios import reference_for, scenario_by_name
 from .report import LocalizeCellResult, LocalizeOutcome, SweepReport
 
 #: Ground-truth quadrant of each Trojan inside its host sensor (the
@@ -443,19 +443,20 @@ class LocalizationSweep:
         handles: Dict[int, List[tuple]] = {}
         for index, cell in enumerate(cells):
             bundle = self._bundle(cell.position)
-            reference = scenario_by_name(cell.reference)
-            scenario = scenario_by_name(cell.trojan)
             per_repeat = []
             for repeat in range(cell.n_repeats):
                 shift = repeat * cell.n_records
                 base = self._records(
                     bundle,
-                    reference,
+                    cell.reference,
                     cell.baseline_offset + shift,
                     cell.n_records,
                 )
                 active = self._records(
-                    bundle, scenario, cell.active_offset + shift, cell.n_records
+                    bundle,
+                    cell.trojan,
+                    cell.active_offset + shift,
+                    cell.n_records,
                 )
                 tickets = bundle.localizer.enqueue_score_map(
                     plan, base, active
@@ -476,22 +477,12 @@ class LocalizationSweep:
     # -- per-cell evaluation ---------------------------------------------------
 
     def _records(
-        self,
-        bundle: _PositionBundle,
-        scenario: Scenario,
-        offset: int,
-        count: int,
+        self, bundle: _PositionBundle, scenario: str, offset: int, count: int
     ) -> List[ActivityRecord]:
         """Activity records via the position's record memo."""
-        records = []
-        for index in range(offset, offset + count):
-            key = (scenario.name, index)
-            record = bundle.record_cache.get(key)
-            if record is None:
-                record = bundle.campaign.record(scenario, index)
-                bundle.record_cache[key] = record
-            records.append(record)
-        return records
+        return bundle.campaign.stream_records(
+            [StreamSegment(scenario, count, offset)], bundle.record_cache
+        )
 
     def _evaluate(
         self,
@@ -500,8 +491,6 @@ class LocalizationSweep:
         prefetched: "Optional[List[np.ndarray]]" = None,
     ) -> LocalizeCellResult:
         bundle = self._bundle(cell.position)
-        reference = scenario_by_name(cell.reference)
-        scenario = scenario_by_name(cell.trojan)
         truth = bundle.chip.floorplan.placements[cell.trojan][0].center
         expected_quadrant = cell.expected_quadrant if cell.refine else None
         outcomes: List[LocalizeOutcome] = []
@@ -509,10 +498,10 @@ class LocalizationSweep:
         for repeat in range(cell.n_repeats):
             shift = repeat * cell.n_records
             base = self._records(
-                bundle, reference, cell.baseline_offset + shift, cell.n_records
+                bundle, cell.reference, cell.baseline_offset + shift, cell.n_records
             )
             active = self._records(
-                bundle, scenario, cell.active_offset + shift, cell.n_records
+                bundle, cell.trojan, cell.active_offset + shift, cell.n_records
             )
             result = bundle.localizer.localize(
                 base,

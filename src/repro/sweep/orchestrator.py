@@ -3,14 +3,15 @@
 Evaluates every cell of a :class:`~repro.sweep.grid.SweepGrid` at
 engine throughput:
 
-1. **Render** — the cell's baseline+active monitoring stream goes
-   through :meth:`MeasurementCampaign.collect_stream`, one vectorized
-   engine pass per distinct stream span of the cell.  The engine's
-   coupling-geometry cache is reused as-is, and two sweep-wide memos
-   exploit the engine's determinism contract: a record cache re-uses
-   chip activity across cells that share workload indices, and a
-   span-level feature cache re-uses whole featurized spans (a baseline
-   span shared by every Trojan of a grid renders exactly once).  With
+1. **Render** — every stream span of the grid missing from the
+   span-feature cache goes through
+   :meth:`MeasurementCampaign.enqueue_stream` onto one fused plan.
+   The engine's coupling-geometry cache is reused as-is, and two
+   sweep-wide memos exploit the engine's determinism contract: a
+   record cache re-uses chip activity across cells that share workload
+   indices, and a span-level feature cache re-uses whole featurized
+   spans (a baseline span shared by every Trojan of a grid renders
+   exactly once).  With
    an :class:`~repro.store.ArtifactStore` attached, both memos persist
    on disk keyed by content, so repeated sweeps across processes
    warm-start bit-identically.
@@ -42,6 +43,7 @@ import numpy as np
 from ..core.analysis.mttd import MttdModel, mttd_from_alarm
 from ..detectors import Detector, make_detector
 from ..dsp.stats import detection_power, detection_rate, roc_auc
+from ..engine import RenderPlan
 from ..instruments.adc import AdcSpec
 from ..instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
@@ -138,19 +140,24 @@ class DetectionSweep:
         """Drop the campaign engine's capture-plan memo."""
         self.campaign.close()
 
-    def _prefetch(self, cells) -> None:
-        """Render every uncached span of a grid in one fused pass."""
-        from ..engine import RenderPlan
+    def _prefetch(self, cells) -> Dict[tuple, np.ndarray]:
+        """Every span feature block of ``cells``, keyed by span key.
 
+        Spans missing from the feature cache render in one fused pass
+        and are featurized and cached; the rest come from the cache.
+        """
         plan = RenderPlan()
         tickets = {}
         pending = {}
+        spans: Dict[tuple, np.ndarray] = {}
         for cell in cells:
             for segment in cell.segments:
                 key = self._span_key(segment, cell)
-                if key in pending:
+                if key in pending or key in spans:
                     continue
-                if self._feature_cache.get(key) is not None:
+                features = self._feature_cache.get(key)
+                if features is not None:
+                    spans[key] = features
                     continue
                 # One render per physical span: cells that differ only
                 # in feature kind (or ADC use) share the ticket and
@@ -169,32 +176,32 @@ class DetectionSweep:
                         record_cache=self._record_cache,
                     )
                 pending[key] = (render_key, cell.quantize, cell.detector_name)
-        if not pending:
-            return
-        plan.execute()
+        if pending:
+            plan.execute()
         for key, (render_key, quantize, detector_name) in pending.items():
-            features = self._featurize(
+            spans[key] = self._feature_cache[key] = self._featurize(
                 tickets[render_key].result(),
                 quantize,
                 self._reducer(detector_name),
             )
-            self._feature_cache[key] = features
+        return spans
 
     # -- per-cell evaluation ---------------------------------------------------
 
     def cell_features(self, cell: SweepCell) -> np.ndarray:
         """Render + featurize one cell; ``(n_sensors, n_traces)`` [dB].
 
-        Span blocks come from the sweep-wide feature cache; the stream
-        is their concatenation in capture order.  Every feature is
+        Span blocks come from :meth:`_prefetch` (the sweep-wide feature
+        cache, spans missing from it rendered first); the stream is
+        their concatenation in capture order.  Every feature is
         bit-identical to rendering + featurizing the trace alone (the
         engine's determinism contract plus row-wise featurization).
         """
-        blocks = [
-            self._segment_features(segment, cell)
-            for segment in cell.segments
-        ]
-        return np.concatenate(blocks, axis=1)
+        spans = self._prefetch([cell])
+        return np.concatenate(
+            [spans[self._span_key(segment, cell)] for segment in cell.segments],
+            axis=1,
+        )
 
     def _reducer(self, detector_name: str) -> Detector:
         """A method's spectral reduction, shared sweep-wide.
@@ -226,29 +233,6 @@ class DetectionSweep:
         if kind != "sideband-db":
             key = key + (kind,)
         return key
-
-    def _segment_features(
-        self, segment: StreamSegment, cell: SweepCell
-    ) -> np.ndarray:
-        """One span's feature block, rendered on first use only.
-
-        Cache key = the exact span identity plus the feature kind;
-        spans that merely overlap (same scenario, different
-        offset/length) render separately.
-        """
-        key = self._span_key(segment, cell)
-        features = self._feature_cache.get(key)
-        if features is None:
-            batch = self.campaign.collect_stream(
-                [segment],
-                sensors=list(cell.sensors),
-                record_cache=self._record_cache,
-            )
-            features = self._featurize(
-                batch, cell.quantize, self._reducer(cell.detector_name)
-            )
-            self._feature_cache[key] = features
-        return features
 
     def _featurize(
         self, batch, quantize: bool, reducer: Detector

@@ -5,12 +5,13 @@ laptop through serial communications" while traces are captured under
 five scenarios (no active HT, T1..T4 individually active).  This
 package provides the plaintext sources (LFSR-driven, as the chip's
 ``en_LFSR`` self-test pin suggests), named scenario definitions and the
-campaign runner that turns (chip, PSA, scenario) into trace sets.
+campaign runner that turns (chip, PSA, scenario stream) into trace
+batches.
 """
 
 from .lfsr import GaloisLfsr, PlaintextGenerator
 from .scenarios import SCENARIOS, Scenario, scenario_by_name
-from .campaign import MeasurementCampaign, StreamSegment, TraceSet
+from .campaign import MeasurementCampaign, StreamSegment
 
 __all__ = [
     "GaloisLfsr",
@@ -20,5 +21,4 @@ __all__ = [
     "scenario_by_name",
     "MeasurementCampaign",
     "StreamSegment",
-    "TraceSet",
 ]

@@ -1,17 +1,17 @@
-"""Measurement campaigns: (chip, PSA, scenario) -> trace sets."""
+"""Measurement campaigns: (chip, PSA, scenario stream) -> trace batches."""
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, MutableMapping, Optional, Sequence, Tuple
 
 from ..chip.power import ActivityRecord
 from ..chip.testchip import TestChip
 from ..core.array import ProgrammableSensorArray
 from ..engine import TraceBatch
+from ..engine.plan import execute_one
 from ..errors import WorkloadError
-from ..traces import Trace
 from .scenarios import Scenario, scenario_by_name
 
 
@@ -41,36 +41,6 @@ class StreamSegment:
     def indices(self) -> List[int]:
         """Trace indices of the span."""
         return [self.index_offset + i for i in range(self.n_traces)]
-
-
-@dataclass
-class TraceSet:
-    """Traces collected for one scenario.
-
-    Attributes
-    ----------
-    scenario:
-        Scenario name.
-    traces:
-        ``traces[sensor_index][trace_index]`` — one list per sensor.
-    records:
-        The activity records behind each trace index.
-    """
-
-    scenario: str
-    traces: Dict[int, List[Trace]] = field(default_factory=dict)
-    records: List[ActivityRecord] = field(default_factory=list)
-
-    @property
-    def n_traces(self) -> int:
-        """Traces captured per sensor."""
-        return len(self.records)
-
-    def sensor(self, index: int) -> List[Trace]:
-        """All traces of one sensor."""
-        if index not in self.traces:
-            raise WorkloadError(f"trace set holds no sensor {index}")
-        return self.traces[index]
 
 
 class MeasurementCampaign:
@@ -115,42 +85,34 @@ class MeasurementCampaign:
             scenario=scenario.name,
         )
 
-    def records(self, scenario_name: str, n_traces: int) -> List[ActivityRecord]:
-        """Activity records for ``n_traces`` captures of a scenario."""
-        if n_traces < 1:
-            raise WorkloadError("need at least one trace")
-        scenario = scenario_by_name(scenario_name)
-        return [self.record(scenario, index) for index in range(n_traces)]
+    def stream_records(
+        self,
+        segments: Sequence[StreamSegment],
+        memo: Optional[MutableMapping[Tuple[str, int], ActivityRecord]] = None,
+    ) -> List[ActivityRecord]:
+        """The activity records behind a stream's captures, in order.
+
+        ``memo`` is an optional ``(scenario, trace_index) ->
+        ActivityRecord`` mapping (a dict or a store view).  Records are
+        deterministic in that key, so a memo shared across calls skips
+        re-simulating chip activity: each capture reads it with one
+        ``get``, and only a miss runs :meth:`record` and stores the
+        result.
+        """
+        records: List[ActivityRecord] = []
+        for segment in segments:
+            scenario = scenario_by_name(segment.scenario)
+            for index in segment.indices:
+                key = (scenario.name, index)
+                record = None if memo is None else memo.get(key)
+                if record is None:
+                    record = self.record(scenario, index)
+                    if memo is not None:
+                        memo[key] = record
+                records.append(record)
+        return records
 
     # -- trace collection ----------------------------------------------------------
-
-    def collect_batch(
-        self,
-        scenario_name: str,
-        n_traces: int,
-        sensors: Optional[Sequence[int]] = None,
-        index_offset: int = 0,
-    ) -> TraceBatch:
-        """Capture ``n_traces`` as one batched engine render.
-
-        This is the throughput path: every capture of every selected
-        sensor is rendered in a single vectorized pass.  The records
-        behind the batch are regenerated deterministically from the
-        scenario and the trace indices.
-
-        Parameters
-        ----------
-        scenario_name:
-            A key of :data:`repro.workloads.scenarios.SCENARIOS`.
-        n_traces:
-            Captures per sensor.
-        sensors:
-            Sensor indices (default: every sensor of the attached PSA).
-        index_offset:
-            First trace index (workload and RNG streams follow it).
-        """
-        segment = StreamSegment(scenario_name, n_traces, index_offset)
-        return self._collect([segment], sensors, None)[1]
 
     def collect_stream(
         self,
@@ -163,11 +125,10 @@ class MeasurementCampaign:
     ) -> TraceBatch:
         """Capture a multi-segment stream as one batched engine render.
 
-        The sweep orchestrator's entry point: a monitoring stream is a
-        reference span followed by a Trojan-active span (arbitrarily
-        many spans are allowed), and the whole stream renders in a
-        single vectorized engine pass so cell evaluation runs at
-        engine throughput.
+        :meth:`enqueue_stream` on a fresh plan plus one execute.  A
+        monitoring stream is a reference span followed by a
+        Trojan-active span (arbitrarily many spans are allowed), and
+        the whole stream renders in a single vectorized engine pass.
 
         Parameters
         ----------
@@ -177,16 +138,19 @@ class MeasurementCampaign:
             Sensor indices (default: every sensor of the attached PSA).
         record_cache:
             Optional ``(scenario, trace_index) -> ActivityRecord``
-            memo.  Records are deterministic in that key, so a cache
-            shared across calls (e.g. across sweep cells re-using the
-            same baseline span) skips re-simulating chip activity.
+            memo (see :meth:`stream_records`), e.g. shared across sweep
+            cells re-using the same baseline span.
         columns:
             rFFT columns to render in place of the samples (see
             :meth:`~repro.engine.MeasurementEngine.render`).
         """
-        if not segments:
-            raise WorkloadError("need at least one stream segment")
-        return self._collect(segments, sensors, record_cache, columns)[1]
+        return execute_one(
+            self.enqueue_stream,
+            segments,
+            sensors,
+            record_cache,
+            columns=columns,
+        )
 
     def enqueue_stream(
         self,
@@ -197,100 +161,28 @@ class MeasurementCampaign:
             MutableMapping[Tuple[str, int], ActivityRecord]
         ] = None,
         tag: Optional[str] = None,
+        columns: Optional[Sequence[int]] = None,
     ):
         """Enqueue a stream capture on a fused dispatch plan.
 
-        The plan-joining twin of :meth:`collect_stream`: records are
-        built (and memoized) at enqueue time, the render joins ``plan``
-        (a :class:`~repro.engine.RenderPlan`), and the returned ticket
-        resolves to the identical :class:`TraceBatch` after
-        ``plan.execute()``.  Streams of many cells/chips enqueued on
-        one plan render as a single fused engine pass.
+        Records come from :meth:`stream_records` at enqueue time, the
+        render joins ``plan`` (a :class:`~repro.engine.RenderPlan`),
+        and the returned ticket resolves to the stream's
+        :class:`TraceBatch` after ``plan.execute()``.  Streams of many
+        cells/chips enqueued on one plan render as a single fused
+        engine pass.
         """
         if not segments:
             raise WorkloadError("need at least one stream segment")
-        records: List[ActivityRecord] = []
-        indices: List[int] = []
-        for segment in segments:
-            scenario = scenario_by_name(segment.scenario)
-            for index in segment.indices:
-                if record_cache is None:
-                    record = self.record(scenario, index)
-                else:
-                    key = (scenario.name, index)
-                    record = record_cache.get(key)
-                    if record is None:
-                        record = self.record(scenario, index)
-                        record_cache[key] = record
-                records.append(record)
-                indices.append(index)
         return self.psa.enqueue(
-            plan, records, trace_indices=indices, sensors=sensors, tag=tag
+            plan,
+            self.stream_records(segments, record_cache),
+            trace_indices=[i for segment in segments for i in segment.indices],
+            sensors=sensors,
+            tag=tag,
+            columns=columns,
         )
 
     def close(self) -> None:
         """Drop the PSA engine's capture-plan memo."""
         self.psa.close()
-
-    def _collect(
-        self,
-        segments: Sequence[StreamSegment],
-        sensors: Optional[Sequence[int]],
-        record_cache: Optional[
-            MutableMapping[Tuple[str, int], ActivityRecord]
-        ],
-        columns: Optional[Sequence[int]] = None,
-    ):
-        records: List[ActivityRecord] = []
-        indices: List[int] = []
-        for segment in segments:
-            scenario = scenario_by_name(segment.scenario)
-            for index in segment.indices:
-                if record_cache is None:
-                    record = self.record(scenario, index)
-                else:
-                    key = (scenario.name, index)
-                    record = record_cache.get(key)
-                    if record is None:
-                        record = self.record(scenario, index)
-                        record_cache[key] = record
-                records.append(record)
-                indices.append(index)
-        batch = self.psa.render(
-            records, trace_indices=indices, sensors=sensors, columns=columns
-        )
-        return records, batch
-
-    def collect(
-        self,
-        scenario_name: str,
-        n_traces: int,
-        sensors: Optional[Sequence[int]] = None,
-    ) -> TraceSet:
-        """Capture ``n_traces`` from the selected sensors.
-
-        Compatibility view over :meth:`collect_batch`: same rendered
-        samples, repackaged as a :class:`TraceSet` of per-sensor trace
-        lists.
-
-        Parameters
-        ----------
-        scenario_name:
-            A key of :data:`repro.workloads.scenarios.SCENARIOS`.
-        n_traces:
-            Captures per sensor.
-        sensors:
-            Sensor indices (default: every sensor of the attached PSA,
-            derived from the array — a non-16-sensor PSA yields exactly
-            its own sensors, no phantoms).
-        """
-        if sensors is None:
-            wanted = list(range(self.psa.n_sensors))
-        else:
-            wanted = list(sensors)
-        segment = StreamSegment(scenario_name, n_traces, 0)
-        records, batch = self._collect([segment], wanted, None)
-        trace_set = TraceSet(scenario=scenario_name, records=records)
-        for position, index in enumerate(wanted):
-            trace_set.traces[index] = batch.traces(position)
-        return trace_set

@@ -19,8 +19,7 @@ import pytest
 from repro.chip.testchip import TestChip
 from repro.config import SimConfig
 from repro.core.array import ProgrammableSensorArray
-from repro.workloads.campaign import MeasurementCampaign
-from repro.workloads.scenarios import scenario_by_name
+from repro.workloads.campaign import MeasurementCampaign, StreamSegment
 
 #: Key used by every test chip.
 TEST_KEY = bytes(range(16))
@@ -56,19 +55,9 @@ def campaign(chip: TestChip, psa: ProgrammableSensorArray) -> MeasurementCampaig
 @pytest.fixture(scope="session")
 def records(campaign: MeasurementCampaign):
     """Pre-simulated activity records for the common scenarios."""
-    cache = {}
-    for name in ("idle", "baseline", "T1", "T2", "T3", "T4", "T2_ref"):
-        scenario = scenario_by_name(name)
-        cache[name] = [campaign.record(scenario, 500 + i) for i in range(2)]
-    return cache
-
-
-@pytest.fixture(scope="session")
-def sensor10_traces(psa, records):
-    """Sensor-10 traces per scenario (index 0 record)."""
     return {
-        name: psa.measure(recs[0], 10, trace_index=900)
-        for name, recs in records.items()
+        name: campaign.stream_records([StreamSegment(name, 2, 500)])
+        for name in ("idle", "baseline", "T1", "T2", "T3", "T4", "T2_ref")
     }
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro import parallel
 from repro.engine import MeasurementEngine, kernel_spectrum_stats
+from repro.workloads.campaign import StreamSegment
 
 
 def _shm_names():
@@ -27,7 +28,7 @@ def _shm_names():
 
 def test_pool_reused_across_dispatches(monkeypatch, psa, campaign):
     monkeypatch.setattr(parallel, "THREADS", 2)
-    recs = campaign.records("baseline", 4)
+    recs = campaign.stream_records([StreamSegment("baseline", 4)])
     psa.render(recs, trace_indices=[1, 2, 3, 4], sensors=[10])
     pool = parallel._pool
     threads = set(pool._threads)
@@ -39,7 +40,7 @@ def test_pool_reused_across_dispatches(monkeypatch, psa, campaign):
 
 def test_close_then_transparent_restart(config, psa, campaign):
     engine = MeasurementEngine(config, amplifier=psa.amplifier)
-    recs = campaign.records("baseline", 2)
+    recs = campaign.stream_records([StreamSegment("baseline", 2)])
     before = engine.render(
         psa.coupling, recs, trace_indices=[1, 2], receiver_indices=[10]
     )
@@ -55,7 +56,7 @@ def test_single_payload_runs_inline(monkeypatch, psa, campaign):
     """A one-capture render never reaches the pool."""
     monkeypatch.setattr(parallel, "THREADS", 3)
     monkeypatch.setattr(parallel, "_pool", None)
-    recs = campaign.records("baseline", 1)
+    recs = campaign.stream_records([StreamSegment("baseline", 1)])
     batch = psa.render(recs, trace_indices=[7], sensors=[10])
     assert parallel._pool is None
     monkeypatch.setattr(parallel, "THREADS", 1)
@@ -69,7 +70,7 @@ def test_no_leaked_segments_after_close(config, psa, campaign):
     gc.collect()
     before = _shm_names()
     engine = MeasurementEngine(config, amplifier=psa.amplifier)
-    recs = campaign.records("baseline", 4)
+    recs = campaign.stream_records([StreamSegment("baseline", 4)])
     batches = [
         engine.render(
             psa.coupling, recs, trace_indices=[1, 2, 3, 4],
@@ -88,7 +89,7 @@ def test_no_leaked_segments_after_close(config, psa, campaign):
 
 def test_capture_plan_cache_hits(config, psa, campaign):
     engine = MeasurementEngine(config, amplifier=psa.amplifier)
-    recs = campaign.records("baseline", 2)
+    recs = campaign.stream_records([StreamSegment("baseline", 2)])
     engine.render(
         psa.coupling, recs, trace_indices=[1, 2], receiver_indices=[10, 2]
     )
@@ -105,7 +106,7 @@ def test_capture_plan_cache_hits(config, psa, campaign):
 
 
 def test_kernel_spectrum_cache_hits(psa, campaign):
-    recs = campaign.records("baseline", 1)
+    recs = campaign.stream_records([StreamSegment("baseline", 1)])
     psa.render(recs, trace_indices=[1], sensors=[10])
     before = kernel_spectrum_stats()
     psa.render(recs, trace_indices=[2], sensors=[10])

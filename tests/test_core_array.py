@@ -8,7 +8,7 @@ from repro.errors import MeasurementError
 
 
 def test_measure_all_returns_16_traces(psa, records):
-    traces = psa.measure_all(records["baseline"][0])
+    traces = [psa.measure(records["baseline"][0], s) for s in range(psa.n_sensors)]
     assert len(traces) == 16
     for index, trace in enumerate(traces):
         assert trace.label == f"psa_sensor_{index}"
@@ -37,13 +37,13 @@ def test_noise_varies_across_trace_indices(psa, records):
 
 
 def test_noise_independent_per_sensor(psa, records):
-    traces = psa.measure_all(records["idle"][0])
-    assert not np.array_equal(traces[0].samples, traces[1].samples)
+    batch = psa.render([records["idle"][0]])
+    assert not np.array_equal(batch.samples[0], batch.samples[1])
 
 
 def test_sensor10_sees_more_signal_than_sensor0(psa, records):
-    traces = psa.measure_all(records["baseline"][0])
-    assert traces[10].rms() > 2 * traces[0].rms()
+    batch = psa.render([records["baseline"][0]])
+    assert batch.trace(10, 0).rms() > 2 * batch.trace(0, 0).rms()
 
 
 def test_invalid_sensor_rejected(psa, records):

@@ -2,23 +2,20 @@
 
 The engine's determinism contract: a capture is identified by
 (scenario, receiver, trace index) and renders bit-for-bit identically
-whether produced alone, inside any batch or through the compatibility
-wrappers (thread splits: ``test_engine_threads.py``).
+whether produced alone, inside any batch or one capture at a time
+(thread splits: ``test_engine_threads.py``).
 """
 
 import numpy as np
 import pytest
 
+from repro import parallel
 from repro.chip.power import MEAN_SWITCH_CAP, charge_per_toggle, emf_kernel
 from repro.core.array import ProgrammableSensorArray
 from repro.core.sensors import quadrant_coil
 from repro.em.coupling import CouplingMatrix, CouplingStack, emf_rfft
 from repro.em.noise import fill_white_noise_rfft, white_noise_scales
-from repro.engine import (
-    MeasurementEngine,
-    TraceBatch,
-    coupling_cache_stats,
-)
+from repro.engine import TraceBatch, coupling_cache_stats
 from repro.errors import MeasurementError
 from repro.rng import stream
 
@@ -30,14 +27,14 @@ ALL_SCENARIOS = ("idle", "baseline", "T1", "T2", "T3", "T4")
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_batch_matches_measure_all(psa, records, scenario):
-    """One batched render == per-record measure_all, every sensor."""
+    """One batched render == per-capture measure of all 16 sensors."""
     recs = records[scenario]
     batch = psa.render(recs, trace_indices=[500, 501])
     for t, record in enumerate(recs):
-        legacy = psa.measure_all(record, trace_index=500 + t)
         for sensor in range(16):
+            single = psa.measure(record, sensor, trace_index=500 + t)
             assert np.array_equal(
-                batch.samples[sensor, t], legacy[sensor].samples
+                batch.samples[sensor, t], single.samples
             ), f"{scenario} sensor {sensor} trace {t}"
 
 
@@ -67,17 +64,6 @@ def test_measure_coil_matches_batch(psa, records):
     assert np.array_equal(single.samples[0, 0], batch.samples[0, 0])
 
 
-def test_campaign_collect_matches_collect_batch(campaign):
-    trace_set = campaign.collect("T4", 2, sensors=[10, 0])
-    batch = campaign.collect_batch("T4", 2, sensors=[10, 0])
-    for position, sensor in enumerate((10, 0)):
-        for index in range(2):
-            assert np.array_equal(
-                trace_set.sensor(sensor)[index].samples,
-                batch.samples[position, index],
-            )
-
-
 def test_shared_record_reuses_emf_with_fresh_noise(psa, records):
     """One record over many indices: same signal, independent noise."""
     record = records["baseline"][0]
@@ -101,23 +87,25 @@ def test_trace_metadata_parity(psa, records):
 # -- chunking ----------------------------------------------------------------
 
 
-def test_chunking_does_not_change_output(chip, psa, records):
+def test_chunking_does_not_change_output(psa, records, monkeypatch):
     """irFFT batches of 1, 2, 3 or 16 traces render the same bits.
 
-    Records repeat out of order, so a record's EMF rows are dropped
-    after its last capture while others are still in use.
+    On one thread a 16-receiver render converts ``IRFFT_ROWS // 16``
+    traces per irFFT call, so 16, 32, 48 and 256 rows make those
+    chunks.  Records repeat out of order, so a record's EMF rows are
+    dropped after its last capture while others are still in use.
     """
     recs = (records["T2"] + records["T1"]) * 2 + records["T2"][:1]
     indices = range(len(recs))
-    outputs = [
-        MeasurementEngine(
-            chip.config, amplifier=psa.amplifier, chunk_traces=chunk
-        ).render(psa.coupling, recs, trace_indices=indices).samples
-        for chunk in (1, 2, 3, 16)
-    ]
     reference = psa.engine.render(psa.coupling, recs, trace_indices=indices)
-    for samples in outputs:
+    monkeypatch.setattr(parallel, "THREADS", 1)
+    for rows in (16, 32, 48, 256):
+        monkeypatch.setattr("repro.engine.engine.IRFFT_ROWS", rows)
+        samples = psa.engine.render(
+            psa.coupling, recs, trace_indices=indices
+        ).samples
         assert samples.tobytes() == reference.samples.tobytes()
+    monkeypatch.undo()
     # One receiver: the default batch grows to IRFFT_ROWS traces.
     one = psa.engine.render(
         psa.coupling, recs, trace_indices=indices, receiver_indices=[9]

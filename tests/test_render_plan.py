@@ -13,27 +13,13 @@ from repro.core.sensors import quadrant_coil
 from repro import parallel
 from repro.engine import MeasurementEngine, RenderPlan
 from repro.errors import MeasurementError
+from repro.workloads.campaign import StreamSegment
 
-def _records(campaign, scenario, n, offset=0):
-    from repro.workloads.scenarios import scenario_by_name
-
-    s = scenario_by_name(scenario)
-    return [campaign.record(s, offset + i) for i in range(n)]
+def _records(campaign, scenario, n):
+    return campaign.stream_records([StreamSegment(scenario, n)])
 
 
 # -- fusion bit-identity -----------------------------------------------------
-
-
-def test_single_request_plan_matches_render(psa, campaign):
-    recs = _records(campaign, "baseline", 3)
-    reference = psa.render(recs, trace_indices=[7, 8, 9], sensors=[10, 2])
-    plan = RenderPlan(engine=psa.engine)
-    ticket = plan.add(
-        psa.coupling, recs, trace_indices=[7, 8, 9], receiver_indices=[10, 2]
-    )
-    plan.execute()
-    assert np.array_equal(ticket.result().samples, reference.samples)
-    assert ticket.result().labels == reference.labels
 
 
 def test_fused_requests_demux_bit_identically(psa, campaign):
@@ -120,20 +106,6 @@ def test_fused_plan_split_across_threads(config, psa, campaign, monkeypatch):
         [t1.result().samples, t2.result().samples], axis=1
     )
     assert np.array_equal(fused, ref.samples)
-
-
-def test_campaign_enqueue_stream_matches_collect_stream(psa, campaign):
-    from repro.workloads.campaign import StreamSegment
-
-    segments = [StreamSegment("baseline", 2, 30), StreamSegment("T1", 2, 32)]
-    reference = campaign.collect_stream(segments, sensors=[10, 0])
-    plan = RenderPlan()
-    ticket = campaign.enqueue_stream(plan, segments, sensors=[10, 0])
-    plan.execute()
-    batch = ticket.result()
-    assert np.array_equal(batch.samples, reference.samples)
-    assert batch.scenarios == reference.scenarios
-    assert batch.trace_indices == reference.trace_indices
 
 
 def test_score_map_prefetch_matches_standalone(psa, campaign):

@@ -139,7 +139,8 @@ def test_unserializable_meta_rejected(tmp_path):
 
 
 def test_real_psa_traces_roundtrip(tmp_path, psa, records):
-    traces = psa.measure_all(records["T1"][0])[:4]
+    batch = psa.render([records["T1"][0]], sensors=range(4))
+    traces = [batch.trace(sensor, 0) for sensor in range(4)]
     path = save_traces(tmp_path / "psa.npz", traces)
     loaded = load_traces(path)
     assert loaded[0].label == "psa_sensor_0"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WorkloadError
+from repro.errors import MeasurementError, WorkloadError
+from repro.workloads.campaign import StreamSegment
 from repro.workloads.lfsr import GaloisLfsr, PlaintextGenerator
 from repro.workloads.scenarios import (
     SCENARIOS,
@@ -95,17 +96,19 @@ def test_campaign_records_fresh_plaintexts(campaign):
 
 
 def test_campaign_collect(campaign):
-    trace_set = campaign.collect("baseline", n_traces=2, sensors=[0, 10])
-    assert trace_set.n_traces == 2
-    assert len(trace_set.sensor(10)) == 2
-    assert trace_set.sensor(10)[0].scenario == "baseline"
-    with pytest.raises(WorkloadError):
-        trace_set.sensor(5)
+    batch = campaign.collect_stream([StreamSegment("baseline", 2)], sensors=[0, 10])
+    assert batch.n_traces == 2
+    assert batch.labels == ("psa_sensor_0", "psa_sensor_10")
+    assert batch.trace(1, 0).scenario == "baseline"
+    with pytest.raises(MeasurementError):
+        campaign.collect_stream([StreamSegment("baseline", 1)], sensors=[16])
 
 
 def test_campaign_validates_inputs(campaign):
     with pytest.raises(WorkloadError):
-        campaign.records("baseline", 0)
+        campaign.collect_stream([], sensors=[10])
+    with pytest.raises(WorkloadError):
+        StreamSegment("baseline", 0, 0)
 
 
 def test_campaign_collect_derives_sensors_from_psa(chip):
@@ -115,11 +118,11 @@ def test_campaign_collect_derives_sensors_from_psa(chip):
 
     small_psa = ProgrammableSensorArray(chip, n_sensors=4)
     small_campaign = MeasurementCampaign(chip, small_psa)
-    trace_set = small_campaign.collect("baseline", n_traces=2)
-    assert set(trace_set.traces) == {0, 1, 2, 3}
-    assert all(len(traces) == 2 for traces in trace_set.traces.values())
+    batch = small_campaign.collect_stream([StreamSegment("baseline", 2)])
+    assert batch.labels == tuple(f"psa_sensor_{i}" for i in range(4))
+    assert batch.samples.shape[:2] == (4, 2)
     with pytest.raises(Exception):
-        small_campaign.collect("baseline", n_traces=1, sensors=[7])
+        small_campaign.collect_stream([StreamSegment("baseline", 1)], sensors=[7])
 
     # Downstream consumers derive the count too (no hardcoded 16).
     from repro.core.analysis.localizer import Localizer
@@ -133,8 +136,6 @@ def test_campaign_collect_derives_sensors_from_psa(chip):
 
 
 def test_campaign_collect_stream_concatenates_segments(campaign):
-    from repro.workloads.campaign import StreamSegment
-
     cache = {}
     batch = campaign.collect_stream(
         [
@@ -157,7 +158,3 @@ def test_campaign_collect_stream_concatenates_segments(campaign):
         record_cache=cache,
     )
     assert np.array_equal(again.samples, batch.samples)
-    with pytest.raises(WorkloadError):
-        campaign.collect_stream([], sensors=[10])
-    with pytest.raises(WorkloadError):
-        StreamSegment("baseline", 0, 0)
