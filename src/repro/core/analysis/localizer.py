@@ -24,7 +24,11 @@ from ...errors import AnalysisError
 from ...instruments.spectrum_analyzer import SpectrumAnalyzer
 from ..array import ProgrammableSensorArray
 from ..sensors import quadrant_coil
-from .spectral import added_sideband_scores, batch_sideband_amplitudes
+from .spectral import (
+    added_sideband_scores,
+    batch_sideband_amplitudes,
+    sideband_columns,
+)
 
 #: Quadrant labels used by the refinement step.
 QUADRANTS = ("sw", "se", "nw", "ne")
@@ -88,23 +92,27 @@ class Localizer:
     ):
         """Enqueue a score map's renders on a fused dispatch plan.
 
-        The base and active populations share the coupling matrix and
-        the full sensor set, so the plan fuses both (and any other
-        score maps enqueued alongside) into one engine job.  Feed the
-        returned handle to :meth:`finish_score_map` after
-        ``plan.execute()``.
+        Both populations render at the rFFT columns the sideband
+        features read (:func:`~.spectral.sideband_columns`).  They
+        share the coupling matrix, the full sensor set and those
+        columns, so the plan fuses both (and any other score maps
+        enqueued alongside) into one engine job.  Feed the returned
+        handle to :meth:`finish_score_map` after ``plan.execute()``.
         """
         if not baseline_records or not active_records:
             raise AnalysisError("no activity records supplied")
+        columns = sideband_columns(self.analyzer, self.psa.config)
         base = self.psa.enqueue(
             plan,
             baseline_records,
             trace_indices=list(range(len(baseline_records))),
+            columns=columns,
         )
         active = self.psa.enqueue(
             plan,
             active_records,
             trace_indices=[1000 + i for i in range(len(active_records))],
+            columns=columns,
         )
         return base, active
 
@@ -131,9 +139,12 @@ class Localizer:
         sensors that pick up a whiff of the Trojan through the global
         package loop.)
 
-        Both populations render as one fused engine pass (they share
-        the coupling matrix and sensor set); each row is bit-identical
-        to its standalone render.
+        Both populations render as one fused engine pass at the
+        sideband columns (they share the coupling matrix, sensor set
+        and columns); each row is bit-identical to its standalone
+        render, and the map equals that of full-rendered samples
+        through the display up to the rounding of the irFFT → rFFT
+        round trip.
         """
         from ...engine import RenderPlan
 
@@ -213,9 +224,9 @@ class Localizer:
         """Reprogram quadrant coils and score them.
 
         All four quadrant coils render over both populations in
-        **one** engine pass (a coupling stack, one receiver row per
-        quadrant), and every band feature comes from one vectorized
-        display pass.
+        **one** engine pass at the sideband columns (a coupling stack,
+        one receiver row per quadrant), and every band feature comes
+        from one vectorized display pass.
 
         Returns
         -------

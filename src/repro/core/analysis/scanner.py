@@ -149,9 +149,10 @@ class AdaptiveScanner:
         """Added sideband amplitude [V] of every window of one level.
 
         All (window, record) captures of the level render in one
-        engine pass (``measure_coils_batch`` over a coupling stack)
-        and every band feature comes from one vectorized
-        display-spectrum pass.
+        engine pass at the sideband columns (``measure_coils_batch``
+        over a coupling stack) and every band feature comes from one
+        vectorized display pass (see
+        :func:`~.spectral.added_sideband_scores`).
         """
         scores = added_sideband_scores(
             self.psa,

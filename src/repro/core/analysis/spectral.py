@@ -294,15 +294,15 @@ def added_sideband_scores(
     The shared scoring kernel of the localization stages (quadrant
     refinement, adaptive scan levels): every (coil, record) capture of
     both populations renders as **one** engine pass
-    (``psa.measure_coils_batch`` over a coupling stack), the display
-    spectra and band features are extracted in one vectorized pass,
-    and each coil scores ``mean(active) - mean(baseline)``.
+    (``psa.measure_coils_batch`` over a coupling stack) at the rFFT
+    columns the sideband features read (:func:`sideband_columns`),
+    the band features are extracted in one vectorized pass, and each
+    coil scores ``mean(active) - mean(baseline)``.
 
-    Bit-identical to the sequential per-(coil, record) loops: single
-    captures render the same samples inside any batch (the engine's
-    determinism contract), rows of the batched display/feature pass
-    equal the per-trace spectra, and the mean-difference uses the same
-    reduction.
+    A coil's score does not depend on the other coils scored with it
+    (each capture's columns are the same bytes inside any batch), and
+    equals the score of full-rendered samples through
+    the display up to the rounding of the irFFT → rFFT round trip.
 
     Parameters
     ----------
@@ -330,24 +330,40 @@ def added_sideband_scores(
     indices = list(range(n_base)) + [
         active_offset + idx for idx in range(len(active_records))
     ]
-    batch = psa.measure_coils_batch(coils, records, trace_indices=indices)
+    batch = psa.measure_coils_batch(
+        coils,
+        records,
+        trace_indices=indices,
+        columns=sideband_columns(analyzer, psa.config),
+    )
     amps = batch_sideband_amplitudes(batch, analyzer, psa.config)
     return np.array(
         [float(np.mean(row[n_base:]) - np.mean(row[:n_base])) for row in amps]
     )
 
 
-def batch_sideband_amplitudes(batch, analyzer, config: SimConfig) -> np.ndarray:
-    """Sideband amplitude [V] of every capture of a rendered batch.
+def sideband_columns(analyzer, config: SimConfig) -> np.ndarray:
+    """The native rFFT columns the sideband display bins read.
 
-    One vectorized display pass (``analyzer.display_matrix``) over the
-    batch's samples, then :func:`sideband_amplitudes`; the result is
-    ``(n_receivers, n_traces)``, row ``i`` the captures of receiver
-    ``i``.  The localization stages reduce it as they need.
+    Render a localization population at these columns (``columns=``
+    on the engine's render entries) and hand the batch to
+    :func:`batch_sideband_amplitudes`.
     """
-    grid, display = analyzer.display_matrix(
-        batch.samples.reshape(-1, batch.n_samples), batch.fs
-    )
+    bins = sideband_display_bins(analyzer.display_grid(), config)
+    return analyzer.native_columns(config.n_samples, config.fs, bins)
+
+
+def batch_sideband_amplitudes(batch, analyzer, config: SimConfig) -> np.ndarray:
+    """Sideband amplitude [V] of every capture of a column-rendered batch.
+
+    ``batch.spectra`` holds the captures at :func:`sideband_columns`;
+    one display pass over them (``analyzer.display_from_columns``),
+    then :func:`sideband_amplitudes`.  The result is ``(n_receivers,
+    n_traces)``, row ``i`` the captures of receiver ``i``; the
+    localization stages reduce it as they need.
+    """
+    bins = sideband_display_bins(analyzer.display_grid(), config)
+    grid, display = analyzer.display_from_columns(batch.spectra, batch.fs, bins)
     return sideband_amplitudes(grid, display, config).reshape(
         batch.n_receivers, -1
     )

@@ -178,6 +178,7 @@ class ProgrammableSensorArray:
         records: Sequence[ActivityRecord],
         trace_indices: Optional[Sequence[int]] = None,
         tag: Optional[str] = None,
+        columns: Optional[Sequence[int]] = None,
     ):
         """Enqueue an ad-hoc multi-coil render on a fused dispatch plan.
 
@@ -205,6 +206,7 @@ class ProgrammableSensorArray:
             trace_indices=trace_indices,
             engine=self.engine,
             tag=tag,
+            columns=columns,
         )
 
     def close(self) -> None:
@@ -216,6 +218,7 @@ class ProgrammableSensorArray:
         coils: Sequence[Coil],
         records: Sequence[ActivityRecord],
         trace_indices: Optional[Sequence[int]] = None,
+        columns: Optional[Sequence[int]] = None,
     ) -> TraceBatch:
         """Render a batch of captures from several ad-hoc programmed coils.
 
@@ -243,14 +246,19 @@ class ProgrammableSensorArray:
             for every capture.
         trace_indices:
             RNG stream index per capture (defaults to ``0..n-1``).
+        columns:
+            rFFT columns to render in place of the samples (see
+            :meth:`~repro.engine.MeasurementEngine.render`).
 
         Returns
         -------
         TraceBatch
-            ``(n_coils, n_traces, n_samples)`` samples, coil order
-            preserved.
+            ``(n_coils, n_traces, n_samples)`` samples (or the spectra
+            at ``columns``), coil order preserved.
         """
-        return execute_one(self.enqueue_coils, coils, records, trace_indices)
+        return execute_one(
+            self.enqueue_coils, coils, records, trace_indices, columns=columns
+        )
 
     # -- single capture ------------------------------------------------------------
 

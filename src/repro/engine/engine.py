@@ -40,11 +40,19 @@ always float64.
 
 A *column render* (``columns=`` on :meth:`MeasurementEngine.render`
 and :meth:`~repro.engine.plan.RenderPlan.add`) runs the same capture
-loop, draws every stream in full and in the same order, and writes
-only the requested rFFT columns of each spectrum, with no irFFT.  Its
-values are the full render's spectrum at those columns up to the
-rounding of the irFFT → rFFT round trip, and are byte-identical at
-any thread count; the full render is untouched by it.
+loop and writes only the requested rFFT columns of each spectrum, with
+no irFFT.  It draws each stream in the same order, but only as far as
+the columns read: when no tone line of a receiver lands on them, its
+captures draw the jitter scalar and the prefix of normals up to the
+last one the columns' noise reads, and no tone phases; when one does
+(an off-grid tone lands on every column), the whole stream as the full
+render draws it.  A normal depends only on the stream before it, so a
+column's noise is the full render's, drawn the same whichever other
+columns are requested (its EMF, a matmul over the requested columns,
+may round differently with their count).  Its values are the full
+render's spectrum at those columns up to the rounding of the irFFT →
+rFFT round trip, and are byte-identical at any thread count; the full
+render is untouched by it.
 
 Execution
 ---------
@@ -291,9 +299,9 @@ class MeasurementEngine:
             Subset of ``coupling.receivers`` to render (default: all).
         columns:
             Strictly increasing rFFT columns to render instead of the
-            samples: each capture draws its whole stream as the full
-            render does, but only these columns of its spectrum are
-            written, and it is never inverse-transformed.
+            samples: only these columns of each capture's spectrum are
+            written, it is never inverse-transformed, and it draws its
+            stream only as far as they read (see the module docstring).
 
         Returns
         -------
@@ -437,12 +445,14 @@ class MeasurementEngine:
             * gain[take]
         )
         every_receiver = receiver_indices == list(range(coupling.n_receivers))
-        # One (name, jitter, noise fill, tones) row per receiver, built
-        # once — the capture loop below runs per (trace, receiver).
+        # One (name, jitter, noise fill, tones, normals drawn) row per
+        # receiver, built once — the capture loop below runs per
+        # (trace, receiver).
         if columns is not None:
             column_at = {int(column): k for k, column in enumerate(columns)}
         row_plans = []
         for plan, scales, tones in captures:
+            n_draw = n
             if columns is None:
                 dc, nyquist, body = scales
                 fill = partial(
@@ -452,12 +462,10 @@ class MeasurementEngine:
                     body_scale=body,
                 )
             else:
-                fill = partial(
-                    fill_white_noise_columns,
-                    layout=white_noise_columns(n, columns, *scales),
-                )
-                # A tone line off the columns still draws its phase;
-                # position -1 writes it nowhere.
+                layout = white_noise_columns(n, columns, *scales)
+                fill = partial(fill_white_noise_columns, layout=layout)
+                # Each tone's position among the columns: -1 writes it
+                # nowhere; an off-grid tone (None) lands on every column.
                 tones = tuple(
                     (
                         None if bin_index is None else column_at.get(bin_index, -1),
@@ -465,7 +473,12 @@ class MeasurementEngine:
                     )
                     for bin_index, payload in tones
                 )
-            row_plans.append((plan.name, plan.gain_jitter, fill, tones))
+                if all(bin_index == -1 for bin_index, _ in tones):
+                    # No tone lands: the columns read nothing past their
+                    # last normal, so draw only that prefix, no phases.
+                    n_draw = int(max(layout[0].max(), layout[1].max())) + 1
+                    tones = ()
+            row_plans.append((plan.name, plan.gain_jitter, fill, tones, n_draw))
         two_pi = 2.0 * math.pi
         seed = config.seed
 
@@ -509,9 +522,9 @@ class MeasurementEngine:
                     scenario = record.scenario
                     trace_index = trace_indices[position]
                     emf = emf_rows(record, position)
-                    for row_index, (name, gain_jitter, fill_noise, tones) in (
-                        enumerate(row_plans)
-                    ):
+                    for row_index, (
+                        name, gain_jitter, fill_noise, tones, n_draw
+                    ) in enumerate(row_plans):
                         row = spec[row_index, offset]
                         rng = stream(
                             seed,
@@ -522,7 +535,7 @@ class MeasurementEngine:
                             jitter = (
                                 1.0 + gain_jitter * rng.standard_normal()
                             )
-                        z = rng.standard_normal(n, out=z_buffer)
+                        z = rng.standard_normal(n_draw, out=z_buffer[:n_draw])
                         fill_noise(row, z)
                         # One call draws every tone phase: the same
                         # values as one call per tone, with one lock and

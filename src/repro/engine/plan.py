@@ -131,7 +131,10 @@ class RenderPlan:
         """Enqueue one logical render; returns its ticket.
 
         Arguments mirror :meth:`MeasurementEngine.render` exactly
-        (validation happens here, at enqueue time).
+        (validation happens here, at enqueue time).  With ``columns``
+        the ticket resolves to the captures' rFFT values at those
+        columns, each drawn only as far as they read; requests fuse
+        only with others asking for the same columns.
         """
         if self._executed:
             raise MeasurementError(

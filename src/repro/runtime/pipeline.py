@@ -30,9 +30,10 @@ per-window feature is an elementwise function of that window's
 samples (or of its rendered columns), so the full decision timeline
 is bit-identical at any chunk size — the property
 ``tests/test_runtime_stream.py`` pins against the one-shot offline
-render.  Live MONITOR features equal the full render's featurized
-without the ADC up to floating-point rounding; the IDENTIFY window
-and LOCALIZE are bit-identical to the full render's.
+render.  Live MONITOR features and the LOCALIZE scores (both read
+rendered columns) equal the full render's, featurized without the
+ADC, up to floating-point rounding; the IDENTIFY window is
+bit-identical to the full render's.
 """
 
 from __future__ import annotations

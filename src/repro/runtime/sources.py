@@ -272,9 +272,10 @@ class LiveSource:
     Once :attr:`columns` is set (an escalation pipeline's ``bind``
     sets it to the native rFFT columns its detector reads), chunks
     carry each window's spectrum at those columns instead of its
-    samples: every capture still draws its whole RNG stream, so the
-    columns are those of the full render up to the rounding of the
-    rFFT it would have gone through.  :meth:`capture` renders one
+    samples: every capture draws its RNG stream as far as those
+    columns read, the same normals as the full render, so the columns
+    are those of the full render up to the rounding of the rFFT it
+    would have gone through.  :meth:`capture` renders one
     window in full when a stage needs its samples.
 
     Parameters

@@ -280,3 +280,92 @@ def test_white_noise_columns_lay_out_the_full_fill():
         fill_white_noise_columns(out, z, white_noise_columns(n, columns, *scales))
         assert out.real.tobytes() == full.real[columns].tobytes()
         assert np.array_equal(out.imag, full.imag[columns])
+
+
+# -- the prefix draw -------------------------------------------------------------
+
+#: Sideband columns of the soak sensors' 48 MHz region, a later
+#: column (a longer normal prefix), the Nyquist bin (read from the
+#: stream's head) and the 88 MHz ambient-tone line (a full draw).
+PREFIX_COLUMNS = ([764], [764, 1348], [764, 4224], [764, 1408])
+
+
+def _assert_full_columns(tapped, full, columns):
+    """Each column equals the full render's rFFT there, to its own scale."""
+    reference = _full_columns(full, columns)
+    for k, column in enumerate(columns):
+        scale = np.abs(reference[..., k]).max()
+        error = np.abs(tapped.spectra.values[..., k] - reference[..., k]).max()
+        assert error < 1e-9 * scale, f"column {column}"
+
+
+def test_column_bytes_do_not_depend_on_the_other_columns(
+    psa, records, monkeypatch
+):
+    """A column render draws each stream only as far as its columns
+    read, and a normal depends only on the stream before it: column
+    764's draws are the same bytes whatever is requested with it, and
+    with the EMF in, the full render's spectrum there.
+
+    The byte check zeroes the EMF synthesis, whose cycle-DFT matmul
+    rounds differently at different column counts (a property of the
+    BLAS kernels, not of the draws).
+    """
+    recs = records["T1"] + records["T4"]
+    indices = [3, 4, 5, 6]
+    alone = psa.render(recs, trace_indices=indices, columns=[764])
+    _assert_full_columns(alone, psa.render(recs, trace_indices=indices), [764])
+    monkeypatch.setattr(
+        "repro.engine.engine.emf_rfft",
+        lambda coupling, record, columns: np.zeros(
+            (coupling.n_receivers, len(columns)), dtype=complex
+        ),
+    )
+    draws = [
+        psa.render(recs, trace_indices=indices, columns=columns).spectra.values
+        for columns in PREFIX_COLUMNS
+    ]
+    for columns, values in zip(PREFIX_COLUMNS[1:], draws[1:]):
+        assert values[..., 0].tobytes() == draws[0][..., 0].tobytes(), columns
+
+
+@pytest.mark.parametrize("tone", [480, 1408])
+def test_column_render_on_a_tone_line_draws_the_phases(psa, records, tone):
+    """Columns holding an ambient-tone line (30 MHz is bin 480, 88 MHz
+    bin 1408) draw the whole stream and every tone phase: the line and
+    its neighbours match the full render."""
+    recs = records["T2"] + records["T3"]
+    columns = sorted([tone - 1, tone, tone + 1, 764])
+    full = psa.render(recs, trace_indices=[7, 8, 9, 10])
+    tapped = psa.render(recs, trace_indices=[7, 8, 9, 10], columns=columns)
+    _assert_full_columns(tapped, full, columns)
+
+
+@pytest.fixture(scope="module")
+def off_grid():
+    """A two-sensor array on 55-cycle windows: 88 and 100 MHz fall
+    between rFFT bins, 30 MHz on bin 50."""
+    from repro.chip.testchip import TestChip
+    from repro.config import SimConfig
+    from repro.em.noise import tone_bin
+    from repro.workloads.campaign import MeasurementCampaign, StreamSegment
+
+    config = SimConfig(n_cycles=55)
+    assert [tone_bin(config.n_samples, config.fs, f) for f in (30e6, 88e6, 100e6)] == [
+        50, None, None,
+    ]
+    chip = TestChip(bytes(range(16)), config)
+    small = ProgrammableSensorArray(chip, n_sensors=2)
+    campaign = MeasurementCampaign(chip, small)
+    return small, campaign.stream_records([StreamSegment("T1", 2, 0)])
+
+
+@pytest.mark.parametrize("columns", [[3, 147], [3, 50, 147]])
+def test_column_render_with_an_off_grid_tone_draws_the_phases(off_grid, columns):
+    """An off-grid tone spreads over every column, so its receiver
+    draws the whole stream and every phase even when no on-grid line
+    lands on the columns (bin 50 is left out of the first set)."""
+    small, recs = off_grid
+    full = small.render(recs, trace_indices=[1, 2])
+    tapped = small.render(recs, trace_indices=[1, 2], columns=columns)
+    _assert_full_columns(tapped, full, columns)

@@ -23,11 +23,16 @@ import pytest
 
 from repro import parallel
 from repro.baselines.common import ReceiverBench
+from repro.core.analysis.localizer import QUADRANTS, Localizer
+from repro.core.analysis.spectral import sideband_columns
 from repro.core.coil import synthesize_rect_coil
+from repro.core.sensors import quadrant_coil
 from repro.dsp.transforms import display_spectra_at
 from repro.em.coupling import kernel_spectrum, kernel_spectrum_stats
 from repro.em.probes import langer_lf1_probe
+from repro.engine import RenderPlan
 from repro.instruments.adc import AdcSpec, quantize_batch
+from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.serve import MonitorService, ServeConfig
 
 THREAD_COUNTS = (1, 2, 3)
@@ -191,6 +196,40 @@ def test_column_render_bytes_identical_across_thread_counts(
     _same_at_every_count(
         monkeypatch, spectra, recs, trace_indices=indices, sensors=[10, 3]
     )
+
+
+def test_score_map_plan_bytes_identical_across_thread_counts(
+    monkeypatch, psa, records
+):
+    """A fused score-map plan (both populations at the sideband
+    columns, one job) splits like any render: same bytes."""
+    localizer = Localizer(psa)
+
+    def fused():
+        plan = RenderPlan()
+        base, active = localizer.enqueue_score_map(
+            plan, records["baseline"], records["T1"] + records["T4"][:1]
+        )
+        plan.execute()
+        return np.concatenate(
+            [base.result().spectra.values, active.result().spectra.values], axis=1
+        )
+
+    _same_at_every_count(monkeypatch, fused)
+
+
+def test_quadrant_stack_column_render_bytes_identical(monkeypatch, psa, records):
+    """The quadrant refinement's coupling stack at the sideband columns."""
+    coils = [quadrant_coil(10, which) for which in QUADRANTS]
+    columns = sideband_columns(SpectrumAnalyzer(), psa.config)
+    recs = records["baseline"] + records["T4"] + records["T1"][:1]
+
+    def spectra():
+        return psa.measure_coils_batch(
+            coils, recs, trace_indices=[0, 1, 2000, 2001, 2002], columns=columns
+        ).spectra.values
+
+    _same_at_every_count(monkeypatch, spectra)
 
 
 def test_one_record_reused_for_every_index(monkeypatch, psa, records):
