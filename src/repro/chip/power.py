@@ -93,7 +93,9 @@ def dense_activity(factors: Sequence[Factor], shape: Tuple[int, int]) -> np.ndar
     matrix rebuilt from factors is bit-for-bit the same wherever it is
     built.  Rows a factor does not weight are skipped: their product
     is an exact zero, and adding zero leaves every (never negative-zero)
-    entry unchanged.
+    entry unchanged.  No simulation or rendering path calls it: the
+    chip (T4's supply droop included) and the EMF synthesis read the
+    factors, so a dense matrix exists only once a consumer reads one.
     """
     dense = np.zeros(shape)
     for _name, weights, toggles in factors:

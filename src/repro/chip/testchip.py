@@ -32,7 +32,7 @@ from ..trojans.t3_cdma import T3CdmaLeaker
 from ..trojans.t4_dos import T4DosHeater
 from ..uart.uart import Uart
 from .floorplan import Floorplan, default_floorplan
-from .power import ActivityRecord, dense_activity
+from .power import ActivityRecord
 
 #: Scenario labels accepted by :meth:`TestChip.run_trace`.
 TROJAN_NAMES = ("T1", "T2", "T3", "T4")
@@ -197,9 +197,7 @@ class TestChip:
             time_s=cycles * config.t_clock,
             plaintext=history.plaintexts[blocks % len(history)],
             key_hd=self.core.key_hd[phases],
-            aes_norm=lambda: _normalized_activity(
-                main_factors, self.floorplan.n_regions, config.n_cycles
-            ),
+            aes_norm=lambda: _normalized_activity(main_factors),
         )
         trojan_factors = []
         rising_factors = []
@@ -230,13 +228,15 @@ class TestChip:
         )
 
 
-def _normalized_activity(main_factors, n_regions: int, n_cycles: int) -> np.ndarray:
+def _normalized_activity(main_factors) -> np.ndarray:
     """Main-circuit activity per cycle over its trace maximum (0..1).
 
-    Sums the dense main matrix, accumulated exactly as
-    :attr:`ActivityRecord.main` is, so the supply-droop coupling is
-    bit-stable; only windows whose Trojans read it pay for it.
+    The region sum of a ``weights x toggles`` factor is ``sum(weights)
+    * toggles``, so the total reads the per-module totals, accumulated
+    in factor order (the sums :func:`repro.em.coupling.charge_amplitudes`
+    weighs the bond term with); no dense matrix is built.  Only windows
+    whose Trojans read it pay for it.
     """
-    aes_total = dense_activity(main_factors, (n_regions, n_cycles)).sum(axis=0)
+    aes_total = sum(float(weights.sum()) * toggles for _name, weights, toggles in main_factors)
     aes_peak = float(aes_total.max()) or 1.0
     return aes_total / aes_peak

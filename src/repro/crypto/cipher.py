@@ -25,11 +25,15 @@ _SHIFT_ROWS = np.array(
 )
 _INV_SHIFT_ROWS = np.argsort(_SHIFT_ROWS)
 
-# GF(2^8) multiplication tables used by (Inv)MixColumns.
-_MUL = {
-    factor: np.array([gf_mul(value, factor) for value in range(256)], dtype=np.uint8)
-    for factor in (1, 2, 3, 9, 11, 13, 14)
-}
+# Multiplication by x (i.e. by 2) in GF(2^8), as a byte table.
+_XTIME = np.array([gf_mul(value, 2) for value in range(256)], dtype=np.uint8)
+# ... and by x^2 (by 4), used by InvMixColumns' pre-step.
+_XTIME2 = _XTIME[_XTIME]
+
+# Flat column-major index of the byte one (two) rows further down the
+# same column, cyclically: state[..., _NEXT_ROW][i] is a_{row+1}.
+_NEXT_ROW = np.array([4 * (i // 4) + (i + 1) % 4 for i in range(16)], dtype=np.intp)
+_ROW_AFTER_NEXT = _NEXT_ROW[_NEXT_ROW]
 
 
 def _as_state(data: bytes | np.ndarray) -> np.ndarray:
@@ -42,21 +46,22 @@ def _as_state(data: bytes | np.ndarray) -> np.ndarray:
 
 
 def _mix_columns(state: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """(Inv)MixColumns over the last axis of ``(..., 16)`` states."""
-    factors = [14, 11, 13, 9] if inverse else [2, 3, 1, 1]
-    # factors listed so that factors[(k - row) % 4] gives the standard
-    # circulant matrix row [2 3 1 1] (or [14 11 13 9] for the inverse).
-    # Every column of every block mixes at once: the flat column-major
-    # state reshapes to (..., column, row), and each output row is an
-    # XOR of four table lookups — exact GF(2^8) arithmetic.
+    """(Inv)MixColumns over the last axis of ``(..., 16)`` states.
+
+    Each output byte of the circulant ``[2 3 1 1]`` product is
+    ``a_i ^ t ^ xtime(a_i ^ a_{i+1})``, with ``t`` the XOR of the
+    column's four bytes, so every column of every block mixes in one
+    pass of exact byte arithmetic.  The inverse ``[14 11 13 9]`` is
+    the forward matrix after the pre-step ``a_i ^= 4 * (a_i ^
+    a_{i+2})``.
+    """
+    if inverse:
+        state = state ^ _XTIME2[state ^ state[..., _ROW_AFTER_NEXT]]
     columns = state.reshape(state.shape[:-1] + (4, 4))
-    out = np.empty_like(columns)
-    for row in range(4):
-        acc = _MUL[factors[(0 - row) % 4]][columns[..., 0]]
-        for k in range(1, 4):
-            acc ^= _MUL[factors[(k - row) % 4]][columns[..., k]]
-        out[..., row] = acc
-    return out.reshape(state.shape)
+    total = np.bitwise_xor.reduce(columns, axis=-1, keepdims=True)
+    out = (columns ^ total).reshape(state.shape)
+    out ^= _XTIME[state ^ state[..., _NEXT_ROW]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,18 +194,18 @@ def encrypt_blocks_with_history(
         round_keys = expand_key(key)
     n_blocks = blocks.shape[0]
     states = np.empty((n_blocks, 11, 16), dtype=np.uint8)
-    after_sub = np.empty((n_blocks, 10, 16), dtype=np.uint8)
-    after_shift = np.empty_like(after_sub)
-    after_mix = np.empty_like(after_sub)
-    states[:, 0] = blocks ^ round_keys[0]
+    after_mix = np.empty((n_blocks, 10, 16), dtype=np.uint8)
+    state = states[:, 0] = blocks ^ round_keys[0]
     for r in range(1, 11):
-        after_sub[:, r - 1] = SBOX[states[:, r - 1]]
-        after_shift[:, r - 1] = after_sub[:, r - 1][:, _SHIFT_ROWS]
+        # SubBytes is bytewise, so it commutes with ShiftRows: the round
+        # loop carries only the shifted bytes it needs.
+        mixed = SBOX[state[:, _SHIFT_ROWS]]
         if r < 10:
-            after_mix[:, r - 1] = _mix_columns(after_shift[:, r - 1])
-        else:
-            after_mix[:, r - 1] = after_shift[:, r - 1]
-        states[:, r] = after_mix[:, r - 1] ^ round_keys[r]
+            mixed = _mix_columns(mixed)
+        after_mix[:, r - 1] = mixed
+        state = states[:, r] = mixed ^ round_keys[r]
+    after_sub = SBOX[states[:, :10]]
+    after_shift = after_sub[:, :, _SHIFT_ROWS]
     return BlockHistories(
         plaintexts=blocks.copy(),
         states=states,

@@ -211,9 +211,12 @@ class CouplingMatrix:
         else:
             _GEOMETRY_HITS += 1
         self.matrix, self.bond_row = cached
-        # Per-instance scratch used by the engine's low-rank fast path:
-        # maps a factor name to its (weights, matrix @ weights) pair.
-        self._projection_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        # Per-instance scratch of the low-rank EMF synthesis: maps a
+        # factor-name tuple to (weights, projection rows, weight sums),
+        # see _module_rows.
+        self._rows_cache: Dict[
+            Tuple[str, ...], Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray]
+        ] = {}
 
     def _build(self) -> np.ndarray:
         """Region-dipole flux matrix, with area smearing.
@@ -329,20 +332,95 @@ class CouplingStack:
         return len(self.receivers)
 
 
-def _project(coupling: CouplingMatrix, name: str, weights: np.ndarray) -> np.ndarray:
-    """``matrix @ weights`` with per-factor memoization.
+def _module_rows(coupling: CouplingMatrix, parts: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-module projections ``matrix @ weights`` and weight sums.
 
-    Activity factors reuse the same weight vectors across every record
-    of a chip, so each (coupling, factor) projection is computed once.
-    The cached weights object is identity-checked to stay safe against
-    a name collision with different contents.
+    Returns the ``(n_receivers, n_modules)`` projection rows and the
+    ``(n_modules,)`` weight totals (the bond term's per-module
+    charge share) of the factors ``parts``.  Activity factors reuse the
+    same weight vectors across every record of a chip, so both are
+    computed once per (coupling, factor names); the cached weights
+    objects are identity-checked to stay safe against a name collision
+    with different contents.
     """
-    cached = coupling._projection_cache.get(name)
-    if cached is not None and cached[0] is weights:
-        return cached[1]
-    projected = coupling.matrix @ weights
-    coupling._projection_cache[name] = (weights, projected)
-    return projected
+    names = tuple(name for name, _, _ in parts)
+    weights = tuple(weights for _, weights, _ in parts)
+    cached = coupling._rows_cache.get(names)
+    if cached is not None and all(a is b for a, b in zip(cached[0], weights)):
+        return cached[1], cached[2]
+    rows = np.stack([coupling.matrix @ w for w in weights], axis=1)
+    sums = np.array([float(w.sum()) for w in weights])
+    coupling._rows_cache[names] = (weights, rows, sums)
+    return rows, sums
+
+
+#: A record's charge trains per clock phase: ``(parts, trains)`` with
+#: ``trains`` one row per factor, or ``None`` for a phase without one.
+_Charges = Tuple[Tuple[Sequence, Optional[np.ndarray]], ...]
+
+
+def _charge_trains(
+    record: ActivityRecord,
+    switch_cap: float | None,
+    basis: Optional[np.ndarray],
+) -> _Charges:
+    """Per-module charge trains of the rising and falling phases.
+
+    Each train is ``toggles * q_per_toggle``, stacked one row per
+    factor; with ``basis`` (``(n_cycles, m)``) the stack is mapped onto
+    its ``m`` coefficients.  They depend on the record alone, so one
+    computation serves every receiver set the record renders through.
+    """
+    from ..chip.power import MEAN_SWITCH_CAP
+
+    cap = MEAN_SWITCH_CAP if switch_cap is None else switch_cap
+    q_per_toggle = charge_per_toggle(record.config.vdd, cap)
+    factors = record.factors
+    out = []
+    for parts in (
+        list(factors.get("main", ())) + list(factors.get("trojan_rising", ())),
+        list(factors.get("trojan", ())),
+    ):
+        trains = None
+        if parts:
+            trains = np.stack([toggles * q_per_toggle for _, _, toggles in parts])
+            if basis is not None:
+                trains = trains @ basis
+        out.append((parts, trains))
+    return tuple(out)
+
+
+def _amplitudes(
+    coupling: CouplingMatrix,
+    charges: _Charges,
+    config: SimConfig,
+    basis: Optional[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`charge_amplitudes` from a record's :func:`_charge_trains`."""
+
+    def assemble(parts, trains) -> Optional[np.ndarray]:
+        if not parts:
+            return None
+        rows, sums = _module_rows(coupling, parts)
+        if basis is not None:
+            # All modules at once: (receivers x modules) @ (modules x m).
+            return rows @ trains + np.outer(coupling.bond_row, sums @ trains)
+        total = np.zeros((coupling.n_receivers, config.n_cycles))
+        bond_cycles = np.zeros(config.n_cycles)
+        for index, charge in enumerate(trains):
+            total += np.outer(rows[:, index], charge)
+            bond_cycles += sums[index] * charge
+        total += np.outer(coupling.bond_row, bond_cycles)
+        return total
+
+    (rising_parts, rising_trains), (falling_parts, falling_trains) = charges
+    rising_q = assemble(rising_parts, rising_trains)
+    if rising_q is None:
+        width = config.n_cycles if basis is None else basis.shape[1]
+        rising_q = np.zeros(
+            (coupling.n_receivers, width), dtype=float if basis is None else complex
+        )
+    return rising_q, assemble(falling_parts, falling_trains)
 
 
 def charge_amplitudes(
@@ -366,48 +444,9 @@ def charge_amplitudes(
     amplitudes are linear in the trains, so the result is
     ``amplitudes @ basis`` without the ``n_cycles``-wide matrices.
     """
-    config = record.config
-    from ..chip.power import MEAN_SWITCH_CAP
-
-    cap = MEAN_SWITCH_CAP if switch_cap is None else switch_cap
-    q_per_toggle = charge_per_toggle(config.vdd, cap)
-
-    def _assemble(parts) -> Optional[np.ndarray]:
-        if not parts:
-            return None
-        if basis is not None:
-            # All modules at once: (receivers x modules) @ (modules x m).
-            coefficients = np.stack(
-                [toggles * q_per_toggle for _, _, toggles in parts]
-            ) @ basis
-            rows = np.stack(
-                [_project(coupling, name, weights) for name, weights, _ in parts],
-                axis=1,
-            )
-            sums = np.array([float(weights.sum()) for _, weights, _ in parts])
-            return rows @ coefficients + np.outer(
-                coupling.bond_row, sums @ coefficients
-            )
-        total = np.zeros((coupling.n_receivers, config.n_cycles))
-        bond_cycles = np.zeros(config.n_cycles)
-        for name, weights, toggles in parts:
-            row = _project(coupling, name, weights)
-            charge = toggles * q_per_toggle
-            total += np.outer(row, charge)
-            bond_cycles += float(weights.sum()) * charge
-        total += np.outer(coupling.bond_row, bond_cycles)
-        return total
-
-    factors = record.factors
-    rising_q = _assemble(
-        list(factors.get("main", ())) + list(factors.get("trojan_rising", ()))
+    return _amplitudes(
+        coupling, _charge_trains(record, switch_cap, basis), record.config, basis
     )
-    if rising_q is None:
-        width = config.n_cycles if basis is None else basis.shape[1]
-        rising_q = np.zeros(
-            (coupling.n_receivers, width), dtype=float if basis is None else complex
-        )
-    return rising_q, _assemble(list(factors.get("trojan", ())))
 
 
 # -- spectral EMF synthesis (the engine's hot path) -------------------------
@@ -550,29 +589,34 @@ def emf_rfft(
     stacked, so each row is bit-identical to the standalone render of
     its part (see :class:`CouplingStack`).
     """
+    config = record.config
+    basis = None if columns is None else _cycle_dft(config.n_cycles, columns)
+    charges = _charge_trains(record, switch_cap, basis)
     if isinstance(coupling, CouplingStack):
         return np.vstack(
-            [
-                emf_rfft(part, record, switch_cap, columns)
-                for part in coupling.parts
-            ]
+            [_emf_rows(part, charges, config, columns, basis) for part in coupling.parts]
         )
-    config = record.config
+    return _emf_rows(coupling, charges, config, columns, basis)
+
+
+def _emf_rows(
+    coupling: CouplingMatrix,
+    charges: _Charges,
+    config: SimConfig,
+    columns: Optional[np.ndarray],
+    basis: Optional[np.ndarray],
+) -> np.ndarray:
+    """:func:`emf_rfft` of one coupling matrix from the record's charges."""
     kernel = kernel_spectrum(config)
+    rising, falling = _amplitudes(coupling, charges, config, basis)
     if columns is not None:
-        rising, falling = charge_amplitudes(
-            coupling, record, switch_cap, _cycle_dft(config.n_cycles, columns)
-        )
         if falling is not None:
             falling *= _phase_ramp(config.n_samples, config.oversample // 2)[columns]
             rising += falling
         rising *= kernel[columns]
         return rising
-    rising_q, falling_q = charge_amplitudes(coupling, record, switch_cap)
-    spectrum = _tiled_cycle_spectrum(rising_q, config, 0)
-    if falling_q is not None:
-        spectrum += _tiled_cycle_spectrum(
-            falling_q, config, config.oversample // 2
-        )
+    spectrum = _tiled_cycle_spectrum(rising, config, 0)
+    if falling is not None:
+        spectrum += _tiled_cycle_spectrum(falling, config, config.oversample // 2)
     spectrum *= kernel
     return spectrum

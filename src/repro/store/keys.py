@@ -33,7 +33,8 @@ from ..instruments.adc import AdcSpec
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
 
 #: Bump when the key material layout changes (invalidates every entry).
-KEY_SCHEMA = 1
+#: 2: T4's supply droop reads per-module totals (its toggles moved).
+KEY_SCHEMA = 2
 
 #: Library version folded into every content address.  Artifacts are
 #: only as reproducible as the code that computed them, so a release

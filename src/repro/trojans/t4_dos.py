@@ -27,6 +27,11 @@ from .base import CycleWindow, ExternallyEnabledTrojan
 class T4DosHeater(ExternallyEnabledTrojan):
     """T4: ring-oscillator heater bank (always-on, externally enabled).
 
+    The droop reads ``window.aes_norm()``, the main circuit's activity
+    per cycle summed over the die.  The chip computes it from per-module
+    totals (``sum(weights) * toggles`` per module), so simulating a T4
+    window builds no dense region-by-cycle matrix.
+
     Parameters
     ----------
     enabled:

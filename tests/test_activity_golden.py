@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.chip import testchip
+from repro.chip import power, testchip
 from repro.config import SimConfig
 from repro.store.store import RecordCodec
 from repro.workloads.campaign import MeasurementCampaign
@@ -185,6 +185,48 @@ def test_fleet_path_never_builds_dense_matrices(golden, campaigns, name):
         assert _sha(copy.main) == expected["main"]
         assert set(copy._dense) == {"main"}
     assert dense_digests(copies[1]) == expected
+
+
+T4_CASES = [case for case in CASES if case[0] == "T4"]
+
+
+@pytest.mark.parametrize("name,seed,index", T4_CASES)
+def test_t4_droop_matches_dense_sum(campaigns, monkeypatch, name, seed, index):
+    """T4's supply droop reads per-module totals; it equals the region
+    sum of the dense main matrix to rounding."""
+    seen = []
+    normalized = testchip._normalized_activity
+
+    def spy(main_factors):
+        seen.append((main_factors, normalized(main_factors)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(testchip, "_normalized_activity", spy)
+    record = campaigns[seed].record(scenario_by_name(name), index)
+    assert len(seen) == 1
+    main_factors, aes_norm = seen[0]
+    dense_total = power.dense_activity(main_factors, record._shape).sum(axis=0)
+    reference = dense_total / dense_total.max()
+    assert aes_norm.shape == (record.config.n_cycles,)
+    np.testing.assert_allclose(aes_norm, reference, rtol=1e-13, atol=0)
+
+
+def test_t4_record_builds_no_dense_matrix(campaigns, monkeypatch):
+    calls = []
+    dense_activity = power.dense_activity
+
+    def counting(factors, shape):
+        calls.append(shape)
+        return dense_activity(factors, shape)
+
+    for module in (power, testchip):
+        if hasattr(module, "dense_activity"):
+            monkeypatch.setattr(module, "dense_activity", counting)
+    record = campaigns[SEEDS[0]].record(scenario_by_name("T4"), TRACE_INDICES[0])
+    assert "trojan_rising" in record.factors
+    assert calls == []
+    record.trojan_rising  # the counter sees a dense build when one happens
+    assert calls == [record._shape]
 
 
 def test_lfsr_streams_match_golden(golden):

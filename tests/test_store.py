@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import threading
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.chip.testchip import TestChip as AesTestChip
 from repro.errors import StoreError
 from repro.instruments.adc import AdcSpec
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
-from repro.runtime import ActivationSchedule, LiveSource
+from repro.runtime import ActivationSchedule, LiveSource, build_preset
 from repro.store import (
     ArrayCodec,
     ArtifactStore,
@@ -89,19 +90,23 @@ def test_mapping_address_is_digest_of_material(store, chip, item):
 
 
 def test_mapping_address_is_pinned(store, config, monkeypatch):
-    """Addresses never move, so an existing store keeps hitting."""
+    """Addresses move only with ``KEY_SCHEMA`` (or the code version,
+    fixed here), so an existing store keeps hitting.  These are the
+    ``KEY_SCHEMA = 2`` addresses."""
     import repro.store.store as store_module
+
+    assert KEY_SCHEMA == 2
 
     monkeypatch.setattr(store_module, "CODE_VERSION", "0.0.0-fixed")
     records = store.records(AesTestChip(bytes(range(16)), config))
     assert records.address(("T1", 3)) == (
-        "3dde4d5dcef3b311d1568a5b402b4adb23b1b825f4af9e82feef832e18e775bb"
+        "4f93670f5c16d9d6e98ff09dab9f2a21b58efdcac0babf3119e6e6f146ea8826"
     )
     spans = store.mapping(
         "span-features", {"v": 1.5, "b": b"\x00\xff"}, ArrayCodec()
     )
     assert spans.address(("baseline", 4, 0, (0, 1, 2), True)) == (
-        "3e6e1f87925b9d4f109041e429d81ce661414344728f89990cccbaf214ca8877"
+        "f3c9bbb3a3a025dc81886e9e07286fe6610c6854dfef9899956b2aeb84cb8611"
     )
 
 
@@ -368,6 +373,39 @@ def test_record_codec_rejects_foreign_weights(chip, campaign):
     record.factors["main"][0] = (name, weights[::-1].copy(), toggles)
     with pytest.raises(StoreError):
         RecordCodec(chip).encode(record)
+
+
+def test_record_entry_is_a_deflated_npz(store, campaign, chip):
+    record = campaign.record(scenario_by_name("T4"), 1)
+    view = store.records(chip)
+    view[("T4", 1)] = record
+    path = store._path("record", view.address(("T4", 1)))
+    with zipfile.ZipFile(path) as archive:
+        members = archive.infolist()
+    assert sorted(info.filename for info in members) == ["__meta__.npy", "toggles.npy"]
+    assert {info.compress_type for info in members} == {zipfile.ZIP_DEFLATED}
+    with np.load(path, allow_pickle=False) as archive:
+        header = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
+        arrays = {"toggles": archive["toggles"]}
+    decoded = RecordCodec(chip).decode(header["meta"], arrays)
+    for group, parts in record.factors.items():
+        got = decoded.factors[group]
+        assert [name for name, _, _ in got] == [name for name, _, _ in parts]
+        for (_, _, toggles), (_, _, want) in zip(got, parts):
+            assert np.array_equal(toggles, want)
+
+
+def test_soak_record_entries_stay_small(store, campaign):
+    """A soak session's records deflate to at most 8 KB each on average
+    (they are ~69 KB stored uncompressed)."""
+    preset = build_preset("soak")
+    schedule = ActivationSchedule.step(
+        preset.trojan, n_baseline=preset.n_baseline, n_active=preset.n_active
+    )
+    n_records = LiveSource(campaign, schedule, store=store).warm_records()
+    count, size = store.stats().by_kind["record"]
+    assert count == n_records == preset.n_baseline + preset.n_active
+    assert size / count <= 8 * 1024
 
 
 def _drop_a_cycle(meta, arrays):
