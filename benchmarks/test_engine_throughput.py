@@ -1,30 +1,22 @@
-"""Engine throughput: the render against its own floors, and its thread split.
+"""Engine throughput: the render against its own floors.
 
-Times one engine render of a 16-sensor x 256-trace campaign, split
-across the process's cores (the default) and on one thread, and, in
+Times one engine render of a 16-sensor x 256-trace campaign and, in
 the same run, two floors of that render timed alone:
 
 * the **irFFT floor** — ``np.fft.irfft`` over the same 16 x 256
   spectra in the engine's ``IRFFT_ROWS``-row blocks;
-  ``floor_ratio = irFFT floor / one-thread render``;
+  ``floor_ratio = irFFT floor / render``;
 * the **contract floor** — the work the determinism contract fixes,
   one named stream and ``n_samples`` normal draws per capture plus the
-  irFFT floor, on one thread;
-  ``contract_floor_ratio = contract floor / one-thread render``.
+  irFFT floor; ``contract_floor_ratio = contract floor / render``.
 
-Both are same-host ratios over the one-thread render, so they track
-the engine's code rather than the machine or its core count: anything
-that slows the render outside its floor lowers them.  The renders and
-floors alternate, each timed as its best of ``RATIO_ROUNDS`` rounds.
+Both are same-host ratios over the render, so they track the engine's
+code rather than the machine: anything that slows the render outside
+its floor lowers them.  The render and floors alternate, each timed
+as its best of ``RATIO_ROUNDS`` rounds.  Results are written to
+``BENCH_engine.json`` (see ``bench_report.py``).
 
-Then the ``thread_split`` row renders the full 16-sensor x 1024-trace
-workload on one thread and on the default thread count, alternating,
-best of 3; the two must be bit-identical, and on a multi-core host
-the split must win.  Results are written to ``BENCH_engine.json``
-(see ``bench_report.py``).
-
-Set ``ENGINE_SMOKE=1`` to run a reduced CI variant: every identity
-check still runs, the split-beats-one-thread check is not enforced.
+Set ``ENGINE_SMOKE=1`` to run a reduced CI variant.
 """
 
 from __future__ import annotations
@@ -36,7 +28,6 @@ import time
 import numpy as np
 
 from bench_report import write_report
-from repro import parallel
 from repro.engine.engine import IRFFT_ROWS, render_stream_name
 from repro.rng import stream
 from repro.workloads.scenarios import scenario_by_name
@@ -49,8 +40,6 @@ N_TRACES = 48 if SMOKE else 256
 #: Distinct activity records cycled through the campaign (record
 #: synthesis is not part of the rendering path being measured).
 N_UNIQUE_RECORDS = 8 if SMOKE else 32
-#: Trace count of the thread-split row (full array).
-N_SPLIT_TRACES = 64 if SMOKE else 1024
 #: Alternating rounds behind the floor ratios.  On a shared 2-vCPU
 #: host the smoke ``floor_ratio`` of an unchanged tree spread
 #: 0.16-0.25 over best-of-3 runs and 0.22-0.24 over best-of-9 runs.
@@ -61,7 +50,7 @@ RATIO_ROUNDS = 9
 def _irfft_floor(n_samples):
     """A callable running the render's irFFTs alone: N_SENSORS x
     N_TRACES spectra converted in blocks of ``IRFFT_ROWS`` rows, into
-    one output array, exactly as a one-thread render blocks them."""
+    one output array, exactly as the render blocks them."""
     chunk = max(1, IRFFT_ROWS // N_SENSORS)
     rng = np.random.default_rng(0)
     shape = (N_SENSORS, chunk, n_samples // 2 + 1)
@@ -92,31 +81,16 @@ def _contract_floor(config, labels, irfft_floor):
     return run
 
 
-def _one_thread(fn):
-    """``fn`` run with renders confined to the calling thread."""
-
-    def run():
-        threads = parallel.THREADS
-        parallel.THREADS = 1
-        try:
-            return fn()
-        finally:
-            parallel.THREADS = threads
-
-    return run
-
-
 def _best_of(rounds, *fns):
     """Best wall time of each callable over ``rounds`` alternating
-    rounds, and each one's last result."""
+    rounds."""
     best = [float("inf")] * len(fns)
-    results = [None] * len(fns)
     for _ in range(rounds):
         for k, fn in enumerate(fns):
             start = time.perf_counter()
-            results[k] = fn()
+            fn()
             best[k] = min(best[k], time.perf_counter() - start)
-    return best, results
+    return best
 
 
 def test_engine_throughput(ctx, benchmark):
@@ -133,32 +107,18 @@ def test_engine_throughput(ctx, benchmark):
     def render():
         return psa.render(records, trace_indices=indices)
 
-    # Warm every path (kernel spectra, gain curves, allocator arenas,
-    # the thread pool).
+    # Warm every path (kernel spectra, gain curves, allocator arenas).
     batch = benchmark.pedantic(render, rounds=1, iterations=1)
-    _one_thread(render)()
     contract_floor()
 
     # A load spike on a shared host can slow a single measurement;
     # alternating and taking the best of many rounds keeps the ratios
     # about the code, not the host.
-    (batched_s, one_thread_s, floor_s, contract_s), _ = _best_of(
-        RATIO_ROUNDS, render, _one_thread(render), irfft_floor, contract_floor
+    batched_s, floor_s, contract_s = _best_of(
+        RATIO_ROUNDS, render, irfft_floor, contract_floor
     )
-    floor_ratio = floor_s / one_thread_s
-    contract_floor_ratio = contract_s / one_thread_s
-
-    # The thread split at the scale the fused dispatch plan feeds it:
-    # the full 16-sensor workload, N_SPLIT_TRACES traces.
-    split_records = [unique[i % N_UNIQUE_RECORDS] for i in range(N_SPLIT_TRACES)]
-    split_indices = list(range(N_SPLIT_TRACES))
-
-    def render_split():
-        return psa.render(split_records, trace_indices=split_indices).samples
-
-    (one_s, split_s), (one, split) = _best_of(3, _one_thread(render_split), render_split)
-    split_identical = one.tobytes() == split.tobytes()
-    del one, split
+    floor_ratio = floor_s / batched_s
+    contract_floor_ratio = contract_s / batched_s
 
     report = {
         "workload": {
@@ -168,40 +128,19 @@ def test_engine_throughput(ctx, benchmark):
             "scenario": "baseline",
         },
         "smoke": SMOKE,
-        "batched_engine": {
-            "seconds": round(batched_s, 3),
-            "one_thread_seconds": round(one_thread_s, 3),
-            "threads": parallel.THREADS,
-        },
+        "batched_engine": {"seconds": round(batched_s, 3)},
         "irfft_floor": {"seconds": round(floor_s, 3)},
         "floor_ratio": round(floor_ratio, 3),
         "contract_floor": {"seconds": round(contract_s, 3)},
         "contract_floor_ratio": round(contract_floor_ratio, 3),
-        "thread_split": {
-            "n_traces": N_SPLIT_TRACES,
-            "n_sensors": N_SENSORS,
-            "threads": parallel.THREADS,
-            "one_thread_seconds": round(one_s, 3),
-            "split_seconds": round(split_s, 3),
-            "speedup_vs_serial": round(one_s / split_s, 3),
-            "identical_to_one_thread": split_identical,
-        },
     }
     write_report("BENCH_engine.json", report)
     print()
     print(json.dumps(report, indent=2))
 
     assert batch.samples.shape == (N_SENSORS, N_TRACES, psa.config.n_samples)
-    assert split_identical
     # The render runs every irFFT and draw the floors run, and more.
     assert floor_ratio < 1.0, f"irFFT floor ratio {floor_ratio:.3f} not below 1"
     assert contract_floor_ratio < 1.0, (
         f"contract floor ratio {contract_floor_ratio:.3f} not below 1"
     )
-    if not SMOKE and parallel.THREADS >= 2:
-        # Only a multi-core affinity mask has spare cores to win with;
-        # with one core the split is the one-thread path itself.
-        assert split_s < one_s, (
-            f"{parallel.THREADS}-thread render ({split_s:.2f}s) lost to "
-            f"one thread ({one_s:.2f}s)"
-        )

@@ -10,13 +10,11 @@ instrument's uniform display grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import AnalysisError
-from ..parallel import Pieces, run, workers
 from ..units import UV
 
 
@@ -467,11 +465,9 @@ def resample_spectra(
 
 
 #: Trace rows quantized and transformed per block in
-#: :func:`display_spectra_at`, summed over the threads of a split
-#: call: 32 rows of an 8448-sample window are a ~2.2 MB float block and
-#: its ~2.2 MB spectrum, where one 256-row chunk at once would be 17 MB
-#: each.  A call runs on one thread per 32 rows, at most one per core,
-#: and each of ``k`` threads transforms ``32 // k`` rows at a time.
+#: :func:`display_spectra_at`: 32 rows of an 8448-sample window are a
+#: ~2.2 MB float block and its ~2.2 MB spectrum, where one 256-row
+#: chunk at once would be 17 MB each.
 DISPLAY_BLOCK_ROWS = 32
 
 
@@ -574,13 +570,12 @@ def display_spectra_at(
     columns and gather indices of ``bins`` on it, are cached across
     calls.
 
-    The rows go through in blocks (see :data:`DISPLAY_BLOCK_ROWS`),
-    taken in turn by a thread per core: each block is passed through
-    ``prepare`` (a row-wise transform such as ADC quantization, which
-    must not write into its input), transformed, and its columns
-    gathered, so the working set is one block per thread rather than
-    full-stack copies.  Every row's values depend on that row alone,
-    so neither blocks nor threads change a bit.
+    The rows go through in blocks (see :data:`DISPLAY_BLOCK_ROWS`):
+    each block is passed through ``prepare`` (a row-wise transform such
+    as ADC quantization, which must not write into its input),
+    transformed, and its columns gathered, so the working set is one
+    block rather than full-stack copies.  Every row's values depend on
+    that row alone, so the blocking changes no bit.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
@@ -592,24 +587,14 @@ def display_spectra_at(
     columns = subset.columns
     n_rows = samples.shape[0]
     spec = np.empty((n_rows, columns.size), dtype=complex)
-    n_workers = workers(n_rows, DISPLAY_BLOCK_ROWS)
-    block_rows = min(max(1, DISPLAY_BLOCK_ROWS // n_workers), n_rows)
-    blocks = Pieces(n_rows, block_rows)
-
-    def transform(spectrum):
-        for lo, hi in blocks:
-            block = samples[lo:hi]
-            if prepare is not None:
-                block = prepare(block)
-            full = np.fft.rfft(block, axis=-1, out=spectrum[: hi - lo])
-            spec[lo:hi] = full[:, columns]
-
-    run(
-        [
-            partial(transform, np.empty((block_rows, n // 2 + 1), dtype=complex))
-            for _ in range(n_workers)
-        ]
-    )
+    spectrum = np.empty((min(DISPLAY_BLOCK_ROWS, n_rows), n // 2 + 1), dtype=complex)
+    for lo in range(0, n_rows, DISPLAY_BLOCK_ROWS):
+        hi = min(lo + DISPLAY_BLOCK_ROWS, n_rows)
+        block = samples[lo:hi]
+        if prepare is not None:
+            block = prepare(block)
+        full = np.fft.rfft(block, axis=-1, out=spectrum[: hi - lo])
+        spec[lo:hi] = full[:, columns]
     return _display_points(spec, n, plan, bins, subset)
 
 

@@ -456,8 +456,8 @@ def charge_amplitudes(
 _KERNEL_SPECTRUM_CACHE: Dict[Tuple[float, int, int], np.ndarray] = {}
 _KERNEL_SPECTRUM_HITS = 0
 _KERNEL_SPECTRUM_MISSES = 0
-#: Guards the cache and its counters: a split render looks the kernel
-#: up from several threads at once.
+#: Guards the cache and its counters: ``repro serve``'s analysis
+#: threads render, and so look the kernel up, at once.
 _KERNEL_SPECTRUM_LOCK = threading.Lock()
 
 

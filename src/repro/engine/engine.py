@@ -35,8 +35,8 @@ white spectrum, then one phase per ambient tone).  Rendering is
 therefore bit-for-bit independent of batch composition: a trace comes
 out identical whether rendered alone, inside any batch, fused with
 unrelated renders through a :class:`~repro.engine.plan.RenderPlan`,
-or split across any number of threads or irFFT chunks.  Samples are
-always float64.
+or split across any number of irFFT chunks.  Samples are always
+float64.
 
 A *column render* (``columns=`` on :meth:`MeasurementEngine.render`
 and :meth:`~repro.engine.plan.RenderPlan.add`) runs the same capture
@@ -51,19 +51,16 @@ column's noise is the full render's, drawn the same whichever other
 columns are requested (its EMF, a matmul over the requested columns,
 may round differently with their count).  Its values are the full
 render's spectrum at those columns up to the rounding of the irFFT →
-rFFT round trip, and are byte-identical at any thread count; the full
-render is untouched by it.
+rFFT round trip, and are byte-identical in any batch; the full render
+is untouched by it.
 
 Execution
 ---------
-A render pass cuts its captures into contiguous trace pieces, one
-irFFT block each, and one thread per core of the process's affinity
-mask takes them in turn (:mod:`repro.parallel`).  Each piece renders
-into its own slice of the one preallocated output, from buffers the
-calling thread allocated for each thread, and the per-call irFFT
-budget :data:`IRFFT_ROWS` is shared out between the threads.  The
-normal draws and the irFFTs release the GIL, so the threads run in
-parallel; by the contract above, the bytes are the same for any split.
+A render pass runs on its calling thread.  It walks its captures in
+contiguous blocks of :data:`IRFFT_ROWS` spectrum rows, each assembled
+in one scratch and inverse-transformed straight into its slice of the
+one preallocated output (a column render assembles them in the output
+itself).
 """
 
 from __future__ import annotations
@@ -91,20 +88,17 @@ from ..em.noise import (
     white_noise_scales,
 )
 from ..errors import MeasurementError
-from ..parallel import Pieces, run, workers
 from ..rng import stream
 from .batch import TraceBatch
 from .plan import RenderPlan, execute_one
 
-#: Spectrum rows converted to time per irFFT call, across receivers
-#: and summed over the threads of a split render: each of ``k``
-#: threads converts ``max(1, IRFFT_ROWS // (k * n_receivers))`` traces
-#: per call, so a 16-receiver PSA render on one thread converts 2
-#: traces per call, and on two threads 1 per thread.  32 rows amortize
-#: the call overhead (a one-row irFFT costs ~1.4x more per capture)
-#: while the complex scratches stay at 32 x 4225 bins in all, ~2.2 MB
-#: at the PSA's 8448-sample window.  The irFFT writes straight into the
-#: output, so the scratches are the only per-chunk buffers.
+#: Spectrum rows converted to time per irFFT call, across receivers:
+#: a pass converts ``max(1, IRFFT_ROWS // n_receivers)`` traces per
+#: call, so a 16-receiver PSA render converts 2.  32 rows amortize the
+#: call overhead (a one-row irFFT costs ~1.4x more per capture) while
+#: the complex scratch stays at 32 x 4225 bins, ~2.2 MB at the PSA's
+#: 8448-sample window.  The irFFT writes straight into the output, so
+#: the scratch is the only per-chunk buffer.
 IRFFT_ROWS = 32
 
 #: Entries kept in the per-engine capture-plan cache before it resets.
@@ -414,7 +408,7 @@ class MeasurementEngine:
         receiver_indices: List[int],
         columns: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """One job's output, its trace pieces rendered on every core.
+        """One job's output, rendered in irFFT blocks of captures.
 
         The amplifier's gain curve is folded into every pre-computed
         scale (EMF rows, per-bin white-noise scales, tone lines), so
@@ -422,9 +416,7 @@ class MeasurementEngine:
         the only remaining full-spectrum passes are the per-bin writes
         and one batched irFFT per chunk.  With ``columns`` the same
         loop writes only those columns of each spectrum, straight into
-        the complex output, and skips the irFFT.  Plans, the output and
-        every thread's buffers are made here, in the calling thread;
-        the threads only fill them.
+        the complex output, and skips the irFFT.
         """
         config = self.config
         n = config.n_samples
@@ -483,101 +475,71 @@ class MeasurementEngine:
         seed = config.seed
 
         width = n_bins if columns is None else len(columns)
+        chunk = max(1, IRFFT_ROWS // n_receivers)
+        scratch = None
         if columns is None:
             out = np.empty((n_receivers, n_traces, n))
+            scratch = np.empty((n_receivers, min(chunk, n_traces), n_bins), dtype=complex)
         else:
             out = np.empty((n_receivers, n_traces, width), dtype=complex)
-        n_workers = workers(n_traces)
-        chunk = min(max(1, IRFFT_ROWS // (n_workers * n_receivers)), n_traces)
-        pieces = Pieces(n_traces, chunk)
+        z_buffer = np.empty(n)
+        jitter_buffer = np.empty(width, dtype=complex)
+        # EMF spectra once per distinct record, reused across its
+        # captures and dropped after the record's last capture.
         last_use = {id(record): p for p, record in enumerate(records)}
+        emf_cache: Dict[int, np.ndarray] = {}
 
-        def render_pieces(scratch, z_buffer, jitter_buffer):
-            # EMF spectra once per distinct record this thread renders,
-            # reused across its captures; dropped after the record's
-            # last capture, or once the pieces this thread takes have
-            # passed it (another thread rendered that capture).
-            emf_cache: Dict[int, np.ndarray] = {}
+        def emf_rows(record: ActivityRecord, position: int) -> np.ndarray:
+            key = id(record)
+            rows = emf_cache.get(key)
+            if rows is None:
+                rows = emf_rfft(coupling, record, columns=columns)
+                if not every_receiver:
+                    rows = rows[receiver_indices]
+                rows *= emf_scale
+                emf_cache[key] = rows
+            if last_use[key] == position:
+                del emf_cache[key]
+            return rows
 
-            def emf_rows(record: ActivityRecord, position: int) -> np.ndarray:
-                key = id(record)
-                rows = emf_cache.get(key)
-                if rows is None:
-                    rows = emf_rfft(coupling, record, columns=columns)
-                    if not every_receiver:
-                        rows = rows[receiver_indices]
-                    rows *= emf_scale
-                    emf_cache[key] = rows
-                if last_use[key] == position:
-                    del emf_cache[key]
-                return rows
-
-            for lo, hi in pieces:
-                for key in [key for key in emf_cache if last_use[key] < lo]:
-                    del emf_cache[key]
-                spec = out[:, lo:hi] if scratch is None else scratch[:, : hi - lo]
-                for offset in range(hi - lo):
-                    position = lo + offset
-                    record = records[position]
-                    scenario = record.scenario
-                    trace_index = trace_indices[position]
-                    emf = emf_rows(record, position)
-                    for row_index, (
-                        name, gain_jitter, fill_noise, tones, n_draw
-                    ) in enumerate(row_plans):
-                        row = spec[row_index, offset]
-                        rng = stream(
-                            seed,
-                            render_stream_name(scenario, name, trace_index),
-                        )
-                        jitter = 1.0
-                        if gain_jitter > 0.0:
-                            jitter = (
-                                1.0 + gain_jitter * rng.standard_normal()
-                            )
-                        z = rng.standard_normal(n_draw, out=z_buffer[:n_draw])
-                        fill_noise(row, z)
-                        # One call draws every tone phase: the same
-                        # values as one call per tone, with one lock and
-                        # GIL round trip instead of several.
-                        phases = (
-                            rng.uniform(0.0, two_pi, len(tones)).tolist()
-                            if tones
-                            else ()
-                        )
-                        for (bin_index, payload), phase in zip(tones, phases):
-                            if bin_index is None:
-                                freq, amplitude = payload
-                                tone = np.zeros(n_bins, dtype=complex)
-                                add_tone_spectrum(
-                                    tone, n, fs, freq, amplitude, phase
-                                )
-                                row += (gain * tone)[take]
-                            elif bin_index >= 0:
-                                row[bin_index] += tone_line(payload, n, phase)
-                        if jitter != 1.0:
-                            # jitter * emf without the temporary (IEEE
-                            # multiplication commutes, so the bits match).
-                            np.multiply(
-                                emf[row_index], jitter, out=jitter_buffer
-                            )
-                            row += jitter_buffer
-                        else:
-                            row += emf[row_index]
-                if scratch is not None:
-                    np.fft.irfft(spec, n=n, axis=-1, out=out[:, lo:hi])
-
-        run(
-            [
-                partial(
-                    render_pieces,
-                    None
-                    if columns is not None
-                    else np.empty((n_receivers, chunk, n_bins), dtype=complex),
-                    np.empty(n),
-                    np.empty(width, dtype=complex),
-                )
-                for _ in range(n_workers)
-            ]
-        )
+        for lo in range(0, n_traces, chunk):
+            hi = min(lo + chunk, n_traces)
+            spec = out[:, lo:hi] if scratch is None else scratch[:, : hi - lo]
+            for offset in range(hi - lo):
+                position = lo + offset
+                record = records[position]
+                scenario = record.scenario
+                trace_index = trace_indices[position]
+                emf = emf_rows(record, position)
+                for row_index, (
+                    name, gain_jitter, fill_noise, tones, n_draw
+                ) in enumerate(row_plans):
+                    row = spec[row_index, offset]
+                    rng = stream(seed, render_stream_name(scenario, name, trace_index))
+                    jitter = 1.0
+                    if gain_jitter > 0.0:
+                        jitter = 1.0 + gain_jitter * rng.standard_normal()
+                    z = rng.standard_normal(n_draw, out=z_buffer[:n_draw])
+                    fill_noise(row, z)
+                    # One call draws every tone phase: the same values
+                    # as one call per tone, with one lock and GIL round
+                    # trip instead of several.
+                    phases = rng.uniform(0.0, two_pi, len(tones)).tolist() if tones else ()
+                    for (bin_index, payload), phase in zip(tones, phases):
+                        if bin_index is None:
+                            freq, amplitude = payload
+                            tone = np.zeros(n_bins, dtype=complex)
+                            add_tone_spectrum(tone, n, fs, freq, amplitude, phase)
+                            row += (gain * tone)[take]
+                        elif bin_index >= 0:
+                            row[bin_index] += tone_line(payload, n, phase)
+                    if jitter != 1.0:
+                        # jitter * emf without the temporary (IEEE
+                        # multiplication commutes, so the bits match).
+                        np.multiply(emf[row_index], jitter, out=jitter_buffer)
+                        row += jitter_buffer
+                    else:
+                        row += emf[row_index]
+            if scratch is not None:
+                np.fft.irfft(spec, n=n, axis=-1, out=out[:, lo:hi])
         return out

@@ -2,7 +2,7 @@
 
 Every layer of the reproduction issues renders — sweep cells, fleet
 chips, quadtree scan levels — and each render on its own is often too
-small to fill every core.  A :class:`RenderPlan` inverts the flow:
+small to amortize a pass.  A :class:`RenderPlan` inverts the flow:
 callers *enqueue* any number of logical renders (each tagged with its
 origin and tied to its own engine), then :meth:`RenderPlan.execute`
 fuses them into the fewest possible engine passes and demultiplexes
@@ -13,8 +13,7 @@ have produced.
 Requests sharing (engine, coupling object, receiver subset, rFFT
 columns) concatenate their capture lists into one *job*, so e.g. the
 base and active score-map renders of a localization, or every repeat
-of a sweep cell, render as one pass, split into trace pieces across
-the cores.
+of a sweep cell, render as one pass.
 
 Bit-identity is structural, not incidental: every capture's samples
 depend only on its RNG stream ``render/{scenario}/{receiver}/{index}``

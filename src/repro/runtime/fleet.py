@@ -11,9 +11,8 @@ PSA, :class:`~repro.runtime.sources.LiveSource` and
   rendered just before that monitor processes it and dropped right
   after — the fleet holds one rendered chunk at a time, whatever its
   size, so peak memory does not grow with the fleet;
-* each chip's render is split across the process's cores by its
-  engine, so fleet throughput scales with the engine, not the
-  scheduler.
+* each chip's render is one engine pass, so fleet throughput scales
+  with the engine, not the scheduler.
 
 Interleaving is deterministic (round-robin in member order) and —
 because monitors share no mutable state — every member's report is
@@ -410,12 +409,11 @@ class FleetScheduler:
         """Drive every member to completion; returns the fleet report.
 
         Each tick visits the pending members in order and advances each
-        by one chunk: render it (one engine pass, split across the
-        cores), process it, drop it.  A member
-        whose stream is exhausted gets its report and leaves.  No chunk
-        is rendered ahead of its member's turn, so early chips never
-        wait behind later chips' renders and the fleet holds one
-        rendered chunk at a time.  Each member pulls the same
+        by one chunk: render it (one engine pass), process it, drop
+        it.  A member whose stream is exhausted gets its report and
+        leaves.  No chunk is rendered ahead of its member's turn, so
+        early chips never wait behind later chips' renders and the
+        fleet holds one rendered chunk at a time.  Each member pulls the same
         :meth:`~repro.runtime.sources.LiveSource.chunks` stream a
         standalone monitor does, so its report is bit-identical to
         running it alone.

@@ -63,7 +63,6 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
-from .. import parallel
 from ..config import SimConfig
 from ..errors import AnalysisError, ReproError
 from ..runtime import (
@@ -543,7 +542,6 @@ class MonitorService:
             chips=tuple(
                 session.gauge() for session in self.sessions.values()
             ),
-            render_threads=parallel.THREADS,
             store=store,
         )
 

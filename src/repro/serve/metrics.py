@@ -182,9 +182,6 @@ class MetricsSnapshot(ReportBase):
         Bus-wide event counts by type.
     chips:
         Per-chip gauges, in onboarding order.
-    render_threads:
-        Threads one render or featurize call is split across (the
-        cores in the process's affinity mask).
     store:
         Artifact store counters (None when the service runs without
         a store).
@@ -203,7 +200,6 @@ class MetricsSnapshot(ReportBase):
     high_water_windows: int
     event_counts: Dict[str, int] = field(default_factory=dict)
     chips: Tuple[ChipGauge, ...] = ()
-    render_threads: int = 1
     store: Optional[Dict[str, int]] = None
 
     report_kind = "metrics"
@@ -238,7 +234,6 @@ class MetricsSnapshot(ReportBase):
             "high_water_windows": self.high_water_windows,
             "event_counts": dict(self.event_counts),
             "chips": [gauge.to_dict() for gauge in self.chips],
-            "render_threads": self.render_threads,
             "store": None if self.store is None else dict(self.store),
         }
 

@@ -1,41 +1,22 @@
-"""Execution lifecycle: the render pool, inline renders, and caches.
+"""Execution lifecycle: engine memos and caches.
 
-Renders split across a process-wide thread pool (:mod:`repro.parallel`)
-that starts on first use and lives for the process; a render too small
-to split never reaches it; engine ``close()`` only drops memos, so the
-next render rebuilds them and renders the same bits; nothing in the
-render path touches ``/dev/shm``.
+Engine ``close()`` only drops memos, so the next render rebuilds them
+and renders the same bits; nothing in the render path touches
+``/dev/shm``.
 """
 
 import gc
 import os
-import threading
 
 import numpy as np
 import pytest
 
-from repro import parallel
 from repro.engine import MeasurementEngine, kernel_spectrum_stats
 from repro.workloads.campaign import StreamSegment
 
 
 def _shm_names():
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
-# -- pool persistence --------------------------------------------------------
-
-
-def test_pool_reused_across_dispatches(monkeypatch, psa, campaign):
-    monkeypatch.setattr(parallel, "THREADS", 2)
-    recs = campaign.stream_records([StreamSegment("baseline", 4)])
-    psa.render(recs, trace_indices=[1, 2, 3, 4], sensors=[10])
-    pool = parallel._pool
-    threads = set(pool._threads)
-    assert threads and threading.current_thread() not in threads
-    psa.render(recs, trace_indices=[5, 6, 7, 8], sensors=[10])
-    assert parallel._pool is pool
-    assert set(pool._threads) == threads
 
 
 def test_close_then_transparent_restart(config, psa, campaign):
@@ -50,18 +31,6 @@ def test_close_then_transparent_restart(config, psa, campaign):
     )
     assert np.array_equal(before.samples, after.samples)
     assert engine.plan_cache_stats()["size"] == 1
-
-
-def test_single_payload_runs_inline(monkeypatch, psa, campaign):
-    """A one-capture render never reaches the pool."""
-    monkeypatch.setattr(parallel, "THREADS", 3)
-    monkeypatch.setattr(parallel, "_pool", None)
-    recs = campaign.stream_records([StreamSegment("baseline", 1)])
-    batch = psa.render(recs, trace_indices=[7], sensors=[10])
-    assert parallel._pool is None
-    monkeypatch.setattr(parallel, "THREADS", 1)
-    reference = psa.render(recs, trace_indices=[7], sensors=[10])
-    assert np.array_equal(batch.samples, reference.samples)
 
 
 def test_no_leaked_segments_after_close(config, psa, campaign):

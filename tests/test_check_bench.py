@@ -36,13 +36,13 @@ def test_collect_metrics_flattens_nested_monitored_keys():
 
 def test_backend_scaling_metrics_are_monitored():
     baseline = {
-        "shared_backend": {"speedup_vs_serial": 0.44, "workers": 2},
+        "store_warm_start": {"speedup_vs_cold": 10.0, "workers": 2},
         "fleet_scaling": {"scaling_efficiency": 0.9, "chips": [1, 4]},
         "irfft_floor": {"seconds": 0.06},
         "floor_ratio": 0.18,
     }
     regressed = {
-        "shared_backend": {"speedup_vs_serial": 0.2, "workers": 2},
+        "store_warm_start": {"speedup_vs_cold": 4.5, "workers": 2},
         "fleet_scaling": {"scaling_efficiency": 0.5, "chips": [1, 4]},
         "irfft_floor": {"seconds": 0.06},
         "floor_ratio": 0.11,
@@ -51,7 +51,7 @@ def test_backend_scaling_metrics_are_monitored():
     problems = check_bench.compare_reports(baseline, regressed, 0.25)
     assert len(problems) == 3
     joined = "\n".join(problems)
-    assert "shared_backend.speedup_vs_serial" in joined
+    assert "store_warm_start.speedup_vs_cold" in joined
     assert "fleet_scaling.scaling_efficiency" in joined
     assert "floor_ratio" in joined
 
@@ -156,7 +156,6 @@ def test_engine_baseline_gates_same_run_ratios_only():
     assert check_bench.collect_metrics(baseline) == {
         "floor_ratio": 0.2,
         "contract_floor_ratio": 0.52,
-        "thread_split.speedup_vs_serial": 1.0,
     }
     slowed = {**baseline, "contract_floor_ratio": 0.3}
     (problem,) = check_bench.compare_reports(baseline, slowed, 0.25)

@@ -9,7 +9,6 @@ whether produced alone, inside any batch or one capture at a time
 import numpy as np
 import pytest
 
-from repro import parallel
 from repro.chip.power import MEAN_SWITCH_CAP, charge_per_toggle, emf_kernel
 from repro.core.array import ProgrammableSensorArray
 from repro.core.sensors import quadrant_coil
@@ -90,15 +89,14 @@ def test_trace_metadata_parity(psa, records):
 def test_chunking_does_not_change_output(psa, records, monkeypatch):
     """irFFT batches of 1, 2, 3 or 16 traces render the same bits.
 
-    On one thread a 16-receiver render converts ``IRFFT_ROWS // 16``
-    traces per irFFT call, so 16, 32, 48 and 256 rows make those
+    A 16-receiver render converts ``IRFFT_ROWS // 16`` traces per irFFT
+    call, so 16, 32, 48 and 256 rows make those
     chunks.  Records repeat out of order, so a record's EMF rows are
     dropped after its last capture while others are still in use.
     """
     recs = (records["T2"] + records["T1"]) * 2 + records["T2"][:1]
     indices = range(len(recs))
     reference = psa.engine.render(psa.coupling, recs, trace_indices=indices)
-    monkeypatch.setattr(parallel, "THREADS", 1)
     for rows in (16, 32, 48, 256):
         monkeypatch.setattr("repro.engine.engine.IRFFT_ROWS", rows)
         samples = psa.engine.render(

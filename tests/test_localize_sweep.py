@@ -12,6 +12,7 @@ Covers the three tentpole contracts of the localization rework:
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -68,19 +69,28 @@ def test_measure_coils_batch_validates(psa, records):
         psa.measure_coils_batch([coil, coil], [records["baseline"][0]])
 
 
-def test_stacked_render_identical_across_thread_counts(psa, records, monkeypatch):
-    from repro import parallel
-
+def test_stacked_render_identical_across_thread_counts(psa, records):
+    """Two threads rendering one coil stack at once each get the single
+    call's bytes."""
     coils = [
         synthesize_rect_coil("stack_pb_a", 0, 0, 12, 1),
         synthesize_rect_coil("stack_pb_b", 8, 8, 12, 1),
     ]
     recs = [records["T1"][0], records["T1"][1]]
-    monkeypatch.setattr(parallel, "THREADS", 1)
     one = psa.measure_coils_batch(coils, recs)
-    monkeypatch.setattr(parallel, "THREADS", 2)
-    split = psa.measure_coils_batch(coils, recs)
-    assert np.array_equal(one.samples, split.samples)
+    at_once = [None, None]
+
+    def render(k):
+        at_once[k] = psa.measure_coils_batch(coils, recs)
+
+    workers = [threading.Thread(target=render, args=(k,)) for k in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers)
+    for batch in at_once:
+        assert np.array_equal(one.samples, batch.samples)
 
 
 def test_coupling_stack_validates():

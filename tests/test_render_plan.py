@@ -1,16 +1,17 @@
 """The fused dispatch layer: RenderPlan/RenderTicket semantics.
 
 The contract under test: any set of logical renders enqueued on one
-plan — across couplings, coil stacks, engines and thread splits — executes
+plan — across couplings, coil stacks, engines and calling threads — executes
 as fused engine passes whose demultiplexed results are bit-identical
 to the standalone ``engine.render`` calls.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.sensors import quadrant_coil
-from repro import parallel
 from repro.engine import MeasurementEngine, RenderPlan
 from repro.errors import MeasurementError
 from repro.workloads.campaign import StreamSegment
@@ -85,28 +86,29 @@ def test_multiple_engines_one_plan(config, psa, campaign):
     assert np.array_equal(t_b.result().samples, ref_b.samples)
 
 
-def test_fused_plan_split_across_threads(config, psa, campaign, monkeypatch):
-    """A fused job split across threads demuxes to the one-thread bits."""
+def test_fused_plan_split_across_threads(config, psa, campaign):
+    """Fused plans executed from three threads at once, on one shared
+    engine, each demux to the single render's bits."""
     recs = _records(campaign, "T3", 4)
-    monkeypatch.setattr(parallel, "THREADS", 1)
     ref = psa.render(recs, trace_indices=[3, 5, 7, 9], sensors=[10, 5])
-    monkeypatch.setattr(parallel, "THREADS", 3)
     engine = MeasurementEngine(config, amplifier=psa.amplifier)
-    plan = RenderPlan(engine=engine)
-    t1 = plan.add(
-        psa.coupling, recs[:2], trace_indices=[3, 5],
-        receiver_indices=[10, 5],
-    )
-    t2 = plan.add(
-        psa.coupling, recs[2:], trace_indices=[7, 9],
-        receiver_indices=[10, 5],
-    )
-    plan.execute()
-    fused = np.concatenate(
-        [t1.result().samples, t2.result().samples], axis=1
-    )
-    assert np.array_equal(fused, ref.samples)
+    fused = [None] * 3
 
+    def execute(k):
+        plan = RenderPlan(engine=engine)
+        t1 = plan.add(psa.coupling, recs[:2], trace_indices=[3, 5], receiver_indices=[10, 5])
+        t2 = plan.add(psa.coupling, recs[2:], trace_indices=[7, 9], receiver_indices=[10, 5])
+        plan.execute()
+        fused[k] = np.concatenate([t1.result().samples, t2.result().samples], axis=1)
+
+    workers = [threading.Thread(target=execute, args=(k,)) for k in range(3)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers)
+    for samples in fused:
+        assert np.array_equal(samples, ref.samples)
 
 def test_score_map_prefetch_matches_standalone(psa, campaign):
     from repro.core.analysis.localizer import Localizer

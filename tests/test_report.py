@@ -124,7 +124,6 @@ def test_metrics_snapshot_renders_through_report_base():
             _gauge("b", sheds=1),
             _gauge("c"),
         ),
-        render_threads=2,
         store=None,
     )
     assert isinstance(snapshot, ReportBase)
@@ -140,7 +139,6 @@ def test_metrics_snapshot_renders_through_report_base():
     assert payload["windows_per_sec"] == 123.46
     assert payload["uptime_s"] == 12.346
     assert [row["chip"] for row in payload["chips"]] == ["a", "b", "c"]
-    assert payload["render_threads"] == 2
     assert snapshot.to_json() == json.dumps(payload, indent=2)
     text = snapshot.format()
     assert "overload ACTIVE" in text

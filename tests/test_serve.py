@@ -1072,7 +1072,6 @@ def test_ended_ws_session_refuses_chunks(smoke_archive):
         assert ws.recv_json() == first
         ws.close()
         _, metrics = client.get("/metrics")
-        assert metrics["render_threads"] >= 1
         (gauge,) = metrics["chips"]
         assert gauge["done"] is True and gauge["windows"] == chunk.n_windows
 

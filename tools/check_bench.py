@@ -3,9 +3,9 @@
 
 Compares the monitored throughput metrics (``speedup``,
 ``windows_per_sec``, ``cells_per_sec``, ``traces_per_sec``,
-``speedup_vs_cold``, ``speedup_vs_serial``, ``scaling_efficiency``,
-``floor_ratio``, ``contract_floor_ratio``) of freshly produced benchmark reports against the
-committed baselines in ``benchmarks/baselines/``.  All monitored
+``speedup_vs_cold``, ``scaling_efficiency``, ``floor_ratio``,
+``contract_floor_ratio``) of freshly produced benchmark reports
+against the committed baselines in ``benchmarks/baselines/``.  All monitored
 metrics are higher-is-better; a current value more than
 ``tolerance`` (default 25%) below its baseline fails the gate, as
 does a monitored baseline metric missing from the current report (a
@@ -39,12 +39,10 @@ MONITORED = (
     "cells_per_sec",
     "traces_per_sec",
     "speedup_vs_cold",
-    "speedup_vs_serial",
     "scaling_efficiency",
     # A work floor's time over the measured stage's, same run: the
-    # engine render against its irFFT alone, and its one-thread render
-    # against the draws and irFFTs the determinism contract fixes
-    # (1.0 = at the floor).
+    # engine render against its irFFT alone, and against the draws and
+    # irFFTs the determinism contract fixes (1.0 = at the floor).
     "floor_ratio",
     "contract_floor_ratio",
 )
