@@ -86,37 +86,6 @@ class Rect:
     def center(self) -> Tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
-    def contains(self, x: float, y: float) -> bool:
-        """Whether the point lies inside (closed) this rectangle."""
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
-    def overlap_area(self, other: "Rect") -> float:
-        """Area of the intersection with another rectangle."""
-        dx = min(self.x1, other.x1) - max(self.x0, other.x0)
-        dy = min(self.y1, other.y1) - max(self.y0, other.y0)
-        if dx <= 0.0 or dy <= 0.0:
-            return 0.0
-        return dx * dy
-
-    def inset(self, margin: float) -> "Rect":
-        """Shrink by ``margin`` on every side."""
-        return Rect(
-            self.x0 + margin, self.y0 + margin, self.x1 - margin, self.y1 - margin
-        )
-
-    def quadrant(self, which: str) -> "Rect":
-        """One of the four quadrants: 'nw', 'ne', 'sw', 'se'."""
-        cx, cy = self.center
-        quadrants = {
-            "nw": Rect(self.x0, cy, cx, self.y1),
-            "ne": Rect(cx, cy, self.x1, self.y1),
-            "sw": Rect(self.x0, self.y0, cx, cy),
-            "se": Rect(cx, self.y0, self.x1, cy),
-        }
-        if which not in quadrants:
-            raise FloorplanError(f"unknown quadrant {which!r}")
-        return quadrants[which]
-
 
 def sensor_rect(index: int) -> Rect:
     """Footprint of sensor ``index`` (0..15), row-major, row 0 on top."""
@@ -177,27 +146,12 @@ class Floorplan:
         """Region edge length [m]."""
         return self._region_size
 
-    def region_rect(self, region: int) -> Rect:
-        """Footprint of one region."""
-        row, col = divmod(region, self.n_regions_side)
-        x0 = col * self._region_size
-        y0 = row * self._region_size
-        return Rect(x0, y0, x0 + self._region_size, y0 + self._region_size)
-
     def region_centers(self) -> np.ndarray:
         """(n_regions, 2) array of region center coordinates [m]."""
         half = 0.5 * self._region_size
         coords = np.arange(self.n_regions_side) * self._region_size + half
         xs, ys = np.meshgrid(coords, coords)  # row-major: y varies by row
         return np.column_stack([xs.ravel(), ys.ravel()])
-
-    def region_of(self, x: float, y: float) -> int:
-        """Region index containing a point."""
-        if not (0 <= x <= self.die_size and 0 <= y <= self.die_size):
-            raise FloorplanError(f"point ({x}, {y}) outside the die")
-        col = min(int(x / self._region_size), self.n_regions_side - 1)
-        row = min(int(y / self._region_size), self.n_regions_side - 1)
-        return row * self.n_regions_side + col
 
     # -- module weights --------------------------------------------------------
 
@@ -207,9 +161,8 @@ class Floorplan:
             return self._weights_cache[module]
         if module not in self.placements:
             raise FloorplanError(f"floorplan has no module {module!r}")
-        # One array pass per rect over the whole region grid, the same
-        # per-region arithmetic as ``region_rect(r).overlap_area(rect)``;
-        # rects add in placement order, so every float sum is unchanged.
+        # One array pass per rect over the whole region grid: each
+        # region's overlap with the rect; rects add in placement order.
         row, col = np.divmod(np.arange(self.n_regions), self.n_regions_side)
         x0 = col * self._region_size
         y0 = row * self._region_size
@@ -231,23 +184,18 @@ class Floorplan:
 
     # -- power-return geometry -------------------------------------------------
 
-    def return_point(self, x: float, y: float) -> Tuple[float, float]:
-        """Return-current location for a switching event at (x, y).
-
-        The nearest power stripe: current drawn by cells flows back
-        along the stripe, so the supply loop's "negative" pole is
-        displaced there.  Cells close to a stripe form a short dipole
-        pair (a weak, tight supply loop) — physically correct, and it
-        keeps the return pole on the source's side of any sensor
-        boundary instead of jumping across the die.
-        """
-        index = int(np.argmin(np.abs(POWER_STRIPES - x)))
-        return (float(POWER_STRIPES[index]), y)
-
     def dipole_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Source/return positions per region: two (n_regions, 2) arrays."""
+        """Source/return positions per region: two (n_regions, 2) arrays.
+
+        A region's return pole is the nearest power stripe at its own
+        ``y``: current drawn by cells flows back along the stripe, so
+        the supply loop's "negative" pole is displaced there.  Cells
+        close to a stripe form a short dipole pair (a weak, tight
+        supply loop) — physically correct, and it keeps the return pole
+        on the source's side of any sensor boundary instead of jumping
+        across the die.
+        """
         centers = self.region_centers()
-        # :meth:`return_point` for every region at once.
         nearest = np.argmin(
             np.abs(POWER_STRIPES[None, :] - centers[:, :1]), axis=1
         )

@@ -233,7 +233,7 @@ def _normalized_activity(main_factors) -> np.ndarray:
 
     The region sum of a ``weights x toggles`` factor is ``sum(weights)
     * toggles``, so the total reads the per-module totals, accumulated
-    in factor order (the sums :func:`repro.em.coupling.charge_amplitudes`
+    in factor order (the sums :func:`repro.em.coupling._amplitudes`
     weighs the bond term with); no dense matrix is built.  Only windows
     whose Trojans read it pay for it.
     """

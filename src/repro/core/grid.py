@@ -13,7 +13,7 @@ die/35 = 28.6 um) and note the discrepancy in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -58,42 +58,13 @@ class PsaGrid:
                 f"crosspoint ({i}, {j}) outside the {N_WIRES}x{N_WIRES} lattice"
             )
 
-    @staticmethod
-    def position(i: int, j: int) -> Tuple[float, float]:
-        """Die coordinates [m] of crosspoint ``(i, j)``."""
-        PsaGrid.check_index(i, j)
-        return (i * PITCH, j * PITCH)
-
     # -- switching -----------------------------------------------------------
-
-    def turn_on(self, i: int, j: int, owner: str = "") -> None:
-        """Enable one T-gate.
-
-        Raises
-        ------
-        GridProgrammingError
-            If the crosspoint is already owned by a different structure.
-        """
-        self.check_index(i, j)
-        current = self._owner.get((i, j))
-        if self._state[i, j] and current not in ("", owner):
-            raise GridProgrammingError(
-                f"crosspoint ({i}, {j}) already programmed by "
-                f"{current!r}; release it before reprogramming"
-            )
-        self._state[i, j] = True
-        self._owner[(i, j)] = owner
 
     def turn_off(self, i: int, j: int) -> None:
         """Disable one T-gate."""
         self.check_index(i, j)
         self._state[i, j] = False
         self._owner.pop((i, j), None)
-
-    def is_on(self, i: int, j: int) -> bool:
-        """Whether a T-gate is enabled."""
-        self.check_index(i, j)
-        return bool(self._state[i, j])
 
     def program(self, crosspoints: Iterable[Crosspoint], owner: str = "") -> int:
         """Enable a set of crosspoints atomically.
@@ -123,36 +94,12 @@ class PsaGrid:
             self.turn_off(i, j)
         return len(victims)
 
-    def clear(self) -> None:
-        """Turn every switch off."""
-        self._state[:] = False
-        self._owner.clear()
-
     # -- observation ---------------------------------------------------------
 
     @property
     def n_on(self) -> int:
         """Enabled switch count."""
         return int(self._state.sum())
-
-    def on_crosspoints(self) -> Set[Crosspoint]:
-        """Set of enabled crosspoints."""
-        ii, jj = np.nonzero(self._state)
-        return {(int(i), int(j)) for i, j in zip(ii, jj)}
-
-    def owners(self) -> Set[str]:
-        """Names of structures currently programmed."""
-        return {who for who in self._owner.values() if who}
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the boolean switch matrix."""
-        return self._state.copy()
-
-    def iter_switches(self) -> Iterator[Tuple[int, int, bool]]:
-        """Iterate ``(i, j, state)`` over all 1296 crosspoints."""
-        for i in range(N_WIRES):
-            for j in range(N_WIRES):
-                yield (i, j, bool(self._state[i, j]))
 
     def ascii_art(self, step: int = 1) -> str:
         """Human-readable lattice picture ('#' = on, '.' = off).

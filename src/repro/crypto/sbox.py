@@ -67,36 +67,9 @@ def _build_sbox() -> np.ndarray:
     return table
 
 
-def _invert_table(table: np.ndarray) -> np.ndarray:
-    inverse = np.zeros(256, dtype=np.uint8)
-    for index in range(256):
-        inverse[table[index]] = index
-    return inverse
-
-
 #: Forward S-box as a 256-entry lookup table.
 SBOX: np.ndarray = _build_sbox()
 SBOX.setflags(write=False)
-
-#: Inverse S-box.
-INV_SBOX: np.ndarray = _invert_table(SBOX)
-INV_SBOX.setflags(write=False)
-
-
-def sbox_bytes(data: np.ndarray) -> np.ndarray:
-    """Apply the forward S-box element-wise to a uint8 array."""
-    return SBOX[np.asarray(data, dtype=np.uint8)]
-
-
-def inv_sbox_bytes(data: np.ndarray) -> np.ndarray:
-    """Apply the inverse S-box element-wise to a uint8 array."""
-    return INV_SBOX[np.asarray(data, dtype=np.uint8)]
-
-
-def xtime(a: int) -> int:
-    """Multiply by x (i.e. 2) in GF(2^8)."""
-    return gf_mul(a, 2)
-
 
 #: Bit-population count per byte value (popcount lookup).
 POPCOUNT: np.ndarray = np.unpackbits(

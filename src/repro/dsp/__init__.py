@@ -1,7 +1,7 @@
 """Signal-processing and statistics substrate.
 
 Everything in this package is generic DSP/statistics used by the rest of
-the library: spectra, filters, RMS/dB metrics, envelope features,
+the library: spectra, filters, RMS/SNR metrics, envelope features,
 detection statistics, and from-scratch PCA / K-means implementations
 (used by the backscattering baseline of Nguyen et al., HOST'20).
 """
@@ -11,17 +11,15 @@ from .transforms import (
     amplitude_spectra,
     amplitude_spectrum,
     average_spectra,
-    band_slice,
     resample_spectra,
     resample_spectrum,
-    spectrum_dbuv,
 )
 from .filters import (
     analytic_bandpass,
     butter_highpass_response,
     butter_lowpass_response,
 )
-from .metrics import db_amplitude, db_to_amplitude, rms, snr_rms_db
+from .metrics import rms, snr_rms_db
 from .features import EnvelopeFeatures, envelope_features
 from .stats import (
     DetectionPower,
@@ -39,15 +37,11 @@ __all__ = [
     "amplitude_spectra",
     "amplitude_spectrum",
     "average_spectra",
-    "band_slice",
     "resample_spectra",
     "resample_spectrum",
-    "spectrum_dbuv",
     "analytic_bandpass",
     "butter_highpass_response",
     "butter_lowpass_response",
-    "db_amplitude",
-    "db_to_amplitude",
     "rms",
     "snr_rms_db",
     "EnvelopeFeatures",

@@ -1,4 +1,4 @@
-"""Scalar signal metrics: RMS, dB conversions and He's SNR measure.
+"""Scalar signal metrics: RMS and He's SNR measure.
 
 Equation (1) of the paper defines SNR as the RMS-voltage ratio of a
 signal trace (chip performing AES encryption) to a noise trace (chip
@@ -20,18 +20,6 @@ def rms(samples: np.ndarray) -> float:
     if samples.size == 0:
         raise AnalysisError("rms of an empty trace is undefined")
     return float(np.sqrt(np.mean(samples**2)))
-
-
-def db_amplitude(ratio: np.ndarray) -> np.ndarray:
-    """Element-wise ``20*log10`` with a tiny-floor guard."""
-    ratio = np.asarray(ratio, dtype=float)
-    floor = np.finfo(float).tiny
-    return 20.0 * np.log10(np.maximum(ratio, floor))
-
-
-def db_to_amplitude(value_db: np.ndarray) -> np.ndarray:
-    """Element-wise inverse of :func:`db_amplitude`."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 20.0)
 
 
 def snr_rms_db(signal: np.ndarray, noise: np.ndarray) -> float:

@@ -10,7 +10,7 @@ instrument's uniform display grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,22 +42,10 @@ class Spectrum:
         if self.freqs.ndim != 1:
             raise AnalysisError("Spectrum arrays must be one-dimensional")
 
-    def __len__(self) -> int:
-        return int(self.freqs.size)
-
     def db(self, reference: float = UV) -> np.ndarray:
         """Amplitude in dB relative to ``reference`` volts (default dBuV)."""
         floor = np.finfo(float).tiny
         return 20.0 * np.log10(np.maximum(self.amps, floor) / reference)
-
-    def at(self, freq: float) -> float:
-        """Amplitude [V] of the bin nearest to ``freq``."""
-        index = int(np.argmin(np.abs(self.freqs - freq)))
-        return float(self.amps[index])
-
-    def bin_of(self, freq: float) -> int:
-        """Index of the bin nearest to ``freq``."""
-        return int(np.argmin(np.abs(self.freqs - freq)))
 
 
 def amplitude_spectrum(samples: np.ndarray, fs: float) -> Spectrum:
@@ -647,46 +635,3 @@ def _display_plan(
     """The checked, cached resample plan of one native axis and band."""
     _check_band(freqs, f_lo, f_hi, n_points)
     return _resample_plan(np.asarray(freqs, dtype=float), f_lo, f_hi, n_points)
-
-
-def band_slice(spectrum: Spectrum, f_lo: float, f_hi: float) -> Spectrum:
-    """Return the sub-spectrum with ``f_lo <= f <= f_hi``."""
-    if f_hi <= f_lo:
-        raise AnalysisError(f"empty band [{f_lo}, {f_hi}]")
-    mask = (spectrum.freqs >= f_lo) & (spectrum.freqs <= f_hi)
-    if not mask.any():
-        raise AnalysisError("band contains no spectrum bins")
-    return Spectrum(freqs=spectrum.freqs[mask], amps=spectrum.amps[mask])
-
-
-def spectrum_dbuv(samples: np.ndarray, fs: float) -> np.ndarray:
-    """Shorthand: one-sided spectrum of ``samples`` in dBuV."""
-    return amplitude_spectrum(samples, fs).db()
-
-
-def pick_peaks(
-    spectrum: Spectrum,
-    n_peaks: int,
-    min_separation_hz: float,
-    exclude: Iterable[float] = (),
-    exclusion_hz: float = 0.0,
-) -> list[int]:
-    """Greedy spectral peak picking.
-
-    Returns bin indices of the ``n_peaks`` largest local maxima that are
-    at least ``min_separation_hz`` apart and not within ``exclusion_hz``
-    of any frequency in ``exclude`` (used to mask the clock harmonics
-    themselves when hunting for Trojan sidebands).
-    """
-    amps = spectrum.amps.copy()
-    freqs = spectrum.freqs
-    for masked in exclude:
-        amps[np.abs(freqs - masked) <= exclusion_hz] = 0.0
-    picked: list[int] = []
-    for _ in range(n_peaks):
-        index = int(np.argmax(amps))
-        if amps[index] <= 0.0:
-            break
-        picked.append(index)
-        amps[np.abs(freqs - freqs[index]) < min_separation_hz] = 0.0
-    return picked

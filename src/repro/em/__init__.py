@@ -23,7 +23,6 @@ from .loops import turns_flux_factor
 from .coupling import (
     CouplingMatrix,
     Receiver,
-    charge_amplitudes,
     coupling_cache_stats,
     emf_rfft,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "turns_flux_factor",
     "CouplingMatrix",
     "Receiver",
-    "charge_amplitudes",
     "coupling_cache_stats",
     "emf_rfft",
     "NoiseModel",

@@ -137,11 +137,6 @@ class Receiver:
     ambient_gain: float = 0.0
     gain_jitter: float = 0.0
 
-    @property
-    def total_turn_area(self) -> float:
-        """Sum of the enclosed areas of all turns [m^2]."""
-        return float(sum(turn.area for turn in self.turns))
-
 
 class CouplingMatrix:
     """Flux-linkage matrix between floorplan regions and receivers.
@@ -274,20 +269,6 @@ class CouplingMatrix:
         """Number of receivers."""
         return len(self.receivers)
 
-    def row(self, name: str) -> np.ndarray:
-        """Coupling row [Wb/A per region] of the named receiver."""
-        for index, receiver in enumerate(self.receivers):
-            if receiver.name == name:
-                return self.matrix[index]
-        raise ConfigError(f"no receiver named {name!r}")
-
-    def index_of(self, name: str) -> int:
-        """Index of the named receiver."""
-        for index, receiver in enumerate(self.receivers):
-            if receiver.name == name:
-                return index
-        raise ConfigError(f"no receiver named {name!r}")
-
 
 class CouplingStack:
     """A read-only row concatenation of coupling matrices.
@@ -396,7 +377,21 @@ def _amplitudes(
     config: SimConfig,
     basis: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """:func:`charge_amplitudes` from a record's :func:`_charge_trains`."""
+    """Per-receiver per-cycle charge amplitudes ``(rising, falling)``.
+
+    Both are ``(n_receivers, n_cycles)`` matrices combining the
+    region-dipole coupling with the global package-loop term; the
+    falling matrix is ``None`` when the record carries no falling-phase
+    (Trojan payload) factor at all.
+
+    The record's activity is a sum of per-module ``weights x toggles``
+    outer products (:attr:`ActivityRecord.factors`), so the region
+    matmul collapses to one cached projection per module applied to the
+    record's :func:`_charge_trains`.  With ``basis``, an ``(n_cycles,
+    m)`` matrix the trains were mapped onto (the cycle DFT at a few
+    bins, say), the amplitudes are linear in the trains, so the result
+    is ``amplitudes @ basis`` without the ``n_cycles``-wide matrices.
+    """
 
     def assemble(parts, trains) -> Optional[np.ndarray]:
         if not parts:
@@ -421,32 +416,6 @@ def _amplitudes(
             (coupling.n_receivers, width), dtype=float if basis is None else complex
         )
     return rising_q, assemble(falling_parts, falling_trains)
-
-
-def charge_amplitudes(
-    coupling: CouplingMatrix,
-    record: ActivityRecord,
-    switch_cap: float | None = None,
-    basis: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Per-receiver per-cycle charge amplitudes ``(rising, falling)``.
-
-    Both are ``(n_receivers, n_cycles)`` matrices combining the
-    region-dipole coupling with the global package-loop term; the
-    falling matrix is ``None`` when the record carries no falling-phase
-    (Trojan payload) factor at all.
-
-    The record's activity is a sum of per-module ``weights x toggles``
-    outer products (:attr:`ActivityRecord.factors`), so the region
-    matmul collapses to one cached projection per module.  ``basis``,
-    an ``(n_cycles, m)`` matrix, maps each module's charge train onto
-    ``m`` coefficients first (the cycle DFT at a few bins, say): the
-    amplitudes are linear in the trains, so the result is
-    ``amplitudes @ basis`` without the ``n_cycles``-wide matrices.
-    """
-    return _amplitudes(
-        coupling, _charge_trains(record, switch_cap, basis), record.config, basis
-    )
 
 
 # -- spectral EMF synthesis (the engine's hot path) -------------------------
@@ -581,7 +550,7 @@ def emf_rfft(
     ``columns`` (strictly increasing rFFT bins) synthesizes only those
     bins, shape ``(n_receivers, len(columns))``: each module's charge
     train goes through the cycle DFT at ``columns % n_cycles`` alone
-    (:func:`charge_amplitudes` with a DFT basis), times the phase ramp
+    (:func:`_amplitudes` with a DFT basis), times the phase ramp
     and the kernel at ``columns``, with no full-width row built.  It
     equals the full synthesis at those bins up to rounding.
 

@@ -1,15 +1,14 @@
-"""``repro.report`` — one rendering surface for every result object.
+"""``repro.report`` — one JSON form for every result object.
 
-:class:`ReportBase` is the contract: ``to_dict``/``to_json`` (the
-byte-stable JSON form), ``to_table``/``format`` (the CLI text),
-severity rollups, and the timestamped :meth:`ReportBase.write_bundle`
-artifact writer.  :class:`~repro.sweep.report.SweepReport`,
+:class:`ReportBase` is the contract: each report defines ``to_dict``
+and inherits ``to_json``, the byte-stable JSON form.
+:class:`~repro.sweep.report.SweepReport`,
 :class:`~repro.runtime.fleet.FleetReport`,
 :class:`~repro.runtime.pipeline.MonitorReport` and the serve
-service's :class:`~repro.serve.metrics.MetricsSnapshot` all render
-through it — there is exactly one formatter stack to audit.
+service's :class:`~repro.serve.metrics.MetricsSnapshot` all serialize
+through it.
 """
 
-from .base import SEVERITY_ORDER, ReportBase, Severity
+from .base import ReportBase
 
-__all__ = ["ReportBase", "Severity", "SEVERITY_ORDER"]
+__all__ = ["ReportBase"]

@@ -1,144 +1,31 @@
-"""The shared report-rendering contract.
+"""The shared report-serialization contract.
 
 Every operator-facing result object in the library — the sweep
 scorecards, the fleet monitoring summary, a single chip's session
-report, the serve service's metrics snapshot — answers the same four
-questions, so they share one surface:
-
-* :meth:`ReportBase.to_dict` — the canonical JSON-ready payload
-  (each report defines its own);
-* :meth:`ReportBase.to_json` — that payload serialized exactly the
-  way every report always serialized it (``json.dumps(…, indent=2)``),
-  so re-homing an existing report onto the base changes nothing
-  byte-for-byte;
-* :meth:`ReportBase.to_table` — the plain-text rendering the CLI
-  prints (delegates to the report's ``format``);
-* :meth:`ReportBase.severity_rollup` — how many findings at each
-  severity, derived from the report's own :meth:`ReportBase.severities`.
-
-On top of those, :meth:`ReportBase.write_bundle` persists any report
-as a timestamped artifact directory (JSON + table + rollup summary),
-the operator loop's unit of evidence.
+report, the serve service's metrics snapshot — defines its own
+:meth:`ReportBase.to_dict` payload and inherits
+:meth:`ReportBase.to_json`, which serializes that payload exactly the
+way every report always serialized it (``json.dumps(…, indent=2)``),
+so one module decides the JSON form.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-from datetime import datetime, timezone
-from pathlib import Path
-from typing import Dict, Iterable
-
-from ..errors import AnalysisError
-
-
-class Severity(enum.Enum):
-    """Operator-facing weight of one report finding.
-
-    ``OK`` — the finding is the expected/healthy outcome; ``WARNING``
-    — degraded but not a verdict (a false alarm, a shed window span);
-    ``CRITICAL`` — demands operator attention (a missed Trojan in an
-    evaluation sweep, an alarming chip in a deployment fleet).
-    """
-
-    OK = "ok"
-    WARNING = "warning"
-    CRITICAL = "critical"
-
-
-#: Rollup key order (most severe last, matching log-reading habit).
-SEVERITY_ORDER = (Severity.OK, Severity.WARNING, Severity.CRITICAL)
+from typing import Dict
 
 
 class ReportBase:
-    """Mixin giving a result object the shared report surface.
+    """Mixin giving a result object the shared JSON form.
 
-    Subclasses must provide :meth:`to_dict` and :meth:`format`; the
-    rest of the surface (JSON serialization, table alias, severity
-    rollups, bundle writing) is inherited.  The mixin carries no
+    Subclasses must provide :meth:`to_dict`.  The mixin carries no
     state, so frozen dataclasses subclass it freely.
     """
-
-    #: Short kind tag used in bundle directory names.
-    report_kind: str = "report"
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload of the report (subclass-defined)."""
         raise NotImplementedError
 
-    def format(self) -> str:
-        """Plain-text rendering of the report (subclass-defined)."""
-        raise NotImplementedError
-
     def to_json(self, indent: int = 2) -> str:
         """Serialize :meth:`to_dict` exactly as reports always did."""
         return json.dumps(self.to_dict(), indent=indent)
-
-    def to_table(self) -> str:
-        """The CLI's plain-text rendering (alias of :meth:`format`)."""
-        return self.format()
-
-    def severities(self) -> Iterable[Severity]:
-        """One :class:`Severity` per finding (subclass-defined scope).
-
-        The default is an empty stream: a report with no notion of
-        per-finding severity still rolls up (to all-zero counts)
-        rather than failing.
-        """
-        return ()
-
-    def severity_rollup(self) -> Dict[str, int]:
-        """Count findings per severity, every level always present."""
-        counts = {severity.value: 0 for severity in SEVERITY_ORDER}
-        for severity in self.severities():
-            if not isinstance(severity, Severity):
-                raise AnalysisError(
-                    f"severities() must yield Severity, got {severity!r}"
-                )
-            counts[severity.value] += 1
-        return counts
-
-    @property
-    def worst_severity(self) -> Severity:
-        """The most severe finding level (OK when there are none)."""
-        worst = Severity.OK
-        ladder = {sev: rank for rank, sev in enumerate(SEVERITY_ORDER)}
-        for severity in self.severities():
-            if ladder[severity] > ladder[worst]:
-                worst = severity
-        return worst
-
-    def write_bundle(
-        self,
-        directory: "str | Path",
-        stamp: "datetime | None" = None,
-    ) -> Path:
-        """Persist the report as a timestamped artifact directory.
-
-        Creates ``<directory>/<kind>-<UTC stamp>/`` holding
-        ``report.json`` (:meth:`to_json`), ``report.txt``
-        (:meth:`to_table`) and ``summary.json`` (the severity rollup
-        plus provenance), and returns that bundle path.  A caller-
-        supplied ``stamp`` pins the directory name (tests, resumable
-        pipelines); the default is *now* in UTC.
-        """
-        stamp = stamp or datetime.now(timezone.utc)
-        name = f"{self.report_kind}-{stamp.strftime('%Y%m%dT%H%M%S%fZ')}"
-        bundle = Path(directory) / name
-        bundle.mkdir(parents=True, exist_ok=False)
-        (bundle / "report.json").write_text(
-            self.to_json() + "\n", encoding="utf-8"
-        )
-        (bundle / "report.txt").write_text(
-            self.to_table() + "\n", encoding="utf-8"
-        )
-        summary = {
-            "kind": self.report_kind,
-            "written_utc": stamp.isoformat(),
-            "severity": self.severity_rollup(),
-            "worst": self.worst_severity.value,
-        }
-        (bundle / "summary.json").write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-        )
-        return bundle

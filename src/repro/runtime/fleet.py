@@ -35,7 +35,7 @@ from ..core.analysis.localizer import Localizer
 from ..core.array import ProgrammableSensorArray
 from ..errors import AnalysisError, unknown_name_error
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
-from ..report import ReportBase, Severity
+from ..report import ReportBase
 from ..store import ArtifactStore
 from ..trojans.catalog import TROJAN_CATALOG
 from ..workloads.campaign import MeasurementCampaign
@@ -215,8 +215,8 @@ class ChipResult:
 class FleetReport(ReportBase):
     """Aggregated outcome of one fleet run.
 
-    Renders through the shared :class:`~repro.report.ReportBase`
-    surface.
+    Serializes through the shared :class:`~repro.report.ReportBase`;
+    the CLI prints :meth:`format`.
 
     Attributes
     ----------
@@ -241,24 +241,6 @@ class FleetReport(ReportBase):
     wall_seconds: float
     interleave: Tuple[str, ...]
     backpressure_events: int = 0
-
-    report_kind = "fleet"
-
-    def severities(self):
-        """One severity per chip, deployment semantics.
-
-        A fleet report grades live chips, so an alarming chip is the
-        finding that demands attention: a true detection is CRITICAL
-        (a Trojan is active on silicon), a false alarm is a WARNING,
-        and a silent chip is OK.
-        """
-        for chip in self.chips:
-            if chip.detected:
-                yield Severity.CRITICAL
-            elif chip.report.mttd is not None and chip.report.mttd.false_alarm:
-                yield Severity.WARNING
-            else:
-                yield Severity.OK
 
     @property
     def n_chips(self) -> int:

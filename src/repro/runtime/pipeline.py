@@ -57,7 +57,7 @@ from ..errors import AnalysisError, unknown_name_error
 from ..instruments.adc import AdcSpec, quantize_batch
 from ..instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from ..instruments.spectrum_analyzer import SpectrumAnalyzer
-from ..report import ReportBase, Severity
+from ..report import ReportBase
 from .events import (
     Alarm,
     EventBus,
@@ -170,8 +170,8 @@ class PipelineConfig:
 class MonitorReport(ReportBase):
     """Everything one monitoring session concluded.
 
-    Renders through the shared :class:`~repro.report.ReportBase`
-    surface — the serve service's ``/chips/<id>/report`` endpoint is
+    Serializes through the shared :class:`~repro.report.ReportBase`
+    — the serve service's ``/chips/<id>/report`` endpoint is
     exactly :meth:`to_json`, not a third formatter.
 
     Attributes
@@ -228,25 +228,10 @@ class MonitorReport(ReportBase):
     event_counts: dict
     detector: str = "welford"
 
-    report_kind = "monitor"
-
     @property
     def detected(self) -> bool:
         """An alarm fired at/after the scripted activation."""
         return bool(self.mttd and self.mttd.detected)
-
-    def severities(self):
-        """One finding — this chip — with deployment semantics."""
-        if self.detected:
-            yield Severity.CRITICAL
-        elif self.mttd is not None and self.mttd.false_alarm:
-            yield Severity.WARNING
-        elif self.mttd is None and self.first_alarm is not None:
-            # No scripted trigger to grade against: any alarm on an
-            # unannotated stream still deserves operator attention.
-            yield Severity.CRITICAL
-        else:
-            yield Severity.OK
 
     def to_dict(self) -> dict:
         """JSON-ready session summary (the serve report payload).
@@ -294,30 +279,6 @@ class MonitorReport(ReportBase):
             "final_state": self.final_state,
             "event_counts": dict(self.event_counts),
         }
-
-    def format(self) -> str:
-        """One-chip plain-text session summary."""
-        alarm = "-" if self.first_alarm is None else str(self.first_alarm)
-        mttd = "-"
-        if self.mttd is not None and self.mttd.mttd_s is not None:
-            mttd = f"{1e3 * self.mttd.mttd_s:.2f} ms"
-        ident = "-" if self.identification is None else self.identification.label
-        lines = [
-            f"chip {self.chip}: {self.n_windows} windows, "
-            f"detector {self.detector}, final state {self.final_state}",
-            f"  alarms: {len(self.alarms)} (first @ {alarm}) | "
-            f"MTTD {mttd} | identified {ident} | "
-            f"escalations {self.escalations}",
-        ]
-        if self.localization is not None:
-            x, y = self.localization.position
-            lines.append(
-                f"  localized: sensor {self.localization.sensor_index} "
-                f"quadrant {self.localization.quadrant or '-'} at "
-                f"({1e6 * x:.0f}, {1e6 * y:.0f}) um "
-                f"(margin {self.localization.margin_db:.1f} dB)"
-            )
-        return "\n".join(lines)
 
     def state_at(self, window: int, warmup: int) -> str:
         """Human-readable monitor state of one window of the timeline.

@@ -3,9 +3,7 @@
 The serve front-end answers ``GET /metrics`` with a
 :class:`MetricsSnapshot` — a frozen :class:`~repro.report.ReportBase`
 report like every other report in the system, so the JSON payload is
-exactly :meth:`~repro.report.ReportBase.to_json` and the text form
-renders through the same severity vocabulary (an alarming chip is
-CRITICAL, shed work is a WARNING).
+exactly :meth:`~repro.report.ReportBase.to_json`.
 
 Throughput is measured by :class:`ThroughputMeter` over the *busy*
 span (first chunk's start to last chunk's completion), so an idle
@@ -21,7 +19,7 @@ from dataclasses import dataclass, field
 from threading import Lock
 from typing import Dict, Optional, Tuple
 
-from ..report import ReportBase, Severity
+from ..report import ReportBase
 
 
 class ThroughputMeter:
@@ -202,20 +200,6 @@ class MetricsSnapshot(ReportBase):
     chips: Tuple[ChipGauge, ...] = ()
     store: Optional[Dict[str, int]] = None
 
-    report_kind = "metrics"
-
-    def severities(self):
-        """Operator-facing rollup: alarms CRITICAL, sheds WARNING."""
-        for gauge in self.chips:
-            if gauge.alarms:
-                yield Severity.CRITICAL
-            elif gauge.sheds:
-                yield Severity.WARNING
-            else:
-                yield Severity.OK
-        if self.overload_active:
-            yield Severity.WARNING
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot (the ``/metrics`` body)."""
         return {
@@ -237,26 +221,3 @@ class MetricsSnapshot(ReportBase):
             "store": None if self.store is None else dict(self.store),
         }
 
-    def format(self) -> str:
-        """Plain-text fleet health summary."""
-        lines = [
-            f"serve: {self.n_chips} chips | {self.windows_total} windows "
-            f"({self.windows_per_sec:.1f} win/s lifetime, "
-            f"{self.recent_windows_per_sec:.1f} recent) | "
-            f"alarms {self.alarms_total} | sheds {self.sheds_total} | "
-            f"overload {'ACTIVE' if self.overload_active else 'clear'} "
-            f"({self.queued_windows}/{self.high_water_windows} queued)",
-        ]
-        if self.chips:
-            lines.append(
-                "chip       | kind   | state    | windows | queue | "
-                "sheds | alarms"
-            )
-            for gauge in self.chips:
-                lines.append(
-                    f"{gauge.chip:<10} | {gauge.kind:<6} | "
-                    f"{gauge.state:<8} | {gauge.windows:>7} | "
-                    f"{gauge.queue_len:>5} | {gauge.sheds:>5} | "
-                    f"{gauge.alarms:>6}"
-                )
-        return "\n".join(lines)

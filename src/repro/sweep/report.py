@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.analysis.mttd import MttdResult
 from ..errors import AnalysisError
-from ..report import ReportBase, Severity
+from ..report import ReportBase
 
 #: The paper's run-time budget: fewer than ten traces, under 10 ms.
 BUDGET_TRACES = 10
@@ -279,10 +279,8 @@ class LocalizeCellResult:
 class SweepReport(ReportBase):
     """Results of one grid evaluation.
 
-    Renders through the shared :class:`~repro.report.ReportBase`
-    surface (``to_json``/``to_table``/severity rollups/bundles); the
-    JSON and table forms are byte-identical to the pre-``repro.report``
-    formatter.
+    Serializes through the shared :class:`~repro.report.ReportBase`
+    (``to_json``); the CLI prints :meth:`format`.
 
     Attributes
     ----------
@@ -300,28 +298,6 @@ class SweepReport(ReportBase):
     grid: str
     trace_period_s: float
     cells: Tuple["SweepCellResult | LocalizeCellResult", ...]
-
-    report_kind = "sweep"
-
-    def severities(self):
-        """One severity per cell, evaluation semantics.
-
-        A sweep grades the detection flow, so the bad outcome is a
-        cell that *failed* its goal: a clean success is OK, a false
-        alarm (detection cells) or a partial hit-rate (localization
-        cells) is a WARNING, and an outright miss is CRITICAL.
-        """
-        for cell in self.cells:
-            if cell.success:
-                yield Severity.OK
-            elif isinstance(cell, SweepCellResult) and cell.mttd.false_alarm:
-                yield Severity.WARNING
-            elif (
-                isinstance(cell, LocalizeCellResult) and cell.hit_rate > 0.0
-            ):
-                yield Severity.WARNING
-            else:
-                yield Severity.CRITICAL
 
     @property
     def all_detected(self) -> bool:

@@ -21,8 +21,8 @@ way its directory and JSON header are decoded once, and members are
 read whole through ``zipfile`` (which checks each one's local header
 and CRC-32) one at a time, so a replay consumer never holds more
 than one member beyond its own chunk, however long the recording.
-:class:`TraceArchive` is that reader; :func:`iter_traces` streams its
-traces in bounded batches and :func:`load_traces` is the eager view.  Every decode failure (not
+:class:`TraceArchive` is that reader, and :func:`load_traces` is its
+eager view.  Every decode failure (not
 a zip, truncated, a bad CRC, a missing member, a malformed header, an
 unsupported npy layout) raises :class:`~repro.errors.TraceIOError`.
 """
@@ -44,9 +44,6 @@ from .errors import TraceIOError
 from .traces import Trace
 
 _FORMAT_VERSION = 1
-
-#: Default traces per :func:`iter_traces` batch.
-DEFAULT_READ_BATCH = 64
 
 #: Fields of every trace-index entry in the header.
 _ENTRY_FIELDS = frozenset({"key", "fs", "label", "scenario", "meta"})
@@ -246,85 +243,20 @@ class TraceArchive:
                 yield array
 
 
-def read_header(
-    path: "str | Path", *, data: Optional[bytes] = None
-) -> Dict[str, object]:
-    """Read and validate an archive's header without loading samples.
-
-    With ``data``, the archive is those bytes and ``path`` only names
-    it in error messages.
-    """
-    return TraceArchive(path, data=data).header
-
-
-def trace_count(path: "str | Path") -> int:
-    """Traces stored in an archive (header only, no sample reads)."""
-    return len(read_header(path)["traces"])
-
-
-def iter_traces(
-    path: "str | Path",
-    batch: int = DEFAULT_READ_BATCH,
-    *,
-    data: Optional[bytes] = None,
-) -> Iterator[List[Trace]]:
-    """Yield an archive's traces in bounded batches, in stored order.
-
-    A streamed read over :class:`TraceArchive`: each yielded list
-    holds at most ``batch`` traces, and only those traces' members are
-    read while the batch is being built — a multi-gigabyte archive
-    reads with bounded memory.  Every trace's samples are its own
-    writable array.
-
-    Parameters
-    ----------
-    path:
-        Archive written by :func:`save_traces`; with ``data``, only the
-        archive's name in error messages.
-    batch:
-        Maximum traces per yielded list.
-    data:
-        The archive's bytes, already in memory (e.g. an upload's
-        request body); nothing is read from ``path`` then.
-
-    Raises
-    ------
-    TraceIOError
-        At call time (not first iteration) for a bad batch size or a
-        missing archive file; damaged bytes surface on the ``next()``
-        that reads them (the archive is opened exactly once).
-    """
-    if batch < 1:
-        raise TraceIOError(f"batch must be >= 1, got {batch}")
-    path = Path(path)
-    if data is None and not path.exists():
-        raise TraceIOError(f"no trace archive at {path}")
-    return _iter_traces(path, batch, data)
-
-
-def _iter_traces(
-    path: Path, batch: int, data: Optional[bytes]
-) -> Iterator[List[Trace]]:
-    archive = TraceArchive(path, data=data)
-    entries = archive.entries
-    samples = archive.samples()
-    for start in range(0, len(entries), batch):
-        yield [
-            Trace(
-                samples=np.array(array, dtype=float),
-                fs=float(entry["fs"]),
-                label=entry["label"],
-                scenario=entry["scenario"],
-                meta=dict(entry["meta"]),
-            )
-            for entry, array in zip(entries[start : start + batch], samples)
-        ]
-
-
 def load_traces(path: "str | Path") -> List[Trace]:
     """Read back an archive written by :func:`save_traces`.
 
-    Eager view over :func:`iter_traces` — same traces, same order,
-    one flat list.
+    Eager view over :class:`TraceArchive`: every trace, in stored
+    order, each with its own writable samples array.
     """
-    return [trace for chunk in iter_traces(path) for trace in chunk]
+    archive = TraceArchive(path)
+    return [
+        Trace(
+            samples=np.array(array, dtype=float),
+            fs=float(entry["fs"]),
+            label=entry["label"],
+            scenario=entry["scenario"],
+            meta=dict(entry["meta"]),
+        )
+        for entry, array in zip(archive.entries, archive.samples())
+    ]

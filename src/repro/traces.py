@@ -47,25 +47,6 @@ class Trace:
         """Sample count."""
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        """Trace duration [s]."""
-        return self.samples.size / self.fs
-
-    def time(self) -> np.ndarray:
-        """Time axis [s]."""
-        return np.arange(self.samples.size) / self.fs
-
     def rms(self) -> float:
         """RMS voltage [V]."""
         return float(np.sqrt(np.mean(self.samples**2)))
-
-    def with_label(self, label: str) -> "Trace":
-        """Copy with a new label."""
-        return Trace(
-            samples=self.samples.copy(),
-            fs=self.fs,
-            label=label,
-            scenario=self.scenario,
-            meta=dict(self.meta),
-        )

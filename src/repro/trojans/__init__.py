@@ -29,21 +29,14 @@ from .always_on import (
     T2AContinuousLeaker,
     TPParametricDrift,
 )
-from .base import CycleContext, CycleWindow, Trojan, block_pattern
-from .catalog import (
-    TROJAN_CATALOG,
-    VARIANT_CATALOG,
-    TrojanInfo,
-    make_trojan,
-    standard_trojans,
-)
+from .base import CycleWindow, Trojan, block_pattern
+from .catalog import TROJAN_CATALOG, VARIANT_CATALOG, TrojanInfo
 from .t1_am_carrier import T1AmCarrier
 from .t2_leakage import T2KeyLeakInverters
 from .t3_cdma import T3CdmaLeaker
 from .t4_dos import T4DosHeater
 
 __all__ = [
-    "CycleContext",
     "CycleWindow",
     "Trojan",
     "block_pattern",
@@ -60,6 +53,4 @@ __all__ = [
     "TROJAN_CATALOG",
     "VARIANT_CATALOG",
     "TrojanInfo",
-    "make_trojan",
-    "standard_trojans",
 ]

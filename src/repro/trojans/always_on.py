@@ -68,10 +68,6 @@ class AlwaysOnTrojan(Trojan):
     def __init__(self) -> None:
         super().__init__(enabled=True)
 
-    @property
-    def always_on(self) -> bool:
-        return True
-
     def active_window(self, window: CycleWindow) -> np.ndarray:
         return np.ones(window.n_cycles, dtype=bool)
 

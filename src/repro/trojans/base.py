@@ -43,51 +43,19 @@ EXTENDED_TROJAN_CELLS: Dict[str, int] = {}
 
 
 @dataclass(frozen=True)
-class CycleContext:
-    """Everything a Trojan may observe in one clock cycle.
-
-    Attributes
-    ----------
-    cycle:
-        Absolute cycle index within the simulation.
-    block:
-        AES block index being processed.
-    phase:
-        Cycle position within the block (0 = load cycle).
-    block_cycles:
-        Cycles per block (11).
-    time_s:
-        Absolute time of the cycle's rising edge [s].
-    plaintext:
-        The 16-byte plaintext of the current block.
-    key_hd:
-        Hamming distance between the round keys active in this cycle
-        and the previous one (0..128).
-    aes_norm:
-        Main-circuit activity this cycle, normalized to its trace
-        maximum (0..1); used for supply-droop coupling.
-    """
-
-    cycle: int
-    block: int
-    phase: int
-    block_cycles: int
-    time_s: float
-    plaintext: bytes
-    key_hd: int
-    aes_norm: float
-
-
-@dataclass(frozen=True)
 class CycleWindow:
     """What a Trojan observes over a window of cycles, as arrays.
 
-    The fields of :class:`CycleContext`, one entry per cycle:
-    ``cycle``, ``block``, ``phase``, ``time_s`` and ``key_hd`` have
-    shape ``(n_cycles,)`` and ``plaintext`` is ``(n_cycles, 16)``
-    uint8.  ``aes_norm`` is a zero-argument callable returning the
-    ``(n_cycles,)`` array, so windows whose Trojans never read the
-    supply droop never pay for it.
+    One entry per cycle: ``cycle`` (absolute cycle index), ``block``
+    (AES block index), ``phase`` (cycle within the block, 0 = load
+    cycle), ``time_s`` (the cycle's rising edge [s]) and ``key_hd``
+    (Hamming distance between the round keys of this cycle and the
+    previous one, 0..128) have shape ``(n_cycles,)``; ``plaintext`` is
+    the block's plaintext, ``(n_cycles, 16)`` uint8; ``block_cycles``
+    is the cycles per block (11).  ``aes_norm`` is a zero-argument
+    callable returning the main-circuit activity per cycle normalized
+    to its trace maximum (0..1, the supply-droop coupling), so windows
+    whose Trojans never read the droop never pay for it.
     """
 
     cycle: np.ndarray
@@ -98,20 +66,6 @@ class CycleWindow:
     plaintext: np.ndarray
     key_hd: np.ndarray
     aes_norm: Callable[[], np.ndarray]
-
-    @classmethod
-    def of(cls, ctx: CycleContext) -> "CycleWindow":
-        """The one-cycle window equal to ``ctx``."""
-        return cls(
-            cycle=np.array([ctx.cycle]),
-            block=np.array([ctx.block]),
-            phase=np.array([ctx.phase]),
-            block_cycles=ctx.block_cycles,
-            time_s=np.array([ctx.time_s], dtype=float),
-            plaintext=np.frombuffer(bytes(ctx.plaintext), dtype=np.uint8)[None],
-            key_hd=np.array([ctx.key_hd]),
-            aes_norm=lambda: np.array([ctx.aes_norm], dtype=float),
-        )
 
     @property
     def n_cycles(self) -> int:
@@ -161,8 +115,6 @@ class Trojan(ABC):
     :class:`CycleWindow`.  The small always-present trigger-circuit
     activity is modeled by :meth:`trigger_window` so an *inactive*
     Trojan is almost — but not exactly — invisible, as in the paper.
-    The per-cycle methods (:meth:`is_active`, :meth:`toggles`, ...)
-    are the one-cycle case of the window methods.
     """
 
     #: Trojan name; must match a Table II column or a registered
@@ -225,42 +177,9 @@ class Trojan(ABC):
             total = np.where(active, total + self.payload_window(window), total)
         return total
 
-    # -- per-cycle views ---------------------------------------------------------
-
-    def is_active(self, ctx: CycleContext) -> bool:
-        """Whether the payload is switching in this cycle."""
-        return bool(self.active_window(CycleWindow.of(ctx))[0])
-
-    def payload_toggles(self, ctx: CycleContext) -> float:
-        """Payload cell toggles in this cycle (given the Trojan is active)."""
-        return float(self.payload_window(CycleWindow.of(ctx))[0])
-
-    def trigger_toggles(self, ctx: CycleContext) -> float:
-        """Trigger-circuit toggles in this cycle (always present)."""
-        return float(self.trigger_window(CycleWindow.of(ctx))[0])
-
-    def toggles(self, ctx: CycleContext) -> float:
-        """Total Trojan toggles this cycle."""
-        return float(self.window_toggles(CycleWindow.of(ctx))[0])
-
-    # -- metadata ------------------------------------------------------------
-
-    @property
-    def always_on(self) -> bool:
-        """True for Trojans without an internal trigger (T3, T4)."""
-        return False
-
-    def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"{type(self).__name__}(name={self.name}, {state})"
-
 
 class ExternallyEnabledTrojan(Trojan):
     """Always-on Trojan gated only by the external enable signal."""
-
-    @property
-    def always_on(self) -> bool:
-        return True
 
     def active_window(self, window: CycleWindow) -> np.ndarray:
         return np.full(window.n_cycles, bool(self.enabled))

@@ -3,20 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict
 
-from ..errors import WorkloadError
-from .always_on import (
-    ALWAYS_ON_CELLS,
-    T1AContinuousCarrier,
-    T2AContinuousLeaker,
-    TPParametricDrift,
-)
-from .base import Trojan
-from .t1_am_carrier import T1AmCarrier
-from .t2_leakage import T2KeyLeakInverters
-from .t3_cdma import T3CdmaLeaker
-from .t4_dos import T4DosHeater
+from .always_on import ALWAYS_ON_CELLS
 
 
 @dataclass(frozen=True)
@@ -117,37 +106,3 @@ VARIANT_CATALOG: Dict[str, TrojanInfo] = {
         n_cells=ALWAYS_ON_CELLS["TP"],
     ),
 }
-
-_FACTORIES: Dict[str, Callable[..., Trojan]] = {
-    "T1": T1AmCarrier,
-    "T2": T2KeyLeakInverters,
-    "T3": T3CdmaLeaker,
-    "T4": T4DosHeater,
-    "T1A": T1AContinuousCarrier,
-    "T2A": T2AContinuousLeaker,
-    "TP": TPParametricDrift,
-}
-
-
-def make_trojan(name: str, **kwargs) -> Trojan:
-    """Instantiate a Trojan by catalog or variant-catalog name."""
-    if name not in _FACTORIES:
-        raise WorkloadError(
-            f"unknown Trojan {name!r}; expected one of {sorted(_FACTORIES)}"
-        )
-    return _FACTORIES[name](**kwargs)
-
-
-def standard_trojans(key: bytes = b"\x00" * 16) -> List[Trojan]:
-    """All four Trojans in their as-fabricated (inactive) state.
-
-    T1's counter starts at zero (it will not fire inside a short
-    trace); T2 is armed but sees no matching plaintext unless the
-    workload supplies it; T3/T4 external enables are off.
-    """
-    return [
-        T1AmCarrier(enabled=True, start_count=0),
-        T2KeyLeakInverters(enabled=True),
-        T3CdmaLeaker(enabled=False, key=key),
-        T4DosHeater(enabled=False),
-    ]

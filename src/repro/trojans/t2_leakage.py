@@ -44,11 +44,6 @@ class T2KeyLeakInverters(Trojan):
             raise WorkloadError("payload_fraction must be in (0, 1]")
         self.payload_fraction = payload_fraction
 
-    @staticmethod
-    def matches(plaintext: bytes) -> bool:
-        """Whether a plaintext block satisfies the trigger condition."""
-        return plaintext[: len(T2_TRIGGER_PREFIX)] == T2_TRIGGER_PREFIX
-
     def active_window(self, window: CycleWindow) -> np.ndarray:
         prefix = np.frombuffer(T2_TRIGGER_PREFIX, dtype=np.uint8)
         matched = (window.plaintext[:, : prefix.size] == prefix).all(axis=1)

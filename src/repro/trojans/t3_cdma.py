@@ -85,10 +85,6 @@ class T3CdmaLeaker(ExternallyEnabledTrojan):
         self.chip_cycles = chip_cycles
         self.payload_fraction = payload_fraction
 
-    def chip_value(self, cycle: int) -> int:
-        """The transmitted chip (key_bit XOR pn) for a clock cycle."""
-        return int(self._chip_values(np.array([cycle]))[0])
-
     def _chip_values(self, cycles: np.ndarray) -> np.ndarray:
         chip_index = cycles // self.chip_cycles
         pn = _PN[chip_index % PN_PERIOD]

@@ -1,21 +1,15 @@
 """RS232 UART substrate.
 
 The test chip receives plaintext from, and returns ciphertext to, a
-laptop over a serial link (Section V-A).  This package implements the
-8N1 framing, a synchronous FIFO, and a cycle model that transports bytes
-at a configurable baud rate while exposing its (small) switching
-activity to the EM model.
+laptop over a serial link (Section V-A).  This package models the
+UART's (small) switching activity at a configurable baud rate for the
+EM model.
 """
 
-from .frames import decode_frames, encode_frame, FRAME_BITS
-from .fifo import Fifo
-from .uart import Uart, UartConfig
+from .uart import FRAME_BITS, Uart, UartConfig
 
 __all__ = [
-    "decode_frames",
-    "encode_frame",
     "FRAME_BITS",
-    "Fifo",
     "Uart",
     "UartConfig",
 ]

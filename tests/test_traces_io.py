@@ -10,13 +10,7 @@ import pytest
 
 from repro.errors import MeasurementError, TraceIOError
 from repro.runtime.sources import ReplaySource
-from repro.traceio import (
-    iter_traces,
-    load_traces,
-    read_header,
-    save_traces,
-    trace_count,
-)
+from repro.traceio import TraceArchive, load_traces, save_traces
 from repro.traces import Trace
 
 
@@ -34,8 +28,6 @@ def _trace(label="t", n=256, seed=0):
 def test_trace_properties():
     trace = _trace(n=528)
     assert trace.n_samples == 528
-    assert trace.duration == pytest.approx(528 / 528e6)
-    assert trace.time()[1] == pytest.approx(1 / 528e6)
     assert trace.rms() > 0
 
 
@@ -44,12 +36,6 @@ def test_trace_validation():
         Trace(samples=np.array([1.0]), fs=1e6)
     with pytest.raises(MeasurementError):
         Trace(samples=np.zeros(16), fs=-1.0)
-
-
-def test_with_label():
-    renamed = _trace(label="a").with_label("b")
-    assert renamed.label == "b"
-    assert renamed.scenario == "baseline"
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -70,45 +56,14 @@ def test_save_appends_npz_suffix(tmp_path):
     assert path.exists()
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 64])
-def test_iter_traces_batches(tmp_path, batch):
-    traces = [_trace(label=f"s{i}", seed=i) for i in range(7)]
-    path = save_traces(tmp_path / "archive.npz", traces)
-    chunks = list(iter_traces(path, batch=batch))
-    assert all(len(chunk) <= batch for chunk in chunks)
-    assert len(chunks) == -(-7 // batch)  # ceil division
-    flat = [trace for chunk in chunks for trace in chunk]
-    assert len(flat) == 7
-    for original, restored in zip(traces, flat):
-        assert np.array_equal(original.samples, restored.samples)
-        assert restored.label == original.label
-        assert restored.meta == original.meta
-
-
 def test_load_traces_matches_iter(tmp_path):
     traces = [_trace(seed=i) for i in range(5)]
     path = save_traces(tmp_path / "a.npz", traces)
     eager = load_traces(path)
-    streamed = [t for chunk in iter_traces(path, batch=2) for t in chunk]
+    streamed = list(TraceArchive(path).samples())
     assert len(eager) == len(streamed)
     for a, b in zip(eager, streamed):
-        assert np.array_equal(a.samples, b.samples)
-
-
-def test_trace_count_header_only(tmp_path):
-    path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(4)])
-    assert trace_count(path) == 4
-
-
-def test_iter_traces_validates_batch_eagerly(tmp_path):
-    path = save_traces(tmp_path / "a.npz", [_trace()])
-    with pytest.raises(TraceIOError):
-        iter_traces(path, batch=0)  # at call time, not first next()
-
-
-def test_iter_traces_missing_archive_eagerly(tmp_path):
-    with pytest.raises(TraceIOError):
-        iter_traces(tmp_path / "nope.npz")
+        assert np.array_equal(a.samples, b)
 
 
 def test_empty_archive_rejected(tmp_path):
@@ -162,13 +117,22 @@ def _assert_same_traces(left, right):
         assert (a.fs, a.label, a.scenario, a.meta) == (b.fs, b.label, b.scenario, b.meta)
 
 
+def _assert_archive_reads(archive, traces):
+    """``archive``'s index and samples are those of ``traces``."""
+    assert [entry["label"] for entry in archive.entries] == [t.label for t in traces]
+    samples = list(archive.samples())
+    assert len(samples) == len(traces)
+    for array, trace in zip(samples, traces):
+        assert np.array_equal(array, trace.samples)
+
+
 def test_archive_bytes_read_like_the_file(tmp_path):
     path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(5)])
     data = path.read_bytes()
     name = tmp_path / "absent.npz"  # names the bytes; never opened
-    assert read_header(name, data=data) == read_header(path)
-    from_bytes = [t for chunk in iter_traces(name, batch=2, data=data) for t in chunk]
-    _assert_same_traces(from_bytes, load_traces(path))
+    from_bytes = TraceArchive(name, data=data)
+    assert from_bytes.header == TraceArchive(path).header
+    _assert_archive_reads(from_bytes, load_traces(path))
 
 
 def test_compressed_archive_still_reads(tmp_path):
@@ -177,8 +141,7 @@ def test_compressed_archive_still_reads(tmp_path):
     with np.load(path) as stored:
         np.savez_compressed(legacy, **{name: stored[name] for name in stored.files})
     _assert_same_traces(load_traces(legacy), load_traces(path))
-    from_bytes = [t for chunk in iter_traces("x.npz", data=legacy.read_bytes()) for t in chunk]
-    _assert_same_traces(from_bytes, load_traces(path))
+    _assert_archive_reads(TraceArchive("x.npz", data=legacy.read_bytes()), load_traces(path))
 
 
 def _rebuilt(data, mutate):
@@ -243,8 +206,7 @@ def test_damaged_archive_raises_trace_io_error(tmp_path, damage):
     with pytest.raises(TraceIOError):
         # The header read passes for damage past the header; the full
         # read must still fail.
-        read_header("upload.npz", data=body)
-        list(iter_traces("upload.npz", data=body))
+        list(TraceArchive("upload.npz", data=body).samples())
     damaged = tmp_path / "damaged.npz"
     damaged.write_bytes(body)
     with pytest.raises(TraceIOError):
@@ -262,9 +224,9 @@ def test_strict_layout_rejected(tmp_path, strict_damage):
     path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(4)])
     for case, damage in strict_damage.items():
         body = damage(path.read_bytes())
-        read_header("upload.npz", data=body)  # the damage is past the header
+        archive = TraceArchive("upload.npz", data=body)  # the damage is past the header
         with pytest.raises(TraceIOError, match="not a readable trace archive"):
-            list(iter_traces("upload.npz", data=body))
+            list(archive.samples())
         with pytest.raises(TraceIOError, match="not a readable trace archive"):
             list(ReplaySource("upload.npz", batch=2, data=body).chunks())
         damaged = tmp_path / f"{case}.npz"
@@ -304,13 +266,12 @@ def test_decode_uses_neither_numpy_nor_ast_header_parsers(tmp_path, monkeypatch)
         monkeypatch.setattr(module, "read_array_header_2_0", refuse)
     monkeypatch.setattr(ast, "literal_eval", refuse)
     _assert_same_traces(load_traces(path), traces)
-    streamed = [t for chunk in iter_traces("upload.npz", batch=4, data=data) for t in chunk]
-    _assert_same_traces(streamed, traces)
+    _assert_archive_reads(TraceArchive("upload.npz", data=data), traces)
     (chunk,) = ReplaySource("upload.npz", batch=3, data=data).chunks()
     assert np.array_equal(chunk.samples[1, 2], traces[5].samples)
 
 
 def test_decoded_samples_are_writable(tmp_path):
     path = save_traces(tmp_path / "a.npz", [_trace(seed=i) for i in range(2)])
-    for trace in load_traces(path) + next(iter_traces("x.npz", data=path.read_bytes())):
+    for trace in load_traces(path):
         trace.samples[0] = 1.0

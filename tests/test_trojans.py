@@ -4,25 +4,46 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.trojans.base import SIDEBAND_BLOCK_HARMONIC, CycleContext, block_pattern
-from repro.trojans.catalog import TROJAN_CATALOG, make_trojan, standard_trojans
+from repro.trojans.always_on import (
+    T1AContinuousCarrier,
+    T2AContinuousLeaker,
+    TPParametricDrift,
+)
+from repro.trojans.base import (
+    SIDEBAND_BLOCK_HARMONIC,
+    CycleWindow,
+    ExternallyEnabledTrojan,
+    block_pattern,
+)
+from repro.trojans.catalog import TROJAN_CATALOG
 from repro.trojans.t1_am_carrier import T1_TERMINAL, T1AmCarrier
 from repro.trojans.t2_leakage import T2KeyLeakInverters
 from repro.trojans.t3_cdma import PN_PERIOD, PN_SEQUENCE, T3CdmaLeaker
 from repro.trojans.t4_dos import T4DosHeater
 
 
-def _ctx(cycle=0, plaintext=b"\x00" * 16, key_hd=64, aes_norm=0.5):
-    return CycleContext(
+def _window(cycles=(0,), plaintext=b"\x00" * 16, key_hd=64, aes_norm=0.5):
+    """A window over ``cycles`` of one plaintext, key distance and droop."""
+    cycle = np.asarray(cycles)
+    n = cycle.size
+    return CycleWindow(
         cycle=cycle,
         block=cycle // 11,
         phase=cycle % 11,
         block_cycles=11,
         time_s=cycle / 33e6,
-        plaintext=plaintext,
-        key_hd=key_hd,
-        aes_norm=aes_norm,
+        plaintext=np.tile(np.frombuffer(plaintext, dtype=np.uint8), (n, 1)),
+        key_hd=np.full(n, key_hd),
+        aes_norm=lambda: np.full(n, aes_norm, dtype=float),
     )
+
+
+def _active(trojan, cycle=0, **observed) -> bool:
+    return bool(trojan.active_window(_window((cycle,), **observed))[0])
+
+
+def _payload(trojan, cycle=0, **observed) -> float:
+    return float(trojan.payload_window(_window((cycle,), **observed))[0])
 
 
 def test_block_pattern_concentrates_fifth_harmonic():
@@ -40,14 +61,14 @@ def test_t1_counter_period_matches_paper():
 
 def test_t1_fires_at_terminal_count():
     trojan = T1AmCarrier(enabled=True, start_count=T1_TERMINAL, burst_cycles=100)
-    assert trojan.is_active(_ctx(cycle=0))
-    assert trojan.is_active(_ctx(cycle=99))
-    assert not trojan.is_active(_ctx(cycle=100))
+    assert _active(trojan, cycle=0)
+    assert _active(trojan, cycle=99)
+    assert not _active(trojan, cycle=100)
 
 
 def test_t1_never_fires_when_disabled():
     trojan = T1AmCarrier(enabled=False, start_count=T1_TERMINAL)
-    assert not any(trojan.is_active(_ctx(cycle=c)) for c in range(200))
+    assert not any(_active(trojan, cycle=c) for c in range(200))
 
 
 def test_t1_payload_carries_750khz_envelope():
@@ -55,32 +76,31 @@ def test_t1_payload_carries_750khz_envelope():
     # Payload at the carrier's peak vs trough (same block phase).
     quarter = int(33e6 / 750e3 / 4)
     cycles = [11 * (quarter // 11), 11 * ((3 * quarter) // 11)]
-    peaks = [trojan.payload_toggles(_ctx(cycle=c)) for c in cycles]
+    peaks = [_payload(trojan, cycle=c) for c in cycles]
     assert max(peaks) > 2 * min(peaks) or min(peaks) == 0.0
 
 
 def test_t1_out_of_order_cycles_rejected():
     trojan = T1AmCarrier(enabled=True)
-    trojan.is_active(_ctx(cycle=10))
+    _active(trojan, cycle=10)
     with pytest.raises(WorkloadError):
-        trojan.is_active(_ctx(cycle=5))
+        _active(trojan, cycle=5)
     trojan.reset()
-    assert not trojan.is_active(_ctx(cycle=0))
+    assert not _active(trojan, cycle=0)
 
 
 def test_t2_trigger_condition():
     trojan = T2KeyLeakInverters(enabled=True)
-    assert trojan.is_active(_ctx(plaintext=b"\xaa\xaa" + b"\x00" * 14))
-    assert not trojan.is_active(_ctx(plaintext=b"\xaa\xab" + b"\x00" * 14))
-    assert not trojan.is_active(_ctx(plaintext=b"\x00" * 16))
+    assert _active(trojan, plaintext=b"\xaa\xaa" + b"\x00" * 14)
+    assert not _active(trojan, plaintext=b"\xaa\xab" + b"\x00" * 14)
+    assert not _active(trojan, plaintext=b"\x00" * 16)
 
 
 def test_t2_payload_scales_with_key_hd():
     trojan = T2KeyLeakInverters(enabled=True)
-    ctx_lo = _ctx(cycle=1, plaintext=b"\xaa\xaa" + b"\x00" * 14, key_hd=16)
-    ctx_hi = _ctx(cycle=1, plaintext=b"\xaa\xaa" + b"\x00" * 14, key_hd=64)
-    assert trojan.payload_toggles(ctx_hi) == pytest.approx(
-        4 * trojan.payload_toggles(ctx_lo)
+    plaintext = b"\xaa\xaa" + b"\x00" * 14
+    assert _payload(trojan, cycle=1, plaintext=plaintext, key_hd=64) == pytest.approx(
+        4 * _payload(trojan, cycle=1, plaintext=plaintext, key_hd=16)
     )
 
 
@@ -94,21 +114,21 @@ def test_pn_sequence_is_maximal():
 
 def test_t3_chip_stream_follows_pn():
     trojan = T3CdmaLeaker(enabled=True, key=b"\x00" * 16, chip_cycles=22)
-    chips = [trojan.chip_value(c * 22) for c in range(PN_PERIOD)]
-    assert chips == PN_SEQUENCE  # key bit 0 -> chip = pn
+    payload = trojan.payload_window(_window(np.arange(PN_PERIOD) * 22))
+    assert (payload > 0).astype(int).tolist() == PN_SEQUENCE  # key bit 0 -> chip = pn
 
 
 def test_t3_key_bit_inverts_chips():
     key_one = b"\x01" + b"\x00" * 15  # first key bit = 1
     trojan = T3CdmaLeaker(enabled=True, key=key_one, chip_cycles=22)
-    chips = [trojan.chip_value(c * 22) for c in range(PN_PERIOD)]
-    assert chips == [1 - bit for bit in PN_SEQUENCE]
+    payload = trojan.payload_window(_window(np.arange(PN_PERIOD) * 22))
+    assert (payload > 0).astype(int).tolist() == [1 - bit for bit in PN_SEQUENCE]
 
 
 def test_t3_payload_gated_by_chip():
     trojan = T3CdmaLeaker(enabled=True, key=b"\x00" * 16)
     active = [
-        trojan.payload_toggles(_ctx(cycle=c)) for c in range(0, 22 * 8, 22)
+        _payload(trojan, cycle=c) for c in range(0, 22 * 8, 22)
     ]
     assert any(v == 0.0 for v in active)
     assert any(v > 0.0 for v in active)
@@ -116,8 +136,8 @@ def test_t3_payload_gated_by_chip():
 
 def test_t4_droop_modulation():
     trojan = T4DosHeater(enabled=True, droop_coupling=0.3)
-    quiet = trojan.payload_toggles(_ctx(aes_norm=0.0))
-    busy = trojan.payload_toggles(_ctx(aes_norm=1.0))
+    quiet = _payload(trojan, aes_norm=0.0)
+    busy = _payload(trojan, aes_norm=1.0)
     assert quiet == pytest.approx(trojan.n_cells * trojan.ro_toggle_rate)
     assert busy == pytest.approx(quiet * 0.7)
 
@@ -125,18 +145,20 @@ def test_t4_droop_modulation():
 def test_t4_default_droop_detectable():
     """The default coupling leaves a clear AES-correlated ripple."""
     trojan = T4DosHeater(enabled=True)
-    quiet = trojan.payload_toggles(_ctx(aes_norm=0.0))
-    busy = trojan.payload_toggles(_ctx(aes_norm=1.0))
+    quiet = _payload(trojan, aes_norm=0.0)
+    busy = _payload(trojan, aes_norm=1.0)
     assert (quiet - busy) / quiet == pytest.approx(
         trojan.droop_coupling, rel=1e-9
     )
 
 
 def test_always_on_flags():
-    assert not T1AmCarrier().always_on
-    assert not T2KeyLeakInverters().always_on
-    assert T3CdmaLeaker().always_on
-    assert T4DosHeater().always_on
+    flags = [TROJAN_CATALOG[name].always_on for name in ("T1", "T2", "T3", "T4")]
+    assert flags == [False, False, True, True]
+    assert not isinstance(T1AmCarrier(), ExternallyEnabledTrojan)
+    assert not isinstance(T2KeyLeakInverters(), ExternallyEnabledTrojan)
+    assert isinstance(T3CdmaLeaker(), ExternallyEnabledTrojan)
+    assert isinstance(T4DosHeater(), ExternallyEnabledTrojan)
 
 
 def test_clock_phases():
@@ -149,8 +171,14 @@ def test_clock_phases():
 
 def test_inactive_trojans_still_tick():
     """Trigger circuits keep a tiny, nonzero footprint when inactive."""
-    for trojan in standard_trojans():
-        toggles = trojan.toggles(_ctx(cycle=0))
+    inactive = (
+        T1AmCarrier(enabled=True, start_count=0),
+        T2KeyLeakInverters(enabled=True),
+        T3CdmaLeaker(enabled=False),
+        T4DosHeater(enabled=False),
+    )
+    for trojan in inactive:
+        toggles = float(trojan.window_toggles(_window())[0])
         assert 0.0 < toggles < 10.0
 
 
@@ -158,14 +186,6 @@ def test_catalog_matches_table2():
     assert set(TROJAN_CATALOG) == {"T1", "T2", "T3", "T4"}
     assert TROJAN_CATALOG["T3"].n_cells == 329
     assert TROJAN_CATALOG["T1"].trigger.startswith("21-bit counter")
-
-
-def test_make_trojan_factory():
-    trojan = make_trojan("T4", enabled=True)
-    assert isinstance(trojan, T4DosHeater)
-    assert trojan.enabled
-    with pytest.raises(WorkloadError):
-        make_trojan("T9")
 
 
 def test_parameter_validation():
@@ -198,59 +218,28 @@ def test_variant_catalog_contents():
         assert "power-on" in info.trigger or "parametric" in info.trigger
 
 
-def test_make_trojan_builds_variants():
-    from repro.trojans.always_on import (
-        T1AContinuousCarrier,
-        T2AContinuousLeaker,
-        TPParametricDrift,
-    )
-
-    kinds = {
-        "T1A": T1AContinuousCarrier,
-        "T2A": T2AContinuousLeaker,
-        "TP": TPParametricDrift,
-    }
-    for name, cls in kinds.items():
-        trojan = make_trojan(name)
-        assert isinstance(trojan, cls)
-        assert trojan.always_on
-        assert trojan.enabled
-    with pytest.raises(WorkloadError):
-        make_trojan("T9")
-
-
 def test_variants_have_no_trigger_and_emit_from_cycle_zero():
-    for name in ("T1A", "T2A", "TP"):
-        trojan = make_trojan(name)
-        emitted = 0.0
-        for cycle in range(0, 44):
-            ctx = _ctx(cycle=cycle)
-            assert trojan.is_active(ctx)
-            assert trojan.trigger_toggles(ctx) == 0.0
-            emitted += trojan.payload_toggles(ctx)
-        assert emitted > 0.0  # leaking within the very first blocks
+    for cls in (T1AContinuousCarrier, T2AContinuousLeaker, TPParametricDrift):
+        trojan = cls()
+        assert trojan.enabled
+        window = _window(range(44))
+        assert trojan.active_window(window).all()
+        assert not trojan.trigger_window(window).any()
+        assert trojan.payload_window(window).sum() > 0.0  # leaking within the first blocks
 
 
 def test_tp_drift_ramps_then_saturates():
-    from repro.trojans.always_on import TPParametricDrift
-
     trojan = TPParametricDrift(drift_floor=0.2, drift_cycles=128)
     # Compare equal block phases so only the thermal drift differs.
     phase_period = 11
-    cold = trojan.payload_toggles(_ctx(cycle=phase_period))
-    warm = trojan.payload_toggles(_ctx(cycle=128 + phase_period))
-    hot = trojan.payload_toggles(_ctx(cycle=1280 + phase_period))
+    cold = _payload(trojan, cycle=phase_period)
+    warm = _payload(trojan, cycle=128 + phase_period)
+    hot = _payload(trojan, cycle=1280 + phase_period)
     assert cold < warm
     assert warm == pytest.approx(hot)  # saturated past drift_cycles
 
 
 def test_variant_parameter_validation():
-    from repro.trojans.always_on import (
-        T1AContinuousCarrier,
-        T2AContinuousLeaker,
-        TPParametricDrift,
-    )
-
     with pytest.raises(WorkloadError):
         T1AContinuousCarrier(payload_fraction=0.0)
     with pytest.raises(WorkloadError):

@@ -1,69 +1,10 @@
-"""UART framing, FIFO and cycle model."""
+"""UART cycle model."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.errors import WorkloadError
-from repro.uart.fifo import Fifo
-from repro.uart.frames import FRAME_BITS, decode_frames, encode_frame
 from repro.uart.uart import Uart, UartConfig
-
-
-def test_frame_structure():
-    bits = encode_frame(0x55)
-    assert len(bits) == FRAME_BITS
-    assert bits[0] == 0  # start
-    assert bits[-1] == 1  # stop
-    assert bits[1:9] == [1, 0, 1, 0, 1, 0, 1, 0]  # LSB first
-
-
-def test_frame_rejects_out_of_range():
-    with pytest.raises(WorkloadError):
-        encode_frame(256)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=255), max_size=20))
-def test_encode_decode_roundtrip(data):
-    bits = []
-    for byte in data:
-        bits.extend(encode_frame(byte))
-    decoded, consumed = decode_frames(bits)
-    assert decoded == data
-    assert consumed == len(bits)
-
-
-def test_decode_skips_idle_line():
-    bits = [1] * 7 + encode_frame(0xA3) + [1] * 3
-    decoded, _ = decode_frames(bits)
-    assert decoded == [0xA3]
-
-
-def test_decode_detects_framing_error():
-    bad = encode_frame(0x00)
-    bad[-1] = 0  # corrupt stop bit
-    with pytest.raises(WorkloadError):
-        decode_frames(bad)
-
-
-def test_fifo_order_and_limits():
-    fifo = Fifo(depth=2)
-    assert fifo.push(1) and fifo.push(2)
-    assert fifo.full
-    assert not fifo.push(3)
-    assert fifo.overflows == 1
-    assert fifo.pop() == 1 and fifo.pop() == 2
-    assert fifo.pop() is None
-    assert fifo.underflows == 1
-    assert fifo.high_watermark == 2
-
-
-def test_uart_loopback():
-    uart = Uart(SimConfig())
-    payload = bytes(range(32))
-    assert uart.loopback_roundtrip(payload) == payload
 
 
 def test_uart_activity_shape_and_magnitude():
