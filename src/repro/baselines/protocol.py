@@ -78,13 +78,6 @@ class MethodReport:
         return max(outcome.n_required for outcome in self.outcomes.values())
 
     @property
-    def best_n_required(self) -> int:
-        """Measurement count for the easiest Trojan."""
-        if not self.outcomes:
-            raise AnalysisError("method report has no outcomes")
-        return min(outcome.n_required for outcome in self.outcomes.values())
-
-    @property
     def mean_detection_rate(self) -> float:
         """Average detection rate across Trojans."""
         if not self.outcomes:

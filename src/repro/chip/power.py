@@ -181,21 +181,6 @@ class ActivityRecord:
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_dense": {}}
 
-    @property
-    def n_regions(self) -> int:
-        """Number of floorplan regions."""
-        return self._shape[0]
-
-    def total_toggles(self) -> float:
-        """All toggles in the window (main + Trojan)."""
-        return float(
-            self.main.sum() + self.trojan.sum() + self.trojan_rising.sum()
-        )
-
     def combined(self) -> np.ndarray:
         """Main + Trojan activity (ignoring the phase offsets)."""
         return self.main + self.trojan + self.trojan_rising
-
-    def trojan_total(self) -> np.ndarray:
-        """All Trojan activity, both clock phases."""
-        return self.trojan + self.trojan_rising

@@ -13,12 +13,10 @@ harmonics and the Trojan sidebands land exactly on FFT bins.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
-
-import numpy as np
 
 from .errors import ConfigError
 from .units import MHZ
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -121,30 +119,11 @@ class SimConfig:
         """Whole AES blocks that fit in one trace."""
         return self.n_cycles // self.block_cycles
 
-    @property
-    def bin_width(self) -> float:
-        """FFT bin width of a full-trace spectrum [Hz]."""
-        return 1.0 / self.duration
-
-    def time(self) -> np.ndarray:
-        """Fast-time axis of one trace [s], shape ``(n_samples,)``."""
-        return np.arange(self.n_samples) / self.fs
-
-    def cycle_starts(self) -> np.ndarray:
-        """Sample index of each clock rising edge, shape ``(n_cycles,)``."""
-        return np.arange(self.n_cycles) * self.oversample
-
     # -- convenience --------------------------------------------------------
 
     def with_(self, **changes) -> "SimConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def iter_blocks(self) -> Iterator[range]:
-        """Yield the cycle-index range of each whole AES block."""
-        for block in range(self.n_blocks):
-            start = block * self.block_cycles
-            yield range(start, start + self.block_cycles)
 
 
 #: Shared default configuration (the paper's setup).

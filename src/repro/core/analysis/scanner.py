@@ -88,11 +88,6 @@ class ScanResult:
     path: List[ScanWindow]
 
     @property
-    def final_window(self) -> ScanWindow:
-        """The finest window the scan converged to."""
-        return self.path[-1]
-
-    @property
     def n_measurement_windows(self) -> int:
         """Programmed windows across the whole scan."""
         return sum(len(level) for level in self.levels)

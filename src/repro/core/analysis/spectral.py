@@ -48,12 +48,6 @@ def sideband_frequencies(config: SimConfig) -> Tuple[float, float]:
     return (config.f_clock + f_mod, 3.0 * config.f_clock - f_mod)
 
 
-def image_frequencies(config: SimConfig) -> Tuple[float, float]:
-    """The band-shaped-away image sidebands [Hz] (18/114 MHz)."""
-    f_mod = SIDEBAND_BLOCK_HARMONIC * config.f_block
-    return (config.f_clock - f_mod, 3.0 * config.f_clock + f_mod)
-
-
 def _amp_near(spectrum: Spectrum, freq: float, halfwidth: float) -> float:
     """Peak amplitude within ``freq +- halfwidth``."""
     mask = np.abs(spectrum.freqs - freq) <= halfwidth

@@ -59,11 +59,6 @@ class Coil:
         """Number of series turns."""
         return len(self.turn_rects)
 
-    @property
-    def enclosed_area(self) -> float:
-        """Total flux-linking area (sum over turns) [m^2]."""
-        return sum(rect.area for rect in self.turn_rects)
-
     def resistance(self, vdd: float = 1.2, temperature_c: float = 25.0) -> float:
         """Series resistance of the winding [ohm]."""
         return self.n_tgates * tgate_resistance(

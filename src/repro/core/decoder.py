@@ -27,11 +27,6 @@ class PsaDecoder:
         )
         self.select(0)
 
-    @property
-    def n_gates(self) -> int:
-        """Gate count of the decoder network."""
-        return self._sim.n_gates
-
     def select(self, index: int) -> List[int]:
         """Drive ``PSA_sel`` and return the settled 16-bit one-hot output."""
         if not 0 <= index < 16:

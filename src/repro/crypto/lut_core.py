@@ -78,15 +78,6 @@ class CoreActivity:
     block_of_cycle: np.ndarray
     phase_of_cycle: np.ndarray
 
-    @property
-    def n_cycles(self) -> int:
-        """Number of simulated cycles."""
-        return int(self.block_of_cycle.size)
-
-    def total(self) -> np.ndarray:
-        """Summed toggle count across modules, per cycle."""
-        return np.sum(list(self.toggles.values()), axis=0)
-
 
 class AesLutCore:
     """Behavioural AES-128-LUT core with an activity model.

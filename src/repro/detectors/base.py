@@ -194,9 +194,3 @@ class Detector(ABC):
         if np.count_nonzero(np.isfinite(values)) != values.size:
             raise AnalysisError("non-finite feature in detector input")
         return values
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(name={self.name!r}, "
-            f"n_streams={self.n_streams})"
-        )

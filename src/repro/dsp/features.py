@@ -15,7 +15,6 @@ periodicity.  The features here quantify exactly those differences:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -61,20 +60,6 @@ class EnvelopeFeatures:
     autocorr_peak: float
     spectral_flatness: float
 
-    def vector(self) -> np.ndarray:
-        """Full feature vector in a fixed order."""
-        return np.array(
-            [
-                self.ripple,
-                np.log10(max(self.dominant_freq, 1.0)),
-                self.dominant_strength,
-                self.duty_cycle,
-                self.bimodality,
-                self.autocorr_peak,
-                self.spectral_flatness,
-            ]
-        )
-
     def cluster_vector(self) -> np.ndarray:
         """Workload-robust subset used for unsupervised clustering.
 
@@ -94,19 +79,6 @@ class EnvelopeFeatures:
                 self.spectral_flatness,
             ]
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """All features by name."""
-        return {
-            "mean": self.mean,
-            "ripple": self.ripple,
-            "dominant_freq": self.dominant_freq,
-            "dominant_strength": self.dominant_strength,
-            "duty_cycle": self.duty_cycle,
-            "bimodality": self.bimodality,
-            "autocorr_peak": self.autocorr_peak,
-            "spectral_flatness": self.spectral_flatness,
-        }
 
 
 def envelope_features(envelope: np.ndarray, fs: float) -> EnvelopeFeatures:

@@ -87,10 +87,3 @@ class PCA:
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
         """Fit on ``data`` then project it."""
         return self.fit(data).transform(data)
-
-    def inverse_transform(self, projected: np.ndarray) -> np.ndarray:
-        """Map projections back to the original feature space."""
-        if self.components_ is None or self.mean_ is None:
-            raise AnalysisError("PCA.inverse_transform called before fit")
-        projected = np.asarray(projected, dtype=float)
-        return projected @ self.components_ + self.mean_

@@ -70,12 +70,6 @@ class NoiseModel:
         self.temperature_c = temperature_c
         self.ambient_area = ambient_area
 
-    def total_rms(self, fs: float) -> float:
-        """Predicted RMS of one realization (thermal + ambient)."""
-        thermal = johnson_rms(self.resistance, self.temperature_c, fs / 2.0)
-        ambient = ambient_rms(self.ambient_area)
-        return math.sqrt(thermal**2 + ambient**2)
-
     # -- engine-facing decomposition ------------------------------------------
 
     def white_rms(self, fs: float) -> float:
@@ -242,29 +236,4 @@ def tone_line(amplitude: float, n_samples: int, phase: float) -> complex:
         amplitude
         * (n_samples / 2.0)
         * complex(math.sin(phase), -math.cos(phase))
-    )
-
-
-def add_tone_spectrum(
-    spectrum: np.ndarray,
-    n_samples: int,
-    fs: float,
-    freq: float,
-    amplitude: float,
-    phase: float,
-) -> None:
-    """Add ``amplitude * sin(2*pi*freq*t + phase)`` to an rFFT in place.
-
-    When the tone frequency sits exactly on an FFT bin (the default
-    configuration puts every ambient tone on-bin) the sinusoid is a
-    single spectral line; off-bin tones fall back to time-domain
-    synthesis plus one forward FFT of the tone alone.
-    """
-    bin_index = tone_bin(n_samples, fs, freq)
-    if bin_index is not None:
-        spectrum[bin_index] += tone_line(amplitude, n_samples, phase)
-        return
-    t = np.arange(n_samples) / fs
-    spectrum += np.fft.rfft(
-        amplitude * np.sin(2.0 * math.pi * freq * t + phase)
     )

@@ -12,7 +12,7 @@ captures' spectra at a few rFFT columns instead of samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,25 +117,3 @@ class TraceBatch:
     def traces(self, receiver: int) -> List[Trace]:
         """All captures of one receiver, in trace-axis order."""
         return [self.trace(receiver, index) for index in range(self.n_traces)]
-
-    # -- composition -----------------------------------------------------------
-
-    @classmethod
-    def concatenate(cls, batches: Sequence["TraceBatch"]) -> "TraceBatch":
-        """Join batches along the trace axis (same receivers required)."""
-        if not batches:
-            raise MeasurementError("nothing to concatenate")
-        first = batches[0]
-        for other in batches[1:]:
-            if other.labels != first.labels or other.fs != first.fs:
-                raise MeasurementError(
-                    "can only concatenate batches of the same receivers"
-                )
-        return cls(
-            samples=np.concatenate([b.samples for b in batches], axis=1),
-            fs=first.fs,
-            labels=first.labels,
-            scenarios=tuple(s for b in batches for s in b.scenarios),
-            trace_indices=tuple(i for b in batches for i in b.trace_indices),
-            receiver_meta=first.receiver_meta,
-        )

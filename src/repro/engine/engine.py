@@ -79,7 +79,6 @@ from ..dsp.transforms import RfftColumns
 from ..em.coupling import CouplingMatrix, CouplingStack, Receiver, emf_rfft
 from ..em.noise import (
     NoiseModel,
-    add_tone_spectrum,
     fill_white_noise_columns,
     fill_white_noise_rfft,
     tone_bin,
@@ -527,9 +526,11 @@ class MeasurementEngine:
                     phases = rng.uniform(0.0, two_pi, len(tones)).tolist() if tones else ()
                     for (bin_index, payload), phase in zip(tones, phases):
                         if bin_index is None:
+                            # Off-grid: the sine in time, transformed alone.
                             freq, amplitude = payload
+                            t = np.arange(n) / fs
                             tone = np.zeros(n_bins, dtype=complex)
-                            add_tone_spectrum(tone, n, fs, freq, amplitude, phase)
+                            tone += np.fft.rfft(amplitude * np.sin(two_pi * freq * t + phase))
                             row += (gain * tone)[take]
                         elif bin_index >= 0:
                             row[bin_index] += tone_line(payload, n, phase)

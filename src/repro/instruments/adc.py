@@ -30,38 +30,22 @@ class AdcSpec:
         if self.full_scale <= 0:
             raise MeasurementError("full scale must be positive")
 
-    @property
-    def lsb(self) -> float:
-        """Quantization step [V]."""
-        return 2.0 * self.full_scale / (1 << self.n_bits)
-
-
-def quantize(samples: np.ndarray, spec: AdcSpec) -> np.ndarray:
-    """Quantize (and clip) a voltage trace through the converter."""
-    samples = np.asarray(samples, dtype=float)
-    clipped = np.clip(samples, -spec.full_scale, spec.full_scale - spec.lsb)
-    codes = np.round(clipped / spec.lsb)
-    return codes * spec.lsb
-
 
 def quantize_batch(
     samples: np.ndarray,
     spec: AdcSpec,
-    auto_range: bool = True,
     headroom: float = 1.25,
 ) -> np.ndarray:
-    """Quantize a ``(..., n_samples)`` trace stack in one pass.
+    """Quantize (and clip) a ``(..., n_samples)`` trace stack in one pass.
 
-    With ``auto_range`` the converter range is rescaled to each trace's
-    own peak (plus ``headroom``) before sampling, mirroring the RASC
-    monitor's programmable-gain attenuator; all-zero traces fall back
-    to ``spec.full_scale``.  Every element goes through the same
-    clip/round arithmetic as :func:`quantize`, so each row is
-    bit-identical to quantizing that trace alone.
+    The converter range is rescaled to each trace's own peak (plus
+    ``headroom``) before sampling, mirroring the RASC monitor's
+    programmable-gain attenuator; all-zero traces fall back to
+    ``spec.full_scale``.  Every element goes through the same
+    clip/round arithmetic, so each row is bit-identical to quantizing
+    that trace alone.
     """
     samples = np.asarray(samples, dtype=float)
-    if not auto_range:
-        return quantize(samples, spec)
     if headroom <= 0:
         raise MeasurementError("auto-range headroom must be positive")
     # max|x| as max(max(x), -min(x)): the full-size |samples| buffer

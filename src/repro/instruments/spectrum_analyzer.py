@@ -10,7 +10,7 @@ at a desired single frequency".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from ..dsp.transforms import (
     Spectrum,
     amplitude_spectra,
     amplitude_spectrum,
-    average_spectra,
     display_from_columns,
     display_spectra_at,
     native_columns,
@@ -64,20 +63,6 @@ class ZeroSpanResult:
     rbw: float
     label: str = ""
     scenario: str = ""
-
-    def time(self) -> np.ndarray:
-        """Time axis [s]."""
-        return np.arange(self.envelope.size) / self.fs
-
-    def as_trace(self) -> Trace:
-        """View the envelope as a Trace (for feature extraction)."""
-        return Trace(
-            samples=self.envelope,
-            fs=self.fs,
-            label=f"{self.label}@{self.f_center/1e6:.0f}MHz",
-            scenario=self.scenario,
-            meta={"f_center": self.f_center, "rbw": self.rbw},
-        )
 
 
 class SpectrumAnalyzer:
@@ -178,12 +163,6 @@ class SpectrumAnalyzer:
         """Batched display spectra as :class:`Spectrum` objects."""
         grid, amps = self.display_matrix(samples, fs)
         return [Spectrum(freqs=grid, amps=row) for row in amps]
-
-    def average_spectrum(self, traces: Sequence[Trace]) -> Spectrum:
-        """Trace-averaged display spectrum (the paper averages five)."""
-        if not traces:
-            raise MeasurementError("no traces to average")
-        return average_spectra([self.spectrum(trace) for trace in traces])
 
     # -- zero-span mode ----------------------------------------------------------
 

@@ -112,7 +112,3 @@ class Gate:
         if not _require_known(values):
             return UNKNOWN
         return self._evaluate(values)
-
-    def __repr__(self) -> str:
-        names = ",".join(wire.name for wire in self.inputs)
-        return f"Gate({self.kind} {names} -> {self.output.name})"

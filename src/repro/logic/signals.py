@@ -52,41 +52,3 @@ class Wire:
         changed = value != self.value
         self.value = value
         return changed
-
-    def __repr__(self) -> str:
-        symbol = {LOW: "0", HIGH: "1", UNKNOWN: "x"}[self.value]
-        return f"Wire({self.name}={symbol})"
-
-
-def bus_value(wires: List[Wire]) -> int:
-    """Interpret ``wires`` (LSB first) as an unsigned integer.
-
-    Raises
-    ------
-    LogicSimulationError
-        If any bit is still UNKNOWN.
-    """
-    value = 0
-    for bit, wire in enumerate(wires):
-        if wire.value == UNKNOWN:
-            raise LogicSimulationError(
-                f"bus bit {wire.name!r} is unresolved (x)"
-            )
-        value |= wire.value << bit
-    return value
-
-
-def drive_bus(wires: List[Wire], value: int) -> List[Wire]:
-    """Drive an unsigned integer onto ``wires`` (LSB first).
-
-    Returns the wires whose value changed.
-    """
-    if value < 0 or value >= (1 << len(wires)):
-        raise LogicSimulationError(
-            f"value {value} does not fit in {len(wires)} bits"
-        )
-    changed = []
-    for bit, wire in enumerate(wires):
-        if wire.drive((value >> bit) & 1):
-            changed.append(wire)
-    return changed

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import LogicSimulationError
 from .gates import Gate
@@ -76,16 +76,6 @@ class LogicSimulator:
             wire.fanout.append(index)
         return gate
 
-    @property
-    def n_gates(self) -> int:
-        """Number of gates in the design."""
-        return len(self._gates)
-
-    @property
-    def now(self) -> int:
-        """Current simulation time."""
-        return self._now
-
     # -- stimulus ------------------------------------------------------------
 
     def set_inputs(self, assignments: Dict[str, int]) -> None:
@@ -139,15 +129,3 @@ class LogicSimulator:
         self.set_inputs(assignments)
         self.run()
         return self._now - start
-
-    # -- observation ---------------------------------------------------------
-
-    def value(self, name: str) -> int:
-        """Current value of wire ``name``."""
-        if name not in self._wires:
-            raise LogicSimulationError(f"no wire named {name!r}")
-        return self._wires[name].value
-
-    def values(self, names: Iterable[str]) -> Dict[str, int]:
-        """Values of several wires by name."""
-        return {name: self.value(name) for name in names}

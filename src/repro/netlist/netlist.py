@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
 from ..errors import NetlistError
@@ -19,28 +18,12 @@ class Instance:
         self.cell = cell
         self.module = module
 
-    def __repr__(self) -> str:
-        return f"Instance({self.name}:{self.cell.name}@{self.module})"
-
-
-@dataclass(frozen=True)
-class ModuleStats:
-    """Aggregated per-module figures."""
-
-    module: str
-    n_cells: int
-    n_sequential: int
-    area_um2: float
-    switch_cap_ff: float
-    leakage_na: float
-
 
 class Netlist:
     """A collection of cell instances grouped by module.
 
-    The container is inventory-oriented: it answers "how many cells of
-    which kind live in which module, with what aggregate area /
-    switched capacitance / leakage" — which is what the placement and
+    The container is inventory-oriented: it answers "how many cells
+    live in which module" — which is what the placement and
     EM-activity models consume.
     """
 
@@ -98,11 +81,6 @@ class Netlist:
     def __iter__(self) -> Iterator[Instance]:
         return iter(self._instances)
 
-    @property
-    def modules(self) -> List[str]:
-        """Module names in insertion order."""
-        return list(self._by_module)
-
     def module_instances(self, module: str) -> List[Instance]:
         """Instances of one module."""
         if module not in self._by_module:
@@ -114,34 +92,3 @@ class Netlist:
         if module is None:
             return len(self._instances)
         return len(self.module_instances(module))
-
-    def cell_histogram(self, module: str | None = None) -> Dict[str, int]:
-        """Counts per cell kind."""
-        instances = (
-            self._instances if module is None else self.module_instances(module)
-        )
-        histogram: Dict[str, int] = {}
-        for instance in instances:
-            histogram[instance.cell.name] = (
-                histogram.get(instance.cell.name, 0) + 1
-            )
-        return histogram
-
-    def module_stats(self, module: str) -> ModuleStats:
-        """Aggregate electrical figures for one module."""
-        instances = self.module_instances(module)
-        return ModuleStats(
-            module=module,
-            n_cells=len(instances),
-            n_sequential=sum(1 for i in instances if i.cell.is_sequential),
-            area_um2=sum(i.cell.area_um2 for i in instances),
-            switch_cap_ff=sum(i.cell.switch_cap_ff for i in instances),
-            leakage_na=sum(i.cell.leakage_na for i in instances),
-        )
-
-    def mean_switch_cap_ff(self, module: str) -> float:
-        """Average switched capacitance per cell in a module [fF]."""
-        instances = self.module_instances(module)
-        if not instances:
-            raise NetlistError(f"module {module!r} is empty")
-        return sum(i.cell.switch_cap_ff for i in instances) / len(instances)

@@ -31,8 +31,3 @@ def stream(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}/{name}".encode("utf-8")).digest()
     child_seed = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(child_seed)
-
-
-def substream(rng_name: str, index: int) -> str:
-    """Build a child stream name, e.g. for per-trace noise draws."""
-    return f"{rng_name}#{index}"

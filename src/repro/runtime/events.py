@@ -279,11 +279,6 @@ class EventBus:
         for handler in self._subscribers:
             handler(event)
 
-    @property
-    def n_emitted(self) -> int:
-        """Total events emitted over the bus."""
-        return sum(self.counts.values())
-
 
 class JsonlSink:
     """Append-only ``.jsonl`` event log.

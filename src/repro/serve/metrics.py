@@ -220,4 +220,3 @@ class MetricsSnapshot(ReportBase):
             "chips": [gauge.to_dict() for gauge in self.chips],
             "store": None if self.store is None else dict(self.store),
         }
-

@@ -38,7 +38,6 @@ from .keys import (
     digest,
     floorplan_fingerprint,
     psa_fingerprint,
-    sensors_fingerprint,
 )
 from .store import (
     DEFAULT_MAX_BYTES,
@@ -76,5 +75,4 @@ __all__ = [
     "digest",
     "floorplan_fingerprint",
     "psa_fingerprint",
-    "sensors_fingerprint",
 ]

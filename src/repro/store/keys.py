@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -202,8 +202,3 @@ def analyzer_fingerprint(analyzer: SpectrumAnalyzer) -> Dict[str, object]:
 def adc_fingerprint(adc: AdcSpec) -> Dict[str, object]:
     """Key material of an ADC front-end."""
     return {"n_bits": adc.n_bits, "full_scale": adc.full_scale}
-
-
-def sensors_fingerprint(sensors: Sequence[int]) -> list:
-    """Key material of a monitored-sensor selection."""
-    return [int(sensor) for sensor in sensors]

@@ -319,10 +319,6 @@ class ArtifactStore:
             self.hits += 1
         return value
 
-    def contains(self, kind: str, key: str) -> bool:
-        """Whether an entry exists on disk (no validation, no touch)."""
-        return self._path(kind, key).exists()
-
     def evict(self, kind: str, key: str) -> bool:
         """Remove one entry; True if something was deleted."""
         path = self._path(kind, key)

@@ -176,20 +176,6 @@ class LocalizeGrid:
                 "explicit labels"
             )
 
-    @property
-    def n_cells(self) -> int:
-        """Cells in the grid."""
-        return len(self.cells)
-
-    @property
-    def positions(self) -> Tuple[int, ...]:
-        """Distinct implant positions, in first-seen order."""
-        seen: List[int] = []
-        for cell in self.cells:
-            if cell.position not in seen:
-                seen.append(cell.position)
-        return tuple(seen)
-
     @classmethod
     def product(
         cls,
@@ -429,11 +415,6 @@ class LocalizationSweep:
             trace_period_s=self.mttd_model.trace_period(self.config),
             cells=cells,
         )
-
-    def close(self) -> None:
-        """Drop every position bundle's capture-plan memo."""
-        for bundle in self._bundles.values():
-            bundle.campaign.close()
 
     def _prefetch_scores(self, cells) -> Dict[int, List[np.ndarray]]:
         """Fused score-map prefetch; ``{cell index: [scores per repeat]}``."""

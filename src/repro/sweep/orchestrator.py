@@ -136,10 +136,6 @@ class DetectionSweep:
             cells=cells,
         )
 
-    def close(self) -> None:
-        """Drop the campaign engine's capture-plan memo."""
-        self.campaign.close()
-
     def _prefetch(self, cells) -> Dict[tuple, np.ndarray]:
         """Every span feature block of ``cells``, keyed by span key.
 

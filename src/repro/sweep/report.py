@@ -313,13 +313,6 @@ class SweepReport(ReportBase):
             if isinstance(cell, SweepCellResult)
         )
 
-    def cell(self, label: str) -> "SweepCellResult | LocalizeCellResult":
-        """Look up a cell result by label."""
-        for result in self.cells:
-            if result.label == label:
-                return result
-        raise AnalysisError(f"sweep report has no cell {label!r}")
-
     def detection_matrix(self) -> Dict[str, Dict[str, bool]]:
         """The detector × Trojan-class detected/missed matrix.
 

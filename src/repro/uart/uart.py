@@ -79,4 +79,3 @@ class Uart:
             byte_edges = bit_edges[::FRAME_BITS]
             toggles[byte_edges] += fifo_cells * 0.05
         return toggles
-

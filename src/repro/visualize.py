@@ -6,11 +6,9 @@ changes — a poor man's amoeba view (Figure 2).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .chip.floorplan import DIE_SIZE, Floorplan, Rect, sensor_rect
+from .chip.floorplan import Floorplan, Rect
 from .errors import FloorplanError
 
 #: Drawing priority (later entries overwrite earlier ones).
@@ -54,21 +52,6 @@ def floorplan_map(
     return "\n".join(rows) + "\n" + legend
 
 
-def sensor_overlay(
-    highlight: Sequence[int] = (),
-    width: int = 64,
-    height: int = 32,
-) -> str:
-    """Render the 16 sensor footprints; highlighted ones use '#'."""
-    canvas = np.full((height, width), " ", dtype="<U1")
-    for index in range(16):
-        rect = sensor_rect(index)
-        glyph = "#" if index in highlight else "+"
-        _outline(canvas, rect, glyph, DIE_SIZE)
-    rows = ["".join(canvas[row]) for row in range(height - 1, -1, -1)]
-    return "\n".join(rows)
-
-
 def score_heatmap(scores: np.ndarray) -> str:
     """Render a 16-sensor score map as a 4x4 heat grid."""
     scores = np.asarray(scores, dtype=float)
@@ -102,12 +85,3 @@ def _paint(canvas: np.ndarray, rect: Rect, glyph: str, die: float) -> None:
     height, width = canvas.shape
     x0, x1, y0, y1 = _to_cells(rect, die, width, height)
     canvas[y0:y1, x0:x1] = glyph
-
-
-def _outline(canvas: np.ndarray, rect: Rect, glyph: str, die: float) -> None:
-    height, width = canvas.shape
-    x0, x1, y0, y1 = _to_cells(rect, die, width, height)
-    canvas[y0, x0:x1] = glyph
-    canvas[y1 - 1, x0:x1] = glyph
-    canvas[y0:y1, x0] = glyph
-    canvas[y0:y1, x1 - 1] = glyph

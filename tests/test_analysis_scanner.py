@@ -40,7 +40,7 @@ def test_scan_converges_near_trojan(scanner, chip, records):
     # The descent shrinks monotonically and every level was scored.
     sizes = [window.size for window in result.path]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
-    assert result.final_window.size <= scanner.min_size + 1
+    assert result.path[-1].size <= scanner.min_size + 1
     assert result.n_measurement_windows == sum(
         len(level) for level in result.levels
     )

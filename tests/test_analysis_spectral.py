@@ -6,7 +6,6 @@ import pytest
 from repro.core.analysis.spectral import (
     clock_harmonics,
     find_prominent_components,
-    image_frequencies,
     sideband_amplitude,
     sideband_feature_db,
     sideband_frequencies,
@@ -19,12 +18,6 @@ def test_sideband_frequencies_match_paper(config):
     lower, upper = sideband_frequencies(config)
     assert lower == pytest.approx(48e6)
     assert upper == pytest.approx(84e6)
-
-
-def test_image_frequencies(config):
-    lo, hi = image_frequencies(config)
-    assert lo == pytest.approx(18e6)
-    assert hi == pytest.approx(114e6)
 
 
 def test_clock_harmonics(config):

@@ -41,7 +41,6 @@ def test_method_report_aggregates():
     report.outcomes["T1"] = TrojanOutcome("T1", 5.0, 2, 1.0)
     report.outcomes["T3"] = TrojanOutcome("T3", 0.01, 200_000, 0.0)
     assert report.worst_n_required == 200_000
-    assert report.best_n_required == 2
     assert report.mean_detection_rate == pytest.approx(0.5)
     assert report.rate_label() == "Low"
 

@@ -59,7 +59,6 @@ def test_activity_record_validation():
     weights = np.ones(10)
     toggles = np.zeros(config.n_cycles)
     record = ActivityRecord(config=config, factors={"main": [("m", weights, toggles)]})
-    assert record.n_regions == 10
     # A record is factor-only: no factors, or none in any group, is refused.
     for factors in (None, {}, {"main": []}):
         with pytest.raises(ConfigError):
@@ -88,7 +87,7 @@ def test_record_totals():
             "trojan": [("t", weights, np.full(config.n_cycles, 1.0))],
         },
     )
-    assert record.total_toggles() == pytest.approx(3.0 * 4 * config.n_cycles)
+    assert record.combined().sum() == pytest.approx(3.0 * 4 * config.n_cycles)
     assert np.allclose(record.combined(), 3.0)
     assert not record.trojan_rising.any()
     # The dense views are read-only and built once.

@@ -36,7 +36,7 @@ def test_wire_length_and_resistance():
 def test_enclosed_area_sums_turns():
     coil = synthesize_rect_coil("c", 0, 0, size=6, turns=2)
     expected = (6 * PITCH) ** 2 + (4 * PITCH) ** 2
-    assert coil.enclosed_area == pytest.approx(expected)
+    assert sum(rect.area for rect in coil.turn_rects) == pytest.approx(expected)
 
 
 def test_receiver_view():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid import N_SWITCHES, N_WIRES, PITCH, PsaGrid
+from repro.core.grid import N_SWITCHES, N_WIRES, PsaGrid
 from repro.errors import GridProgrammingError
 
 

@@ -107,9 +107,3 @@ def test_decoder_rejects_bad_selection():
     decoder = PsaDecoder()
     with pytest.raises(GridProgrammingError):
         decoder.select(16)
-
-
-def test_decoder_gate_count_is_plausible():
-    decoder = PsaDecoder()
-    # 4 inverters + 16 four-input ANDs (plus internal tree nodes).
-    assert 20 <= decoder.n_gates <= 120

@@ -59,8 +59,9 @@ def test_pn_envelope_aperiodic():
 def test_feature_vector_shape_and_dict():
     env = 1.0 + 0.5 * np.sin(2 * np.pi * 1e6 * _t())
     feats = envelope_features(env, FS)
-    assert feats.vector().shape == (7,)
-    assert set(feats.as_dict()) >= {"ripple", "dominant_freq", "duty_cycle"}
+    vector = feats.cluster_vector()
+    assert vector.shape == (6,)
+    assert vector[0] == feats.ripple and np.isfinite(vector).all()
 
 
 def test_envelope_validation():

@@ -38,8 +38,9 @@ def test_noise_model_rms_matches_prediction():
         *white_noise_scales(n, model.white_rms(fs)),
     )
     samples = np.fft.irfft(spectrum, n=n)
+    # No ambient pickup: the prediction is the Johnson noise over Nyquist.
     assert np.sqrt(np.mean(samples**2)) == pytest.approx(
-        model.total_rms(fs), rel=0.02
+        johnson_rms(1e3, 25.0, fs / 2.0), rel=0.02
     )
 
 
@@ -47,7 +48,7 @@ def test_ambient_adds_power():
     fs = 528e6
     quiet = NoiseModel(10.0, 25.0, ambient_area=0.0)
     loud = NoiseModel(10.0, 25.0, ambient_area=1e-3)
-    assert loud.total_rms(fs) > 10 * quiet.total_rms(fs)
+    assert loud.white_rms(fs) > 10 * quiet.white_rms(fs)
     assert ambient_rms(0.0) == 0.0
 
 

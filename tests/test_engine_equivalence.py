@@ -14,7 +14,7 @@ from repro.core.array import ProgrammableSensorArray
 from repro.core.sensors import quadrant_coil
 from repro.em.coupling import CouplingMatrix, CouplingStack, emf_rfft
 from repro.em.noise import fill_white_noise_rfft, white_noise_scales
-from repro.engine import TraceBatch, coupling_cache_stats
+from repro.engine import coupling_cache_stats
 from repro.errors import MeasurementError
 from repro.rng import stream
 
@@ -196,16 +196,6 @@ def test_white_noise_spectrum_is_white_gaussian():
     usable = body.shape[1] - body.shape[1] % 4
     bands = body[:, :usable].reshape(64, 4, -1).mean(axis=(0, 2))
     assert bands.max() / bands.min() < 1.1
-
-
-def test_batch_concatenate_roundtrip(psa, records):
-    a = psa.render(records["T1"], trace_indices=[0, 1])
-    b = psa.render(records["T1"], trace_indices=[2, 3])
-    joined = TraceBatch.concatenate([a, b])
-    assert joined.n_traces == 4
-    assert joined.trace_indices == (0, 1, 2, 3)
-    assert np.array_equal(joined.samples[:, :2], a.samples)
-    assert np.array_equal(joined.samples[:, 2:], b.samples)
 
 
 # -- column renders ------------------------------------------------------------

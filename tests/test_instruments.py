@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.dsp.transforms import average_spectra
 from repro.errors import MeasurementError
-from repro.instruments.adc import AdcSpec, quantize
+from repro.instruments.adc import AdcSpec, quantize_batch
 from repro.instruments.signal_gen import chirp
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.traces import Trace
@@ -25,19 +26,23 @@ def _tone_trace(freq, amp=1.0, n=8448, label="t"):
 
 def test_adc_lsb_and_clipping():
     spec = AdcSpec(n_bits=8, full_scale=1.0)
-    assert spec.lsb == pytest.approx(2.0 / 256)
-    out = quantize(np.array([0.0, 2.0, -2.0]), spec)
+    # Auto-ranged to the peak (headroom 1): the range is +-2 V, 256 codes.
+    lsb = 4.0 / 256
+    out = quantize_batch(np.array([0.0, 2.0, -2.0]), spec, headroom=1.0)
     assert out[0] == 0.0
-    assert out[1] == pytest.approx(1.0 - spec.lsb)
-    assert out[2] == -1.0
+    assert out[1] == pytest.approx(2.0 - lsb)
+    assert out[2] == -2.0
+    # An all-zero trace falls back to the spec's full scale.
+    assert not quantize_batch(np.zeros(3), spec).any()
 
 
 def test_adc_quantization_error_bounded():
     spec = AdcSpec(n_bits=10, full_scale=1.0)
     rng = np.random.default_rng(0)
     samples = rng.uniform(-0.9, 0.9, 1000)
-    error = np.abs(quantize(samples, spec) - samples)
-    assert error.max() <= spec.lsb / 2 + 1e-12
+    error = np.abs(quantize_batch(samples, spec) - samples)
+    lsb = 2.0 * 1.25 * np.abs(samples).max() / 2**10
+    assert error.max() <= lsb / 2 + 1e-12
 
 
 def test_adc_validation():
@@ -74,7 +79,7 @@ def test_spectrum_analyzer_display_settings():
 def test_spectrum_analyzer_average():
     analyzer = SpectrumAnalyzer()
     traces = [_tone_trace(48e6) for _ in range(5)]
-    avg = analyzer.average_spectrum(traces)
+    avg = average_spectra([analyzer.spectrum(trace) for trace in traces])
     assert amp_at(avg, 48e6) == pytest.approx(1 / np.sqrt(2), rel=0.02)
 
 
@@ -91,11 +96,3 @@ def test_zero_span_recovers_modulation():
     freqs = np.fft.rfftfreq(result.envelope.size, 1 / result.fs)
     peak = freqs[1 + int(np.argmax(spectrum[1:]))]
     assert peak == pytest.approx(750e3, rel=0.1)
-
-
-def test_zero_span_as_trace():
-    analyzer = SpectrumAnalyzer()
-    result = analyzer.zero_span(_tone_trace(48e6, label="x"), 48e6)
-    as_trace = result.as_trace()
-    assert as_trace.meta["f_center"] == pytest.approx(48e6)
-    assert "48MHz" in as_trace.label

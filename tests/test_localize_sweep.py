@@ -191,8 +191,8 @@ def test_localize_grid_product_covers_axes():
         positions=(6, 10, 15),
         references=(("auto", 0), ("auto", 5000)),
     )
-    assert grid.n_cells == 12
-    assert grid.positions == (6, 10, 15)
+    assert len(grid.cells) == 12
+    assert list(dict.fromkeys(cell.position for cell in grid.cells)) == [6, 10, 15]
     labels = [cell.label for cell in grid.cells]
     assert len(set(labels)) == 12
 
@@ -208,12 +208,12 @@ def test_localize_grid_rejects_duplicates_and_empty():
 def test_named_presets_build():
     for name in LOCALIZE_GRIDS:
         grid = build_localize_grid(name)
-        assert grid.n_cells >= 2
+        assert len(grid.cells) >= 2
     with pytest.raises(AnalysisError):
         build_localize_grid("bogus")
     # The headline preset covers >= 3 positions x >= 2 Trojan types.
     grid = build_localize_grid("localize")
-    assert len(grid.positions) >= 3
+    assert len({cell.position for cell in grid.cells}) >= 3
     assert len({cell.trojan for cell in grid.cells}) >= 2
 
 
@@ -304,10 +304,3 @@ def test_report_formats_localize_table(localize_report):
     assert "Localization sweep" in text
     assert "hit-rate" in text
     assert "T1@s15|baseline@0" in text
-
-
-def test_report_cell_lookup(localize_report):
-    cell = localize_report.cell("T4@s10|baseline@0")
-    assert cell.trojan == "T4"
-    with pytest.raises(AnalysisError):
-        localize_report.cell("nope")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import LogicSimulationError
 from repro.logic.components import build_decoder_4to16
-from repro.logic.signals import HIGH, UNKNOWN, Wire, bus_value, drive_bus
+from repro.logic.signals import HIGH, UNKNOWN, Wire
 from repro.logic.simulator import LogicSimulator
 
 
@@ -81,15 +81,6 @@ def test_oscillation_detected():
     sim.gate("NOT", [a], a)  # combinational loop
     with pytest.raises(LogicSimulationError):
         sim.settle({"a": 0})
-
-
-def test_bus_helpers():
-    sim = LogicSimulator()
-    bus = sim.bus("d", 4)
-    drive_bus(bus, 0b1010)
-    assert bus_value(bus) == 0b1010
-    with pytest.raises(LogicSimulationError):
-        drive_bus(bus, 16)
 
 
 @settings(max_examples=16, deadline=None)

@@ -1,5 +1,7 @@
 """Netlist inventory and Table II reproduction."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import NetlistError
@@ -62,7 +64,7 @@ def test_full_chip_reproduces_table2():
 
 def test_t2_is_inverter_dominated():
     """T2 is 'a chain of inverters' — the mix must reflect that."""
-    histogram = build_trojan("T2").cell_histogram()
+    histogram = Counter(instance.cell.name for instance in build_trojan("T2"))
     inverters = histogram.get("INV_X4", 0) + histogram.get("INV_X1", 0)
     assert inverters / sum(histogram.values()) > 0.8
 
@@ -74,27 +76,6 @@ def test_netlist_rejects_duplicates():
         netlist.add_instance("u1", "INV_X1", "m")
 
 
-def test_module_stats_aggregate():
-    netlist = Netlist("x")
-    netlist.add_bulk("m", {"INV_X1": 10, "DFF_X1": 5})
-    stats = netlist.module_stats("m")
-    assert stats.n_cells == 15
-    assert stats.n_sequential == 5
-    inv, dff = get_cell("INV_X1"), get_cell("DFF_X1")
-    assert stats.area_um2 == pytest.approx(10 * inv.area_um2 + 5 * dff.area_um2)
-    assert stats.switch_cap_ff == pytest.approx(
-        10 * inv.switch_cap_ff + 5 * dff.switch_cap_ff
-    )
-
-
-def test_mean_switch_cap():
-    netlist = Netlist("x")
-    netlist.add_bulk("m", {"INV_X1": 1, "XOR2_X1": 1})
-    inv, xor = get_cell("INV_X1"), get_cell("XOR2_X1")
-    expected = (inv.switch_cap_ff + xor.switch_cap_ff) / 2
-    assert netlist.mean_switch_cap_ff("m") == pytest.approx(expected)
-
-
 def test_merge_keeps_names_unique():
     a = Netlist("a")
     a.add_bulk("m1", {"INV_X1": 2})
@@ -102,4 +83,4 @@ def test_merge_keeps_names_unique():
     b.add_bulk("m2", {"INV_X1": 2})
     a.merge(b)
     assert len(a) == 4
-    assert set(a.modules) == {"m1", "m2"}
+    assert {instance.module for instance in a} == {"m1", "m2"}

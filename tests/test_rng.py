@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.rng import stream, substream
+from repro.rng import stream
 
 
 def test_same_identity_same_stream():
@@ -29,7 +29,3 @@ def test_similar_names_are_independent():
     b = stream(7, "sensor2").normal(size=256)
     correlation = abs(np.corrcoef(a, b)[0, 1])
     assert correlation < 0.2
-
-
-def test_substream_naming():
-    assert substream("noise/x", 3) == "noise/x#3"

@@ -88,7 +88,7 @@ def test_shared_bus_keeps_per_session_event_counts():
         sum(c.report.event_counts.values()) for c in report.chips
     )
     # Every event on the bus is a pipeline decision of some member.
-    assert total == bus.n_emitted
+    assert total == sum(bus.counts.values())
 
 
 def test_fleet_never_queues_or_stalls():

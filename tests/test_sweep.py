@@ -224,9 +224,6 @@ def test_sweep_report_rendering(sweep_report):
     assert payload["grid"] == "unit"
     assert payload["cells"][0]["within_budget"] is True
     assert payload["cells"][0]["outcomes"][0]["sensor"] == 10
-    assert sweep_report.cell("T1|baseline@0") is sweep_report.cells[0]
-    with pytest.raises(AnalysisError):
-        sweep_report.cell("missing")
 
 
 def test_record_cache_shared_across_cells(campaign):

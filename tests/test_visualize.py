@@ -5,7 +5,7 @@ import pytest
 
 from repro.chip.floorplan import default_floorplan
 from repro.errors import FloorplanError
-from repro.visualize import floorplan_map, score_heatmap, sensor_overlay
+from repro.visualize import floorplan_map, score_heatmap
 
 
 def test_floorplan_map_contains_modules_and_legend():
@@ -26,13 +26,6 @@ def test_floorplan_map_orientation():
 def test_floorplan_map_size_validation():
     with pytest.raises(FloorplanError):
         floorplan_map(default_floorplan(), width=4)
-
-
-def test_sensor_overlay_highlights():
-    art = sensor_overlay(highlight=[10])
-    assert "#" in art and "+" in art
-    plain = sensor_overlay()
-    assert "#" not in plain
 
 
 def test_score_heatmap_extremes():
