@@ -146,6 +146,12 @@ class ChipLimitError(AnalysisError):
     status = 503
 
 
+class SessionBugError(AnalysisError):
+    """A chip session failed on a bug in the service, not on its input."""
+
+    status = 500
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tuning of one monitoring service instance.
@@ -261,6 +267,8 @@ class ChipSession:
         self.report: Optional[MonitorReport] = None
         self.final_gauge: Optional[ChipGauge] = None
         self.error: Optional[str] = None
+        #: Whether ``error`` came from a bug (not a :class:`ReproError`).
+        self.error_is_bug = False
         self._plock = threading.Lock()
         self._render = service.render_lock if kind == "live" else nullcontext()
         self.consumer = asyncio.create_task(self._consume())
@@ -365,7 +373,8 @@ class ChipSession:
             await self.close()
             self.pipeline = None
         if self.error is not None:
-            raise AnalysisError(f"chip {self.chip_id} session failed: {self.error}")
+            error = SessionBugError if self.error_is_bug else AnalysisError
+            raise error(f"chip {self.chip_id} session failed: {self.error}")
         return self.report
 
     # -- analysis (consumer task + pool threads) --------------------------
@@ -407,8 +416,10 @@ class ChipSession:
                 self.service.meter.record(chunk.n_windows, start)
             except Exception as exc:  # a bad chunk fails its session, not the consumer
                 self.error = str(exc)
-                bug = not isinstance(exc, ReproError)
-                logger.warning("chip %s: chunk rejected: %s", self.chip_id, exc, exc_info=bug)
+                self.error_is_bug = not isinstance(exc, ReproError)
+                logger.warning(
+                    "chip %s: chunk rejected: %s", self.chip_id, exc, exc_info=self.error_is_bug
+                )
             finally:
                 self._dequeued(chunk)
                 # A parked consumer must not pin its last chunk.

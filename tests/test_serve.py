@@ -407,6 +407,23 @@ def test_http_error_paths(smoke_archive):
         assert [chip["chip"] for chip in body["chips"]] == ["dup"]
 
 
+def test_server_side_failure_answers_500(smoke_archive, monkeypatch):
+    """A bug inside the analysis answers 500, not a 400 blaming the upload."""
+
+    def crash(self, chunk):
+        raise RuntimeError("analysis bug")
+
+    monkeypatch.setattr(EscalationPipeline, "process_chunk", crash)
+    with ServiceRunner(MonitorService(ServeConfig())) as runner:
+        client = runner.client()
+        status, body = client.post("/chips/crash/replay?batch=4", smoke_archive.read_bytes())
+        assert status == 500, body
+        assert "analysis bug" in body["error"]
+        # The failed session frees its chip id, like a rejected upload.
+        _, listing = client.get("/chips")
+        assert listing["chips"] == []
+
+
 def test_replay_uploads_write_nothing_to_disk(smoke_archive, monkeypatch):
     """A replay upload is decoded from its request body, not a file."""
     payload = smoke_archive.read_bytes()
