@@ -418,7 +418,10 @@ class ChipSession:
                 self.error = str(exc)
                 self.error_is_bug = not isinstance(exc, ReproError)
                 logger.warning(
-                    "chip %s: chunk rejected: %s", self.chip_id, exc, exc_info=self.error_is_bug
+                    "chip %s: chunk rejected: %s",
+                    self.chip_id,
+                    exc,
+                    exc_info=self.error_is_bug,
                 )
             finally:
                 self._dequeued(chunk)
