@@ -266,9 +266,9 @@ class ChipSession:
         self.done = asyncio.Event()
         self.report: Optional[MonitorReport] = None
         self.final_gauge: Optional[ChipGauge] = None
-        self.error: Optional[str] = None
-        #: Whether ``error`` came from a bug (not a :class:`ReproError`).
-        self.error_is_bug = False
+        #: The session's first failure; a later chunk may fail on the
+        #: state it left, so only the first names the cause.
+        self.error: Optional[Exception] = None
         self._plock = threading.Lock()
         self._render = service.render_lock if kind == "live" else nullcontext()
         self.consumer = asyncio.create_task(self._consume())
@@ -373,7 +373,8 @@ class ChipSession:
             await self.close()
             self.pipeline = None
         if self.error is not None:
-            error = SessionBugError if self.error_is_bug else AnalysisError
+            bug = not isinstance(self.error, ReproError)
+            error = SessionBugError if bug else AnalysisError
             raise error(f"chip {self.chip_id} session failed: {self.error}")
         return self.report
 
@@ -415,13 +416,13 @@ class ChipSession:
                 self.windows += chunk.n_windows
                 self.service.meter.record(chunk.n_windows, start)
             except Exception as exc:  # a bad chunk fails its session, not the consumer
-                self.error = str(exc)
-                self.error_is_bug = not isinstance(exc, ReproError)
+                if self.error is None:
+                    self.error = exc
                 logger.warning(
                     "chip %s: chunk rejected: %s",
                     self.chip_id,
                     exc,
-                    exc_info=self.error_is_bug,
+                    exc_info=not isinstance(exc, ReproError),
                 )
             finally:
                 self._dequeued(chunk)

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.config import SimConfig
+from repro.errors import AnalysisError
 from repro.runtime.events import (
     Backpressure,
     EventBus,
@@ -407,16 +408,26 @@ def test_http_error_paths(smoke_archive):
         assert [chip["chip"] for chip in body["chips"]] == ["dup"]
 
 
-def test_server_side_failure_answers_500(smoke_archive, monkeypatch):
-    """A bug inside the analysis answers 500, not a 400 blaming the upload."""
+@pytest.mark.parametrize("later", [RuntimeError, AnalysisError])
+def test_server_side_failure_answers_500(smoke_archive, monkeypatch, later):
+    """A bug inside the analysis answers 500, not a 400 blaming the upload.
+
+    The first failure names the cause: a later chunk that fails on the
+    state the bug left, even as bad input, does not turn it into a 400.
+    """
+    calls = []
 
     def crash(self, chunk):
-        raise RuntimeError("analysis bug")
+        calls.append(chunk)
+        if len(calls) == 1:
+            raise RuntimeError("analysis bug")
+        raise later("a later chunk failed too")
 
     monkeypatch.setattr(EscalationPipeline, "process_chunk", crash)
     with ServiceRunner(MonitorService(ServeConfig())) as runner:
         client = runner.client()
         status, body = client.post("/chips/crash/replay?batch=4", smoke_archive.read_bytes())
+        assert len(calls) > 1
         assert status == 500, body
         assert "analysis bug" in body["error"]
         # The failed session frees its chip id, like a rejected upload.
@@ -1016,6 +1027,7 @@ def test_ws_framing_fuzz_frees_session(smoke_archive):
         ws.close()
         _assert_nothing_leaked(client, "fuzz")
 
+
 def test_onboarding_past_max_chips_is_503(smoke_archive):
     """The chip bound is a capacity refusal (503), not a bad request."""
     payload = smoke_archive.read_bytes()
@@ -1091,6 +1103,7 @@ def test_ended_ws_session_refuses_chunks(smoke_archive):
         _, metrics = client.get("/metrics")
         (gauge,) = metrics["chips"]
         assert gauge["done"] is True and gauge["windows"] == chunk.n_windows
+
 
 def test_serve_selftest_cli(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
