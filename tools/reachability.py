@@ -1,20 +1,23 @@
 """List the top-level functions and methods in ``src/repro`` that never run.
 
-Usage, from the root of a checkout (``--commands FILE`` reads one
-command a line)::
+Usage, from the root of a checkout (with no command, it runs the entry
+points listed in ``tools/reachability_commands.txt``)::
 
+    python tools/reachability.py
     python tools/reachability.py "python -m repro.cli table2" "python examples/quickstart.py"
 
-Each command runs in a shell with a ``sitecustomize`` module first on
-``PYTHONPATH``.  It installs ``sys.setprofile`` and
+Each command runs in a shell from the root of the checkout, with
+``$WORK`` set to a scratch directory and a ``sitecustomize`` module
+first on ``PYTHONPATH``.  It installs ``sys.setprofile`` and
 ``threading.setprofile`` in every Python process that inherits the
 environment, child processes and server threads included, and appends
 the code objects each process calls to a file as it first meets them
 (so a process ended by a signal or ``os._exit`` still reports).  The
-report lists every module-level function and every method of a
-module-level class whose code object never ran, with its body line
-count, then a total.  A decorated def is keyed on its first decorator
-line, which is what ``co_firstlineno`` reports.
+report, on stdout (the commands' output goes to stderr), lists every
+module-level function and every method of a module-level class whose
+code object never ran, with its body line count, then a total.  A
+decorated def is keyed on its first decorator line, which is what
+``co_firstlineno`` reports.
 
 Limits: the trace sees functions only.  Branches inside functions that
 ran, module constants, class bodies, nested functions and lambdas are
@@ -32,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+COMMANDS = ROOT / "tools" / "reachability_commands.txt"
 
 SITECUSTOMIZE = '''
 import os, sys, threading
@@ -52,20 +57,21 @@ threading.setprofile(_profile)
 '''
 
 
-def run_traced(commands, src):
+def run_traced(commands):
     """Run ``commands`` under the profile; the set of ``(file, line)`` called."""
     called = set()
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
-        out = Path(tmp, "calls")
+        out, work = Path(tmp, "calls"), Path(tmp, "work")
         out.mkdir()
+        work.mkdir()
         Path(tmp, "sitecustomize.py").write_text(
-            SITECUSTOMIZE.format(out=str(out), root=str(src.resolve()))
+            SITECUSTOMIZE.format(out=str(out), root=str(SRC))
         )
         paths = (tmp, str(ROOT / "src"), os.environ.get("PYTHONPATH", ""))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env = dict(os.environ, WORK=str(work), PYTHONPATH=os.pathsep.join(filter(None, paths)))
         for command in commands:
-            status = subprocess.run(command, shell=True, cwd=ROOT, env=env).returncode
-            print(f"# exit {status}: {command}", file=sys.stderr)
+            run = subprocess.run(command, shell=True, cwd=ROOT, env=env, stdout=sys.stderr)
+            print(f"# exit {run.returncode}: {command}", file=sys.stderr)
         for calls in out.iterdir():
             for line in calls.read_text().splitlines():
                 filename, _, lineno = line.rpartition(":")
@@ -87,11 +93,11 @@ def top_level_defs(path):
             yield key, f"{owner}.{fn.name}" if owner else fn.name, body
 
 
-def unreached(called, src):
+def unreached(called):
     """``(path, line, name, body lines)`` of every def not in ``called``."""
     return [
         (path, key, name, body)
-        for path in sorted(src.resolve().rglob("*.py"))
+        for path in sorted(SRC.rglob("*.py"))
         for key, name, body in top_level_defs(path)
         if (str(path), key) not in called
     ]
@@ -99,20 +105,14 @@ def unreached(called, src):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("command", nargs="*", help="shell command to trace")
-    parser.add_argument("--commands", type=Path, help="file of commands, one a line")
-    parser.add_argument("--src", type=Path, default=ROOT / "src" / "repro")
-    args = parser.parse_args(argv)
-    commands = list(args.command)
-    if args.commands:
-        lines = args.commands.read_text().splitlines()
-        commands += [c for c in lines if c.strip() and not c.lstrip().startswith("#")]
+    parser.add_argument("command", nargs="*", help=f"shell command (default: {COMMANDS.name})")
+    commands = parser.parse_args(argv).command
     if not commands:
-        parser.error("give at least one command")
-    rows = unreached(run_traced(commands, args.src), args.src)
+        lines = COMMANDS.read_text().splitlines()
+        commands = [c for c in lines if c.strip() and not c.startswith("#")]
+    rows = unreached(run_traced(commands))
     for path, key, name, body in rows:
-        shown = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
-        print(f"{shown}:{key}  {name}  {body}")
+        print(f"{path.relative_to(ROOT)}:{key}  {name}  {body}")
     print(f"{len(rows)} unreached defs, {sum(r[3] for r in rows)} body lines")
 
 
