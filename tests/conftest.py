@@ -62,6 +62,26 @@ def records(campaign: MeasurementCampaign):
 
 
 @pytest.fixture(scope="session")
+def amp_at():
+    """``amp_at(spectrum, freq)``: amplitude [V] of the bin nearest ``freq``."""
+
+    def at(spectrum, freq: float) -> float:
+        return float(spectrum.amps[np.argmin(np.abs(spectrum.freqs - freq))])
+
+    return at
+
+
+@pytest.fixture(scope="session")
+def switches_on():
+    """``switches_on(grid)``: the crosspoints a :class:`PsaGrid` has on."""
+
+    def on(grid) -> set:
+        return {(int(i), int(j)) for i, j in zip(*np.nonzero(grid._state))}
+
+    return on
+
+
+@pytest.fixture(scope="session")
 def detector_golden() -> dict:
     """The committed detector golden (timelines, pins, fixtures)."""
     return json.loads(DETECTOR_GOLDEN.read_text())

@@ -21,11 +21,6 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.table1 import run_psa_sweep
 
 
-def amp_at(spectrum, freq: float) -> float:
-    """Amplitude [V] of ``spectrum``'s bin nearest to ``freq``."""
-    return float(spectrum.amps[np.argmin(np.abs(spectrum.freqs - freq))])
-
-
 def test_outcome_from_populations():
     rng = np.random.default_rng(0)
     inactive = rng.normal(0.0, 1.0, 40)
@@ -61,7 +56,7 @@ def test_euclidean_statistics():
     assert far[0] > 0.1
 
 
-def test_reference_spectrum_is_power_mean():
+def test_reference_spectrum_is_power_mean(amp_at):
     fs = 528e6
     t = np.arange(2048) / fs
     spec_a = amplitude_spectrum(np.sin(2 * np.pi * 33e6 * t), fs)

@@ -15,18 +15,19 @@ def test_lattice_dimensions_match_paper():
     assert PsaGrid().ascii_art().count(".") == 1296
 
 
-def test_all_switches_start_off():
+def test_all_switches_start_off(switches_on):
     grid = PsaGrid()
     assert grid.n_on == 0
-    assert "#" not in grid.ascii_art()
+    assert switches_on(grid) == set()
 
 
-def test_turn_on_off():
+def test_turn_on_off(switches_on):
     grid = PsaGrid()
     grid.program([(3, 5)])
+    assert switches_on(grid) == {(3, 5)}
     assert grid.n_on == 1
     grid.turn_off(3, 5)
-    assert grid.n_on == 0
+    assert switches_on(grid) == set()
 
 
 def test_out_of_range_rejected():
@@ -75,13 +76,11 @@ def test_release_by_owner():
         max_size=64,
     )
 )
-def test_program_release_roundtrip(points):
+def test_program_release_roundtrip(switches_on, points):
     grid = PsaGrid()
     grid.program(points, owner="prop")
     assert grid.n_on == len(points)
-    rows = grid.ascii_art().splitlines()
-    on = {(i, j) for i in range(N_WIRES) for j in range(N_WIRES) if rows[35 - j][i] == "#"}
-    assert on == set(points)
+    assert switches_on(grid) == set(points)
     grid.release("prop")
     assert grid.n_on == 0
 

@@ -22,11 +22,6 @@ from repro.instruments.rasc import AUTO_RANGE_HEADROOM, RASC_ADC
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 
 
-def amp_at(spectrum, freq: float) -> float:
-    """Amplitude [V] of ``spectrum``'s bin nearest to ``freq``."""
-    return float(spectrum.amps[np.argmin(np.abs(spectrum.freqs - freq))])
-
-
 FS = 528e6
 
 
@@ -35,13 +30,13 @@ def _tone(freq, amp, n=8448, fs=FS):
     return amp * np.sin(2 * np.pi * freq * t)
 
 
-def test_single_tone_amplitude():
+def test_single_tone_amplitude(amp_at):
     """An on-bin sine of peak A reads A/sqrt(2) RMS in its bin."""
     spec = amplitude_spectrum(_tone(33e6, 2.0), FS)
     assert amp_at(spec, 33e6) == pytest.approx(2.0 / np.sqrt(2.0), rel=1e-6)
 
 
-def test_two_tones_resolve():
+def test_two_tones_resolve(amp_at):
     trace = _tone(33e6, 1.0) + _tone(48e6, 0.25)
     spec = amplitude_spectrum(trace, FS)
     assert amp_at(spec, 48e6) == pytest.approx(0.25 / np.sqrt(2.0), rel=1e-6)
@@ -87,7 +82,7 @@ def test_average_requires_matching_axes():
         average_spectra([a, b])
 
 
-def test_resample_to_display_grid():
+def test_resample_to_display_grid(amp_at):
     spec = amplitude_spectrum(_tone(48e6, 1.0), FS)
     display = resample_spectrum(spec, 0.0, 120e6, 2000)
     assert display.freqs.size == 2000

@@ -11,11 +11,6 @@ from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.traces import Trace
 
 
-def amp_at(spectrum, freq: float) -> float:
-    """Amplitude [V] of ``spectrum``'s bin nearest to ``freq``."""
-    return float(spectrum.amps[np.argmin(np.abs(spectrum.freqs - freq))])
-
-
 FS = 528e6
 
 
@@ -76,7 +71,7 @@ def test_spectrum_analyzer_display_settings():
     assert spec.freqs[-1] == pytest.approx(120e6)
 
 
-def test_spectrum_analyzer_average():
+def test_spectrum_analyzer_average(amp_at):
     analyzer = SpectrumAnalyzer()
     traces = [_tone_trace(48e6) for _ in range(5)]
     avg = average_spectra([analyzer.spectrum(trace) for trace in traces])
